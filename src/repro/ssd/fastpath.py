@@ -5,20 +5,20 @@ read; a realistic batch costs tens of thousands of heap pushes and
 callback dispatches, so the *simulator* — not the simulated SSD —
 becomes the bottleneck.  This module replays the exact same protocol
 (request overhead -> die flush -> shared-bus transfer) without any
-processes: per channel, a small event loop over plain tuples applies
+processes or events: per channel, one arithmetic step per read applies
 the same greedy resource semantics as :class:`repro.sim.resources.
 Resource` (FIFO die mutex) and :class:`repro.sim.resources.Server`
-(FIFO channel bus), reproducing the DES event order *and* its float
+(FIFO channel bus), reproducing the DES service order *and* its float
 arithmetic bit for bit.
 
 Exactness rests on three properties of the kernel:
 
 * Events fire in ``(time, sequence)`` order and sequences are assigned
-  at scheduling time, so within one channel the relative order of the
-  replayed events equals the relative order of the DES events (channel
-  events are only ever scheduled while processing channel events; the
-  per-request entry timeouts are all scheduled up front, in issue
-  order, before any channel event exists).
+  at scheduling time, so within one channel the order of two events of
+  the same instant is the order in which the events that scheduled
+  them fired (channel events are only ever scheduled while processing
+  channel events; the per-request entry timeouts are all scheduled up
+  front, in issue order, before any channel event exists).
 * ``Server.serve`` computes ``finish = max(now, free_at) + duration``
   but resumes the caller at ``now + (finish - now)`` — the replay
   tracks both quantities instead of assuming the round trip is exact.
@@ -30,16 +30,12 @@ The fast path is only entered when the event queue is idle (no
 concurrent block I/O sharing the channels); ``RMSSD_FASTPATH=0``
 disables it globally.  See ``docs/performance.md``.
 """
-# lint: ok-file[R3]  -- this module *is* a (mini) event kernel: the
-# heapq use replays Resource/Server scheduling outside repro.sim by
-# design, with equivalence pinned by tests/test_fastpath_equivalence.
 
 from __future__ import annotations
 
-import heapq
 import os
-from collections import deque
-from typing import List, Tuple
+from bisect import insort
+from typing import Tuple
 
 import numpy as np
 
@@ -101,8 +97,7 @@ def serialize_server(server, count: int, service_ns: float) -> np.ndarray:
     return t0 + (finishes - t0)
 
 
-# Replay event kinds, in the order they occur for one request.
-_ARRIVE, _GRANT, _FLUSH, _DONE = 0, 1, 2, 3
+_INF = float("inf")
 
 
 def _replay_channel(
@@ -118,7 +113,7 @@ def _replay_channel(
     profiler=None,
     bus_name=None,
     die_names=None,
-) -> Tuple[np.ndarray, float, float, int]:
+) -> Tuple[np.ndarray, float, float]:
     """Replay one channel's reads; returns completion times + bus state.
 
     ``enter_ns`` (sorted, issue order) carries one entry per request:
@@ -128,86 +123,96 @@ def _replay_channel(
     wait already elapsed (the overhead timeouts were scheduled up
     front, as ``FlashArray.run_reads`` does).
 
-    The entry stream owns the smallest sequence numbers (its DES
-    timeouts were scheduled before any channel event), so on time ties
-    it is drained first; dynamically scheduled events get increasing
-    sequences from ``n`` — matching the kernel's global counter
-    restricted to this channel.
+    One step per read, in die-grant order.  A die holds one read at a
+    time and serves its reads in issue order, so each die has at most
+    one *pending grant*: its next read, granted at ``g = max(arrive,
+    prev_done)``.  Flush ends at ``f = g + flush``, monotone in ``g``,
+    so the bus serves reads in grant order and a step is the
+    ``Server.serve`` arithmetic applied at ``f``.  The step to take is
+    the smallest pending grant; the kernel breaks equal ``g`` by event
+    sequence number, i.e. by *when the event that pushed the grant was
+    itself scheduled*.  A grant is pushed either by the read's own
+    arrival (die idle; scheduled when the read entered, at ``e_i`` —
+    or before everything, ``-inf``, when the arrivals were scheduled up
+    front) or by the previous read's completion (scheduled when that
+    read won the bus, at its ``f_j``); entries are drained before
+    equal-time channel events, so an arrival sorts before a completion
+    of the same moment, and equal moments of one kind fall back to
+    issue index / bus rank.  The same comparison decides whether the
+    previous completion is processed before an arrival of the same
+    instant, i.e. whether that arrival finds its die idle.
     """
     n = len(enter_ns)
-    completion = np.empty(n, dtype=np.float64)
-    heap: List[tuple] = []
-    seq = n
-    ptr = 0
-    die_busy = [False] * num_dies
-    die_busy_since = [0.0] * num_dies
-    die_waiters = [deque() for _ in range(num_dies)]
-    jobs = 0
-    while ptr < n or heap:
-        if ptr < n and (not heap or enter_ns[ptr] <= heap[0][0]):
-            t = float(enter_ns[ptr])
-            idx = ptr
-            ptr += 1
-            if staged:
-                # Entry processing schedules the overhead timeout.
-                heapq.heappush(heap, (t + oh_ns, seq, _ARRIVE, idx))
-                seq += 1
-                continue
-            kind = _ARRIVE
-        else:
-            t, _, kind, idx = heapq.heappop(heap)
-        if kind == _ARRIVE:
-            # Resource.acquire: grant immediately (a delay-0 event) or
-            # join the die's FIFO wait queue.
-            die = die_ids[idx]
-            if die_busy[die]:
-                if profiler is not None:
-                    # Mirrors Resource.acquire's pre-append sample.
-                    profiler.record_queue_depth(
-                        die_names[die], t, len(die_waiters[die])
-                    )
-                die_waiters[die].append(idx)
-            else:
-                die_busy[die] = True
-                die_busy_since[die] = t
-                heapq.heappush(heap, (t, seq, _GRANT, idx))
-                seq += 1
-        elif kind == _GRANT:
-            heapq.heappush(heap, (t + flush_ns, seq, _FLUSH, idx))
-            seq += 1
-        elif kind == _FLUSH:
-            # Server.serve on the shared bus: note the fire time is
-            # now + (finish - now), not finish.
-            duration = transfer_ns[idx]
-            begin = t if t > bus_free else bus_free
-            finish = begin + duration
-            bus_free = finish
-            bus_busy = bus_busy + duration
-            jobs += 1
+    # Index ``n`` is a sentinel read that never arrives; it ends every
+    # die's queue, so "no follower" is the idle-die case below.
+    arrive = (enter_ns + oh_ns if staged else enter_ns).tolist() + [_INF]
+    entered = (enter_ns.tolist() if staged else [-_INF] * n) + [_INF]
+    durations = transfer_ns.tolist()
+    completion = [0.0] * n
+    # Per-die issue-order queues, the position of each die's pending
+    # grant, and the pending grants themselves, kept sorted, as (g,
+    # moment, kind, rank, die) — kind 0 pushed by an arrival, 1 by a
+    # completion.
+    queues = [
+        np.flatnonzero(die_ids == die).tolist() + [n] for die in range(num_dies)
+    ]
+    position = [0] * num_dies
+    busy_since = [arrive[queue[0]] for queue in queues]
+    sampled = [0] * num_dies
+    pending = sorted(
+        (arrive[queue[0]], entered[queue[0]], 0, queue[0], die)
+        for die, queue in enumerate(queues)
+    )
+    for rank in range(n):
+        g, _, _, _, die = pending.pop(0)
+        queue = queues[die]
+        here = position[die]
+        idx = queue[here]
+        # Server.serve on the shared bus: the caller resumes at
+        # now + (finish - now), not at finish.
+        f = g + flush_ns
+        duration = durations[idx]
+        begin = f if f > bus_free else bus_free
+        finish = begin + duration
+        bus_free = finish
+        bus_busy = bus_busy + duration
+        done = f + (finish - f)
+        completion[idx] = done
+        if profiler is not None:
+            profiler.record_service(
+                bus_name, f, begin, finish, names.KIND_CHANNEL_BUS
+            )
+        here += 1
+        position[die] = here
+        follower = queue[here]
+        arrival = arrive[follower]
+        if done < arrival or (done == arrival and f < entered[follower]):
+            # Resource.release found no waiter: the die idles until
+            # the follower's own arrival grants it.
+            insort(pending, (arrival, entered[follower], 0, follower, die))
             if profiler is not None:
-                profiler.record_service(
-                    bus_name, t, begin, finish, names.KIND_CHANNEL_BUS
+                profiler.record_busy(
+                    die_names[die], busy_since[die], done, names.KIND_DIE
                 )
-            heapq.heappush(heap, (t + (finish - t), seq, _DONE, idx))
-            seq += 1
-        else:  # _DONE
-            completion[idx] = t
-            # Resource.release: hand the die to the next waiter.
-            die = die_ids[idx]
-            waiters = die_waiters[die]
-            if waiters:
-                heapq.heappush(heap, (t, seq, _GRANT, waiters.popleft()))
-                seq += 1
-            else:
-                die_busy[die] = False
-                if profiler is not None:
-                    # Occupancy closes only when the die goes idle —
-                    # handoffs keep the busy interval open, exactly as
-                    # Resource tracks ``_busy_since``.
-                    profiler.record_busy(
-                        die_names[die], die_busy_since[die], t, names.KIND_DIE
-                    )
-    return completion, float(bus_free), float(bus_busy), jobs
+                busy_since[die] = arrival
+            continue
+        # Hand-off: the follower was already waiting, the busy interval
+        # stays open (Resource keeps ``_busy_since`` across hand-offs).
+        insort(pending, (done, f, 1, rank, die))
+        if profiler is not None:
+            # Resource.acquire samples the waiters ahead of every read
+            # that arrives while the die is held; reads arriving before
+            # this completion is processed see the queue from ``here``.
+            probe = max(sampled[die], here)
+            while True:
+                waiter = queue[probe]
+                arrival = arrive[waiter]
+                if done < arrival or (done == arrival and f < entered[waiter]):
+                    break
+                profiler.record_queue_depth(die_names[die], arrival, probe - here)
+                probe += 1
+            sampled[die] = probe
+    return np.array(completion, dtype=np.float64), bus_free, bus_busy
 
 
 def replay_reads(
@@ -250,7 +255,7 @@ def replay_reads(
             sanitizer.check_latency(channel.name, "flush_ns", timing.flush_ns)
             for value in np.unique(channel_transfers):
                 sanitizer.check_latency(channel.name, "transfer_ns", float(value))
-        done, bus_free, bus_busy, jobs = _replay_channel(
+        done, bus_free, bus_busy = _replay_channel(
             enter_ns[members],
             die_ids[members],
             channel_transfers,
@@ -266,7 +271,7 @@ def replay_reads(
         )
         channel.bus._free_at = bus_free
         channel.bus.busy_time = bus_busy
-        channel.bus.jobs_served += jobs
+        channel.bus.jobs_served += int(members.size)
         completion[members] = done
     end = float(completion.max()) if len(enter_ns) else flash.sim.now
     return completion, end

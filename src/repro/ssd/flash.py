@@ -15,12 +15,14 @@ IV-B2 describes:
 
 Data contents are stored sparsely (only written pages consume memory),
 so a "32 GB" array whose workload touches a few hundred MB stays cheap
-to host in RAM.
+to host in RAM.  Written pages live in a NumPy arena of fixed-size
+extents, so a batched read gathers its rows straight out of the store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+import mmap
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +56,11 @@ class _Channel:
         ]
 
 
+#: Pages per arena extent.  The arena grows by appending one extent, so
+#: growth never copies (and never holds two copies of) the store.
+_EXTENT_PAGES = 2048
+
+
 class FlashArray:
     """Sparse-backed flash array with simulated read timing."""
 
@@ -70,7 +77,20 @@ class FlashArray:
         if self.timing.page_size != self.geometry.page_size:
             raise ValueError("timing model and geometry disagree on page size")
         self.stats = stats if stats is not None else IOStatistics()
-        self._pages: Dict[int, bytearray] = {}
+        # Page arena: zero-filled extents of ``_EXTENT_PAGES`` page rows.
+        # A written page owns one slot (extent, row); erasing zeroes
+        # and recycles it.  Slot 0 is never handed out, so it reads as
+        # an unwritten page.  The scalar path goes through per-page
+        # memoryviews of the rows, the batched path through a sorted
+        # page -> slot index that is rebuilt after the mapping changed.
+        self._extents: List[np.ndarray] = []
+        self._extent_bytes: List[memoryview] = []
+        self._pages: Dict[int, memoryview] = {}
+        self._slots: Dict[int, int] = {}
+        self._free_slots: List[int] = []
+        self._next_slot = 1
+        self._slot_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._append_extent()
         self.channels = [
             _Channel(sim, self.geometry, i) for i in range(self.geometry.channels)
         ]
@@ -89,9 +109,34 @@ class FlashArray:
             raise ValueError("write crosses the page boundary")
         page = self._pages.get(page_index)
         if page is None:
-            page = bytearray(page_size)
-            self._pages[page_index] = page
+            page = self._allocate_page(page_index)
         page[offset : offset + len(data)] = data
+
+    def _append_extent(self) -> None:
+        # Anonymous mapping: zero-filled, and a row costs memory only
+        # once it is written (page-granular, like the pages themselves).
+        buffer = mmap.mmap(-1, _EXTENT_PAGES * self.geometry.page_size)
+        self._extent_bytes.append(memoryview(buffer))
+        self._extents.append(
+            np.frombuffer(buffer, dtype=np.uint8).reshape(_EXTENT_PAGES, -1)
+        )
+
+    def _allocate_page(self, page_index: int) -> memoryview:
+        """Give ``page_index`` a (zero-filled) arena slot; returns its row."""
+        page_size = self.geometry.page_size
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = self._next_slot
+            self._next_slot += 1
+        extent, row = divmod(slot, _EXTENT_PAGES)
+        if extent == len(self._extents):
+            self._append_extent()
+        page = self._extent_bytes[extent][row * page_size : (row + 1) * page_size]
+        self._pages[page_index] = page
+        self._slots[page_index] = slot
+        self._slot_index = None
+        return page
 
     def peek(self, page_index: int, col: int = 0, size: Optional[int] = None) -> bytes:
         """Read page contents without consuming simulated time."""
@@ -109,8 +154,9 @@ class FlashArray:
         """Batched functional read of fixed-size fp32 vectors.
 
         Equivalent to ``np.frombuffer(peek(page, col, size), float32)``
-        per request (unwritten pages read as zeros), as one gather over
-        the touched pages.  ``size`` must be a multiple of 4.
+        per request (unwritten pages read as zeros), as one gather of
+        the requested rows out of the page arena.  ``size`` must be a
+        multiple of 4.
         """
         page_size = self.geometry.page_size
         if size % 4 != 0:
@@ -119,24 +165,42 @@ class FlashArray:
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and bool(((cols < 0) | (cols + size > page_size)).any()):
             raise ValueError("read crosses the page boundary")
-        touched, inverse = np.unique(page_indices, return_inverse=True)
-        page_bytes = np.zeros((len(touched), page_size), dtype=np.uint8)
-        for position, page_index in enumerate(touched.tolist()):
-            page = self._pages.get(page_index)
-            if page is not None:
-                page_bytes[position] = np.frombuffer(bytes(page), dtype=np.uint8)
-        if cols.size == 0 or bool((cols % 4 == 0).all()):
-            # Vector-aligned columns (the layout always aligns): gather
-            # whole fp32 words instead of bytes.
-            page_words = page_bytes.view(np.float32)
-            return page_words[
-                inverse[:, None],
-                cols[:, None] // 4 + np.arange(size // 4, dtype=np.int64),
-            ]
-        gathered = page_bytes[
-            inverse[:, None], cols[:, None] + np.arange(size, dtype=np.int64)
-        ]
+        keys, key_slots = self._page_slot_index()
+        found = np.searchsorted(keys, page_indices)
+        slots = np.where(keys[found] == page_indices, key_slots[found], 0)
+        extent_ids, rows = np.divmod(slots, _EXTENT_PAGES)
+        gathered = np.empty((len(page_indices), size), dtype=np.uint8)
+        # Vector-aligned columns (the layout always aligns) index whole
+        # vectors of a page; anything else is gathered byte by byte.
+        aligned = bool((cols % size == 0).all())
+        per_page = page_size // size
+        for extent_id in np.flatnonzero(np.bincount(extent_ids)).tolist():
+            members = np.flatnonzero(extent_ids == extent_id)
+            pages = self._extents[extent_id]
+            if aligned:
+                vectors = pages[:, : per_page * size].reshape(-1, per_page, size)
+                gathered[members] = vectors[rows[members], cols[members] // size]
+            else:
+                byte_ids = cols[members, None] + np.arange(size, dtype=np.int64)
+                gathered[members] = pages[rows[members, None], byte_ids]
         return gathered.view(np.float32)
+
+    def _page_slot_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted written page numbers and their slots, for searchsorted.
+
+        A trailing sentinel key above every page number keeps each
+        probe in range; it maps to slot 0, the unwritten page.
+        """
+        if self._slot_index is None:
+            count = len(self._slots)
+            keys = np.fromiter(self._slots, dtype=np.int64, count=count)
+            slots = np.fromiter(self._slots.values(), dtype=np.int64, count=count)
+            order = np.argsort(keys)
+            self._slot_index = (
+                np.append(keys[order], np.iinfo(np.int64).max),
+                np.append(slots[order], 0),
+            )
+        return self._slot_index
 
     @property
     def written_pages(self) -> int:
@@ -159,7 +223,11 @@ class FlashArray:
                 page=page,
             )
             flat = self.geometry.address_to_page_index(erased)
-            self._pages.pop(flat, None)
+            row = self._pages.pop(flat, None)
+            if row is not None:
+                row[:] = bytes(len(row))
+                self._free_slots.append(self._slots.pop(flat))
+                self._slot_index = None
             if self.sanitizer is not None:
                 self.sanitizer.on_erase(flat)
 

@@ -12,6 +12,8 @@ The ``smoke``-named subset is run by ``tools/check.sh`` under
 ``RMSSD_SANITIZE=1``.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,14 @@ from pytest import approx
 from repro.core.lookup_engine import EmbeddingLookupEngine
 from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.table import EmbeddingTableSet
+from repro.obs import Profiler
 from repro.sim import Simulator
 from repro.ssd import fastpath
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
 from repro.ssd.geometry import SSDGeometry
+from repro.ssd.timing import SSDTimingModel
 
 NUM_TABLES = 3
 ROWS = 96
@@ -80,6 +84,20 @@ def make_batch(rng, samples, max_len, dist):
     ]
 
 
+def assert_buses_equal(des_flash, fast_flash):
+    """Channel-bus bookkeeping must carry into the next batch identically."""
+    for des_channel, fast_channel in zip(des_flash.channels, fast_flash.channels):
+        assert (
+            fast_channel.bus._free_at,
+            fast_channel.bus.busy_time,
+            fast_channel.bus.jobs_served,
+        ) == (
+            des_channel.bus._free_at,
+            des_channel.bus.busy_time,
+            des_channel.bus.jobs_served,
+        )
+
+
 def assert_equivalent(des_engine, fast_engine, des, fast):
     """Full-state equivalence after running the same batch both ways."""
     assert des.path == "des"
@@ -99,20 +117,7 @@ def assert_equivalent(des_engine, fast_engine, des, fast):
     assert (fast_ftl._free_at, fast_ftl.busy_time, fast_ftl.jobs_served) == (
         des_ftl._free_at, des_ftl.busy_time, des_ftl.jobs_served
     )
-    channels = zip(
-        des_engine.controller.flash.channels,
-        fast_engine.controller.flash.channels,
-    )
-    for des_channel, fast_channel in channels:
-        assert (
-            fast_channel.bus._free_at,
-            fast_channel.bus.busy_time,
-            fast_channel.bus.jobs_served,
-        ) == (
-            des_channel.bus._free_at,
-            des_channel.bus.busy_time,
-            des_channel.bus.jobs_served,
-        )
+    assert_buses_equal(des_engine.controller.flash, fast_engine.controller.flash)
 
 
 def run_pair(batches, geometry_name, pooling):
@@ -317,16 +322,7 @@ def assert_flash_equivalent(des_flash, fast_flash, t_des, t_fast):
     assert t_fast == approx(t_des, rel=0, abs=0)
     assert fast_flash.sim.now == approx(des_flash.sim.now, rel=0, abs=0)
     assert fast_flash.stats.as_dict() == des_flash.stats.as_dict()
-    for des_channel, fast_channel in zip(des_flash.channels, fast_flash.channels):
-        assert (
-            fast_channel.bus._free_at,
-            fast_channel.bus.busy_time,
-            fast_channel.bus.jobs_served,
-        ) == (
-            des_channel.bus._free_at,
-            des_channel.bus.busy_time,
-            des_channel.bus.jobs_served,
-        )
+    assert_buses_equal(des_flash, fast_flash)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
@@ -374,3 +370,219 @@ def test_run_reads_fast_validates_bounds():
         flash.run_reads([(0, 4090, 64)], vector=True, fast=True)
     with pytest.raises(ValueError):
         flash.run_reads([(0, -4, 64)], vector=True, fast=True)
+
+
+# ----------------------------------------------------------------------
+# Tie stress: every latency on one quantum grid, replay vs the DES
+# ----------------------------------------------------------------------
+# The replay orders equal-time die grants by when the event that
+# pushed them was scheduled (see ``fastpath._replay_channel``).  With
+# Table II timing two events almost never share an instant, so these
+# cases put every latency on a 1 ns grid: arrivals, flush ends and
+# completions collide constantly and a wrong tie rule changes the
+# service order, hence the times.
+TIE_PAGE_SIZE = 64
+TIE_SIZES = (16, 32, 48, 64)
+
+
+def tie_timing(page_cycles, overhead_cycles):
+    """1 ns cycles and flush = full-page transfer = ``page_cycles / 2``,
+    so a vector of 16/32/48/64 bytes transfers in 1/4..4/4 of that."""
+    timing = SSDTimingModel(
+        clock_hz=1e9, page_read_us=page_cycles / 1e3, flush_fraction=0.5,
+        page_size=TIE_PAGE_SIZE, request_overhead_cycles=overhead_cycles,
+    )
+    assert timing.flush_ns == approx(page_cycles / 2, rel=0, abs=0)
+    assert timing.request_overhead_ns == approx(overhead_cycles, rel=0, abs=0)
+    return timing
+
+
+def tie_flash(dies, channels, page_cycles, overhead_cycles, bus_busy_until):
+    """A profiled flash array whose latencies are whole nanoseconds;
+    ``bus_busy_until`` (one offset per channel) is bus occupancy
+    carried over from before the batch."""
+    geo = SSDGeometry(
+        channels=channels, dies_per_channel=dies, planes_per_die=1,
+        blocks_per_plane=4, pages_per_block=4, page_size=TIE_PAGE_SIZE,
+    )
+    flash = FlashArray(Simulator(), geo, tie_timing(page_cycles, overhead_cycles))
+    flash.sim.profiler = Profiler()
+    for channel, offset in zip(flash.channels, bus_busy_until):
+        channel.bus._free_at = float(offset)
+    return flash
+
+
+def staged_reads_des(flash, reads, enter):
+    """Reads entering the flash stage at ``enter`` (sorted), on the
+    DES: the entry timeouts are all scheduled up front in issue order,
+    as the FTL stage's completions are in ``lookup_batch``."""
+    sim = flash.sim
+
+    def read(entry, page, col, size):
+        yield sim.timeout(entry - sim.now)
+        yield from flash.read_vector_proc(page, col, size)
+
+    for entry, request in zip(enter, reads):
+        sim.process(read(entry, *request))
+    sim.run()
+    return sim.now
+
+
+def staged_reads_fast(flash, reads, enter):
+    pages = np.array([page for page, _, _ in reads], dtype=np.int64)
+    sizes = np.array([size for _, _, size in reads], dtype=np.int64)
+    channel_ids, die_ids = flash.geometry.split_page_indices(pages)
+    _, end = fastpath.replay_reads(
+        flash,
+        np.array(enter, dtype=np.float64),
+        channel_ids,
+        die_ids,
+        flash.timing.vector_transfer_ns_array(sizes),
+        staged=True,
+    )
+    flash.sim.run(until=end)
+    return flash.sim.now
+
+
+def profile_state(profiler):
+    """The exported document plus the raw records it is derived from
+    (record order is not part of the contract, multiplicity is)."""
+    records = (profiler._services, profiler._busy, profiler._queue_samples)
+    return (
+        json.dumps(profiler.as_dict(), sort_keys=True),
+        [{name: sorted(rows) for name, rows in kind.items()} for kind in records],
+    )
+
+
+def assert_tie_equivalent(des_flash, fast_flash, t_des, t_fast):
+    assert t_fast == approx(t_des, rel=0, abs=0)
+    assert_buses_equal(des_flash, fast_flash)
+    assert profile_state(fast_flash.sim.profiler) == profile_state(
+        des_flash.sim.profiler
+    )
+
+
+def run_tie_case(dies, channels, page_cycles, overhead_cycles, bus_busy_until,
+                 pages, sizes, enter):
+    """One read set both ways: ``enter=None`` goes through ``run_reads``
+    (arrivals scheduled up front), a sorted list through the staged
+    entry the lookup engine uses."""
+    reads = [(page, 0, size) for page, size in zip(pages, sizes)]
+    des_flash, fast_flash = (
+        tie_flash(dies, channels, page_cycles, overhead_cycles, bus_busy_until)
+        for _ in range(2)
+    )
+    if enter is None:
+        t_des = des_flash.run_reads(reads, vector=True, fast=False)
+        t_fast = fast_flash.run_reads(list(reads), vector=True, fast=True)
+    else:
+        t_des = staged_reads_des(des_flash, reads, enter)
+        t_fast = staged_reads_fast(fast_flash, reads, enter)
+    assert_tie_equivalent(des_flash, fast_flash, t_des, t_fast)
+
+
+def test_smoke_tie_stress_staged_and_unstaged():
+    """Three dies, one channel, 1 ns grid: a clump of simultaneous
+    entries, stragglers landing exactly on flush ends and completions,
+    mixed transfer lengths, and a bus still busy from before."""
+    pages = [0, 1, 2, 0, 1, 2, 0, 0, 1, 2, 2, 1]
+    sizes = [64, 16, 32, 48, 64, 16, 16, 32, 48, 64, 16, 32]
+    enter = [0, 0, 0, 0, 2, 4, 4, 6, 6, 8, 9, 12]
+    for overhead in (0, 2):
+        run_tie_case(3, 1, 8, overhead, [5], pages, sizes, enter)
+        run_tie_case(3, 1, 8, overhead, [5], pages, sizes, [3] * len(pages))
+        run_tie_case(3, 1, 8, overhead, [5], pages, sizes, None)
+
+
+def test_smoke_tie_rules_one_by_one():
+    """One designed collision per clause of the tie rule (flush 4 ns,
+    overhead 2 ns, a 32-byte transfer 2 ns, a 64-byte one 4 ns; the
+    first read enters at 0, wins the bus at 6, and a later read enters
+    at that very moment)."""
+    # Arrival and completion pushed at the same moment, grants at the
+    # same instant on two dies: the arrival's grant goes first.  Read
+    # 0 (die 0) completes at 8 and hands over to read 1; read 2 (die
+    # 1) entered at 6 and arrives at 8.
+    run_tie_case(2, 1, 8, 2, [0], [0, 2, 1], [32, 16, 64], [0, 0, 6])
+    # Same die, arrival at the instant of the previous completion, and
+    # entered when that read won the bus: the arrival is processed
+    # first and finds the die held (a hand-off, a depth-0 queue sample).
+    run_tie_case(1, 1, 8, 2, [0], [0, 0], [32, 32], [0, 6])
+    # Entered later than that (8 > 6) but still arriving at the instant
+    # of the completion (10): the completion is processed first and the
+    # arrival finds the die idle (two busy intervals, no queue sample).
+    run_tie_case(1, 1, 8, 2, [0], [0, 0], [64, 32], [0, 8])
+    # Two completions of one instant on different dies cannot happen
+    # (the bus serialises transfers of non-zero length), so the bus
+    # rank in the grant key has no DES-observable case.
+
+
+@given(
+    dies=st.integers(1, 5),
+    channels=st.integers(1, 2),
+    grid=st.sampled_from([1, 2]),
+    overhead_steps=st.integers(0, 2),
+    bus_busy_until=st.lists(st.integers(0, 6), min_size=2, max_size=2),
+    reads=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 3)), min_size=1, max_size=16
+    ),
+    entry_mode=st.sampled_from(["unstaged", "equal", "sorted"]),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=600, derandomize=True)
+def test_property_tie_stress(dies, channels, grid, overhead_steps,
+                             bus_busy_until, reads, entry_mode, data):
+    """Flush is 4 ns throughout; on the 1 ns grid transfers take
+    1/2/3/4 ns, on the 2 ns grid (where whole chains of events share
+    instants) 2/4 ns, and overheads, entries and carried-over bus
+    occupancy are multiples of the grid step."""
+    total_pages = channels * dies * 16
+    pages = [page % total_pages for page, _ in reads]
+    sizes = [
+        TIE_SIZES[pick] if grid == 1 else TIE_SIZES[1 + 2 * (pick % 2)]
+        for _, pick in reads
+    ]
+    if entry_mode == "unstaged":
+        enter = None
+    elif entry_mode == "equal":
+        enter = [grid * data.draw(st.integers(0, 6))] * len(reads)
+    else:
+        steps = st.lists(st.integers(0, 8), min_size=len(reads), max_size=len(reads))
+        enter = sorted(grid * step for step in data.draw(steps))
+    run_tie_case(dies, channels, 8, grid * overhead_steps,
+                 [grid * offset for offset in bus_busy_until], pages, sizes, enter)
+
+
+def build_tie_engine(dies, dim):
+    """A lookup engine on the 1 ns grid (FTL stage included: 8 cycles)."""
+    geo = SSDGeometry(
+        channels=2, dies_per_channel=dies, planes_per_die=1,
+        blocks_per_plane=16, pages_per_block=8, page_size=TIE_PAGE_SIZE,
+    )
+    device = BlockDevice(SSDController(Simulator(), geo, timing=tie_timing(8, 2)))
+    tables = EmbeddingTableSet.uniform(NUM_TABLES, 24, dim, seed=5)
+    layout = EmbeddingLayout(device, tables)
+    layout.create_all()
+    device.controller.sim.profiler = Profiler()
+    return EmbeddingLookupEngine(device.controller, layout)
+
+
+@given(
+    batch=batch_strategy(st.integers(0, 23)),
+    dies=st.integers(1, 5),
+    dim=st.sampled_from([4, 8, 16]),
+)
+@settings(deadline=None, max_examples=40, derandomize=True)
+def test_property_tie_stress_lookup_batch(batch, dies, dim):
+    """Two consecutive batches through ``lookup_batch`` on the grid:
+    entries spaced by the FTL stage, state carried into the second."""
+    des_engine = build_tie_engine(dies, dim)
+    fast_engine = build_tie_engine(dies, dim)
+    for _ in range(2):
+        des = des_engine.lookup_batch(batch, fast=False)
+        fast = fast_engine.lookup_batch(batch, fast=True)
+        assert fast.path == "fast"
+        assert_equivalent(des_engine, fast_engine, des, fast)
+    assert profile_state(fast_engine.controller.sim.profiler) == profile_state(
+        des_engine.controller.sim.profiler
+    )

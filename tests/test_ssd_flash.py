@@ -1,8 +1,10 @@
 """Tests for the flash array data plane and timing behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.sim import Simulator
+from repro.ssd import flash as flash_module
 from repro.ssd.flash import FlashArray
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
@@ -57,6 +59,125 @@ class TestDataPlane:
             FlashArray(
                 sim, small_geometry(), SSDTimingModel(page_size=8192)
             )
+
+
+def small_page_flash():
+    """64-byte pages, 8192 of them: cheap to fill past one extent."""
+    geo = SSDGeometry(
+        channels=4, dies_per_channel=4, planes_per_die=2,
+        blocks_per_plane=16, pages_per_block=16, page_size=64,
+    )
+    return FlashArray(Simulator(), geo, SSDTimingModel(page_size=64))
+
+
+def assert_gather_matches_peek(flash, pages, cols, size):
+    """``peek_vectors`` must equal one ``peek`` per request, bytewise
+    (random page bytes include NaN patterns, so compare the bytes)."""
+    rows = flash.peek_vectors(pages, cols, size)
+    assert rows.dtype == np.float32
+    assert rows.shape == (len(pages), size // 4)
+    expected = b"".join(
+        flash.peek(int(page), int(col), size) for page, col in zip(pages, cols)
+    )
+    assert rows.tobytes() == expected
+
+
+class TestPeekVectors:
+    def test_written_and_unwritten_pages(self, flash):
+        rng = np.random.default_rng(0)
+        for page in (0, 3, 500, 4095):
+            flash.write_page(page, rng.bytes(4096))
+        pages = np.array([3, 7, 0, 4095, 1, 500, 3, 4094])
+        cols = np.array([0, 128, 3968, 256, 0, 1024, 128, 3968])
+        assert_gather_matches_peek(flash, pages, cols, 128)
+        unwritten = flash.peek_vectors(np.array([7, 1]), np.array([0, 64]), 64)
+        assert not unwritten.any()
+
+    def test_nothing_written(self, flash):
+        rows = flash.peek_vectors(np.array([0, 9]), np.array([0, 64]), 64)
+        assert rows.shape == (2, 16) and not rows.any()
+
+    def test_empty_input(self, flash):
+        flash.write_page(0, b"x" * 64)
+        rows = flash.peek_vectors(np.array([], dtype=np.int64), [], 64)
+        assert rows.shape == (0, 16) and rows.dtype == np.float32
+
+    def test_word_aligned_but_not_vector_aligned_columns(self, flash):
+        rng = np.random.default_rng(1)
+        for page in range(4):
+            flash.write_page(page, rng.bytes(4096))
+        pages = np.array([0, 1, 2, 3, 9, 0])
+        cols = np.array([4, 100, 4032, 60, 8, 0])
+        assert_gather_matches_peek(flash, pages, cols, 64)
+
+    def test_byte_aligned_columns(self, flash):
+        rng = np.random.default_rng(2)
+        for page in range(4):
+            flash.write_page(page, rng.bytes(4096))
+        pages = np.array([0, 1, 2, 3, 9])
+        cols = np.array([1, 99, 4031, 7, 3])
+        assert_gather_matches_peek(flash, pages, cols, 64)
+
+    def test_vector_size_that_does_not_divide_the_page(self, flash):
+        # 96-byte vectors: 42 per page and 64 bytes of padding.
+        rng = np.random.default_rng(3)
+        for page in range(3):
+            flash.write_page(page, rng.bytes(4096))
+        pages = np.array([0, 1, 2, 2, 5])
+        cols = np.array([0, 41 * 96, 96, 20 * 96, 96])
+        assert_gather_matches_peek(flash, pages, cols, 96)
+
+    def test_store_spanning_several_extents(self):
+        flash = small_page_flash()
+        rng = np.random.default_rng(4)
+        written = 2 * flash_module._EXTENT_PAGES + 100
+        for page in range(written):
+            flash.write_page(page, rng.bytes(64))
+        assert flash.written_pages == written
+        assert len(flash._extents) == 3
+        pages = rng.integers(0, 8192, size=500)
+        cols = rng.integers(0, 4, size=500) * 16
+        assert_gather_matches_peek(flash, pages, cols, 16)
+        assert_gather_matches_peek(flash, pages, cols + 4, 8)
+
+    def test_erased_block_reads_zeros_and_recycles_its_slots(self):
+        flash = small_page_flash()
+        rng = np.random.default_rng(5)
+        block = [
+            page for page in range(flash.geometry.total_pages)
+            if flash.geometry.page_index_to_address(page).block == 0
+            and page % 32 == 0  # channel 0, die 0, plane 0
+        ]
+        assert len(block) == flash.geometry.pages_per_block
+        for page in block + [1, 2]:
+            flash.write_page(page, rng.bytes(64))
+        slots_before = flash._next_slot
+        flash.erase_block(block[3])
+        assert flash.written_pages == 2
+        probe = np.array(block + [1, 2])
+        cols = np.zeros(len(probe), dtype=np.int64)
+        assert not flash.peek_vectors(probe[:-2], cols[:-2], 64).any()
+        assert flash.peek(block[0], 0, 64) == bytes(64)
+        assert_gather_matches_peek(flash, probe, cols, 64)
+        # Rewrite part of the block and some fresh pages: recycled
+        # slots start zeroed (a partial write shows zeros around it)
+        # and no new slot is taken while erased ones are free.
+        flash.write_page(block[0], b"abcd", offset=8)
+        for page in (100, 101, 102):
+            flash.write_page(page, rng.bytes(64))
+        assert flash._next_slot == slots_before
+        assert flash.peek(block[0], 0, 16) == bytes(8) + b"abcd" + bytes(4)
+        probe = np.array(block + [1, 2, 100, 101, 102])
+        cols = np.zeros(len(probe), dtype=np.int64)
+        assert_gather_matches_peek(flash, probe, cols, 64)
+
+    def test_bad_requests_rejected(self, flash):
+        with pytest.raises(ValueError):
+            flash.peek_vectors(np.array([0]), np.array([0]), 6)
+        with pytest.raises(ValueError):
+            flash.peek_vectors(np.array([0]), np.array([4090]), 64)
+        with pytest.raises(ValueError):
+            flash.peek_vectors(np.array([0]), np.array([-4]), 64)
 
 
 class TestReadTiming:
