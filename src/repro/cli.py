@@ -181,6 +181,12 @@ def cmd_run(args) -> int:
     print(f"simulated time: {result.total_ns / 1e6:.3f} ms")
     print(f"throughput:     {result.qps:.0f} QPS")
     print(f"per-request:    {result.latency_per_request_ns / 1e6:.3f} ms")
+    if args.backend in ("rm-ssd", "rm-ssd-naive"):
+        counts = backend.device.lookup_engine.path_counts
+        print("lookup path:    " + ", ".join(
+            f"{path} x{count}" + (f" ({reason})" if reason else "")
+            for (path, reason), count in counts.items()
+        ))
     if result.breakdown:
         stage_breakdown_table(
             f"{result.system}: stage breakdown (Fig. 11)",

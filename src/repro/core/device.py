@@ -23,7 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lookup_engine import EmbeddingLookupEngine, flash_read_cycles
+from repro.core.lookup_engine import (
+    EmbeddingLookupEngine,
+    LookupResult,
+    flash_read_cycles,
+)
 from repro.core.mlp_engine import MLPAccelerationEngine
 from repro.core.registers import MMIOCostModel, MMIOManager
 from repro.obs import names, resolve_profiler, resolve_tracer
@@ -153,8 +157,6 @@ class RMSSD:
         self.controller = SSDController(
             self.sim, geometry, ssd_timing, tracer=self.tracer, vcache=vcache
         )
-        # Last-seen cumulative cache stats, for per-batch metric deltas.
-        self._vcache_observed = (0, 0, 0)
         self.blockdev = BlockDevice(self.controller, max_extent_pages=max_extent_pages)
         self.layout = EmbeddingLayout(self.blockdev, model.tables)
         self.layout.create_all()
@@ -331,7 +333,7 @@ class RMSSD:
         if self.profiler.enabled:
             self._profile_request(batch_start, timing, send_ns, recv_ns)
         if self.metrics is not None:
-            self._observe_metrics(timing, batch_start + timing.latency_ns)
+            self._observe_metrics(timing, batch_start + timing.latency_ns, lookup)
         return outputs, timing
 
     # ------------------------------------------------------------------
@@ -501,7 +503,9 @@ class RMSSD:
                 )
             cursor += max(d for _, d in pair)
 
-    def _observe_metrics(self, timing: DeviceTiming, done_ns: float) -> None:
+    def _observe_metrics(
+        self, timing: DeviceTiming, done_ns: float, lookup: LookupResult
+    ) -> None:
         # Every observation is stamped with the batch's completion
         # instant, so a windowed registry (repro.obs.timeseries) rolls
         # device metrics into the window the batch finished in —
@@ -529,21 +533,18 @@ class RMSSD:
         )
         vcache = self.controller.vcache
         if vcache is not None:
-            hits, misses, evictions = self._vcache_observed
+            # The batch's own probe counts: every miss is a flash read.
             metrics.counter(names.METRIC_VCACHE_HITS).inc(
-                vcache.hits - hits, t_ns=done_ns
+                lookup.vcache_hits, t_ns=done_ns
             )
             metrics.counter(names.METRIC_VCACHE_MISSES).inc(
-                vcache.misses - misses, t_ns=done_ns
+                lookup.vectors_read, t_ns=done_ns
             )
             metrics.counter(names.METRIC_VCACHE_EVICTIONS).inc(
-                vcache.evictions - evictions, t_ns=done_ns
+                lookup.vcache_evictions, t_ns=done_ns
             )
             metrics.gauge(names.METRIC_VCACHE_HIT_RATIO).set(
                 vcache.hit_ratio, t_ns=done_ns
-            )
-            self._vcache_observed = (
-                vcache.hits, vcache.misses, vcache.evictions,
             )
 
     def run_workload(

@@ -94,12 +94,16 @@ class LookupResult:
 
     ``path`` records which execution path produced the result:
     ``"des"`` (per-read simulation processes) or ``"fast"`` (the
-    vectorized replay, bitwise-equal by construction and by test).
+    vectorized replay, bitwise-equal by construction and by test);
+    ``fallback_reason`` says why the DES ran (``None`` on the fast
+    path).
 
     ``vectors_read`` counts vectors *read from flash*; with a
     controller-DRAM vector cache configured, ``vcache_hits`` of the
     batch's lookups were absorbed before translation and fetched from
-    DRAM in ``vcache_ns`` instead (both zero without a cache).
+    DRAM in ``vcache_ns`` instead, and the batch's probe evicted
+    ``vcache_evictions`` and admitted ``vcache_fills`` vectors (all
+    zero without a cache).
     """
 
     pooled: np.ndarray  # batch x (tables * dim)
@@ -108,6 +112,9 @@ class LookupResult:
     path: str = "des"
     vcache_hits: int = 0
     vcache_ns: float = 0.0
+    vcache_evictions: int = 0
+    vcache_fills: int = 0
+    fallback_reason: Optional[str] = None
 
     @property
     def total_vectors(self) -> int:
@@ -146,88 +153,118 @@ class EmbeddingLookupEngine:
                 self.tables.ev_size,
                 self.tables[table_id].rows,
             )
-        # High-water marks of the cache's cumulative eviction/fill
-        # counters, so each batch accounts only its own activity even
-        # though VectorCache counters never reset between batches.
-        self._vcache_activity_seen = (0, 0)
+        #: Batches served per ``(path, fallback_reason)``.
+        self.path_counts: Dict[Tuple[str, Optional[str]], int] = {}
 
     @property
     def dim(self) -> int:
         return self.tables.dim
 
     # ------------------------------------------------------------------
-    # Controller-DRAM vector cache (optional; see repro.ssd.vcache)
+    # Steps shared by both execution paths
     # ------------------------------------------------------------------
-    def _load_vector(self, table_id: int, index: int) -> np.ndarray:
-        """Functional fetch of one embedding vector (no simulated time).
-
-        Used to fill the vector cache on admitted misses: the bytes are
-        identical to what the timed flash read of the same row returns,
-        so cache hits are bit-exact substitutes for flash reads.
-        """
-        read = self.translator.translate(table_id, index)
-        data = self.controller.peek_logical(read.device_offset, read.size)
-        return np.frombuffer(data, dtype=np.float32)
-
-    def _probe_vcache(
+    def _flatten(
         self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> Tuple[Dict[tuple, np.ndarray], List[tuple], int]:
-        """Probe the cache once per lookup, in issue order.
-
-        Returns ``(raw_hits, misses, total)``: hit vectors keyed by
-        ``(sample, table, position)``, the missed lookups as
-        ``(slot, table_id, index)`` in issue order, and the total
-        probe count.  Cache state advances deterministically with the
-        probe sequence, so the DES and fast paths — which call this
-        with identical sequences — observe identical hit sets.
-        """
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-(sample, table) lengths and the flat ``(table, row)``
+        stream in issue order (sample-major) — the order the DES
+        creates its read processes in, which fixes the FTL service
+        order, and the order the vector cache is probed in."""
         num_tables = len(self.tables)
+        cells: List[Sequence[int]] = []
         for sample_id, sample in enumerate(sparse_batch):
             if len(sample) != num_tables:
                 raise ValueError(
                     f"sample {sample_id}: {len(sample)} index lists for "
                     f"{num_tables} tables"
                 )
-        cache = self.controller.vcache
-        raw_hits: Dict[tuple, np.ndarray] = {}
-        misses: List[tuple] = []
-        total = 0
-        for sample_id, sample in enumerate(sparse_batch):
-            for table_id, indices in enumerate(sample):
-                for position, index in enumerate(indices):
-                    total += 1
-                    row = int(index)
-                    value = cache.access(
-                        (table_id, row),
-                        lambda t=table_id, r=row: self._load_vector(t, r),
-                    )
-                    if value is not None:
-                        raw_hits[(sample_id, table_id, position)] = value
-                    else:
-                        misses.append(((sample_id, table_id, position), table_id, row))
-        return raw_hits, misses, total
+            cells.extend(sample)
+        lengths = np.fromiter(
+            (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
+        )
+        filled = [np.asarray(cell, dtype=np.int64) for cell in cells if len(cell)]
+        flat_indices = (
+            np.concatenate(filled) if filled else np.empty(0, dtype=np.int64)
+        )
+        table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
+        return lengths, np.repeat(table_ids, lengths), flat_indices
 
-    def _account_vcache(self, hits: int, total: int) -> float:
-        """Record one batch's probe outcome; returns the DRAM fetch ns."""
+    def _locate(
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fig. 6 translation, batched per table, then the FTL map:
+        ``(physical_pages, cols)`` of every ``(table, row)``."""
+        device_offsets = np.empty(len(flat_indices), dtype=np.int64)
+        for table_id in range(len(self.tables)):
+            members = np.flatnonzero(flat_tables == table_id)
+            if members.size:
+                device_offsets[members] = self.translator.translate_array(
+                    table_id, flat_indices[members]
+                )
+        return self.controller.translate_vector_offsets(
+            device_offsets, self.tables.ev_size
+        )
+
+    def _peek_rows(
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+    ) -> np.ndarray:
+        """Functional gather of embedding vectors (no simulated time)."""
+        physical_pages, cols = self._locate(flat_tables, flat_indices)
+        return self.controller.flash.peek_vectors(
+            physical_pages, cols, self.tables.ev_size
+        )
+
+    # ------------------------------------------------------------------
+    # Controller-DRAM vector cache (optional; see repro.ssd.vcache)
+    # ------------------------------------------------------------------
+    def _probe_vcache(
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+    ) -> Tuple[Optional[vcache_model.Probe], np.ndarray, np.ndarray]:
+        """Probe the cache once per lookup, in issue order.
+
+        Returns the probe and the ``(table, row)`` stream of its
+        misses — the whole stream, and no probe, without a cache.
+        Cache state advances deterministically with the probe
+        sequence, so the DES and fast paths — which probe identical
+        streams — observe identical hit sets.
+        """
         cache = self.controller.vcache
-        evictions = fills = 0
-        if cache is not None:
-            seen_evictions, seen_fills = self._vcache_activity_seen
-            # ``reset_stats()`` (benchmarks call it mid-run) drops the
-            # cumulative counters below the high-water mark; restart
-            # the window instead of reporting a negative delta.
-            if cache.evictions < seen_evictions or cache.fills < seen_fills:
-                seen_evictions = seen_fills = 0
-            evictions = cache.evictions - seen_evictions
-            fills = cache.fills - seen_fills
-            self._vcache_activity_seen = (cache.evictions, cache.fills)
-        self.controller.stats.record_vcache(hits, total - hits, evictions, fills)
+        if cache is None:
+            return None, flat_tables, flat_indices
+        probe = cache.probe(zip(flat_tables.tolist(), flat_indices.tolist()))
+        self.controller.stats.record_vcache(
+            probe.hits, probe.misses, probe.evictions, probe.fills
+        )
         sanitizer = self.controller.flash.sanitizer
         if sanitizer is not None:
-            sanitizer.vcache_batch(hits, total)
-        return self.controller.timing.cycles_to_ns(
-            vcache_model.fetch_cycles(hits, self.tables.ev_size)
-        )
+            sanitizer.vcache_batch(probe.hits, len(probe.refs))
+        misses = probe.miss_positions()
+        return probe, flat_tables[misses], flat_indices[misses]
+
+    def _bind_vcache(
+        self,
+        probe: Optional[vcache_model.Probe],
+        miss_rows: np.ndarray,
+        flat_tables: np.ndarray,
+        flat_indices: np.ndarray,
+    ) -> np.ndarray:
+        """Every row of the batch in issue order, given its flash reads.
+
+        The cache copies the hit rows in around the gathered miss rows
+        and commits the batch's surviving fills from them.
+        """
+        if probe is None:
+            return miss_rows
+        rows = np.empty((len(probe.refs), self.dim), dtype=np.float32)
+        rows[probe.miss_positions()] = miss_rows
+        self.controller.vcache.bind(probe, rows)
+        sanitizer = self.controller.flash.sanitizer
+        if sanitizer is not None:
+            hits = np.flatnonzero(probe.refs != vcache_model.MISS)
+            sanitizer.vcache_hit_bytes(
+                rows[hits], self._peek_rows(flat_tables[hits], flat_indices[hits])
+            )
+        return rows
 
     def warm_vcache(self, keys: Sequence[Tuple[int, int]]) -> int:
         """Pre-fill the vector cache with ``(table_id, index)`` keys.
@@ -238,74 +275,33 @@ class EmbeddingLookupEngine:
         cache = self.controller.vcache
         if cache is None:
             raise ValueError("no vector cache configured on this device")
-        return cache.warm(
-            ((int(t), int(i)), self._load_vector(int(t), int(i)))
-            for t, i in keys
-        )
+        pairs = np.asarray(list(keys), dtype=np.int64).reshape(-1, 2)
+        rows = self._peek_rows(pairs[:, 0], pairs[:, 1])
+        return cache.warm(zip(map(tuple, pairs.tolist()), rows))
 
     # ------------------------------------------------------------------
     # Discrete-event execution
     # ------------------------------------------------------------------
-    def _read_all_proc(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
+    def _read_proc(
+        self, table_ids: Sequence[int], indices: Sequence[int]
     ) -> Generator:
         """Process: issue every vector read of the batch concurrently.
 
-        Returns the raw vectors as ``(sample, table, position) -> row``
-        so EV Sum can reduce in lookup order regardless of completion
-        order (the Path Buffer's job).
+        Returns the completed requests in issue order, so EV Sum can
+        reduce in lookup order regardless of completion order (the
+        Path Buffer's job).
         """
         sim = self.controller.sim
         events = []
-        slots = []
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != len(self.tables):
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{len(self.tables)} tables"
-                )
-            for table_id, indices in enumerate(sample):
-                for position, index in enumerate(indices):
-                    read = self.translator.translate(table_id, index)
-                    events.append(
-                        sim.process(
-                            self.controller.read_vector_proc(
-                                read.device_offset, read.size
-                            )
-                        )
-                    )
-                    slots.append((sample_id, table_id, position))
-        results = yield sim.all_of(events)
-        raw: Dict[tuple, np.ndarray] = {}
-        for slot, request in zip(slots, results):
-            raw[slot] = np.frombuffer(request.data, dtype=np.float32)
-        return raw
-
-    def _read_misses_proc(self, misses: Sequence[tuple]) -> Generator:
-        """Process: issue the cache-missed vector reads concurrently.
-
-        ``misses`` is the probe's miss list — ``(slot, table_id, row)``
-        in issue order, so the FTL MUX serves the flash reads in the
-        same order the cache-free DES would serve them.
-        """
-        sim = self.controller.sim
-        events = []
-        slots = []
-        for slot, table_id, row in misses:
-            read = self.translator.translate(table_id, row)
+        for table_id, index in zip(table_ids, indices):
+            read = self.translator.translate(table_id, index)
             events.append(
                 sim.process(
-                    self.controller.read_vector_proc(
-                        read.device_offset, read.size
-                    )
+                    self.controller.read_vector_proc(read.device_offset, read.size)
                 )
             )
-            slots.append(slot)
         results = yield sim.all_of(events)
-        raw: Dict[tuple, np.ndarray] = {}
-        for slot, request in zip(slots, results):
-            raw[slot] = np.frombuffer(request.data, dtype=np.float32)
-        return raw
+        return results
 
     def lookup_batch(
         self,
@@ -323,42 +319,108 @@ class EmbeddingLookupEngine:
         use of the flash channels: any in-flight work — concurrent
         block I/O from :meth:`repro.core.device.RMSSD.
         start_background_block_reads`, for example — falls back to the
-        DES, as does request-history recording on the EV-FMC.
+        DES, as does request-history recording on the EV-FMC.  The
+        result's ``fallback_reason`` names which of these applied.
         """
         if fast is None:
             fast = fastpath.enabled()
-        sim = self.controller.sim
-        if (
-            fast
-            and len(sparse_batch) > 0
-            and sim.peek() is None
-            and not self.controller.fmc.keep_history
-        ):
-            if self.controller.vcache is not None:
-                return self._lookup_batch_fast_vcache(sparse_batch)
-            return self._lookup_batch_fast(sparse_batch)
-        return self._lookup_batch_des(sparse_batch)
+        if not fast:
+            reason = "fast disabled"
+        elif len(sparse_batch) == 0:
+            reason = "empty batch"
+        elif self.controller.sim.peek() is not None:
+            reason = "in-flight events"
+        elif self.controller.fmc.keep_history:
+            reason = "keep_history"
+        else:
+            reason = None
+        if reason is None:
+            result = self._lookup_batch_fast(sparse_batch)
+        else:
+            result = self._lookup_batch_des(sparse_batch)
+            result.fallback_reason = reason
+        key = (result.path, reason)
+        self.path_counts[key] = self.path_counts.get(key, 0) + 1
+        return result
+
+    def _finish(
+        self,
+        path: str,
+        start: float,
+        mark,
+        elapsed: float,
+        pooled: np.ndarray,
+        vectors_read: int,
+        probe: Optional[vcache_model.Probe],
+    ) -> LookupResult:
+        """Accounting, spans, profile and result of one batched lookup.
+
+        Every quantity here — ``start``, ``elapsed`` and the server
+        states behind ``emit_batch_spans`` — is bitwise equal between
+        the DES and the fast path (the PR 2 equivalence contract), so
+        both paths report through this one tail; pinned by
+        ``tests/test_obs_span_equivalence.py``.
+
+        The DRAM fetch of the hit vectors overlaps the flash reads:
+        the stage ends when the slower of the two streams drains.
+        """
+        timing = self.controller.timing
+        ev_size = self.tables.ev_size
+        hits = evictions = fills = 0
+        vcache_ns = 0.0
+        if probe is not None:
+            hits, evictions, fills = probe.hits, probe.evictions, probe.fills
+            vcache_ns = timing.cycles_to_ns(vcache_model.fetch_cycles(hits, ev_size))
+        total = vectors_read + hits
+        self.controller.stats.record_useful(total * ev_size)
+        ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * total)
+        stage_ns = max(elapsed, vcache_ns)
+        if self.controller.tracer.enabled:
+            self._emit_lookup_spans(
+                start, elapsed, stage_ns, ev_sum_ns, vectors_read,
+                len(pooled), path, mark, hits, vcache_ns, probe is not None,
+            )
+        profiler = self.controller.sim.profiler
+        if profiler is not None and profiler.enabled:
+            # Busy intervals of the engines the DES does not model as
+            # resources: the EV-Sum adder tree and the controller-DRAM
+            # vcache stream are analytic add-ons.
+            profiler.record_busy(
+                names.EV_SUM,
+                start + stage_ns,
+                start + stage_ns + ev_sum_ns,
+                names.KIND_EV_SUM,
+            )
+            if probe is not None:
+                profiler.record_busy(
+                    names.VCACHE, start, start + vcache_ns, names.VCACHE
+                )
+        return LookupResult(
+            pooled=pooled,
+            elapsed_ns=stage_ns + ev_sum_ns,
+            vectors_read=vectors_read,
+            path=path,
+            vcache_hits=hits,
+            vcache_ns=vcache_ns,
+            vcache_evictions=evictions,
+            vcache_fills=fills,
+        )
 
     def _emit_lookup_spans(
         self,
         start: float,
         elapsed: float,
+        stage_ns: float,
         ev_sum_ns: float,
         vectors_read: int,
         nbatch: int,
         path: str,
         mark,
-        vcache_hits: int = 0,
-        vcache_ns: float = 0.0,
-        vcache_enabled: bool = False,
+        vcache_hits: int,
+        vcache_ns: float,
+        vcache_enabled: bool,
     ) -> None:
-        """Span tree of one batched lookup, identical for both paths.
-
-        Every quantity here — ``start``, ``elapsed``, ``ev_sum_ns`` and
-        the server states behind ``emit_batch_spans`` — is bitwise
-        equal between the DES and the fast path (the PR 2 equivalence
-        contract), so the emitted trees match exactly; pinned by
-        ``tests/test_obs_span_equivalence.py``.
+        """Span tree of one batched lookup.
 
         With the vector cache enabled, a ``vcache`` span covers the
         DRAM fetch of the hit vectors (overlapping ``flash_read``) and
@@ -367,7 +429,6 @@ class EmbeddingLookupEngine:
         build.
         """
         tracer = self.controller.tracer
-        stage_ns = max(elapsed, vcache_ns) if vcache_enabled else elapsed
         end = start + stage_ns + ev_sum_ns
         track = tracer.lane_track("emb", start, end)
         batch_args = {"vectors": vectors_read, "samples": nbatch, "path": path}
@@ -411,35 +472,6 @@ class EmbeddingLookupEngine:
         )
         self.controller.emit_batch_spans(start, mark)
 
-    def _profile_lookup(
-        self,
-        start: float,
-        elapsed: float,
-        ev_sum_ns: float,
-        vcache_ns: float = 0.0,
-        vcache_enabled: bool = False,
-    ) -> None:
-        """Busy intervals of the engines the DES does not model as
-        resources: the EV-Sum adder tree and the controller-DRAM
-        vcache stream are analytic add-ons, so their occupancy is
-        reported here — from the same bitwise-equal quantities the
-        span tree uses, identically on both execution paths.
-        """
-        profiler = self.controller.sim.profiler
-        if profiler is None or not profiler.enabled:
-            return
-        stage_ns = max(elapsed, vcache_ns) if vcache_enabled else elapsed
-        profiler.record_busy(
-            names.EV_SUM,
-            start + stage_ns,
-            start + stage_ns + ev_sum_ns,
-            names.KIND_EV_SUM,
-        )
-        if vcache_enabled:
-            profiler.record_busy(
-                names.VCACHE, start, start + vcache_ns, names.VCACHE
-            )
-
     def _lookup_batch_des(
         self, sparse_batch: Sequence[Sequence[Sequence[int]]]
     ) -> LookupResult:
@@ -447,66 +479,34 @@ class EmbeddingLookupEngine:
 
         With a vector cache configured, the batch is probed first (in
         issue order) and only the misses become read processes; hit
-        vectors are merged back by slot before EV Sum, so pooling still
-        accumulates in lookup order.
+        vectors are merged back in issue order before EV Sum, so
+        pooling still accumulates in lookup order.
         """
         sim = self.controller.sim
         start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        vcache = self.controller.vcache
-        if vcache is None:
-            proc = sim.process(self._read_all_proc(sparse_batch))
-            sim.run()
-            raw = proc.value
-            vcache_hits = 0
-            vcache_ns = 0.0
-        else:
-            raw, misses, total = self._probe_vcache(sparse_batch)
-            proc = sim.process(self._read_misses_proc(misses))
-            sim.run()
-            raw.update(proc.value)
-            vcache_hits = total - len(misses)
-            vcache_ns = self._account_vcache(vcache_hits, total)
+        mark = self.controller.batch_mark() if self.controller.tracer.enabled else None
+        lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
+        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
+        proc = sim.process(
+            self._read_proc(miss_tables.tolist(), miss_indices.tolist())
+        )
+        sim.run()
         elapsed = sim.now - start
-        total_vectors = len(raw)
-        vectors_read = total_vectors - vcache_hits
+        miss_rows = np.empty((len(proc.value), self.dim), dtype=np.float32)
+        for position, request in enumerate(proc.value):
+            miss_rows[position] = np.frombuffer(request.data, dtype=np.float32)
+        rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices)
         # EV Sum: accumulate in lookup order for bitwise-stable fp32.
-        pooled_rows: List[np.ndarray] = []
-        for sample_id, sample in enumerate(sparse_batch):
-            per_table: List[np.ndarray] = []
-            for table_id, indices in enumerate(sample):
-                acc = np.zeros(self.dim, dtype=np.float32)
-                for position in range(len(indices)):
-                    acc += raw[(sample_id, table_id, position)]
-                if self.pooling == "mean" and indices:
-                    acc = (acc / np.float32(len(indices))).astype(np.float32)
-                per_table.append(acc)
-            pooled_rows.append(np.concatenate(per_table).astype(np.float32))
-        self.controller.stats.record_useful(total_vectors * self.tables.ev_size)
-        ev_sum_ns = self.controller.timing.cycles_to_ns(
-            EV_SUM_CYCLES_PER_VECTOR * total_vectors
-        )
-        stage_ns = elapsed if vcache is None else max(elapsed, vcache_ns)
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "des", mark,
-                vcache_hits=vcache_hits,
-                vcache_ns=vcache_ns,
-                vcache_enabled=vcache is not None,
-            )
-        self._profile_lookup(
-            start, elapsed, ev_sum_ns, vcache_ns, vcache is not None
-        )
-        return LookupResult(
-            pooled=np.stack(pooled_rows),
-            elapsed_ns=stage_ns + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="des",
-            vcache_hits=vcache_hits,
-            vcache_ns=vcache_ns,
-        )
+        pooled = np.zeros((len(lengths), self.dim), dtype=np.float32)
+        cursor = 0
+        for acc, count in zip(pooled, lengths.tolist()):
+            for row in rows[cursor : cursor + count]:
+                acc += row
+            if self.pooling == "mean" and count:
+                acc /= np.float32(count)
+            cursor += count
+        pooled = pooled.reshape(len(sparse_batch), len(self.tables) * self.dim)
+        return self._finish("des", start, mark, elapsed, pooled, len(miss_rows), probe)
 
     def _lookup_batch_fast(
         self, sparse_batch: Sequence[Sequence[Sequence[int]]]
@@ -515,188 +515,29 @@ class EmbeddingLookupEngine:
 
         Produces the same elapsed time and bitwise-identical pooled
         outputs as :meth:`_lookup_batch_des`
-        (``tests/test_fastpath_equivalence.py``), in O(vectors) numpy
-        work instead of O(vectors) Python processes.
+        (``tests/test_fastpath_equivalence.py``,
+        ``tests/test_vcache_equivalence.py``), in O(vectors) numpy work
+        instead of O(vectors) Python processes.  With a vector cache
+        configured only the probe's misses are translated, replayed
+        and gathered.
         """
         sim = self.controller.sim
         start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        num_tables = len(self.tables)
-        # Per-(sample, table) lengths and the flat index stream, in
-        # issue order (sample-major) — the order the DES creates its
-        # read processes in, which fixes the FTL service order.
-        cells: List[Sequence[int]] = []
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != num_tables:
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{num_tables} tables"
-                )
-            cells.extend(sample)
-        lengths = np.fromiter(
-            (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
-        )
-        vectors_read = int(lengths.sum())
+        mark = self.controller.batch_mark() if self.controller.tracer.enabled else None
+        lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
+        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
+        vectors_read = len(miss_indices)
         ev_size = self.tables.ev_size
-        timing = self.controller.timing
-        ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * vectors_read)
-        if vectors_read == 0:
-            pooled = np.zeros(
-                (len(sparse_batch), num_tables * self.dim), dtype=np.float32
-            )
-            self.controller.stats.record_useful(0)
-            sim.run(until=start)
-            if tracer.enabled:
-                self._emit_lookup_spans(
-                    start, 0.0, ev_sum_ns, 0, len(sparse_batch), "fast", mark
-                )
-            self._profile_lookup(start, 0.0, ev_sum_ns)
-            return LookupResult(
-                pooled=pooled,
-                elapsed_ns=ev_sum_ns,
-                vectors_read=0,
-                path="fast",
-            )
-        flat_indices = np.concatenate(
-            [np.asarray(cell, dtype=np.int64) for cell in cells if len(cell)]
-        )
-        table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
-        flat_tables = np.repeat(table_ids, lengths)
-        # Fig. 6 translation, batched per table.
-        device_offsets = np.empty(vectors_read, dtype=np.int64)
-        for table_id in range(num_tables):
-            members = np.flatnonzero(flat_tables == table_id)
-            if members.size:
-                device_offsets[members] = self.translator.translate_array(
-                    table_id, flat_indices[members]
-                )
-        physical_pages, cols = self.controller.translate_vector_offsets(
-            device_offsets, ev_size
-        )
-        channel_ids, die_ids = self.controller.geometry.split_page_indices(
-            physical_pages
-        )
-        # Timing: serialize the shared FTL stage, then replay the
-        # two-phase flash protocol per channel.
-        enter_ns = self.controller.serve_ftl_batch(vectors_read)
-        transfer_ns = np.full(
-            vectors_read, timing.vector_transfer_ns(ev_size)
-        )
-        _, end = fastpath.replay_reads(
-            self.controller.flash,
-            enter_ns,
-            channel_ids,
-            die_ids,
-            transfer_ns,
-            staged=True,
-        )
-        self.controller.stats.record_vector_reads(
-            vectors_read, vectors_read * ev_size
-        )
-        self.controller.stats.record_useful(vectors_read * ev_size)
-        sim.run(until=end)
-        elapsed = sim.now - start
-        # EV Sum: gather rows from the flash pages, then reduce each
-        # (sample, table) segment strictly left to right.
-        rows = self.controller.flash.peek_vectors(physical_pages, cols, ev_size)
-        mode = self.pooling
-        pooled = segment_pool(rows, lengths, mode).reshape(
-            len(sparse_batch), num_tables * self.dim
-        )
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "fast", mark,
-            )
-        self._profile_lookup(start, elapsed, ev_sum_ns)
-        return LookupResult(
-            pooled=pooled,
-            elapsed_ns=elapsed + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="fast",
-        )
-
-    def _lookup_batch_fast_vcache(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> LookupResult:
-        """Vectorized path with the controller-DRAM cache enabled.
-
-        Probes the cache in the same issue order as the DES (so both
-        paths observe identical hit sets and cache states), replays
-        only the missed reads through the PR 2 machinery, and fills
-        the hit rows from cached DRAM copies — bitwise-equal pooled
-        outputs, elapsed times, and span trees
-        (``tests/test_vcache_equivalence.py``).
-        """
-        sim = self.controller.sim
-        start = sim.now
-        tracer = self.controller.tracer
-        mark = self.controller.batch_mark() if tracer.enabled else None
-        num_tables = len(self.tables)
-        raw_hits, misses, total = self._probe_vcache(sparse_batch)
-        vectors_read = len(misses)
-        vcache_hits = total - vectors_read
-        ev_size = self.tables.ev_size
-        timing = self.controller.timing
-        ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * total)
-        vcache_ns = self._account_vcache(vcache_hits, total)
-        if total == 0:
-            pooled = np.zeros(
-                (len(sparse_batch), num_tables * self.dim), dtype=np.float32
-            )
-            self.controller.stats.record_useful(0)
-            sim.run(until=start)
-            if tracer.enabled:
-                self._emit_lookup_spans(
-                    start, 0.0, ev_sum_ns, 0, len(sparse_batch), "fast", mark,
-                    vcache_hits=0, vcache_ns=vcache_ns, vcache_enabled=True,
-                )
-            self._profile_lookup(start, 0.0, ev_sum_ns, vcache_ns, True)
-            return LookupResult(
-                pooled=pooled,
-                elapsed_ns=ev_sum_ns,
-                vectors_read=0,
-                path="fast",
-                vcache_hits=0,
-                vcache_ns=vcache_ns,
-            )
-        # Flat row slots in issue order: lookup (sample, table, position)
-        # lands at cell_offset + position, matching both the probe order
-        # and the DES's read-process creation order.
-        lengths = np.fromiter(
-            (len(indices) for sample in sparse_batch for indices in sample),
-            dtype=np.int64,
-            count=len(sparse_batch) * num_tables,
-        )
-        offsets = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        rows = np.empty((total, self.dim), dtype=np.float32)
-        for (sample_id, table_id, position), vector in raw_hits.items():
-            rows[offsets[sample_id * num_tables + table_id] + position] = vector
         if vectors_read:
-            miss_tables = np.fromiter(
-                (miss[1] for miss in misses), dtype=np.int64, count=vectors_read
-            )
-            miss_rows = np.fromiter(
-                (miss[2] for miss in misses), dtype=np.int64, count=vectors_read
-            )
-            device_offsets = np.empty(vectors_read, dtype=np.int64)
-            for table_id in range(num_tables):
-                members = np.flatnonzero(miss_tables == table_id)
-                if members.size:
-                    device_offsets[members] = self.translator.translate_array(
-                        table_id, miss_rows[members]
-                    )
-            physical_pages, cols = self.controller.translate_vector_offsets(
-                device_offsets, ev_size
-            )
+            physical_pages, cols = self._locate(miss_tables, miss_indices)
             channel_ids, die_ids = self.controller.geometry.split_page_indices(
                 physical_pages
             )
+            # Timing: serialize the shared FTL stage, then replay the
+            # two-phase flash protocol per channel.
             enter_ns = self.controller.serve_ftl_batch(vectors_read)
             transfer_ns = np.full(
-                vectors_read, timing.vector_transfer_ns(ev_size)
+                vectors_read, self.controller.timing.vector_transfer_ns(ev_size)
             )
             _, end = fastpath.replay_reads(
                 self.controller.flash,
@@ -710,41 +551,20 @@ class EmbeddingLookupEngine:
                 vectors_read, vectors_read * ev_size
             )
             sim.run(until=end)
-            miss_slots = np.fromiter(
-                (
-                    offsets[miss[0][0] * num_tables + miss[0][1]] + miss[0][2]
-                    for miss in misses
-                ),
-                dtype=np.int64,
-                count=vectors_read,
-            )
-            rows[miss_slots] = self.controller.flash.peek_vectors(
+            miss_rows = self.controller.flash.peek_vectors(
                 physical_pages, cols, ev_size
             )
         else:
             sim.run(until=start)
+            miss_rows = np.empty((0, self.dim), dtype=np.float32)
         elapsed = sim.now - start
-        self.controller.stats.record_useful(total * ev_size)
+        # EV Sum: reduce each (sample, table) segment of the rows
+        # strictly left to right.
+        rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices)
         pooled = segment_pool(rows, lengths, self.pooling).reshape(
-            len(sparse_batch), num_tables * self.dim
+            len(sparse_batch), len(self.tables) * self.dim
         )
-        if tracer.enabled:
-            self._emit_lookup_spans(
-                start, elapsed, ev_sum_ns, vectors_read,
-                len(sparse_batch), "fast", mark,
-                vcache_hits=vcache_hits,
-                vcache_ns=vcache_ns,
-                vcache_enabled=True,
-            )
-        self._profile_lookup(start, elapsed, ev_sum_ns, vcache_ns, True)
-        return LookupResult(
-            pooled=pooled,
-            elapsed_ns=max(elapsed, vcache_ns) + ev_sum_ns,
-            vectors_read=vectors_read,
-            path="fast",
-            vcache_hits=vcache_hits,
-            vcache_ns=vcache_ns,
-        )
+        return self._finish("fast", start, mark, elapsed, pooled, vectors_read, probe)
 
     # ------------------------------------------------------------------
     # Analytic view

@@ -252,6 +252,31 @@ class Sanitizer:
                 f"batch reported {hits} cache hit(s) over {lookups} lookup(s)",
             )
 
+    def vcache_hit_bytes(
+        self,
+        hit_rows: np.ndarray,
+        flash_rows: np.ndarray,
+        component: str = "VectorCache",
+    ) -> None:
+        """A hit is a bit-exact substitute for the flash read it absorbs.
+
+        ``hit_rows`` are the vectors the cache supplied for one batch's
+        hits, ``flash_rows`` a functional flash gather of the same
+        keys.  A difference means a stale or clobbered arena slot fed
+        the EV Sum wrong data with no timing symptom at all.
+        """
+        self.checks += 1
+        wrong = np.flatnonzero(
+            (hit_rows.view(np.uint32) != flash_rows.view(np.uint32)).any(axis=1)
+        )
+        if wrong.size:
+            self.error(
+                "vcache-hit-bytes",
+                component,
+                f"{wrong.size} of {len(hit_rows)} cache hit(s) differ from "
+                f"flash (first: hit #{int(wrong[0])} of the batch)",
+            )
+
     # ------------------------------------------------------------------
     # Per-channel queue conservation
     # ------------------------------------------------------------------

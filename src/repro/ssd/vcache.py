@@ -43,7 +43,8 @@ DRAM bytes via ``capacity * EVsize``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,13 +72,39 @@ def fetch_cycles(vectors: int, ev_size: int) -> float:
     return vectors * (ev_size / DRAM_BYTES_PER_CYCLE)
 
 
+#: ``Probe.refs`` value of a lookup that missed the cache.
+MISS = np.iinfo(np.int64).min
+
+
+@dataclass
+class Probe:
+    """Decisions of one batch probe; :meth:`VectorCache.bind` adds bytes.
+
+    ``refs`` holds one entry per probed key, in issue order: an arena
+    slot (``>= 0``) for a hit on a vector resident before the batch,
+    :data:`MISS` for a miss, or ``~p`` for a hit on a key that the miss
+    at stream position ``p`` of the *same* batch filled.  The four
+    counts are the batch's own (the cache's counters are cumulative).
+    """
+
+    refs: np.ndarray
+    hits: int
+    misses: int
+    evictions: int
+    fills: int
+
+    def miss_positions(self) -> np.ndarray:
+        return np.flatnonzero(self.refs == MISS)
+
+
 class VectorCache:
     """Fixed-capacity cache of embedding vectors in controller DRAM.
 
     Keys are ``(table_id, row_index)`` pairs; values are the vector's
     fp32 contents (so a hit returns bit-identical data to the flash
-    read it absorbs).  All statistics are cumulative across batches;
-    :attr:`hit_ratio` is the replayable Fig. 14 metric.
+    read it absorbs), held in one ``(capacity, dim)`` arena of slots.
+    All statistics are cumulative across batches; :attr:`hit_ratio` is
+    the replayable Fig. 14 metric.
     """
 
     def __init__(
@@ -100,7 +127,14 @@ class VectorCache:
         self.admit_after = admit_after
         #: Bytes per cached vector (0 when unknown; set by the engine).
         self.ev_size = ev_size
-        self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+        # Key -> arena slot in LRU order; between a probe and its bind,
+        # a key the batch filled maps to ``~position`` instead.
+        self._slots: "OrderedDict[Hashable, int]" = OrderedDict()
+        self._free = list(range(capacity_vectors))
+        #: ``(capacity, dim)`` float32, allocated by the first fill.
+        self._arena: Optional[np.ndarray] = None
+        #: Fills of the last probe still resident and awaiting bind.
+        self._unbound = 0
         # Doorkeeper miss counts for the "freq" policy.
         self._freq: Dict[Hashable, int] = {}
         self.hits = 0
@@ -112,10 +146,10 @@ class VectorCache:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slots)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self._slots
 
     @property
     def capacity_bytes(self) -> int:
@@ -139,47 +173,122 @@ class VectorCache:
         )
 
     # ------------------------------------------------------------------
-    # The probe-and-fill step (one per lookup, in issue order)
+    # Probe (decide) and bind (move bytes): one pair per batch
     # ------------------------------------------------------------------
+    def probe(self, keys: Iterable[Hashable]) -> Probe:
+        """Probe ``keys`` in issue order; fill per policy on a miss.
+
+        Pure key bookkeeping: hit / miss / admit / evict decisions, LRU
+        order, doorkeeper counts and the cumulative counters advance
+        exactly as one probe per key would advance them, and no vector
+        is read or written.  Bytes move in :meth:`bind`, which must run
+        before the next probe whenever the batch admitted anything.
+        """
+        if self._unbound:
+            raise RuntimeError("the previous probe's fills were never bound")
+        slots = self._slots
+        slot_of = slots.get
+        touch = slots.move_to_end
+        capacity = self.capacity_vectors
+        admit_after = self.admit_after
+        fill_only = self.policy == "static"
+        doorkeeper = self._freq if self.policy == "freq" else None
+        free = self._free
+        refs: List[int] = []
+        fills = evictions = dropped = 0
+        for key in keys:
+            ref = slot_of(key)
+            if ref is not None:
+                touch(key)
+                refs.append(ref)
+                continue
+            refs.append(MISS)
+            if capacity == 0:
+                continue
+            if fill_only:
+                if len(slots) >= capacity:
+                    continue
+            elif doorkeeper is not None:
+                seen = doorkeeper.get(key, 0) + 1
+                doorkeeper[key] = seen
+                if seen < admit_after:
+                    continue
+            if len(slots) >= capacity:
+                # A slot freed here is handed out again only by bind,
+                # after the batch's hits on its old occupant were read;
+                # a fill of this batch evicted again just disappears.
+                old = slots.popitem(last=False)[1]
+                evictions += 1
+                if old >= 0:
+                    free.append(old)
+                else:
+                    dropped += 1
+            slots[key] = -len(refs)
+            fills += 1
+        out = np.array(refs, dtype=np.int64)
+        misses = int(np.count_nonzero(out == MISS))
+        self._unbound = fills - dropped
+        self.hits += len(refs) - misses
+        self.misses += misses
+        self.evictions += evictions
+        self.fills += fills
+        return Probe(out, len(refs) - misses, misses, evictions, fills)
+
+    def bind(self, probe: Probe, rows: np.ndarray) -> None:
+        """Resolve the bytes of one probed batch, in place in ``rows``.
+
+        ``rows`` is ``(len(keys), dim)`` float32 with every miss row
+        already gathered from flash.  Hit rows are copied in — from the
+        arena, or from the same-batch miss that filled the key — and
+        then the fills still resident after the whole batch are copied
+        out into free arena slots.  A key filled and evicted again
+        within the batch never reaches the arena.
+        """
+        refs = probe.refs
+        resident = np.flatnonzero(refs >= 0)
+        if resident.size:
+            rows[resident] = self._arena[refs[resident]]
+        fresh = np.flatnonzero((refs < 0) & (refs != MISS))
+        if fresh.size:
+            rows[fresh] = rows[~refs[fresh]]
+        if self._unbound:
+            # Everything the batch touched sits at the recent end.
+            slots = self._slots
+            keys: List[Hashable] = []
+            positions: List[int] = []
+            for key, ref in reversed(slots.items()):
+                if ref < 0:
+                    keys.append(key)
+                    positions.append(~ref)
+                    if len(keys) == self._unbound:
+                        break
+            taken = self._free[-len(keys):]
+            del self._free[-len(keys):]
+            slots.update(zip(keys, taken))
+            self._arena_for(rows.shape[1])[taken] = rows[positions]
+            self._unbound = 0
+
+    def _arena_for(self, dim: int) -> np.ndarray:
+        if self._arena is None:
+            self._arena = np.empty((self.capacity_vectors, dim), dtype=np.float32)
+        return self._arena
+
     def access(
         self, key: Hashable, loader: Callable[[], np.ndarray]
     ) -> Optional[np.ndarray]:
-        """Probe the cache for ``key``; fill per policy on a miss.
+        """One-key :meth:`probe` + :meth:`bind`.
 
-        Returns the cached vector on a hit (refreshing recency) or
-        ``None`` on a miss.  ``loader`` is only called when the policy
-        admits the vector — it fetches the fp32 contents functionally
-        (no simulated time; the *timed* read of the same data is issued
-        by the caller for every miss).
+        Returns a copy of the cached vector on a hit (refreshing
+        recency) or ``None`` on a miss.  ``loader`` is only called when
+        the policy admits the vector — it fetches the fp32 contents
+        functionally.
         """
-        entries = self._entries
-        cached = entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        if self.capacity_vectors == 0:
-            return None
-        if self.policy == "static":
-            if len(entries) < self.capacity_vectors:
-                self._fill(key, loader())
-            return None
-        if self.policy == "freq":
-            seen = self._freq.get(key, 0) + 1
-            self._freq[key] = seen
-            if seen < self.admit_after:
-                return None
-        self._fill(key, loader())
+        probe = self.probe((key,))
+        if probe.hits:
+            return self._arena[probe.refs[0]].copy()
+        if probe.fills:
+            self.bind(probe, np.array(loader(), dtype=np.float32, ndmin=2))
         return None
-
-    def _fill(self, key: Hashable, value: np.ndarray) -> None:
-        entries = self._entries
-        if len(entries) >= self.capacity_vectors:
-            entries.popitem(last=False)
-            self.evictions += 1
-        entries[key] = value
-        self.fills += 1
 
     # ------------------------------------------------------------------
     # Warming (static-hot pinning; usable by any policy)
@@ -193,15 +302,17 @@ class VectorCache:
         consuming a slot.  Does not touch the hit/miss statistics.
         Returns the number of vectors now resident.
         """
+        slots = self._slots
         for key, value in items:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                continue
-            if len(self._entries) >= self.capacity_vectors:
+            slot = slots.get(key)
+            if slot is not None:
+                slots.move_to_end(key)
+            elif len(slots) >= self.capacity_vectors:
                 break
-            self._entries[key] = value
-        return len(self._entries)
+            else:
+                slot = slots[key] = self._free.pop()
+            self._arena_for(len(value))[slot] = value
+        return len(slots)
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -214,6 +325,8 @@ class VectorCache:
 
     def clear(self) -> None:
         """Drop all entries, doorkeeper state, and statistics."""
-        self._entries.clear()
+        self._slots.clear()
+        self._free = list(range(self.capacity_vectors))
+        self._unbound = 0
         self._freq.clear()
         self.reset_stats()

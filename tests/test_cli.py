@@ -54,6 +54,14 @@ class TestCommands:
         assert main(["run", "rmc1", "--requests", "1", "--rows", "256"]) == 0
         assert "throughput" in capsys.readouterr().out
 
+    def test_run_prints_lookup_path_and_fallback_reason(self, capsys, monkeypatch):
+        argv = ["run", "rmc1", "--requests", "2", "--rows", "256", "--no-compute"]
+        assert main(argv) == 0
+        assert "lookup path:    fast x2\n" in capsys.readouterr().out
+        monkeypatch.setenv("RMSSD_FASTPATH", "0")
+        assert main(argv) == 0
+        assert "lookup path:    des x2 (fast disabled)" in capsys.readouterr().out
+
     def test_sweep(self, capsys):
         code = main(
             ["sweep", "rmc1", "--backends", "rm-ssd,dram",

@@ -284,6 +284,43 @@ def test_keep_history_forces_des():
     assert result.path == "des"
 
 
+def test_fallback_reason_is_none_on_the_fast_path():
+    engine = build_engine("square")
+    result = engine.lookup_batch([[[0], [1], [2]]], fast=True)
+    assert (result.path, result.fallback_reason) == ("fast", None)
+    assert engine.path_counts == {("fast", None): 1}
+
+
+def test_fallback_reason_fast_disabled():
+    engine = build_engine("square")
+    result = engine.lookup_batch([[[0], [1], [2]]], fast=False)
+    assert (result.path, result.fallback_reason) == ("des", "fast disabled")
+
+
+def test_fallback_reason_in_flight_events():
+    engine = build_engine("square")
+    controller = engine.controller
+    controller.sim.process(controller.read_block_proc(0))
+    result = engine.lookup_batch([[[0, 1], [2], [3]]], fast=True)
+    assert (result.path, result.fallback_reason) == ("des", "in-flight events")
+
+
+def test_fallback_reason_keep_history():
+    engine = build_engine("square")
+    engine.controller.fmc.keep_history = True
+    result = engine.lookup_batch([[[0], [1], [2]]], fast=True)
+    assert (result.path, result.fallback_reason) == ("des", "keep_history")
+    assert engine.path_counts == {("des", "keep_history"): 1}
+
+
+def test_fallback_reason_empty_batch():
+    engine = build_engine("square")
+    result = engine.lookup_batch([], fast=True)
+    assert (result.path, result.fallback_reason) == ("des", "empty batch")
+    assert result.pooled.shape == (0, NUM_TABLES * DIM)
+    assert result.vectors_read == 0
+
+
 def test_env_flag_gates_default(monkeypatch):
     batch = [[[0], [1], [2]]]
     monkeypatch.setenv(fastpath.ENV_FLAG, "0")

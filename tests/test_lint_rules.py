@@ -258,9 +258,6 @@ _FAST_SIDE_COMPLETE = """
     def _lookup_batch_fast(tracer):
         _emit_shared(tracer)
         _emit_translate(tracer)
-
-    def _lookup_batch_fast_vcache(tracer):
-        _lookup_batch_fast(tracer)
 """
 
 #: Mutant: the fast path no longer reaches the ``translate`` emission.
@@ -269,9 +266,6 @@ _FAST_SIDE_MUTATED = """
 
     def _lookup_batch_fast(tracer):
         _emit_shared(tracer)
-
-    def _lookup_batch_fast_vcache(tracer):
-        _lookup_batch_fast(tracer)
 """
 
 
@@ -309,9 +303,6 @@ class TestR9InstrumentationParity:
                 _emit_shared(tracer)
                 _emit_translate(tracer)
                 _emit_fast_only(tracer)
-
-            def _lookup_batch_fast_vcache(tracer):
-                _lookup_batch_fast(tracer)
         """
         out = project_violations(
             {DES_FILE: _DES_SIDE, FAST_FILE: fast_extra}, "R9"
@@ -325,6 +316,15 @@ class TestR9InstrumentationParity:
             {DES_FILE: "def unrelated():\n    return 1\n"}, "R9"
         )
         assert out == []
+
+    def test_declared_root_that_resolves_to_nothing_is_reported(self):
+        # Deleting every fast root must not silently disable the
+        # lookup contract; the other specs, wholly absent from this
+        # corpus, stay skipped.
+        out = project_violations({DES_FILE: _DES_SIDE}, "R9")
+        assert [v.path for v in out] == [DES_FILE]
+        assert "lookup parity" in out[0].message
+        assert "'_lookup_batch_fast'" in out[0].message
 
 
 class TestR10UnitFlow:

@@ -1,8 +1,11 @@
 """Unit tests for the controller-DRAM hot-vector cache.
 
-Covers :mod:`repro.ssd.vcache` (policies, eviction, warming, the DRAM
-fetch cost), the new I/O-statistics counters, and the sanitizer's
-``vcache-hit-bound`` invariant.  The end-to-end bitwise-equivalence
+Covers :mod:`repro.ssd.vcache` through the one-key ``access`` call
+(policies, eviction, warming, the DRAM fetch cost), the I/O-statistics
+counters, the per-batch device metrics, and the sanitizer's
+``vcache-hit-bound`` / ``vcache-hit-bytes`` invariants.  The batch
+probe is pinned against a scalar model in
+``tests/test_vcache_probe.py``; the end-to-end bitwise-equivalence
 contract lives in ``tests/test_vcache_equivalence.py``.
 """
 
@@ -234,3 +237,77 @@ class TestSanitizerInvariant:
         sanitizer = Sanitizer(Simulator())
         with pytest.raises(SanitizerError, match="vcache-hit-bound"):
             sanitizer.vcache_batch(hits, lookups)
+
+
+    def test_equal_hit_bytes_pass(self):
+        rows = np.arange(8, dtype=np.float32).reshape(2, 4)
+        Sanitizer(Simulator()).vcache_hit_bytes(rows, rows.copy())
+
+    def test_corrupt_arena_slot_is_caught(self):
+        """Mutation test: a clobbered arena slot feeds the EV Sum wrong
+        bytes with no timing symptom; ``vcache-hit-bytes`` names it on
+        both execution paths."""
+        from tests.test_fastpath_equivalence import build_engine
+
+        batch = [[[0, 1, 2], [3, 4], [5]]]
+        for fast in (False, True):
+            engine = build_engine("square", vcache=VectorCache(16))
+            assert engine.controller.flash.sanitizer is not None
+            engine.lookup_batch(batch, fast=fast)  # cold: all misses fill
+            engine.lookup_batch(batch, fast=fast)  # warm hits verify clean
+            cache = engine.controller.vcache
+            cache._arena[cache._slots[(1, 4)]] += np.float32(1.0)
+            with pytest.raises(SanitizerError, match="vcache-hit-bytes"):
+                engine.lookup_batch(batch, fast=fast)
+
+
+class TestDeviceMetrics:
+    """The device's vcache counters are fed by each batch's own probe
+    counts, not by deltas of the cache's cumulative counters."""
+
+    def make_device(self):
+        from repro.core.device import RMSSD
+        from repro.models import build_model, get_config
+        from repro.obs import MetricsRegistry
+
+        config = get_config("rmc1")
+        model = build_model(config, rows_per_table=64, seed=7)
+        metrics = MetricsRegistry()
+        device = RMSSD(
+            model, config.lookups_per_table, metrics=metrics,
+            vcache=VectorCache(256),
+        )
+        rng = np.random.default_rng(0)
+        sparse = [
+            [list(rng.integers(0, 16, size=4)) for _ in range(config.num_tables)]
+            for _ in range(2)
+        ]
+        dense = rng.standard_normal((2, config.dense_dim)).astype(np.float32)
+        return device, metrics, dense, sparse
+
+    def test_reset_stats_between_batches(self):
+        """Regression: warm -> ``reset_stats()`` -> measure (the
+        ``bench_vcache_locality`` pattern) used to push a negative
+        delta into a counter and raise ``counters only go up``."""
+        from repro.obs import names
+
+        device, metrics, dense, sparse = self.make_device()
+        device.infer_batch(dense, sparse)
+        device.vcache.reset_stats()
+        device.infer_batch(dense, sparse)
+        probes = 2 * sum(len(cell) for sample in sparse for cell in sample)
+        hits = metrics.counter(names.METRIC_VCACHE_HITS).value
+        misses = metrics.counter(names.METRIC_VCACHE_MISSES).value
+        assert hits + misses == probes
+        assert hits == device.stats.vcache_hits
+        assert misses == device.stats.vcache_misses
+
+    def test_lookup_result_carries_batch_counts(self):
+        device, _, _, sparse = self.make_device()
+        engine = device.lookup_engine
+        cold = engine.lookup_batch(sparse)
+        assert cold.vcache_fills == cold.vectors_read > 0
+        assert cold.vcache_evictions == device.stats.vcache_evictions
+        warm = engine.lookup_batch(sparse)
+        assert (warm.vcache_fills, warm.vcache_evictions) == (0, 0)
+        assert warm.vcache_hits == warm.total_vectors

@@ -160,6 +160,80 @@ class TestEnabledBitwiseEquivalence:
         assert des_engine.controller.stats.flash_vector_reads == before_des
         assert_equivalent(des_engine, fast_engine, des, fast)
 
+    @pytest.mark.parametrize("capacity", [2, 4])
+    def test_bitwise_when_one_batch_overflows_the_cache(self, capacity):
+        """A 32-sample RMC1 batch fills a 2-4 vector cache thousands of
+        times over: nearly every fill is evicted again before the batch
+        ends, hits land on same-batch fills, and freed slots are reused
+        under earlier hits — all resolved after the probe loop."""
+        from repro.core.device import RMSSD
+        from repro.models import build_model, get_config
+
+        config = get_config("rmc1")
+        model = build_model(config, rows_per_table=64, seed=7)
+        rng = np.random.default_rng(capacity)
+        batches = [
+            [
+                [
+                    list(rng.integers(0, 6, size=config.lookups_per_table))
+                    for _ in range(config.num_tables)
+                ]
+                for _ in range(samples)
+            ]
+            for samples in (32, 4)
+        ]
+        engines = [
+            RMSSD(
+                model, config.lookups_per_table, vcache=VectorCache(capacity)
+            ).lookup_engine
+            for _ in range(2)
+        ]
+        des_engine, fast_engine = engines
+        for batch in batches:
+            des = des_engine.lookup_batch(batch, fast=False)
+            fast = fast_engine.lookup_batch(batch, fast=True)
+            assert fast.path == "fast"
+            assert des.vcache_fills > capacity and des.vcache_hits > 0
+            assert (fast.vcache_hits, fast.vcache_evictions, fast.vcache_fills) == (
+                des.vcache_hits, des.vcache_evictions, des.vcache_fills
+            )
+            assert fast.vcache_ns == approx(des.vcache_ns, rel=0, abs=0)
+            assert_equivalent(des_engine, fast_engine, des, fast)
+            expected = np.concatenate(
+                [
+                    model.tables[t].lookup(cell).sum(axis=0, dtype=np.float32)
+                    for sample in batch[:1]
+                    for t, cell in enumerate(sample)
+                ]
+            )
+            np.testing.assert_allclose(fast.pooled[0], expected, rtol=1e-5)
+
+    def test_bitwise_with_warmed_static_cache(self):
+        """``warm_vcache`` + ``static``: the pinned set serves hits from
+        the first batch on, lazy fills top the cache up, and nothing is
+        ever evicted — identically on both paths."""
+        batches = batch_stream(13, count=3, samples=4, max_len=6)
+        hot = [(t, i) for t in range(NUM_TABLES) for i in range(3)]
+        engines = []
+        for _ in range(2):
+            engine = build_engine("square", vcache=VectorCache(12, "static"))
+            assert engine.warm_vcache(hot) == len(hot)
+            engines.append(engine)
+        des_engine, fast_engine = engines
+        hits = 0
+        for batch in batches:
+            des = des_engine.lookup_batch(batch, fast=False)
+            fast = fast_engine.lookup_batch(batch, fast=True)
+            assert fast.vcache_hits == des.vcache_hits
+            assert fast.vcache_evictions == des.vcache_evictions == 0
+            assert_equivalent(des_engine, fast_engine, des, fast)
+            hits += fast.vcache_hits
+        assert hits > 0
+        assert len(fast_engine.controller.vcache) == 12
+        assert list(fast_engine.controller.vcache._slots) == list(
+            des_engine.controller.vcache._slots
+        )
+
     def test_enabled_span_trees_identical(self):
         batches = batch_stream(5, count=3)
         des_engine = build_engine("square", vcache=VectorCache(16))

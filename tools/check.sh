@@ -23,8 +23,12 @@ echo "== fast-path differential smoke (RMSSD_SANITIZE=1) =="
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_fastpath_equivalence.py -k smoke
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
+# DES == fast with the cache on (incl. one batch overflowing a 2-4
+# vector cache), the probe against its scalar model, and the
+# vcache-hit-bytes mutation (a corrupted arena slot must be caught).
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_vcache_equivalence.py \
-    -k "inert or bitwise"
+    tests/test_vcache_probe.py tests/test_vcache.py \
+    -k "inert or bitwise or probe or Sanitizer"
 
 echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 # Closed-form pipeline replay vs the DES: saturated/zero-stage chains,

@@ -73,7 +73,7 @@ class ParitySpec:
 LOOKUP_PARITY = ParitySpec(
     label="lookup",
     des_roots=("_lookup_batch_des",),
-    fast_roots=("_lookup_batch_fast", "_lookup_batch_fast_vcache"),
+    fast_roots=("_lookup_batch_fast",),
 )
 
 #: Same contract for the serving pipeline: the event-driven reference
@@ -146,10 +146,24 @@ class InstrumentationParityRule(ProjectRule):
         fast_roots = [
             fn for name in spec.fast_roots for fn in project.functions_named(name)
         ]
+        resolved = des_roots + fast_roots
+        if not resolved:
+            # The paths under lint do not contain this contract (a
+            # partial run of one subdirectory).
+            return
+        # The contract is under lint, so every declared root must
+        # exist: a renamed or deleted root — or a whole side — would
+        # otherwise narrow or disable the check without a word.
+        for name in spec.des_roots + spec.fast_roots:
+            if not project.functions_named(name):
+                yield self.violation(
+                    resolved[0].path,
+                    resolved[0].line,
+                    f"{spec.label} parity: root '{name}' resolves to no "
+                    f"function; update the ParitySpec in "
+                    f"tools/lint/rules_project.py",
+                )
         if not des_roots or not fast_roots:
-            # The paths under lint do not contain this contract; a
-            # partial run (one subdirectory) must not fabricate
-            # one-sidedness out of missing files.
             return
         des = self._collect(project, des_roots)
         fast = self._collect(project, fast_roots)
