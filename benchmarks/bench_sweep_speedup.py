@@ -39,7 +39,7 @@ FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95)
 #: Wall clock is min-of-N per path: the sweep is deterministic, so the
 #: fastest repeat is the least-noise estimate of its true cost.
 REPEATS = 3
-MIN_SPEEDUP = 10.0
+MIN_SPEEDUP = 15.0
 #: Committed budget for regenerating Fig. 12 + Fig. 13 through the
 #: parallel runner (measured ~20 s sequential on the reference box).
 MAX_WALL_S = 90.0

@@ -33,20 +33,23 @@ def percentile(values: Sequence[float], q: float, presorted: bool = False) -> fl
     Used for tail-latency reporting (p95/p99) of per-request latencies
     collected from the discrete-event simulator.  ``presorted=True``
     skips the sort for callers that take several percentiles of the
-    same sample (the caller guarantees ascending order).
+    same sample (the caller guarantees ascending order) and indexes
+    the sequence — a list, a tuple or a 1-D ndarray — in place: only
+    the two order statistics the quantile falls between are read.
     """
-    values = list(values) if presorted else sorted(values)
-    if not values:
+    if not presorted:
+        values = sorted(values)
+    if len(values) == 0:
         raise ValueError("empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
     if len(values) == 1:
-        return values[0]
+        return float(values[0])
     position = (len(values) - 1) * q / 100.0
     lower = int(position)
     upper = min(lower + 1, len(values) - 1)
     fraction = position - lower
-    return values[lower] * (1 - fraction) + values[upper] * fraction
+    return float(values[lower]) * (1 - fraction) + float(values[upper]) * fraction
 
 
 def geometric_mean(values: Sequence[float]) -> float:

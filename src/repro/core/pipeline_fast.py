@@ -1,18 +1,23 @@
 """Closed-form replay of the three-stage serving pipeline.
 
 The DES path in :mod:`repro.core.pipeline_sim` spawns three generator
-processes per batch; a 200-query load sweep costs thousands of heap
-pushes per evaluated load, so the *simulator* dominates the wall clock
-of every latency-vs-load curve and SLA bisection.  This module replays
+processes per batch, so the *simulator* dominates the wall clock of
+every latency-vs-load curve and SLA bisection — a six-point sweep of
+20 000 batches a point is seconds of heap pushes.  This module replays
 the same structure in closed form: with unit-capacity stage servers
 and sorted arrivals, each stage is the max-plus recurrence
 
     start[i]  = max(arrival[i], finish[i - 1])
     finish[i] = start[i] + duration[i]
 
-computed with ``np.add.accumulate`` scans over whole arrival arrays
-(:func:`serve_chain`), and the top stage's service order is the stable
-sort of the per-batch ready times ``max(emb_done, bot_done)``.
+computed over whole arrival arrays by :func:`serve_chain` — guess the
+busy runs from the recurrence's closed form, accumulate each run
+sequentially, verify the recurrence at every index, fall back to the
+scalar loop otherwise — and the top stage's service order is the
+stable sort of the per-batch ready times ``max(emb_done, bot_done)``.
+The result stays columnar: :func:`replay_serving` returns the
+``(n, 6)`` stage-stamp table and nothing downstream has to turn it
+into per-batch objects.
 
 Exactness mirrors the lookup fast path (``repro.ssd.fastpath``):
 
@@ -21,7 +26,8 @@ Exactness mirrors the lookup fast path (``repro.ssd.fastpath``):
   tracks both quantities instead of assuming the round trip is exact.
 * Sequential float accumulation (back-to-back server finishes) is
   replayed with ``np.add.accumulate`` or an explicit left-to-right
-  loop, never with closed-form multiplication.
+  loop; the closed form (a prefix sum) only ever *predicts* where the
+  busy runs start, and the prediction is verified before use.
 * DES tie-breaking is positional: stage calls happen in batch-index
   order on equal arrivals, and top-stage service order is ``(ready
   time, batch index)`` — exactly what a stable argsort reproduces.
@@ -44,9 +50,12 @@ from repro.obs import names
 from repro.sim import Server, Simulator
 from repro.ssd import fastpath
 
-#: Below this many jobs a plain Python loop beats the numpy scan
-#: (array setup dominates); both are bitwise-identical by design.
-VECTOR_MIN_JOBS = 64
+#: Below this many jobs the reference loop beats the segmented scan:
+#: the scan's fixed cost (~0.2 ms of small numpy calls) buys about
+#: 1000 loop steps on the benchmark box (loop 105/230/375 us vs scan
+#: 190/210/250 us at 512/1024/2048 jobs).  Both are bitwise-identical,
+#: so the threshold is pure performance.
+VECTOR_MIN_JOBS = 1024
 
 
 def resolve_fast(fast: Optional[bool]) -> bool:
@@ -60,31 +69,48 @@ def serve_chain(
     arrivals: np.ndarray,
     durations: np.ndarray,
     free0: float = 0.0,
-    vectorized: Optional[bool] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Replay sequential ``Server.serve`` calls at sorted ``arrivals``.
 
     Returns ``(starts, finishes)`` with ``start[i] = max(arrival[i],
     finish[i - 1])`` (``finish[-1] = free0``), every float op in the
-    exact order the DES performs it.  ``vectorized=None`` picks the
-    scan only for :data:`VECTOR_MIN_JOBS`-sized chains that are
-    *backlogged* (offered work >= the arrival span, so the chain is a
-    few long busy runs — one ``np.add.accumulate`` each); a lightly
-    loaded chain alternates idle/busy regions every few jobs, where
-    the per-region numpy call overhead loses to the reference loop.
-    Both produce identical bits, so dispatch is pure performance.
+    exact order the DES performs it.
+
+    Chains of :data:`VECTOR_MIN_JOBS` or more run as one array program
+    at every load — *speculate, accumulate, verify*:
+
+    1. guess which jobs head a busy run from the closed form of the
+       recurrence (:func:`_guess_run_heads`; not bitwise, only a guess);
+    2. compute every run's finishes as the *sequential* float
+       accumulate of ``[start_head, d_head, d_head+1, ...]``
+       (:func:`_accumulate_runs`), the DES's own additions in its order;
+    3. recompute ``starts = where(t >= prev_finish, t, prev_finish)`` —
+       ``max(now, free_at)`` spelled as :func:`_serve_chain_loop`
+       spells it — and accept only if ``starts + d`` reproduces the
+       finishes bit for bit at every index.
+
+    The recurrence has exactly one solution, built left to right from
+    ``free0``; arrays that satisfy it at every index *are* that
+    solution (induction on the index), so an accepted result is the
+    loop's result bit for bit whatever the guess was.  Anything else —
+    a near-tie inside the closed form's rounding, NaN — falls back to
+    the loop, which is also the small-chain path and the differential
+    oracle of ``tests/test_pipeline_fast_equivalence.py``.
     """
     t = np.ascontiguousarray(arrivals, dtype=np.float64)
     d = np.ascontiguousarray(durations, dtype=np.float64)
     if t.shape != d.shape:
         raise ValueError("one duration per arrival required")
-    if vectorized is None:
-        vectorized = t.size >= VECTOR_MIN_JOBS and (
-            t.size < 2 or float(np.sum(d)) >= float(t[-1] - t[0])
-        )
-    if vectorized:
-        return _serve_chain_scan(t, d, float(free0))
-    return _serve_chain_loop(t, d, float(free0))
+    free = float(free0)
+    if t.size >= VECTOR_MIN_JOBS:
+        finishes = _accumulate_runs(t, d, free, _guess_run_heads(t, d, free))
+        prev_finish = np.empty_like(finishes)
+        prev_finish[0] = free
+        prev_finish[1:] = finishes[:-1]
+        starts = np.where(t >= prev_finish, t, prev_finish)
+        if np.array_equal((starts + d).view(np.int64), finishes.view(np.int64)):
+            return starts, finishes
+    return _serve_chain_loop(t, d, free)
 
 
 def _serve_chain_loop(
@@ -107,77 +133,66 @@ def _serve_chain_loop(
     return starts, finishes
 
 
-def _serve_chain_scan(
-    t: np.ndarray, d: np.ndarray, free: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Region-decomposed scan, bitwise-equal to the loop.
+def _guess_run_heads(t: np.ndarray, d: np.ndarray, free: float) -> np.ndarray:
+    """Which jobs start at their own arrival (head a busy run): a guess.
 
-    The chain alternates *idle runs* (each job starts at its own
-    arrival: ``start = t[k]``, vectorized elementwise) and *busy runs*
-    (each job starts at its predecessor's finish: one
-    ``np.add.accumulate`` per run, grown in doubling blocks so a fully
-    saturated chain costs one scan).  Region boundaries use the same
-    strict comparisons as ``max(now, free_at)``, so ties land in the
-    busy branch exactly as the DES's ``max`` does.
+    Unrolled, the recurrence is ``start[i] = W[i] + max(free0,
+    max_{h <= i}(t[h] - W[h]))`` with ``W`` the exclusive prefix sum of
+    the durations, so job ``i`` finds the server idle iff its slack
+    ``t[i] - W[i]`` reaches every earlier slack and ``free0``.  The
+    prefix sum rounds differently from the DES's run-by-run additions,
+    so this is a prediction for :func:`serve_chain` to verify, never a
+    result.
+    """
+    work_before = np.cumsum(d)
+    work_before -= d
+    slack = t - work_before
+    ceiling = np.empty_like(slack)
+    ceiling[0] = free
+    np.maximum.accumulate(slack[:-1], out=ceiling[1:])
+    np.maximum(ceiling, free, out=ceiling)
+    return slack >= ceiling
+
+
+def _accumulate_runs(
+    t: np.ndarray, d: np.ndarray, free: float, heads: np.ndarray
+) -> np.ndarray:
+    """Finishes of every busy run, each a sequential float accumulate.
+
+    A run is a head job and the jobs queued behind it; its finishes
+    are the prefix sums of ``[t[head], d[head], d[head + 1], ...]``
+    (``free`` replaces ``t[0]`` when job 0 itself has to wait).
+    Single-job runs are one elementwise add.  The others are packed
+    into zero-padded 2-D blocks bucketed by power-of-two length —
+    one ``np.add.accumulate(axis=1)`` per bucket, at most ~15 calls
+    and under ``2n`` padded elements whatever the load.
     """
     n = t.size
-    starts = np.empty(n, dtype=np.float64)
+    run_start = np.flatnonzero(heads)
+    base = t[run_start]
+    if not heads[0]:
+        run_start = np.concatenate(([0], run_start))
+        base = np.concatenate(([free], base))
+    lengths = np.diff(run_start, append=n)
+    single = lengths == 1
+    solo = run_start[single]
     finishes = np.empty(n, dtype=np.float64)
-    # Finish of job k if it starts idle (at its own arrival) — also
-    # the run-extension test: job k+1 stays idle iff it arrives
-    # strictly after idle_finish[k].
-    idle_finish = t + d
-    idle_next = t[1:] > idle_finish[:-1] if n > 1 else np.empty(0, dtype=bool)
-    i = 0
-    while i < n:
-        if t[i] > free:
-            # Idle run [i, j): every job starts at its own arrival.
-            rel = idle_next[i : n - 1]
-            first_busy = int(np.argmin(rel)) if rel.size else 0
-            if rel.size and rel[first_busy]:
-                first_busy = rel.size  # all remaining transitions idle
-            j = i + 1 + first_busy
-            starts[i:j] = t[i:j]
-            finishes[i:j] = idle_finish[i:j]
-            free = float(idle_finish[j - 1])
-            i = j
-            continue
-        # Busy run from base ``free``: finishes are the prefix sums of
-        # [free, d[i], d[i+1], ...]; extend in doubling blocks until a
-        # job arrives strictly after its predecessor's finish.
-        j = i
-        prev = free
-        block = 32
-        while True:
-            hi = min(n, j + block)
-            segment = np.empty(hi - j + 1, dtype=np.float64)
-            segment[0] = prev
-            segment[1:] = d[j:hi]
-            acc = np.add.accumulate(segment)
-            # acc[m] is both finish[j + m - 1] and start[j + m].
-            if hi > j + 1:
-                breaks = t[j + 1 : hi] > acc[1 : hi - j]
-                cut = int(np.argmax(breaks)) if breaks.any() else -1
-            else:
-                cut = -1
-            if cut >= 0:
-                stop = j + 1 + cut
-                width = stop - j
-                starts[j:stop] = acc[:width]
-                finishes[j:stop] = acc[1 : width + 1]
-                free = float(acc[width])
-                i = stop
-                break
-            starts[j:hi] = acc[: hi - j]
-            finishes[j:hi] = acc[1:]
-            prev = float(acc[-1])
-            j = hi
-            if j >= n or t[j] > prev:
-                free = prev
-                i = j
-                break
-            block *= 2
-    return starts, finishes
+    finishes[solo] = base[single] + d[solo]
+    # frexp's exponent of length - 1 is its bit length: runs of 2 jobs
+    # land in bucket 1, 3-4 in bucket 2, 5-8 in bucket 3, ...
+    bucket = np.frexp(lengths - 1.0)[1]
+    for k in np.unique(bucket[~single]).tolist():
+        rows = np.flatnonzero(bucket == k)
+        run_length = lengths[rows]
+        width = int(run_length.max())
+        columns = np.arange(width)
+        inside = columns < run_length[:, None]
+        jobs = (run_start[rows][:, None] + columns)[inside]
+        block = np.zeros((rows.size, width + 1), dtype=np.float64)
+        block[:, 0] = base[rows]
+        block[:, 1:][inside] = d[jobs]
+        finishes[jobs] = np.add.accumulate(block, axis=1)[:, 1:][inside]
+    return finishes
 
 
 def _record_stage_services(
@@ -217,7 +232,10 @@ def replay_serving(
     Returns ``(timeline, makespan_ns)`` where ``timeline`` is an
     ``(n, 6)`` array of ``emb_start, emb_done, bot_start, bot_done,
     top_start, top_done`` per batch — the same floats the DES writes
-    into each :class:`~repro.core.pipeline_sim.BatchRecord`.
+    into each :class:`~repro.core.pipeline_sim.BatchRecord`, stored
+    column-major so each stamp is one contiguous column
+    (:class:`~repro.core.pipeline_sim.PipelineRunResult` carries the
+    table as is).
     """
     t = np.ascontiguousarray(arrivals, dtype=np.float64)
     n = t.size
@@ -301,8 +319,10 @@ def replay_serving(
                 top_chain_finish,
             )
 
-    timeline = np.column_stack(
+    # One contiguous row per stamp, handed out transposed: consumers
+    # read whole columns (latency = top_done - arrival), never rows.
+    timeline = np.stack(
         (emb_start, emb_done, bot_start, bot_done, top_start, top_done)
-    )
+    ).T
     makespan = float(top_done.max()) if n else 0.0
     return timeline, makespan

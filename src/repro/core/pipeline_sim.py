@@ -8,8 +8,16 @@ so the assumption can be checked rather than trusted, including under
 per-batch service-time jitter (real flash reads vary with striping
 luck).
 
-Used by ``benchmarks/bench_ext_pipeline_validation.py`` and the unit
-tests.
+Two implementations produce one timeline: the event-driven reference
+(``_run_des``) and the closed-form replay of
+:mod:`repro.core.pipeline_fast` (``_run_fast``), bitwise equal.  The
+timeline is columnar — :class:`PipelineRunResult` carries the arrival
+column and the ``(n, 6)`` stage-stamp table — and the per-batch
+:class:`BatchRecord` objects are a view derived on demand, so a
+latency-vs-load sweep (``repro.host.serving``) never builds them.
+
+Used by ``benchmarks/bench_ext_pipeline_validation.py``, the serving
+and cluster simulators in ``repro.host``, and the unit tests.
 """
 
 from __future__ import annotations
@@ -54,34 +62,106 @@ class BatchRecord:
         return self.emb_start_ns - self.arrival_ns
 
 
-@dataclass
-class PipelineRunResult:
-    """Outcome of streaming N batches through the simulated pipeline."""
+#: The six stage-stamp fields of a :class:`BatchRecord`, in the column
+#: order of :attr:`PipelineRunResult.stamps_ns` (and of the table
+#: :func:`repro.core.pipeline_fast.replay_serving` returns).
+STAMP_FIELDS = (
+    "emb_start_ns",
+    "emb_done_ns",
+    "bot_start_ns",
+    "bot_done_ns",
+    "top_start_ns",
+    "top_done_ns",
+)
+EMB_START = STAMP_FIELDS.index("emb_start_ns")
+TOP_DONE = STAMP_FIELDS.index("top_done_ns")
 
-    records: List[BatchRecord]
-    makespan_ns: float
-    #: Which implementation produced the records: "des" for the
-    #: event-driven reference, "fast" for the closed-form replay
-    #: (bitwise-equal; see repro/core/pipeline_fast.py).
-    path: str = "des"
+
+class PipelineRunResult:
+    """Outcome of streaming N batches through the simulated pipeline.
+
+    The timeline is columnar: ``arrivals_ns`` (one instant per batch)
+    and ``stamps_ns``, the ``(n, 6)`` table of :data:`STAMP_FIELDS`.
+    ``records`` is the same timeline as one :class:`BatchRecord` per
+    batch, built on first access — the closed-form replay produces the
+    table and never needs the objects unless a tracer, a critpath
+    collector or a caller asks for them; the DES fills records natively
+    and derives the table from them.
+    """
+
+    def __init__(
+        self,
+        arrivals_ns: np.ndarray,
+        stamps_ns: np.ndarray,
+        makespan_ns: float,
+        path: str = "des",
+        records: Optional[List[BatchRecord]] = None,
+    ) -> None:
+        self.arrivals_ns = arrivals_ns
+        self.stamps_ns = stamps_ns
+        self.makespan_ns = makespan_ns
+        #: Which implementation produced the timeline: "des" for the
+        #: event-driven reference, "fast" for the closed-form replay
+        #: (bitwise-equal; see repro/core/pipeline_fast.py).
+        self.path = path
+        self._records = records
+
+    @classmethod
+    def from_records(
+        cls, records: List[BatchRecord], makespan_ns: float, path: str = "des"
+    ) -> "PipelineRunResult":
+        """The columnar view of natively filled records (the DES)."""
+        arrivals = np.array([r.arrival_ns for r in records], dtype=np.float64)
+        stamps = np.array(
+            [[getattr(r, field) for field in STAMP_FIELDS] for r in records],
+            dtype=np.float64,
+        )
+        return cls(arrivals, stamps, makespan_ns, path, records=records)
+
+    @property
+    def records(self) -> List[BatchRecord]:
+        if self._records is None:
+            self._records = [
+                BatchRecord(index, arrival, *stamps)
+                for index, (arrival, stamps) in enumerate(
+                    zip(self.arrivals_ns.tolist(), self.stamps_ns.tolist())
+                )
+            ]
+        return self._records
 
     @property
     def batches(self) -> int:
-        return len(self.records)
+        return len(self.arrivals_ns)
+
+    @property
+    def completions_ns(self) -> np.ndarray:
+        """The ``top_done_ns`` column: when each batch left the pipeline."""
+        return self.stamps_ns[:, TOP_DONE]
+
+    @property
+    def latencies_ns(self) -> np.ndarray:
+        """Per-batch ``top_done - arrival`` (``BatchRecord.latency_ns``)."""
+        return self.completions_ns - self.arrivals_ns
+
+    @property
+    def queue_waits_ns(self) -> np.ndarray:
+        """Per-batch ``emb_start - arrival`` (``BatchRecord.queue_ns``)."""
+        return self.stamps_ns[:, EMB_START] - self.arrivals_ns
 
     @property
     def steady_interval_ns(self) -> float:
         """Mean inter-completion gap once the pipeline is full."""
-        completions = [r.top_done_ns for r in self.records]
+        completions = self.completions_ns
         if len(completions) < 3:
             return self.makespan_ns / max(1, len(completions))
-        # Skip the fill: measure from the second completion on.
-        gaps = [b - a for a, b in zip(completions[1:], completions[2:])]
+        # Skip the fill: measure from the second completion on.  The
+        # gaps are summed left to right (np.sum is pairwise).
+        gaps = (completions[2:] - completions[1:-1]).tolist()
         return sum(gaps) / len(gaps)
 
     @property
     def mean_latency_ns(self) -> float:
-        return sum(r.latency_ns for r in self.records) / len(self.records)
+        return sum(self.latencies_ns.tolist()) / self.batches
 
 
 class PipelineSimulator:
@@ -185,29 +265,31 @@ class PipelineSimulator:
         if arrival_times_ns is not None:
             if len(arrival_times_ns) != batches:
                 raise ValueError("one arrival time per batch required")
-            arrivals = list(arrival_times_ns)
-            if len(arrivals) > 1 and bool(
-                np.any(np.diff(np.asarray(arrivals, dtype=np.float64)) < 0)
-            ):
-                raise ValueError("arrival times must be sorted")
+            arrivals = np.asarray(arrival_times_ns, dtype=np.float64)
         else:
-            arrivals = [i * arrival_interval_ns for i in range(batches)]
+            arrivals = np.arange(batches, dtype=np.float64) * arrival_interval_ns
+        # NaN slips through a `diff < 0` test, so finiteness comes
+        # first — before either path (or any observer) sees the run.
+        if not bool(np.isfinite(arrivals).all()):
+            raise ValueError("arrival times must be finite")
+        if bool(np.any(arrivals[1:] < arrivals[:-1])):
+            raise ValueError("arrival times must be sorted")
         if pipeline_fast.resolve_fast(fast):
-            records, makespan, path = self._run_fast(arrivals)
+            result = self._run_fast(arrivals)
         else:
-            records, makespan, path = self._run_des(arrivals)
+            result = self._run_des(arrivals)
         if self.tracer.enabled:
-            self._emit_spans(records)
-        return PipelineRunResult(records=records, makespan_ns=makespan, path=path)
+            self._emit_spans(result.records)
+        return result
 
-    def _observe_completions(self, records: Sequence[BatchRecord]) -> None:
-        """Feed the serving metrics from a finished run's records.
+    def _observe_completions(self, result: PipelineRunResult) -> None:
+        """Feed the serving metrics from a finished run's columns.
 
         One latency + one queue-wait observation per batch, plus the
         batch counter, each stamped with the batch's *completion*
         instant — a windowed registry rolls them into the window the
         batch finished in.  Called once per path (DES and fast) on
-        records whose timestamps are bitwise-equal, so windowed
+        columns whose timestamps are bitwise-equal, so windowed
         exports are byte-identical across paths.
         """
         metrics = self.metrics
@@ -216,15 +298,16 @@ class PipelineSimulator:
         latency_histogram = metrics.histogram(names.METRIC_SERVING_LATENCY)
         queue_histogram = metrics.histogram(names.METRIC_SERVING_QUEUE)
         batch_counter = metrics.counter(names.METRIC_SERVING_BATCHES)
-        for record in records:
-            done = record.top_done_ns
-            latency_histogram.observe(done - record.arrival_ns, t_ns=done)
-            queue_histogram.observe(
-                record.emb_start_ns - record.arrival_ns, t_ns=done
-            )
+        for done, latency, queue_wait in zip(
+            result.completions_ns.tolist(),
+            result.latencies_ns.tolist(),
+            result.queue_waits_ns.tolist(),
+        ):
+            latency_histogram.observe(latency, t_ns=done)
+            queue_histogram.observe(queue_wait, t_ns=done)
             batch_counter.inc(1, t_ns=done)
 
-    def _explain_des(self, records: Sequence[BatchRecord]) -> None:
+    def _explain_des(self, result: PipelineRunResult) -> None:
         """DES-side per-request feed (R9 EXPLAIN_PARITY root).
 
         Kept as a separate method per path (rather than one shared
@@ -234,30 +317,31 @@ class PipelineSimulator:
         collector = self.critpath
         if collector is None:
             return
-        collector.record_requests(names.CRITPATH_REQUESTS, records)
+        collector.record_requests(names.CRITPATH_REQUESTS, result.records)
 
-    def _explain_fast(self, records: Sequence[BatchRecord]) -> None:
+    def _explain_fast(self, result: PipelineRunResult) -> None:
         """Fast-side per-request feed (R9 EXPLAIN_PARITY root)."""
         collector = self.critpath
         if collector is None:
             return
-        collector.record_requests(names.CRITPATH_REQUESTS, records)
+        collector.record_requests(names.CRITPATH_REQUESTS, result.records)
 
-    def _run_fast(self, arrivals: List[float]):
-        """Closed-form replay; see :mod:`repro.core.pipeline_fast`."""
-        timeline, makespan = pipeline_fast.replay_serving(
+    def _run_fast(self, arrivals: np.ndarray) -> PipelineRunResult:
+        """Closed-form replay; see :mod:`repro.core.pipeline_fast`.
+
+        The replay's stamp table *is* the result: no per-batch object
+        is built unless an observer below asks for ``result.records``.
+        """
+        stamps, makespan = pipeline_fast.replay_serving(
             self._emb_raw, self._bot_raw, self._top_raw, arrivals,
             profiler=self.profiler,
         )
-        records = [
-            BatchRecord(i, arrival, *stamps)
-            for i, (arrival, stamps) in enumerate(zip(arrivals, timeline.tolist()))
-        ]
-        self._observe_completions(records)
-        self._explain_fast(records)
-        return records, makespan, "fast"
+        result = PipelineRunResult(arrivals, stamps, makespan, "fast")
+        self._observe_completions(result)
+        self._explain_fast(result)
+        return result
 
-    def _run_des(self, arrivals: List[float]):
+    def _run_des(self, arrivals: np.ndarray) -> PipelineRunResult:
         """Event-driven reference: one flow process per batch."""
         sim = Simulator()
         sim.profiler = self.profiler
@@ -266,7 +350,7 @@ class PipelineSimulator:
         top_server = Server(sim, names.STAGE_TOP)
         records = [
             BatchRecord(index=i, arrival_ns=arrival)
-            for i, arrival in enumerate(arrivals)
+            for i, arrival in enumerate(arrivals.tolist())
         ]
 
         def flow(record: BatchRecord) -> Generator:
@@ -299,9 +383,10 @@ class PipelineSimulator:
         for record in records:
             sim.process(flow(record))
         sim.run()
-        self._observe_completions(records)
-        self._explain_des(records)
-        return records, sim.now, "des"
+        result = PipelineRunResult.from_records(records, sim.now, "des")
+        self._observe_completions(result)
+        self._explain_des(result)
+        return result
 
     def _emit_spans(self, records: Sequence[BatchRecord]) -> None:
         """Span tree per batch: queue wait, then the three stages.

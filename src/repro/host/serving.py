@@ -180,28 +180,30 @@ class ServingSimulator:
         # Serve every offered query: full batches plus one short batch
         # for the remainder, so the achieved total equals ``queries``.
         full, remainder = divmod(queries, self.nbatch)
-        sizes = [self.nbatch] * full
+        sizes = np.full(full + bool(remainder), self.nbatch, dtype=float)
         if remainder:
-            sizes.append(remainder)
+            sizes[-1] = remainder
         # Inter-arrival of a size-k batch: Erlang(k, qps) — the k-fold
         # thinning of the Poisson query process.  The first gap is the
         # wait for the first batch to fill and is kept: clamping batch
         # 0 to t=0 deterministically biased window-0 stats and
         # short-run tails.
-        gaps = rng.gamma(shape=np.asarray(sizes, dtype=float), scale=1e9 / qps)
-        arrivals = np.cumsum(gaps)
+        gaps = rng.gamma(shape=sizes, scale=1e9 / qps)
         result = self.pipeline.run(
-            len(sizes), arrival_times_ns=list(arrivals), fast=fast
+            len(sizes), arrival_times_ns=np.cumsum(gaps), fast=fast
         )
-        # Inlined latency_ns / queue_ns: this comprehension runs once
-        # per batch per sweep point, where property dispatch is the
-        # single biggest cost of the fast replay path.  The metrics
-        # registry (when attached) was already fed by the pipeline's
-        # _observe_completions — identically on both paths.
-        latencies = [r.top_done_ns - r.arrival_ns for r in result.records]
-        queue_waits = [r.emb_start_ns - r.arrival_ns for r in result.records]
+        # The timeline stays columnar: latencies and queue waits are
+        # column subtractions (the same float op per batch as
+        # BatchRecord.latency_ns / queue_ns), and no BatchRecord is
+        # built here.  The means are summed left to right over Python
+        # floats — np.sum is pairwise and would round differently.
+        # The metrics registry (when attached) was already fed by the
+        # pipeline's _observe_completions — identically on both paths.
+        latency_column = result.latencies_ns
+        ordered = np.sort(latency_column)
+        latencies = latency_column.tolist()
+        queue_waits = result.queue_waits_ns.tolist()
         elapsed_s = result.makespan_ns / 1e9
-        ordered = sorted(latencies)
         return LoadPoint(
             offered_qps=qps,
             achieved_qps=queries / elapsed_s if elapsed_s else 0.0,
@@ -211,10 +213,10 @@ class ServingSimulator:
             mean_ns=sum(latencies) / len(latencies),
             mean_queue_ns=sum(queue_waits) / len(queue_waits),
             latencies_ns=tuple(latencies),
-            windows=self._window_stats(result.records, latencies),
+            windows=self._window_stats(result.completions_ns, latencies),
         )
 
-    def _window_stats(self, records, latencies) -> tuple:
+    def _window_stats(self, completions, latencies) -> tuple:
         """Group each batch's latency into the window containing its
         completion instant (matching the windowed-registry semantics
         of :mod:`repro.obs.timeseries`)."""
@@ -222,9 +224,8 @@ class ServingSimulator:
         if width is None:
             return ()
         grouped: dict = {}
-        for record, latency in zip(records, latencies):
-            index = int(record.top_done_ns // width)
-            grouped.setdefault(index, []).append(latency)
+        for done, latency in zip(completions.tolist(), latencies):
+            grouped.setdefault(int(done // width), []).append(latency)
         return tuple(
             WindowStat(
                 index=index,

@@ -1,5 +1,6 @@
 """Tests for analysis helpers: metrics, report rendering, energy."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.energy import (
@@ -68,6 +69,40 @@ class TestMetrics:
 
     def test_percentile_unsorted_input(self):
         assert percentile([5, 1, 3], 50) == 3
+
+    def test_percentile_presorted_indexes_in_place(self):
+        # presorted=True used to copy its input on every call; it now
+        # reads two order statistics of whatever sequence it is given —
+        # list, tuple or ndarray — with the result unchanged bit for bit.
+        def copying(values, q):
+            # The implementation this one replaced.
+            values = list(values)
+            if len(values) == 1:
+                return values[0]
+            position = (len(values) - 1) * q / 100.0
+            lower = int(position)
+            upper = min(lower + 1, len(values) - 1)
+            fraction = position - lower
+            return values[lower] * (1 - fraction) + values[upper] * fraction
+
+        rng = np.random.default_rng(16)
+        for size in (1, 2, 3, 10, 997):
+            ordered = np.sort(rng.exponential(1e6, size=size))
+            for q in (0, 0.1, 25, 50, 95, 99, 99.9, 100):
+                expected = copying(ordered.tolist(), q)
+                for values in (ordered, ordered.tolist(), tuple(ordered.tolist())):
+                    got = percentile(values, q, presorted=True)
+                    assert type(got) is float
+                    assert got == expected  # lint: ok[R2]
+        with pytest.raises(ValueError, match="empty sequence"):
+            percentile(np.empty(0), 50, presorted=True)
+
+    def test_percentile_presorted_does_not_copy(self):
+        class NoCopy(list):
+            def __iter__(self):
+                raise AssertionError("presorted input was copied")
+
+        assert percentile(NoCopy([1.0, 2.0, 4.0]), 50, presorted=True) == 2.0
 
 
 class TestReport:

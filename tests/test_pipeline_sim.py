@@ -1,12 +1,18 @@
 """Tests for the DES pipeline simulator and its agreement with Eq. 1."""
 
+import numpy as np
 import pytest
 
 from repro.core.lookup_engine import flash_read_cycles
-from repro.core.pipeline_sim import PipelineSimulator
+from repro.core.pipeline_sim import STAMP_FIELDS, BatchRecord, PipelineSimulator
+from repro.fpga.compose import StageTimes
 from repro.fpga.decompose import decompose_model
 from repro.fpga.search import kernel_search
+from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
+from repro.obs.critpath import CritPathCollector
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import Profiler
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
 
@@ -59,6 +65,119 @@ class TestPipelineBasics:
         result = pipe.run(8)
         completions = [r.top_done_ns for r in result.records]
         assert completions == sorted(completions)
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize("fast", (False, True))
+    @pytest.mark.parametrize(
+        "arrivals", ([0.0, float("nan"), 5.0], [0.0, 1.0, float("inf")])
+    )
+    def test_non_finite_arrivals_rejected_on_both_paths(self, fast, arrivals):
+        # NaN passes a `diff < 0` sortedness test; it must be refused
+        # before either path runs or any observer is fed.
+        profiler = Profiler()
+        metrics = MetricsRegistry()
+        critpath = CritPathCollector()
+        pipe = PipelineSimulator(
+            10.0, 5.0, 2.0, profiler=profiler, metrics=metrics, critpath=critpath
+        )
+        with pytest.raises(ValueError, match="arrival times must be finite"):
+            pipe.run(3, arrival_times_ns=arrivals, fast=fast)
+        assert len(profiler) == 0
+        assert metrics.as_dict()["histograms"] == {}
+        assert len(critpath) == 0
+
+    def test_non_finite_interval_rejected(self):
+        with pytest.raises(ValueError, match="arrival times must be finite"):
+            PipelineSimulator(10.0, 5.0, 2.0).run(3, arrival_interval_ns=float("nan"))
+
+    @pytest.mark.parametrize("fast", (False, True))
+    def test_unsorted_and_miscounted_arrivals_still_rejected(self, fast):
+        pipe = PipelineSimulator(10.0, 5.0, 2.0)
+        with pytest.raises(ValueError, match="must be sorted"):
+            pipe.run(3, arrival_times_ns=np.array([0.0, 9.0, 5.0]), fast=fast)
+        with pytest.raises(ValueError, match="one arrival time per batch"):
+            pipe.run(3, arrival_times_ns=np.array([0.0, 9.0]), fast=fast)
+
+
+class TestColumnarResult:
+    """``PipelineRunResult`` is columns first; records are a view."""
+
+    @staticmethod
+    def jittered(**observers):
+        return PipelineSimulator(
+            emb_ns=lambda i: 100.0 + (i % 7) * 13.0,
+            bot_ns=lambda i: (i % 3) * 40.0,
+            top_ns=lambda i: 20.0 + (i % 5),
+            **observers,
+        )
+
+    @staticmethod
+    def arrivals(n=300):
+        rng = np.random.default_rng(16)
+        return np.add.accumulate(rng.exponential(150.0, size=n))
+
+    def test_records_from_columns_equal_native_des_records(self):
+        arrivals = self.arrivals()
+        des = self.jittered().run(len(arrivals), arrival_times_ns=arrivals, fast=False)
+        fast = self.jittered().run(len(arrivals), arrival_times_ns=arrivals, fast=True)
+        assert fast._records is None  # nothing asked for them yet
+        assert des.records == fast.records  # dataclass eq: field by field
+        assert [r.index for r in fast.records] == list(range(len(arrivals)))
+        assert fast.records is fast.records  # built once
+        # ... and the DES's derived table is the replay's table.
+        assert des.stamps_ns.shape == fast.stamps_ns.shape == (len(arrivals), 6)
+        assert np.array_equal(des.stamps_ns, fast.stamps_ns)
+        assert np.array_equal(des.arrivals_ns, fast.arrivals_ns)
+        for column, field in enumerate(STAMP_FIELDS):
+            assert fast.stamps_ns[:, column].tolist() == [
+                getattr(r, field) for r in des.records
+            ]
+
+    @pytest.mark.parametrize("fast", (False, True))
+    @pytest.mark.parametrize("batches", (1, 2, 3, 300))
+    def test_summaries_equal_their_record_based_values(self, fast, batches):
+        arrivals = self.arrivals(batches)
+        result = self.jittered().run(batches, arrival_times_ns=arrivals, fast=fast)
+        records = result.records
+        assert result.batches == len(records) == batches
+        # The record-based definitions these properties replaced.
+        mean_latency = sum(r.latency_ns for r in records) / len(records)
+        completions = [r.top_done_ns for r in records]
+        if len(completions) < 3:
+            steady = result.makespan_ns / max(1, len(completions))
+        else:
+            gaps = [b - a for a, b in zip(completions[1:], completions[2:])]
+            steady = sum(gaps) / len(gaps)
+        # Exact: same floats added in the same order.
+        assert result.mean_latency_ns == mean_latency  # lint: ok[R2]
+        assert result.steady_interval_ns == steady  # lint: ok[R2]
+        assert result.latencies_ns.tolist() == [r.latency_ns for r in records]
+        assert result.queue_waits_ns.tolist() == [r.queue_ns for r in records]
+
+    def test_fast_offered_load_builds_no_batch_record(self, monkeypatch):
+        built = []
+        real_init = BatchRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRecord, "__init__", counting_init)
+        times = StageTimes(temb=60, tbot=24, ttop=16, nbatch=2, flash_cycles=40)
+        plain = ServingSimulator(times, nbatch=2, seed=7, window_ns=2e4)
+        point = plain.offered_load(0.6 * plain.saturation_qps, queries=120, fast=True)
+        assert len(point.latencies_ns) == 60 and point.windows
+        assert built == []
+        # An observer that needs per-request objects still gets them.
+        critpath = CritPathCollector()
+        explained = ServingSimulator(times, nbatch=2, seed=7, critpath=critpath)
+        explained.offered_load(0.6 * plain.saturation_qps, queries=120, fast=True)
+        assert len(built) == len(critpath) == 60
+        # ... and the DES builds its records natively, once.
+        del built[:]
+        plain.offered_load(0.6 * plain.saturation_qps, queries=120, fast=False)
+        assert len(built) == 60
 
 
 class TestAgreementWithEq1:

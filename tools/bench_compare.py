@@ -4,7 +4,7 @@ The repo's benchmark trajectory (``BENCH_fastpath.json``,
 ``BENCH_sweep.json``, ``BENCH_vcache.json``, ``BENCH_autoscale.json``,
 ``BENCH_attribution.json``)
 is part of its claims — the lookup fast path is ~16x, the serving
-sweep replay ~13x, the vector cache turns flat 878 QPS into thousands
+sweep replay ~25x, the vector cache turns flat 878 QPS into thousands
 at high locality, the autoscaler rides out a flash crowd the fixed
 fleet cannot, the p99 tail's blame shifts from service to queueing as
 a flash crowd saturates the fleet.  A
