@@ -22,6 +22,17 @@ below the utilization watermark.  Every action is logged as a
 :class:`ScalingEvent` that lands in the ``rmssd-timeseries/v1``
 document's ``cluster`` section.
 
+The alert stream is incremental.  The controller keeps one
+:class:`~repro.obs.slo.BurnRateFold` per objective and, at each epoch
+boundary ``t``, advances it over the windows that closed since the
+last one — every window below ``floor(t / window)``, the same floor
+division that files an observation into its window — so a run costs
+one pass over its windows however many epochs it has.  The invariant
+that licenses this is the loop's causality: a batch dispatched at or
+after ``t`` completes at or after ``t``, hence in a window the fold
+has not consumed.  :meth:`Autoscaler.observe` checks it on every
+observation and raises rather than let a late completion go unseen.
+
 Determinism: the controller sees only simulated-clock quantities (the
 dispatcher's exact analytic completion times), so the decision
 sequence — and therefore the whole cluster run — is identical on the
@@ -35,7 +46,15 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import DEFAULT_RULES, BurnRateRule, SLOEngine
+from repro.obs.slo import (
+    DEFAULT_RULES,
+    BurnRateFold,
+    BurnRateRule,
+    SLOEngine,
+    alert_order,
+)
+from repro.obs.timeseries import window_index
+from repro.sim.engine import SimulationError
 
 
 @dataclass(frozen=True)
@@ -156,14 +175,31 @@ class Autoscaler:
         self.control = MetricsRegistry(window_ns=window_ns)
         self.epoch_ns = epoch_windows * float(window_ns)
         self.events: List[ScalingEvent] = []
+        #: One burn-rate fold per objective, advanced epoch by epoch.
+        self._folds = [
+            BurnRateFold(objective, self.engine.rules, self.engine.window_ns)
+            for objective in self.engine.objectives
+        ]
+        #: Windows below this index are closed: the folds have read them.
+        self._closed = 0
         self._epoch = 0
-        self._last_eval_ns = 0.0
         self._last_action_epoch: Optional[int] = None
         self._quiet_run = 0
 
     # ------------------------------------------------------------------
     def observe(self, latency_ns: float, done_ns: float) -> None:
-        """Record one dispatched batch's (exact) predicted latency."""
+        """Record one dispatched batch's (exact) predicted latency.
+
+        Raises if ``done_ns`` lands in a window an epoch has already
+        closed: the folds read each window once, so a late completion
+        would silently be ignored by every later alert.
+        """
+        window = window_index(done_ns, self.engine.window_ns)
+        if window < self._closed:
+            raise SimulationError(
+                f"completion at {done_ns} ns lands in window {window}, "
+                "which the autoscaler closed at an earlier epoch"
+            )
         self.control.histogram(names.METRIC_SERVING_LATENCY).observe(
             latency_ns, t_ns=done_ns
         )
@@ -171,21 +207,25 @@ class Autoscaler:
     def causal_alerts(self, t_ns: float) -> Tuple[dict, ...]:
         """Burn-rate alerts that became visible since the last epoch.
 
-        An alert stamped ``t <= t_ns`` depends only on windows that
-        closed before ``t_ns`` — batches arriving later complete
-        later — so filtering on the stamp keeps the loop causal.
+        Advances each objective's fold over the windows that closed in
+        ``(last epoch, t_ns]`` — every window below the one holding
+        ``t_ns`` — and returns the alerts that rose there (stamps
+        ``<= t_ns``).  Those windows are final: a batch arriving at or
+        after ``t_ns`` completes at or after it, which is what keeps
+        the loop causal and what :meth:`observe` checks.
         """
-        return tuple(
-            alert
-            for alert in self.engine.alerts(self.control)
-            if self._last_eval_ns < alert["t_ns"] <= t_ns
-        )
+        self._closed = max(self._closed, window_index(t_ns, self.engine.window_ns))
+        fresh: List[dict] = []
+        for fold in self._folds:
+            series = self.control.series(fold.objective.metric)
+            fresh.extend(fold.advance(series, self._closed))
+        fresh.sort(key=alert_order)
+        return tuple(fresh)
 
     # ------------------------------------------------------------------
     def evaluate(self, signal: EpochSignal) -> int:
         """One control decision; returns the replica delta (0 = hold)."""
         self._epoch += 1
-        self._last_eval_ns = signal.t_ns
         if signal.alerts:
             self._quiet_run = 0
         else:

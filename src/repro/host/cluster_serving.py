@@ -37,12 +37,16 @@ import numpy as np
 
 from repro.analysis.metrics import percentile
 from repro.core.pipeline_fast import resolve_fast
-from repro.core.pipeline_sim import BatchRecord, PipelineSimulator
+from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal, ScalingEvent
 from repro.obs import names
 from repro.obs.timeseries import build_document
-from repro.workloads.arrivals import ArrivalTrace, batch_arrivals
+from repro.workloads.arrivals import (
+    ArrivalTrace,
+    batch_arrivals,
+    validated_instants,
+)
 
 BALANCER_ROUND_ROBIN = "round-robin"
 BALANCER_JSQ = "jsq"
@@ -341,10 +345,13 @@ class ClusterServingSimulator:
 
     @staticmethod
     def _query_times(trace) -> List[float]:
+        """The trace's query instants; raw instants are held to the
+        :class:`ArrivalTrace` contract (finite, non-negative, sorted)
+        here, before the plan feeds any autoscaler or registry state."""
         if isinstance(trace, ArrivalTrace):
             times = list(trace.times_ns)
         else:
-            times = [float(t) for t in trace]
+            times = validated_instants(list(trace)).tolist()
         if not times:
             raise ValueError("need at least one query arrival")
         return times
@@ -464,7 +471,10 @@ class ClusterServingSimulator:
         return self._replay(plan, fast=True)
 
     def _replay(self, plan: _DispatchPlan, fast: bool) -> ClusterLoadPoint:
-        records: List[BatchRecord] = []
+        # Latencies straight from each replica's columns, in replica-id
+        # order: a fast run with no tracer/critpath builds no records.
+        latencies: List[float] = []
+        makespan_ns = 0.0
         per_replica: List[int] = []
         path = "fast" if fast else "des"
         for rid in range(plan.replica_count):
@@ -486,10 +496,9 @@ class ClusterServingSimulator:
                 len(assigned), arrival_times_ns=assigned, fast=fast
             )
             path = result.path
-            records.extend(result.records)
+            latencies.extend(result.latencies_ns.tolist())
+            makespan_ns = max(makespan_ns, float(result.completions_ns.max()))
         self._emit_cluster_metrics(plan)
-        latencies = [r.top_done_ns - r.arrival_ns for r in records]
-        makespan_ns = max(r.top_done_ns for r in records)
         ordered = sorted(latencies)
         point = ClusterLoadPoint(
             offered_qps=plan.offered_qps,

@@ -198,46 +198,50 @@ class LatencyHistogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
+        return self._quantiles((q,))[0]
+
+    def _quantiles(self, qs: Sequence[float]) -> List[float]:
+        """The percentiles ``qs`` (ascending) in one pass: a bucket
+        cursor that only moves forward, up to the last target's bucket."""
         if self.count == 0:
-            return 0.0
-        target = q / 100.0 * self.count
-        if target <= 0:
-            return self.min_ns
-        first_nonempty = next(
-            i for i, c in enumerate(self.counts) if c
-        )
-        last_nonempty = max(i for i, c in enumerate(self.counts) if c)
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
+            return [0.0] * len(qs)
+        counts = self.counts
+        values: List[float] = []
+        index = cumulative = 0
+        for q in qs:
+            target = q / 100.0 * self.count
+            if target <= 0:
+                values.append(self.min_ns)
                 continue
-            if cumulative + bucket_count >= target:
-                if index < len(self.bounds):
-                    lower = self.bounds[index - 1] if index > 0 else 0.0
-                    upper = self.bounds[index]
-                else:
-                    # Overflow bucket: its edges are the *observed*
-                    # extremes, never the top bucket boundary — see
-                    # the class docstring (top-bucket clipping fix).
-                    lower = self.overflow_min_ns
-                    upper = self.max_ns
-                if index == first_nonempty:
-                    lower = max(lower, self.min_ns)
-                if index == last_nonempty:
-                    upper = min(upper, self.max_ns)
-                fraction = (target - cumulative) / bucket_count
-                return lower + fraction * (upper - lower)
-            cumulative += bucket_count
-        return self.max_ns  # unreachable; defensive
+            while counts[index] == 0 or cumulative + counts[index] < target:
+                cumulative += counts[index]
+                index += 1
+            if index < len(self.bounds):
+                lower = self.bounds[index - 1] if index > 0 else 0.0
+                upper = self.bounds[index]
+            else:
+                # Overflow bucket: its edges are the *observed*
+                # extremes, never the top bucket boundary — see
+                # the class docstring (top-bucket clipping fix).
+                lower = self.overflow_min_ns
+                upper = self.max_ns
+            if cumulative == 0:  # first non-empty bucket
+                lower = max(lower, self.min_ns)
+            if cumulative + counts[index] == self.count:  # last non-empty
+                upper = min(upper, self.max_ns)
+            fraction = (target - cumulative) / counts[index]
+            values.append(lower + fraction * (upper - lower))
+        return values
 
     def summary(self) -> dict:
         """The export payload: count, mean, quantiles, extremes."""
+        p50_ns, p95_ns, p99_ns = self._quantiles((50.0, 95.0, 99.0))
         return {
             "count": self.count,
             "mean_ns": self.mean_ns,
-            "p50_ns": self.percentile(50.0),
-            "p95_ns": self.percentile(95.0),
-            "p99_ns": self.percentile(99.0),
+            "p50_ns": p50_ns,
+            "p95_ns": p95_ns,
+            "p99_ns": p99_ns,
             "min_ns": self.min_ns if self.count else 0.0,
             "max_ns": self.max_ns,
         }

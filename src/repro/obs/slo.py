@@ -29,6 +29,19 @@ windows, 2x budget).  Alerts are emitted as structured events on the
 simulated clock, once per rising edge — `tests/test_obs_slo.py` pins
 that an injected violation fires in exactly the expected window.
 
+The rule is stated once, as a fold (:class:`BurnRateFold`): windows go
+in in index order, each window's count and quantile are read exactly
+once, and the burn rates come from running counts over the last
+``max(long_windows)`` flags — the same ``bad / span / budget``
+expression a re-summation would evaluate, so every reported burn is
+bit-equal to one (`tests/slo_oracle.py` is that re-summation, kept as
+the differential oracle).  :meth:`SLOEngine.evaluate` runs the fold
+over a finished series; the autoscaler keeps one alive and advances it
+epoch by epoch.  What makes the incremental use sound is that a
+*closed* window is final: an empty window complies and, with one rule
+per severity, can never raise an alert, so consuming it before later
+data exists changes nothing a later evaluation would see.
+
 Determinism: evaluation reads only the windowed series (whose inputs
 are bitwise-equal across the DES and fast paths) and does integer
 window arithmetic, so SLO reports are byte-identical across paths.
@@ -36,8 +49,9 @@ window arithmetic, so SLO reports are byte-identical across paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from collections import deque
+from dataclasses import asdict, dataclass
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.obs import names
 
@@ -99,6 +113,103 @@ DEFAULT_RULES: Tuple[BurnRateRule, ...] = (
 )
 
 
+def alert_order(alert: dict) -> tuple:
+    """Sort key of alert events: (time, severity, objective)."""
+    return alert["t_ns"], alert["severity"], alert["objective"]
+
+
+class BurnRateFold:
+    """The burn-rate rule for one objective, as a fold over windows.
+
+    Windows are consumed once each, in index order.  The state is what
+    the rule needs of the past and no more: the violation flags of the
+    last ``max(long_windows)`` windows, their running count per span,
+    and the rising-edge flag per severity.  Windows before ``start``
+    comply, as does a window with no observations.  ``record`` is the
+    objective's report so far: the window table and every alert.
+    """
+
+    def __init__(
+        self,
+        objective: Objective,
+        rules: Sequence[BurnRateRule],
+        window_ns: float,
+        start: int = 0,
+    ) -> None:
+        self.objective = objective
+        self.rules = tuple(rules)
+        self.window_ns = window_ns
+        #: The next window to consume; every window below it is final.
+        self.next_index = start
+        self.record: dict = {**asdict(objective), "windows": [], "alerts": []}
+        spans = sorted(
+            {s for r in self.rules for s in (r.long_windows, r.short_windows)}
+        )
+        #: Violating windows among the trailing ``span``, per span.
+        self._bad: Dict[int, int] = dict.fromkeys(spans, 0)
+        self._flags: Deque[bool] = deque(maxlen=max(spans, default=0) + 1)
+        self._fired: Dict[str, bool] = {r.severity: False for r in self.rules}
+
+    def advance(self, series, stop: int) -> List[dict]:
+        """Consume windows ``[next_index, stop)`` and return the alerts
+        that rose in them.  Each window's count and quantile are read
+        exactly once, so ``stop`` must not pass a window that can still
+        receive observations."""
+        objective, flags, fired = self.objective, self._flags, self._fired
+        alerts = self.record["alerts"]
+        already = len(alerts)
+        for index in range(self.next_index, stop):
+            count = series.window_count(index) if series is not None else 0
+            value = (
+                series.window_percentile(index, objective.quantile) if count else 0.0
+            )
+            bad = count > 0 and value > objective.threshold_ns
+            self.record["windows"].append(
+                {
+                    "index": index,
+                    "start_ns": index * self.window_ns,
+                    "count": count,
+                    "value_ns": value,
+                    "ok": not bad,
+                }
+            )
+            flags.append(bad)
+            for span in self._bad:
+                # The flag that just slid out of the trailing span.
+                left = flags[-span - 1] if len(flags) > span else False
+                self._bad[span] += bad - left
+            burn = {
+                span: violating / span / objective.budget
+                for span, violating in self._bad.items()
+            }
+            # Rising-edge alert per rule: fire the window the condition
+            # becomes true, stay silent while it holds, re-arm once clear.
+            for rule in self.rules:
+                long_burn = burn[rule.long_windows]
+                short_burn = burn[rule.short_windows]
+                active = (
+                    long_burn >= rule.burn_threshold
+                    and short_burn >= rule.burn_threshold
+                )
+                if active and not fired[rule.severity]:
+                    alerts.append(
+                        {
+                            "type": names.ALERT_BURN_RATE,
+                            "severity": rule.severity,
+                            "objective": objective.name,
+                            "window": index,
+                            "t_ns": (index + 1) * self.window_ns,
+                            "long_burn": long_burn,
+                            "short_burn": short_burn,
+                            "long_windows": rule.long_windows,
+                            "short_windows": rule.short_windows,
+                        }
+                    )
+                fired[rule.severity] = active
+        self.next_index = max(self.next_index, stop)
+        return alerts[already:]
+
+
 class SLOEngine:
     """Holds declared objectives; evaluates them against a windowed
     registry's latency series."""
@@ -112,6 +223,10 @@ class SLOEngine:
             raise ValueError("window width must be positive")
         self.window_ns = float(window_ns)
         self.rules: Tuple[BurnRateRule, ...] = tuple(rules)
+        if len({rule.severity for rule in self.rules}) != len(self.rules):
+            # Rules sharing a rising-edge flag could raise an alert in
+            # a complying window — and closed windows must be final.
+            raise ValueError("burn-rate rules need distinct severities")
         self._objectives: List[Objective] = []
 
     def objective(
@@ -140,76 +255,15 @@ class SLOEngine:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _burn(violating: Dict[int, bool], end: int, span: int, budget: float) -> float:
-        """Burn rate over the trailing ``span`` windows ending at
-        ``end`` (windows with no data, or before the data, comply)."""
-        bad = sum(
-            1 for index in range(end - span + 1, end + 1)
-            if violating.get(index, False)
-        )
-        return bad / span / budget
-
     def _evaluate_objective(self, objective: Objective, series) -> dict:
-        record: dict = {
-            "name": objective.name,
-            "metric": objective.metric,
-            "quantile": objective.quantile,
-            "threshold_ns": objective.threshold_ns,
-            "budget": objective.budget,
-            "windows": [],
-            "alerts": [],
-        }
+        """The fold, run from the first to the last data window."""
         indices = series.window_indices() if series is not None else []
-        if not indices:
-            return record
-        first, last = indices[0], indices[-1]
-        violating: Dict[int, bool] = {}
-        for index in range(first, last + 1):
-            count = series.window_count(index)
-            value = series.window_percentile(index, objective.quantile)
-            bad = count > 0 and value > objective.threshold_ns
-            violating[index] = bad
-            record["windows"].append(
-                {
-                    "index": index,
-                    "start_ns": index * self.window_ns,
-                    "count": count,
-                    "value_ns": value,
-                    "ok": not bad,
-                }
-            )
-        # Rising-edge alert per rule: fire the window the condition
-        # becomes true, stay silent while it holds, re-arm once clear.
-        fired: Dict[str, bool] = {rule.severity: False for rule in self.rules}
-        for index in range(first, last + 1):
-            for rule in self.rules:
-                long_burn = self._burn(
-                    violating, index, rule.long_windows, objective.budget
-                )
-                short_burn = self._burn(
-                    violating, index, rule.short_windows, objective.budget
-                )
-                active = (
-                    long_burn >= rule.burn_threshold
-                    and short_burn >= rule.burn_threshold
-                )
-                if active and not fired[rule.severity]:
-                    record["alerts"].append(
-                        {
-                            "type": names.ALERT_BURN_RATE,
-                            "severity": rule.severity,
-                            "objective": objective.name,
-                            "window": index,
-                            "t_ns": (index + 1) * self.window_ns,
-                            "long_burn": long_burn,
-                            "short_burn": short_burn,
-                            "long_windows": rule.long_windows,
-                            "short_windows": rule.short_windows,
-                        }
-                    )
-                fired[rule.severity] = active
-        return record
+        fold = BurnRateFold(
+            objective, self.rules, self.window_ns, indices[0] if indices else 0
+        )
+        if indices:
+            fold.advance(series, indices[-1] + 1)
+        return fold.record
 
     def evaluate(self, metrics) -> List[dict]:
         """Evaluate every objective against ``metrics`` (a windowed
@@ -224,7 +278,7 @@ class SLOEngine:
         events: List[dict] = []
         for record in self.evaluate(metrics):
             events.extend(record["alerts"])
-        events.sort(key=lambda e: (e["t_ns"], e["severity"], e["objective"]))
+        events.sort(key=alert_order)
         return events
 
     def report_dict(self, metrics) -> dict:

@@ -167,6 +167,26 @@ class TestCompose:
         with pytest.raises(ValueError):
             ArrivalTrace(kind="poisson", times_ns=(2.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ((0.0, float("nan"), 3.0), "finite"),
+            ((0.0, float("inf")), "finite"),
+            ((float("-inf"), 0.0), "finite"),
+            ((-1.0, 2.0), "non-negative"),
+            ((0.0, 5.0, 4.0), "sorted"),
+        ],
+    )
+    def test_hostile_instants_rejected(self, times, message):
+        # NaN passes a `diff < 0` sortedness test; inf would keep an
+        # autoscaled fleet evaluating epochs forever.
+        with pytest.raises(ValueError, match=f"arrival times must be {message}"):
+            ArrivalTrace(kind="poisson", times_ns=times)
+
+    def test_boundary_instants_accepted(self):
+        trace = ArrivalTrace(kind="poisson", times_ns=(0.0, 0.0, 7.5))
+        assert trace.count == 3
+
     def test_batch_arrivals_groups_by_last_query(self):
         times = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0)
         batched = batch_arrivals(times, 3)

@@ -101,6 +101,7 @@ def autoscale_payload(**overrides):
         },
         "bitwise_equal": True,
         "wall_s": 0.2,
+        "max_wall_s": 2.0,
     }
     payload.update(overrides)
     return payload
@@ -299,7 +300,19 @@ class TestCompareAutoscale:
         assert compare(autoscale_payload(), autoscale_payload()) == []
 
     def test_wall_clock_drift_is_ignored(self):
-        assert compare(autoscale_payload(), autoscale_payload(wall_s=9.0)) == []
+        # ... within the committed budget.
+        assert compare(autoscale_payload(), autoscale_payload(wall_s=1.9)) == []
+
+    def test_blown_wall_budget_flagged(self):
+        failures = compare(autoscale_payload(), autoscale_payload(wall_s=10.0))
+        assert any("budget" in failure for failure in failures)
+        assert any(
+            "budget" in failure for failure in self_check(autoscale_payload(wall_s=10.0))
+        )
+
+    def test_budget_drift_is_exact(self):
+        failures = compare(autoscale_payload(), autoscale_payload(max_wall_s=60.0))
+        assert any("max_wall_s" in failure for failure in failures)
 
     def test_configuration_drift_is_exact(self):
         failures = compare(autoscale_payload(), autoscale_payload(sla_ms=50.0))

@@ -1,10 +1,11 @@
 """Tests for open-loop cluster serving and SLA autoscaling."""
 
 import json
+import signal
 
 import pytest
 
-from repro.core.pipeline_sim import PipelineSimulator
+from repro.core.pipeline_sim import BatchRecord, PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal
 from repro.host.cluster_serving import (
@@ -15,7 +16,7 @@ from repro.host.cluster_serving import (
     _ReplicaModel,
     make_balancer,
 )
-from repro.obs import names
+from repro.obs import CritPathCollector, names
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.arrivals import flash_crowd_trace, poisson_trace
 
@@ -175,6 +176,67 @@ class TestClusterServing:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             cluster().serve_trace(())
+
+    @pytest.mark.parametrize(
+        "instants, message",
+        [
+            ([0.0, float("inf")], "finite"),
+            ([0.0, float("nan"), 3.0], "finite"),
+            ([0.0, 9e6, 5e6], "sorted"),
+            ([-1.0, 2.0], "non-negative"),
+        ],
+    )
+    def test_hostile_raw_instants_rejected_before_any_state(self, instants, message):
+        """Raw instants are validated at the boundary: before the fix,
+        ``inf`` spun `_plan`'s epoch loop forever and NaN / unsorted
+        input reached the replica replay only after the plan had fed
+        the autoscaler's control registry."""
+        scaler = Autoscaler(sla_ns=3 * UNLOADED_NS, window_ns=2e6, epoch_windows=2)
+        metrics = MetricsRegistry(window_ns=2e6)
+        sim = cluster(replicas=1, autoscaler=scaler, metrics=metrics)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("serve_trace did not return")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(ValueError, match=f"arrival times must be {message}"):
+                sim.serve_trace(instants)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert scaler.control.as_dict()["histograms"] == {}
+        assert scaler.events == [] and scaler._epoch == 0
+        assert metrics.as_dict()["histograms"] == {}
+        assert metrics.as_dict()["gauges"] == {}
+
+    def test_fast_fleet_run_builds_no_batch_record(self, monkeypatch):
+        built = []
+        real_init = BatchRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRecord, "__init__", counting_init)
+        trace = poisson_trace(1500.0, 90, seed=12)
+        metrics = MetricsRegistry(window_ns=5e6)
+        plain = cluster(replicas=3, balancer=BALANCER_JSQ, metrics=metrics)
+        fast = plain.serve_trace(trace, fast=True)
+        assert fast.path == "fast" and fast.batches == 90
+        assert built == []
+        # Same floats, same order, as the record-based definitions.
+        des = cluster(replicas=3, balancer=BALANCER_JSQ).serve_trace(trace, fast=False)
+        assert len(built) == 90  # the DES fills its records natively
+        assert fast.latencies_ns == des.latencies_ns  # lint: ok[R2]
+        assert fast.mean_ns == sum(des.latencies_ns) / 90  # lint: ok[R2]
+        assert (fast.achieved_qps, fast.p99_ns) == (des.achieved_qps, des.p99_ns)
+        # An observer that needs per-request objects still gets them.
+        del built[:]
+        collector = CritPathCollector()
+        cluster(replicas=3, critpath=collector).serve_trace(trace, fast=True)
+        assert len(built) == len(collector) == 90
 
     def test_invalid_replicas_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BOUNDS_NS,
@@ -142,6 +144,68 @@ class TestHistogramPercentiles:
             {"le_ns": 10, "count": 1},
             {"le_ns": None, "count": 1},
         ]
+
+
+def three_scan_percentile(hist, q):
+    """`LatencyHistogram.percentile` as it stood before the one-pass
+    cursor: two generator scans for the edge buckets, then the
+    cumulative loop.  Kept as the reference the cursor must match bit
+    for bit."""
+    if hist.count == 0:
+        return 0.0
+    target = q / 100.0 * hist.count
+    if target <= 0:
+        return hist.min_ns
+    first_nonempty = next(i for i, c in enumerate(hist.counts) if c)
+    last_nonempty = max(i for i, c in enumerate(hist.counts) if c)
+    cumulative = 0
+    for index, bucket_count in enumerate(hist.counts):
+        if bucket_count == 0:
+            continue
+        if cumulative + bucket_count >= target:
+            if index < len(hist.bounds):
+                lower = hist.bounds[index - 1] if index > 0 else 0.0
+                upper = hist.bounds[index]
+            else:
+                lower = hist.overflow_min_ns
+                upper = hist.max_ns
+            if index == first_nonempty:
+                lower = max(lower, hist.min_ns)
+            if index == last_nonempty:
+                upper = min(upper, hist.max_ns)
+            fraction = (target - cumulative) / bucket_count
+            return lower + fraction * (upper - lower)
+        cumulative += bucket_count
+    raise AssertionError("target rank beyond the last bucket")
+
+
+class TestOnePassQuantiles:
+    VALUES = st.one_of(
+        st.floats(min_value=0.0, max_value=2e11, allow_nan=False),
+        st.sampled_from((0.0, 100.0, 200.0, 500.0, 5e10, 5e10 + 1.0)),
+    )
+    QUANTILES = st.one_of(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        st.sampled_from((0.0, 50.0, 95.0, 99.0, 99.9, 100.0)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(VALUES, max_size=40),
+        q=QUANTILES,
+        bounds=st.sampled_from((None, (10.0,), (100.0, 1000.0, 1e6))),
+    )
+    def test_percentile_and_summary_match_the_three_scan_reference(
+        self, values, q, bounds
+    ):
+        hist = LatencyHistogram("h", bounds=bounds)
+        for value in values:
+            hist.observe(value)
+        # Bit for bit: exported documents are compared byte by byte.
+        assert repr(hist.percentile(q)) == repr(three_scan_percentile(hist, q))
+        summary = hist.summary()
+        for key, quantile in (("p50_ns", 50.0), ("p95_ns", 95.0), ("p99_ns", 99.0)):
+            assert repr(summary[key]) == repr(three_scan_percentile(hist, quantile))
 
 
 class TestRegistry:

@@ -7,11 +7,27 @@ after it clears), default fast/slow rule pairing, validation, and the
 report shape embedded in the timeseries document.
 """
 
+import json
+
 import pytest
 
 from repro.obs import BurnRateRule, MetricsRegistry, Objective, SLOEngine, names
+from tests.slo_oracle import rescan_alerts, rescan_evaluate, rescan_report
 
 WINDOW_NS = 1000.0
+
+
+class OracleCheckedEngine(SLOEngine):
+    """The engine every scenario in this file runs on: each evaluation
+    (so each `alerts` / `report_dict` too) is also compared, as bytes,
+    to the full rescan the fold replaced (tests/slo_oracle.py)."""
+
+    def evaluate(self, metrics):
+        records = super().evaluate(metrics)
+        assert json.dumps(records, sort_keys=True) == json.dumps(
+            rescan_evaluate(self, metrics), sort_keys=True
+        )
+        return records
 
 
 def windowed_metrics(latency_by_window):
@@ -26,7 +42,7 @@ def windowed_metrics(latency_by_window):
 
 
 def engine_with_objective(threshold_ns=1000.0, quantile=99.0):
-    engine = SLOEngine(WINDOW_NS)
+    engine = OracleCheckedEngine(WINDOW_NS)
     engine.objective(
         names.SLO_SERVING_TAIL,
         names.METRIC_SERVING_LATENCY,
@@ -157,7 +173,7 @@ def test_custom_rule_threshold():
     data = {i: [100.0] for i in range(10)}
     data[4] = data[5] = [5000.0]
     metrics = windowed_metrics(data)
-    engine = SLOEngine(
+    engine = OracleCheckedEngine(
         WINDOW_NS,
         rules=(
             BurnRateRule(
@@ -175,3 +191,24 @@ def test_custom_rule_threshold():
         threshold_ns=1000.0,
     )
     assert [a["window"] for a in engine.alerts(metrics)] == [5]
+
+
+@pytest.mark.parametrize(
+    "bad_windows",
+    [(), (5,), (5, 6), (5, 20), (0, 1, 2, 3), (29,), (3, 9, 15, 21, 27)],
+)
+def test_views_match_the_rescan_oracle(bad_windows):
+    # The sorted alert stream and the whole `slo` document section,
+    # byte for byte, with a gap of empty windows thrown in.
+    data = {i: [100.0] for i in range(30) if not 10 <= i < 13}
+    for index in bad_windows:
+        data[index] = [100.0, 5000.0]
+    metrics = windowed_metrics(data)
+    engine = engine_with_objective()
+    engine.objective("median", names.METRIC_SERVING_LATENCY, quantile=50.0,
+                     threshold_ns=2000.0, budget=0.2)
+    assert engine.alerts(metrics) == rescan_alerts(engine, metrics)
+    assert json.dumps(engine.report_dict(metrics), sort_keys=True) == json.dumps(
+        rescan_report(engine, metrics), sort_keys=True
+    )
+    assert bool(engine.alerts(metrics)) == bool(bad_windows)

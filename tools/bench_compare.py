@@ -46,8 +46,8 @@ rows_per_table
 vcache: qps.*           higher-is-better, 2% relative tolerance
 vcache: hit_ratios.*    higher-is-better, 0.01 absolute tolerance
 autoscale: config keys, exact — the flash-crowd trace is seeded and
-fixed, autoscaled       both fleets are simulated, so every outcome
-                        (p99, scaling-event counts) is deterministic
+max_wall_s, fixed,      both fleets are simulated, so every outcome
+autoscaled              (p99, scaling-event counts) is deterministic
 autoscale:              must be ``true`` (cluster DES and fast replay
 bitwise_equal           export byte-identical timeseries documents)
 attribution: config     exact — the flash-crowd trace is seeded and
@@ -244,7 +244,7 @@ def compare_vcache(baseline: dict, fresh: dict) -> List[str]:
 _AUTOSCALE_CONFIG_KEYS = (
     "model", "arrivals", "queries", "balancer", "sla_ms", "quantile",
     "alert_threshold_ms", "window_ms", "burst_factor",
-    "initial_replicas", "max_replicas", "scale_up_step",
+    "initial_replicas", "max_replicas", "scale_up_step", "max_wall_s",
 )
 
 
@@ -261,6 +261,7 @@ def compare_autoscale(baseline: dict, fresh: dict) -> List[str]:
         failures.append(
             "bitwise_equal: cluster fast replay diverged from the DES"
         )
+    _check_wall_budget(fresh, failures)
     return failures
 
 
@@ -413,6 +414,7 @@ def self_check_autoscale(payload: dict) -> List[str]:
         failures.append("autoscaled.scale_ups: the burst forced no scale-out")
     if _require(auto, "scale_downs", "payload.autoscaled") < 1:
         failures.append("autoscaled.scale_downs: the fleet never drained")
+    _check_wall_budget(payload, failures)
     return failures
 
 

@@ -118,6 +118,14 @@ events = json.load(open('/tmp/rmssd_autoscale_smoke.json'))['cluster']['scaling_
 ups = sum(1 for e in events if e['action'] == 'scale-up'); \
 assert ups >= 1, 'autoscaler never scaled up'; \
 print('ok   %d scale-up(s), timeseries byte-identical' % ups)"
+# The autoscaler's alert stream is an incremental fold over closed
+# windows: it must equal the full rescan (tests/slo_oracle.py) at every
+# epoch, trip its causality check on a stale observation, and never
+# see a hostile arrival instant (NaN / inf / negative / unsorted are
+# refused at the boundary, before any controller state changes).
+RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_slo_fold.py \
+    tests/test_cluster_serving.py tests/test_arrivals.py \
+    -k "smoke or stale or hostile"
 
 echo "== bench-regression gate (tools/bench_compare.py) =="
 # Committed baselines must satisfy their own invariants and pass an
@@ -183,19 +191,22 @@ if ! grep -q "explain: p99 .*queue" /tmp/rmssd_bench_attr_out.txt; then
     exit 1
 fi
 echo "ok   injected tail-blame regression flagged and attributed"
-# The wall-clock budget must also have teeth: a run that doubles the
-# committed bench-harness budget fails the gate.
-python -c "import json; p = json.load(open('BENCH_sweep.json')); \
+# The wall-clock budgets must also have teeth: a run that doubles a
+# committed budget (the sweep bench's figure regeneration, the
+# autoscale bench's fleet runs) fails the gate.
+for bench in BENCH_sweep.json BENCH_autoscale.json; do
+    python -c "import json, sys; p = json.load(open(sys.argv[1])); \
 p['wall_s'] = p['max_wall_s'] * 2; \
-json.dump(p, open('/tmp/rmssd_bench_slow.json', 'w'))"
-if PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_sweep.json \
-    --fresh /tmp/rmssd_bench_slow.json > /dev/null; then
-    echo "bench_compare missed an injected wall-clock blowout" >&2
-    exit 1
-else
-    echo "ok   injected wall-clock blowout flagged"
-fi
+json.dump(p, open('/tmp/rmssd_bench_slow.json', 'w'))" "$bench"
+    if PYTHONPATH=src:. python -m tools.bench_compare \
+        --baseline "$bench" \
+        --fresh /tmp/rmssd_bench_slow.json > /dev/null; then
+        echo "bench_compare missed an injected wall-clock blowout ($bench)" >&2
+        exit 1
+    else
+        echo "ok   injected wall-clock blowout flagged ($bench)"
+    fi
+done
 
 echo "== tests (RMSSD_SANITIZE=1) =="
 RMSSD_SANITIZE=1 python -m pytest -x -q
