@@ -11,7 +11,8 @@ lint:
 	$(PYTHON) -m tools.lint src tests benchmarks
 
 # Whole-tree lint under the ratchet (tools included) plus the R9
-# injected-drift canary proving the parity analysis is live.
+# injected-drift canary (lookup, serving) proving the parity analysis
+# is live.
 lint-strict:
 	$(PYTHON) -m tools.lint src tests benchmarks tools \
 		--baseline tools/lint/baseline.json

@@ -229,11 +229,11 @@ def replay_serving(
     callable there is no observable evaluation order, so the skip is
     bitwise-invisible and saves ~3n Python calls per replay.
 
-    Returns ``(timeline, makespan_ns)`` where ``timeline`` is an
-    ``(n, 6)`` array of ``emb_start, emb_done, bot_start, bot_done,
-    top_start, top_done`` per batch — the same floats the DES writes
-    into each :class:`~repro.core.pipeline_sim.BatchRecord`, stored
-    column-major so each stamp is one contiguous column
+    Returns ``(timeline, makespan_ns)`` where ``timeline`` is the
+    ``(n, 6)`` stage-stamp table in
+    :data:`~repro.obs.critpath.STAMP_FIELDS` order — the same floats
+    the DES writes into its own table row by row — stored column-major
+    so each stamp is one contiguous column
     (:class:`~repro.core.pipeline_sim.PipelineRunResult` carries the
     table as is).
     """

@@ -11,10 +11,14 @@ luck).
 Two implementations produce one timeline: the event-driven reference
 (``_run_des``) and the closed-form replay of
 :mod:`repro.core.pipeline_fast` (``_run_fast``), bitwise equal.  The
-timeline is columnar — :class:`PipelineRunResult` carries the arrival
-column and the ``(n, 6)`` stage-stamp table — and the per-batch
-:class:`BatchRecord` objects are a view derived on demand, so a
-latency-vs-load sweep (``repro.host.serving``) never builds them.
+timeline is columnar and nothing else — :class:`PipelineRunResult`
+carries the arrival column and the ``(n, 6)`` stage-stamp table — and
+it is read in one place: after the path branch,
+:meth:`PipelineSimulator._observe` feeds the metrics registry, the
+critpath collector and the tracer from those columns, so there is no
+per-path feed to drift and a run with no observer attached (a
+latency-vs-load sweep, ``repro.host.serving``) does no per-batch
+Python work at all.
 
 Used by ``benchmarks/bench_ext_pipeline_validation.py``, the serving
 and cluster simulators in ``repro.host``, and the unit tests.
@@ -22,71 +26,30 @@ and cluster simulators in ``repro.host``, and the unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from repro.core import pipeline_fast
 from repro.fpga.compose import StageTimes
 from repro.obs import names, resolve_profiler, resolve_tracer
+from repro.obs.critpath import STAMP_FIELDS
 from repro.sim import Server, Simulator
 
-
-@dataclass
-class BatchRecord:
-    """Timeline of one batch through the pipeline (ns).
-
-    The ``*_start_ns`` fields record when each stage's *service*
-    began (after any wait for the stage server), so queueing and
-    service time separate cleanly: the queue wait is
-    ``emb_start_ns - arrival_ns``.
-    """
-
-    index: int
-    arrival_ns: float
-    emb_start_ns: float = 0.0
-    emb_done_ns: float = 0.0
-    bot_start_ns: float = 0.0
-    bot_done_ns: float = 0.0
-    top_start_ns: float = 0.0
-    top_done_ns: float = 0.0
-
-    @property
-    def latency_ns(self) -> float:
-        return self.top_done_ns - self.arrival_ns
-
-    @property
-    def queue_ns(self) -> float:
-        """Time spent waiting before the embedding stage started."""
-        return self.emb_start_ns - self.arrival_ns
-
-
-#: The six stage-stamp fields of a :class:`BatchRecord`, in the column
-#: order of :attr:`PipelineRunResult.stamps_ns` (and of the table
-#: :func:`repro.core.pipeline_fast.replay_serving` returns).
-STAMP_FIELDS = (
-    "emb_start_ns",
-    "emb_done_ns",
-    "bot_start_ns",
-    "bot_done_ns",
-    "top_start_ns",
-    "top_done_ns",
+# Column indices of the stage-stamp table (STAMP_FIELDS order).
+EMB_START, EMB_DONE, BOT_START, BOT_DONE, TOP_START, TOP_DONE = range(
+    len(STAMP_FIELDS)
 )
-EMB_START = STAMP_FIELDS.index("emb_start_ns")
-TOP_DONE = STAMP_FIELDS.index("top_done_ns")
 
 
 class PipelineRunResult:
     """Outcome of streaming N batches through the simulated pipeline.
 
     The timeline is columnar: ``arrivals_ns`` (one instant per batch)
-    and ``stamps_ns``, the ``(n, 6)`` table of :data:`STAMP_FIELDS`.
-    ``records`` is the same timeline as one :class:`BatchRecord` per
-    batch, built on first access — the closed-form replay produces the
-    table and never needs the objects unless a tracer, a critpath
-    collector or a caller asks for them; the DES fills records natively
-    and derives the table from them.
+    and ``stamps_ns``, the ``(n, 6)`` table of :data:`STAMP_FIELDS` —
+    when each stage's *service* began and ended, so queueing and
+    service time separate cleanly.  Both paths fill the table
+    directly; every per-batch quantity is a column expression.
     """
 
     def __init__(
@@ -95,7 +58,6 @@ class PipelineRunResult:
         stamps_ns: np.ndarray,
         makespan_ns: float,
         path: str = "des",
-        records: Optional[List[BatchRecord]] = None,
     ) -> None:
         self.arrivals_ns = arrivals_ns
         self.stamps_ns = stamps_ns
@@ -104,30 +66,6 @@ class PipelineRunResult:
         #: event-driven reference, "fast" for the closed-form replay
         #: (bitwise-equal; see repro/core/pipeline_fast.py).
         self.path = path
-        self._records = records
-
-    @classmethod
-    def from_records(
-        cls, records: List[BatchRecord], makespan_ns: float, path: str = "des"
-    ) -> "PipelineRunResult":
-        """The columnar view of natively filled records (the DES)."""
-        arrivals = np.array([r.arrival_ns for r in records], dtype=np.float64)
-        stamps = np.array(
-            [[getattr(r, field) for field in STAMP_FIELDS] for r in records],
-            dtype=np.float64,
-        )
-        return cls(arrivals, stamps, makespan_ns, path, records=records)
-
-    @property
-    def records(self) -> List[BatchRecord]:
-        if self._records is None:
-            self._records = [
-                BatchRecord(index, arrival, *stamps)
-                for index, (arrival, stamps) in enumerate(
-                    zip(self.arrivals_ns.tolist(), self.stamps_ns.tolist())
-                )
-            ]
-        return self._records
 
     @property
     def batches(self) -> int:
@@ -140,12 +78,12 @@ class PipelineRunResult:
 
     @property
     def latencies_ns(self) -> np.ndarray:
-        """Per-batch ``top_done - arrival`` (``BatchRecord.latency_ns``)."""
+        """Per-batch end-to-end latency, ``top_done - arrival``."""
         return self.completions_ns - self.arrivals_ns
 
     @property
     def queue_waits_ns(self) -> np.ndarray:
-        """Per-batch ``emb_start - arrival`` (``BatchRecord.queue_ns``)."""
+        """Per-batch wait before the embedding stage started."""
         return self.stamps_ns[:, EMB_START] - self.arrivals_ns
 
     @property
@@ -199,19 +137,14 @@ class PipelineSimulator:
         #: into its Simulator (Server.serve records the triples), the
         #: fast replay records the identical triples directly.
         self.profiler = resolve_profiler(profiler)
-        #: Optional MetricsRegistry: each path observes per-batch
-        #: latency/queue-wait into the serving histograms, stamped at
-        #: the batch's completion instant so a windowed registry rolls
-        #: them into simulated-clock windows (repro.obs.timeseries).
-        #: Both paths call _observe_completions with bitwise-equal
-        #: timestamps — lint R9's SERVING_PARITY spec diffs the two
-        #: emission sets, and the injected canary asserts drift fires.
+        #: Optional MetricsRegistry: per-batch latency/queue-wait go
+        #: into the serving histograms, stamped at the batch's
+        #: completion instant so a windowed registry rolls them into
+        #: simulated-clock windows (repro.obs.timeseries).
         self.metrics = metrics
-        #: Optional CritPathCollector (repro.obs.critpath): each path
-        #: feeds it the finished run's per-batch records through its
-        #: own wrapper (_explain_des / _explain_fast) so the R9
-        #: EXPLAIN_PARITY spec can diff the two feeds — the canary
-        #: deletes the fast one and asserts R9 names the stream.
+        #: Optional CritPathCollector (repro.obs.critpath), fed the
+        #: finished run's columns.  All three observers are fed by
+        #: _observe, after the path branch.
         self.critpath = critpath
 
     @staticmethod
@@ -278,117 +211,91 @@ class PipelineSimulator:
             result = self._run_fast(arrivals)
         else:
             result = self._run_des(arrivals)
-        if self.tracer.enabled:
-            self._emit_spans(result.records)
+        self._observe(result)
         return result
 
-    def _observe_completions(self, result: PipelineRunResult) -> None:
-        """Feed the serving metrics from a finished run's columns.
-
-        One latency + one queue-wait observation per batch, plus the
-        batch counter, each stamped with the batch's *completion*
-        instant — a windowed registry rolls them into the window the
-        batch finished in.  Called once per path (DES and fast) on
-        columns whose timestamps are bitwise-equal, so windowed
-        exports are byte-identical across paths.
-        """
-        metrics = self.metrics
-        if metrics is None:
-            return
-        latency_histogram = metrics.histogram(names.METRIC_SERVING_LATENCY)
-        queue_histogram = metrics.histogram(names.METRIC_SERVING_QUEUE)
-        batch_counter = metrics.counter(names.METRIC_SERVING_BATCHES)
-        for done, latency, queue_wait in zip(
-            result.completions_ns.tolist(),
-            result.latencies_ns.tolist(),
-            result.queue_waits_ns.tolist(),
-        ):
-            latency_histogram.observe(latency, t_ns=done)
-            queue_histogram.observe(queue_wait, t_ns=done)
-            batch_counter.inc(1, t_ns=done)
-
-    def _explain_des(self, result: PipelineRunResult) -> None:
-        """DES-side per-request feed (R9 EXPLAIN_PARITY root).
-
-        Kept as a separate method per path (rather than one shared
-        helper) so the parity analysis — and its injected canary —
-        can see each path's feed independently.
-        """
-        collector = self.critpath
-        if collector is None:
-            return
-        collector.record_requests(names.CRITPATH_REQUESTS, result.records)
-
-    def _explain_fast(self, result: PipelineRunResult) -> None:
-        """Fast-side per-request feed (R9 EXPLAIN_PARITY root)."""
-        collector = self.critpath
-        if collector is None:
-            return
-        collector.record_requests(names.CRITPATH_REQUESTS, result.records)
-
     def _run_fast(self, arrivals: np.ndarray) -> PipelineRunResult:
-        """Closed-form replay; see :mod:`repro.core.pipeline_fast`.
-
-        The replay's stamp table *is* the result: no per-batch object
-        is built unless an observer below asks for ``result.records``.
-        """
+        """Closed-form replay; see :mod:`repro.core.pipeline_fast`."""
         stamps, makespan = pipeline_fast.replay_serving(
             self._emb_raw, self._bot_raw, self._top_raw, arrivals,
             profiler=self.profiler,
         )
-        result = PipelineRunResult(arrivals, stamps, makespan, "fast")
-        self._observe_completions(result)
-        self._explain_fast(result)
-        return result
+        return PipelineRunResult(arrivals, stamps, makespan, "fast")
 
     def _run_des(self, arrivals: np.ndarray) -> PipelineRunResult:
-        """Event-driven reference: one flow process per batch."""
+        """Event-driven reference: one flow process per batch, each
+        writing its own row of the stamp table."""
         sim = Simulator()
         sim.profiler = self.profiler
         emb_server = Server(sim, names.STAGE_EMB)
         bot_server = Server(sim, names.STAGE_BOT)
         top_server = Server(sim, names.STAGE_TOP)
-        records = [
-            BatchRecord(index=i, arrival_ns=arrival)
-            for i, arrival in enumerate(arrivals.tolist())
-        ]
+        stamps = np.zeros((len(arrivals), len(STAMP_FIELDS)), dtype=np.float64)
 
-        def flow(record: BatchRecord) -> Generator:
-            if record.arrival_ns > sim.now:
-                yield sim.timeout(record.arrival_ns - sim.now)
+        def flow(index: int, arrival: float) -> Generator:
+            stamp = stamps[index]
+            if arrival > sim.now:
+                yield sim.timeout(arrival - sim.now)
 
             def emb_stage() -> Generator:
-                record.emb_start_ns = max(sim.now, emb_server.free_at)
-                yield emb_server.serve(self._emb(record.index))
-                record.emb_done_ns = sim.now
+                stamp[EMB_START] = max(sim.now, emb_server.free_at)
+                yield emb_server.serve(self._emb(index))
+                stamp[EMB_DONE] = sim.now
 
             def bot_stage() -> Generator:
-                bot_time = self._bot(record.index)
-                record.bot_start_ns = max(sim.now, bot_server.free_at)
+                bot_time = self._bot(index)
+                stamp[BOT_START] = max(sim.now, bot_server.free_at)
                 if bot_time > 0:
                     yield bot_server.serve(bot_time)
                 else:
-                    record.bot_start_ns = sim.now
-                record.bot_done_ns = sim.now
+                    stamp[BOT_START] = sim.now
+                stamp[BOT_DONE] = sim.now
 
             yield sim.all_of([sim.process(emb_stage()), sim.process(bot_stage())])
-            top_time = self._top(record.index)
-            record.top_start_ns = max(sim.now, top_server.free_at)
+            top_time = self._top(index)
+            stamp[TOP_START] = max(sim.now, top_server.free_at)
             if top_time > 0:
                 yield top_server.serve(top_time)
             else:
-                record.top_start_ns = sim.now
-            record.top_done_ns = sim.now
+                stamp[TOP_START] = sim.now
+            stamp[TOP_DONE] = sim.now
 
-        for record in records:
-            sim.process(flow(record))
+        for index, arrival in enumerate(arrivals.tolist()):
+            sim.process(flow(index, arrival))
         sim.run()
-        result = PipelineRunResult.from_records(records, sim.now, "des")
-        self._observe_completions(result)
-        self._explain_des(result)
-        return result
+        return PipelineRunResult(arrivals, stamps, sim.now, "des")
 
-    def _emit_spans(self, records: Sequence[BatchRecord]) -> None:
+    def _observe(self, result: PipelineRunResult) -> None:
+        """Feed every attached observer from a finished run's columns.
+
+        The one reader of the timeline, called once per run after the
+        path branch — the table is bitwise-equal across paths, so what
+        the observers see (and export) is too.  With none attached it
+        returns before touching a batch.
+        """
+        metrics = self.metrics
+        if metrics is not None:
+            # One latency + one queue-wait observation per batch, plus
+            # the batch counter, each stamped with the batch's
+            # *completion* instant — a windowed registry rolls them
+            # into the window the batch finished in.
+            latency_histogram = metrics.histogram(names.METRIC_SERVING_LATENCY)
+            queue_histogram = metrics.histogram(names.METRIC_SERVING_QUEUE)
+            batch_counter = metrics.counter(names.METRIC_SERVING_BATCHES)
+            for done, latency, queue_wait in zip(
+                result.completions_ns.tolist(),
+                result.latencies_ns.tolist(),
+                result.queue_waits_ns.tolist(),
+            ):
+                latency_histogram.observe(latency, t_ns=done)
+                queue_histogram.observe(queue_wait, t_ns=done)
+                batch_counter.inc(1, t_ns=done)
+        if self.critpath is not None:
+            self.critpath.record_run(result.arrivals_ns, result.stamps_ns)
+        if self.tracer.enabled:
+            self._emit_spans(result)
+
+    def _emit_spans(self, result: PipelineRunResult) -> None:
         """Span tree per batch: queue wait, then the three stages.
 
         Concurrent in-flight batches land on separate ``serve.req``
@@ -396,43 +303,28 @@ class PipelineSimulator:
         it lives on its own ``serve.bot`` lane group.
         """
         tracer = self.tracer
-        for record in records:
-            track = tracer.lane_track(
-                "serve.req", record.arrival_ns, record.top_done_ns
-            )
+        rows = zip(result.arrivals_ns.tolist(), result.stamps_ns.tolist())
+        for index, (arrival, stamps) in enumerate(rows):
+            emb_start, emb_done, bot_start, bot_done, top_start, top_done = stamps
+            track = tracer.lane_track("serve.req", arrival, top_done)
             tracer.add_span(
-                names.SPAN_BATCH,
-                record.arrival_ns,
-                record.top_done_ns,
-                cat="serve",
-                track=track,
-                args={"index": record.index},
+                names.SPAN_BATCH, arrival, top_done,
+                cat="serve", track=track, args={"index": index},
             )
-            if record.emb_start_ns > record.arrival_ns:
+            if emb_start > arrival:
                 tracer.add_span(
-                    names.SPAN_QUEUE,
-                    record.arrival_ns,
-                    record.emb_start_ns,
-                    cat="serve",
-                    track=track,
+                    names.SPAN_QUEUE, arrival, emb_start, cat="serve", track=track
                 )
             tracer.add_span(
-                names.STAGE_EMB, record.emb_start_ns, record.emb_done_ns,
-                cat="serve", track=track,
+                names.STAGE_EMB, emb_start, emb_done, cat="serve", track=track
             )
             tracer.add_span(
-                names.STAGE_TOP, record.top_start_ns, record.top_done_ns,
-                cat="serve", track=track,
+                names.STAGE_TOP, top_start, top_done, cat="serve", track=track
             )
-            if record.bot_done_ns > record.bot_start_ns:
-                bot_track = tracer.lane_track(
-                    "serve.bot", record.bot_start_ns, record.bot_done_ns
-                )
+            if bot_done > bot_start:
                 tracer.add_span(
-                    names.STAGE_BOT,
-                    record.bot_start_ns,
-                    record.bot_done_ns,
+                    names.STAGE_BOT, bot_start, bot_done,
                     cat="serve",
-                    track=bot_track,
-                    args={"index": record.index},
+                    track=tracer.lane_track("serve.bot", bot_start, bot_done),
+                    args={"index": index},
                 )

@@ -296,6 +296,8 @@ class ClusterServingSimulator:
     ) -> None:
         if replicas < 1:
             raise ValueError("need at least one replica")
+        if nbatch < 1:
+            raise ValueError("nbatch must be positive")
         if balancer not in BALANCERS:
             raise ValueError(
                 f"unknown balancer {balancer!r}; "
@@ -303,7 +305,7 @@ class ClusterServingSimulator:
             )
         self.times = times
         self.cycle_ns = float(cycle_ns)
-        self.nbatch = max(1, nbatch)
+        self.nbatch = nbatch
         self.replicas = replicas
         self.balancer_name = balancer
         self.autoscaler = autoscaler
@@ -337,10 +339,6 @@ class ClusterServingSimulator:
         """The replica pipeline's limiting stage, with the profiler's
         tie-break (equal totals resolve to the earliest key: emb)."""
         stage = max(_STAGE_KEYS, key=lambda key: self.stage_ns[key])
-        for key in _STAGE_KEYS:
-            if self.stage_ns[key] >= self.stage_ns[stage]:
-                stage = key
-                break
         return stage, stage == "emb"
 
     @staticmethod
@@ -460,19 +458,10 @@ class ClusterServingSimulator:
             events.append(scaler.events[-1])
 
     # ------------------------------------------------------------------
-    # Execution: replay the plan per replica (R9 CLUSTER_PARITY roots).
-    # ------------------------------------------------------------------
-    def _serve_des(self, plan: _DispatchPlan) -> ClusterLoadPoint:
-        """Event-driven replay of a dispatch plan."""
-        return self._replay(plan, fast=False)
-
-    def _serve_fast(self, plan: _DispatchPlan) -> ClusterLoadPoint:
-        """Closed-form replay of a dispatch plan (bitwise-equal)."""
-        return self._replay(plan, fast=True)
-
     def _replay(self, plan: _DispatchPlan, fast: bool) -> ClusterLoadPoint:
-        # Latencies straight from each replica's columns, in replica-id
-        # order: a fast run with no tracer/critpath builds no records.
+        """Replay a dispatch plan, one pipeline per replica in id order."""
+        # Latencies straight from each replica's columns: no per-batch
+        # object exists on either path.
         latencies: List[float] = []
         makespan_ns = 0.0
         per_replica: List[int] = []
@@ -542,9 +531,7 @@ class ClusterServingSimulator:
         """Serve an :class:`ArrivalTrace` (or raw sorted query instants)
         through the cluster; ``fast=None`` follows ``RMSSD_FASTPATH``."""
         plan = self._plan(self._query_times(trace))
-        if resolve_fast(fast):
-            return self._serve_fast(plan)
-        return self._serve_des(plan)
+        return self._replay(plan, resolve_fast(fast))
 
     def timeseries_document(self, slo=None) -> dict:
         """The ``rmssd-timeseries/v1`` document with the ``cluster``

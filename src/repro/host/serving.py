@@ -127,11 +127,13 @@ class ServingSimulator:
         window_ns: Optional[float] = None,
         critpath=None,
     ) -> None:
+        if nbatch < 1:
+            raise ValueError("nbatch must be positive")
         self.pipeline = PipelineSimulator.from_stage_times(
             times, cycle_ns, tracer=tracer, profiler=profiler,
             metrics=metrics, critpath=critpath,
         )
-        self.nbatch = max(1, nbatch)
+        self.nbatch = nbatch
         self.saturation_qps = times.throughput_qps(1e9 / cycle_ns)
         self._seed = seed
         #: Optional MetricsRegistry, observed by the pipeline itself
@@ -193,12 +195,10 @@ class ServingSimulator:
             len(sizes), arrival_times_ns=np.cumsum(gaps), fast=fast
         )
         # The timeline stays columnar: latencies and queue waits are
-        # column subtractions (the same float op per batch as
-        # BatchRecord.latency_ns / queue_ns), and no BatchRecord is
-        # built here.  The means are summed left to right over Python
-        # floats — np.sum is pairwise and would round differently.
-        # The metrics registry (when attached) was already fed by the
-        # pipeline's _observe_completions — identically on both paths.
+        # column subtractions.  The means are summed left to right
+        # over Python floats — np.sum is pairwise and would round
+        # differently.  The metrics registry (when attached) was
+        # already fed by the pipeline's _observe.
         latency_column = result.latencies_ns
         ordered = np.sort(latency_column)
         latencies = latency_column.tolist()

@@ -39,10 +39,10 @@ from repro.obs.critpath import (
     COMPONENTS,
     EXPLAIN_SCHEMA,
     CritPathCollector,
+    breakdowns,
     build_explain_document,
     component_sum,
     export_explain_document,
-    request_breakdown,
     tail_exemplars,
 )
 from repro.obs.explain import diff_documents, render_diff
@@ -115,6 +115,7 @@ __all__ = [
     "WindowedCounter",
     "WindowedGauge",
     "WindowedLatency",
+    "breakdowns",
     "build_document",
     "build_explain_document",
     "component_sum",
@@ -127,7 +128,6 @@ __all__ = [
     "profiling_from_env",
     "render_diff",
     "render_prometheus",
-    "request_breakdown",
     "resolve_profiler",
     "resolve_tracer",
     "tail_exemplars",

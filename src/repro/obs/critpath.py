@@ -4,8 +4,9 @@ The SLO engine (repro.obs.slo) says *that* a window blew its tail
 objective and the autoscaler (repro.host.autoscale) reacts — but
 neither can say *why*: which concrete requests landed in the tail, and
 where each one spent its time.  This module closes that gap.  From the
-:class:`~repro.core.pipeline_sim.BatchRecord` stage triples every
-pipeline run already produces, it decomposes each request into
+serving timeline every pipeline run already produces — the arrival
+column and the ``(n, 6)`` stage-stamp table (:data:`STAMP_FIELDS`) —
+:func:`breakdowns` decomposes each request into
 
 * ``dispatch_wait_ns`` — admission delay before the request reached a
   replica queue (0 today: the dispatch plan assigns at arrival);
@@ -24,12 +25,14 @@ as the component sum evaluated in one fixed order (see
 :func:`component_sum`), not as the telescoped ``top_done - arrival``
 difference — float addition is not associative, so summing raw
 timestamp differences in any other order could miss the end-to-end
-latency by an ulp.  The builder still cross-checks the sum against the
-record's own latency within a relative tolerance, so a mis-stamped
-record cannot hide behind the definition.
+latency by an ulp.  :func:`breakdowns` still cross-checks the sum
+against the raw latency within a relative tolerance, so a mis-stamped
+row cannot hide behind the definition.
 
-Determinism/parity: breakdowns are plain float arithmetic on the
-record timestamps, which are bitwise-equal between the DES and the
+Determinism/parity: breakdowns are elementwise float arithmetic on the
+stamp table, read in one place
+(:meth:`repro.core.pipeline_sim.PipelineSimulator._observe`, after the
+DES/fast branch).  The table is bitwise-equal between the DES and the
 closed-form replay, so the exported ``rmssd-explain/v1`` documents are
 **byte-identical** across paths (asserted by ``cmp`` in
 ``tools/check.sh`` and by ``tests/test_explain_equivalence.py``).
@@ -40,10 +43,27 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.metrics import percentile
 
 #: Version tag of the explain export document.
 EXPLAIN_SCHEMA = "rmssd-explain/v1"
+
+#: The six stage stamps of one batch, in the column order of the
+#: serving timeline's ``(n, 6)`` table — the single definition shared
+#: by the producers (``repro.core.pipeline_sim`` /
+#: ``pipeline_fast.replay_serving``) and every reader.  ``*_start_ns``
+#: is when a stage's *service* began (after any wait for the stage
+#: server), so queueing and service time separate cleanly.
+STAMP_FIELDS = (
+    "emb_start_ns",
+    "emb_done_ns",
+    "bot_start_ns",
+    "bot_done_ns",
+    "top_start_ns",
+    "top_done_ns",
+)
 
 #: Breakdown components, in the fixed summation order that *defines*
 #: ``latency_ns``.  Validators (tools/check_trace.py --explain) must
@@ -51,8 +71,8 @@ EXPLAIN_SCHEMA = "rmssd-explain/v1"
 COMPONENTS = ("dispatch_wait_ns", "queue_ns", "emb_ns", "bot_ns", "top_ns")
 
 #: Relative slack for the cross-check of the component sum against the
-#: record's raw ``top_done - arrival`` latency (the sum is exact by
-#: definition; the raw difference telescopes in a different order).
+#: raw ``top_done - arrival`` latency (the sum is exact by definition;
+#: the raw difference telescopes in a different order).
 CONSERVATION_RTOL = 1e-9
 
 #: Default SLO quantiles attributed by :func:`build_explain_document`.
@@ -65,6 +85,7 @@ def component_sum(breakdown: Dict[str, float]) -> float:
     ``((((dispatch_wait + queue) + emb) + bot) + top)`` — every
     producer and every validator uses this exact association, so
     "components sum to latency" is an equality, not a tolerance.
+    Works on one request's floats and on whole columns alike.
     """
     total = 0.0
     for key in COMPONENTS:
@@ -72,62 +93,54 @@ def component_sum(breakdown: Dict[str, float]) -> float:
     return total
 
 
-def request_breakdown(record, replica: int = 0) -> Dict[str, float]:
-    """Critical-path decomposition of one :class:`BatchRecord`.
+def breakdowns(
+    arrivals_ns: np.ndarray, stamps_ns: np.ndarray
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Critical-path decomposition of a whole serving timeline.
 
-    The embedding and bottom-MLP stages run in parallel; only the
-    branch that finished last (ties -> embedding, the profiler's
-    tie-break) is on the critical path, so its wait and service are
-    charged and the other branch's service reads 0.0.
+    Returns the five :data:`COMPONENTS` columns plus ``latency_ns``
+    (their :func:`component_sum`), and the mask of batches whose
+    critical stage is the embedding one.  The embedding and bottom-MLP
+    stages run in parallel; only the branch that finished last (ties ->
+    embedding, the profiler's tie-break) is on the critical path, so
+    its wait and service are charged and the other branch's service
+    reads 0.0.
     """
-    arrival = record.arrival_ns
-    if record.emb_done_ns >= record.bot_done_ns:
-        stage = "emb"
-        branch_start = record.emb_start_ns
-        branch_done = record.emb_done_ns
-        emb_ns = record.emb_done_ns - record.emb_start_ns
-        bot_ns = 0.0
-    else:
-        stage = "bot"
-        branch_start = record.bot_start_ns
-        branch_done = record.bot_done_ns
-        emb_ns = 0.0
-        bot_ns = record.bot_done_ns - record.bot_start_ns
-    breakdown = {
-        "arrival_ns": arrival,
-        "dispatch_wait_ns": 0.0,
-        "queue_ns": (branch_start - arrival) + (record.top_start_ns - branch_done),
-        "emb_ns": emb_ns,
-        "bot_ns": bot_ns,
-        "top_ns": record.top_done_ns - record.top_start_ns,
-        "critical_stage": stage,
-        "replica": int(replica),
-        "batch": int(record.index),
+    emb_start, emb_done, bot_start, bot_done, top_start, top_done = stamps_ns.T
+    emb_critical = emb_done >= bot_done
+    branch_start = np.where(emb_critical, emb_start, bot_start)
+    branch_done = np.where(emb_critical, emb_done, bot_done)
+    columns = {
+        "dispatch_wait_ns": np.zeros_like(arrivals_ns),
+        "queue_ns": (branch_start - arrivals_ns) + (top_start - branch_done),
+        "emb_ns": np.where(emb_critical, emb_done - emb_start, 0.0),
+        "bot_ns": np.where(emb_critical, 0.0, bot_done - bot_start),
+        "top_ns": top_done - top_start,
     }
-    latency = component_sum(breakdown)
-    raw = record.top_done_ns - record.arrival_ns
-    if abs(latency - raw) > CONSERVATION_RTOL * max(abs(raw), 1.0):
+    latency = component_sum(columns)
+    raw = top_done - arrivals_ns
+    off = np.abs(latency - raw) > CONSERVATION_RTOL * np.maximum(np.abs(raw), 1.0)
+    if off.any():
+        batch = int(np.argmax(off))
         raise ValueError(
-            f"batch {record.index}: components sum to {latency} ns but the "
-            f"record's end-to-end latency is {raw} ns"
+            f"batch {batch}: components sum to {float(latency[batch])} ns but "
+            f"the timeline's end-to-end latency is {float(raw[batch])} ns"
         )
-    breakdown["latency_ns"] = latency
-    return breakdown
+    columns["latency_ns"] = latency
+    return columns, emb_critical
 
 
 class CritPathCollector:
     """Accumulates per-request breakdowns from pipeline runs.
 
-    Both pipeline paths feed it through
-    :meth:`~repro.core.pipeline_sim.PipelineSimulator` (the R9
-    ``EXPLAIN_PARITY`` roots ``_explain_des`` / ``_explain_fast``); the
-    cluster simulator sets the replica context before each replica's
-    replay so breakdowns carry the serving replica id.
+    Fed by :meth:`repro.core.pipeline_sim.PipelineSimulator._observe`
+    with each finished run's columns; the cluster simulator sets the
+    replica context before each replica's replay so breakdowns carry
+    the serving replica id.
     """
 
     def __init__(self) -> None:
         self.requests: List[Dict[str, float]] = []
-        self.stream = ""
         self._replica = 0
 
     def __len__(self) -> int:
@@ -141,13 +154,32 @@ class CritPathCollector:
         """Drop accumulated requests (the replica context survives)."""
         self.requests = []
 
-    def record_requests(self, name: str, records: Sequence) -> None:
-        """Record one run's batch records under catalogue name ``name``."""
-        self.stream = name
+    def record_run(self, arrivals_ns: np.ndarray, stamps_ns: np.ndarray) -> None:
+        """Record one run's timeline: one breakdown dict per batch."""
+        columns, emb_critical = breakdowns(arrivals_ns, stamps_ns)
         replica = self._replica
-        for record in records:
-            self.requests.append(request_breakdown(record, replica))
-
+        rows = zip(
+            arrivals_ns.tolist(),
+            *(columns[key].tolist() for key in COMPONENTS),
+            emb_critical.tolist(),
+            columns["latency_ns"].tolist(),
+        )
+        for batch, row in enumerate(rows):
+            arrival, wait, queue, emb, bot, top, on_emb, latency = row
+            self.requests.append(
+                {
+                    "arrival_ns": arrival,
+                    "dispatch_wait_ns": wait,
+                    "queue_ns": queue,
+                    "emb_ns": emb,
+                    "bot_ns": bot,
+                    "top_ns": top,
+                    "critical_stage": "emb" if on_emb else "bot",
+                    "replica": replica,
+                    "batch": batch,
+                    "latency_ns": latency,
+                }
+            )
 
 def canonical_order(requests: Sequence[dict]) -> List[dict]:
     """Requests sorted by (arrival, replica, batch) — the document

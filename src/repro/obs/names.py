@@ -128,14 +128,6 @@ EVENT_SCALE_UP = "scale-up"
 EVENT_SCALE_DOWN = "scale-down"
 
 # ---------------------------------------------------------------------------
-# Critical-path attribution (repro.obs.critpath) — the per-request
-# breakdown stream both pipeline paths feed into a CritPathCollector;
-# the R9 EXPLAIN_PARITY spec diffs the DES and fast feeds.
-# ---------------------------------------------------------------------------
-CRITPATH_REQUESTS = "critpath.requests"
-
-
-# ---------------------------------------------------------------------------
 # Factory helpers for per-instance names
 # ---------------------------------------------------------------------------
 def channel_name(index: int) -> str:

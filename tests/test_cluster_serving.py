@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from repro.core.pipeline_sim import BatchRecord, PipelineSimulator
+from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal
 from repro.host.cluster_serving import (
@@ -54,8 +54,7 @@ class TestReplicaModel:
             result = pipeline.run(
                 trace.count, arrival_times_ns=list(trace.times_ns), fast=fast
             )
-            simulated = [r.top_done_ns for r in result.records]
-            assert simulated == predicted
+            assert result.completions_ns.tolist() == predicted
 
     def test_backlog_counts_in_flight(self):
         model = _ReplicaModel(100.0, 0.0, 50.0)
@@ -114,9 +113,7 @@ class TestClusterServing:
         result = pipeline.run(
             trace.count, arrival_times_ns=list(trace.times_ns)
         )
-        assert list(point.latencies_ns) == [
-            r.top_done_ns - r.arrival_ns for r in result.records
-        ]
+        assert list(point.latencies_ns) == result.latencies_ns.tolist()
 
     def test_more_replicas_cut_tail_latency(self):
         trace = poisson_trace(1800.0, 150, seed=3)
@@ -128,18 +125,21 @@ class TestClusterServing:
         trace = flash_crowd_trace(900.0, 1e8, 3e7, 2e7, burst_factor=3.0, seed=7)
         points = {}
         docs = {}
+        requests = {}
         for fast in (False, True):
             scaler = Autoscaler(
                 sla_ns=3 * UNLOADED_NS, window_ns=2e6, max_replicas=6,
                 epoch_windows=2,
             )
             metrics = MetricsRegistry(window_ns=2e6)
+            collector = CritPathCollector()
             sim = ClusterServingSimulator(
                 simple_times(), replicas=1, balancer=BALANCER_JSQ,
-                autoscaler=scaler, metrics=metrics,
+                autoscaler=scaler, metrics=metrics, critpath=collector,
             )
             point = sim.serve_trace(trace, fast=fast)
             points[fast] = point
+            requests[fast] = collector.requests
             docs[fast] = json.dumps(
                 sim.timeseries_document(), sort_keys=True
             )
@@ -148,8 +148,13 @@ class TestClusterServing:
         assert (  # lint: ok[R2]
             points[False].latencies_ns == points[True].latencies_ns
         )
-        assert points[False].scale_events == points[True].scale_events
+        des, fast = points[False], points[True]
+        assert fast.mean_ns == sum(des.latencies_ns) / des.batches  # lint: ok[R2]
+        assert (fast.achieved_qps, fast.p99_ns) == (des.achieved_qps, des.p99_ns)
+        assert des.scale_events == fast.scale_events
         assert docs[False] == docs[True]
+        assert len(requests[True]) == fast.batches
+        assert requests[False] == requests[True]
 
     def test_batches_fold_queries(self):
         trace = poisson_trace(1000.0, 10, seed=4)
@@ -211,36 +216,14 @@ class TestClusterServing:
         assert metrics.as_dict()["histograms"] == {}
         assert metrics.as_dict()["gauges"] == {}
 
-    def test_fast_fleet_run_builds_no_batch_record(self, monkeypatch):
-        built = []
-        real_init = BatchRecord.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BatchRecord, "__init__", counting_init)
-        trace = poisson_trace(1500.0, 90, seed=12)
-        metrics = MetricsRegistry(window_ns=5e6)
-        plain = cluster(replicas=3, balancer=BALANCER_JSQ, metrics=metrics)
-        fast = plain.serve_trace(trace, fast=True)
-        assert fast.path == "fast" and fast.batches == 90
-        assert built == []
-        # Same floats, same order, as the record-based definitions.
-        des = cluster(replicas=3, balancer=BALANCER_JSQ).serve_trace(trace, fast=False)
-        assert len(built) == 90  # the DES fills its records natively
-        assert fast.latencies_ns == des.latencies_ns  # lint: ok[R2]
-        assert fast.mean_ns == sum(des.latencies_ns) / 90  # lint: ok[R2]
-        assert (fast.achieved_qps, fast.p99_ns) == (des.achieved_qps, des.p99_ns)
-        # An observer that needs per-request objects still gets them.
-        del built[:]
-        collector = CritPathCollector()
-        cluster(replicas=3, critpath=collector).serve_trace(trace, fast=True)
-        assert len(built) == len(collector) == 90
-
     def test_invalid_replicas_rejected(self):
         with pytest.raises(ValueError):
             cluster(replicas=0)
+
+    @pytest.mark.parametrize("nbatch", (0, -3))
+    def test_non_positive_nbatch_rejected(self, nbatch):
+        with pytest.raises(ValueError, match="nbatch must be positive"):
+            cluster(nbatch=nbatch)
 
     def test_meets_sla_validates_quantile(self):
         point = cluster().serve_trace(poisson_trace(500.0, 5, seed=8))
@@ -258,6 +241,16 @@ class TestClusterServing:
             simple_times(temb=10_000, tbot=90_000, ttop=20_000)
         )
         assert mlp_led._bottleneck() == ("bot", False)
+        # Ties resolve to the earliest stage key: emb before bot/top,
+        # bot before top.
+        three_way = ClusterServingSimulator(
+            simple_times(temb=50_000, tbot=50_000, ttop=50_000)
+        )
+        assert three_way._bottleneck() == ("emb", True)
+        mlp_tie = ClusterServingSimulator(
+            simple_times(temb=10_000, tbot=70_000, ttop=70_000)
+        )
+        assert mlp_tie._bottleneck() == ("bot", False)
 
 
 class TestAutoscaler:

@@ -2,8 +2,8 @@
 ``rmssd-explain/v1`` exports.
 
 The bitwise-equal-timestamps contract extends to the critical-path
-attribution layer: identical :class:`BatchRecord` triples decomposed
-by identical float arithmetic must serialize to identical bytes — for
+attribution layer: identical stage-stamp tables decomposed by
+identical float arithmetic must serialize to identical bytes — for
 the bare pipeline, the Poisson serving front end on both reference
 models, and a load-balanced cluster under a flash crowd.  A
 hypothesis sweep additionally pins the exact-conservation property on

@@ -165,6 +165,10 @@ def test_committed_baseline_is_clean():
 def test_r9_canary_fires_on_injected_drift(capsys):
     from tools.lint.canary import run
 
+    # One fast-path profiler record deleted per remaining parity
+    # contract (lookup, serving); R9 must name each.
     assert run(str(REPO_ROOT / "src")) == 0
     captured = capsys.readouterr()
-    assert "R9 fired" in captured.out
+    assert "R9 fired on injected lookup drift" in captured.out
+    assert "R9 fired on injected serving drift" in captured.out
+    assert "R9 fired on all 2 injected drifts" in captured.out

@@ -697,9 +697,9 @@ class TestR9TimeseriesParity:
         assert out == []
 
     def test_deleted_fast_call_site_fires_per_metric(self):
-        # The canary mutation in miniature: dropping the fast path's
-        # _observe_completions call leaves every windowed serving
-        # metric DES-only, and R9 names each one.
+        # Dropping the fast path's _observe_completions call leaves
+        # every windowed serving metric DES-only, and R9 names each
+        # one.
         out = project_violations(
             {
                 **self.FILES,

@@ -67,8 +67,7 @@ class TestPipelineSpans:
         # Back-to-back arrivals: batch 1 arrives at t=10 but the emb
         # server is busy until t=100, so it queues for 90 ns.
         result = simulator.run(batches=2, arrival_times_ns=[0.0, 10.0])
-        second = result.records[1]
-        assert second.queue_ns == pytest.approx(90.0)
+        assert result.queue_waits_ns[1] == pytest.approx(90.0)
         queue_spans = tracer.spans_named("queue")
         assert len(queue_spans) == 1
         assert queue_spans[0].duration_ns == pytest.approx(90.0)

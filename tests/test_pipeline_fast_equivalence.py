@@ -2,7 +2,7 @@
 
 ``repro/core/pipeline_fast.py`` promises *bitwise* equality with the
 event-driven pipeline for index-pure stage times — every
-:class:`BatchRecord` field, the makespan, and the utilization
+stage stamp of every batch, the makespan, and the utilization
 profiler's recorded triples.  These tests enforce the promise across
 arrival processes (saturated, fixed-rate, Poisson), degenerate stage
 times (zero-length bottom/top chains), per-batch jitter callables, and
@@ -19,21 +19,10 @@ from hypothesis import strategies as st
 
 from benchmarks.runner import run_parallel, sleep_echo_task
 from repro.core import pipeline_fast
-from repro.core.pipeline_sim import PipelineSimulator
+from repro.core.pipeline_sim import STAMP_FIELDS, PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.serving import ServingSimulator
 from repro.obs.profiler import Profiler
-
-RECORD_FIELDS = (
-    "index",
-    "arrival_ns",
-    "emb_start_ns",
-    "emb_done_ns",
-    "bot_start_ns",
-    "bot_done_ns",
-    "top_start_ns",
-    "top_done_ns",
-)
 
 #: Index-pure stage-time callables — the documented fast-path contract.
 JITTERED_STAGES = (
@@ -59,10 +48,9 @@ def run_both(emb, bot, top, arrivals):
 def assert_bitwise(des, fast):
     # Exact float equality is the point: the replay must be bitwise.
     assert des.makespan_ns == fast.makespan_ns  # lint: ok[R2]
-    assert len(des.records) == len(fast.records)
-    for a, b in zip(des.records, fast.records):
-        for field in RECORD_FIELDS:
-            assert getattr(a, field) == getattr(b, field), field
+    assert des.stamps_ns.shape == fast.stamps_ns.shape
+    assert np.array_equal(des.arrivals_ns.view(np.int64), fast.arrivals_ns.view(np.int64))
+    assert np.array_equal(des.stamps_ns.view(np.int64), fast.stamps_ns.view(np.int64))
 
 
 def poisson_arrivals(n, mean_gap, seed):
@@ -98,7 +86,7 @@ def test_negative_arrivals_serve_at_zero():
     # are served at t=0 (and the latency includes the difference).
     des, fast = run_both(100.0, 50.0, 25.0, [-500.0, -100.0, 0.0, 30.0])
     assert_bitwise(des, fast)
-    assert fast.records[0].emb_start_ns == 0.0  # lint: ok[R2]
+    assert fast.stamps_ns[0, STAMP_FIELDS.index("emb_start_ns")] == 0.0  # lint: ok[R2]
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +131,8 @@ def test_bot_spike_reorders_top_service():
         [0.0, 10.0, 20.0, 30.0, 40.0],
     )
     assert_bitwise(des, fast)
-    assert fast.records[0].top_start_ns > fast.records[4].top_start_ns
+    top_start = fast.stamps_ns[:, STAMP_FIELDS.index("top_start_ns")]
+    assert top_start[0] > top_start[4]
 
 
 def test_heavy_ties_stress():

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.lookup_engine import flash_read_cycles
-from repro.core.pipeline_sim import STAMP_FIELDS, BatchRecord, PipelineSimulator
-from repro.fpga.compose import StageTimes
+from repro.core.pipeline_sim import STAMP_FIELDS, PipelineSimulator
 from repro.fpga.decompose import decompose_model
 from repro.fpga.search import kernel_search
-from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
 from repro.obs.critpath import CritPathCollector
 from repro.obs.metrics import MetricsRegistry
@@ -23,7 +21,7 @@ class TestPipelineBasics:
         result = pipe.run(1)
         # emb || bot, then top: max(100, 60) + 40.
         assert result.makespan_ns == pytest.approx(140)
-        assert result.records[0].latency_ns == pytest.approx(140)
+        assert result.latencies_ns[0] == pytest.approx(140)
 
     def test_steady_state_interval_is_bottleneck_stage(self):
         pipe = PipelineSimulator(emb_ns=100, bot_ns=60, top_ns=40)
@@ -63,7 +61,7 @@ class TestPipelineBasics:
     def test_ordering_preserved(self):
         pipe = PipelineSimulator(emb_ns=10, bot_ns=5, top_ns=3)
         result = pipe.run(8)
-        completions = [r.top_done_ns for r in result.records]
+        completions = result.stamps_ns[:, STAMP_FIELDS.index("top_done_ns")].tolist()
         assert completions == sorted(completions)
 
 
@@ -101,7 +99,7 @@ class TestArrivalValidation:
 
 
 class TestColumnarResult:
-    """``PipelineRunResult`` is columns first; records are a view."""
+    """``PipelineRunResult`` is columns, on both paths."""
 
     @staticmethod
     def jittered(**observers):
@@ -118,32 +116,32 @@ class TestColumnarResult:
         return np.add.accumulate(rng.exponential(150.0, size=n))
 
     def test_records_from_columns_equal_native_des_records(self):
+        # The DES fills its table row by row, the replay column by
+        # column; they are one table, bit for bit.
         arrivals = self.arrivals()
         des = self.jittered().run(len(arrivals), arrival_times_ns=arrivals, fast=False)
         fast = self.jittered().run(len(arrivals), arrival_times_ns=arrivals, fast=True)
-        assert fast._records is None  # nothing asked for them yet
-        assert des.records == fast.records  # dataclass eq: field by field
-        assert [r.index for r in fast.records] == list(range(len(arrivals)))
-        assert fast.records is fast.records  # built once
-        # ... and the DES's derived table is the replay's table.
+        assert (des.path, fast.path) == ("des", "fast")
         assert des.stamps_ns.shape == fast.stamps_ns.shape == (len(arrivals), 6)
-        assert np.array_equal(des.stamps_ns, fast.stamps_ns)
+        assert des.stamps_ns.dtype == fast.stamps_ns.dtype == np.float64
+        assert np.array_equal(des.stamps_ns.view(np.int64), fast.stamps_ns.view(np.int64))
         assert np.array_equal(des.arrivals_ns, fast.arrivals_ns)
-        for column, field in enumerate(STAMP_FIELDS):
-            assert fast.stamps_ns[:, column].tolist() == [
-                getattr(r, field) for r in des.records
-            ]
+        assert des.makespan_ns == fast.makespan_ns  # lint: ok[R2]
 
     @pytest.mark.parametrize("fast", (False, True))
     @pytest.mark.parametrize("batches", (1, 2, 3, 300))
     def test_summaries_equal_their_record_based_values(self, fast, batches):
         arrivals = self.arrivals(batches)
         result = self.jittered().run(batches, arrival_times_ns=arrivals, fast=fast)
-        records = result.records
-        assert result.batches == len(records) == batches
-        # The record-based definitions these properties replaced.
-        mean_latency = sum(r.latency_ns for r in records) / len(records)
-        completions = [r.top_done_ns for r in records]
+        rows = result.stamps_ns.tolist()
+        assert result.batches == len(rows) == batches
+        # The per-batch scalar definitions the column properties state.
+        top_done = STAMP_FIELDS.index("top_done_ns")
+        emb_start = STAMP_FIELDS.index("emb_start_ns")
+        latencies = [row[top_done] - a for row, a in zip(rows, arrivals.tolist())]
+        queue_waits = [row[emb_start] - a for row, a in zip(rows, arrivals.tolist())]
+        mean_latency = sum(latencies) / len(latencies)
+        completions = [row[top_done] for row in rows]
         if len(completions) < 3:
             steady = result.makespan_ns / max(1, len(completions))
         else:
@@ -152,32 +150,8 @@ class TestColumnarResult:
         # Exact: same floats added in the same order.
         assert result.mean_latency_ns == mean_latency  # lint: ok[R2]
         assert result.steady_interval_ns == steady  # lint: ok[R2]
-        assert result.latencies_ns.tolist() == [r.latency_ns for r in records]
-        assert result.queue_waits_ns.tolist() == [r.queue_ns for r in records]
-
-    def test_fast_offered_load_builds_no_batch_record(self, monkeypatch):
-        built = []
-        real_init = BatchRecord.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BatchRecord, "__init__", counting_init)
-        times = StageTimes(temb=60, tbot=24, ttop=16, nbatch=2, flash_cycles=40)
-        plain = ServingSimulator(times, nbatch=2, seed=7, window_ns=2e4)
-        point = plain.offered_load(0.6 * plain.saturation_qps, queries=120, fast=True)
-        assert len(point.latencies_ns) == 60 and point.windows
-        assert built == []
-        # An observer that needs per-request objects still gets them.
-        critpath = CritPathCollector()
-        explained = ServingSimulator(times, nbatch=2, seed=7, critpath=critpath)
-        explained.offered_load(0.6 * plain.saturation_qps, queries=120, fast=True)
-        assert len(built) == len(critpath) == 60
-        # ... and the DES builds its records natively, once.
-        del built[:]
-        plain.offered_load(0.6 * plain.saturation_qps, queries=120, fast=False)
-        assert len(built) == 60
+        assert result.latencies_ns.tolist() == latencies
+        assert result.queue_waits_ns.tolist() == queue_waits
 
 
 class TestAgreementWithEq1:
@@ -243,6 +217,6 @@ class TestAgreementWithEq1:
         result = kernel_search(dec, flash)
         pipe = PipelineSimulator.from_stage_times(result.times)
         run = pipe.run(1)
-        assert run.records[0].latency_ns == pytest.approx(
+        assert run.latencies_ns[0] == pytest.approx(
             result.times.latency * 5.0, rel=0.01
         )

@@ -8,6 +8,7 @@ from repro.fpga.decompose import decompose_model
 from repro.fpga.search import kernel_search
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
+from repro.obs.critpath import CritPathCollector
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
 
@@ -56,6 +57,25 @@ class TestServingSimulator:
         serving = ServingSimulator(simple_times())
         with pytest.raises(ValueError):
             serving.offered_load(1000.0, queries=0)
+
+    @pytest.mark.parametrize("nbatch", (0, -3))
+    def test_non_positive_nbatch_rejected(self, nbatch):
+        # Used to be clamped to 1 silently; batch_arrivals and the
+        # replica count already refuse the same mistake.
+        with pytest.raises(ValueError, match="nbatch must be positive"):
+            ServingSimulator(simple_times(), nbatch=nbatch)
+
+    @pytest.mark.parametrize("fast", (False, True))
+    def test_collector_sees_one_request_per_batch(self, fast):
+        collector = CritPathCollector()
+        serving = ServingSimulator(
+            simple_times(nbatch=2), nbatch=2, seed=7, window_ns=2e6,
+            critpath=collector,
+        )
+        point = serving.offered_load(
+            0.6 * serving.saturation_qps, queries=120, fast=fast
+        )
+        assert len(point.latencies_ns) == len(collector) == 60 and point.windows
 
     def test_remainder_queries_served_as_short_batch(self):
         """queries % nbatch must not be dropped: 10 queries at nbatch=4

@@ -11,9 +11,9 @@ PYTHONPATH=src:. python -m tools.lint src tests benchmarks tools \
 
 echo "== lint canary (R9 must fire on injected fast-path drift) =="
 # Deletes one fast-path profiler record per parity contract (lookup,
-# serving, timeseries, explain) in scratch copies of src/ and asserts
-# the parity rule reports each; guards against the whole-program
-# analysis silently going blind.
+# serving) in a scratch copy of src/ and asserts the parity rule
+# reports each; guards against the whole-program analysis silently
+# going blind.
 PYTHONPATH=src:. python -m tools.lint.canary
 
 echo "== compile =="

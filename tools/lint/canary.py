@@ -1,25 +1,21 @@
 """Injected-drift canary for the R9 instrumentation-parity rule.
 
 ``python -m tools.lint.canary`` proves the whole-program analysis is
-actually live, not vacuously green: for each parity contract it copies
-``src/`` to a scratch directory, deletes exactly one fast-path
-profiler record, and asserts that
+actually live, not vacuously green: it copies ``src/`` to a scratch
+directory once, asserts the **unmutated** copy is R9-clean, then for
+each parity contract deletes exactly one fast-path profiler record in
+the copy, asserts R9 trips with a violation naming the now DES-only
+record, and restores the file.
 
-* the **unmutated** copy is R9-clean (0 violations), and
-* the **mutated** copy trips R9 with a violation naming the now
-  DES-only record.
-
-Four contracts are exercised: the lookup path (the ``record_busy``
-call that closes a die's busy interval in
-:func:`repro.ssd.fastpath._replay_channel`), the serving path (the
+Two contracts are exercised — the two places where each path still
+records on its own: the lookup path (the ``record_busy`` call that
+closes a die's busy interval in
+:func:`repro.ssd.fastpath._replay_channel`) and the serving path (the
 ``record_service`` call that records every stage triple in
-:func:`repro.core.pipeline_fast._record_stage_services`), the serving
-*timeseries* feed (the fast path's ``_observe_completions`` call in
-:meth:`repro.core.pipeline_sim.PipelineSimulator._run_fast`, whose
-deletion leaves the windowed serving metrics DES-only), and the
-*critical-path* feed (the ``record_requests`` call in
-``_explain_fast``, whose deletion leaves the rmssd-explain/v1
-attribution documents DES-only).
+:func:`repro.core.pipeline_fast._record_stage_services`).  The serving
+metrics, critical-path and span feeds need no canary: they are read
+from the stamp table in one place after the path branch
+(``PipelineSimulator._observe``), so there is no second feed to lose.
 
 If a refactor ever blinds R9 — a renamed root, a broken call-graph
 edge, an over-wide provenance union — the clean/mutated runs stop
@@ -43,7 +39,7 @@ from tools.lint.rules_project import PROJECT_RULES_BY_ID
 
 @dataclass(frozen=True)
 class Mutation:
-    """One fast-path emission to delete in a scratch copy of src/."""
+    """One fast-path emission to delete in the scratch copy of src/."""
 
     label: str
     #: File (relative to src/) holding the emission.
@@ -71,26 +67,6 @@ MUTATIONS: Tuple[Mutation, ...] = (
         call="record_service",
         token="emb",
     ),
-    # Timeseries drift: drop the fast path's _observe_completions call
-    # (the sole feeder of the windowed serving metrics), leaving the
-    # serving histograms DES-only.
-    Mutation(
-        label="timeseries",
-        file=Path("repro") / "core" / "pipeline_sim.py",
-        function="_run_fast",
-        call="_observe_completions",
-        token="serving.latency_ns",
-    ),
-    # Explain drift: drop the fast path's per-request feed to the
-    # CritPathCollector, leaving the critical-path attribution stream
-    # DES-only (the EXPLAIN_PARITY spec must name it).
-    Mutation(
-        label="explain",
-        file=Path("repro") / "core" / "pipeline_sim.py",
-        function="_explain_fast",
-        call="record_requests",
-        token="critpath.requests",
-    ),
 )
 
 
@@ -110,9 +86,9 @@ def _find_call_statement(tree: ast.AST, mutation: Mutation) -> Optional[ast.stmt
     return None
 
 
-def mutate(src_root: Path, mutation: Mutation) -> None:
-    """Replace the target profiler record with ``pass`` in place."""
-    target = src_root / mutation.file
+def mutate(target: Path, mutation: Mutation) -> str:
+    """Replace the target profiler record with ``pass`` in place;
+    returns the file's original text."""
     source = target.read_text(encoding="utf-8")
     statement = _find_call_statement(ast.parse(source), mutation)
     if statement is None:
@@ -127,40 +103,32 @@ def mutate(src_root: Path, mutation: Mutation) -> None:
     indent = " " * statement.col_offset
     lines[first : last + 1] = [indent + "pass\n"]
     target.write_text("".join(lines), encoding="utf-8")
+    return source
 
 
 def _r9(paths: List[str]) -> List[Violation]:
     return lint_paths(paths, rules=(), project_rules=(PROJECT_RULES_BY_ID["R9"],))
 
 
-def _check_mutation(src: Path, mutation: Mutation) -> int:
-    with tempfile.TemporaryDirectory(prefix="rmssd-lint-canary-") as scratch:
-        # The copy keeps a trailing ``src`` component so module paths
-        # (anchored at the last ``src`` segment) resolve identically.
-        copy = Path(scratch) / "src"
-        shutil.copytree(src, copy)
-
-        clean = _r9([str(copy)])
-        if clean:
-            print("canary: scratch copy is not R9-clean before mutation:")
-            for violation in clean:
-                print("  " + violation.render())
-            return 1
-
-        mutate(copy, mutation)
+def _check_mutation(copy: Path, mutation: Mutation) -> int:
+    """Mutate one file of the (clean) copy, lint, put the file back."""
+    target = copy / mutation.file
+    pristine = mutate(target, mutation)
+    try:
         mutated = _r9([str(copy)])
-        named = [v for v in mutated if mutation.token in v.message]
-        if not named:
-            print(
-                f"canary: deleted the {mutation.label} fast-path "
-                f"{mutation.call} record but R9 reported no violation "
-                f"naming '{mutation.token}' — the parity analysis has "
-                f"gone blind"
-            )
-            for violation in mutated:
-                print("  " + violation.render())
-            return 1
-
+    finally:
+        target.write_text(pristine, encoding="utf-8")
+    named = [v for v in mutated if mutation.token in v.message]
+    if not named:
+        print(
+            f"canary: deleted the {mutation.label} fast-path "
+            f"{mutation.call} record but R9 reported no violation "
+            f"naming '{mutation.token}' — the parity analysis has "
+            f"gone blind"
+        )
+        for violation in mutated:
+            print("  " + violation.render())
+        return 1
     print(
         f"canary: R9 fired on injected {mutation.label} drift "
         f"({len(named)} violation(s) naming '{mutation.token}')"
@@ -174,9 +142,21 @@ def run(src_dir: str = "src") -> int:
         if not (src / mutation.file).is_file():
             print(f"canary: {src / mutation.file} not found", file=sys.stderr)
             return 1
-        status = _check_mutation(src, mutation)
-        if status:
-            return status
+    with tempfile.TemporaryDirectory(prefix="rmssd-lint-canary-") as scratch:
+        # The copy keeps a trailing ``src`` component so module paths
+        # (anchored at the last ``src`` segment) resolve identically.
+        copy = Path(scratch) / "src"
+        shutil.copytree(src, copy)
+        clean = _r9([str(copy)])
+        if clean:
+            print("canary: scratch copy is not R9-clean before mutation:")
+            for violation in clean:
+                print("  " + violation.render())
+            return 1
+        for mutation in MUTATIONS:
+            status = _check_mutation(copy, mutation)
+            if status:
+                return status
     print(
         f"canary: R9 fired on all {len(MUTATIONS)} injected drifts; "
         f"parity analysis is live"

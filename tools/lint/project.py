@@ -59,10 +59,6 @@ INSTRUMENTATION_APIS: Dict[str, Tuple[int, str, Optional[int], Optional[str], Op
     # it watches — so both ride the catalogue discipline (the metric
     # goes through the kind slot of the spec tuple).
     "objective": (0, "name", 1, "metric", None),
-    # CritPathCollector.record_requests(name, records): the
-    # per-request critical-path feed both pipeline paths emit; R9's
-    # EXPLAIN_PARITY spec diffs the DES and fast emission sets.
-    "record_requests": (0, "name", None, None, None),
 }
 
 #: Metric-factory calls only count with one of these receivers, so
@@ -80,7 +76,6 @@ API_GROUPS = {
     "record_busy": "record_busy",
     "record_queue_depth": "record_queue_depth",
     "objective": "slo",
-    "record_requests": "record_requests",
 }
 
 

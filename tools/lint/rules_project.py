@@ -85,28 +85,6 @@ SERVING_PARITY = ParitySpec(
     fast_roots=("_run_fast",),
 )
 
-#: And for cluster serving (repro/host/cluster_serving.py): both
-#: replay roots must reach the same replica-pipeline emissions and the
-#: same cluster gauges/counters, so the timeseries documents the two
-#: paths export stay byte-identical.
-CLUSTER_PARITY = ParitySpec(
-    label="cluster",
-    des_roots=("_serve_des",),
-    fast_roots=("_serve_fast",),
-)
-
-#: And for the critical-path attribution feed: both pipeline paths
-#: must hand their per-request records to the CritPathCollector under
-#: the same stream name, or the rmssd-explain/v1 documents the two
-#: paths export silently diverge.  Each path has its own feed wrapper
-#: (_explain_des / _explain_fast in repro/core/pipeline_sim.py) so a
-#: dropped feed on one side is visible to this diff.
-EXPLAIN_PARITY = ParitySpec(
-    label="explain",
-    des_roots=("_explain_des",),
-    fast_roots=("_explain_fast",),
-)
-
 #: (group, facet) -> human description used in violation messages.
 _FACET_DESC = {
     ("span", "name"): "span",
@@ -114,7 +92,6 @@ _FACET_DESC = {
     ("stats", "field"): "IOStatistics counter",
     ("slo", "name"): "SLO objective",
     ("slo", "kind"): "SLO metric",
-    ("record_requests", "name"): "critical-path request stream",
 }
 
 
@@ -126,12 +103,7 @@ class InstrumentationParityRule(ProjectRule):
         "reached from the DES lookup path match the fast path's"
     )
 
-    specs: Tuple[ParitySpec, ...] = (
-        LOOKUP_PARITY,
-        SERVING_PARITY,
-        CLUSTER_PARITY,
-        EXPLAIN_PARITY,
-    )
+    specs: Tuple[ParitySpec, ...] = (LOOKUP_PARITY, SERVING_PARITY)
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         for spec in self.specs:
