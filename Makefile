@@ -11,8 +11,7 @@ lint:
 	$(PYTHON) -m tools.lint src tests benchmarks
 
 # Whole-tree lint under the ratchet (tools included) plus the R9
-# injected-drift canary (lookup, serving) proving the parity analysis
-# is live.
+# injected-drift canary (lookup) proving the parity analysis is live.
 lint-strict:
 	$(PYTHON) -m tools.lint src tests benchmarks tools \
 		--baseline tools/lint/baseline.json
@@ -52,7 +51,7 @@ bench-attribution:
 # Tiny traced RMC1 run; validates the exported trace/metrics JSON
 # (balanced B/E, monotonic timestamps, required spans, schema).
 trace-smoke:
-	RMSSD_TRACE=1 $(PYTHON) -m repro run rmc1 --backend rm-ssd \
+	$(PYTHON) -m repro run rmc1 --backend rm-ssd \
 		--requests 2 --rows 64 --no-compute \
 		--trace-out /tmp/rmssd_trace_smoke.json \
 		--metrics-out /tmp/rmssd_metrics_smoke.json

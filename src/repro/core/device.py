@@ -30,7 +30,7 @@ from repro.core.lookup_engine import (
 )
 from repro.core.mlp_engine import MLPAccelerationEngine
 from repro.core.registers import MMIOCostModel, MMIOManager
-from repro.obs import names, resolve_profiler, resolve_tracer
+from repro.obs import names
 from repro.embedding.layout import EmbeddingLayout
 from repro.fpga.decompose import decompose_model
 from repro.fpga.search import kernel_search
@@ -134,22 +134,19 @@ class RMSSD:
         #: block I/O is still in flight (see repro.ssd.fastpath).
         self.fastpath = fastpath
 
-        # ``tracer=None`` defers to the RMSSD_TRACE environment flag
-        # (see repro.obs); ``metrics`` is an optional MetricsRegistry
-        # that accumulates latency histograms across infer_batch calls.
-        self.tracer = resolve_tracer(tracer)
+        # Optional observers (see repro.obs), ``None`` = not attached;
+        # ``metrics`` is a MetricsRegistry that accumulates latency
+        # histograms across infer_batch calls.
+        self.tracer = tracer
         self.metrics = metrics
 
         # ``sanitize=None`` defers to the RMSSD_SANITIZE environment
         # flag (see repro.sim.sanitizer); the substrate built from this
         # simulator inherits its invariant checks.
         self.sim = Simulator(sanitize=sanitize)
-        # ``profiler=None`` defers to the RMSSD_PROFILE environment
-        # flag (see repro.obs.profiler); attaching it to the simulator
-        # makes every named DES resource report busy intervals.
-        self.profiler = resolve_profiler(profiler)
-        if self.profiler.enabled:
-            self.sim.profiler = self.profiler
+        # Attaching the profiler to the simulator makes every named
+        # DES resource report busy intervals.
+        self.profiler = self.sim.profiler = profiler
         # Optional controller-DRAM hot-vector cache (repro.ssd.vcache);
         # ``None`` keeps the paper's cache-free lookup path.
         if vcache is not None and vcache.ev_size == 0:
@@ -326,11 +323,11 @@ class RMSSD:
             io_ns=send_ns + recv_ns,
             serialized=self.mlp_design == MLP_DESIGN_NAIVE,
         )
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._emit_request_spans(
                 batch_start, timing, send_ns, recv_ns, lookup.path
             )
-        if self.profiler.enabled:
+        if self.profiler is not None:
             self._profile_request(batch_start, timing, send_ns, recv_ns)
         if self.metrics is not None:
             self._observe_metrics(timing, batch_start + timing.latency_ns, lookup)

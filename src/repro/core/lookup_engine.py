@@ -375,13 +375,13 @@ class EmbeddingLookupEngine:
         self.controller.stats.record_useful(total * ev_size)
         ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * total)
         stage_ns = max(elapsed, vcache_ns)
-        if self.controller.tracer.enabled:
+        if self.controller.tracer is not None:
             self._emit_lookup_spans(
                 start, elapsed, stage_ns, ev_sum_ns, vectors_read,
                 len(pooled), path, mark, hits, vcache_ns, probe is not None,
             )
         profiler = self.controller.sim.profiler
-        if profiler is not None and profiler.enabled:
+        if profiler is not None:
             # Busy intervals of the engines the DES does not model as
             # resources: the EV-Sum adder tree and the controller-DRAM
             # vcache stream are analytic add-ons.
@@ -484,7 +484,7 @@ class EmbeddingLookupEngine:
         """
         sim = self.controller.sim
         start = sim.now
-        mark = self.controller.batch_mark() if self.controller.tracer.enabled else None
+        mark = None if self.controller.tracer is None else self.controller.batch_mark()
         lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
         probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
         proc = sim.process(
@@ -523,7 +523,7 @@ class EmbeddingLookupEngine:
         """
         sim = self.controller.sim
         start = sim.now
-        mark = self.controller.batch_mark() if self.controller.tracer.enabled else None
+        mark = None if self.controller.tracer is None else self.controller.batch_mark()
         lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
         probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
         vectors_read = len(miss_indices)

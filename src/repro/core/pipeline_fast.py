@@ -16,8 +16,10 @@ sequentially, verify the recurrence at every index, fall back to the
 scalar loop otherwise — and the top stage's service order is the
 stable sort of the per-batch ready times ``max(emb_done, bot_done)``.
 The result stays columnar: :func:`replay_serving` returns the
-``(n, 6)`` stage-stamp table and nothing downstream has to turn it
-into per-batch objects.
+``(n, 6)`` stage-stamp table and the ``(n, 3)`` stage times it
+evaluated, and nothing downstream has to turn them into per-batch
+objects.  The replay feeds no observer — every reader of the timeline
+sits after the path branch (``PipelineSimulator._observe``).
 
 Exactness mirrors the lookup fast path (``repro.ssd.fastpath``):
 
@@ -46,8 +48,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import names
-from repro.sim import Server, Simulator
 from repro.ssd import fastpath
 
 #: Below this many jobs the reference loop beats the segmented scan:
@@ -195,23 +195,12 @@ def _accumulate_runs(
     return finishes
 
 
-def _record_stage_services(
-    profiler,
-    server: Server,
-    arrivals: np.ndarray,
-    starts: np.ndarray,
-    finishes: np.ndarray,
-) -> None:
-    """Profiler triples for one stage, as ``Server.serve`` records them.
-
-    The arrays are in this stage's DES service order (batch-index
-    order for emb/bot, ready order for top), so each per-name triple
-    list — and therefore the exported profile — is byte-identical.
-    """
-    for arrival, start, finish in zip(
-        arrivals.tolist(), starts.tolist(), finishes.tolist()
-    ):
-        profiler.record_service(server.name, arrival, start, finish, server.kind)
+def require_finite(stage_times) -> None:
+    """Refuse NaN/inf stage times — NaN slips through every ``< 0`` /
+    ``> 0`` test and would poison each stamp after it.  The replay
+    checks its arrays, the DES each value as it evaluates it."""
+    if not bool(np.isfinite(stage_times).all()):
+        raise ValueError("stage times must be finite")
 
 
 def replay_serving(
@@ -219,8 +208,7 @@ def replay_serving(
     bot_fn,
     top_fn,
     arrivals: Sequence[float],
-    profiler=None,
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[np.ndarray, np.ndarray, float]:
     """Replay ``PipelineSimulator.run``'s DES in closed form.
 
     ``emb_fn``/``bot_fn``/``top_fn`` are per-batch stage times: either
@@ -229,13 +217,14 @@ def replay_serving(
     callable there is no observable evaluation order, so the skip is
     bitwise-invisible and saves ~3n Python calls per replay.
 
-    Returns ``(timeline, makespan_ns)`` where ``timeline`` is the
-    ``(n, 6)`` stage-stamp table in
-    :data:`~repro.obs.critpath.STAMP_FIELDS` order — the same floats
-    the DES writes into its own table row by row — stored column-major
-    so each stamp is one contiguous column
+    Returns ``(timeline, durations, makespan_ns)``: ``timeline`` is
+    the ``(n, 6)`` stage-stamp table in
+    :data:`~repro.obs.critpath.STAMP_FIELDS` order and ``durations``
+    the ``(n, 3)`` emb/bot/top stage times as evaluated — the same
+    floats the DES writes into its own tables row by row — both stored
+    column-major so each column is contiguous
     (:class:`~repro.core.pipeline_sim.PipelineRunResult` carries the
-    table as is).
+    tables as they are).
     """
     t = np.ascontiguousarray(arrivals, dtype=np.float64)
     n = t.size
@@ -243,18 +232,20 @@ def replay_serving(
     # before t=0 even if its nominal arrival is negative.
     t_call = np.maximum(t, 0.0)
 
+    # The stage-time table, one contiguous row per stage, filled in place.
+    durations = np.empty((3, n), dtype=np.float64)
+    emb, bot, top = durations
     if callable(emb_fn) or callable(bot_fn):
         emb_of = emb_fn if callable(emb_fn) else (lambda _i, _v=float(emb_fn): _v)
         bot_of = bot_fn if callable(bot_fn) else (lambda _i, _v=float(bot_fn): _v)
-        emb = np.empty(n, dtype=np.float64)
-        bot = np.empty(n, dtype=np.float64)
         for index in range(n):
             # DES evaluation order: emb then bot, per batch, at arrival.
             emb[index] = emb_of(index)
             bot[index] = bot_of(index)
     else:
-        emb = np.full(n, float(emb_fn))
-        bot = np.full(n, float(bot_fn))
+        emb[:] = float(emb_fn)
+        bot[:] = float(bot_fn)
+    require_finite(durations[:2])
     if np.any(emb < 0):
         raise ValueError("negative service duration")
 
@@ -267,7 +258,6 @@ def replay_serving(
     bot_start = t_call.copy()
     bot_done = t_call.copy()
     served_bot = np.flatnonzero(bot > 0)
-    bot_chain_start = bot_chain_finish = None
     if served_bot.size:
         tb = t_call[served_bot]
         bot_chain_start, bot_chain_finish = serve_chain(tb, bot[served_bot])
@@ -279,17 +269,16 @@ def replay_serving(
     ready = np.maximum(emb_done, bot_done)
     order = np.argsort(ready, kind="stable")
     if callable(top_fn):
-        top = np.empty(n, dtype=np.float64)
         for index in order.tolist():
             top[index] = top_fn(index)
     else:
-        top = np.full(n, float(top_fn))
+        top[:] = float(top_fn)
+    require_finite(top)
     top_start = ready.copy()
     top_done = ready.copy()
     ready_sorted = ready[order]
     served_mask = top[order] > 0
     served_top = order[served_mask]
-    top_chain_start = top_chain_finish = ready_served = None
     if served_top.size:
         ready_served = ready_sorted[served_mask]
         top_chain_start, top_chain_finish = serve_chain(
@@ -298,31 +287,10 @@ def replay_serving(
         top_start[served_top] = top_chain_start
         top_done[served_top] = ready_served + (top_chain_finish - ready_served)
 
-    if profiler is not None and profiler.enabled:
-        # Throwaway servers carry the catalogue name/kind pair each
-        # stage's triples are recorded under; the replay never serves
-        # through them (state effects are not observable on the DES
-        # path either — its servers die with its Simulator).
-        sim = Simulator()
-        emb_server = Server(sim, names.STAGE_EMB)
-        bot_server = Server(sim, names.STAGE_BOT)
-        top_server = Server(sim, names.STAGE_TOP)
-        _record_stage_services(profiler, emb_server, t_call, emb_start, emb_finish)
-        if served_bot.size:
-            _record_stage_services(
-                profiler, bot_server, t_call[served_bot], bot_chain_start,
-                bot_chain_finish,
-            )
-        if served_top.size:
-            _record_stage_services(
-                profiler, top_server, ready_served, top_chain_start,
-                top_chain_finish,
-            )
-
     # One contiguous row per stamp, handed out transposed: consumers
     # read whole columns (latency = top_done - arrival), never rows.
     timeline = np.stack(
         (emb_start, emb_done, bot_start, bot_done, top_start, top_done)
     ).T
     makespan = float(top_done.max()) if n else 0.0
-    return timeline, makespan
+    return timeline, durations.T, makespan

@@ -12,13 +12,15 @@ Two implementations produce one timeline: the event-driven reference
 (``_run_des``) and the closed-form replay of
 :mod:`repro.core.pipeline_fast` (``_run_fast``), bitwise equal.  The
 timeline is columnar and nothing else — :class:`PipelineRunResult`
-carries the arrival column and the ``(n, 6)`` stage-stamp table — and
-it is read in one place: after the path branch,
-:meth:`PipelineSimulator._observe` feeds the metrics registry, the
-critpath collector and the tracer from those columns, so there is no
-per-path feed to drift and a run with no observer attached (a
-latency-vs-load sweep, ``repro.host.serving``) does no per-batch
-Python work at all.
+carries the arrival column, the ``(n, 6)`` stage-stamp table and the
+``(n, 3)`` stage-time table — and it is read in one place: after the
+path branch, :meth:`PipelineSimulator._observe` feeds the metrics
+registry, the critpath collector, the tracer and the profiler from
+those three tables.  Neither path records anything for itself, so
+there is no per-path feed to drift, and a run with no observer
+attached (a latency-vs-load sweep, ``repro.host.serving``) does no
+per-batch Python work at all.  An observer that is not attached is
+``None``.
 
 Used by ``benchmarks/bench_ext_pipeline_validation.py``, the serving
 and cluster simulators in ``repro.host``, and the unit tests.
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro.core import pipeline_fast
 from repro.fpga.compose import StageTimes
-from repro.obs import names, resolve_profiler, resolve_tracer
+from repro.obs import names
 from repro.obs.critpath import STAMP_FIELDS
 from repro.sim import Server, Simulator
 
@@ -40,27 +42,34 @@ from repro.sim import Server, Simulator
 EMB_START, EMB_DONE, BOT_START, BOT_DONE, TOP_START, TOP_DONE = range(
     len(STAMP_FIELDS)
 )
+# Column indices of the stage-time table.
+EMB, BOT, TOP = range(3)
 
 
 class PipelineRunResult:
     """Outcome of streaming N batches through the simulated pipeline.
 
-    The timeline is columnar: ``arrivals_ns`` (one instant per batch)
-    and ``stamps_ns``, the ``(n, 6)`` table of :data:`STAMP_FIELDS` —
+    The timeline is columnar: ``arrivals_ns`` (one instant per batch),
+    ``stamps_ns``, the ``(n, 6)`` table of :data:`STAMP_FIELDS` —
     when each stage's *service* began and ended, so queueing and
-    service time separate cleanly.  Both paths fill the table
-    directly; every per-batch quantity is a column expression.
+    service time separate cleanly — and ``durations_ns``, the
+    ``(n, 3)`` emb/bot/top stage times as the path evaluated them
+    (a stage's server was busy until ``start + duration``; the
+    ``*_done`` stamp is when its caller resumed).  Both paths fill the
+    tables directly; every per-batch quantity is a column expression.
     """
 
     def __init__(
         self,
         arrivals_ns: np.ndarray,
         stamps_ns: np.ndarray,
+        durations_ns: np.ndarray,
         makespan_ns: float,
         path: str = "des",
     ) -> None:
         self.arrivals_ns = arrivals_ns
         self.stamps_ns = stamps_ns
+        self.durations_ns = durations_ns
         self.makespan_ns = makespan_ns
         #: Which implementation produced the timeline: "des" for the
         #: event-driven reference, "fast" for the closed-form replay
@@ -132,26 +141,32 @@ class PipelineSimulator:
         self._emb = self._as_fn(emb_ns)
         self._bot = self._as_fn(bot_ns)
         self._top = self._as_fn(top_ns)
-        self.tracer = resolve_tracer(tracer)
-        #: Utilization profiler fed by both paths: the DES wires it
-        #: into its Simulator (Server.serve records the triples), the
-        #: fast replay records the identical triples directly.
-        self.profiler = resolve_profiler(profiler)
-        #: Optional MetricsRegistry: per-batch latency/queue-wait go
-        #: into the serving histograms, stamped at the batch's
-        #: completion instant so a windowed registry rolls them into
+        # The four observers, each optional (None = not attached) and
+        # each fed by _observe after the path branch.
+        self.tracer = tracer
+        #: Utilization profiler: one FIFO service triple per stage job.
+        self.profiler = profiler
+        #: MetricsRegistry: per-batch latency/queue-wait go into the
+        #: serving histograms, stamped at the batch's completion
+        #: instant so a windowed registry rolls them into
         #: simulated-clock windows (repro.obs.timeseries).
         self.metrics = metrics
-        #: Optional CritPathCollector (repro.obs.critpath), fed the
-        #: finished run's columns.  All three observers are fed by
-        #: _observe, after the path branch.
+        #: CritPathCollector (repro.obs.critpath).
         self.critpath = critpath
 
     @staticmethod
     def _as_fn(value) -> Callable[[int], float]:
-        if callable(value):
-            return value
-        return lambda _index: float(value)
+        """The DES's stage-time callable: every evaluation is checked
+        (NaN passes ``Server.serve``'s ``< 0`` test), as the replay
+        checks its arrays."""
+        evaluate = value if callable(value) else (lambda _index: float(value))
+
+        def checked(index: int) -> float:
+            stage_ns = evaluate(index)
+            pipeline_fast.require_finite(stage_ns)
+            return stage_ns
+
+        return checked
 
     @classmethod
     def from_stage_times(
@@ -216,34 +231,35 @@ class PipelineSimulator:
 
     def _run_fast(self, arrivals: np.ndarray) -> PipelineRunResult:
         """Closed-form replay; see :mod:`repro.core.pipeline_fast`."""
-        stamps, makespan = pipeline_fast.replay_serving(
-            self._emb_raw, self._bot_raw, self._top_raw, arrivals,
-            profiler=self.profiler,
+        stamps, durations, makespan = pipeline_fast.replay_serving(
+            self._emb_raw, self._bot_raw, self._top_raw, arrivals
         )
-        return PipelineRunResult(arrivals, stamps, makespan, "fast")
+        return PipelineRunResult(arrivals, stamps, durations, makespan, "fast")
 
     def _run_des(self, arrivals: np.ndarray) -> PipelineRunResult:
         """Event-driven reference: one flow process per batch, each
-        writing its own row of the stamp table."""
+        writing its own row of the stamp and stage-time tables."""
         sim = Simulator()
-        sim.profiler = self.profiler
         emb_server = Server(sim, names.STAGE_EMB)
         bot_server = Server(sim, names.STAGE_BOT)
         top_server = Server(sim, names.STAGE_TOP)
         stamps = np.zeros((len(arrivals), len(STAMP_FIELDS)), dtype=np.float64)
+        durations = np.zeros((len(arrivals), 3), dtype=np.float64)
 
         def flow(index: int, arrival: float) -> Generator:
             stamp = stamps[index]
+            duration = durations[index]
             if arrival > sim.now:
                 yield sim.timeout(arrival - sim.now)
 
             def emb_stage() -> Generator:
+                duration[EMB] = emb_time = self._emb(index)
                 stamp[EMB_START] = max(sim.now, emb_server.free_at)
-                yield emb_server.serve(self._emb(index))
+                yield emb_server.serve(emb_time)
                 stamp[EMB_DONE] = sim.now
 
             def bot_stage() -> Generator:
-                bot_time = self._bot(index)
+                duration[BOT] = bot_time = self._bot(index)
                 stamp[BOT_START] = max(sim.now, bot_server.free_at)
                 if bot_time > 0:
                     yield bot_server.serve(bot_time)
@@ -252,7 +268,7 @@ class PipelineSimulator:
                 stamp[BOT_DONE] = sim.now
 
             yield sim.all_of([sim.process(emb_stage()), sim.process(bot_stage())])
-            top_time = self._top(index)
+            duration[TOP] = top_time = self._top(index)
             stamp[TOP_START] = max(sim.now, top_server.free_at)
             if top_time > 0:
                 yield top_server.serve(top_time)
@@ -263,15 +279,15 @@ class PipelineSimulator:
         for index, arrival in enumerate(arrivals.tolist()):
             sim.process(flow(index, arrival))
         sim.run()
-        return PipelineRunResult(arrivals, stamps, sim.now, "des")
+        return PipelineRunResult(arrivals, stamps, durations, sim.now, "des")
 
     def _observe(self, result: PipelineRunResult) -> None:
         """Feed every attached observer from a finished run's columns.
 
         The one reader of the timeline, called once per run after the
-        path branch — the table is bitwise-equal across paths, so what
-        the observers see (and export) is too.  With none attached it
-        returns before touching a batch.
+        path branch — the tables are bitwise-equal across paths, so
+        what the observers see (and export) is too.  With none
+        attached it returns before touching a batch.
         """
         metrics = self.metrics
         if metrics is not None:
@@ -292,8 +308,10 @@ class PipelineSimulator:
                 batch_counter.inc(1, t_ns=done)
         if self.critpath is not None:
             self.critpath.record_run(result.arrivals_ns, result.stamps_ns)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self._emit_spans(result)
+        if self.profiler is not None:
+            self._record_services(result)
 
     def _emit_spans(self, result: PipelineRunResult) -> None:
         """Span tree per batch: queue wait, then the three stages.
@@ -328,3 +346,33 @@ class PipelineSimulator:
                     track=tracer.lane_track("serve.bot", bot_start, bot_done),
                     args={"index": index},
                 )
+
+    def _record_services(self, result: PipelineRunResult) -> None:
+        """Profiler triples ``(offered, start, start + duration)``, one
+        per job a stage server took, as ``Server.serve`` states them.
+
+        Emb serves every batch in index order, offered at the flow's
+        clock (flows bootstrap at 0, so never before it); bot serves
+        the batches with a positive stage time, same clock, same
+        order; top serves its positive-time batches in (ready, index)
+        order, offered when both predecessors resumed.
+        """
+        profiler = self.profiler
+        arrivals, stamps = result.arrivals_ns, result.stamps_ns
+        durations = result.durations_ns
+        clock = np.where(arrivals > 0.0, arrivals, 0.0)
+        ready = np.maximum(stamps[:, EMB_DONE], stamps[:, BOT_DONE])
+        top_order = np.argsort(ready, kind="stable")
+        for name, offered, start_column, stage, jobs in (
+            (names.STAGE_EMB, clock, EMB_START, EMB, slice(None)),
+            (names.STAGE_BOT, clock, BOT_START, BOT,
+             np.flatnonzero(durations[:, BOT] > 0)),
+            (names.STAGE_TOP, ready, TOP_START, TOP,
+             top_order[durations[top_order, TOP] > 0]),
+        ):
+            starts = stamps[jobs, start_column]
+            finishes = starts + durations[jobs, stage]
+            for triple in zip(
+                offered[jobs].tolist(), starts.tolist(), finishes.tolist()
+            ):
+                profiler.record_service(name, *triple)

@@ -87,7 +87,7 @@ class HostPipeline:
             device_end = device_start + cost.device_ns
             recv_start = max(device_end, recv_free)
             recv_end = recv_start + cost.receive_ns
-            if tracer.enabled:
+            if tracer is not None:
                 args = {"request": index}
                 tracer.add_span(
                     names.SPAN_HOST_SEND, send_start, send_end,

@@ -1,11 +1,12 @@
 """Observability for the simulated device: tracing, metrics, profiling.
 
-Three pieces, all keyed to the *simulated* clock:
+Every observer is an object the caller builds and passes in
+(``tracer=``, ``metrics=``, ``profiler=``, ``critpath=``); ``None``
+means not attached, and nothing is read from the environment.  The
+modules, all keyed to the *simulated* clock:
 
 * :mod:`repro.obs.tracer` — nested spans with category/args, exported
-  as Chrome-trace/Perfetto JSON (``trace.json``).  Enabled via the
-  ``RMSSD_TRACE=1`` environment flag or an explicit ``tracer=`` kwarg;
-  the :data:`NULL_TRACER` makes disabled runs free.
+  as Chrome-trace/Perfetto JSON (``trace.json``).
 * :mod:`repro.obs.metrics` — named counters, gauges, and fixed-bucket
   latency histograms (p50/p95/p99/max), absorbing
   :class:`repro.ssd.stats.IOStatistics` snapshots so device traffic
@@ -22,8 +23,11 @@ Three pieces, all keyed to the *simulated* clock:
 * :mod:`repro.obs.profiler` — per-resource busy/idle timelines,
   utilization fractions, queue depths, and stage-level bottleneck
   attribution (checks the paper's embedding-stage-bottleneck
-  invariant).  Enabled via ``RMSSD_PROFILE=1`` or ``profiler=``;
-  exported as ``profile.json`` by ``rmssd-repro profile``.
+  invariant); exported as ``profile.json`` by ``rmssd-repro
+  profile``.
+* :mod:`repro.obs.critpath` / :mod:`repro.obs.explain` — per-request
+  critical-path attribution from the serving stamp table
+  (``rmssd-explain/v1``) and the cross-run regression explainer.
 
 Instrumentation *names* (spans, metrics, profiler streams, DES
 server/resource names) are catalogued in :mod:`repro.obs.names`; call
@@ -66,26 +70,8 @@ from repro.obs.timeseries import (
     utilization_series,
     window_index,
 )
-from repro.obs.profiler import (
-    ENV_FLAG_PROFILE,
-    NULL_PROFILER,
-    PROFILE_SCHEMA,
-    NullProfiler,
-    Profiler,
-    global_profiler,
-    profiling_from_env,
-    resolve_profiler,
-)
-from repro.obs.tracer import (
-    ENV_FLAG,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    global_tracer,
-    resolve_tracer,
-    tracing_from_env,
-)
+from repro.obs.profiler import PROFILE_SCHEMA, Profiler
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "BurnRateRule",
@@ -94,16 +80,10 @@ __all__ = [
     "CritPathCollector",
     "DEFAULT_BOUNDS_NS",
     "DEFAULT_RULES",
-    "ENV_FLAG",
-    "ENV_FLAG_PROFILE",
     "EXPLAIN_SCHEMA",
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "NullProfiler",
-    "NullTracer",
     "Objective",
     "PROFILE_SCHEMA",
     "Profiler",
@@ -122,16 +102,10 @@ __all__ = [
     "diff_documents",
     "export_document",
     "export_explain_document",
-    "global_profiler",
-    "global_tracer",
     "names",
-    "profiling_from_env",
     "render_diff",
     "render_prometheus",
-    "resolve_profiler",
-    "resolve_tracer",
     "tail_exemplars",
-    "tracing_from_env",
     "utilization_series",
     "window_index",
 ]

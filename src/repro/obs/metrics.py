@@ -276,8 +276,8 @@ class MetricsRegistry:
         window_ns: Optional[float] = None,
         sketch_k: Optional[int] = None,
     ) -> None:
-        if window_ns is not None and window_ns <= 0:
-            raise ValueError("window width must be positive")
+        if window_ns is not None and not 0 < window_ns < float("inf"):
+            raise ValueError("window_ns must be positive and finite")
         if sketch_k is not None and sketch_k < 2:
             raise ValueError("sketch capacity k must be >= 2")
         self.window_ns = window_ns

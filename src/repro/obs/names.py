@@ -60,10 +60,8 @@ SPAN_HOST_RECV = "recv"
 
 # ---------------------------------------------------------------------------
 # Pipeline stage names — Server names in the serving models *and* the
-# matching span names on the serve.req track.  Both pipeline paths
-# (the DES in repro.core.pipeline_sim and the closed-form replay in
-# repro.core.pipeline_fast) record profiler triples under these names;
-# the R9 serving-parity lint compares the two emission sets.
+# matching span names on the serve.req track; PipelineSimulator._observe
+# records the profiler's stage triples under them.
 # ---------------------------------------------------------------------------
 STAGE_EMB = "emb"
 STAGE_BOT = "bot"

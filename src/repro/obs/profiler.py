@@ -26,32 +26,30 @@ Three record streams feed one profile:
 
 Design constraints (shared with :mod:`repro.obs.tracer`):
 
-* **Near-zero overhead when disabled** — every instrumentation site
-  guards on ``profiler.enabled``; the shared :data:`NULL_PROFILER`
-  singleton makes all methods no-ops, and the DES kernel carries
-  ``sim.profiler = None`` by default.
+* **Zero overhead when absent** — not profiling is ``profiler=None``
+  (the DES kernel's own default for ``sim.profiler``); every
+  instrumentation site tests ``profiler is not None``.
 * **Simulated time only** — all timestamps are simulated nanoseconds
   (lint rule R7 bans wall clocks here), so exports are deterministic.
-* **Bitwise path equivalence** — the fast path records the *same*
-  triples as the DES (same float arithmetic, see
-  :mod:`repro.ssd.fastpath`); records are sorted before export, so the
-  two paths produce **byte-identical** profile JSON
+* **Bitwise path equivalence** — the lookup fast path records the
+  *same* triples as the DES (same float arithmetic, see
+  :mod:`repro.ssd.fastpath`), and the serving pipeline's triples are
+  read from the run's tables after the path branch
+  (``PipelineSimulator._observe``); records are sorted before export,
+  so the two paths produce **byte-identical** profile JSON
   (``tests/test_profiler_equivalence.py``).
 
-Enable globally with ``RMSSD_PROFILE=1`` (see :func:`global_profiler`)
-or pass ``profiler=`` to :class:`repro.core.device.RMSSD`; export with
-:meth:`Profiler.export_json` or ``rmssd-repro profile``.
+Pass a :class:`Profiler` as ``profiler=`` to
+:class:`repro.core.device.RMSSD` (or the serving / cluster
+simulators); export with :meth:`Profiler.export_json` or
+``rmssd-repro profile``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
-
-#: Environment flag enabling the global profiler ("1"/"true"/"on"/"yes").
-ENV_FLAG_PROFILE = "RMSSD_PROFILE"
 
 #: Schema tag stamped into every exported profile.
 PROFILE_SCHEMA = "rmssd-profile/v1"
@@ -64,14 +62,6 @@ STAGE_KEYS = ("emb", "bot", "top", "io")
 #: Cap on exported per-resource timeline entries; the merged busy/idle
 #: timeline is truncated (never silently — see ``intervals_omitted``).
 TIMELINE_LIMIT = 512
-
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def profiling_from_env() -> bool:
-    """Whether ``RMSSD_PROFILE`` asks for the global profiler."""
-    return os.environ.get(ENV_FLAG_PROFILE, "").strip().lower() in _TRUTHY
-
 
 def merge_intervals(
     intervals: List[Tuple[float, float]],
@@ -98,8 +88,6 @@ def merge_intervals(
 
 class Profiler:
     """Collects resource/stage records; builds the utilization profile."""
-
-    enabled = True
 
     def __init__(self) -> None:
         # name -> list of (arrival, start, end) FIFO service triples.
@@ -138,10 +126,11 @@ class Profiler:
     ) -> None:
         """One FIFO server job: offered at ``arrival``, served
         ``[start, end]`` (``start >= arrival``; the gap is queueing)."""
-        if start_ns < arrival_ns or end_ns < start_ns:
+        # Spelled so that NaN, which fails every comparison, is refused.
+        if not arrival_ns <= start_ns <= end_ns:
             raise ValueError(
-                f"service on {name!r} out of order: "
-                f"arrival={arrival_ns} start={start_ns} end={end_ns}"
+                f"service on {name!r} out of order: arrival_ns={arrival_ns} "
+                f"start_ns={start_ns} end_ns={end_ns}"
             )
         self._register(name, kind)
         self._services.setdefault(name, []).append(
@@ -152,10 +141,10 @@ class Profiler:
         self, name: str, start_ns: float, end_ns: float, kind: str = "resource"
     ) -> None:
         """One busy interval of a resource (overlaps are union-merged)."""
-        if end_ns < start_ns:
+        if not start_ns <= end_ns:
             raise ValueError(
-                f"busy interval on {name!r} ends before it starts "
-                f"({end_ns} < {start_ns})"
+                f"busy interval on {name!r} ends before it starts or is "
+                f"NaN: start_ns={start_ns} end_ns={end_ns}"
             )
         self._register(name, kind)
         self._busy.setdefault(name, []).append((float(start_ns), float(end_ns)))
@@ -422,86 +411,3 @@ class Profiler:
             json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         return path
-
-
-class NullProfiler:
-    """No-op profiler: every method returns immediately.
-
-    Instrumentation sites guard record construction on :attr:`enabled`,
-    so a disabled run does no per-record work at all.
-    """
-
-    enabled = False
-    stages: tuple = ()
-    meta: dict = {}
-
-    def __len__(self) -> int:
-        return 0
-
-    def record_service(self, name, arrival_ns, start_ns, end_ns, kind="server"):
-        return None
-
-    def record_busy(self, name, start_ns, end_ns, kind="resource"):
-        return None
-
-    def record_queue_depth(self, name, t_ns, depth):
-        return None
-
-    def record_stage(
-        self, start_ns, nbatch, emb_ns, bot_ns, top_ns, io_ns,
-        latency_ns, serialized,
-    ):
-        return None
-
-    def set_meta(self, **fields):
-        return None
-
-    def elapsed_ns(self) -> float:
-        return 0.0
-
-    def utilizations(self, elapsed=None) -> dict:
-        return {}
-
-    def busy_timelines(self) -> dict:
-        return {}
-
-    def resource_report(self, elapsed=None) -> dict:
-        return {}
-
-    def channel_report(self, elapsed=None) -> dict:
-        return {}
-
-    def bottleneck_report(self) -> dict:
-        return {}
-
-    def as_dict(self) -> dict:
-        return {}
-
-    def export_json(self, path: str) -> str:
-        raise RuntimeError("profiling is disabled; nothing to export")
-
-
-#: The shared disabled profiler — never allocate per call site.
-NULL_PROFILER = NullProfiler()
-
-_global_profiler: Optional[Profiler] = None
-
-
-def global_profiler():
-    """The process-wide profiler: a real :class:`Profiler` when
-    ``RMSSD_PROFILE`` is set (created once, shared by every device
-    built afterwards), else :data:`NULL_PROFILER`."""
-    global _global_profiler
-    if not profiling_from_env():
-        return NULL_PROFILER
-    if _global_profiler is None:
-        _global_profiler = Profiler()
-    return _global_profiler
-
-
-def resolve_profiler(profiler=None):
-    """``profiler=`` kwarg resolution: explicit object wins, then the
-    ``RMSSD_PROFILE`` global, then the no-op profiler."""
-    if profiler is not None:
-        return profiler
-    return global_profiler()

@@ -271,7 +271,7 @@ def build_document(
         "window_ns": float(window_ns),
         "series": metrics.series_dict() if metrics is not None else {},
     }
-    if profiler is not None and profiler.enabled:
+    if profiler is not None:
         document["utilization"] = utilization_series(profiler, window_ns)
     if slo is not None:
         document["slo"] = slo.report_dict(metrics)

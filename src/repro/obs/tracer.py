@@ -9,10 +9,9 @@ module turns them into a Chrome-trace / Perfetto JSON file
 
 Design constraints, in order:
 
-* **Near-zero overhead when disabled.**  Every instrumentation site
-  guards on ``tracer.enabled`` before computing span arguments, and the
-  shared :data:`NULL_TRACER` singleton makes all methods no-ops (no
-  allocation in hot loops — pinned by ``tests/test_obs_tracer.py``).
+* **Zero overhead when absent.**  Not tracing is ``tracer=None``,
+  the same convention as every other observer; each instrumentation
+  site tests ``tracer is not None`` before computing span arguments.
 * **Simulated time only.**  Timestamps are simulated nanoseconds
   supplied by the caller (or read from a clock callable); the tracer
   never consults the wall clock (lint rule R7 bans wall clocks in the
@@ -28,27 +27,17 @@ track spans must nest properly; concurrent flows use the
 :meth:`Tracer.lane_index` allocator, which parcels overlapping spans
 out over ``group[0] / group[1] / ...`` sibling tracks.
 
-Enable globally with ``RMSSD_TRACE=1`` (see :func:`global_tracer`) or
-pass an explicit ``tracer=`` to :class:`repro.core.device.RMSSD` /
-:class:`repro.ssd.controller.SSDController` and export with
-:meth:`Tracer.export_chrome`.
+Pass a :class:`Tracer` as ``tracer=`` to
+:class:`repro.core.device.RMSSD` /
+:class:`repro.ssd.controller.SSDController` /
+:class:`repro.core.pipeline_sim.PipelineSimulator` (the CLI's
+``--trace-out`` does) and export with :meth:`Tracer.export_chrome`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: Environment flag enabling the global tracer ("1"/"true"/"on"/"yes").
-ENV_FLAG = "RMSSD_TRACE"
-
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def tracing_from_env() -> bool:
-    """Whether ``RMSSD_TRACE`` asks for the global tracer."""
-    return os.environ.get(ENV_FLAG, "").strip().lower() in _TRUTHY
 
 
 def _json_safe(value: Any) -> Any:
@@ -136,8 +125,6 @@ class _Measured:
 
 class Tracer:
     """Collects spans on the simulated clock; exports Chrome-trace JSON."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -322,83 +309,3 @@ class Tracer:
             json.dump(payload, handle, indent=1)
             handle.write("\n")
         return path
-
-
-class _NullMeasured:
-    """Shared, reusable no-op context manager (zero per-call allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullMeasured":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_MEASURED = _NullMeasured()
-
-
-class NullTracer:
-    """No-op tracer: every method returns immediately.
-
-    Instrumentation sites additionally guard span-argument
-    construction on :attr:`enabled`, so a disabled run does no
-    per-span work at all.
-    """
-
-    enabled = False
-    spans: tuple = ()
-
-    def __len__(self) -> int:
-        return 0
-
-    def add_span(self, name, start_ns, end_ns, cat="", track="main", args=None):
-        return None
-
-    def measure(self, clock, name, cat="", track="main", args=None):
-        return _NULL_MEASURED
-
-    def lane_index(self, group, start_ns, end_ns) -> int:
-        return 0
-
-    def lane_track(self, group, start_ns, end_ns) -> str:
-        return group
-
-    def as_tuples(self) -> list:
-        return []
-
-    def spans_named(self, name) -> list:
-        return []
-
-    def chrome_events(self) -> list:
-        return []
-
-    def export_chrome(self, path: str) -> str:
-        raise RuntimeError("tracing is disabled; nothing to export")
-
-
-#: The shared disabled tracer — never allocate per call site.
-NULL_TRACER = NullTracer()
-
-_global_tracer: Optional[Tracer] = None
-
-
-def global_tracer():
-    """The process-wide tracer: a real :class:`Tracer` when
-    ``RMSSD_TRACE`` is set (created once, shared by every device built
-    afterwards), else :data:`NULL_TRACER`."""
-    global _global_tracer
-    if not tracing_from_env():
-        return NULL_TRACER
-    if _global_tracer is None:
-        _global_tracer = Tracer()
-    return _global_tracer
-
-
-def resolve_tracer(tracer=None):
-    """``tracer=`` kwarg resolution: explicit object wins, then the
-    ``RMSSD_TRACE`` global, then the no-op tracer."""
-    if tracer is not None:
-        return tracer
-    return global_tracer()

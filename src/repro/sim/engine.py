@@ -193,7 +193,7 @@ class Simulator:
         self.sanitizer = Sanitizer(self) if sanitize else None
         # Optional utilization profiler (repro.obs.profiler).  ``None``
         # by default so the hot path pays a single attribute load;
-        # owners (e.g. repro.core.device.RMSSD) attach an enabled
+        # owners (e.g. repro.core.device.RMSSD) attach a
         # profiler and resources report busy intervals to it.
         self.profiler = None
 

@@ -65,7 +65,7 @@ class Resource:
             event.succeed()
         else:
             profiler = self.sim.profiler
-            if profiler is not None and profiler.enabled and self.name is not None:
+            if profiler is not None and self.name is not None:
                 # Depth seen by this arrival: waiters already queued.
                 profiler.record_queue_depth(
                     self.name, self.sim.now, len(self._waiters)
@@ -83,11 +83,7 @@ class Resource:
             self._in_use -= 1
             if self._in_use == 0:
                 profiler = self.sim.profiler
-                if (
-                    profiler is not None
-                    and profiler.enabled
-                    and self.name is not None
-                ):
+                if profiler is not None and self.name is not None:
                     profiler.record_busy(
                         self.name, self._busy_since, self.sim.now, self.kind
                     )
@@ -130,7 +126,7 @@ class Server:
         self.busy_time += duration
         self.jobs_served += 1
         profiler = self.sim.profiler
-        if profiler is not None and profiler.enabled:
+        if profiler is not None:
             profiler.record_service(self.name, self.sim.now, start, finish, self.kind)
         return self.sim.timeout(finish - self.sim.now)
 

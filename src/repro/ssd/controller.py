@@ -18,7 +18,7 @@ from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import names, resolve_tracer
+from repro.obs import names
 from repro.sim import Server, Simulator
 from repro.ssd import fastpath
 from repro.ssd.flash import FlashArray
@@ -50,9 +50,8 @@ class SSDController:
         #: Embedding Lookup Engine before EV translation; ``None`` (the
         #: default) reproduces the paper's cache-free critical path.
         self.vcache = vcache
-        #: Span tracer (``None`` defers to the RMSSD_TRACE flag via
-        #: :func:`repro.obs.resolve_tracer`; disabled -> no-op tracer).
-        self.tracer = resolve_tracer(tracer)
+        #: Optional span tracer (``None`` = not tracing).
+        self.tracer = tracer
         self.timing = timing or SSDTimingModel(page_size=self.geometry.page_size)
         self.flash = FlashArray(sim, self.geometry, self.timing, self.stats)
         self.ftl = ftl or FlashTranslationLayer(self.geometry)
@@ -109,7 +108,7 @@ class SSDController:
         are concurrent, so each lives on its own track.
         """
         tracer = self.tracer
-        if not tracer.enabled:
+        if tracer is None:
             return
         ftl_jobs_before, channel_jobs_before = mark
         ftl_jobs = self._ftl_server.jobs_served - ftl_jobs_before

@@ -81,7 +81,7 @@ def serialize_server(server, count: int, service_ns: float) -> np.ndarray:
         server._free_at = float(finishes[-1])
         server.jobs_served += count
         profiler = getattr(server.sim, "profiler", None)
-        if profiler is not None and profiler.enabled:
+        if profiler is not None:
             # Job i starts where job i-1 finished: accumulated[i] is
             # both finish_{i-1} and start_i, the same floats the DES
             # ``Server.serve`` records (all jobs arrive at t0).
@@ -239,8 +239,6 @@ def replay_reads(
     timing = flash.timing
     sanitizer = flash.sanitizer
     profiler = getattr(flash.sim, "profiler", None)
-    if profiler is not None and not profiler.enabled:
-        profiler = None
     completion = np.empty(len(enter_ns), dtype=np.float64)
     for channel in flash.channels:
         members = np.flatnonzero(channel_ids == channel.index)

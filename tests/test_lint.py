@@ -32,7 +32,9 @@ def test_tree_is_lint_clean():
 
 
 def test_cli_exits_zero_on_clean_tree(capsys):
-    assert main(LINTED) == 0
+    # The whole-tree pass is test_tree_is_lint_clean's; the exit code
+    # and summary line need only a clean subtree.
+    assert main([str(REPO_ROOT / "src" / "repro" / "sim")]) == 0
     captured = capsys.readouterr()
     assert "0 violations" in captured.err
 
@@ -165,10 +167,9 @@ def test_committed_baseline_is_clean():
 def test_r9_canary_fires_on_injected_drift(capsys):
     from tools.lint.canary import run
 
-    # One fast-path profiler record deleted per remaining parity
-    # contract (lookup, serving); R9 must name each.
+    # The fast-path profiler record of the one remaining parity
+    # contract (lookup) deleted; R9 must name it.
     assert run(str(REPO_ROOT / "src")) == 0
     captured = capsys.readouterr()
     assert "R9 fired on injected lookup drift" in captured.out
-    assert "R9 fired on injected serving drift" in captured.out
-    assert "R9 fired on all 2 injected drifts" in captured.out
+    assert "parity analysis is live" in captured.out

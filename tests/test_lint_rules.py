@@ -645,11 +645,11 @@ class TestEngineMechanics:
 
 
 # ----------------------------------------------------------------------
-# R9 serving parity over the timeseries emitters (PR 8)
+# R9 parity over metric emitters behind a shared helper (PR 8)
 # ----------------------------------------------------------------------
-#: Synthetic serving corpus mirroring the production shape: both paths
-#: feed the windowed metrics through one shared helper, so deleting
-#: either call site makes the metric emissions one-sided.
+#: Synthetic corpus under the lookup contract's roots: both paths feed
+#: the windowed metrics through one shared helper, so deleting either
+#: call site makes the metric emissions one-sided.
 _SERVING_CATALOGUE = """
     METRIC_SERVING_LATENCY = "serving.latency_ns"
     METRIC_SERVING_BATCHES = "serving.batches"
@@ -663,10 +663,10 @@ _SERVING_PIPELINE = """
             metrics.histogram(names.METRIC_SERVING_LATENCY)
             metrics.counter(names.METRIC_SERVING_BATCHES)
 
-        def _run_des(self, metrics):
+        def _lookup_batch_des(self, metrics):
             self._observe_completions(metrics)
 
-        def _run_fast(self, metrics):
+        def _lookup_batch_fast(self, metrics):
             self._observe_completions(metrics)
 """
 
@@ -678,10 +678,10 @@ _SERVING_PIPELINE_MUTATED = """
             metrics.histogram(names.METRIC_SERVING_LATENCY)
             metrics.counter(names.METRIC_SERVING_BATCHES)
 
-        def _run_des(self, metrics):
+        def _lookup_batch_des(self, metrics):
             self._observe_completions(metrics)
 
-        def _run_fast(self, metrics):
+        def _lookup_batch_fast(self, metrics):
             pass
 """
 

@@ -92,7 +92,7 @@ class TestPipelineSpans:
         simulator = PipelineSimulator(emb_ns=10.0, bot_ns=5.0, top_ns=5.0)
         result = simulator.run(batches=3)
         assert result.batches == 3
-        assert not simulator.tracer.enabled
+        assert simulator.tracer is None
 
 
 class TestServingMetrics:

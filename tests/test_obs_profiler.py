@@ -1,9 +1,8 @@
 """Unit tests for the utilization profiler (repro.obs.profiler).
 
 Record validation, interval merging, FIFO queue-depth derivation, the
-bottleneck report with the paper's embedding-stage invariant, the
-deterministic export, and the Null/global/resolve plumbing shared with
-the tracer.  End-to-end DES-vs-fastpath byte equivalence lives in
+bottleneck report with the paper's embedding-stage invariant and the
+deterministic export.  End-to-end DES-vs-fastpath byte equivalence lives in
 ``tests/test_profiler_equivalence.py``.
 """
 
@@ -13,16 +12,10 @@ import pytest
 from pytest import approx
 
 from repro.obs.profiler import (
-    ENV_FLAG_PROFILE,
-    NULL_PROFILER,
     PROFILE_SCHEMA,
     TIMELINE_LIMIT,
-    NullProfiler,
     Profiler,
-    global_profiler,
     merge_intervals,
-    profiling_from_env,
-    resolve_profiler,
 )
 
 
@@ -57,6 +50,22 @@ class TestRecordValidation:
     def test_busy_end_before_start_rejected(self):
         with pytest.raises(ValueError, match="ends before"):
             Profiler().record_busy("die", 5.0, 4.0)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_service_instant_rejected(self, position):
+        instants = [0.0, 5.0, 9.0]
+        instants[position] = float("nan")
+        argument = ("arrival_ns", "start_ns", "end_ns")[position]
+        with pytest.raises(ValueError, match=f"{argument}=nan"):
+            Profiler().record_service("bus", *instants)
+
+    @pytest.mark.parametrize("position", range(2))
+    def test_nan_busy_instant_rejected(self, position):
+        instants = [0.0, 5.0]
+        instants[position] = float("nan")
+        argument = ("start_ns", "end_ns")[position]
+        with pytest.raises(ValueError, match=f"{argument}=nan"):
+            Profiler().record_busy("die", *instants)
 
     def test_negative_queue_depth_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -235,52 +244,3 @@ class TestExport:
         with open(path) as handle:
             payload = json.load(handle)
         assert payload["resources"]["bus"]["jobs"] == 1
-
-
-class TestNullAndResolution:
-    def test_null_profiler_is_inert(self):
-        assert NULL_PROFILER.enabled is False
-        assert len(NULL_PROFILER) == 0
-        NULL_PROFILER.record_service("x", 0.0, 0.0, 1.0)
-        NULL_PROFILER.record_busy("x", 0.0, 1.0)
-        NULL_PROFILER.record_queue_depth("x", 0.0, 3)
-        NULL_PROFILER.record_stage(0.0, 1, 1.0, 1.0, 1.0, 1.0, 4.0, False)
-        NULL_PROFILER.set_meta(model="rmc1")
-        assert len(NULL_PROFILER) == 0
-        assert NULL_PROFILER.utilizations() == {}
-        assert NULL_PROFILER.resource_report() == {}
-        assert NULL_PROFILER.bottleneck_report() == {}
-
-    def test_null_export_refuses(self, tmp_path):
-        with pytest.raises(RuntimeError, match="disabled"):
-            NullProfiler().export_json(str(tmp_path / "x.json"))
-
-    def test_env_flag_parsing(self, monkeypatch):
-        for value in ("1", "true", "ON", " yes "):
-            monkeypatch.setenv(ENV_FLAG_PROFILE, value)
-            assert profiling_from_env() is True
-        for value in ("", "0", "off", "no"):
-            monkeypatch.setenv(ENV_FLAG_PROFILE, value)
-            assert profiling_from_env() is False
-        monkeypatch.delenv(ENV_FLAG_PROFILE)
-        assert profiling_from_env() is False
-
-    def test_global_profiler_null_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_FLAG_PROFILE, raising=False)
-        assert global_profiler() is NULL_PROFILER
-
-    def test_global_profiler_shared_with_env(self, monkeypatch):
-        import repro.obs.profiler as module
-
-        monkeypatch.setenv(ENV_FLAG_PROFILE, "1")
-        monkeypatch.setattr(module, "_global_profiler", None)
-        first = global_profiler()
-        assert isinstance(first, Profiler)
-        assert global_profiler() is first
-
-    def test_resolve_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG_PROFILE, "1")
-        mine = Profiler()
-        assert resolve_profiler(mine) is mine
-        monkeypatch.delenv(ENV_FLAG_PROFILE)
-        assert resolve_profiler(None) is NULL_PROFILER

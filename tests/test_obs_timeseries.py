@@ -181,8 +181,9 @@ def test_build_document_requires_window():
 
 
 def test_registry_window_validation():
-    with pytest.raises(ValueError):
-        MetricsRegistry(window_ns=0.0)
+    for hostile in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="window_ns"):
+            MetricsRegistry(window_ns=hostile)
     with pytest.raises(ValueError):
         MetricsRegistry(sketch_k=1)
 

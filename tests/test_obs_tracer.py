@@ -1,23 +1,11 @@
-"""Span tracer unit tests: recording, lanes, export, no-op mode.
-
-The no-op tests pin the "near-zero overhead when disabled" contract:
-a disabled run records zero spans and allocates nothing per call site
-(the measure() context manager is one shared instance).
-"""
+"""Span tracer unit tests: recording, lanes, export, and the
+not-attached (``tracer=None``) device."""
 
 import json
 
 import pytest
 
-from repro.obs import tracer as tracer_module
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    global_tracer,
-    resolve_tracer,
-    tracing_from_env,
-)
+from repro.obs.tracer import Tracer
 
 
 class TestRecording:
@@ -130,66 +118,12 @@ class TestChromeExport:
         assert begins[0]["args"] == {"n": 3}
 
 
-class TestNullTracer:
-    def test_disabled_and_empty(self):
-        assert NULL_TRACER.enabled is False
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.add_span("x", 0, 1) is None
-        assert NULL_TRACER.as_tuples() == []
-        assert NULL_TRACER.spans_named("x") == []
-        assert NULL_TRACER.chrome_events() == []
-
-    def test_measure_returns_shared_instance(self):
-        # No per-call allocation in hot loops: the context manager is
-        # one module-level object, handed out every time.
-        first = NULL_TRACER.measure(lambda: 0.0, "a")
-        second = NULL_TRACER.measure(lambda: 0.0, "b")
-        assert first is second
-        with first:
-            pass
-        assert len(NULL_TRACER) == 0
-
-    def test_lane_track_is_group_name(self):
-        assert NULL_TRACER.lane_track("g", 0.0, 10.0) == "g"
-        assert NULL_TRACER.lane_index("g", 0.0, 10.0) == 0
-
-    def test_export_raises(self, tmp_path):
-        with pytest.raises(RuntimeError, match="disabled"):
-            NULL_TRACER.export_chrome(str(tmp_path / "no.json"))
-
-
-class TestResolution:
-    def test_explicit_tracer_wins(self, monkeypatch):
-        monkeypatch.setenv("RMSSD_TRACE", "1")
-        mine = Tracer()
-        assert resolve_tracer(mine) is mine
-
-    def test_env_off_resolves_to_null(self, monkeypatch):
-        monkeypatch.delenv("RMSSD_TRACE", raising=False)
-        assert not tracing_from_env()
-        assert resolve_tracer(None) is NULL_TRACER
-
-    def test_env_on_resolves_to_shared_global(self, monkeypatch):
-        monkeypatch.setenv("RMSSD_TRACE", "1")
-        monkeypatch.setattr(tracer_module, "_global_tracer", None)
-        first = global_tracer()
-        assert isinstance(first, Tracer)
-        assert resolve_tracer(None) is first
-
-    def test_falsy_env_values_stay_off(self, monkeypatch):
-        for value in ("0", "false", "off", "no", ""):
-            monkeypatch.setenv("RMSSD_TRACE", value)
-            assert not tracing_from_env()
-
-
 class TestDisabledInstrumentation:
-    def test_lookup_engine_records_nothing_when_disabled(self, monkeypatch):
-        monkeypatch.delenv("RMSSD_TRACE", raising=False)
+    def test_lookup_engine_records_nothing_when_disabled(self):
         from tests.test_fastpath_equivalence import build_engine
 
         engine = build_engine("single")
-        assert isinstance(engine.controller.tracer, NullTracer)
+        assert engine.controller.tracer is None
         batch = [[[0, 1], [2], [3]]]
         engine.lookup_batch(batch, fast=False)
         engine.lookup_batch(batch, fast=True)
-        assert len(engine.controller.tracer) == 0

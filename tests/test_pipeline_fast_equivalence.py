@@ -12,6 +12,8 @@ The ``smoke``-named subset is run by ``tools/check.sh`` under
 ``RMSSD_SANITIZE=1``.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,9 @@ def assert_bitwise(des, fast):
     assert des.stamps_ns.shape == fast.stamps_ns.shape
     assert np.array_equal(des.arrivals_ns.view(np.int64), fast.arrivals_ns.view(np.int64))
     assert np.array_equal(des.stamps_ns.view(np.int64), fast.stamps_ns.view(np.int64))
+    assert np.array_equal(
+        des.durations_ns.view(np.int64), fast.durations_ns.view(np.int64)
+    )
 
 
 def poisson_arrivals(n, mean_gap, seed):
@@ -109,6 +114,22 @@ def test_negative_service_raises_on_both_paths():
         sim = PipelineSimulator(lambda i: -1.0, 10.0, 10.0)
         with pytest.raises(ValueError, match="negative service duration"):
             sim.run(3, arrival_times_ns=[0.0, 1.0, 2.0], fast=fast)
+
+
+@pytest.mark.parametrize("fast", (False, True))
+@pytest.mark.parametrize("as_callable", (False, True))
+@pytest.mark.parametrize("stage", (0, 1, 2))
+@pytest.mark.parametrize("hostile", (float("nan"), float("inf")))
+def test_non_finite_stage_time_raises_on_both_paths(hostile, stage, as_callable, fast):
+    # NaN passes every `< 0` / `> 0` test on the way in; unchecked, the
+    # two paths disagree on the stamps and both feed the profiler NaN.
+    times = [100.0, 50.0, 25.0]
+    times[stage] = (lambda i: hostile if i == 1 else 10.0) if as_callable else hostile
+    profiler = Profiler()
+    sim = PipelineSimulator(*times, profiler=profiler)
+    with pytest.raises(ValueError, match="stage times must be finite"):
+        sim.run(3, arrival_times_ns=[0.0, 1.0, 2.0], fast=fast)
+    assert len(profiler) == 0
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +361,70 @@ def test_smoke_profiles_byte_identical(tmp_path):
     des = _profile_bytes(tmp_path, "des", False, arrivals)
     fast = _profile_bytes(tmp_path, "fast", True, arrivals)
     assert des == fast
+
+
+def assert_fifo_law(triples, offered, durations):
+    """The single-server FIFO law, job by job: the server takes each
+    job when it is offered or when the previous one ends, whichever is
+    later, and holds it for exactly its duration."""
+    assert [arrival for arrival, _, _ in triples] == offered
+    assert offered == sorted(offered)
+    previous_end = 0.0
+    for (arrival, start, end), duration in zip(triples, durations):
+        assert start == max(arrival, previous_end)
+        assert end == start + duration
+        previous_end = end
+
+
+_STAGE_TIME = st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=400.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.floats(min_value=-500.0, max_value=500.0),
+    batches=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=600.0)),
+            _STAGE_TIME, _STAGE_TIME, _STAGE_TIME,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_property_profile_obeys_fifo_law_on_both_paths(first, batches):
+    # The profile is read from the run's tables after the path branch;
+    # the oracle below restates the queueing law from the inputs and
+    # the stamps alone.  Tied arrivals (zero gaps), a negative first
+    # arrival and zero-length stages (bot/top skip their server) are
+    # all in the strategy's reach.
+    gaps, emb, bot, top = (list(column) for column in zip(*batches))
+    arrivals = np.add.accumulate([first] + gaps[1:]).tolist()
+    exports = []
+    for fast in (False, True):
+        profiler = Profiler()
+        sim = PipelineSimulator(
+            emb.__getitem__, bot.__getitem__, top.__getitem__, profiler=profiler
+        )
+        result = sim.run(len(arrivals), arrival_times_ns=arrivals, fast=fast)
+        exports.append(json.dumps(profiler.as_dict(), sort_keys=True))
+
+        clock = [max(arrival, 0.0) for arrival in arrivals]
+        stamps = dict(zip(STAMP_FIELDS, result.stamps_ns.T.tolist()))
+        ready = list(map(max, stamps["emb_done_ns"], stamps["bot_done_ns"]))
+        indices = range(len(arrivals))
+        bot_jobs = [i for i in indices if bot[i] > 0]
+        top_jobs = [i for i in sorted(indices, key=ready.__getitem__) if top[i] > 0]
+        services = profiler._services
+        assert_fifo_law(services["emb"], clock, emb)
+        assert_fifo_law(
+            services.get("bot", []),
+            [clock[i] for i in bot_jobs], [bot[i] for i in bot_jobs],
+        )
+        assert_fifo_law(
+            services.get("top", []),
+            [ready[i] for i in top_jobs], [top[i] for i in top_jobs],
+        )
+    assert exports[0] == exports[1]
 
 
 # ----------------------------------------------------------------------

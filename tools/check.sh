@@ -10,10 +10,9 @@ PYTHONPATH=src:. python -m tools.lint src tests benchmarks tools \
     --baseline tools/lint/baseline.json
 
 echo "== lint canary (R9 must fire on injected fast-path drift) =="
-# Deletes one fast-path profiler record per parity contract (lookup,
-# serving) in a scratch copy of src/ and asserts the parity rule
-# reports each; guards against the whole-program analysis silently
-# going blind.
+# Deletes the lookup replay's die busy-interval record in a scratch
+# copy of src/ and asserts the parity rule reports it; guards against
+# the whole-program analysis silently going blind.
 PYTHONPATH=src:. python -m tools.lint.canary
 
 echo "== compile =="
@@ -36,8 +35,8 @@ echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 RMSSD_SANITIZE=1 python -m pytest -x -q \
     tests/test_pipeline_fast_equivalence.py -k smoke
 
-echo "== trace smoke (RMSSD_TRACE=1) =="
-RMSSD_TRACE=1 python -m repro run rmc1 --backend rm-ssd \
+echo "== trace smoke (--trace-out) =="
+python -m repro run rmc1 --backend rm-ssd \
     --requests 2 --rows 64 --no-compute \
     --trace-out /tmp/rmssd_trace_smoke.json \
     --metrics-out /tmp/rmssd_metrics_smoke.json

@@ -2,19 +2,15 @@
 
 ``python -m tools.lint.canary`` proves the whole-program analysis is
 actually live, not vacuously green: it copies ``src/`` to a scratch
-directory once, asserts the **unmutated** copy is R9-clean, then for
-each parity contract deletes exactly one fast-path profiler record in
-the copy, asserts R9 trips with a violation naming the now DES-only
-record, and restores the file.
+directory, asserts the **unmutated** copy is R9-clean, then deletes
+exactly one fast-path profiler record in the copy and asserts R9
+trips with a violation naming the now DES-only record.
 
-Two contracts are exercised — the two places where each path still
-records on its own: the lookup path (the ``record_busy`` call that
-closes a die's busy interval in
-:func:`repro.ssd.fastpath._replay_channel`) and the serving path (the
-``record_service`` call that records every stage triple in
-:func:`repro.core.pipeline_fast._record_stage_services`).  The serving
-metrics, critical-path and span feeds need no canary: they are read
-from the stamp table in one place after the path branch
+One contract is exercised, the one place where each path still
+records for itself: the lookup (the ``record_busy`` call that closes
+a die's busy interval in :func:`repro.ssd.fastpath._replay_channel`).
+The serving pipeline needs no canary: all four of its observers are
+read from the run's tables in one place after the path branch
 (``PipelineSimulator._observe``), so there is no second feed to lose.
 
 If a refactor ever blinds R9 — a renamed root, a broken call-graph
@@ -31,7 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from tools.lint.engine import Violation, lint_paths
 from tools.lint.rules_project import PROJECT_RULES_BY_ID
@@ -52,21 +48,12 @@ class Mutation:
     token: str
 
 
-MUTATIONS: Tuple[Mutation, ...] = (
-    Mutation(
-        label="lookup",
-        file=Path("repro") / "ssd" / "fastpath.py",
-        function="_replay_channel",
-        call="record_busy",
-        token="die",
-    ),
-    Mutation(
-        label="serving",
-        file=Path("repro") / "core" / "pipeline_fast.py",
-        function="_record_stage_services",
-        call="record_service",
-        token="emb",
-    ),
+MUTATION = Mutation(
+    label="lookup",
+    file=Path("repro") / "ssd" / "fastpath.py",
+    function="_replay_channel",
+    call="record_busy",
+    token="die",
 )
 
 
@@ -86,9 +73,8 @@ def _find_call_statement(tree: ast.AST, mutation: Mutation) -> Optional[ast.stmt
     return None
 
 
-def mutate(target: Path, mutation: Mutation) -> str:
-    """Replace the target profiler record with ``pass`` in place;
-    returns the file's original text."""
+def mutate(target: Path, mutation: Mutation) -> None:
+    """Replace the target profiler record with ``pass`` in place."""
     source = target.read_text(encoding="utf-8")
     statement = _find_call_statement(ast.parse(source), mutation)
     if statement is None:
@@ -103,21 +89,30 @@ def mutate(target: Path, mutation: Mutation) -> str:
     indent = " " * statement.col_offset
     lines[first : last + 1] = [indent + "pass\n"]
     target.write_text("".join(lines), encoding="utf-8")
-    return source
 
 
 def _r9(paths: List[str]) -> List[Violation]:
     return lint_paths(paths, rules=(), project_rules=(PROJECT_RULES_BY_ID["R9"],))
 
 
-def _check_mutation(copy: Path, mutation: Mutation) -> int:
-    """Mutate one file of the (clean) copy, lint, put the file back."""
-    target = copy / mutation.file
-    pristine = mutate(target, mutation)
-    try:
+def run(src_dir: str = "src") -> int:
+    src, mutation = Path(src_dir), MUTATION
+    if not (src / mutation.file).is_file():
+        print(f"canary: {src / mutation.file} not found", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory(prefix="rmssd-lint-canary-") as scratch:
+        # The copy keeps a trailing ``src`` component so module paths
+        # (anchored at the last ``src`` segment) resolve identically.
+        copy = Path(scratch) / "src"
+        shutil.copytree(src, copy)
+        clean = _r9([str(copy)])
+        if clean:
+            print("canary: scratch copy is not R9-clean before mutation:")
+            for violation in clean:
+                print("  " + violation.render())
+            return 1
+        mutate(copy / mutation.file, mutation)
         mutated = _r9([str(copy)])
-    finally:
-        target.write_text(pristine, encoding="utf-8")
     named = [v for v in mutated if mutation.token in v.message]
     if not named:
         print(
@@ -131,34 +126,7 @@ def _check_mutation(copy: Path, mutation: Mutation) -> int:
         return 1
     print(
         f"canary: R9 fired on injected {mutation.label} drift "
-        f"({len(named)} violation(s) naming '{mutation.token}')"
-    )
-    return 0
-
-
-def run(src_dir: str = "src") -> int:
-    src = Path(src_dir)
-    for mutation in MUTATIONS:
-        if not (src / mutation.file).is_file():
-            print(f"canary: {src / mutation.file} not found", file=sys.stderr)
-            return 1
-    with tempfile.TemporaryDirectory(prefix="rmssd-lint-canary-") as scratch:
-        # The copy keeps a trailing ``src`` component so module paths
-        # (anchored at the last ``src`` segment) resolve identically.
-        copy = Path(scratch) / "src"
-        shutil.copytree(src, copy)
-        clean = _r9([str(copy)])
-        if clean:
-            print("canary: scratch copy is not R9-clean before mutation:")
-            for violation in clean:
-                print("  " + violation.render())
-            return 1
-        for mutation in MUTATIONS:
-            status = _check_mutation(copy, mutation)
-            if status:
-                return status
-    print(
-        f"canary: R9 fired on all {len(MUTATIONS)} injected drifts; "
+        f"({len(named)} violation(s) naming '{mutation.token}'); "
         f"parity analysis is live"
     )
     return 0

@@ -399,22 +399,19 @@ class ProjectContext:
     def _collect_construction_sites(self) -> None:
         """Bind string args at every substrate construction site.
 
-        Only modules under ``repro/ssd`` and ``repro/sim`` plus the two
-        serving-pipeline modules contribute — the device substrate is
-        the layer the fast paths mirror, so its construction sites
-        define what ``self.kind``/``self.name`` can be *on the lookup
-        path*, and the pipeline modules' stage servers define the
-        serving path's.  Ad-hoc constructions in tests or host-side
-        models (e.g. the host-I/O ``Resource`` in ``repro.core.device``,
-        deliberately excluded) would otherwise pollute the provenance
-        the parity rules compare with kinds those paths never emit.
+        Only modules under ``repro/ssd`` and ``repro/sim`` contribute —
+        the device substrate is the layer the fast path mirrors, so its
+        construction sites define what ``self.kind``/``self.name`` can
+        be *on the lookup path*.  Ad-hoc constructions in tests or
+        host-side models (e.g. the host-I/O ``Resource`` in
+        ``repro.core.device``, the serving pipeline's stage servers)
+        would otherwise pollute the provenance the parity rule
+        compares with kinds that path never emits.
         """
         for module in self.modules:
             if not (
                 module.ctx.in_module("repro", "ssd")
                 or module.ctx.in_module("repro", "sim")
-                or module.ctx.in_module("repro", "core", "pipeline_sim")
-                or module.ctx.in_module("repro", "core", "pipeline_fast")
             ):
                 continue
             for call in module.ctx.index.nodes(ast.Call):

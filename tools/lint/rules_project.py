@@ -76,15 +76,6 @@ LOOKUP_PARITY = ParitySpec(
     fast_roots=("_lookup_batch_fast",),
 )
 
-#: Same contract for the serving pipeline: the event-driven reference
-#: and the closed-form replay (repro/core/pipeline_fast.py) must
-#: record identical profiler triples under identical stage names.
-SERVING_PARITY = ParitySpec(
-    label="serving",
-    des_roots=("_run_des",),
-    fast_roots=("_run_fast",),
-)
-
 #: (group, facet) -> human description used in violation messages.
 _FACET_DESC = {
     ("span", "name"): "span",
@@ -103,7 +94,7 @@ class InstrumentationParityRule(ProjectRule):
         "reached from the DES lookup path match the fast path's"
     )
 
-    specs: Tuple[ParitySpec, ...] = (LOOKUP_PARITY, SERVING_PARITY)
+    specs: Tuple[ParitySpec, ...] = (LOOKUP_PARITY,)
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         for spec in self.specs:
