@@ -166,3 +166,37 @@ class TestCommands:
         import json
 
         assert json.loads(ts.read_text())["schema"] == "rmssd-timeseries/v1"
+
+
+# Tiny-trace versions of the serving studies tools/check.sh smokes:
+# (argv, the --*-out flags whose documents must not depend on the path).
+SERVING_STUDIES = [
+    (["explain", "rmc1", "--rows", "64", "--queries", "120"],
+     ["--explain-out"]),
+    (["explain", "rmc2", "--cluster", "--balancer", "jsq", "--rows", "64",
+      "--duration-ms", "100"],
+     ["--explain-out"]),
+    (["sla", "rmc1", "--cluster", "--autoscale", "--balancer", "jsq",
+      "--sla-ms", "0.5", "--window-ms", "2", "--rows", "64",
+      "--duration-ms", "100"],
+     ["--timeseries-out"]),
+    (["report", "rmc1", "--cluster", "--explain", "--rows", "64",
+      "--duration-ms", "100"],
+     ["--explain-out", "--timeseries-out"]),
+]
+
+
+class TestServingStudies:
+    @pytest.mark.parametrize(
+        "argv,outs", SERVING_STUDIES, ids=lambda v: " ".join(v[:3])
+    )
+    def test_exports_are_path_independent(self, argv, outs, capsys, tmp_path):
+        documents = {}
+        for path, extra in (("fast", []), ("des", ["--no-fastpath"])):
+            files = [tmp_path / f"{path}{i}.json" for i in range(len(outs))]
+            flags = [arg for pair in zip(outs, map(str, files)) for arg in pair]
+            assert main(argv + extra + flags) == 0
+            assert f"pipeline path: {path}" in capsys.readouterr().out
+            documents[path] = [f.read_bytes() for f in files]
+        assert documents["fast"] == documents["des"]
+        assert all(documents["fast"])
