@@ -12,12 +12,9 @@ part without losing throughput.
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import PLACEMENT_DRAM, decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
+from repro.fpga.decompose import PLACEMENT_DRAM
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 BUDGETS = (2400, 1024, 280, 64)
 
@@ -27,12 +24,9 @@ def _measure():
     out = {}
     for budget in BUDGETS:
         model = build_model(config, rows_per_table=64)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
+        result = operating_point(
+            model, config.lookups_per_table, bram_budget_tiles=budget
         )
-        result = kernel_search(dec, flash, bram_budget_tiles=budget)
         spilled = [
             l.name for l in result.model.all_layers()
             if l.placement == PLACEMENT_DRAM

@@ -9,13 +9,9 @@ schedules with the *same* kernels for every model.
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.compose import chain_cycles, uncomposed_chain_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 MODELS = ("rmc1", "rmc2", "rmc3", "ncf", "wnd")
 
@@ -25,12 +21,7 @@ def _measure():
     for key in MODELS:
         config = get_config(key)
         model = build_model(config, rows_per_table=64)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        result = kernel_search(dec, flash)
+        result = operating_point(model, config.lookups_per_table)
         composed = 0
         uncomposed = 0
         for chain in (result.model.bottom, result.model.top):

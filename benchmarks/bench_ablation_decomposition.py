@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.core.mlp_engine import dlrm_forward_decomposed
 from repro.embedding.pooling import sls_all_tables
 from repro.fpga.compose import chain_cycles, stage_times
-from repro.fpga.decompose import decompose_model
 from repro.fpga.kernel import batch_cycles
-from repro.fpga.search import kernel_search
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 MODELS = ("rmc1", "rmc2", "rmc3")
 
@@ -52,12 +48,7 @@ def _measure():
     for key in MODELS:
         config = get_config(key)
         model = build_model(config, rows_per_table=64, seed=1)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        result = kernel_search(dec, flash)
+        result = operating_point(model, config.lookups_per_table)
         with_dec = result.times.latency
         without_dec = _latency_without_decomposition(result)
         out[key] = (with_dec, without_dec, result.nbatch)

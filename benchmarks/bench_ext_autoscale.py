@@ -27,15 +27,11 @@ import json
 import time
 
 from repro.analysis.report import Table, emit_json
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
 from repro.host.autoscale import Autoscaler
 from repro.host.cluster_serving import ClusterServingSimulator
 from repro.models import build_model, get_config
 from repro.obs import MetricsRegistry, Profiler
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 from repro.workloads.arrivals import flash_crowd_trace
 
 MODEL = "rmc1"
@@ -67,11 +63,7 @@ MAX_WALL_S = 2.0
 def _operating_point():
     config = get_config(MODEL)
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    return kernel_search(dec, flash)
+    return operating_point(model, config.lookups_per_table)
 
 
 def _autoscaler():

@@ -13,17 +13,13 @@ import pytest
 
 from benchmarks.conftest import ROWS_PER_TABLE
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
 from repro.models import build_model, get_config
 from repro.models.quantize import (
     compare_outputs,
     int8_resource_estimate,
     quantize_dlrm,
 )
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 from repro.workloads.inputs import RequestGenerator
 
 MODELS = ("rmc1", "rmc2", "rmc3")
@@ -42,12 +38,7 @@ def _measure():
         q_outputs = quantized.forward(request.dense, request.sparse)
         report = compare_outputs(reference, q_outputs)
 
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        fp32 = kernel_search(dec, flash).resources
+        fp32 = operating_point(model, config.lookups_per_table).resources
         int8 = int8_resource_estimate(fp32)
         out[key] = (report, fp32, int8)
     return out

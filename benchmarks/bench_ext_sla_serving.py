@@ -13,14 +13,10 @@ import pytest
 
 from benchmarks.runner import run_parallel
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.compose import StageTimes
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 MODELS = ("rmc1", "rmc3")
 #: SLA: p99 under 5x the unloaded latency.
@@ -30,11 +26,7 @@ SLA_FACTOR = 5.0
 def _serving_for(key):
     config = get_config(key)
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    result = operating_point(model, config.lookups_per_table)
     return ServingSimulator(result.times, nbatch=result.nbatch, seed=7), result
 
 

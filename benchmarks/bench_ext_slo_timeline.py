@@ -16,14 +16,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
 from repro.obs import MetricsRegistry, SLOEngine, names
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 MODEL = "rmc1"
 #: Windows of steady load before / after the crowd.
@@ -37,11 +33,7 @@ SLA_FACTOR = 5.0
 def _serving_for(key, window_ns):
     config = get_config(key)
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    result = operating_point(model, config.lookups_per_table)
     metrics = MetricsRegistry(window_ns=window_ns)
     return (
         ServingSimulator(

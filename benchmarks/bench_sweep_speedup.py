@@ -25,14 +25,10 @@ import time
 from benchmarks import bench_fig12_throughput as fig12
 from benchmarks import bench_fig13_latency as fig13
 from repro.analysis.report import Table, emit_json
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
 from repro.obs.profiler import Profiler
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 QUERIES = int(os.environ.get("RMSSD_BENCH_SWEEP_QUERIES", "200"))
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.9, 0.95)
@@ -61,11 +57,7 @@ def _serving(profiler=None):
     """The RMC2 serving pipeline under the kernel-search operating point."""
     config = get_config("rmc2")
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    result = operating_point(model, config.lookups_per_table)
     return ServingSimulator(
         result.times, nbatch=result.nbatch, seed=7, profiler=profiler
     )

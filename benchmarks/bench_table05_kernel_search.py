@@ -11,14 +11,12 @@ performance").
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.compose import stage_times
 from repro.fpga.decompose import decompose_model
 from repro.fpga.kernel import KernelSize
-from repro.fpga.search import default_kernels, kernel_search
+from repro.fpga.search import default_kernels
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 #: Paper values (Table V).
 PAPER = {
@@ -34,17 +32,13 @@ PAPER = {
 def _search(key):
     config = get_config(key)
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    return config, model, kernel_search(dec, flash), flash
+    return config, model, operating_point(model, config.lookups_per_table)
 
 
 def _measure():
     out = {}
     for key in ("rmc1", "rmc2", "rmc3"):
-        config, model, result, flash = _search(key)
+        config, model, result = _search(key)
         # The default (maximal) kernel design point for the same model.
         dec_default = decompose_model(model, config.lookups_per_table)
         if key == "rmc3":
@@ -52,7 +46,7 @@ def _measure():
                             first_bottom_kernel=KernelSize(16, 8))
         else:
             default_kernels(dec_default, kernel_area_log2=8)
-        rate = dec_default.vectors_per_inference / flash
+        rate = dec_default.vectors_per_inference / result.flash_cycles_batch1
         default_times = stage_times(dec_default, result.nbatch, rate)
         out[key] = (result, default_times)
     return out

@@ -17,15 +17,13 @@ Vivado synthesis; the *verdicts* the paper draws are asserted:
 import pytest
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.decompose import decompose_model
 from repro.fpga.kernel import KernelSize
 from repro.fpga.resources import engine_resources, naive_gemm_resources
-from repro.fpga.search import default_kernels, kernel_search
+from repro.fpga.search import default_kernels
 from repro.fpga.specs import XC7A200T, XCVU9P
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 #: Paper values (Table VI): (LUT, FF, BRAM, DSP).
 PAPER = {
@@ -52,14 +50,12 @@ def _design_points(key):
         default_kernels(dec_default, kernel_area_log2=8)
     default = engine_resources(dec_default)
 
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
     # The deployable design point targets the low-end part: Rule One's
     # BRAM budget is the XC7A200T's 365 tiles minus a reserve for the
     # Embedding Lookup Engine and controller logic.
-    optimized = kernel_search(dec, flash, bram_budget_tiles=280).resources
+    optimized = operating_point(
+        model, config.lookups_per_table, bram_budget_tiles=280
+    ).resources
     return {"MLP-naive": naive, "MLP": default, "MLP-op": optimized}
 
 

@@ -12,19 +12,16 @@ Run:  python examples/kernel_search_demo.py
 """
 
 from repro.analysis.report import Table
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
 from repro.fpga.specs import XC7A200T, XCVU9P
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 
 def demo(key: str) -> None:
     config = get_config(key)
     model = build_model(config, rows_per_table=64, seed=0)
-    decomposed = decompose_model(model, config.lookups_per_table)
+    result = operating_point(model, config.lookups_per_table)
+    decomposed = result.model
 
     print(f"\n=== {config.name} ===")
     print("decomposed topology (Fig. 8):")
@@ -35,17 +32,11 @@ def demo(key: str) -> None:
     chain = " -> ".join(f"{l.name}({l.rows}x{l.cols})" for l in decomposed.top)
     print(f"  top:    {chain}")
 
-    flash = flash_read_cycles(
-        decomposed.vectors_per_inference,
-        SSDGeometry(),
-        SSDTimingModel(),
-        config.ev_size,
-    )
+    flash = result.flash_cycles_batch1
     print(f"embedding flash time (batch 1): {flash} cycles "
           f"({flash * 5 / 1000:.1f} us) for "
           f"{decomposed.vectors_per_inference} vectors")
 
-    result = kernel_search(decomposed, flash)
     table = Table(
         f"{config.name}: kernel assignment (Table V)",
         ["layer", "shape", "placement", "kernel", "cycles/batch"],

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.lookup_engine import flash_read_cycles
-from repro.fpga.decompose import PLACEMENT_DRAM, decompose_model
-from repro.fpga.search import kernel_search
+from repro.core.device import operating_point
+from repro.fpga.decompose import PLACEMENT_DRAM
 from repro.fpga.specs import XC7A200T, FPGAPart
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
 from repro.models.configs import ModelConfig
@@ -71,17 +70,12 @@ def advise(
     batched_batch: int = 32,
 ) -> Advice:
     """Evaluate one model configuration for in-storage deployment."""
-    geometry = geometry or SSDGeometry()
-    ssd_timing = ssd_timing or SSDTimingModel()
     model = build_model(config, rows_per_table=64)
 
     # Device side: kernel search against the low-end budget.
-    decomposed = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        decomposed.vectors_per_inference, geometry, ssd_timing, config.ev_size
-    )
-    search = kernel_search(
-        decomposed, flash, bram_budget_tiles=low_end_bram_budget
+    search = operating_point(
+        model, config.lookups_per_table, geometry, ssd_timing,
+        bram_budget_tiles=low_end_bram_budget,
     )
     rmssd_qps = search.times.throughput_qps(200e6)
     fits = target_part.fits(search.resources)

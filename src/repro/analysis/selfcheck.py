@@ -70,12 +70,8 @@ def _check_numerics() -> CheckResult:
 
 
 def _check_table_v() -> CheckResult:
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
+    from repro.core.device import operating_point
     from repro.models import build_model, get_config
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
 
     expected = {
         "rmc1": {"Lb0": "4x2", "Lb1": "2x4", "Lb": "4x2", "Le": "4x2",
@@ -86,12 +82,7 @@ def _check_table_v() -> CheckResult:
     for key, kernels in expected.items():
         config = get_config(key)
         model = build_model(config, rows_per_table=16)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        result = kernel_search(dec, flash)
+        result = operating_point(model, config.lookups_per_table)
         got = {name: str(k) for name, k in result.kernels.items()}
         if got != kernels:
             return CheckResult("Table V kernel search", False, f"{key}: {got}")

@@ -1,79 +1,108 @@
-"""Command-line interface.
-
-Entry point ``rmssd-repro`` (or ``python -m repro``) exposes the main
-experiment flows without writing code:
+"""Command-line interface: ``rmssd-repro`` / ``python -m repro``.
 
 * ``models`` — list the evaluated model configurations (Table III).
-* ``search MODEL`` — run the kernel search and print the Table V-style
-  assignment, stage times, and resource bill.
-* ``run MODEL`` — serve a request stream on one backend and report
-  throughput/latency/traffic.
+* ``search MODEL`` — kernel search: Table V-style assignment, stage
+  times, resource bill.
+* ``run MODEL`` — serve a request stream on one backend; throughput,
+  latency, traffic.
+* ``profile MODEL`` — profiled DES run: utilization and bottleneck
+  attribution (``rmssd-profile/v1``).
 * ``sweep MODEL`` — batch-size sweep across backends (Fig. 12-style).
-* ``trace-stats`` — generate a trace and print its Fig. 4 statistics.
+* ``selfcheck`` — verify the installation's core invariants.
+* ``advise MODEL`` — should this model be served in-storage?
+* ``sla MODEL`` — latency-vs-load curve and the largest load meeting a
+  p99 SLA.
+* ``report MODEL`` — per-window dashboard: tails, utilization, SLO
+  burn-rate alerts (``rmssd-timeseries/v1``).
 * ``explain MODEL`` — per-request critical-path attribution with tail
   exemplars; ``explain --diff A B`` attributes a cross-run regression.
+* ``criteo-gen PATH`` / ``criteo-run PATH MODEL`` — write a
+  Criteo-format TSV / serve one on RM-SSD.
+* ``trace-stats`` — generate a trace and print its Fig. 4 statistics.
+
+``sla``, ``report`` and ``explain`` start from one operating point
+(:func:`repro.core.device.operating_point`); ``--cluster`` turns each
+into a study of a replica fleet built by one ``_fleet``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
+from repro import baselines, obs
+from repro.analysis.advisor import advise
 from repro.analysis.report import Table, format_si, stage_breakdown_table
+from repro.analysis.selfcheck import run_selfcheck
+from repro.core.device import operating_point
+from repro.core.pipeline_fast import resolve_fast
+from repro.fpga.specs import XC7A200T, XCVU9P
+from repro.host.autoscale import Autoscaler
+from repro.host.cluster_serving import ClusterServingSimulator
+from repro.host.serving import ServingSimulator
 from repro.models import MODEL_CONFIGS, build_model, get_config
+from repro.obs import names
+from repro.obs.explain import diff_documents, render_diff
+from repro.obs.timeseries import export_document
+from repro.ssd.vcache import VectorCache
+from repro.workloads import TraceGenerator, TraceStatistics, arrivals
+from repro.workloads.criteo import CriteoDataset, generate_criteo_file
 from repro.workloads.inputs import RequestGenerator
 
 BACKEND_CHOICES = (
-    "ssd-s",
-    "ssd-m",
-    "emb-mmio",
-    "emb-pagesum",
-    "emb-vectorsum",
-    "recssd",
-    "rm-ssd",
-    "rm-ssd-naive",
-    "dram",
+    "ssd-s", "ssd-m", "emb-mmio", "emb-pagesum", "emb-vectorsum", "recssd",
+    "rm-ssd", "rm-ssd-naive", "dram",
 )
+#: Backends with a simulated device behind them (observers, vcache, DES).
+RMSSD_BACKENDS = ("rm-ssd", "rm-ssd-naive")
 
 
-def _build_backend(name: str, model, config, tracer=None, metrics=None,
-                   vcache=None):
-    from repro.baselines import (
-        DRAMBackend,
-        EMBMMIOBackend,
-        EMBPageSumBackend,
-        EMBVectorSumBackend,
-        NaiveSSDBackend,
-        RMSSDBackend,
-        RecSSDBackend,
+def _build_backend(name: str, model, config, use_des=False, **device_kwargs):
+    """Backend by CLI name; ``device_kwargs`` reach ``RMSSD_BACKENDS`` only."""
+    if name in RMSSD_BACKENDS:
+        return baselines.RMSSDBackend(
+            model, config.lookups_per_table, use_des=use_des,
+            mlp_design="naive" if name == "rm-ssd-naive" else "optimized",
+            **device_kwargs,
+        )
+    plain = {
+        "ssd-s": lambda: baselines.NaiveSSDBackend(model, 0.25),
+        "ssd-m": lambda: baselines.NaiveSSDBackend(model, 0.5),
+        "emb-mmio": lambda: baselines.EMBMMIOBackend(model),
+        "emb-pagesum": lambda: baselines.EMBPageSumBackend(model),
+        "emb-vectorsum": lambda: baselines.EMBVectorSumBackend(model),
+        "recssd": lambda: baselines.RecSSDBackend(model),
+        "dram": lambda: baselines.DRAMBackend(model),
+    }
+    if name not in plain:
+        raise ValueError(f"unknown backend {name!r}")
+    return plain[name]()
+
+
+def _model(args):
+    """``(config, model)`` at the command's ``--rows`` scale."""
+    config = get_config(args.model)
+    return config, build_model(config, rows_per_table=args.rows)
+
+
+def _request_generator(args, config) -> RequestGenerator:
+    return RequestGenerator(
+        config, args.rows, hot_access_fraction=args.locality, seed=args.seed
     )
 
-    if name == "ssd-s":
-        return NaiveSSDBackend(model, 0.25)
-    if name == "ssd-m":
-        return NaiveSSDBackend(model, 0.5)
-    if name == "emb-mmio":
-        return EMBMMIOBackend(model)
-    if name == "emb-pagesum":
-        return EMBPageSumBackend(model)
-    if name == "emb-vectorsum":
-        return EMBVectorSumBackend(model)
-    if name == "recssd":
-        return RecSSDBackend(model)
-    if name == "rm-ssd":
-        return RMSSDBackend(
-            model, config.lookups_per_table, use_des=False,
-            tracer=tracer, metrics=metrics, vcache=vcache,
-        )
-    if name == "rm-ssd-naive":
-        return RMSSDBackend(
-            model, config.lookups_per_table, mlp_design="naive", use_des=False,
-            tracer=tracer, metrics=metrics, vcache=vcache,
-        )
-    if name == "dram":
-        return DRAMBackend(model)
-    raise ValueError(f"unknown backend {name!r}")
+
+def _fast(args) -> Optional[bool]:
+    """The ``fast=`` of a run: ``--no-fastpath`` forces the
+    event-driven pipeline, otherwise ``RMSSD_FASTPATH`` decides."""
+    return False if args.no_fastpath else None
+
+
+def _export_trace(args, tracer, hint: str = "") -> None:
+    if tracer is not None:
+        path = tracer.export_chrome(args.trace_out)
+        print(f"trace:          {path} ({len(tracer)} spans{hint})")
 
 
 def cmd_models(_args) -> int:
@@ -83,37 +112,20 @@ def cmd_models(_args) -> int:
     )
     for key, config in MODEL_CONFIGS.items():
         table.add_row(
-            key,
-            config.name,
+            key, config.name,
             "-".join(map(str, config.bottom_widths)) or "(none)",
             "-".join(map(str, config.top_widths)),
-            config.dim,
-            config.num_tables,
-            config.lookups_per_table,
+            config.dim, config.num_tables, config.lookups_per_table,
         )
     table.print()
     return 0
 
 
 def cmd_search(args) -> int:
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
-    from repro.fpga.specs import XC7A200T, XCVU9P
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
-
     config = get_config(args.model)
     model = build_model(config, rows_per_table=64)
-    decomposed = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        decomposed.vectors_per_inference,
-        SSDGeometry(),
-        SSDTimingModel(),
-        config.ev_size,
-    )
-    result = kernel_search(
-        decomposed, flash, bram_budget_tiles=args.bram_budget
+    result = operating_point(
+        model, config.lookups_per_table, bram_budget_tiles=args.bram_budget
     )
     print(result.summary())
     table = Table(
@@ -139,30 +151,21 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
-    tracer = metrics = None
-    if args.trace_out:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    config, model = _model(args)
+    instrumented = args.backend in RMSSD_BACKENDS
+    tracer = obs.Tracer() if args.trace_out else None
+    metrics = None
     if args.metrics_out or args.timeseries_out or args.prom_out:
-        from repro.obs import MetricsRegistry, names
-
-        metrics = MetricsRegistry(
+        metrics = obs.MetricsRegistry(
             window_ns=args.window_ms * 1e6 if args.timeseries_out else None
         )
-    if (tracer or metrics) and args.backend not in ("rm-ssd", "rm-ssd-naive"):
+    if (tracer or metrics) and not instrumented:
         print(f"note: backend {args.backend!r} is not instrumented; "
               "trace/metrics cover the I/O statistics only")
     vcache = None
     if args.vcache_vectors > 0:
-        if args.backend in ("rm-ssd", "rm-ssd-naive"):
-            from repro.ssd.vcache import VectorCache
-
-            vcache = VectorCache(
-                args.vcache_vectors, policy=args.vcache_policy
-            )
+        if instrumented:
+            vcache = VectorCache(args.vcache_vectors, policy=args.vcache_policy)
         else:
             print(f"note: backend {args.backend!r} has no controller DRAM; "
                   "--vcache-vectors ignored")
@@ -170,10 +173,9 @@ def cmd_run(args) -> int:
         args.backend, model, config, tracer=tracer, metrics=metrics,
         vcache=vcache,
     )
-    generator = RequestGenerator(
-        config, args.rows, hot_access_fraction=args.locality, seed=args.seed
+    requests = _request_generator(args, config).requests(
+        args.requests, batch_size=args.batch
     )
-    requests = generator.requests(args.requests, batch_size=args.batch)
     result = backend.run(requests, compute=not args.no_compute)
     print(f"system:         {result.system}")
     print(f"inferences:     {result.inferences} "
@@ -181,7 +183,7 @@ def cmd_run(args) -> int:
     print(f"simulated time: {result.total_ns / 1e6:.3f} ms")
     print(f"throughput:     {result.qps:.0f} QPS")
     print(f"per-request:    {result.latency_per_request_ns / 1e6:.3f} ms")
-    if args.backend in ("rm-ssd", "rm-ssd-naive"):
+    if instrumented:
         counts = backend.device.lookup_engine.path_counts
         print("lookup path:    " + ", ".join(
             f"{path} x{count}" + (f" ({reason})" if reason else "")
@@ -189,8 +191,7 @@ def cmd_run(args) -> int:
         ))
     if result.breakdown:
         stage_breakdown_table(
-            f"{result.system}: stage breakdown (Fig. 11)",
-            result.breakdown,
+            f"{result.system}: stage breakdown (Fig. 11)", result.breakdown,
             per_inference=result.inferences,
         ).print()
     print(f"host traffic:   read {format_si(result.stats.host_read_bytes)}B / "
@@ -202,10 +203,7 @@ def cmd_run(args) -> int:
               f"vectors; hit ratio {vcache.hit_ratio:.1%} "
               f"({vcache.hits} hits / {vcache.misses} misses / "
               f"{vcache.evictions} evictions)")
-    if tracer is not None:
-        path = tracer.export_chrome(args.trace_out)
-        print(f"trace:          {path} ({len(tracer)} spans; "
-              "open in ui.perfetto.dev)")
+    _export_trace(args, tracer, "; open in ui.perfetto.dev")
     if metrics is not None:
         metrics.gauge(names.METRIC_RUN_QPS).set(result.qps)
         metrics.counter(names.METRIC_RUN_INFERENCES).inc(result.inferences)
@@ -224,44 +222,23 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profiled DES run: per-resource utilization + bottleneck report."""
-    from repro.baselines import RMSSDBackend
-    from repro.obs import Profiler
-
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
-    profiler = Profiler()
-    tracer = None
-    if args.trace_out:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    config, model = _model(args)
+    profiler = obs.Profiler()
+    tracer = obs.Tracer() if args.trace_out else None
     vcache = None
     if args.vcache_vectors > 0:
-        from repro.ssd.vcache import VectorCache
-
         vcache = VectorCache(args.vcache_vectors, policy=args.vcache_policy)
-    backend = RMSSDBackend(
-        model,
-        config.lookups_per_table,
-        mlp_design="naive" if args.backend == "rm-ssd-naive" else "optimized",
-        use_des=True,
-        fastpath=False if args.no_fastpath else None,
-        tracer=tracer,
-        vcache=vcache,
-        profiler=profiler,
+    backend = _build_backend(
+        args.backend, model, config, use_des=True, fastpath=_fast(args),
+        tracer=tracer, vcache=vcache, profiler=profiler,
     )
-    generator = RequestGenerator(
-        config, args.rows, hot_access_fraction=args.locality, seed=args.seed
+    requests = _request_generator(args, config).requests(
+        args.requests, batch_size=args.batch
     )
-    requests = generator.requests(args.requests, batch_size=args.batch)
     result = backend.run(requests, compute=False)
     profiler.set_meta(
-        model=args.model,
-        backend=args.backend,
-        requests=args.requests,
-        batch=args.batch,
-        rows=args.rows,
-        locality=args.locality,
+        model=args.model, backend=args.backend, requests=args.requests,
+        batch=args.batch, rows=args.rows, locality=args.locality,
         seed=args.seed,
     )
 
@@ -292,8 +269,7 @@ def cmd_profile(args) -> int:
     for key in ("emb", "bot", "top", "io"):
         table.add_row(
             stage_labels[key],
-            f"{means[key] / 1e6:.4f}",
-            f"{slack[key] / 1e6:.4f}",
+            f"{means[key] / 1e6:.4f}", f"{slack[key] / 1e6:.4f}",
         )
     table.print()
 
@@ -317,15 +293,12 @@ def cmd_profile(args) -> int:
 
     path = profiler.export_json(args.profile_out)
     print(f"profile:        {path}")
-    if tracer is not None:
-        path = tracer.export_chrome(args.trace_out)
-        print(f"trace:          {path} ({len(tracer)} spans)")
+    _export_trace(args, tracer)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
+    config, model = _model(args)
     batches = [int(b) for b in args.batches.split(",")]
     backends = [
         _build_backend(name, model, config) for name in args.backends.split(",")
@@ -334,9 +307,7 @@ def cmd_sweep(args) -> int:
         f"{config.name}: QPS vs batch",
         ["system", *[str(b) for b in batches]],
     )
-    generator = RequestGenerator(
-        config, args.rows, hot_access_fraction=args.locality, seed=args.seed
-    )
+    generator = _request_generator(args, config)
     for backend in backends:
         row = []
         for batch in batches:
@@ -349,50 +320,80 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(_args) -> int:
-    from repro.analysis.selfcheck import run_selfcheck
-
     results = run_selfcheck(verbose=True)
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_advise(args) -> int:
-    from repro.analysis.advisor import advise
-
     advice = advise(get_config(args.model))
     print(advice.render())
     return 0
 
 
-def _cluster_trace(kind: str, qps: float, duration_ns: float, seed: int):
-    """Build the requested arrival trace for the cluster CLI modes."""
-    from repro.workloads.arrivals import (
-        diurnal_trace,
-        flash_crowd_trace,
-        poisson_trace,
-    )
+# -- Serving studies: sla / report / explain ---------------------------
+def _operating_point(args):
+    """``(config, kernel-search result)`` a serving study starts from."""
+    config, model = _model(args)
+    return config, operating_point(model, config.lookups_per_table)
 
-    if kind == "poisson":
-        queries = max(1, int(qps * duration_ns / 1e9))
-        return poisson_trace(qps, queries, seed=seed)
-    if kind == "diurnal":
-        return diurnal_trace(
-            qps, duration_ns, period_ns=duration_ns / 2, seed=seed
+
+def _fleet(args, result, *, autoscale: Optional[bool] = None, metrics=None,
+           profiler=None, critpath=None):
+    """The ``--cluster`` fleet and the arrival trace offered to it.
+
+    The simulator is built before the trace is sized from it, so a bad
+    fleet shape is reported as such and not as the zero load it
+    implies.  ``autoscale`` overrides ``--autoscale`` (``sla`` also
+    runs the fixed fleet).
+    """
+    if autoscale is None:
+        autoscale = args.autoscale
+    scaler = None
+    if autoscale:
+        scaler = Autoscaler(
+            sla_ns=args.sla_ms * 1e6, quantile=args.quantile,
+            window_ns=args.window_ms * 1e6,
+            min_replicas=args.min_replicas, max_replicas=args.max_replicas,
         )
-    return flash_crowd_trace(
-        qps,
-        duration_ns,
-        burst_start_ns=0.3 * duration_ns,
-        burst_duration_ns=0.4 * duration_ns,
-        burst_factor=4.0,
-        seed=seed,
+    sim = ClusterServingSimulator(
+        result.times, nbatch=result.nbatch, replicas=args.replicas,
+        balancer=args.balancer, autoscaler=scaler,
+        metrics=metrics, profiler=profiler, critpath=critpath,
     )
+    qps = args.qps
+    if qps is None:
+        qps = 0.6 * sim.replica_qps * args.replicas
+    duration_ns = args.duration_ms * 1e6
+    if args.arrivals == "poisson":
+        queries = max(1, int(qps * duration_ns / 1e9))
+        trace = arrivals.poisson_trace(qps, queries, seed=args.seed)
+    elif args.arrivals == "diurnal":
+        trace = arrivals.diurnal_trace(
+            qps, duration_ns, period_ns=duration_ns / 2, seed=args.seed
+        )
+    else:
+        trace = arrivals.flash_crowd_trace(
+            qps, duration_ns, burst_start_ns=0.3 * duration_ns,
+            burst_duration_ns=0.4 * duration_ns, burst_factor=4.0,
+            seed=args.seed,
+        )
+    return sim, trace
+
+
+def _device(args, result, **observers):
+    """The single-device counterpart of :func:`_fleet`: ``--queries`` at
+    ``--load`` of saturation.  Returns the offered QPS, the load point
+    and the pipeline path that served it."""
+    serving = ServingSimulator(
+        result.times, nbatch=result.nbatch, seed=args.seed, **observers
+    )
+    qps = serving.saturation_qps * args.load
+    point = serving.offered_load(qps, queries=args.queries, fast=_fast(args))
+    return qps, point, serving.last_path
 
 
 def _print_scaling_events(events) -> None:
-    if not events:
-        print("scaling events: none")
-        return
-    print("scaling events:")
+    print("scaling events:" if events else "scaling events: none")
     for event in events:
         print(
             f"  t={event.t_ns / 1e6:8.1f} ms  [{event.action}] "
@@ -403,8 +404,24 @@ def _print_scaling_events(events) -> None:
         )
 
 
-def _print_explain_summary(document: dict) -> None:
-    """Tail-attribution digest of an ``rmssd-explain/v1`` document."""
+def _explain_meta(args, trace) -> dict:
+    """``meta`` of the explain document.  Path-independent on purpose:
+    the exported document must stay byte-identical between the DES and
+    fast replays."""
+    if not args.cluster:
+        return dict(model=args.model, mode="device", load=args.load,
+                    queries=args.queries, seed=args.seed)
+    return dict(model=args.model, mode="cluster", arrivals=args.arrivals,
+                balancer=args.balancer, replicas=args.replicas,
+                queries=trace.count, seed=args.seed)
+
+
+def _print_explanation(args, collector, trace, **document_kwargs) -> None:
+    """Tail-attribution digest of the collected requests, plus the
+    ``rmssd-explain/v1`` document under ``--explain-out``."""
+    document = obs.build_explain_document(
+        collector.requests, meta=_explain_meta(args, trace), **document_kwargs
+    )
     totals = document["totals"]
     print(f"requests:       {totals['count']} "
           f"(mean latency {totals['mean_latency_ns'] / 1e6:.2f} ms)")
@@ -428,186 +445,84 @@ def _print_explain_summary(document: dict) -> None:
                 f"bot {exemplar['bot_ns'] / 1e6:.3f} + "
                 f"top {exemplar['top_ns'] / 1e6:.3f}"
             )
-
-
-def _export_explain(document: dict, path: str) -> None:
-    from repro.obs import export_explain_document
-
-    out = export_explain_document(document, path)
-    print(f"explain: {out} (schema {document['schema']})")
+    if args.explain_out:
+        out = obs.export_explain_document(document, args.explain_out)
+        print(f"explain: {out} (schema {document['schema']})")
 
 
 def cmd_explain(args) -> int:
     """Per-request critical-path attribution, or a cross-run diff."""
-    import json
-
     if args.diff:
-        from repro.obs.explain import diff_documents, render_diff
-
-        with open(args.diff[0]) as handle:
-            baseline = json.load(handle)
-        with open(args.diff[1]) as handle:
-            fresh = json.load(handle)
+        documents = []
+        for path in args.diff:
+            with open(path) as handle:
+                documents.append(json.load(handle))
         print(f"regression explainer: {args.diff[0]} -> {args.diff[1]}")
-        for line in render_diff(diff_documents(baseline, fresh)):
+        for line in render_diff(diff_documents(*documents)):
             print(f"  {line}")
         return 0
     if args.model is None:
         print("explain: a model is required unless --diff is given",
               file=sys.stderr)
         return 2
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
-    from repro.obs import CritPathCollector, build_explain_document
-    from repro.ssd import fastpath
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
-
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-        config.ev_size,
-    )
-    result = kernel_search(dec, flash)
-    collector = CritPathCollector()
-    fast = False if args.no_fastpath else None
-    path = "fast" if (fast is None and fastpath.enabled()) else "des"
+    config, result = _operating_point(args)
+    collector = obs.CritPathCollector()
+    trace = None
     if args.cluster:
-        from repro.host.autoscale import Autoscaler
-        from repro.host.cluster_serving import ClusterServingSimulator
-
-        replica_qps = result.times.throughput_qps(1e9 / 5.0)
-        base_qps = args.qps or 0.6 * replica_qps * args.replicas
-        duration_ns = args.duration_ms * 1e6
-        trace = _cluster_trace(args.arrivals, base_qps, duration_ns, args.seed)
-        scaler = None
-        if args.autoscale:
-            scaler = Autoscaler(
-                sla_ns=args.sla_ms * 1e6,
-                quantile=args.quantile,
-                window_ns=args.window_ms * 1e6,
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas,
-            )
-        sim = ClusterServingSimulator(
-            result.times, nbatch=result.nbatch, replicas=args.replicas,
-            balancer=args.balancer, autoscaler=scaler, critpath=collector,
-        )
-        point = sim.serve_trace(trace, fast=fast)
+        if args.trace_out:
+            print("note: --trace-out covers single-device mode only; "
+                  "ignored with --cluster")
+        sim, trace = _fleet(args, result, critpath=collector)
+        point = sim.serve_trace(trace, fast=_fast(args))
         print(f"critical paths: {config.name}, {args.arrivals} arrivals "
               f"({trace.count} queries), balancer {args.balancer}, "
               f"replicas {point.initial_replicas}->{point.final_replicas}, "
-              f"pipeline path: {path}")
-        # Meta is path-independent on purpose: the exported document
-        # must stay byte-identical between the DES and fast replays.
-        meta = {
-            "model": args.model, "mode": "cluster",
-            "arrivals": args.arrivals, "balancer": args.balancer,
-            "replicas": args.replicas, "queries": trace.count,
-            "seed": args.seed,
-        }
+              f"pipeline path: {point.path}")
     else:
-        from repro.host.serving import ServingSimulator
-
-        tracer = None
-        if args.trace_out:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
-        serving = ServingSimulator(
-            result.times, nbatch=result.nbatch, seed=args.seed,
-            critpath=collector, tracer=tracer,
-        )
-        qps = serving.saturation_qps * args.load
-        serving.offered_load(qps, queries=args.queries, fast=fast)
+        tracer = obs.Tracer() if args.trace_out else None
+        qps, _, path = _device(args, result, critpath=collector, tracer=tracer)
         print(f"critical paths: {config.name} at {qps:.0f} QPS "
               f"({args.load:.0%} of saturation; pipeline path: {path})")
-        if tracer is not None:
-            out = tracer.export_chrome(args.trace_out)
-            print(f"trace:          {out} ({len(tracer)} spans)")
-        meta = {
-            "model": args.model, "mode": "device", "load": args.load,
-            "queries": args.queries, "seed": args.seed,
-        }
-    document = build_explain_document(
-        collector.requests, top_k=args.top_k, meta=meta
-    )
-    _print_explain_summary(document)
-    if args.explain_out:
-        _export_explain(document, args.explain_out)
+        _export_trace(args, tracer)
+    _print_explanation(args, collector, trace, top_k=args.top_k)
     return 0
 
 
 def _cmd_sla_cluster(args, config, result) -> int:
     """``sla --cluster``: open-loop traffic against a replica fleet."""
-    from repro.host.autoscale import Autoscaler
-    from repro.host.cluster_serving import ClusterServingSimulator
-    from repro.obs import MetricsRegistry, names
-    from repro.ssd import fastpath
-
     window_ns = args.window_ms * 1e6
     sla_ns = args.sla_ms * 1e6
-    fast = False if args.no_fastpath else None
-    path = "fast" if (fast is None and fastpath.enabled()) else "des"
-    replica_qps = result.times.throughput_qps(1e9 / 5.0)
-    base_qps = args.qps or 0.6 * replica_qps * args.replicas
-    duration_ns = args.duration_ms * 1e6
-    trace = _cluster_trace(args.arrivals, base_qps, duration_ns, args.seed)
-    print(f"cluster SLA study: {config.name}, {args.arrivals} arrivals "
-          f"({trace.count} queries, {trace.mean_qps:.0f} QPS mean), "
-          f"{args.replicas} replica(s) @ {replica_qps:.0f} QPS each, "
-          f"balancer {args.balancer}, pipeline path: {path}")
 
     def run(autoscale: bool):
-        scaler = None
-        if autoscale:
-            scaler = Autoscaler(
-                sla_ns=sla_ns,
-                quantile=args.quantile,
-                window_ns=window_ns,
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas,
-            )
-        metrics = MetricsRegistry(window_ns=window_ns)
-        sim = ClusterServingSimulator(
-            result.times,
-            nbatch=result.nbatch,
-            replicas=args.replicas,
-            balancer=args.balancer,
-            autoscaler=scaler,
-            metrics=metrics,
+        sim, trace = _fleet(
+            args, result, autoscale=autoscale,
+            metrics=obs.MetricsRegistry(window_ns=window_ns),
         )
-        return sim, sim.serve_trace(trace, fast=fast)
+        return sim, trace, sim.serve_trace(trace, fast=_fast(args))
 
+    sim, trace, point = run(autoscale=False)
+    print(f"cluster SLA study: {config.name}, {args.arrivals} arrivals "
+          f"({trace.count} queries, {trace.mean_qps:.0f} QPS mean), "
+          f"{args.replicas} replica(s) @ {sim.replica_qps:.0f} QPS each, "
+          f"balancer {args.balancer}, pipeline path: {point.path}")
+    fleets = [("fixed", point)]
+    if args.autoscale:
+        sim, _, point = run(autoscale=True)
+        fleets.append(("autoscaled", point))
     table = Table(
         f"p{args.quantile:g} <= {args.sla_ms} ms?",
         ["fleet", "p50 ms", "p99 ms", "achieved QPS", "replicas", "SLA"],
     )
-
-    def add_row(label, point):
+    for label, served in fleets:
         table.add_row(
-            label,
-            f"{point.p50_ns / 1e6:.2f}",
-            f"{point.p99_ns / 1e6:.2f}",
-            f"{point.achieved_qps:.0f}",
-            f"{point.initial_replicas}->{point.final_replicas}",
-            "ok" if point.meets_sla(sla_ns, args.quantile) else "VIOLATED",
+            label, f"{served.p50_ns / 1e6:.2f}", f"{served.p99_ns / 1e6:.2f}",
+            f"{served.achieved_qps:.0f}",
+            f"{served.initial_replicas}->{served.final_replicas}",
+            "ok" if served.meets_sla(sla_ns, args.quantile) else "VIOLATED",
         )
-
-    sim, fixed = run(autoscale=False)
-    add_row("fixed", fixed)
-    point = fixed
-    if args.autoscale:
-        sim, point = run(autoscale=True)
-        add_row("autoscaled", point)
     table.print()
     _print_scaling_events(point.scale_events)
     if args.timeseries_out:
-        from repro.obs.timeseries import export_document
-
         out = export_document(sim.timeseries_document(), args.timeseries_out)
         print(f"timeseries: {out} (window {args.window_ms} ms; "
               f"cluster section: {names.METRIC_CLUSTER_REPLICAS} gauge + "
@@ -616,47 +531,30 @@ def _cmd_sla_cluster(args, config, result) -> int:
 
 
 def cmd_sla(args) -> int:
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
-    from repro.host.serving import ServingSimulator
-    from repro.ssd import fastpath
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
-
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    config, result = _operating_point(args)
     if args.cluster:
         return _cmd_sla_cluster(args, config, result)
     window_ns = args.window_ms * 1e6
     metrics = None
     if args.timeseries_out:
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry(window_ns=window_ns)
+        metrics = obs.MetricsRegistry(window_ns=window_ns)
     serving = ServingSimulator(
         result.times, nbatch=result.nbatch, seed=args.seed,
         metrics=metrics, window_ns=window_ns,
     )
-    fast = False if args.no_fastpath else None
-    path = "fast" if (fast is None and fastpath.enabled()) else "des"
+    fast = _fast(args)
+    # Printed before anything runs, so there is no result to read the
+    # path from yet.
     print(f"saturation throughput: {serving.saturation_qps:.0f} QPS "
-          f"(pipeline path: {path})")
+          f"(pipeline path: {'fast' if resolve_fast(fast) else 'des'})")
     table = Table(
         f"{config.name}: latency vs offered load",
         ["offered QPS", "p50 ms", "p95 ms", "p99 ms"],
     )
     for point in serving.load_sweep(queries=args.queries, fast=fast):
         table.add_row(
-            f"{point.offered_qps:.0f}",
-            f"{point.p50_ns / 1e6:.2f}",
-            f"{point.p95_ns / 1e6:.2f}",
-            f"{point.p99_ns / 1e6:.2f}",
+            f"{point.offered_qps:.0f}", f"{point.p50_ns / 1e6:.2f}",
+            f"{point.p95_ns / 1e6:.2f}", f"{point.p99_ns / 1e6:.2f}",
         )
     table.print()
     search = serving.sla_search(
@@ -665,9 +563,7 @@ def cmd_sla(args) -> int:
     print(f"max load with p99 <= {args.sla_ms} ms: {search.max_qps:.0f} QPS "
           f"({search.max_qps / serving.saturation_qps:.0%} of saturation; "
           f"{len(search.points)} probes)")
-    trajectory = " -> ".join(
-        f"{point.offered_qps:.0f}" for point in search.points
-    )
+    trajectory = " -> ".join(f"{p.offered_qps:.0f}" for p in search.points)
     print(f"bisection trajectory (offered QPS): {trajectory}")
     # Worst window at the highest passing load: the run aggregate can
     # meet the SLA while one window blows through it.
@@ -691,209 +587,90 @@ def cmd_sla(args) -> int:
     return 0
 
 
-def _cmd_report_cluster(args, config, result) -> int:
-    """``report --cluster``: per-window fleet dashboard with scaling log."""
-    from repro.host.autoscale import Autoscaler
-    from repro.host.cluster_serving import ClusterServingSimulator
-    from repro.obs import MetricsRegistry, Profiler, SLOEngine, names
-    from repro.obs.timeseries import export_document
-    from repro.ssd import fastpath
-
+def _print_dashboard(args, title, metrics, slo, column, cell) -> list:
+    """The per-window table of ``report``: latency tails and the
+    burn-rate alerts fired in each window, plus one mode-specific
+    ``column`` filled by ``cell(window_index)``.  Returns the alerts."""
     window_ns = args.window_ms * 1e6
-    sla_ns = args.sla_ms * 1e6
-    fast = False if args.no_fastpath else None
-    path = "fast" if (fast is None and fastpath.enabled()) else "des"
-    replica_qps = result.times.throughput_qps(1e9 / 5.0)
-    base_qps = args.qps or 0.6 * replica_qps * args.replicas
-    duration_ns = args.duration_ms * 1e6
-    trace = _cluster_trace(args.arrivals, base_qps, duration_ns, args.seed)
-    scaler = None
-    if args.autoscale:
-        scaler = Autoscaler(
-            sla_ns=sla_ns,
-            quantile=args.quantile,
-            window_ns=window_ns,
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-        )
-    metrics = MetricsRegistry(window_ns=window_ns, sketch_k=args.sketch_k)
-    profiler = Profiler()
-    critpath = None
-    if args.explain or args.explain_out:
-        from repro.obs import CritPathCollector
-
-        critpath = CritPathCollector()
-    sim = ClusterServingSimulator(
-        result.times, nbatch=result.nbatch, replicas=args.replicas,
-        balancer=args.balancer, autoscaler=scaler,
-        metrics=metrics, profiler=profiler, critpath=critpath,
-    )
-    slo = SLOEngine(window_ns)
-    slo.objective(
-        names.SLO_SERVING_TAIL,
-        names.METRIC_SERVING_LATENCY,
-        quantile=args.quantile,
-        threshold_ns=sla_ns,
-    )
-    point = sim.serve_trace(trace, fast=fast)
-    print(f"cluster report: {config.name}, {args.arrivals} arrivals "
-          f"({trace.count} queries, {trace.mean_qps:.0f} QPS mean), "
-          f"balancer {args.balancer}, pipeline path: {path}")
-    print(f"run aggregate:  p50 {point.p50_ns / 1e6:.2f} ms / "
-          f"p99 {point.p99_ns / 1e6:.2f} ms / achieved "
-          f"{point.achieved_qps:.0f} QPS / replicas "
-          f"{point.initial_replicas}->{point.final_replicas}")
-
     alerts = slo.alerts(metrics)
     alert_windows = {}
     for alert in alerts:
         alert_windows.setdefault(alert["window"], []).append(alert)
     series = metrics.series(names.METRIC_SERVING_LATENCY)
     table = Table(
-        f"{config.name}: per-window cluster dashboard "
-        f"(window {args.window_ms} ms, SLA p{args.quantile:g} <= "
+        f"{title} (window {args.window_ms} ms, SLA p{args.quantile:g} <= "
         f"{args.sla_ms} ms)",
         ["win", "t0 ms", "batches", "p50 ms", f"p{args.quantile:g} ms",
-         "replicas", "alerts"],
+         column, "alerts"],
     )
     for index in series.window_indices() if series is not None else ():
-        t0_ns = index * window_ns
-        replicas = point.initial_replicas
-        for event in point.scale_events:
-            if event.t_ns <= t0_ns:
-                replicas = event.to_replicas
-        fired = ",".join(
-            a["severity"] for a in alert_windows.get(index, ())
-        )
+        fired = ",".join(a["severity"] for a in alert_windows.get(index, ()))
         table.add_row(
             index,
-            f"{t0_ns / 1e6:.1f}",
+            f"{index * window_ns / 1e6:.1f}",
             series.window_count(index),
             f"{series.window_percentile(index, 50.0) / 1e6:.2f}",
             f"{series.window_percentile(index, args.quantile) / 1e6:.2f}",
-            replicas,
+            cell(index),
             fired or "-",
         )
     table.print()
-    _print_scaling_events(point.scale_events)
-    if critpath is not None:
-        from repro.obs import build_explain_document
-
-        document = build_explain_document(
-            critpath.requests,
-            meta={
-                "model": args.model, "mode": "cluster",
-                "arrivals": args.arrivals, "balancer": args.balancer,
-                "replicas": args.replicas, "queries": trace.count,
-                "seed": args.seed,
-            },
-        )
-        _print_explain_summary(document)
-        if args.explain_out:
-            _export_explain(document, args.explain_out)
-    if args.timeseries_out:
-        out = export_document(
-            sim.timeseries_document(slo=slo), args.timeseries_out
-        )
-        print(f"timeseries: {out}")
-    if args.metrics_out:
-        out = metrics.export_json(args.metrics_out)
-        print(f"metrics: {out}")
-    if args.prom_out:
-        out = metrics.export_prometheus(args.prom_out)
-        print(f"prometheus: {out}")
-    return 0
+    return alerts
 
 
-def cmd_report(args) -> int:
-    """Per-window serving dashboard: tails, utilization, SLO alerts."""
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
-    from repro.host.serving import ServingSimulator
-    from repro.obs import (
-        MetricsRegistry,
-        Profiler,
-        SLOEngine,
-        names,
-        utilization_series,
-    )
-    from repro.ssd import fastpath
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
+def _report_cluster(args, config, result, slo, observers):
+    """``report --cluster``: per-window fleet dashboard with scaling
+    log.  Returns the trace and the timeseries-document builder."""
+    sim, trace = _fleet(args, result, **observers)
+    point = sim.serve_trace(trace, fast=_fast(args))
+    print(f"cluster report: {config.name}, {args.arrivals} arrivals "
+          f"({trace.count} queries, {trace.mean_qps:.0f} QPS mean), "
+          f"balancer {args.balancer}, pipeline path: {point.path}")
+    print(f"run aggregate:  p50 {point.p50_ns / 1e6:.2f} ms / "
+          f"p99 {point.p99_ns / 1e6:.2f} ms / achieved "
+          f"{point.achieved_qps:.0f} QPS / replicas "
+          f"{point.initial_replicas}->{point.final_replicas}")
 
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
-    if args.cluster:
-        return _cmd_report_cluster(args, config, result)
     window_ns = args.window_ms * 1e6
-    metrics = MetricsRegistry(window_ns=window_ns, sketch_k=args.sketch_k)
-    profiler = Profiler()
-    critpath = None
-    if args.explain or args.explain_out:
-        from repro.obs import CritPathCollector
 
-        critpath = CritPathCollector()
-    serving = ServingSimulator(
-        result.times, nbatch=result.nbatch, seed=args.seed,
-        metrics=metrics, profiler=profiler, window_ns=window_ns,
-        critpath=critpath,
+    def replicas_at(index: int) -> int:
+        replicas = point.initial_replicas
+        for event in point.scale_events:
+            if event.t_ns <= index * window_ns:
+                replicas = event.to_replicas
+        return replicas
+
+    _print_dashboard(
+        args, f"{config.name}: per-window cluster dashboard",
+        observers["metrics"], slo, "replicas", replicas_at,
     )
-    slo = SLOEngine(window_ns)
-    slo.objective(
-        names.SLO_SERVING_TAIL,
-        names.METRIC_SERVING_LATENCY,
-        quantile=args.quantile,
-        threshold_ns=args.sla_ms * 1e6,
-    )
-    fast = False if args.no_fastpath else None
-    path = "fast" if (fast is None and fastpath.enabled()) else "des"
-    qps = serving.saturation_qps * args.load
-    point = serving.offered_load(qps, queries=args.queries, fast=fast)
+    _print_scaling_events(point.scale_events)
+    return trace, lambda: sim.timeseries_document(slo=slo)
+
+
+def _report_device(args, config, result, slo, observers):
+    """Single-device ``report``: dashboard with embedding-stage
+    utilization, stream tails and the alert timeline.  Returns the
+    timeseries-document builder."""
+    metrics, profiler = observers["metrics"], observers["profiler"]
+    window_ns = args.window_ms * 1e6
+    qps, point, path = _device(args, result, window_ns=window_ns, **observers)
     print(f"offered load:   {qps:.0f} QPS "
           f"({args.load:.0%} of saturation; pipeline path: {path})")
     print(f"run aggregate:  p50 {point.p50_ns / 1e6:.2f} ms / "
           f"p99 {point.p99_ns / 1e6:.2f} ms / mean queue "
           f"{point.mean_queue_ns / 1e6:.2f} ms")
 
-    alerts = slo.alerts(metrics)
-    alert_windows = {}
-    for alert in alerts:
-        alert_windows.setdefault(alert["window"], []).append(alert)
-    utilization = utilization_series(profiler, window_ns)
+    utilization = obs.utilization_series(profiler, window_ns)
     emb_windows = {
         w["index"]: w["utilization"]
         for w in utilization.get(names.STAGE_EMB, {}).get("windows", ())
     }
-    series = metrics.series(names.METRIC_SERVING_LATENCY)
-    table = Table(
-        f"{config.name}: per-window dashboard "
-        f"(window {args.window_ms} ms, SLA p{args.quantile:g} <= "
-        f"{args.sla_ms} ms)",
-        ["win", "t0 ms", "batches", "p50 ms", f"p{args.quantile:g} ms",
-         "emb util", "alerts"],
+    alerts = _print_dashboard(
+        args, f"{config.name}: per-window dashboard", metrics, slo,
+        "emb util",
+        lambda index: _utilization_bar(emb_windows.get(index, 0.0)),
     )
-    for index in series.window_indices() if series is not None else ():
-        tail = series.window_percentile(index, args.quantile)
-        fired = ",".join(
-            a["severity"] for a in alert_windows.get(index, ())
-        )
-        table.add_row(
-            index,
-            f"{index * window_ns / 1e6:.1f}",
-            series.window_count(index),
-            f"{series.window_percentile(index, 50.0) / 1e6:.2f}",
-            f"{tail / 1e6:.2f}",
-            _utilization_bar(emb_windows.get(index, 0.0)),
-            fired or "-",
-        )
-    table.print()
-
     sketch = metrics.histogram(names.METRIC_SERVING_LATENCY).sketch
     if sketch is not None and sketch.n:
         print(f"stream tails (sketch k={sketch.k}, n={sketch.n}, "
@@ -911,23 +688,32 @@ def cmd_report(args) -> int:
                   f"{alert['short_burn']:.1f}x short)")
     else:
         print("alert timeline: quiet (no burn-rate alerts)")
-    if critpath is not None:
-        from repro.obs import build_explain_document
+    return lambda: metrics.timeseries_dict(profiler, slo)
 
-        document = build_explain_document(
-            critpath.requests,
-            meta={
-                "model": args.model, "mode": "device", "load": args.load,
-                "queries": args.queries, "seed": args.seed,
-            },
-        )
-        _print_explain_summary(document)
-        if args.explain_out:
-            _export_explain(document, args.explain_out)
+
+def cmd_report(args) -> int:
+    """Per-window serving dashboard: tails, utilization, SLO alerts."""
+    config, result = _operating_point(args)
+    window_ns = args.window_ms * 1e6
+    metrics = obs.MetricsRegistry(window_ns=window_ns, sketch_k=args.sketch_k)
+    critpath = None
+    if args.explain or args.explain_out:
+        critpath = obs.CritPathCollector()
+    observers = dict(metrics=metrics, profiler=obs.Profiler(), critpath=critpath)
+    slo = obs.SLOEngine(window_ns)
+    slo.objective(
+        names.SLO_SERVING_TAIL, names.METRIC_SERVING_LATENCY,
+        quantile=args.quantile, threshold_ns=args.sla_ms * 1e6,
+    )
+    trace = None
+    if args.cluster:
+        trace, timeseries = _report_cluster(args, config, result, slo, observers)
+    else:
+        timeseries = _report_device(args, config, result, slo, observers)
+    if critpath is not None:
+        _print_explanation(args, critpath, trace)
     if args.timeseries_out:
-        out = metrics.export_timeseries(
-            args.timeseries_out, profiler=profiler, slo=slo
-        )
+        out = export_document(timeseries(), args.timeseries_out)
         print(f"timeseries: {out}")
     if args.metrics_out:
         out = metrics.export_json(args.metrics_out)
@@ -946,35 +732,23 @@ def _utilization_bar(fraction: float, width: int = 10) -> str:
 
 
 def cmd_criteo_gen(args) -> int:
-    from repro.workloads.criteo import generate_criteo_file
-
     path = generate_criteo_file(
-        args.path,
-        rows=args.rows,
-        vocab_size=args.vocab,
-        hot_access_fraction=args.locality,
-        seed=args.seed,
+        args.path, rows=args.rows, vocab_size=args.vocab,
+        hot_access_fraction=args.locality, seed=args.seed,
     )
     print(f"wrote {args.rows} Criteo-format samples to {path}")
     return 0
 
 
 def cmd_criteo_run(args) -> int:
-    from repro.baselines import RMSSDBackend
-    from repro.workloads.criteo import CriteoDataset
-
-    config = get_config(args.model)
-    model = build_model(config, rows_per_table=args.rows)
+    config, model = _model(args)
     dataset = CriteoDataset.load(args.path, limit=args.limit)
     requests = dataset.to_requests(
-        batch_size=args.batch,
-        num_tables=config.num_tables,
-        rows_per_table=args.rows,
-        dense_dim=config.dense_dim,
+        batch_size=args.batch, num_tables=config.num_tables,
+        rows_per_table=args.rows, dense_dim=config.dense_dim,
         lookups_per_table=config.lookups_per_table,
     )
-    backend = RMSSDBackend(model, config.lookups_per_table, use_des=False)
-    result = backend.run(requests)
+    result = _build_backend("rm-ssd", model, config).run(requests)
     print(f"served {result.inferences} Criteo samples on {result.system}")
     print(f"throughput: {result.qps:.0f} QPS")
     print(f"CTR range: [{result.outputs.min():.3f}, {result.outputs.max():.3f}]")
@@ -982,13 +756,9 @@ def cmd_criteo_run(args) -> int:
 
 
 def cmd_trace_stats(args) -> int:
-    from repro.workloads import TraceGenerator, TraceStatistics
-
     generator = TraceGenerator(
-        num_tables=args.tables,
-        rows_per_table=args.rows,
-        lookups_per_table=args.lookups,
-        hot_access_fraction=args.locality,
+        num_tables=args.tables, rows_per_table=args.rows,
+        lookups_per_table=args.lookups, hot_access_fraction=args.locality,
         seed=args.seed,
     )
     flat = generator.flat_indices(generator.generate(args.requests))
@@ -1003,6 +773,91 @@ def cmd_trace_stats(args) -> int:
     return 0
 
 
+#: Every ``--*-out PATH`` export; a command takes the ones it can write.
+_EXPORTS = {
+    "--trace-out": "write a Chrome-trace/Perfetto JSON of the run (a "
+                   "single device's; tools/check_trace.py validates it)",
+    "--metrics-out": "write run-aggregate histograms + counters as JSON",
+    "--timeseries-out": "write the windowed series as JSON "
+                        "(schema rmssd-timeseries/v1)",
+    "--prom-out": "write a Prometheus text-format metrics snapshot",
+    "--explain-out": "write the rmssd-explain/v1 attribution document",
+    "--profile-out": "write the utilization/bottleneck profile JSON "
+                     "(schema rmssd-profile/v1)",
+}
+
+
+def _add_exports(parser, *flags, **kwargs) -> None:
+    for flag in flags:
+        parser.add_argument(flag, default=None, metavar="PATH",
+                            help=_EXPORTS[flag], **kwargs)
+
+
+def _add_workload_options(parser, *, requests: int, rows: int,
+                          batch: Optional[int] = None) -> None:
+    """Model and request-stream flags of ``run``/``profile``/``sweep``
+    (``sweep`` takes ``--batches`` in place of ``--batch``)."""
+    parser.add_argument("model", choices=sorted(MODEL_CONFIGS))
+    if batch is not None:
+        parser.add_argument("--batch", type=int, default=batch)
+    parser.add_argument("--requests", type=int, default=requests)
+    parser.add_argument("--rows", type=int, default=rows,
+                        help="rows per embedding table (scaled capacity)")
+    parser.add_argument("--locality", type=float, default=0.65,
+                        help="hot-access fraction of the trace")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_vcache_options(parser) -> None:
+    parser.add_argument("--vcache-vectors", type=int, default=0,
+                        help="controller-DRAM hot-vector cache capacity in "
+                             "vectors (0 = disabled, the paper's design)")
+    parser.add_argument("--vcache-policy", default="lru",
+                        choices=("lru", "freq", "static"),
+                        help="vector-cache admission/eviction policy")
+
+
+def _add_serving_options(parser, *, queries: int) -> None:
+    """The flags ``sla``, ``report`` and ``explain`` share: the study's
+    size and objective, then the ``--cluster`` fleet."""
+    parser.add_argument("--rows", type=int, default=512)
+    parser.add_argument("--queries", type=int, default=queries)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--no-fastpath", action="store_true",
+                        help="force the event-driven pipeline (the closed-"
+                             "form replay is bitwise-identical, exports too)")
+    parser.add_argument("--window-ms", type=float, default=5.0,
+                        help="window width in simulated ms (per-window "
+                             "summaries, SLO windows, --timeseries-out)")
+    parser.add_argument("--sla-ms", type=float, default=10.0,
+                        help="tail-latency objective in milliseconds")
+    parser.add_argument("--quantile", type=float, default=99.0,
+                        help="objective quantile (e.g. 99, 99.9)")
+    fleet = parser.add_argument_group("replica fleet (--cluster)")
+    fleet.add_argument("--cluster", action="store_true",
+                       help="serve an open-loop arrival trace against a "
+                            "replica fleet instead of the single device")
+    fleet.add_argument("--replicas", type=int, default=2,
+                       help="initial replica count")
+    fleet.add_argument("--balancer", default="round-robin",
+                       choices=["round-robin", "jsq", "latency-weighted"],
+                       help="cluster load balancer")
+    fleet.add_argument("--arrivals", default="flash-crowd",
+                       choices=["poisson", "diurnal", "flash-crowd"],
+                       help="arrival-trace shape")
+    fleet.add_argument("--duration-ms", type=float, default=200.0,
+                       help="trace duration in simulated ms")
+    fleet.add_argument("--qps", type=float, default=None,
+                       help="mean offered load in QPS (default 60%% of "
+                            "fleet saturation)")
+    fleet.add_argument("--autoscale", action="store_true",
+                       help="scale replicas on SLO burn-rate alerts")
+    fleet.add_argument("--min-replicas", type=int, default=1,
+                       help="autoscaler floor")
+    fleet.add_argument("--max-replicas", type=int, default=8,
+                       help="autoscaler ceiling")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmssd-repro",
@@ -1010,209 +865,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("models", help="list model configurations").set_defaults(
-        func=cmd_models
-    )
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        added = sub.add_parser(name, help=help)
+        added.set_defaults(func=func)
+        return added
 
-    p_search = sub.add_parser("search", help="run the kernel search")
+    command("models", cmd_models, "list model configurations")
+    p_search = command("search", cmd_search, "run the kernel search")
     p_search.add_argument("model", choices=sorted(MODEL_CONFIGS))
     p_search.add_argument("--bram-budget", type=int, default=1024,
                           help="Rule One BRAM budget in BRAM36 tiles")
-    p_search.set_defaults(func=cmd_search)
 
-    p_run = sub.add_parser("run", help="serve a request stream")
-    p_run.add_argument("model", choices=sorted(MODEL_CONFIGS))
+    p_run = command("run", cmd_run, "serve a request stream")
+    _add_workload_options(p_run, batch=1, requests=8, rows=8192)
+    _add_vcache_options(p_run)
     p_run.add_argument("--backend", choices=BACKEND_CHOICES, default="rm-ssd")
-    p_run.add_argument("--batch", type=int, default=1)
-    p_run.add_argument("--requests", type=int, default=8)
-    p_run.add_argument("--rows", type=int, default=8192,
-                       help="rows per embedding table (scaled capacity)")
-    p_run.add_argument("--locality", type=float, default=0.65,
-                       help="hot-access fraction of the trace")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--no-compute", action="store_true",
                        help="skip numeric outputs (timing only)")
-    p_run.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a Chrome-trace/Perfetto JSON of the run")
-    p_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write latency histograms + I/O counters as JSON")
-    p_run.add_argument("--timeseries-out", default=None, metavar="PATH",
-                       help="write windowed metric series as JSON "
-                            "(schema rmssd-timeseries/v1)")
     p_run.add_argument("--window-ms", type=float, default=1.0,
                        help="window width for --timeseries-out, in "
                             "simulated milliseconds")
-    p_run.add_argument("--prom-out", default=None, metavar="PATH",
-                       help="write a Prometheus text-format metrics snapshot")
-    p_run.add_argument("--vcache-vectors", type=int, default=0,
-                       help="controller-DRAM hot-vector cache capacity in "
-                            "vectors (0 = disabled, the paper's design)")
-    p_run.add_argument("--vcache-policy", default="lru",
-                       choices=("lru", "freq", "static"),
-                       help="vector-cache admission/eviction policy")
-    p_run.set_defaults(func=cmd_run)
+    _add_exports(p_run, "--trace-out", "--metrics-out", "--timeseries-out",
+                 "--prom-out")
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="profiled DES run: utilization + bottleneck attribution",
-    )
-    p_profile.add_argument("model", choices=sorted(MODEL_CONFIGS))
-    p_profile.add_argument("--backend", choices=("rm-ssd", "rm-ssd-naive"),
+    p_profile = command("profile", cmd_profile, "profiled DES run: "
+                        "utilization + bottleneck attribution")
+    _add_workload_options(p_profile, batch=2, requests=4, rows=512)
+    _add_vcache_options(p_profile)
+    p_profile.add_argument("--backend", choices=RMSSD_BACKENDS,
                            default="rm-ssd")
-    p_profile.add_argument("--profile-out", required=True, metavar="PATH",
-                           help="write the utilization/bottleneck profile "
-                                "JSON (schema rmssd-profile/v1)")
-    p_profile.add_argument("--batch", type=int, default=2)
-    p_profile.add_argument("--requests", type=int, default=4)
-    p_profile.add_argument("--rows", type=int, default=512,
-                           help="rows per embedding table (scaled capacity)")
-    p_profile.add_argument("--locality", type=float, default=0.65,
-                           help="hot-access fraction of the trace")
-    p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument("--top", type=int, default=8,
                            help="resources to list in the utilization table")
     p_profile.add_argument("--no-fastpath", action="store_true",
                            help="force the per-read DES (the fast path "
                                 "records bitwise-identical profiles)")
-    p_profile.add_argument("--trace-out", default=None, metavar="PATH",
-                           help="also write a Chrome-trace JSON of the run")
-    p_profile.add_argument("--vcache-vectors", type=int, default=0,
-                           help="controller-DRAM hot-vector cache capacity "
-                                "in vectors (0 = disabled)")
-    p_profile.add_argument("--vcache-policy", default="lru",
-                           choices=("lru", "freq", "static"),
-                           help="vector-cache admission/eviction policy")
-    p_profile.set_defaults(func=cmd_profile)
+    _add_exports(p_profile, "--profile-out", required=True)
+    _add_exports(p_profile, "--trace-out")
 
-    p_sweep = sub.add_parser("sweep", help="batch-size sweep")
-    p_sweep.add_argument("model", choices=sorted(MODEL_CONFIGS))
+    p_sweep = command("sweep", cmd_sweep, "batch-size sweep")
+    _add_workload_options(p_sweep, requests=4, rows=8192)
     p_sweep.add_argument("--backends", default="rm-ssd,recssd,dram")
     p_sweep.add_argument("--batches", default="1,2,4,8,16")
-    p_sweep.add_argument("--requests", type=int, default=4)
-    p_sweep.add_argument("--rows", type=int, default=8192)
-    p_sweep.add_argument("--locality", type=float, default=0.65)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    sub.add_parser(
-        "selfcheck", help="verify the installation's core invariants"
-    ).set_defaults(func=cmd_selfcheck)
+    command("selfcheck", cmd_selfcheck,
+            "verify the installation's core invariants")
 
-    p_advise = sub.add_parser(
-        "advise", help="should this model be served in-storage?"
-    )
+    p_advise = command("advise", cmd_advise,
+                       "should this model be served in-storage?")
     p_advise.add_argument("model", choices=sorted(MODEL_CONFIGS))
-    p_advise.set_defaults(func=cmd_advise)
 
-    p_sla = sub.add_parser("sla", help="open-loop SLA study on RM-SSD")
+    p_sla = command("sla", cmd_sla, "open-loop SLA study on RM-SSD")
     p_sla.add_argument("model", choices=sorted(MODEL_CONFIGS))
-    p_sla.add_argument("--sla-ms", type=float, default=10.0,
-                       help="p99 latency SLA in milliseconds")
-    p_sla.add_argument("--rows", type=int, default=512)
-    p_sla.add_argument("--queries", type=int, default=150)
-    p_sla.add_argument("--seed", type=int, default=0)
-    p_sla.add_argument("--no-fastpath", action="store_true",
-                       help="force the event-driven pipeline (the "
-                            "closed-form replay is bitwise-identical)")
-    p_sla.add_argument("--window-ms", type=float, default=5.0,
-                       help="window width for per-window summaries and "
-                            "--timeseries-out, in simulated milliseconds")
-    p_sla.add_argument("--timeseries-out", default=None, metavar="PATH",
-                       help="write windowed serving series as JSON "
-                            "(schema rmssd-timeseries/v1)")
-    p_sla.add_argument("--cluster", action="store_true",
-                       help="serve an open-loop arrival trace against a "
-                            "replica fleet instead of the single-device "
-                            "load sweep")
-    p_sla.add_argument("--replicas", type=int, default=2,
-                       help="initial replica count (cluster mode)")
-    p_sla.add_argument("--balancer", default="round-robin",
-                       choices=["round-robin", "jsq", "latency-weighted"],
-                       help="cluster load balancer")
-    p_sla.add_argument("--arrivals", default="flash-crowd",
-                       choices=["poisson", "diurnal", "flash-crowd"],
-                       help="arrival-trace shape (cluster mode)")
-    p_sla.add_argument("--duration-ms", type=float, default=200.0,
-                       help="trace duration in simulated ms (cluster mode)")
-    p_sla.add_argument("--qps", type=float, default=None,
-                       help="mean offered load in QPS (cluster mode; "
-                            "default 60%% of fleet saturation)")
-    p_sla.add_argument("--autoscale", action="store_true",
-                       help="close the loop: scale replicas on SLO "
-                            "burn-rate alerts (cluster mode)")
-    p_sla.add_argument("--min-replicas", type=int, default=1,
-                       help="autoscaler floor (cluster mode)")
-    p_sla.add_argument("--max-replicas", type=int, default=8,
-                       help="autoscaler ceiling (cluster mode)")
-    p_sla.add_argument("--quantile", type=float, default=99.0,
-                       help="SLA quantile (cluster mode)")
-    p_sla.set_defaults(func=cmd_sla)
+    _add_serving_options(p_sla, queries=150)
+    _add_exports(p_sla, "--timeseries-out")
 
-    p_report = sub.add_parser(
-        "report",
-        help="per-window serving dashboard: tails, utilization, SLO alerts",
-    )
+    p_report = command("report", cmd_report, "per-window serving dashboard: "
+                       "tails, utilization, SLO alerts")
     p_report.add_argument("model", choices=sorted(MODEL_CONFIGS))
     p_report.add_argument("--load", type=float, default=0.9,
                           help="offered load as a fraction of saturation")
-    p_report.add_argument("--queries", type=int, default=400)
-    p_report.add_argument("--rows", type=int, default=512)
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--window-ms", type=float, default=5.0,
-                          help="window width in simulated milliseconds")
-    p_report.add_argument("--sla-ms", type=float, default=10.0,
-                          help="per-window tail-latency objective in ms")
-    p_report.add_argument("--quantile", type=float, default=99.0,
-                          help="objective quantile (e.g. 99, 99.9)")
+    _add_serving_options(p_report, queries=400)
     p_report.add_argument("--sketch-k", type=int, default=1024,
                           help="rank-sketch compactor capacity "
                                "(rank error scales as ~8/k)")
-    p_report.add_argument("--no-fastpath", action="store_true",
-                          help="force the event-driven pipeline (the "
-                               "closed-form replay is bitwise-identical)")
-    p_report.add_argument("--timeseries-out", default=None, metavar="PATH",
-                          help="write the full rmssd-timeseries/v1 document "
-                               "(series + utilization + slo)")
-    p_report.add_argument("--metrics-out", default=None, metavar="PATH",
-                          help="also write the run-aggregate metrics JSON")
-    p_report.add_argument("--prom-out", default=None, metavar="PATH",
-                          help="write a Prometheus text-format snapshot")
-    p_report.add_argument("--cluster", action="store_true",
-                          help="report on a replica fleet fed by an "
-                               "open-loop arrival trace")
-    p_report.add_argument("--replicas", type=int, default=2,
-                          help="initial replica count (cluster mode)")
-    p_report.add_argument("--balancer", default="round-robin",
-                          choices=["round-robin", "jsq", "latency-weighted"],
-                          help="cluster load balancer")
-    p_report.add_argument("--arrivals", default="flash-crowd",
-                          choices=["poisson", "diurnal", "flash-crowd"],
-                          help="arrival-trace shape (cluster mode)")
-    p_report.add_argument("--duration-ms", type=float, default=200.0,
-                          help="trace duration in simulated ms "
-                               "(cluster mode)")
-    p_report.add_argument("--qps", type=float, default=None,
-                          help="mean offered load in QPS (cluster mode; "
-                               "default 60%% of fleet saturation)")
-    p_report.add_argument("--autoscale", action="store_true",
-                          help="close the loop: scale replicas on SLO "
-                               "burn-rate alerts (cluster mode)")
-    p_report.add_argument("--min-replicas", type=int, default=1,
-                          help="autoscaler floor (cluster mode)")
-    p_report.add_argument("--max-replicas", type=int, default=8,
-                          help="autoscaler ceiling (cluster mode)")
     p_report.add_argument("--explain", action="store_true",
                           help="append the per-request critical-path "
-                               "attribution (tail blame + exemplars)")
-    p_report.add_argument("--explain-out", default=None, metavar="PATH",
-                          help="write the rmssd-explain/v1 attribution "
-                               "document (implies --explain)")
-    p_report.set_defaults(func=cmd_report)
+                               "attribution (implied by --explain-out)")
+    _add_exports(p_report, "--timeseries-out", "--metrics-out", "--prom-out",
+                 "--explain-out")
 
-    p_explain = sub.add_parser(
-        "explain",
-        help="per-request critical-path attribution and tail exemplars, "
-             "or a cross-run regression diff (--diff)",
+    p_explain = command(
+        "explain", cmd_explain,
+        "per-request critical-path attribution and tail exemplars, "
+        "or a cross-run regression diff (--diff)",
     )
     p_explain.add_argument("model", nargs="?", default=None,
                            choices=sorted(MODEL_CONFIGS))
@@ -1221,80 +946,37 @@ def build_parser() -> argparse.ArgumentParser:
                            help="diff two exported explain/profile/"
                                 "timeseries JSON documents and attribute "
                                 "the regression instead of running")
-    p_explain.add_argument("--explain-out", default=None, metavar="PATH",
-                           help="write the rmssd-explain/v1 document")
-    p_explain.add_argument("--trace-out", default=None, metavar="PATH",
-                           help="also write a Chrome-trace JSON of the run "
-                                "(single-device mode; tools/check_trace.py "
-                                "cross-checks it against --explain-out)")
     p_explain.add_argument("--top-k", type=int, default=3,
                            help="exemplar requests listed per quantile")
     p_explain.add_argument("--load", type=float, default=0.9,
                            help="offered load as a fraction of saturation")
-    p_explain.add_argument("--queries", type=int, default=400)
-    p_explain.add_argument("--rows", type=int, default=512)
-    p_explain.add_argument("--seed", type=int, default=0)
-    p_explain.add_argument("--sla-ms", type=float, default=10.0,
-                           help="tail objective in ms (cluster autoscale)")
-    p_explain.add_argument("--window-ms", type=float, default=5.0,
-                           help="SLO window in simulated ms (cluster "
-                                "autoscale)")
-    p_explain.add_argument("--quantile", type=float, default=99.0,
-                           help="SLA quantile (cluster autoscale)")
-    p_explain.add_argument("--no-fastpath", action="store_true",
-                           help="force the event-driven pipeline (the "
-                                "closed-form replay exports a "
-                                "byte-identical document)")
-    p_explain.add_argument("--cluster", action="store_true",
-                           help="attribute an open-loop cluster run "
-                                "instead of the single-device load point")
-    p_explain.add_argument("--replicas", type=int, default=2,
-                           help="initial replica count (cluster mode)")
-    p_explain.add_argument("--balancer", default="round-robin",
-                           choices=["round-robin", "jsq", "latency-weighted"],
-                           help="cluster load balancer")
-    p_explain.add_argument("--arrivals", default="flash-crowd",
-                           choices=["poisson", "diurnal", "flash-crowd"],
-                           help="arrival-trace shape (cluster mode)")
-    p_explain.add_argument("--duration-ms", type=float, default=200.0,
-                           help="trace duration in simulated ms "
-                                "(cluster mode)")
-    p_explain.add_argument("--qps", type=float, default=None,
-                           help="mean offered load in QPS (cluster mode; "
-                                "default 60%% of fleet saturation)")
-    p_explain.add_argument("--autoscale", action="store_true",
-                           help="close the loop: scale replicas on SLO "
-                                "burn-rate alerts (cluster mode)")
-    p_explain.add_argument("--min-replicas", type=int, default=1,
-                           help="autoscaler floor (cluster mode)")
-    p_explain.add_argument("--max-replicas", type=int, default=8,
-                           help="autoscaler ceiling (cluster mode)")
-    p_explain.set_defaults(func=cmd_explain)
+    _add_serving_options(p_explain, queries=400)
+    _add_exports(p_explain, "--explain-out", "--trace-out")
 
-    p_cgen = sub.add_parser("criteo-gen", help="generate a Criteo-format TSV")
+    p_cgen = command("criteo-gen", cmd_criteo_gen,
+                     "generate a Criteo-format TSV")
     p_cgen.add_argument("path")
     p_cgen.add_argument("--rows", type=int, default=1000)
     p_cgen.add_argument("--vocab", type=int, default=100_000)
     p_cgen.add_argument("--locality", type=float, default=0.65)
     p_cgen.add_argument("--seed", type=int, default=0)
-    p_cgen.set_defaults(func=cmd_criteo_gen)
 
-    p_crun = sub.add_parser("criteo-run", help="serve a Criteo file on RM-SSD")
+    p_crun = command("criteo-run", cmd_criteo_run,
+                     "serve a Criteo file on RM-SSD")
     p_crun.add_argument("path")
     p_crun.add_argument("model", choices=sorted(MODEL_CONFIGS))
     p_crun.add_argument("--batch", type=int, default=8)
     p_crun.add_argument("--rows", type=int, default=4096)
     p_crun.add_argument("--limit", type=int, default=None)
-    p_crun.set_defaults(func=cmd_criteo_run)
 
-    p_trace = sub.add_parser("trace-stats", help="Fig. 4-style trace statistics")
+    p_trace = command("trace-stats", cmd_trace_stats,
+                      "Fig. 4-style trace statistics")
     p_trace.add_argument("--tables", type=int, default=1)
     p_trace.add_argument("--rows", type=int, default=100_000)
     p_trace.add_argument("--lookups", type=int, default=80)
     p_trace.add_argument("--locality", type=float, default=0.65)
     p_trace.add_argument("--requests", type=int, default=200)
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.set_defaults(func=cmd_trace_stats)
 
     return parser
 
@@ -1302,7 +984,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as error:
+        # A value argparse's types accept and the simulator rejects
+        # (--queries 0, --load nan, ...): its convention, no traceback.
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

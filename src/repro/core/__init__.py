@@ -6,7 +6,7 @@ Acceleration Engine (Section IV-C), the MMIO/RM-register interface
 single simulated device with both numeric and timing fidelity.
 """
 
-from repro.core.device import DeviceTiming, RMSSD
+from repro.core.device import DeviceTiming, RMSSD, operating_point
 from repro.core.interfaces import RMRuntime
 from repro.core.lookup_engine import (
     EmbeddingLookupEngine,
@@ -30,4 +30,5 @@ __all__ = [
     "RMSSD",
     "effective_vector_bandwidth",
     "flash_read_cycles",
+    "operating_point",
 ]

@@ -33,7 +33,7 @@ from repro.core.registers import MMIOCostModel, MMIOManager
 from repro.obs import names
 from repro.embedding.layout import EmbeddingLayout
 from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
+from repro.fpga.search import KernelSearchResult, kernel_search
 from repro.fpga.specs import DEFAULT_SETTINGS, FPGASettings
 from repro.sim import Simulator
 from repro.ssd.blockdev import BlockDevice
@@ -47,6 +47,34 @@ MLP_DESIGN_NAIVE = "naive"
 
 #: The naive comparator's fixed GEMM array side (16x16 MACs).
 NAIVE_GEMM_SIDE = 16
+
+
+def operating_point(
+    model,
+    lookups_per_table: int,
+    geometry: Optional[SSDGeometry] = None,
+    ssd_timing: Optional[SSDTimingModel] = None,
+    settings: FPGASettings = DEFAULT_SETTINGS,
+    **search_kwargs,
+) -> KernelSearchResult:
+    """Kernel-search operating point of ``model`` (Section IV-C).
+
+    Decomposes the MLPs, takes the batch-1 embedding-read time from the
+    flash geometry (Eq. 1a) and runs Rules One-Four against it; the
+    result holds ``Temb'/Tbot'/Ttop'`` (``.times``) and ``Nbatch``.
+    ``search_kwargs`` (``bram_budget_tiles``, ``max_nbatch``) pass
+    through to :func:`repro.fpga.search.kernel_search`.
+    """
+    geometry = geometry or SSDGeometry()
+    ssd_timing = ssd_timing or SSDTimingModel(page_size=geometry.page_size)
+    decomposed = decompose_model(model, lookups_per_table)
+    flash_base = flash_read_cycles(
+        decomposed.vectors_per_inference,
+        geometry,
+        ssd_timing,
+        model.tables.ev_size,
+    )
+    return kernel_search(decomposed, flash_base, settings, **search_kwargs)
 
 
 @dataclass
@@ -164,14 +192,13 @@ class RMSSD:
         )
         self.mmio = MMIOManager(self.controller.stats, mmio_costs)
 
-        decomposed = decompose_model(model, lookups_per_table)
-        flash_base = flash_read_cycles(
-            decomposed.vectors_per_inference,
+        self.search = operating_point(
+            model,
+            lookups_per_table,
             self.controller.geometry,
             self.controller.timing,
-            model.tables.ev_size,
+            settings,
         )
-        self.search = kernel_search(decomposed, flash_base, settings)
         self.mlp_engine = MLPAccelerationEngine(model, self.search)
         self._naive_mlp_cycles = self._naive_gemm_cycles()
 

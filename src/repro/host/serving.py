@@ -152,6 +152,10 @@ class ServingSimulator:
         #: pipeline with per-request critical-path breakdowns —
         #: identically on both paths, like the metrics registry.
         self.critpath = critpath
+        #: Which execution path ("des" or "fast") served the most
+        #: recent :meth:`offered_load`; None before the first.  Kept
+        #: off :class:`LoadPoint`, whose fields are path-independent.
+        self.last_path: Optional[str] = None
 
     def offered_load(
         self,
@@ -194,6 +198,7 @@ class ServingSimulator:
         result = self.pipeline.run(
             len(sizes), arrival_times_ns=np.cumsum(gaps), fast=fast
         )
+        self.last_path = result.path
         # The timeline stays columnar: latencies and queue waits are
         # column subtractions.  The means are summed left to right
         # over Python floats — np.sum is pairwise and would round

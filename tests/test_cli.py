@@ -200,3 +200,96 @@ class TestServingStudies:
             documents[path] = [f.read_bytes() for f in files]
         assert documents["fast"] == documents["des"]
         assert all(documents["fast"])
+
+
+CLUSTER_STUDIES = [
+    ["sla", "rmc1", "--cluster"],
+    ["report", "rmc1", "--cluster"],
+    ["explain", "rmc1", "--cluster"],
+]
+TINY_FLEET = ["--rows", "64", "--duration-ms", "50"]
+EXPORT_FLAGS = {
+    "run": ["--trace-out", "--metrics-out", "--timeseries-out", "--prom-out"],
+    "profile": ["--profile-out", "--trace-out"],
+    "sla": ["--timeseries-out"],
+    "report": ["--timeseries-out", "--metrics-out", "--prom-out",
+               "--explain-out"],
+    "explain": ["--explain-out", "--trace-out"],
+}
+
+
+def refused(argv, capsys) -> str:
+    """Run a command the simulator must refuse; return its message."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("rmssd-repro: error: ")
+    return captured.err
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("study", CLUSTER_STUDIES, ids=lambda v: v[0])
+    @pytest.mark.parametrize("qps", ["0", "-5"])
+    def test_qps_zero_is_not_the_default_load(self, study, qps, capsys):
+        message = refused(study + TINY_FLEET + ["--qps", qps], capsys)
+        assert "offered load must be positive" in message
+
+    @pytest.mark.parametrize("study", CLUSTER_STUDIES, ids=lambda v: v[0])
+    def test_empty_fleet_is_named(self, study, capsys):
+        message = refused(study + TINY_FLEET + ["--replicas", "0"], capsys)
+        assert "need at least one replica" in message
+        message = refused(
+            study + TINY_FLEET
+            + ["--autoscale", "--min-replicas", "3", "--max-replicas", "2"],
+            capsys,
+        )
+        assert "max replicas must be >= min replicas" in message
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sla", "rmc1", "--queries", "0"], "need at least one query"),
+        (["report", "rmc1", "--queries", "0"], "need at least one query"),
+        (["explain", "rmc1", "--queries", "0"], "need at least one query"),
+        (["sla", "rmc1", "--window-ms", "0"], "window"),
+        (["report", "rmc1", "--window-ms", "0"], "window_ns must be positive"),
+        (["sla", "rmc1", "--cluster", "--duration-ms", "0"],
+         "trace duration must be positive"),
+        (["report", "rmc1", "--load", "0"], "offered load must be positive"),
+        (["report", "rmc1", "--load", "nan"], "arrival times must be finite"),
+        (["explain", "rmc1", "--load", "nan"], "arrival times must be finite"),
+        (["report", "rmc1", "--quantile", "101"], "quantile must be in"),
+        (["sla", "rmc1", "--cluster", "--duration-ms", "50",
+          "--quantile", "101"], "quantile must be in"),
+        (["run", "rmc1", "--batch", "0"], "batch size must be positive"),
+        (["profile", "rmc1", "--batch", "0"], "batch size must be positive"),
+        (["explain", "rmc1", "--cluster", "--replicas", "0"],
+         "need at least one replica"),
+        (["report", "rmc1", "--cluster", "--qps", "-5"],
+         "offered load must be positive"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_hostile_value_is_a_message_and_writes_nothing(
+        self, argv, message, capsys, tmp_path
+    ):
+        flags = []
+        for flag in EXPORT_FLAGS[argv[0]]:
+            flags += [flag, str(tmp_path / flag.strip("-"))]
+        assert message in refused(argv + ["--rows", "64"] + flags, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestExplainTraceOutNote:
+    def test_cluster_mode_says_trace_out_is_ignored(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        argv = ["explain", "rmc1", "--cluster", *TINY_FLEET,
+                "--trace-out", str(trace)]
+        assert main(argv) == 0
+        assert ("note: --trace-out covers single-device mode only; "
+                "ignored with --cluster") in capsys.readouterr().out
+        assert not trace.exists()
+
+    def test_device_mode_writes_the_trace_silently(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        argv = ["explain", "rmc1", "--rows", "64", "--queries", "60",
+                "--trace-out", str(trace)]
+        assert main(argv) == 0
+        assert "note:" not in capsys.readouterr().out
+        assert trace.exists()

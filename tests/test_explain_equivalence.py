@@ -29,20 +29,11 @@ TIMES = StageTimes(temb=2000, tbot=800, ttop=1200, nbatch=4, flash_cycles=1500)
 
 
 def serving_times(config_key):
-    from repro.core.lookup_engine import flash_read_cycles
-    from repro.fpga.decompose import decompose_model
-    from repro.fpga.search import kernel_search
-    from repro.ssd.geometry import SSDGeometry
-    from repro.ssd.timing import SSDTimingModel
+    from repro.core.device import operating_point
 
     config = get_config(config_key)
     model = build_model(config, rows_per_table=64)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-        config.ev_size,
-    )
-    return kernel_search(dec, flash)
+    return operating_point(model, config.lookups_per_table)
 
 
 def pipeline_export(arrivals, fast, tmp_path, tag):

@@ -2,24 +2,18 @@
 
 import pytest
 
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.decompose import PLACEMENT_BRAM, PLACEMENT_DRAM, decompose_model
 from repro.fpga.kernel import KernelSize
-from repro.fpga.search import default_kernels, kernel_search
+from repro.fpga.search import default_kernels
 from repro.fpga.specs import FPGASettings, XC7A200T
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 
 def run_search(config_key):
     config = get_config(config_key)
     model = build_model(config, rows_per_table=16)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    return kernel_search(dec, flash)
+    return operating_point(model, config.lookups_per_table)
 
 
 class TestTableV:

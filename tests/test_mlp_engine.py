@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.core.mlp_engine import (
     MLPAccelerationEngine,
     dlrm_forward_decomposed,
@@ -14,7 +14,6 @@ from repro.fpga.decompose import (
     PLACEMENT_BRAM,
     PLACEMENT_DRAM,
     LayerAssignment,
-    decompose_model,
 )
 from repro.fpga.kernel import KernelSize
 from repro.fpga.resources import (
@@ -25,20 +24,13 @@ from repro.fpga.resources import (
     naive_gemm_resources,
     weight_bram_tiles,
 )
-from repro.fpga.search import kernel_search
 from repro.models import build_model, get_config
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 
 def make_engine(key="rmc1", rows=64):
     config = get_config(key)
     model = build_model(config, rows_per_table=rows, seed=2)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    result = operating_point(model, config.lookups_per_table)
     return config, model, MLPAccelerationEngine(model, result)
 
 

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.core.pipeline_sim import STAMP_FIELDS, PipelineSimulator
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
 from repro.models import build_model, get_config
 from repro.obs.critpath import CritPathCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 
 class TestPipelineBasics:
@@ -162,12 +158,7 @@ class TestAgreementWithEq1:
     def test_steady_interval_matches_analytic(self, key):
         config = get_config(key)
         model = build_model(config, rows_per_table=32)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        result = kernel_search(dec, flash)
+        result = operating_point(model, config.lookups_per_table)
         pipe = PipelineSimulator.from_stage_times(result.times)
         run = pipe.run(16)
         analytic_ns = result.times.interval * 5.0
@@ -209,12 +200,7 @@ class TestAgreementWithEq1:
     def test_latency_matches_analytic(self):
         config = get_config("rmc1")
         model = build_model(config, rows_per_table=32)
-        dec = decompose_model(model, config.lookups_per_table)
-        flash = flash_read_cycles(
-            dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(),
-            config.ev_size,
-        )
-        result = kernel_search(dec, flash)
+        result = operating_point(model, config.lookups_per_table)
         pipe = PipelineSimulator.from_stage_times(result.times)
         run = pipe.run(1)
         assert run.latencies_ns[0] == pytest.approx(

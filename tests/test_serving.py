@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.core.lookup_engine import flash_read_cycles
+from repro.core.device import operating_point
 from repro.fpga.compose import StageTimes
-from repro.fpga.decompose import decompose_model
-from repro.fpga.search import kernel_search
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
 from repro.obs.critpath import CritPathCollector
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 
 
 def simple_times(temb=200_000, tbot=50_000, ttop=30_000, nbatch=1):
@@ -22,11 +18,7 @@ def simple_times(temb=200_000, tbot=50_000, ttop=30_000, nbatch=1):
 def rmc1_serving():
     config = get_config("rmc1")
     model = build_model(config, rows_per_table=32)
-    dec = decompose_model(model, config.lookups_per_table)
-    flash = flash_read_cycles(
-        dec.vectors_per_inference, SSDGeometry(), SSDTimingModel(), config.ev_size
-    )
-    result = kernel_search(dec, flash)
+    result = operating_point(model, config.lookups_per_table)
     return ServingSimulator(result.times, nbatch=result.nbatch, seed=1)
 
 

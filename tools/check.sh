@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full correctness gate: domain lint, bytecode compile, sanitized tests.
-# Same steps as `make check`, for environments without make.
+# Full correctness gate: domain lint (ratchet + canary), bytecode
+# compile, differential and CLI smokes (DES-vs-fast `cmp` on every
+# exported document), the bench-regression gate, sanitized tests.
+# `make check` runs this script; it is the only statement of the gate.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
