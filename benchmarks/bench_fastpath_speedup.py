@@ -23,7 +23,7 @@ from repro.analysis.report import Table, emit_json, format_seconds
 from repro.core.device import RMSSD
 
 SAMPLES = int(os.environ.get("RMSSD_BENCH_FAST_SAMPLES", "256"))
-MIN_SPEEDUP = 15.0
+MIN_SPEEDUP = 40.0
 
 
 def _run_once(model, config, batch, fast):

@@ -17,7 +17,7 @@ for bit — pinned by ``tests/test_pooling_vectorized.py``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -74,38 +74,82 @@ def pool(vectors: np.ndarray, mode: str = POOLING_SUM) -> np.ndarray:
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
+#: Rows :func:`segment_pool` fetches per block of positions.  A block
+#: that stays in cache while its positions are added is what keeps the
+#: sweep to one pass over memory: on a 122 880-row, 64-wide sweep out
+#: of the flash arena 8192 rows (2 MB) took 14.3 ms against 24.6 at
+#: 1024, 15.8 at 4096, 16.9 at 16 384 and 22.2 at 32 768.
+POOL_BLOCK_ROWS = 8192
+
+
 def segment_pool(
-    rows: np.ndarray, lengths: np.ndarray, mode: str = POOLING_SUM
+    rows: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    lengths: np.ndarray,
+    mode: str = POOLING_SUM,
 ) -> np.ndarray:
     """Pool consecutive row segments, strictly left to right per segment.
 
-    ``rows`` is ``(sum(lengths), dim)``; segment ``i`` owns the next
-    ``lengths[i]`` rows.  Returns ``(len(lengths), dim)`` float32.  The
-    reduction sweeps position-by-position (all segments' row 0, then
-    row 1, ...), which performs exactly the additions of a per-segment
-    ``acc += row`` loop, in the same order — the EV Sum contract.
-    Empty segments pool to zeros; in ``"mean"`` mode non-empty segments
-    are divided by their length (empty ones stay zeros, matching
-    :func:`sparse_length_sum`).
+    ``rows`` is ``(sum(lengths), dim)`` — or a *row source*, a function
+    returning the rows at the given row numbers of that matrix, so the
+    matrix need never exist; segment ``i`` owns the next ``lengths[i]``
+    rows.  Returns ``(len(lengths), dim)`` float32.  The reduction
+    sweeps position-by-position (all segments' row 0, then row 1,
+    ...), which performs exactly the additions of a per-segment
+    ``acc += row`` loop, in the same order — the EV Sum contract.  It
+    fetches a block of positions at a time, in position-major order
+    (:data:`POOL_BLOCK_ROWS` rows, or one position if that is more),
+    and adds each position's slab of the block.  Empty segments pool to
+    zeros; in ``"mean"`` mode non-empty segments are divided by their
+    length (empty ones stay zeros, matching :func:`sparse_length_sum`).
     """
     if mode not in (POOLING_SUM, POOLING_MEAN):
         raise ValueError(f"unknown pooling mode {mode!r}")
-    rows = np.asarray(rows, dtype=np.float32)
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-D array of rows")
     lengths = np.asarray(lengths, dtype=np.int64)
-    if int(lengths.sum()) != len(rows):
-        raise ValueError(
-            f"segment lengths cover {int(lengths.sum())} rows, got {len(rows)}"
-        )
+    if callable(rows):
+        fetch = rows
+    else:
+        rows = np.asarray(rows, dtype=np.float32)
+        if rows.ndim != 2:
+            raise ValueError("expected a 2-D array of rows")
+        if int(lengths.sum()) != len(rows):
+            raise ValueError(
+                f"segment lengths cover {int(lengths.sum())} rows, got {len(rows)}"
+            )
+        fetch = rows.__getitem__
     segments = len(lengths)
-    pooled = np.zeros((segments, rows.shape[1]), dtype=np.float32)
     starts = np.zeros(segments, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
-    longest = int(lengths.max()) if segments else 0
-    for position in range(longest):
-        active = np.flatnonzero(lengths > position)
-        pooled[active] += rows[starts[active] + position]
+    shortest, longest = (
+        (int(lengths.min()), int(lengths.max())) if segments else (0, 0)
+    )
+    pooled = None
+    step = max(1, POOL_BLOCK_ROWS // max(segments, 1))
+    for first in range(0, longest, step):
+        # ``None`` stands for every segment (all are this long).
+        actives = [
+            None if position < shortest else np.flatnonzero(lengths > position)
+            for position in range(first, min(first + step, longest))
+        ]
+        block = fetch(
+            np.concatenate(
+                [
+                    (starts if active is None else starts[active]) + position
+                    for position, active in enumerate(actives, first)
+                ]
+            )
+        )
+        if pooled is None:
+            pooled = np.zeros((segments, block.shape[1]), dtype=np.float32)
+        stop = 0
+        for active in actives:
+            start, stop = stop, stop + (segments if active is None else len(active))
+            if active is None:
+                pooled += block[start:stop]
+            else:
+                pooled[active] += block[start:stop]
+    if pooled is None:
+        dim = fetch(np.empty(0, dtype=np.int64)).shape[1]
+        pooled = np.zeros((segments, dim), dtype=np.float32)
     if mode == POOLING_MEAN:
         pooled /= np.maximum(lengths, 1).astype(np.float32)[:, None]
     return pooled

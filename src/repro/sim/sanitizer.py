@@ -219,16 +219,16 @@ class Sanitizer:
         Checks the same bounds/injectivity invariants; duplicate
         ``(lba, physical)`` pairs within the batch are checked once.
         """
-        pairs = np.unique(
-            np.stack(
-                [
-                    np.asarray(lbas, dtype=np.int64),
-                    np.asarray(physicals, dtype=np.int64),
-                ]
-            ),
-            axis=1,
-        )
-        for lba, physical in zip(pairs[0].tolist(), pairs[1].tolist()):
+        lbas = np.asarray(lbas, dtype=np.int64)
+        physicals = np.asarray(physicals, dtype=np.int64)
+        # Sort by (lba, physical) on 1-D keys and keep each pair's
+        # first occurrence: the order np.unique(axis=1) would give,
+        # without its row-wise sort.
+        order = np.lexsort((physicals, lbas))
+        lbas, physicals = lbas[order], physicals[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (lbas[1:] != lbas[:-1]) | (physicals[1:] != physicals[:-1])
+        for lba, physical in zip(lbas[fresh].tolist(), physicals[fresh].tolist()):
             self.on_translate(lba, physical, total_pages, component=component)
 
     # ------------------------------------------------------------------

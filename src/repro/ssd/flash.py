@@ -22,7 +22,7 @@ extents, so a batched read gathers its rows straight out of the store.
 from __future__ import annotations
 
 import mmap
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -56,9 +56,15 @@ class _Channel:
         ]
 
 
-#: Pages per arena extent.  The arena grows by appending one extent, so
-#: growth never copies (and never holds two copies of) the store.
-_EXTENT_PAGES = 2048
+#: Pages per arena extent (a power of two).  The arena grows by
+#: appending one extent, so growth never copies (and never holds two
+#: copies of) the store.
+_EXTENT_BITS = 11
+_EXTENT_PAGES = 1 << _EXTENT_BITS
+#: Pages per leaf of the page -> slot index (a power of two); a leaf
+#: is allocated when the first page of its range is written.
+_LEAF_BITS = 12
+_LEAF_PAGES = 1 << _LEAF_BITS
 
 
 class FlashArray:
@@ -81,15 +87,22 @@ class FlashArray:
         # A written page owns one slot (extent, row); erasing zeroes
         # and recycles it.  Slot 0 is never handed out, so it reads as
         # an unwritten page.  The scalar path goes through per-page
-        # memoryviews of the rows, the batched path through a sorted
-        # page -> slot index that is rebuilt after the mapping changed.
+        # memoryviews of the rows, the batched path through a two-level
+        # page -> slot table kept current by every allocation and
+        # erase: ``_leaf_of[page >> _LEAF_BITS]`` names a row of
+        # ``_leaves`` (row 0 stays all zeros: nothing written there),
+        # which holds the slot of each page of that range; the rows
+        # past ``_leaf_count`` are spare.
         self._extents: List[np.ndarray] = []
         self._extent_bytes: List[memoryview] = []
         self._pages: Dict[int, memoryview] = {}
-        self._slots: Dict[int, int] = {}
         self._free_slots: List[int] = []
         self._next_slot = 1
-        self._slot_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._leaf_of = np.zeros(
+            (self.geometry.total_pages >> _LEAF_BITS) + 1, dtype=np.intp
+        )
+        self._leaves = np.zeros((1, _LEAF_PAGES), dtype=np.intp)
+        self._leaf_count = 1
         self._append_extent()
         self.channels = [
             _Channel(sim, self.geometry, i) for i in range(self.geometry.channels)
@@ -134,13 +147,24 @@ class FlashArray:
             self._append_extent()
         page = self._extent_bytes[extent][row * page_size : (row + 1) * page_size]
         self._pages[page_index] = page
-        self._slots[page_index] = slot
-        self._slot_index = None
+        branch = page_index >> _LEAF_BITS
+        leaf = self._leaf_of[branch]
+        if leaf == 0:
+            leaf = self._leaf_of[branch] = self._leaf_count
+            self._leaf_count += 1
+            if leaf == len(self._leaves):
+                # Doubling keeps the copies linear in the leaves used.
+                self._leaves = np.concatenate(
+                    [self._leaves, np.zeros_like(self._leaves)]
+                )
+        self._leaves[leaf, page_index & (_LEAF_PAGES - 1)] = slot
         return page
 
     def peek(self, page_index: int, col: int = 0, size: Optional[int] = None) -> bytes:
         """Read page contents without consuming simulated time."""
         page_size = self.geometry.page_size
+        if not 0 <= page_index < self.geometry.total_pages:
+            raise ValueError(f"page index {page_index} out of range")
         if size is None:
             size = page_size - col
         if col < 0 or col + size > page_size:
@@ -165,42 +189,46 @@ class FlashArray:
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and bool(((cols < 0) | (cols + size > page_size)).any()):
             raise ValueError("read crosses the page boundary")
-        keys, key_slots = self._page_slot_index()
-        found = np.searchsorted(keys, page_indices)
-        slots = np.where(keys[found] == page_indices, key_slots[found], 0)
-        extent_ids, rows = np.divmod(slots, _EXTENT_PAGES)
-        gathered = np.empty((len(page_indices), size), dtype=np.uint8)
+        outside = (page_indices < 0) | (page_indices >= self.geometry.total_pages)
+        if bool(outside.any()):
+            bad = int(page_indices[outside][0])
+            raise ValueError(f"page index {bad} out of range")
+        slots = self._leaves[
+            self._leaf_of[page_indices >> _LEAF_BITS],
+            page_indices & (_LEAF_PAGES - 1),
+        ]
+        gathered = np.empty((len(page_indices), size // 4), dtype=np.float32)
+        extent_ids = slots >> _EXTENT_BITS
+        rows = slots & (_EXTENT_PAGES - 1)
         # Vector-aligned columns (the layout always aligns) index whole
-        # vectors of a page; anything else is gathered byte by byte.
-        aligned = bool((cols % size == 0).all())
+        # vectors of an extent; anything else is gathered byte by byte.
         per_page = page_size // size
-        for extent_id in np.flatnonzero(np.bincount(extent_ids)).tolist():
-            members = np.flatnonzero(extent_ids == extent_id)
-            pages = self._extents[extent_id]
-            if aligned:
-                vectors = pages[:, : per_page * size].reshape(-1, per_page, size)
-                gathered[members] = vectors[rows[members], cols[members] // size]
-            else:
-                byte_ids = cols[members, None] + np.arange(size, dtype=np.int64)
-                gathered[members] = pages[rows[members, None], byte_ids]
-        return gathered.view(np.float32)
-
-    def _page_slot_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted written page numbers and their slots, for searchsorted.
-
-        A trailing sentinel key above every page number keeps each
-        probe in range; it maps to slot 0, the unwritten page.
-        """
-        if self._slot_index is None:
-            count = len(self._slots)
-            keys = np.fromiter(self._slots, dtype=np.int64, count=count)
-            slots = np.fromiter(self._slots.values(), dtype=np.int64, count=count)
-            order = np.argsort(keys)
-            self._slot_index = (
-                np.append(keys[order], np.iinfo(np.int64).max),
-                np.append(slots[order], 0),
+        vector_ids, offsets = np.divmod(cols, size)
+        aligned = per_page * size == page_size and not offsets.any()
+        if aligned:
+            rows = rows * per_page + vector_ids
+        else:
+            byte_ids = cols[:, None] + np.arange(size, dtype=np.int64)
+        present = np.flatnonzero(np.bincount(extent_ids)).tolist()
+        # One extent (the usual case of a small batch) is gathered
+        # straight into the output.
+        single = len(present) == 1
+        for extent_id in present:
+            members = (
+                slice(None) if single else np.flatnonzero(extent_ids == extent_id)
             )
-        return self._slot_index
+            pages = self._extents[extent_id]
+            if not aligned:
+                gathered.view(np.uint8)[members] = pages[
+                    rows[members, None], byte_ids[members]
+                ]
+                continue
+            vectors = pages.view(np.float32).reshape(-1, size // 4)
+            if single:
+                np.take(vectors, rows, axis=0, out=gathered)
+            else:
+                gathered[members] = np.take(vectors, rows[members], axis=0)
+        return gathered
 
     @property
     def written_pages(self) -> int:
@@ -226,8 +254,10 @@ class FlashArray:
             row = self._pages.pop(flat, None)
             if row is not None:
                 row[:] = bytes(len(row))
-                self._free_slots.append(self._slots.pop(flat))
-                self._slot_index = None
+                leaf = self._leaf_of[flat >> _LEAF_BITS]
+                offset = flat & (_LEAF_PAGES - 1)
+                self._free_slots.append(int(self._leaves[leaf, offset]))
+                self._leaves[leaf, offset] = 0
             if self.sanitizer is not None:
                 self.sanitizer.on_erase(flat)
 

@@ -623,3 +623,155 @@ def test_property_tie_stress_lookup_batch(batch, dies, dim):
     assert profile_state(fast_engine.controller.sim.profiler) == profile_state(
         des_engine.controller.sim.profiler
     )
+
+
+# ----------------------------------------------------------------------
+# The scan: ``_replay_channel`` vs the step loop run alone
+# ----------------------------------------------------------------------
+# ``_replay_channel`` lets a verified scan take the reads it can and
+# the step loop the stretches in between; the step loop alone is the
+# protocol's only scalar statement (and is itself held to the DES by
+# everything above).  Whatever the scan accepts must be the loop's
+# result bit for bit.
+TABLE2 = SSDTimingModel()
+
+
+def channel_case(rng, regime, dies, n, staged):
+    """One channel's reads, die-major as ``replay_reads`` hands them
+    over: ``(enter, die_counts, transfer, issue, oh, flush, bus_free,
+    bus_busy, staged)``."""
+    die_ids = rng.integers(0, dies, n)
+    if regime == "idle_dies":
+        die_ids = np.minimum(die_ids, rng.integers(0, dies))
+    if regime == "tie_grid":
+        flush, overhead = 4.0, float(rng.integers(0, 3))
+        transfer = rng.integers(1, 5, n).astype(np.float64)
+        enter = np.sort(rng.integers(0, 1 + n * rng.integers(1, 8), n) * 1.0)
+    else:
+        flush, overhead = TABLE2.flush_ns, TABLE2.request_overhead_ns
+        transfer = np.full(n, TABLE2.vector_transfer_ns(256))
+        if regime == "page_reads":
+            transfer = np.full(n, TABLE2.transfer_ns)
+        start = float(rng.integers(0, 10**9)) + rng.random()
+        gap = {"idle_reads": 4 * flush, "bursts": 0.0}.get(regime, 320.0)
+        enter = start + np.add.accumulate(np.full(n, gap * (0.5 + rng.random())))
+        if regime == "bursts":
+            enter = np.sort(
+                start + rng.integers(0, 4, n) * 3 * flush + rng.random(n) * 200
+            )
+        if not staged and rng.random() < 0.5:
+            enter = np.full(n, start)  # as run_reads issues them
+    order = np.argsort(die_ids, kind="stable")
+    return (
+        enter[order], np.bincount(die_ids, minlength=dies).tolist(),
+        transfer[order], order, overhead, flush,
+        float(enter[0] + rng.integers(0, 3) * flush * rng.random()),
+        float(rng.random() * 1e6), staged,
+    )
+
+
+def step_loop_alone(case):
+    channel = fastpath._ChannelReplay(*case)
+    fastpath._step_reads(channel, len(case[0]))
+    return channel.completion, channel.bus_free, channel.bus_busy
+
+
+def replay_bytes(result):
+    completion, bus_free, bus_busy = result
+    return completion.tobytes(), np.array([bus_free, bus_busy]).tobytes()
+
+
+REGIMES = ["tie_grid", "table2", "bursts", "idle_reads", "idle_dies", "page_reads"]
+
+
+def assert_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch):
+    """Windows and thresholds forced tiny, so accepted prefixes end
+    (and the step loop takes over) all over the channel."""
+    case = channel_case(np.random.default_rng(seed), regime, dies, n, staged)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastpath, "SCAN_MIN_READS", 0)
+        patch.setattr(fastpath, "SCAN_FIRST_CELLS", cells)
+        patch.setattr(fastpath, "SCAN_MAX_CELLS", 4 * cells)
+        patch.setattr(fastpath, "SCAN_FIRST_STRETCH", stretch)
+        scanned = fastpath._replay_channel(*case)
+    assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_smoke_scan_equals_step_loop(regime):
+    for seed, (dies, staged) in enumerate([(1, True), (2, False), (3, True), (8, False)]):
+        assert_scan_equals_step_loop(seed, regime, dies, 300, staged, 2 + seed, 1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    regime=st.sampled_from(REGIMES),
+    dies=st.integers(1, 8),
+    n=st.integers(1, 250),
+    staged=st.booleans(),
+    cells=st.integers(1, 24),
+    stretch=st.integers(1, 4),
+)
+@settings(deadline=None, max_examples=400, derandomize=True)
+def test_property_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch):
+    assert_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch)
+
+
+def count_replay(monkeypatch, case):
+    """Replay ``case`` at the module's own constants; returns the
+    reads the step loop took, the chain elements computed by scan
+    attempts that ended on a refused step, and the attempts made."""
+    stepped, refused_cells, attempts = [], [], []
+    step_reads, scan_reads = fastpath._step_reads, fastpath._scan_reads
+
+    def counting_step(channel, reach, *profiling):
+        before = channel.rank
+        step_reads(channel, reach, *profiling)
+        stepped.append(channel.rank - before)
+
+    def counting_scan(channel, cells):
+        taken, blocked = scan_reads(channel, cells)
+        attempts.append(taken)
+        if blocked:
+            refused_cells.append(cells)  # what the attempt may compute
+        return taken, blocked
+
+    monkeypatch.setattr(fastpath, "_step_reads", counting_step)
+    monkeypatch.setattr(fastpath, "_scan_reads", counting_scan)
+    scanned = fastpath._replay_channel(*case)
+    monkeypatch.undo()
+    assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
+    return sum(stepped), sum(refused_cells), len(attempts)
+
+
+def test_scan_takes_a_backlogged_table2_channel(monkeypatch):
+    """Two dies, 8192 reads entering every 320 ns at Table II timing:
+    die-bound and backlogged, the case the scan exists for.  Fewer
+    than 5 % of the reads may go through the step loop."""
+    case = channel_case(np.random.default_rng(3), "table2", 2, 8192, True)
+    stepped, _, attempts = count_replay(monkeypatch, case)
+    assert attempts > 0
+    assert stepped < 0.05 * 8192
+
+
+@pytest.mark.parametrize(
+    "regime, dies", [("idle_reads", 2), ("tie_grid", 3), ("page_reads", 8)]
+)
+def test_refused_scan_attempts_stay_cheap(monkeypatch, regime, dies):
+    """Inputs the scan gets nowhere on (every read finds its die idle;
+    every latency on one integer grid; eight dies' page transfers
+    queueing for the bus): over 30 000 reads the attempts that ended
+    on a refused step may compute at most a quarter as many chain
+    elements as there are reads."""
+    reads = 30_000
+    case = channel_case(np.random.default_rng(4), regime, dies, reads, True)
+    _, refused_cells, attempts = count_replay(monkeypatch, case)
+    assert attempts > 0
+    assert refused_cells <= reads // 4
+
+
+def test_small_channel_never_calls_the_scan(monkeypatch):
+    reads = fastpath.SCAN_MIN_READS - 1
+    case = channel_case(np.random.default_rng(5), "table2", 2, reads, True)
+    stepped, _, attempts = count_replay(monkeypatch, case)
+    assert (stepped, attempts) == (reads, 0)

@@ -8,10 +8,14 @@ must agree with the scalar ``translate`` on every address and on every
 error.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.embedding.layout import ExtentRange
+from repro.core.lookup_engine import EmbeddingLookupEngine
+from repro.embedding import pooling
+from repro.embedding.layout import EmbeddingLayout, ExtentRange
 from repro.embedding.pooling import (
     pool_sum,
     pool_sum_reference,
@@ -22,6 +26,9 @@ from repro.embedding.pooling import (
 )
 from repro.embedding.table import EmbeddingTableSet
 from repro.embedding.translator import EVTranslator
+from repro.sim import Simulator
+from repro.ssd.blockdev import BlockDevice
+from repro.ssd.controller import SSDController
 
 
 def random_vectors(rng, n, dim):
@@ -99,6 +106,39 @@ class TestSegmentPool:
         got = segment_pool(rows, np.array([500]), "sum")
         assert got.tobytes() == pool_sum_reference(rows)[None, :].tobytes()
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 10_000])
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    @pytest.mark.parametrize(
+        "shape", ["ragged", "uniform", "empty_segments", "all_empty"]
+    )
+    def test_sweep_over_a_row_source(self, monkeypatch, shape, mode, block_rows):
+        """A source is asked for blocks of rows in position-major
+        order; whatever the block size, the sums are the per-segment
+        loop's, bytewise — and so are they from the matrix itself."""
+        monkeypatch.setattr(pooling, "POOL_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(13)
+        lengths = {
+            "ragged": rng.integers(1, 9, size=23),
+            "uniform": np.full(11, 5),
+            "empty_segments": rng.integers(0, 6, size=30) * rng.integers(0, 2, size=30),
+            "all_empty": np.zeros(6, dtype=np.int64),
+        }[shape]
+        rows = random_vectors(rng, int(lengths.sum()), 12)
+        asked = []
+
+        def source(ids):
+            asked.append(ids)
+            return rows[ids]
+
+        want = self.reference(rows, lengths, mode)
+        assert segment_pool(source, lengths, mode).tobytes() == want.tobytes()
+        assert segment_pool(rows, lengths, mode).tobytes() == want.tobytes()
+        # Every row is asked for exactly once (the empty request only
+        # finds out the width of nothing), in bounded blocks.
+        ids = np.concatenate(asked)
+        assert sorted(ids.tolist()) == list(range(len(rows)))
+        assert all(len(block) <= max(block_rows, len(lengths)) for block in asked)
+
     def test_coverage_mismatch_rejected(self):
         with pytest.raises(ValueError):
             segment_pool(np.zeros((3, 2), dtype=np.float32), np.array([2, 2]))
@@ -106,6 +146,48 @@ class TestSegmentPool:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             segment_pool(np.zeros((1, 2), dtype=np.float32), np.array([1]), "max")
+
+
+def test_cache_free_lookup_never_holds_the_vector_matrix():
+    """A 64-sample RMC2-shaped batch (32 tables x 120 lookups, dim 64)
+    reads 245 760 vectors, 62.9 MB as one ``(N, dim)`` float32 matrix.
+    The fast path feeds EV Sum from the flash a block at a time, so
+    its peak allocation stays below that matrix alone (the index
+    arrays of the batch are what remains)."""
+    num_tables, rows, dim, lookups, samples = 32, 1024, 64, 120, 64
+    device = BlockDevice(SSDController(Simulator()))
+    tables = EmbeddingTableSet.uniform(num_tables, rows, dim, seed=5)
+    layout = EmbeddingLayout(device, tables)
+    layout.create_all()
+    engine = EmbeddingLookupEngine(device.controller, layout)
+    rng = np.random.default_rng(0)
+    batch = [
+        [rng.integers(0, rows, lookups).tolist() for _ in range(num_tables)]
+        for _ in range(samples)
+    ]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = engine.lookup_batch(batch, fast=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.path == "fast"
+    assert result.vectors_read == samples * num_tables * lookups
+    assert peak - before < result.vectors_read * dim * 4
+    expected = np.stack(
+        [
+            np.concatenate(
+                [
+                    pool_sum_reference(table.lookup(indices))
+                    for table, indices in zip(tables, sample)
+                ]
+            )
+            for sample in batch[:2]
+        ]
+    )
+    assert result.pooled[:2].tobytes() == expected.tobytes()
 
 
 class TestSlsBatch:

@@ -233,3 +233,24 @@ class TestL2PInvariants:
         sanitizer.on_translate(0, 5, 100)
         sanitizer.on_translate(0, 6, 100)  # LBA 0 remapped (trim)
         sanitizer.on_translate(1, 5, 100)  # page 5 is free again
+
+    def test_batch_checks_each_distinct_pair_once_in_pair_order(self):
+        """``on_translate_array`` must hand ``on_translate`` exactly the
+        distinct ``(lba, physical)`` pairs, sorted by pair — an LBA
+        mapped to two physical pages inside one batch included."""
+        lbas = [4, 3, 3, 9, 3, 4, 3]
+        physicals = [8, 7, 9, 2, 7, 8, 9]
+        batched = Sanitizer(Simulator(sanitize=False))
+        batched.on_translate_array(lbas, physicals, 100)
+        scalar = Sanitizer(Simulator(sanitize=False))
+        for lba, physical in sorted(set(zip(lbas, physicals))):
+            scalar.on_translate(lba, physical, 100)
+        assert batched.checks == scalar.checks == 4
+        assert batched._l2p == scalar._l2p == {3: 9, 4: 8, 9: 2}
+        assert batched._p2l == scalar._p2l
+
+    def test_batch_flags_two_lbas_on_one_physical_page(self):
+        sanitizer = Sanitizer(Simulator(sanitize=False))
+        with pytest.raises(SanitizerError) as exc:
+            sanitizer.on_translate_array([1, 2, 1], [5, 5, 5], 100)
+        assert exc.value.invariant == "l2p-injective"

@@ -171,6 +171,57 @@ class TestPeekVectors:
         cols = np.zeros(len(probe), dtype=np.int64)
         assert_gather_matches_peek(flash, probe, cols, 64)
 
+    def test_index_follows_slot_recycling_across_extents(self):
+        """Three extents, an erase in the middle one, rewrites into the
+        recycled slots: the page -> slot table is maintained by every
+        allocation and erase, so the gather must keep matching
+        ``peek`` on every page, written, erased or never written."""
+        flash = small_page_flash()
+        rng = np.random.default_rng(6)
+        written = 2 * flash_module._EXTENT_PAGES + 100
+        for page in range(written):
+            flash.write_page(page, rng.bytes(64))
+        assert len(flash._extents) == 3
+        middle = flash_module._EXTENT_PAGES + 500  # its slot is in extent 1
+        home = flash.geometry.page_index_to_address(middle)
+        block = [
+            page for page in range(flash.geometry.total_pages)
+            if (
+                (other := flash.geometry.page_index_to_address(page)).channel,
+                other.die, other.plane, other.block,
+            ) == (home.channel, home.die, home.plane, home.block)
+        ]
+        assert middle in block and len(block) == flash.geometry.pages_per_block
+        everything = np.arange(flash.geometry.total_pages)
+        cols = rng.integers(0, 4, size=len(everything)) * 16
+        slots_before = flash._next_slot
+        flash.erase_block(middle)
+        assert not flash.peek_vectors(
+            np.array(block), np.zeros(len(block), dtype=np.int64), 64
+        ).any()
+        assert_gather_matches_peek(flash, everything, cols, 16)
+        # Rewrites and never-written pages take the recycled slots.
+        fresh = [written + 7, flash.geometry.total_pages - 1]
+        for page in block[::2] + fresh:
+            flash.write_page(page, rng.bytes(64))
+        assert flash._next_slot == slots_before
+        assert_gather_matches_peek(flash, everything, cols, 16)
+        assert_gather_matches_peek(flash, everything[::-1], cols, 16)
+
+    def test_out_of_range_pages_rejected(self, flash):
+        """A page index outside the device must raise like
+        ``write_page`` does, naming the first offender, not read as
+        zeros (or wrap around to some other page's slot)."""
+        total = flash.geometry.total_pages
+        flash.write_page(total - 1, b"x" * 64)
+        cols = np.zeros(3, dtype=np.int64)
+        for pages, bad in (([0, -1, total], -1), ([total, 0, -5], total)):
+            with pytest.raises(ValueError, match=f"page index {bad} out of range"):
+                flash.peek_vectors(np.array(pages), cols, 64)
+        for bad in (-1, total):
+            with pytest.raises(ValueError, match=f"page index {bad} out of range"):
+                flash.peek(bad, 0, 64)
+
     def test_bad_requests_rejected(self, flash):
         with pytest.raises(ValueError):
             flash.peek_vectors(np.array([0]), np.array([0]), 6)

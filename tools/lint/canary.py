@@ -8,7 +8,8 @@ trips with a violation naming the now DES-only record.
 
 One contract is exercised, the one place where each path still
 records for itself: the lookup (the ``record_busy`` call that closes
-a die's busy interval in :func:`repro.ssd.fastpath._replay_channel`).
+a die's busy interval in the step loop,
+:func:`repro.ssd.fastpath._step_reads`).
 The serving pipeline needs no canary: all four of its observers are
 read from the run's tables in one place after the path branch
 (``PipelineSimulator._observe``), so there is no second feed to lose.
@@ -51,7 +52,7 @@ class Mutation:
 MUTATION = Mutation(
     label="lookup",
     file=Path("repro") / "ssd" / "fastpath.py",
-    function="_replay_channel",
+    function="_step_reads",
     call="record_busy",
     token="die",
 )
