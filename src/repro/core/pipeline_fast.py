@@ -10,29 +10,17 @@ and sorted arrivals, each stage is the max-plus recurrence
     start[i]  = max(arrival[i], finish[i - 1])
     finish[i] = start[i] + duration[i]
 
-computed over whole arrival arrays by :func:`serve_chain` — guess the
-busy runs from the recurrence's closed form, accumulate each run
-sequentially, verify the recurrence at every index, fall back to the
-scalar loop otherwise — and the top stage's service order is the
-stable sort of the per-batch ready times ``max(emb_done, bot_done)``.
+computed over whole arrival arrays by
+:func:`repro.sim.maxplus.serve_chain` (which states the exactness
+rules), and the top stage serves in ``(ready time, batch index)``
+order — the DES's positional tie-break, a stable argsort of
+``max(emb_done, bot_done)``.
+
 The result stays columnar: :func:`replay_serving` returns the
 ``(n, 6)`` stage-stamp table and the ``(n, 3)`` stage times it
 evaluated, and nothing downstream has to turn them into per-batch
 objects.  The replay feeds no observer — every reader of the timeline
 sits after the path branch (``PipelineSimulator._observe``).
-
-Exactness mirrors the lookup fast path (``repro.ssd.fastpath``):
-
-* ``Server.serve`` computes ``finish = max(now, free_at) + duration``
-  but resumes the caller at ``now + (finish - now)`` — the replay
-  tracks both quantities instead of assuming the round trip is exact.
-* Sequential float accumulation (back-to-back server finishes) is
-  replayed with ``np.add.accumulate`` or an explicit left-to-right
-  loop; the closed form (a prefix sum) only ever *predicts* where the
-  busy runs start, and the prediction is verified before use.
-* DES tie-breaking is positional: stage calls happen in batch-index
-  order on equal arrivals, and top-stage service order is ``(ready
-  time, batch index)`` — exactly what a stable argsort reproduces.
 
 Stage-time callables are evaluated in the same global order as the
 DES (``emb(0), bot(0), emb(1), bot(1), ...`` then ``top`` in service
@@ -48,14 +36,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sim import maxplus
 from repro.ssd import fastpath
-
-#: Below this many jobs the reference loop beats the segmented scan:
-#: the scan's fixed cost (~0.2 ms of small numpy calls) buys about
-#: 1000 loop steps on the benchmark box (loop 105/230/375 us vs scan
-#: 190/210/250 us at 512/1024/2048 jobs).  Both are bitwise-identical,
-#: so the threshold is pure performance.
-VECTOR_MIN_JOBS = 1024
 
 
 def resolve_fast(fast: Optional[bool]) -> bool:
@@ -65,142 +47,26 @@ def resolve_fast(fast: Optional[bool]) -> bool:
     return fastpath.enabled()
 
 
-def serve_chain(
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    free0: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay sequential ``Server.serve`` calls at sorted ``arrivals``.
-
-    Returns ``(starts, finishes)`` with ``start[i] = max(arrival[i],
-    finish[i - 1])`` (``finish[-1] = free0``), every float op in the
-    exact order the DES performs it.
-
-    Chains of :data:`VECTOR_MIN_JOBS` or more run as one array program
-    at every load — *speculate, accumulate, verify*:
-
-    1. guess which jobs head a busy run from the closed form of the
-       recurrence (:func:`_guess_run_heads`; not bitwise, only a guess);
-    2. compute every run's finishes as the *sequential* float
-       accumulate of ``[start_head, d_head, d_head+1, ...]``
-       (:func:`_accumulate_runs`), the DES's own additions in its order;
-    3. recompute ``starts = where(t >= prev_finish, t, prev_finish)`` —
-       ``max(now, free_at)`` spelled as :func:`_serve_chain_loop`
-       spells it — and accept only if ``starts + d`` reproduces the
-       finishes bit for bit at every index.
-
-    The recurrence has exactly one solution, built left to right from
-    ``free0``; arrays that satisfy it at every index *are* that
-    solution (induction on the index), so an accepted result is the
-    loop's result bit for bit whatever the guess was.  Anything else —
-    a near-tie inside the closed form's rounding, NaN — falls back to
-    the loop, which is also the small-chain path and the differential
-    oracle of ``tests/test_pipeline_fast_equivalence.py``.
-    """
-    t = np.ascontiguousarray(arrivals, dtype=np.float64)
-    d = np.ascontiguousarray(durations, dtype=np.float64)
-    if t.shape != d.shape:
-        raise ValueError("one duration per arrival required")
-    free = float(free0)
-    if t.size >= VECTOR_MIN_JOBS:
-        finishes = _accumulate_runs(t, d, free, _guess_run_heads(t, d, free))
-        prev_finish = np.empty_like(finishes)
-        prev_finish[0] = free
-        prev_finish[1:] = finishes[:-1]
-        starts = np.where(t >= prev_finish, t, prev_finish)
-        if np.array_equal((starts + d).view(np.int64), finishes.view(np.int64)):
-            return starts, finishes
-    return _serve_chain_loop(t, d, free)
-
-
-def _serve_chain_loop(
-    t: np.ndarray, d: np.ndarray, free: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference left-to-right replay (`max` written as the DES's)."""
-    n = t.size
-    starts = np.empty(n, dtype=np.float64)
-    finishes = np.empty(n, dtype=np.float64)
-    arrivals = t.tolist()
-    durations = d.tolist()
-    for i in range(n):
-        arrival = arrivals[i]
-        # Server.serve: start = max(now, free_at); max() keeps the
-        # first argument on ties, so spell the comparison the same way.
-        start = arrival if arrival >= free else free
-        free = start + durations[i]
-        starts[i] = start
-        finishes[i] = free
-    return starts, finishes
-
-
-def _guess_run_heads(t: np.ndarray, d: np.ndarray, free: float) -> np.ndarray:
-    """Which jobs start at their own arrival (head a busy run): a guess.
-
-    Unrolled, the recurrence is ``start[i] = W[i] + max(free0,
-    max_{h <= i}(t[h] - W[h]))`` with ``W`` the exclusive prefix sum of
-    the durations, so job ``i`` finds the server idle iff its slack
-    ``t[i] - W[i]`` reaches every earlier slack and ``free0``.  The
-    prefix sum rounds differently from the DES's run-by-run additions,
-    so this is a prediction for :func:`serve_chain` to verify, never a
-    result.
-    """
-    work_before = np.cumsum(d)
-    work_before -= d
-    slack = t - work_before
-    ceiling = np.empty_like(slack)
-    ceiling[0] = free
-    np.maximum.accumulate(slack[:-1], out=ceiling[1:])
-    np.maximum(ceiling, free, out=ceiling)
-    return slack >= ceiling
-
-
-def _accumulate_runs(
-    t: np.ndarray, d: np.ndarray, free: float, heads: np.ndarray
-) -> np.ndarray:
-    """Finishes of every busy run, each a sequential float accumulate.
-
-    A run is a head job and the jobs queued behind it; its finishes
-    are the prefix sums of ``[t[head], d[head], d[head + 1], ...]``
-    (``free`` replaces ``t[0]`` when job 0 itself has to wait).
-    Single-job runs are one elementwise add.  The others are packed
-    into zero-padded 2-D blocks bucketed by power-of-two length —
-    one ``np.add.accumulate(axis=1)`` per bucket, at most ~15 calls
-    and under ``2n`` padded elements whatever the load.
-    """
-    n = t.size
-    run_start = np.flatnonzero(heads)
-    base = t[run_start]
-    if not heads[0]:
-        run_start = np.concatenate(([0], run_start))
-        base = np.concatenate(([free], base))
-    lengths = np.diff(run_start, append=n)
-    single = lengths == 1
-    solo = run_start[single]
-    finishes = np.empty(n, dtype=np.float64)
-    finishes[solo] = base[single] + d[solo]
-    # frexp's exponent of length - 1 is its bit length: runs of 2 jobs
-    # land in bucket 1, 3-4 in bucket 2, 5-8 in bucket 3, ...
-    bucket = np.frexp(lengths - 1.0)[1]
-    for k in np.unique(bucket[~single]).tolist():
-        rows = np.flatnonzero(bucket == k)
-        run_length = lengths[rows]
-        width = int(run_length.max())
-        columns = np.arange(width)
-        inside = columns < run_length[:, None]
-        jobs = (run_start[rows][:, None] + columns)[inside]
-        block = np.zeros((rows.size, width + 1), dtype=np.float64)
-        block[:, 0] = base[rows]
-        block[:, 1:][inside] = d[jobs]
-        finishes[jobs] = np.add.accumulate(block, axis=1)[:, 1:][inside]
-    return finishes
-
-
 def require_finite(stage_times) -> None:
     """Refuse NaN/inf stage times — NaN slips through every ``< 0`` /
     ``> 0`` test and would poison each stamp after it.  The replay
     checks its arrays, the DES each value as it evaluates it."""
     if not bool(np.isfinite(stage_times).all()):
         raise ValueError("stage times must be finite")
+
+
+def _serve_stage(offered: np.ndarray, durations: np.ndarray, jobs):
+    """One stage server taking ``jobs`` (indices in service order, or
+    ``slice(None)``) at their ``offered`` instants: the ``(start,
+    done)`` columns; a batch it does not take is done at its offer."""
+    start = offered.copy()
+    done = offered.copy()
+    t = offered[jobs]
+    if t.size:
+        chain_start, chain_finish = maxplus.serve_chain(t, durations[jobs])
+        start[jobs] = chain_start
+        done[jobs] = maxplus.resume(t, chain_finish)
+    return start, done
 
 
 def replay_serving(
@@ -249,20 +115,11 @@ def replay_serving(
     if np.any(emb < 0):
         raise ValueError("negative service duration")
 
-    # Embedding stage: always served, even zero-length jobs.
-    emb_start, emb_finish = serve_chain(t_call, emb)
-    emb_done = t_call + (emb_finish - t_call)
-
-    # Bottom stage: only positive durations touch the server; the
-    # others complete instantly at the batch's service clock.
-    bot_start = t_call.copy()
-    bot_done = t_call.copy()
-    served_bot = np.flatnonzero(bot > 0)
-    if served_bot.size:
-        tb = t_call[served_bot]
-        bot_chain_start, bot_chain_finish = serve_chain(tb, bot[served_bot])
-        bot_start[served_bot] = bot_chain_start
-        bot_done[served_bot] = tb + (bot_chain_finish - tb)
+    # Embedding stage: always served, even zero-length jobs.  Bottom
+    # stage: only positive durations touch the server; the others
+    # complete instantly at the batch's service clock.
+    emb_start, emb_done = _serve_stage(t_call, emb, slice(None))
+    bot_start, bot_done = _serve_stage(t_call, bot, np.flatnonzero(bot > 0))
 
     # Top stage: ready when both predecessors are done; the DES serves
     # in (ready time, batch index) order — a stable sort.
@@ -274,18 +131,7 @@ def replay_serving(
     else:
         top[:] = float(top_fn)
     require_finite(top)
-    top_start = ready.copy()
-    top_done = ready.copy()
-    ready_sorted = ready[order]
-    served_mask = top[order] > 0
-    served_top = order[served_mask]
-    if served_top.size:
-        ready_served = ready_sorted[served_mask]
-        top_chain_start, top_chain_finish = serve_chain(
-            ready_served, top[served_top]
-        )
-        top_start[served_top] = top_chain_start
-        top_done[served_top] = ready_served + (top_chain_finish - ready_served)
+    top_start, top_done = _serve_stage(ready, top, order[top[order] > 0])
 
     # One contiguous row per stamp, handed out transposed: consumers
     # read whole columns (latency = top_done - arrival), never rows.

@@ -30,6 +30,7 @@ latency distribution are all path-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,7 @@ from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal, ScalingEvent
 from repro.obs import names
 from repro.obs.timeseries import build_document
+from repro.sim import maxplus
 from repro.workloads.arrivals import (
     ArrivalTrace,
     batch_arrivals,
@@ -61,15 +63,14 @@ _STAGE_KEYS = ("emb", "bot", "top")
 class _ReplicaModel:
     """Exact analytic mirror of one replica's three-stage pipeline.
 
-    Tracks each stage server's ``free_at`` with the same arithmetic as
-    ``Server.serve`` (``start = arrival if arrival >= free else free``,
-    caller resumes at ``arrival + (finish - arrival)``), so predicted
-    completion times equal the simulated ones bitwise for constant
-    stage times.  Per-replica batch arrivals are sorted (they are a
-    subsequence of the sorted global arrivals) and the stage times are
-    constant, so ready times are non-decreasing and the top stage's
-    stable service order is arrival order — the sequential recurrence
-    is the whole story.
+    Steps each stage server's ``free_at`` with
+    :func:`repro.sim.maxplus.serve`, so predicted completion times
+    equal the simulated ones bitwise for constant stage times.
+    Per-replica batch arrivals are sorted (they are a subsequence of
+    the sorted global arrivals) and the stage times are constant, so
+    ready times are non-decreasing and the top stage's stable service
+    order is arrival order — the sequential recurrence is the whole
+    story.
     """
 
     __slots__ = ("emb_ns", "bot_ns", "top_ns", "_free", "_done", "_head")
@@ -91,24 +92,16 @@ class _ReplicaModel:
         — pure (no state change)."""
         a = arrival_ns if arrival_ns >= 0.0 else 0.0
         emb_free, bot_free, top_free = self._free
-        emb_start = a if a >= emb_free else emb_free
-        emb_finish = emb_start + self.emb_ns
-        emb_done = a + (emb_finish - a)
+        _, emb_finish, emb_done = maxplus.serve(a, emb_free, self.emb_ns)
         if self.bot_ns > 0:
-            bot_start = a if a >= bot_free else bot_free
-            bot_finish = bot_start + self.bot_ns
-            bot_done = a + (bot_finish - a)
+            _, bot_finish, bot_done = maxplus.serve(a, bot_free, self.bot_ns)
         else:
-            bot_finish = bot_free
-            bot_done = a
+            bot_finish, bot_done = bot_free, a
         ready = emb_done if emb_done >= bot_done else bot_done
         if self.top_ns > 0:
-            top_start = ready if ready >= top_free else top_free
-            top_finish = top_start + self.top_ns
-            top_done = ready + (top_finish - ready)
+            _, top_finish, top_done = maxplus.serve(ready, top_free, self.top_ns)
         else:
-            top_finish = top_free
-            top_done = ready
+            top_finish, top_done = top_free, ready
         return top_done, (emb_finish, bot_finish, top_finish)
 
     def commit(self, arrival_ns: float) -> float:
@@ -294,6 +287,8 @@ class ClusterServingSimulator:
         profiler=None,
         critpath=None,
     ) -> None:
+        if not 0.0 < cycle_ns < math.inf:
+            raise ValueError("cycle_ns must be positive and finite")
         if replicas < 1:
             raise ValueError("need at least one replica")
         if nbatch < 1:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.obs import names
+from repro.sim import maxplus
 
 
 @dataclass(frozen=True)
@@ -73,20 +74,23 @@ class HostPipeline:
     def emit_trace(self, tracer, base_ns: float = 0.0) -> float:
         """Replay the stream as spans on three host-pipeline tracks.
 
-        Each stage is one FIFO resource: pipelined, request *i+1*'s
-        send starts as soon as the send stage frees (the Section IV-D
-        pre-send); serial, it waits for request *i*'s receive.  Spans
-        land on ``host.send`` / ``host.device`` / ``host.recv``
-        starting at ``base_ns``; returns when the last receive ends.
+        Each stage is one FIFO server (:func:`repro.sim.maxplus.serve`):
+        pipelined, request *i+1*'s send starts as soon as the send stage
+        frees (the Section IV-D pre-send); serial, it waits for request
+        *i*'s receive.  Spans land on ``host.send`` / ``host.device`` /
+        ``host.recv`` starting at ``base_ns``; returns when the last
+        receive ends.
         """
         send_free = device_free = recv_free = base_ns
         for index, cost in enumerate(self._costs):
-            send_start = send_free if self.pipelined else max(send_free, recv_free)
-            send_end = send_start + cost.send_ns
-            device_start = max(send_end, device_free)
-            device_end = device_start + cost.device_ns
-            recv_start = max(device_end, recv_free)
-            recv_end = recv_start + cost.receive_ns
+            send_gate = send_free if self.pipelined else recv_free
+            send_start, send_end, _ = maxplus.serve(send_free, send_gate, cost.send_ns)
+            device_start, device_end, _ = maxplus.serve(
+                send_end, device_free, cost.device_ns
+            )
+            recv_start, recv_end, _ = maxplus.serve(
+                device_end, recv_free, cost.receive_ns
+            )
             if tracer is not None:
                 args = {"request": index}
                 tracer.add_span(

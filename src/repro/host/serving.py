@@ -11,6 +11,7 @@ evaluation (closed-loop throughput) does not answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -127,6 +128,8 @@ class ServingSimulator:
         window_ns: Optional[float] = None,
         critpath=None,
     ) -> None:
+        if not 0.0 < cycle_ns < math.inf:
+            raise ValueError("cycle_ns must be positive and finite")
         if nbatch < 1:
             raise ValueError("nbatch must be positive")
         self.pipeline = PipelineSimulator.from_stage_times(

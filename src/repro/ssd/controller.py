@@ -19,8 +19,7 @@ from typing import Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import names
-from repro.sim import Server, Simulator
-from repro.ssd import fastpath
+from repro.sim import Server, Simulator, maxplus
 from repro.ssd.flash import FlashArray
 from repro.ssd.fmc import EVFlashMemoryController, ReadRequest
 from repro.ssd.ftl import FlashTranslationLayer
@@ -69,17 +68,20 @@ class SSDController:
         )
 
     def serve_ftl_batch(self, count: int) -> np.ndarray:
-        """Fast-path replay of ``count`` FTL MUX passes issued now.
-
-        Returns the times each request leaves the shared FTL stage (in
-        issue order), updating the server's bookkeeping exactly as the
-        DES would; see :func:`repro.ssd.fastpath.serialize_server`.
-        """
-        return fastpath.serialize_server(
-            self._ftl_server,
-            count,
-            self.timing.cycles_to_ns(self.ftl.lookup_cycles),
-        )
+        """``count`` FTL MUX passes issued now, as one busy run
+        (:func:`repro.sim.maxplus.serve_burst`): their resume times, the
+        server and profiler left as ``count`` :meth:`_ftl_lookup` would."""
+        server, now, profiler = self._ftl_server, self.sim.now, self.sim.profiler
+        durations = np.full(count, self.timing.cycles_to_ns(self.ftl.lookup_cycles))
+        starts, finishes, resumes = maxplus.serve_burst(now, server.free_at, durations)
+        if count:
+            server._free_at = finishes.item(-1)
+            server.busy_time = maxplus.busy_sum(server.busy_time, durations)
+            server.jobs_served += count
+        if profiler is not None:
+            for start, finish in zip(starts.tolist(), finishes.tolist()):
+                profiler.record_service(server.name, now, start, finish, server.kind)
+        return resumes
 
     # ------------------------------------------------------------------
     # Observability: FTL / channel spans for one batch

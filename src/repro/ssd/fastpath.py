@@ -18,12 +18,9 @@ Exactness rests on three properties of the kernel:
   them fired (channel events are only ever scheduled while processing
   channel events; the per-request entry timeouts are all scheduled up
   front, in issue order, before any channel event exists).
-* ``Server.serve`` computes ``finish = max(now, free_at) + duration``
-  but resumes the caller at ``now + (finish - now)`` — the replay
-  tracks both quantities instead of assuming the round trip is exact.
-* Sequential float accumulation (``busy_time``, back-to-back server
-  finishes) is replayed with ``np.add.accumulate`` or an explicit
-  left-to-right loop, never with closed-form multiplication.
+* The channel bus is a FIFO ``Server``, replayed by the rules
+  :mod:`repro.sim.maxplus` states: ``max`` kept on ties, the caller
+  resumed at ``f + (finish - f)``, busy time summed left to right.
 
 A channel is replayed by two cooperating pieces:
 
@@ -82,6 +79,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.obs import names
+from repro.sim import maxplus
 
 #: Environment variable that disables the fast path when set to a
 #: falsey value ("0", "false", "off", "no").  Unset means enabled.
@@ -93,50 +91,6 @@ _FALSEY = ("0", "false", "off", "no")
 def enabled() -> bool:
     """Whether ``RMSSD_FASTPATH`` allows the vectorized fast path."""
     return os.environ.get(ENV_FLAG, "1").strip().lower() not in _FALSEY
-
-
-def serialize_server(server, count: int, service_ns: float) -> np.ndarray:
-    """Replay ``count`` back-to-back ``Server.serve`` calls issued *now*.
-
-    Mirrors the DES case where every caller enqueues at the current
-    time (all FTL lookups of a batch are requested in the same
-    scheduling round): job ``i`` finishes at ``max(now, free_at) +
-    (i + 1) * service_ns`` — accumulated sequentially, because float
-    addition does not distribute — and its caller resumes at
-    ``now + (finish_i - now)``.
-
-    Updates the server's ``_free_at``/``busy_time``/``jobs_served``
-    exactly as ``count`` real calls would, and returns the resume
-    (fire) times in issue order.
-    """
-    t0 = server.sim.now
-    steps = np.empty(count + 1, dtype=np.float64)
-    steps[0] = t0 if t0 > server._free_at else server._free_at
-    steps[1:] = service_ns
-    accumulated = np.add.accumulate(steps)
-    finishes = accumulated[1:]
-    busy = np.empty(count + 1, dtype=np.float64)
-    busy[0] = server.busy_time
-    busy[1:] = service_ns
-    if count:
-        server.busy_time = float(np.add.accumulate(busy)[-1])
-        server._free_at = float(finishes[-1])
-        server.jobs_served += count
-        profiler = getattr(server.sim, "profiler", None)
-        if profiler is not None:
-            # Job i starts where job i-1 finished: accumulated[i] is
-            # both finish_{i-1} and start_i, the same floats the DES
-            # ``Server.serve`` records (all jobs arrive at t0).
-            starts = accumulated[:-1]
-            for index in range(count):
-                profiler.record_service(
-                    server.name,
-                    t0,
-                    float(starts[index]),
-                    float(finishes[index]),
-                    server.kind,
-                )
-    return t0 + (finishes - t0)
 
 
 _INF = float("inf")
@@ -290,11 +244,11 @@ def _step_reads(
     for rank in range(ch.rank, total):
         g, _, _, _, die = pending.pop(0)
         here = cursor[die]
-        # Server.serve on the shared bus: the caller resumes at
-        # now + (finish - now), not at finish.
+        # maxplus.serve on the shared bus, inline: the caller resumes
+        # at f + (finish - f), not at finish.
         f = g + flush_ns
         duration = durations[here]
-        begin = f if f > bus_free else bus_free
+        begin = f if f >= bus_free else bus_free
         finish = begin + duration
         bus_free = finish
         bus_busy = bus_busy + duration
@@ -426,10 +380,7 @@ def _scan_reads(ch: _ChannelReplay, cells: int) -> Tuple[int, bool]:
     done = columns[:-1] < count[:, None]
     ch.completion[slot[:, :-1][done]] = finish[done]
     ch.bus_free = merged_finish.item(accepted - 1)
-    busy = np.empty(accepted + 1)
-    busy[0] = ch.bus_busy
-    busy[1:] = duration.ravel()[cell]
-    ch.bus_busy = np.add.accumulate(busy).item(accepted)
+    ch.bus_busy = maxplus.busy_sum(ch.bus_busy, duration.ravel()[cell])
     # Bus rank of each die's last replayed step (a repeated index
     # keeps the last value assigned).
     rank = np.empty(rows, dtype=np.intp)
@@ -524,8 +475,8 @@ def replay_reads(
 
     All arrays are in issue order.  Channels are independent once the
     entry times are known (the shared upstream FTL stage is serialized
-    by :func:`serialize_server` *before* this call), so each channel
-    replays on its own.  Writes the post-batch bus state back into the
+    by ``SSDController.serve_ftl_batch`` *before* this call), so each
+    channel replays on its own.  Writes the post-batch bus state back into the
     flash array's channel servers and mirrors the sanitizer's
     per-channel accounting; the caller is responsible for advancing
     the simulation clock (``sim.run(until=end)``).

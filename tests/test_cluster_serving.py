@@ -3,11 +3,15 @@
 import json
 import signal
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.autoscale import Autoscaler, EpochSignal
+from repro.host.serving import ServingSimulator
 from repro.host.cluster_serving import (
     BALANCER_JSQ,
     BALANCER_LATENCY,
@@ -36,6 +40,9 @@ def cluster(replicas=2, balancer=BALANCER_ROUND_ROBIN, **kwargs):
     )
 
 
+_STAGE_NS = st.one_of(st.just(0.0), st.integers(1, 300).map(float))
+
+
 class TestReplicaModel:
     def test_mirror_is_exact_against_pipeline(self):
         """The analytic dispatcher predicts the DES's completion times
@@ -55,6 +62,31 @@ class TestReplicaModel:
                 trace.count, arrival_times_ns=list(trace.times_ns), fast=fast
             )
             assert result.completions_ns.tolist() == predicted
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=st.one_of(st.just(-0.0), st.integers(0, 9).map(float)),
+        gaps=st.lists(
+            st.one_of(st.just(0.0), st.integers(1, 4).map(float),
+                      st.floats(0.0, 400.0)),
+            max_size=40,
+        ),
+        stages=st.tuples(_STAGE_NS, _STAGE_NS, _STAGE_NS),
+    )
+    def test_property_mirror_is_exact_against_pipeline(self, first, gaps, stages):
+        """Tied, integer-grid and free-float arrivals, a -0.0 first
+        arrival, zero-length stages (bot/top then skip their server):
+        every committed completion is the pipeline's, bit for bit, on
+        both paths."""
+        arrivals = np.add.accumulate([first] + gaps).tolist()
+        model = _ReplicaModel(*stages)
+        predicted = np.array([model.commit(a) for a in arrivals])
+        pipeline = PipelineSimulator(*stages)
+        for fast in (False, True):
+            result = pipeline.run(len(arrivals), arrival_times_ns=arrivals, fast=fast)
+            assert np.array_equal(
+                result.completions_ns.view(np.int64), predicted.view(np.int64)
+            )
 
     def test_backlog_counts_in_flight(self):
         model = _ReplicaModel(100.0, 0.0, 50.0)
@@ -215,6 +247,15 @@ class TestClusterServing:
         assert scaler.events == [] and scaler._epoch == 0
         assert metrics.as_dict()["histograms"] == {}
         assert metrics.as_dict()["gauges"] == {}
+
+    @pytest.mark.parametrize("simulator", (ServingSimulator, ClusterServingSimulator))
+    @pytest.mark.parametrize("cycle_ns", (0.0, -5.0, float("nan"), float("inf")))
+    def test_hostile_cycle_ns_rejected(self, simulator, cycle_ns):
+        """Before the check, 0 divided by zero for the saturation
+        rate and the cluster took -5 / NaN / inf as far as ``_replay``,
+        after ``_plan`` had fed the autoscaler their latencies."""
+        with pytest.raises(ValueError, match="cycle_ns must be positive and finite"):
+            simulator(simple_times(), cycle_ns=cycle_ns)
 
     def test_invalid_replicas_rejected(self):
         with pytest.raises(ValueError):

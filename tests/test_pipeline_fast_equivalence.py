@@ -20,11 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.runner import run_parallel, sleep_echo_task
-from repro.core import pipeline_fast
 from repro.core.pipeline_sim import STAMP_FIELDS, PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.serving import ServingSimulator
 from repro.obs.profiler import Profiler
+from repro.sim import maxplus
+
+# The serve_chain kernel's own tests moved with it to test_maxplus.py;
+# importing them here keeps them collected under this module too.
+from tests.test_maxplus import (
+    test_property_serve_chain_small_integers,
+    test_serve_chain_edge_cases,
+    test_serve_chain_nan_duration_matches_loop,
+    test_serve_chain_rejects_a_mispredicted_head,
+    test_serve_chain_scan_matches_loop,
+    test_serve_chain_shape_mismatch,
+)
 
 #: Index-pure stage-time callables — the documented fast-path contract.
 JITTERED_STAGES = (
@@ -176,170 +187,30 @@ def test_heavy_ties_stress():
 
 
 # ----------------------------------------------------------------------
-# serve_chain: the segmented scan vs the reference loop
+# The stage chains at scan size
 # ----------------------------------------------------------------------
-CHAIN_JOBS = 3 * pipeline_fast.VECTOR_MIN_JOBS
-
-
-#: The oracle keeps its own reference to the scalar recurrence, so a
-#: test may replace ``pipeline_fast._serve_chain_loop`` (the fallback)
-#: without touching what it is compared against.
-REFERENCE_LOOP = pipeline_fast._serve_chain_loop
-
-
-def chain_loop(arrivals, durations, free0=0.0):
-    return REFERENCE_LOOP(
-        np.ascontiguousarray(arrivals, dtype=np.float64),
-        np.ascontiguousarray(durations, dtype=np.float64),
-        float(free0),
-    )
-
-
-def assert_chain_bitwise(arrivals, durations, free0=0.0):
-    loop = chain_loop(arrivals, durations, free0)
-    chain = pipeline_fast.serve_chain(arrivals, durations, free0)
-    for a, b in zip(loop, chain):
-        assert a.tobytes() == b.tobytes()
-
-
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Sizes of the chains ``serve_chain`` handed to the loop."""
+    """Sizes of the chains ``maxplus.serve_chain`` handed to its loop."""
     seen = []
+    loop = maxplus._serve_chain_loop
 
     def counting_loop(t, d, free):
         seen.append(t.size)
-        return REFERENCE_LOOP(t, d, free)
+        return loop(t, d, free)
 
-    monkeypatch.setattr(pipeline_fast, "_serve_chain_loop", counting_loop)
+    monkeypatch.setattr(maxplus, "_serve_chain_loop", counting_loop)
     return seen
-
-
-@pytest.mark.parametrize("utilization", (0.2, 0.6, 0.95, 1.0, 2.0))
-def test_serve_chain_scan_matches_loop(utilization, fallbacks):
-    rng = np.random.default_rng(int(utilization * 10))
-    arrivals = np.add.accumulate(
-        rng.exponential(100.0 / utilization, size=CHAIN_JOBS)
-    )
-    # Constant, mixed-with-zero and jittered durations.
-    assert_chain_bitwise(arrivals, np.full(CHAIN_JOBS, 75.0))
-    assert_chain_bitwise(
-        arrivals, rng.choice([0.0, 50.0, 100.0, 100.0], size=CHAIN_JOBS)
-    )
-    assert_chain_bitwise(arrivals, rng.uniform(50.0, 100.0, size=CHAIN_JOBS))
-    # The scan itself produced and verified all three: no fallback.
-    assert fallbacks == []
-
-
-def _grid(n):
-    return np.arange(n, dtype=np.float64) * 10.0
-
-
-CHAIN_EDGE_CASES = {
-    # One busy run from t=0: the saturated pipeline-fill case.
-    "all_zero_arrivals": lambda n: (np.zeros(n), np.full(n, 10.0), 0.0),
-    # Every job arrives exactly as its predecessor finishes: t[i] ==
-    # finish[i-1], the tie `max(now, free_at)` resolves to `now`.
-    "exact_ties": lambda n: (_grid(n), np.full(n, 10.0), 0.0),
-    # ... and half the jobs one tick late / the others queued.
-    "ties_and_queues": lambda n: (
-        _grid(n), np.where(np.arange(n) % 3 == 0, 20.0, 5.0), 0.0
-    ),
-    "zero_durations_mixed": lambda n: (
-        _grid(n) // 20.0, np.where(np.arange(n) % 2 == 0, 0.0, 3.0), 0.0
-    ),
-    "all_zero_durations": lambda n: (_grid(n), np.zeros(n), 0.0),
-    # The server is still busy when the chain starts: job 0 queues.
-    "free0_above_first_arrival": lambda n: (_grid(n), np.full(n, 4.0), 137.0),
-    "free0_above_every_arrival": lambda n: (_grid(n), np.full(n, 4.0), 1e9),
-    # Signed zeros: `-0.0 >= 0.0` keeps the arrival, sign and all.
-    "negative_zero_arrivals": lambda n: (np.full(n, -0.0), np.zeros(n), 0.0),
-    "negative_zero_everything": lambda n: (
-        np.full(n, -0.0), np.full(n, -0.0), -0.0
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CHAIN_EDGE_CASES))
-@pytest.mark.parametrize("offset", (-1, 0, 1))
-def test_serve_chain_edge_cases(case, offset):
-    # n straddles VECTOR_MIN_JOBS: the last loop-sized chain, the
-    # first scanned one, and one more.
-    n = pipeline_fast.VECTOR_MIN_JOBS + offset
-    assert_chain_bitwise(*CHAIN_EDGE_CASES[case](n))
-
-
-def test_serve_chain_nan_duration_matches_loop():
-    # Garbage in, the *same* garbage out: a NaN poisons every later
-    # finish identically on both implementations.
-    durations = np.full(CHAIN_JOBS, 10.0)
-    durations[CHAIN_JOBS // 2] = np.nan
-    assert_chain_bitwise(_grid(CHAIN_JOBS), durations)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    jobs=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60
-    ),
-    free0=st.integers(0, 6),
-)
-def test_property_serve_chain_small_integers(jobs, free0):
-    # Small-integer gaps and durations: ties at every other index,
-    # every value exact, so the scan must verify (never fall back).
-    gaps, durations = zip(*jobs)
-    arrivals = np.add.accumulate(np.asarray(gaps, dtype=np.float64))
-    durations = np.asarray(durations, dtype=np.float64)
-    loop = chain_loop(arrivals, durations, free0)
-    finishes = pipeline_fast._accumulate_runs(
-        arrivals, durations, float(free0),
-        pipeline_fast._guess_run_heads(arrivals, durations, float(free0)),
-    )
-    assert finishes.tobytes() == loop[1].tobytes()
-
-
-def test_serve_chain_rejects_a_mispredicted_head(monkeypatch, fallbacks):
-    # Flip one guessed head each way: the accumulate then runs through
-    # an idle gap (or restarts inside a busy run), the recurrence check
-    # fails at that index, and serve_chain returns the loop's arrays.
-    rng = np.random.default_rng(16)
-    arrivals = np.add.accumulate(rng.exponential(200.0, size=CHAIN_JOBS))
-    durations = np.full(CHAIN_JOBS, 100.0)
-    guess = pipeline_fast._guess_run_heads
-    heads = guess(arrivals, durations, 0.0)
-    for victim in (
-        int(np.flatnonzero(heads)[CHAIN_JOBS // 8]),
-        int(np.flatnonzero(~heads)[CHAIN_JOBS // 8]),
-    ):
-        def flipped(t, d, free, victim=victim):
-            wrong = guess(t, d, free)
-            wrong[victim] = not wrong[victim]
-            return wrong
-
-        monkeypatch.setattr(pipeline_fast, "_guess_run_heads", flipped)
-        del fallbacks[:]
-        assert_chain_bitwise(arrivals, durations)
-        assert fallbacks == [CHAIN_JOBS]
-    # The honest guess verifies: no fallback.
-    monkeypatch.setattr(pipeline_fast, "_guess_run_heads", guess)
-    del fallbacks[:]
-    assert_chain_bitwise(arrivals, durations)
-    assert fallbacks == []
 
 
 def test_smoke_scan_sized_run_matches_des(fallbacks):
     # Every other DES differential in this file is small enough for
     # the loop; this one puts all three stage chains through the scan.
-    n = 2 * pipeline_fast.VECTOR_MIN_JOBS + 100
+    n = 2 * maxplus.VECTOR_MIN_JOBS + 100
     arrivals = poisson_arrivals(n, 180.0, seed=16)
     des, fast = run_both(*JITTERED_STAGES, arrivals)
     assert_bitwise(des, fast)
     assert fallbacks == []
-
-
-def test_serve_chain_shape_mismatch():
-    with pytest.raises(ValueError, match="one duration per arrival"):
-        pipeline_fast.serve_chain(np.zeros(3), np.zeros(2))
 
 
 # ----------------------------------------------------------------------
