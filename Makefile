@@ -5,7 +5,7 @@ export PYTHONPATH := src
 	bench-vcache bench-autoscale bench-attribution bench-check
 
 # The full correctness gate; tools/check.sh is its one statement
-# (lint ratchet + canary, compile, differential and CLI smokes with
+# (lint ratchet, compile, differential and CLI smokes with
 # their DES-vs-fast cmp gates, the bench-regression gate, tier-1).
 check:
 	sh tools/check.sh
@@ -13,12 +13,10 @@ check:
 lint:
 	$(PYTHON) -m tools.lint src tests benchmarks
 
-# Whole-tree lint under the ratchet (tools included) plus the R9
-# injected-drift canary (lookup) proving the parity analysis is live.
+# Whole-tree lint under the ratchet (tools included).
 lint-strict:
 	$(PYTHON) -m tools.lint src tests benchmarks tools \
 		--baseline tools/lint/baseline.json
-	$(PYTHON) -m tools.lint.canary
 
 compile:
 	$(PYTHON) -m compileall -q src tools tests benchmarks

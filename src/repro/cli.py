@@ -364,6 +364,7 @@ def _fleet(args, result, *, autoscale: Optional[bool] = None, metrics=None,
     if qps is None:
         qps = 0.6 * sim.replica_qps * args.replicas
     duration_ns = args.duration_ms * 1e6
+    arrivals.require_finite(qps=qps, duration_ms=args.duration_ms)
     if args.arrivals == "poisson":
         queries = max(1, int(qps * duration_ns / 1e9))
         trace = arrivals.poisson_trace(qps, queries, seed=args.seed)

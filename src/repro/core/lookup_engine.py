@@ -121,9 +121,6 @@ class LookupResult:
         """All embedding vectors the batch consumed (flash + cache)."""
         return self.vectors_read + self.vcache_hits
 
-    def elapsed_cycles(self, cycle_ns: float) -> float:
-        return self.elapsed_ns / cycle_ns
-
 
 class EmbeddingLookupEngine:
     """Translator + EV-FMC + EV Sum over a laid-out table set.
@@ -319,8 +316,8 @@ class EmbeddingLookupEngine:
         use of the flash channels: any in-flight work — concurrent
         block I/O from :meth:`repro.core.device.RMSSD.
         start_background_block_reads`, for example — falls back to the
-        DES, as does request-history recording on the EV-FMC.  The
-        result's ``fallback_reason`` names which of these applied.
+        DES, as does an empty batch.  The result's ``fallback_reason``
+        names which of these applied.
         """
         if fast is None:
             fast = fastpath.enabled()
@@ -330,8 +327,6 @@ class EmbeddingLookupEngine:
             reason = "empty batch"
         elif self.controller.sim.peek() is not None:
             reason = "in-flight events"
-        elif self.controller.fmc.keep_history:
-            reason = "keep_history"
         else:
             reason = None
         if reason is None:

@@ -53,10 +53,6 @@ from repro.fpga.specs import DEFAULT_SETTINGS, FPGASettings
 DEFAULT_BRAM_BUDGET_TILES = 1024
 
 
-def _pow2_floor(value: int) -> int:
-    return 1 << (value.bit_length() - 1) if value >= 1 else 1
-
-
 def _pow2_ceil(value: int) -> int:
     return 1 << max(0, (value - 1).bit_length())
 

@@ -7,8 +7,8 @@ enforces this for ``src/repro``).  A single catalogue means:
 
 * a typo in an instrumentation name is an ``AttributeError`` at import
   time, not a silently diverging trace;
-* the DES/fast-path parity analysis (lint rule R9) can resolve the
-  names both execution paths emit and diff them statically;
+* the DES and fast lookup paths emit the same constants, so the
+  byte-identical profile tests compare like with like;
 * names that stop being emitted show up as *orphans* instead of
   lingering in dashboards and ``tools/check_trace.py`` invocations.
 

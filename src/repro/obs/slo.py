@@ -49,6 +49,8 @@ window arithmetic, so SLO reports are byte-identical across paths.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Sequence, Tuple
@@ -70,8 +72,8 @@ class Objective:
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile <= 100.0:
             raise ValueError("objective quantile must be in (0, 100]")
-        if self.threshold_ns <= 0:
-            raise ValueError("objective threshold must be positive")
+        if not (math.isfinite(self.threshold_ns) and self.threshold_ns > 0):
+            raise ValueError("threshold_ns must be positive and finite")
         if not 0.0 < self.budget <= 1.0:
             raise ValueError("error budget must be a fraction in (0, 1]")
 
@@ -88,12 +90,15 @@ class BurnRateRule:
     burn_threshold: float
 
     def __post_init__(self) -> None:
+        for span in ("long_windows", "short_windows"):
+            if not isinstance(getattr(self, span), numbers.Integral):
+                raise ValueError(f"{span} must be an integer number of windows")
         if self.long_windows < 1 or self.short_windows < 1:
             raise ValueError("burn-rate spans must be >= 1 window")
         if self.short_windows > self.long_windows:
             raise ValueError("short span must not exceed the long span")
-        if self.burn_threshold <= 0:
-            raise ValueError("burn threshold must be positive")
+        if not (math.isfinite(self.burn_threshold) and self.burn_threshold > 0):
+            raise ValueError("burn_threshold must be positive and finite")
 
 
 #: The classic SRE fast/slow pairing, in window units.

@@ -16,7 +16,7 @@ controller and the Embedding Lookup Engine share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.sim import Simulator
 from repro.ssd.flash import FlashArray
@@ -56,14 +56,10 @@ class FlashMemoryController:
     def __init__(self, sim: Simulator, flash: FlashArray) -> None:
         self.sim = sim
         self.flash = flash
-        self.completed: List[ReadRequest] = []
-        self.keep_history = False
 
     def _finish(self, request: ReadRequest, data: bytes) -> ReadRequest:
         request.completed_at = self.sim.now
         request.data = data
-        if self.keep_history:
-            self.completed.append(request)
         return request
 
     def read_page(self, physical_page: int, tag: object = None, to_host: bool = True) -> Generator:

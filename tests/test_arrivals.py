@@ -1,5 +1,7 @@
 """Tests for the open-loop arrival-trace generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.workloads.arrivals import (
     merge_traces,
     poisson_trace,
 )
+from tests.timer import returns_within
 
 
 def is_sorted(times):
@@ -217,3 +220,37 @@ class TestCompose:
         assert trace.count == 0
         assert trace.duration_ns == 0
         assert trace.mean_qps == 0.0
+
+
+#: Valid keyword arguments per generator; each float one is made
+#: non-finite in turn.
+VALID_KWARGS = {
+    poisson_trace: dict(qps=100.0, start_ns=0.0, queries=10),
+    diurnal_trace: dict(base_qps=100.0, duration_ns=1e9, period_ns=1e8),
+    flash_crowd_trace: dict(
+        base_qps=100.0,
+        duration_ns=1e9,
+        burst_start_ns=0.0,
+        burst_duration_ns=1e8,
+        burst_factor=5.0,
+    ),
+}
+
+HOSTILE = [
+    pytest.param(generator, param, value, id=f"{generator.__name__}-{param}={value}")
+    for generator, kwargs in VALID_KWARGS.items()
+    for param in kwargs
+    if param != "queries"
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("generator, param, value", HOSTILE)
+def test_hostile_non_finite_parameter_is_named(generator, param, value):
+    """Before the check, NaN / inf rates and durations spun the
+    thinning and ``_poisson_until`` loops forever, ``inf`` qps gave ten
+    arrivals at 0.0 and a NaN period an empty trace."""
+    kwargs = {**VALID_KWARGS[generator], param: value}
+    with returns_within(2.0, f"{generator.__name__}({param}={value})"):
+        with pytest.raises(ValueError, match=f"^{param} must be finite"):
+            generator(**kwargs)

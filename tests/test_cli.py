@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.timer import returns_within
 
 
 class TestParser:
@@ -220,7 +221,8 @@ EXPORT_FLAGS = {
 
 def refused(argv, capsys) -> str:
     """Run a command the simulator must refuse; return its message."""
-    assert main(argv) == 2
+    with returns_within(10.0, " ".join(argv)):
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.startswith("rmssd-repro: error: ")
@@ -265,6 +267,14 @@ class TestBoundaryErrors:
          "need at least one replica"),
         (["report", "rmc1", "--cluster", "--qps", "-5"],
          "offered load must be positive"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--duration-ms",
+          "nan"], "duration_ms must be finite"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--duration-ms",
+          "inf"], "duration_ms must be finite"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "nan"],
+         "qps must be finite"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "inf"],
+         "qps must be finite"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_hostile_value_is_a_message_and_writes_nothing(
         self, argv, message, capsys, tmp_path

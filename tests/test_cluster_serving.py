@@ -1,7 +1,6 @@
 """Tests for open-loop cluster serving and SLA autoscaling."""
 
 import json
-import signal
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from repro.host.cluster_serving import (
 from repro.obs import CritPathCollector, names
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.arrivals import flash_crowd_trace, poisson_trace
+from tests.timer import returns_within
 
 EMB, BOT, TOP = 200_000, 50_000, 30_000
 UNLOADED_NS = (EMB + TOP) * 5.0
@@ -231,18 +231,9 @@ class TestClusterServing:
         scaler = Autoscaler(sla_ns=3 * UNLOADED_NS, window_ns=2e6, epoch_windows=2)
         metrics = MetricsRegistry(window_ns=2e6)
         sim = cluster(replicas=1, autoscaler=scaler, metrics=metrics)
-
-        def too_slow(signum, frame):
-            raise TimeoutError("serve_trace did not return")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
+        with returns_within(5.0, "serve_trace"):
             with pytest.raises(ValueError, match=f"arrival times must be {message}"):
                 sim.serve_trace(instants)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         assert scaler.control.as_dict()["histograms"] == {}
         assert scaler.events == [] and scaler._epoch == 0
         assert metrics.as_dict()["histograms"] == {}

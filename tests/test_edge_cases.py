@@ -14,17 +14,8 @@ from repro.baselines import (
 from repro.models import build_model, get_config
 from repro.sim import Simulator, Store
 from repro.sim.resources import drain
-from repro.ssd.fmc import EVFlashMemoryController, ReadRequest
-from repro.ssd.flash import FlashArray
-from repro.ssd.geometry import SSDGeometry
+from repro.ssd.fmc import ReadRequest
 from repro.workloads.inputs import InferenceRequest
-
-
-def small_geometry():
-    return SSDGeometry(
-        channels=2, dies_per_channel=2, planes_per_die=1,
-        blocks_per_plane=8, pages_per_block=16,
-    )
 
 
 class TestSimHelpers:
@@ -55,27 +46,6 @@ class TestSimHelpers:
 
 
 class TestFMC:
-    def test_history_disabled_by_default(self):
-        sim = Simulator()
-        flash = FlashArray(sim, small_geometry())
-        fmc = EVFlashMemoryController(sim, flash)
-        sim.process(fmc.read_page(0))
-        sim.run()
-        assert fmc.completed == []
-
-    def test_history_enabled_records_requests(self):
-        sim = Simulator()
-        flash = FlashArray(sim, small_geometry())
-        fmc = EVFlashMemoryController(sim, flash)
-        fmc.keep_history = True
-        sim.process(fmc.read_vector(0, 0, 64, tag="t"))
-        sim.run()
-        assert len(fmc.completed) == 1
-        request = fmc.completed[0]
-        assert request.kind == "vector"
-        assert request.tag == "t"
-        assert request.latency_ns > 0
-
     def test_read_request_defaults(self):
         request = ReadRequest(kind="block", physical_page=3)
         assert request.latency_ns == 0

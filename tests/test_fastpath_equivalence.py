@@ -277,13 +277,6 @@ def test_smoke_background_block_io_forces_des():
     assert second.path == "fast"
 
 
-def test_keep_history_forces_des():
-    engine = build_engine("square")
-    engine.controller.fmc.keep_history = True
-    result = engine.lookup_batch([[[0], [1], [2]]], fast=True)
-    assert result.path == "des"
-
-
 def test_fallback_reason_is_none_on_the_fast_path():
     engine = build_engine("square")
     result = engine.lookup_batch([[[0], [1], [2]]], fast=True)
@@ -303,14 +296,6 @@ def test_fallback_reason_in_flight_events():
     controller.sim.process(controller.read_block_proc(0))
     result = engine.lookup_batch([[[0, 1], [2], [3]]], fast=True)
     assert (result.path, result.fallback_reason) == ("des", "in-flight events")
-
-
-def test_fallback_reason_keep_history():
-    engine = build_engine("square")
-    engine.controller.fmc.keep_history = True
-    result = engine.lookup_batch([[[0], [1], [2]]], fast=True)
-    assert (result.path, result.fallback_reason) == ("des", "keep_history")
-    assert engine.path_counts == {("des", "keep_history"): 1}
 
 
 def test_fallback_reason_empty_batch():

@@ -235,98 +235,6 @@ class TestR8NamedResources:
         assert rule_ids("bus = Server(sim)  # lint: ok[R8]\n") == []
 
 
-DES_FILE = "src/repro/core/pipeline.py"
-FAST_FILE = "src/repro/core/fastpath.py"
-
-#: DES side of the synthetic parity corpus: the root reaches a shared
-#: emission helper plus a second helper emitting the ``translate`` span.
-_DES_SIDE = """
-    def _emit_shared(tracer):
-        tracer.add_span("lookup_batch", 0.0, 1.0)
-
-    def _emit_translate(tracer):
-        tracer.add_span("translate", 0.0, 1.0)
-
-    def _lookup_batch_des(tracer):
-        _emit_shared(tracer)
-        _emit_translate(tracer)
-"""
-
-_FAST_SIDE_COMPLETE = """
-    from repro.core.pipeline import _emit_shared, _emit_translate
-
-    def _lookup_batch_fast(tracer):
-        _emit_shared(tracer)
-        _emit_translate(tracer)
-"""
-
-#: Mutant: the fast path no longer reaches the ``translate`` emission.
-_FAST_SIDE_MUTATED = """
-    from repro.core.pipeline import _emit_shared
-
-    def _lookup_batch_fast(tracer):
-        _emit_shared(tracer)
-"""
-
-
-class TestR9InstrumentationParity:
-    def test_symmetric_emission_is_clean(self):
-        out = project_violations(
-            {DES_FILE: _DES_SIDE, FAST_FILE: _FAST_SIDE_COMPLETE}, "R9"
-        )
-        assert out == []
-
-    def test_removed_fastpath_span_names_value_and_both_files(self):
-        # The mutation test of the issue: delete a single span emission
-        # from the fast path and R9 must report the exact missing name
-        # and point at both sides — the DES emission site (violation
-        # path) and the fast-path roots (in the message).
-        out = project_violations(
-            {DES_FILE: _DES_SIDE, FAST_FILE: _FAST_SIDE_MUTATED}, "R9"
-        )
-        assert [v.rule for v in out] == ["R9"]
-        violation = out[0]
-        assert violation.path == DES_FILE
-        assert "'translate'" in violation.message
-        assert DES_FILE in violation.message
-        assert FAST_FILE in violation.message
-        assert "'lookup_batch'" not in violation.message
-
-    def test_extra_fastpath_emission_fires_in_mirror_direction(self):
-        fast_extra = """
-            from repro.core.pipeline import _emit_shared, _emit_translate
-
-            def _emit_fast_only(tracer):
-                tracer.add_span("fast_only", 0.0, 1.0)
-
-            def _lookup_batch_fast(tracer):
-                _emit_shared(tracer)
-                _emit_translate(tracer)
-                _emit_fast_only(tracer)
-        """
-        out = project_violations(
-            {DES_FILE: _DES_SIDE, FAST_FILE: fast_extra}, "R9"
-        )
-        assert [v.rule for v in out] == ["R9"]
-        assert "'fast_only'" in out[0].message
-        assert "DES" in out[0].message
-
-    def test_spec_is_skipped_when_roots_are_absent(self):
-        out = project_violations(
-            {DES_FILE: "def unrelated():\n    return 1\n"}, "R9"
-        )
-        assert out == []
-
-    def test_declared_root_that_resolves_to_nothing_is_reported(self):
-        # Deleting every fast root must not silently disable the
-        # lookup contract; the other specs, wholly absent from this
-        # corpus, stay skipped.
-        out = project_violations({DES_FILE: _DES_SIDE}, "R9")
-        assert [v.path for v in out] == [DES_FILE]
-        assert "lookup parity" in out[0].message
-        assert "'_lookup_batch_fast'" in out[0].message
-
-
 class TestR10UnitFlow:
     def test_cross_file_ns_return_bound_to_cycles_name_fires(self):
         out = project_violations(
@@ -642,75 +550,6 @@ class TestEngineMechanics:
         violation = violations("import heapq\n")[0]
         assert violation.render().endswith("R3 " + violation.message)
         assert "src/repro/example.py:1" in violation.render()
-
-
-# ----------------------------------------------------------------------
-# R9 parity over metric emitters behind a shared helper (PR 8)
-# ----------------------------------------------------------------------
-#: Synthetic corpus under the lookup contract's roots: both paths feed
-#: the windowed metrics through one shared helper, so deleting either
-#: call site makes the metric emissions one-sided.
-_SERVING_CATALOGUE = """
-    METRIC_SERVING_LATENCY = "serving.latency_ns"
-    METRIC_SERVING_BATCHES = "serving.batches"
-"""
-
-_SERVING_PIPELINE = """
-    from repro.obs import names
-
-    class PipelineSimulator:
-        def _observe_completions(self, metrics):
-            metrics.histogram(names.METRIC_SERVING_LATENCY)
-            metrics.counter(names.METRIC_SERVING_BATCHES)
-
-        def _lookup_batch_des(self, metrics):
-            self._observe_completions(metrics)
-
-        def _lookup_batch_fast(self, metrics):
-            self._observe_completions(metrics)
-"""
-
-_SERVING_PIPELINE_MUTATED = """
-    from repro.obs import names
-
-    class PipelineSimulator:
-        def _observe_completions(self, metrics):
-            metrics.histogram(names.METRIC_SERVING_LATENCY)
-            metrics.counter(names.METRIC_SERVING_BATCHES)
-
-        def _lookup_batch_des(self, metrics):
-            self._observe_completions(metrics)
-
-        def _lookup_batch_fast(self, metrics):
-            pass
-"""
-
-
-class TestR9TimeseriesParity:
-    FILES = {"src/repro/obs/names.py": _SERVING_CATALOGUE}
-
-    def test_shared_observer_is_clean(self):
-        out = project_violations(
-            {**self.FILES, "src/repro/core/pipeline_sim.py": _SERVING_PIPELINE},
-            "R9",
-        )
-        assert out == []
-
-    def test_deleted_fast_call_site_fires_per_metric(self):
-        # Dropping the fast path's _observe_completions call leaves
-        # every windowed serving metric DES-only, and R9 names each
-        # one.
-        out = project_violations(
-            {
-                **self.FILES,
-                "src/repro/core/pipeline_sim.py": _SERVING_PIPELINE_MUTATED,
-            },
-            "R9",
-        )
-        assert [v.rule for v in out] == ["R9", "R9"]
-        named = {v.message.split("'")[1] for v in out}
-        assert named == {"serving.latency_ns", "serving.batches"}
-        assert all("fast-path" in v.message for v in out)
 
 
 class TestR12SLOObjectives:

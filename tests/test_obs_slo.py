@@ -8,6 +8,7 @@ report shape embedded in the timeseries document.
 """
 
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,18 @@ def test_validation():
         BurnRateRule("sev", long_windows=0, short_windows=0, burn_threshold=1.0)
     with pytest.raises(ValueError):
         BurnRateRule("sev", long_windows=4, short_windows=2, burn_threshold=0.0)
+
+    # Non-finite thresholds are never reached, so they would silently
+    # disable the objective or the rule; fractional spans are not spans.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold_ns must be positive and finite"):
+            Objective("o", "m", quantile=50.0, threshold_ns=bad)
+        with pytest.raises(ValueError, match="burn_threshold must be positive and finite"):
+            BurnRateRule("sev", long_windows=4, short_windows=2, burn_threshold=bad)
+    with pytest.raises(ValueError, match="long_windows must be an integer"):
+        BurnRateRule("sev", long_windows=2.5, short_windows=2, burn_threshold=1.0)
+    with pytest.raises(ValueError, match="short_windows must be an integer"):
+        BurnRateRule("sev", long_windows=4, short_windows=1.5, burn_threshold=1.0)
 
 
 def test_custom_rule_threshold():

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full correctness gate: domain lint (ratchet + canary), bytecode
+# Full correctness gate: domain lint (ratchet), bytecode
 # compile, differential and CLI smokes (DES-vs-fast `cmp` on every
 # exported document), the bench-regression gate, sanitized tests.
 # `make check` runs this script; it is the only statement of the gate.
@@ -10,12 +10,6 @@ export PYTHONPATH=src
 echo "== lint (whole tree, cross-file rules, baseline ratchet) =="
 PYTHONPATH=src:. python -m tools.lint src tests benchmarks tools \
     --baseline tools/lint/baseline.json
-
-echo "== lint canary (R9 must fire on injected fast-path drift) =="
-# Deletes the lookup replay's die busy-interval record in a scratch
-# copy of src/ and asserts the parity rule reports it; guards against
-# the whole-program analysis silently going blind.
-PYTHONPATH=src:. python -m tools.lint.canary
 
 echo "== compile =="
 python -m compileall -q src tools tests benchmarks

@@ -2,9 +2,9 @@
 
 Run it as ``python -m tools.lint src tests benchmarks`` (or the
 installed ``rmssd-lint`` script).  Per-file rules R1–R8 live in
-:mod:`tools.lint.rules`; whole-program rules R9–R12 (instrumentation
-parity, inter-procedural unit flow, determinism hazards, name
-registry) live in :mod:`tools.lint.rules_project` and run over the
+:mod:`tools.lint.rules`; whole-program rules R10–R12
+(inter-procedural unit flow, determinism hazards, name registry) live
+in :mod:`tools.lint.rules_project` and run over the
 :class:`tools.lint.project.ProjectContext` built from every file in
 one pass.  The rule catalogue and the pragma syntax are documented in
 ``docs/correctness.md``; the pass also runs as a tier-1 pytest test

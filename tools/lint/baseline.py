@@ -6,7 +6,7 @@ rule (or a rule tightening) and are accepted for now::
     {
       "version": 1,
       "entries": [
-        {"rule": "R9", "path": "src/repro/ssd/x.py", "message": "..."}
+        {"rule": "R11", "path": "src/repro/ssd/x.py", "message": "..."}
       ]
     }
 

@@ -1,13 +1,9 @@
-"""Whole-program lint rules (R9-R12) over a ProjectContext.
+"""Whole-program lint rules (R10-R12) over a ProjectContext.
 
-These rules need facts no single file contains:
+These rules need facts no single file contains.  Rule ids are never
+reused, so pragmas and baselines keep their meaning; the gap before
+R10 is a retired rule (see ``docs/correctness.md``).
 
-* **R9  instrumentation parity** — the DES lookup path and the
-  vectorized fast path must emit the same span/metric/profiler names
-  (and touch the same ``IOStatistics`` counters).  The emitting sites
-  live in different files (``repro/sim/resources.py`` vs
-  ``repro/ssd/fastpath.py``), so only a call-graph closure over the
-  whole program can see one side go quiet.
 * **R10  inter-procedural unit flow** — the per-file R1 checks suffix
   discipline *within* an expression; R10 propagates units across call
   boundaries, so a function returning ``*_ns`` values cannot be bound
@@ -19,22 +15,20 @@ These rules need facts no single file contains:
 * **R12  instrumentation-name registry** — every name handed to a
   tracer/metrics/profiler API comes from the
   :mod:`repro.obs.names` catalogue; inline literals drift into typos
-  and the parity rule cannot pin names it never sees twice.
+  that no reader of an exported trace or profile can tell apart from
+  a second, distinct name.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from tools.lint.engine import Violation
 from tools.lint.project import (
     CATALOGUE_MODULE,
-    DYNAMIC,
     INSTRUMENTATION_APIS,
     METRIC_RECEIVERS,
-    FunctionInfo,
     ModuleInfo,
     ProjectContext,
     _terminal_name,
@@ -54,136 +48,6 @@ class ProjectRule:
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# R9: instrumentation parity between execution paths
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ParitySpec:
-    """One pair of root sets whose instrumentation must match."""
-
-    label: str
-    des_roots: Tuple[str, ...]
-    fast_roots: Tuple[str, ...]
-
-
-#: The load-bearing contract of this repo: the DES lookup and its
-#: vectorized replay produce byte-identical profiles and traces.
-LOOKUP_PARITY = ParitySpec(
-    label="lookup",
-    des_roots=("_lookup_batch_des",),
-    fast_roots=("_lookup_batch_fast",),
-)
-
-#: (group, facet) -> human description used in violation messages.
-_FACET_DESC = {
-    ("span", "name"): "span",
-    ("metric", "name"): "metric",
-    ("stats", "field"): "IOStatistics counter",
-    ("slo", "name"): "SLO objective",
-    ("slo", "kind"): "SLO metric",
-}
-
-
-class InstrumentationParityRule(ProjectRule):
-    id = "R9"
-    title = "DES/fast instrumentation parity"
-    summary = (
-        "spans, metrics, profiler records and IOStatistics counters "
-        "reached from the DES lookup path match the fast path's"
-    )
-
-    specs: Tuple[ParitySpec, ...] = (LOOKUP_PARITY,)
-
-    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        for spec in self.specs:
-            yield from self._check_spec(project, spec)
-
-    def _check_spec(
-        self, project: ProjectContext, spec: ParitySpec
-    ) -> Iterator[Violation]:
-        des_roots = [
-            fn for name in spec.des_roots for fn in project.functions_named(name)
-        ]
-        fast_roots = [
-            fn for name in spec.fast_roots for fn in project.functions_named(name)
-        ]
-        resolved = des_roots + fast_roots
-        if not resolved:
-            # The paths under lint do not contain this contract (a
-            # partial run of one subdirectory).
-            return
-        # The contract is under lint, so every declared root must
-        # exist: a renamed or deleted root — or a whole side — would
-        # otherwise narrow or disable the check without a word.
-        for name in spec.des_roots + spec.fast_roots:
-            if not project.functions_named(name):
-                yield self.violation(
-                    resolved[0].path,
-                    resolved[0].line,
-                    f"{spec.label} parity: root '{name}' resolves to no "
-                    f"function; update the ParitySpec in "
-                    f"tools/lint/rules_project.py",
-                )
-        if not des_roots or not fast_roots:
-            return
-        des = self._collect(project, des_roots)
-        fast = self._collect(project, fast_roots)
-        des_desc = self._roots_desc(des_roots)
-        fast_desc = self._roots_desc(fast_roots)
-        for key in sorted(set(des) | set(fast)):
-            des_values = des.get(key, {})
-            fast_values = fast.get(key, {})
-            for value in sorted(set(des_values) - set(fast_values)):
-                path, line = des_values[value]
-                yield self.violation(
-                    path,
-                    line,
-                    f"{spec.label} parity: {self._describe(key)} "
-                    f"'{value}' is emitted on the DES path at "
-                    f"{path}:{line} but never reached from the fast-path "
-                    f"roots ({fast_desc})",
-                )
-            for value in sorted(set(fast_values) - set(des_values)):
-                path, line = fast_values[value]
-                yield self.violation(
-                    path,
-                    line,
-                    f"{spec.label} parity: {self._describe(key)} "
-                    f"'{value}' is emitted on the fast path at "
-                    f"{path}:{line} but never reached from the DES "
-                    f"roots ({des_desc})",
-                )
-
-    @staticmethod
-    def _roots_desc(roots: Sequence[FunctionInfo]) -> str:
-        return ", ".join(f"{fn.path}:{fn.line}" for fn in roots)
-
-    @staticmethod
-    def _describe(key: Tuple[str, str]) -> str:
-        group, facet = key
-        return _FACET_DESC.get(key, f"profiler {group} {facet}")
-
-    @staticmethod
-    def _collect(
-        project: ProjectContext, roots: Sequence[FunctionInfo]
-    ) -> Dict[Tuple[str, str], Dict[str, Tuple[str, int]]]:
-        """(group, facet) -> value -> first emitting site in a closure."""
-        out: Dict[Tuple[str, str], Dict[str, Tuple[str, int]]] = {}
-        for fn in project.reachable(roots):
-            for emission in fn.emissions:
-                if emission.value == DYNAMIC:
-                    continue
-                key = (emission.group, emission.facet)
-                out.setdefault(key, {}).setdefault(
-                    emission.value, (emission.path, emission.line)
-                )
-            for field_name in sorted(fn.stats_fields):
-                out.setdefault(("stats", "field"), {}).setdefault(
-                    field_name, (fn.path, fn.line)
-                )
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +425,7 @@ class NameRegistryRule(ProjectRule):
                 receiver = _terminal_name(call.func.value)
                 if receiver not in METRIC_RECEIVERS:
                     continue
-            name_pos, name_kw, kind_pos, kind_kw, _ = spec
+            name_pos, name_kw, kind_pos, kind_kw = spec
             yield from self._check_expr(
                 project,
                 module,
@@ -643,7 +507,6 @@ class NameRegistryRule(ProjectRule):
 
 
 PROJECT_RULES = (
-    InstrumentationParityRule(),
     UnitFlowRule(),
     DeterminismHazardRule(),
     NameRegistryRule(),
