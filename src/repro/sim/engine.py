@@ -7,7 +7,10 @@ the generator yields must be an :class:`Event`, and the process is
 resumed (with the event's ``value``) when that event succeeds.
 
 Time is unitless from the kernel's perspective.  The SSD substrate uses
-nanoseconds throughout (see :mod:`repro.ssd.timing`).
+nanoseconds throughout (see :mod:`repro.ssd.timing`).  Delays, service
+durations and ``run(until=...)`` horizons must be finite, and no
+horizon may lie behind the clock; each is refused before the clock or
+the queue changes.
 
 The kernel's promises (single-trigger events, a monotonically
 non-decreasing clock, no resuming a terminated process) can be machine
@@ -17,12 +20,18 @@ setting ``RMSSD_SANITIZE=1``); see :mod:`repro.sim.sanitizer`.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
+
+
+def bad_duration(name: str, value: Any) -> str:
+    """Message for a ``value`` that failed a ``0 <= value < inf`` check."""
+    return f"{'negative' if value < 0 else 'non-finite'} {name}: {value!r}"
 
 
 class Event:
@@ -83,12 +92,21 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # One chained comparison refuses negative, NaN and inf delays.
+        if not 0 <= delay < inf:
+            raise SimulationError(bad_duration("timeout delay", delay))
+        # Event.__init__ and Simulator._schedule, inlined: every
+        # simulated wait builds one of these.
+        self.sim = sim
+        self.callbacks = []
         self.value = value
-        sim._schedule(self, delay=delay)
+        self._triggered = False
+        self._scheduled = False
+        self.delay = delay
+        if sim.sanitizer is not None:
+            sim.sanitizer.check_schedule(delay)
+        sim._sequence += 1
+        heappush(sim._queue, (sim.now + delay, sim._sequence, self))
 
     def _fire(self) -> None:
         self._triggered = True
@@ -104,17 +122,30 @@ class Process(Event):
     its ``StopIteration``), which lets processes wait for each other::
 
         result = yield sim.process(child())
+
+    The process's first step is its own heap entry, pushed at creation
+    with delay 0: the ``(time, sequence)`` slot a bootstrap timeout
+    would take, without the timeout or its callback.  Nothing the
+    process schedules later can precede it, so the first time the
+    heap hands the process out is always its start; the second is its
+    completion.
     """
 
-    __slots__ = ("_generator", "_done")
+    __slots__ = ("_generator", "_done", "_started")
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         super().__init__(sim)
         self._generator = generator
         self._done = False
-        # Kick off on the next scheduling round at the current time.
-        bootstrap = Timeout(sim, 0)
-        bootstrap.add_callback(self._resume)
+        self._started = False
+        sim._schedule(self, 0)
+
+    def _fire(self) -> None:
+        if self._started:
+            Event._fire(self)
+        else:
+            self._started = True
+            self._resume(_START)
 
     def _resume(self, event: Event) -> None:
         if self._done:
@@ -134,37 +165,43 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event instances"
             )
-        target.add_callback(self._resume)
+        # Event.add_callback, inlined.
+        if target._triggered:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class AllOf(Event):
     """Fires once every event in ``events`` has fired.
 
     ``value`` is the list of the constituent events' values, in the
-    order the events were given.
+    order the events were given.  Events are single-trigger, so the
+    values are read once, when the last constituent fires.
     """
 
-    __slots__ = ("_pending", "_values", "_events")
+    __slots__ = ("_pending", "_events")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
         self._pending = len(self._events)
-        self._values: List[Any] = [None] * len(self._events)
         if self._pending == 0:
             self.succeed([])
             return
-        for i, event in enumerate(self._events):
-            event.add_callback(self._make_callback(i))
+        count_down = self._count_down
+        for event in self._events:
+            event.add_callback(count_down)
 
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def callback(event: Event) -> None:
-            self._values[index] = event.value
-            self._pending -= 1
-            if self._pending == 0 and not self._triggered:
-                self.succeed(self._values)
+    def _count_down(self, _event: Event) -> None:
+        self._pending -= 1
+        if self._pending == 0 and not self._triggered:
+            self.succeed([event.value for event in self._events])
 
-        return callback
+
+#: What a process's first step resumes on: an event whose value is
+#: ``None`` (a just-started generator accepts nothing else).
+_START = Event(None)
 
 
 class Simulator:
@@ -201,7 +238,7 @@ class Simulator:
         if self.sanitizer is not None:
             self.sanitizer.check_schedule(delay)
         self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
+        heappush(self._queue, (self.now + delay, self._sequence, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` units from now."""
@@ -220,19 +257,31 @@ class Simulator:
         return AllOf(self, events)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains, or simulated time reaches ``until``."""
-        while self._queue:
-            time, _seq, event = self._queue[0]
-            if until is not None and time > until:
+        """Run until the queue drains, or simulated time reaches ``until``.
+
+        ``until`` must be finite and not behind the clock.
+        """
+        if until is None:
+            horizon = inf
+        elif self.now <= until < inf:
+            horizon = until
+        elif until < self.now:
+            raise SimulationError(f"until={until!r} is behind now={self.now!r}")
+        else:
+            raise SimulationError(f"non-finite until: {until!r}")
+        queue = self._queue
+        sanitizer = self.sanitizer
+        while queue:
+            if queue[0][0] > horizon:
                 self.now = until
                 return
-            heapq.heappop(self._queue)
-            if self.sanitizer is not None:
-                self.sanitizer.check_clock(time)
+            time, _seq, event = heappop(queue)
+            if sanitizer is not None:
+                sanitizer.check_clock(time)
             self.now = time
             event._fire()
-        if self.sanitizer is not None:
-            self.sanitizer.check_quiescent()
+        if sanitizer is not None:
+            sanitizer.check_quiescent()
         if until is not None:
             self.now = max(self.now, until)
 

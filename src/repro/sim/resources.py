@@ -14,9 +14,10 @@ Three primitives cover everything the SSD substrate needs:
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Deque, Generator, List, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, Timeout, bad_duration
 
 
 class Resource:
@@ -57,7 +58,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Event that fires when a unit of the resource is granted."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if self._in_use < self.capacity:
             if self._in_use == 0:
                 self._busy_since = self.sim.now
@@ -118,17 +119,20 @@ class Server:
 
     def serve(self, duration: float) -> Event:
         """Enqueue a job of ``duration``; event fires at completion."""
-        if duration < 0:
-            raise ValueError("negative service duration")
-        start = max(self.sim.now, self._free_at)
+        # One chained comparison refuses negative, NaN and inf jobs.
+        if not 0 <= duration < inf:
+            raise ValueError(bad_duration("service duration", duration))
+        sim = self.sim
+        now = sim.now
+        start = max(now, self._free_at)
         finish = start + duration
         self._free_at = finish
         self.busy_time += duration
         self.jobs_served += 1
-        profiler = self.sim.profiler
+        profiler = sim.profiler
         if profiler is not None:
-            profiler.record_service(self.name, self.sim.now, start, finish, self.kind)
-        return self.sim.timeout(finish - self.sim.now)
+            profiler.record_service(self.name, now, start, finish, self.kind)
+        return Timeout(sim, finish - now)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time this server spent busy."""

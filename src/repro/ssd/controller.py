@@ -9,19 +9,21 @@ over one FTL and one flash array, mirroring Fig. 5:
 
 The MUX's round-robin arbitration between the two paths is modelled by
 the shared FTL service point; the Path Buffer is the ``tag`` carried by
-every :class:`repro.ssd.fmc.ReadRequest`.
+every :class:`repro.ssd.fmc.ReadRequest`.  Each timed read is two
+generator frames: the controller's process (FTL pass, translation,
+Path Buffer bookkeeping) and the flash array's read.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import names
 from repro.sim import Server, Simulator, maxplus
 from repro.ssd.flash import FlashArray
-from repro.ssd.fmc import EVFlashMemoryController, ReadRequest
+from repro.ssd.fmc import EVFlashMemoryController
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.stats import IOStatistics
@@ -60,19 +62,19 @@ class SSDController:
         # The MUX: block I/O and EV requests share one translation
         # pipeline; FIFO service approximates the round-robin arbiter.
         self._ftl_server = Server(sim, names.SERVER_FTL_MUX, kind=names.FTL)
+        # One MUX pass in ns, read once (the timing model is frozen).
+        self._ftl_ns = self.timing.cycles_to_ns(self.ftl.lookup_cycles)
 
     def _ftl_lookup(self):
         """Event: one arbitrated pass through the shared FTL stage."""
-        return self._ftl_server.serve(
-            self.timing.cycles_to_ns(self.ftl.lookup_cycles)
-        )
+        return self._ftl_server.serve(self._ftl_ns)
 
     def serve_ftl_batch(self, count: int) -> np.ndarray:
         """``count`` FTL MUX passes issued now, as one busy run
         (:func:`repro.sim.maxplus.serve_burst`): their resume times, the
         server and profiler left as ``count`` :meth:`_ftl_lookup` would."""
         server, now, profiler = self._ftl_server, self.sim.now, self.sim.profiler
-        durations = np.full(count, self.timing.cycles_to_ns(self.ftl.lookup_cycles))
+        durations = np.full(count, self._ftl_ns)
         starts, finishes, resumes = maxplus.serve_burst(now, server.free_at, durations)
         if count:
             server._free_at = finishes.item(-1)
@@ -201,8 +203,9 @@ class SSDController:
         """Process: conventional page read returned to the host."""
         yield self._ftl_lookup()
         physical = self.ftl.translate(lba)
-        request = yield from self.fmc.read_page(physical, tag=tag, to_host=True)
-        return request
+        request = self.fmc.issue_page(physical, tag)
+        data = yield from self.flash.read_page_proc(physical, to_host=True)
+        return self.fmc.complete(request, data)
 
     def read_bytes_block_proc(self, byte_offset: int, size: int) -> Generator:
         """Process: host read of an arbitrary byte range via page I/O.
@@ -213,14 +216,12 @@ class SSDController:
         page_size = self.geometry.page_size
         first = byte_offset // page_size
         last = (byte_offset + size - 1) // page_size
-        requests: List[ReadRequest] = []
         events = []
         for lba in range(first, last + 1):
             events.append(self.sim.process(self.read_block_proc(lba)))
         results = yield self.sim.all_of(events)
-        requests.extend(results)
         data = bytearray()
-        for lba, request in zip(range(first, last + 1), results):
+        for request in results:
             data += request.data
         start = byte_offset - first * page_size
         return bytes(data[start : start + size])
@@ -242,12 +243,14 @@ class SSDController:
                 f"vector read at offset {byte_offset} size {size} straddles a page"
             )
         physical = self.ftl.translate(lba)
-        request = yield from self.fmc.read_vector(physical, col, size, tag=tag)
-        return request
+        request = self.fmc.issue_vector(physical, col, size, tag)
+        data = yield from self.flash.read_vector_proc(physical, col, size)
+        return self.fmc.complete(request, data)
 
     def read_page_internal_proc(self, lba: int, tag: object = None) -> Generator:
         """Process: page read consumed inside the device (EMB-PageSum)."""
         yield self._ftl_lookup()
         physical = self.ftl.translate(lba)
-        request = yield from self.fmc.read_page(physical, tag=tag, to_host=False)
-        return request
+        request = self.fmc.issue_page(physical, tag)
+        data = yield from self.flash.read_page_proc(physical, to_host=False)
+        return self.fmc.complete(request, data)

@@ -27,7 +27,7 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from repro.obs import names
-from repro.sim import Resource, Server, Simulator
+from repro.sim import Resource, Server, Simulator, Timeout
 from repro.ssd import fastpath
 from repro.ssd.geometry import PhysicalAddress, SSDGeometry
 from repro.ssd.stats import IOStatistics
@@ -109,6 +109,12 @@ class FlashArray:
         ]
         #: Sanitizer-mode invariant checks (``None`` when disabled).
         self.sanitizer = getattr(sim, "sanitizer", None)
+        # Per-read latencies, read once: the timing model is frozen.
+        self._overhead_ns = self.timing.request_overhead_ns
+        self._flush_ns = self.timing.flush_ns
+        self._page_transfer_ns = self.timing.transfer_ns
+        # EV size -> bus time, filled by the first read of each size.
+        self._vector_transfer_ns: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Functional data plane (no simulated time)
@@ -270,17 +276,11 @@ class FlashArray:
         ``to_host`` controls traffic accounting only: a page consumed
         inside the device (EMB-PageSum) does not cross the host link.
         """
-        data = yield from self._read_proc(
-            page_index, col=0, size=self.geometry.page_size, is_vector=False
-        )
-        self.stats.record_page_read(self.geometry.page_size, to_host=to_host)
-        return data
+        return self._read_proc(page_index, 0, self.geometry.page_size, False, to_host)
 
     def read_vector_proc(self, page_index: int, col: int, size: int) -> Generator:
         """Timed vector-grained read of ``size`` bytes at ``col``."""
-        data = yield from self._read_proc(page_index, col=col, size=size, is_vector=True)
-        self.stats.record_vector_read(size)
-        return data
+        return self._read_proc(page_index, col, size, True, False)
 
     def write_page_proc(self, page_index: int, data: bytes, offset: int = 0) -> Generator:
         """Timed page program: bus-in transfer, then cell programming.
@@ -289,9 +289,9 @@ class FlashArray:
         inference path is read-only.  The die is held through the
         program (no cache-program pipelining).
         """
-        address = self.geometry.page_index_to_address(page_index)
-        channel = self.channels[address.channel]
-        die = channel.dies[address.die]
+        channel_id, die_id = self.geometry.channel_and_die(page_index)
+        channel = self.channels[channel_id]
+        die = channel.dies[die_id]
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_program(page_index, component=channel.name)
@@ -299,11 +299,11 @@ class FlashArray:
             sanitizer.check_latency(
                 channel.name, "page_program_ns", self.timing.page_program_ns
             )
-        yield self.sim.timeout(self.timing.request_overhead_ns)
+        yield Timeout(self.sim, self._overhead_ns)
         yield die.acquire()
         try:
-            yield channel.bus.serve(self.timing.transfer_ns)
-            yield self.sim.timeout(self.timing.page_program_ns)
+            yield channel.bus.serve(self._page_transfer_ns)
+            yield Timeout(self.sim, self.timing.page_program_ns)
         finally:
             die.release()
         self.write_page(page_index, data, offset)
@@ -313,29 +313,36 @@ class FlashArray:
         return page_index
 
     def _read_proc(
-        self, page_index: int, col: int, size: int, is_vector: bool
+        self, page_index: int, col: int, size: int, is_vector: bool, to_host: bool
     ) -> Generator:
-        address = self.geometry.page_index_to_address(page_index, col)
-        channel = self.channels[address.channel]
-        die = channel.dies[address.die]
+        """The one statement of a timed read, page or vector: overhead,
+        flush on the die, transfer on the channel bus.  Records the
+        read in the statistics and returns its bytes."""
+        channel_id, die_id = self.geometry.channel_and_die(page_index, col)
+        channel = self.channels[channel_id]
+        die = channel.dies[die_id]
+        sim = self.sim
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.channel_enqueue(channel.name)
             sanitizer.check_latency(
-                channel.name, "request_overhead_ns", self.timing.request_overhead_ns
+                channel.name, "request_overhead_ns", self._overhead_ns
             )
-            sanitizer.check_latency(channel.name, "flush_ns", self.timing.flush_ns)
+            sanitizer.check_latency(channel.name, "flush_ns", self._flush_ns)
         # Request decode / FTL / path-buffer handling.
-        yield self.sim.timeout(self.timing.request_overhead_ns)
+        yield Timeout(sim, self._overhead_ns)
         # Phase 1: flush the page into the die's page buffer.
         yield die.acquire()
         try:
-            yield self.sim.timeout(self.timing.flush_ns)
+            yield Timeout(sim, self._flush_ns)
             # Phase 2: shift the requested bytes over the shared bus.
             if is_vector:
-                transfer_ns = self.timing.vector_transfer_ns(size)
+                transfer_ns = self._vector_transfer_ns.get(size)
+                if transfer_ns is None:
+                    transfer_ns = self.timing.vector_transfer_ns(size)
+                    self._vector_transfer_ns[size] = transfer_ns
             else:
-                transfer_ns = self.timing.transfer_ns
+                transfer_ns = self._page_transfer_ns
             if sanitizer is not None:
                 sanitizer.check_latency(channel.name, "transfer_ns", transfer_ns)
             yield channel.bus.serve(transfer_ns)
@@ -343,7 +350,12 @@ class FlashArray:
             die.release()
         if sanitizer is not None:
             sanitizer.channel_complete(channel.name)
-        return self.peek(page_index, col, size)
+        data = self.peek(page_index, col, size)
+        if is_vector:
+            self.stats.record_vector_read(size)
+        else:
+            self.stats.record_page_read(size, to_host=to_host)
+        return data
 
     # ------------------------------------------------------------------
     # Convenience: run a batch of reads to completion, return elapsed ns

@@ -6,23 +6,25 @@ reads.  The paper's **EV-FMC** extends it with vector-grained reads:
 transferred, and the size is configured to ``EVsize``" (Section
 IV-B2).
 
-Both are thin orchestration layers over :class:`repro.ssd.flash.
-FlashArray`, which owns the die/bus contention model; the FMC's job
-here is request bookkeeping (the Path Buffer marking used by the
-DEMUX to route returned data) and providing an issue API that the
-controller and the Embedding Lookup Engine share.
+Both are thin bookkeeping layers over :class:`repro.ssd.flash.
+FlashArray`, which owns the die/bus contention model and the timed
+read itself.  The FMC's job here is the Path Buffer marking the DEMUX
+uses to route returned data: a :class:`ReadRequest` opened when a read
+is issued and closed with its data when the read completes.  Both are
+plain calls around the flash array's read process, so a read runs in
+the caller's generator frame plus the flash array's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.sim import Simulator
 from repro.ssd.flash import FlashArray
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadRequest:
     """One outstanding flash read tracked in the Path Buffer.
 
@@ -46,7 +48,7 @@ class ReadRequest:
 
 
 class FlashMemoryController:
-    """Per-device FMC pool: issues requests to the flash array.
+    """Per-device FMC pool: Path Buffer bookkeeping for flash reads.
 
     The flash array already routes each physical page to its channel
     and die, so one controller object can front all channels; per-
@@ -57,32 +59,31 @@ class FlashMemoryController:
         self.sim = sim
         self.flash = flash
 
-    def _finish(self, request: ReadRequest, data: bytes) -> ReadRequest:
-        request.completed_at = self.sim.now
-        request.data = data
-        return request
-
-    def read_page(self, physical_page: int, tag: object = None, to_host: bool = True) -> Generator:
-        """Process: full-page read; returns the completed request."""
-        request = ReadRequest(
+    def issue_page(self, physical_page: int, tag: object = None) -> ReadRequest:
+        """Open the request of a full-page read issued now."""
+        return ReadRequest(
             kind="block",
             physical_page=physical_page,
             size=self.flash.geometry.page_size,
             tag=tag,
             issued_at=self.sim.now,
         )
-        data = yield from self.flash.read_page_proc(physical_page, to_host=to_host)
-        return self._finish(request, data)
+
+    def complete(self, request: ReadRequest, data: bytes) -> ReadRequest:
+        """Close ``request`` now with the bytes its read returned."""
+        request.completed_at = self.sim.now
+        request.data = data
+        return request
 
 
 class EVFlashMemoryController(FlashMemoryController):
     """EV-FMC: adds vector-grained reads on the same channels."""
 
-    def read_vector(
+    def issue_vector(
         self, physical_page: int, col: int, size: int, tag: object = None
-    ) -> Generator:
-        """Process: read ``size`` bytes at ``col`` of a physical page."""
-        request = ReadRequest(
+    ) -> ReadRequest:
+        """Open the request of a ``size``-byte read at ``col``, issued now."""
+        return ReadRequest(
             kind="vector",
             physical_page=physical_page,
             col=col,
@@ -90,5 +91,3 @@ class EVFlashMemoryController(FlashMemoryController):
             tag=tag,
             issued_at=self.sim.now,
         )
-        data = yield from self.flash.read_vector_proc(physical_page, col, size)
-        return self._finish(request, data)

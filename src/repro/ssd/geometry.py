@@ -13,6 +13,7 @@ The emulated SSD of Table II has 32 GB over 4 channels with 4 KB pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,15 +70,17 @@ class SSDGeometry:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    # Cached: the geometry is frozen, and every timed read checks its
+    # page against ``total_pages``.
+    @cached_property
     def pages_per_die(self) -> int:
         return self.planes_per_die * self.blocks_per_plane * self.pages_per_block
 
-    @property
+    @cached_property
     def pages_per_channel(self) -> int:
         return self.dies_per_channel * self.pages_per_die
 
-    @property
+    @cached_property
     def total_pages(self) -> int:
         return self.channels * self.pages_per_channel
 
@@ -94,22 +97,31 @@ class SSDGeometry:
         stripe embedding reads "over all flash channels and dies"
         (Section IV-B2).
         """
-        if not 0 <= page_index < self.total_pages:
-            raise ValueError(
-                f"page index {page_index} out of range [0, {self.total_pages})"
-            )
-        if not 0 <= col < self.page_size:
-            raise ValueError(f"column {col} out of range [0, {self.page_size})")
-        channel = page_index % self.channels
-        rest = page_index // self.channels
-        die = rest % self.dies_per_channel
-        rest //= self.dies_per_channel
+        channel, die = self.channel_and_die(page_index, col)
+        rest = page_index // (self.channels * self.dies_per_channel)
         plane = rest % self.planes_per_die
         rest //= self.planes_per_die
         page = rest % self.pages_per_block
         block = rest // self.pages_per_block
         return PhysicalAddress(
             channel=channel, die=die, plane=plane, block=block, page=page, col=col
+        )
+
+    def channel_and_die(self, page_index: int, col: int = 0) -> tuple:
+        """``(channel, die)`` of a flat physical page number.
+
+        The two coordinates read timing depends on, decoded without
+        building a :class:`PhysicalAddress`; the range checks are
+        :meth:`page_index_to_address`'s.
+        """
+        if not 0 <= page_index < self.total_pages:
+            raise ValueError(
+                f"page index {page_index} out of range [0, {self.total_pages})"
+            )
+        if not 0 <= col < self.page_size:
+            raise ValueError(f"column {col} out of range [0, {self.page_size})")
+        return page_index % self.channels, (
+            page_index // self.channels % self.dies_per_channel
         )
 
     def address_to_page_index(self, address: PhysicalAddress) -> int:

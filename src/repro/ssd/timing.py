@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -43,10 +44,28 @@ class SSDTimingModel:
     page_program_us: float = 200.0
 
     def __post_init__(self) -> None:
+        # The simulator reads these constants once, when a flash array
+        # or controller is built, so this is the one place they are
+        # checked; chained comparisons also refuse NaN.
         if not 0.0 < self.flush_fraction < 1.0:
-            raise ValueError("flush_fraction must be in (0, 1)")
-        if self.page_size < 1 or self.page_read_us <= 0 or self.clock_hz <= 0:
-            raise ValueError("invalid timing parameters")
+            raise ValueError(
+                f"flush_fraction must be in (0, 1), got {self.flush_fraction!r}"
+            )
+        if not 1 <= self.page_size < inf:
+            raise ValueError(f"page_size must be >= 1, got {self.page_size!r}")
+        for name in ("clock_hz", "page_read_us", "page_program_us"):
+            value = getattr(self, name)
+            if not 0 < value < inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 <= self.request_overhead_cycles < inf:
+            raise ValueError(
+                "request_overhead_cycles must be finite and >= 0, "
+                f"got {self.request_overhead_cycles!r}"
+            )
+        # Finite parameters can still overflow once converted to ns.
+        for name in ("page_read_ns", "request_overhead_ns", "page_program_ns"):
+            if not getattr(self, name) < inf:
+                raise ValueError(f"{name} overflows: {self!r}")
 
     # ------------------------------------------------------------------
     # Cycle/time conversions

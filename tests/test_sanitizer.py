@@ -156,10 +156,15 @@ class TestFlashInvariants:
         flash.erase_block(0)
         assert flash.peek(stride, 0, 1) == b"\x00"
 
-    def test_negative_latency_is_flagged(self):
+    def test_negative_latency_is_flagged(self, monkeypatch):
+        # SSDTimingModel refuses hostile parameters, and the flash
+        # array reads its latencies once, when it is built: a latency
+        # that is negative by then is what this check still guards.
+        monkeypatch.setattr(
+            SSDTimingModel, "request_overhead_ns", property(lambda _: -20000.0)
+        )
         sim = Simulator(sanitize=True)
-        timing = SSDTimingModel(request_overhead_cycles=-4000)
-        flash = FlashArray(sim, small_geometry(), timing)
+        flash = FlashArray(sim, small_geometry(), SSDTimingModel())
         sim.process(flash.read_page_proc(0))
         with pytest.raises(SanitizerError) as exc:
             sim.run()

@@ -53,6 +53,45 @@ class TestTimeout:
         assert sim.now == 500
 
 
+class TestHostileBoundaries:
+    """Refused before the clock or the queue changes, with or without
+    the sanitizer."""
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1])
+    def test_hostile_timeout_delay(self, sanitize, delay):
+        # Unsanitized, NaN used to put the clock at NaN (and then back
+        # to the next finite event); inf put it at inf.
+        sim = Simulator(sanitize=sanitize)
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="timeout delay"):
+            sim.timeout(delay)
+        sim.run()
+        assert (sim.now, sim.peek()) == (1.0, None)
+
+    def test_hostile_run_until_behind_the_clock(self):
+        sim = Simulator(sanitize=False)
+        sim.timeout(10)
+        sim.run()
+        sim.timeout(5)
+        sim.run(until=12)
+        # Used to set the clock back to 3 with an event queued at 15.
+        with pytest.raises(SimulationError, match="until"):
+            sim.run(until=3)
+        assert (sim.now, sim.peek()) == (12, 15)
+        sim.run(until=12)  # the clock itself is a valid horizon
+        assert (sim.now, sim.peek()) == (12, 15)
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_hostile_run_until_non_finite(self, until):
+        # NaN used to drain the whole queue; inf left the clock at inf.
+        sim = Simulator(sanitize=False)
+        sim.timeout(5)
+        with pytest.raises(SimulationError, match="until"):
+            sim.run(until=until)
+        assert (sim.now, sim.peek()) == (0.0, 5)
+
+
 class TestProcess:
     def test_process_returns_value(self):
         sim = Simulator()

@@ -105,6 +105,17 @@ class TestServer:
         with pytest.raises(ValueError):
             server.serve(-1)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_hostile_duration_rejected_before_state_changes(self, duration):
+        # NaN passed the old `< 0` test and left free_at NaN.
+        sim = Simulator(sanitize=False)
+        server = Server(sim)
+        server.serve(4.0)
+        before = (server.free_at, server.busy_time, server.jobs_served, sim.peek())
+        with pytest.raises(ValueError, match="service duration"):
+            server.serve(duration)
+        assert (server.free_at, server.busy_time, server.jobs_served, sim.peek()) == before
+
     def test_jobs_served_counter(self):
         sim = Simulator()
         server = Server(sim)

@@ -91,6 +91,43 @@ class TestDerived:
             SSDTimingModel(flush_fraction=1.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("page_read_us", NAN), ("page_read_us", INF), ("page_read_us", 0.0),
+        ("clock_hz", NAN), ("clock_hz", INF), ("clock_hz", -1.0),
+        ("request_overhead_cycles", -5), ("request_overhead_cycles", NAN),
+        ("request_overhead_cycles", INF),
+        ("page_program_us", -1.0), ("page_program_us", NAN),
+        ("page_program_us", INF),
+        ("flush_fraction", NAN), ("page_size", 0),
+    ],
+)
+def test_hostile_timing_parameter_is_named(name, value):
+    # The flash array and controller read their latencies once, from
+    # this object, so its constructor is the boundary.  clock_hz=inf
+    # used to raise a raw ZeroDivisionError; the rest were accepted.
+    with pytest.raises(ValueError, match=name):
+        SSDTimingModel(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(page_read_us=1e306), dict(clock_hz=1e-305)]
+)
+def test_hostile_timing_overflow_is_refused(kwargs):
+    # Finite parameters whose ns conversion overflows (or turns NaN).
+    with pytest.raises(ValueError, match="overflows"):
+        SSDTimingModel(**kwargs)
+
+
+def test_zero_overhead_is_allowed():
+    overhead_ns = SSDTimingModel(request_overhead_cycles=0).request_overhead_ns
+    assert overhead_ns == pytest.approx(0.0, abs=0)
+
+
 class TestExplicitNsAccessors:
     def test_page_read_ns_matches_us_field(self, timing):
         assert timing.page_read_ns == pytest.approx(timing.page_read_us * 1e3)

@@ -15,7 +15,10 @@ echo "== compile =="
 python -m compileall -q src tools tests benchmarks
 
 echo "== fast-path differential smoke (RMSSD_SANITIZE=1) =="
-RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_fastpath_equivalence.py -k smoke
+# The DES's own step order is pinned first (tests/test_des_event_order.py):
+# it is the reference every fast-path differential compares against.
+RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
+    tests/test_fastpath_equivalence.py -k smoke
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
