@@ -366,8 +366,9 @@ def _fleet(args, result, *, autoscale: Optional[bool] = None, metrics=None,
     duration_ns = args.duration_ms * 1e6
     arrivals.require_finite(qps=qps, duration_ms=args.duration_ms)
     if args.arrivals == "poisson":
-        queries = max(1, int(qps * duration_ns / 1e9))
-        trace = arrivals.poisson_trace(qps, queries, seed=args.seed)
+        expected = qps * duration_ns / 1e9
+        arrivals.require_bounded(expected, qps=qps, duration_ms=args.duration_ms)
+        trace = arrivals.poisson_trace(qps, max(1, int(expected)), seed=args.seed)
     elif args.arrivals == "diurnal":
         trace = arrivals.diurnal_trace(
             qps, duration_ns, period_ns=duration_ns / 2, seed=args.seed

@@ -291,21 +291,20 @@ class PipelineSimulator:
         """
         metrics = self.metrics
         if metrics is not None:
-            # One latency + one queue-wait observation per batch, plus
-            # the batch counter, each stamped with the batch's
-            # *completion* instant — a windowed registry rolls them
-            # into the window the batch finished in.
-            latency_histogram = metrics.histogram(names.METRIC_SERVING_LATENCY)
-            queue_histogram = metrics.histogram(names.METRIC_SERVING_QUEUE)
-            batch_counter = metrics.counter(names.METRIC_SERVING_BATCHES)
-            for done, latency, queue_wait in zip(
-                result.completions_ns.tolist(),
-                result.latencies_ns.tolist(),
-                result.queue_waits_ns.tolist(),
-            ):
-                latency_histogram.observe(latency, t_ns=done)
-                queue_histogram.observe(queue_wait, t_ns=done)
-                batch_counter.inc(1, t_ns=done)
+            # The latency and queue-wait columns, plus one count per
+            # batch, each stamped with the batch's *completion* instant
+            # — a windowed registry rolls them into the window the
+            # batch finished in.
+            done = result.completions_ns
+            metrics.histogram(names.METRIC_SERVING_LATENCY).observe_many(
+                result.latencies_ns, t_ns=done
+            )
+            metrics.histogram(names.METRIC_SERVING_QUEUE).observe_many(
+                result.queue_waits_ns, t_ns=done
+            )
+            metrics.counter(names.METRIC_SERVING_BATCHES).observe_many(
+                np.ones(len(done), dtype=np.int64), t_ns=done
+            )
         if self.critpath is not None:
             self.critpath.record_run(result.arrivals_ns, result.stamps_ns)
         if self.tracer is not None:
@@ -349,7 +348,8 @@ class PipelineSimulator:
 
     def _record_services(self, result: PipelineRunResult) -> None:
         """Profiler triples ``(offered, start, start + duration)``, one
-        per job a stage server took, as ``Server.serve`` states them.
+        per job a stage server took, as ``Server.serve`` states them —
+        one column triple per stage.
 
         Emb serves every batch in index order, offered at the flow's
         clock (flows bootstrap at 0, so never before it); bot serves
@@ -357,7 +357,6 @@ class PipelineSimulator:
         order; top serves its positive-time batches in (ready, index)
         order, offered when both predecessors resumed.
         """
-        profiler = self.profiler
         arrivals, stamps = result.arrivals_ns, result.stamps_ns
         durations = result.durations_ns
         clock = np.where(arrivals > 0.0, arrivals, 0.0)
@@ -372,7 +371,4 @@ class PipelineSimulator:
         ):
             starts = stamps[jobs, start_column]
             finishes = starts + durations[jobs, stage]
-            for triple in zip(
-                offered[jobs].tolist(), starts.tolist(), finishes.tolist()
-            ):
-                profiler.record_service(name, *triple)
+            self.profiler.record_services(name, offered[jobs], starts, finishes)

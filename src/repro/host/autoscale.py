@@ -32,6 +32,12 @@ that licenses this is the loop's causality: a batch dispatched at or
 after ``t`` completes at or after ``t``, hence in a window the fold
 has not consumed.  :meth:`Autoscaler.observe` checks it on every
 observation and raises rather than let a late completion go unseen.
+The observation itself is buffered and reaches the control registry
+as one column when the registry is next read.  Epochs whose closed
+windows hold no observation over the alerting threshold cannot raise
+an alert — a window alerts only when it violates, and its quantile
+never exceeds its largest observation — so they skip the folds, which
+catch up, window by window in order, at the next epoch that might.
 
 Determinism: the controller sees only simulated-clock quantities (the
 dispatcher's exact analytic completion times), so the decision
@@ -41,6 +47,7 @@ DES and fast serving paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -170,9 +177,18 @@ class Autoscaler:
             quantile=quantile,
             threshold_ns=sla_ns,
         )
-        #: Private control-plane registry: the dispatcher feeds it the
-        #: analytic latency of every batch at its completion instant.
-        self.control = MetricsRegistry(window_ns=window_ns)
+        self._control = MetricsRegistry(window_ns=window_ns)
+        #: Observed (latency, completion) columns not yet in _control.
+        self._latencies: List[float] = []
+        self._completions: List[float] = []
+        #: Only a window holding an observation over this can violate:
+        #: an interpolated quantile lies within rounding of its window's
+        #: largest observation, and the margin covers the rounding.
+        self._suspect_ns = (1 - 1e-9) * min(
+            objective.threshold_ns for objective in self.engine.objectives
+        )
+        #: Windows holding such an observation that no fold has read.
+        self._suspects: List[int] = []
         self.epoch_ns = epoch_windows * float(window_ns)
         self.events: List[ScalingEvent] = []
         #: One burn-rate fold per objective, advanced epoch by epoch.
@@ -187,6 +203,17 @@ class Autoscaler:
         self._quiet_run = 0
 
     # ------------------------------------------------------------------
+    @property
+    def control(self) -> MetricsRegistry:
+        """Private control-plane registry: the analytic latency of every
+        observed batch, stamped at its completion instant."""
+        if self._completions:
+            self._control.histogram(names.METRIC_SERVING_LATENCY).observe_many(
+                self._latencies, t_ns=self._completions
+            )
+            self._latencies, self._completions = [], []
+        return self._control
+
     def observe(self, latency_ns: float, done_ns: float) -> None:
         """Record one dispatched batch's (exact) predicted latency.
 
@@ -200,9 +227,12 @@ class Autoscaler:
                 f"completion at {done_ns} ns lands in window {window}, "
                 "which the autoscaler closed at an earlier epoch"
             )
-        self.control.histogram(names.METRIC_SERVING_LATENCY).observe(
-            latency_ns, t_ns=done_ns
-        )
+        if not 0.0 <= latency_ns < math.inf:
+            raise ValueError(f"latency_ns: negative or non-finite {latency_ns!r}")
+        self._latencies.append(latency_ns)
+        self._completions.append(done_ns)
+        if latency_ns > self._suspect_ns:
+            self._suspects.append(window)
 
     def causal_alerts(self, t_ns: float) -> Tuple[dict, ...]:
         """Burn-rate alerts that became visible since the last epoch.
@@ -213,11 +243,20 @@ class Autoscaler:
         ``<= t_ns``).  Those windows are final: a batch arriving at or
         after ``t_ns`` completes at or after it, which is what keeps
         the loop causal and what :meth:`observe` checks.
+
+        Only a violating window can raise an alert, and only a window
+        holding a suspect observation can violate; until one of those
+        closes, the folds and the buffered rows wait, and catch up on
+        every window in order when it does.
         """
         self._closed = max(self._closed, window_index(t_ns, self.engine.window_ns))
+        if not self._suspects or min(self._suspects) >= self._closed:
+            return ()
+        self._suspects = [window for window in self._suspects if window >= self._closed]
+        control = self.control
         fresh: List[dict] = []
         for fold in self._folds:
-            series = self.control.series(fold.objective.metric)
+            series = control.series(fold.objective.metric)
             fresh.extend(fold.advance(series, self._closed))
         fresh.sort(key=alert_order)
         return tuple(fresh)

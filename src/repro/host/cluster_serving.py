@@ -31,6 +31,7 @@ latency distribution are all path-independent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,7 +81,7 @@ class _ReplicaModel:
         self.bot_ns = float(bot_ns)
         self.top_ns = float(top_ns)
         #: (emb, bot, top) server free_at clocks.
-        self._free = [0.0, 0.0, 0.0]
+        self._free = (0.0, 0.0, 0.0)
         #: Completion instants of dispatched batches — non-decreasing,
         #: because arrivals are sorted and the recurrence is monotone —
         #: with a head cursor marking the still-in-flight suffix.
@@ -106,18 +107,16 @@ class _ReplicaModel:
 
     def commit(self, arrival_ns: float) -> float:
         """Dispatch one batch: advance the frees, return completion."""
-        top_done, frees = self.predict(arrival_ns)
-        self._free = list(frees)
+        top_done, self._free = self.predict(arrival_ns)
         self._done.append(top_done)
         return top_done
 
     def backlog(self, t_ns: float) -> int:
         """Batches dispatched to this replica still in flight at
-        ``t_ns`` (queued or in service)."""
-        done = self._done
-        while self._head < len(done) and done[self._head] <= t_ns:
-            self._head += 1
-        return len(done) - self._head
+        ``t_ns`` (queued or in service): the non-decreasing completions
+        past ``t_ns``, searched from the head cursor on."""
+        self._head = bisect_right(self._done, t_ns, self._head)
+        return len(self._done) - self._head
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,12 @@ class JoinShortestQueueBalancer:
         replicas: Sequence[_ReplicaModel],
         active: Sequence[int],
     ) -> int:
-        return min(active, key=lambda rid: (replicas[rid].backlog(arrival_ns), rid))
+        if len(active) == 1:
+            return active[0]
+        # ``active`` is in ascending id order and ``index`` finds the
+        # first of equal backlogs, so ties go to the lowest id.
+        backlogs = [replicas[rid].backlog(arrival_ns) for rid in active]
+        return active[backlogs.index(min(backlogs))]
 
 
 class LatencyWeightedBalancer:
@@ -368,11 +372,10 @@ class ClusterServingSimulator:
         scaler = self.autoscaler
         bottleneck_stage, invariant_holds = self._bottleneck()
         events: List[ScalingEvent] = []
-        arrivals_array = np.asarray(query_times, dtype=np.float64)
-        next_eval_ns = scaler.epoch_ns if scaler is not None else None
+        next_eval_ns = scaler.epoch_ns if scaler is not None else math.inf
 
         for arrival in batch_times:
-            while next_eval_ns is not None and arrival >= next_eval_ns:
+            while arrival >= next_eval_ns:
                 self._evaluate_epoch(
                     scaler,
                     next_eval_ns,
@@ -380,7 +383,7 @@ class ClusterServingSimulator:
                     active,
                     assignments,
                     events,
-                    arrivals_array,
+                    query_times,
                     bottleneck_stage,
                     invariant_holds,
                 )
@@ -410,14 +413,13 @@ class ClusterServingSimulator:
         active: List[int],
         assignments: Dict[int, List[float]],
         events: List[ScalingEvent],
-        arrivals_array: np.ndarray,
+        query_times: List[float],
         bottleneck_stage: str,
         invariant_holds: bool,
     ) -> None:
         """One autoscaler decision at epoch boundary ``t_ns``."""
-        lo, hi = np.searchsorted(
-            arrivals_array, (t_ns - scaler.epoch_ns, t_ns), side="right"
-        )
+        lo = bisect_right(query_times, t_ns - scaler.epoch_ns)
+        hi = bisect_right(query_times, t_ns)
         epoch_offered = (hi - lo) / (scaler.epoch_ns / 1e9)
         # The replica carrying the deepest backlog at the decision
         # instant (ties -> lowest id): the fleet-level analogue of the
@@ -430,7 +432,7 @@ class ClusterServingSimulator:
             t_ns=t_ns,
             replicas=len(active),
             alerts=scaler.causal_alerts(t_ns),
-            offered_qps=float(epoch_offered),
+            offered_qps=epoch_offered,
             capacity_qps=len(active) * self.replica_qps,
             bottleneck_stage=bottleneck_stage,
             invariant_holds=invariant_holds,
@@ -514,10 +516,12 @@ class ClusterServingSimulator:
             return
         gauge = metrics.gauge(names.METRIC_CLUSTER_REPLICAS)
         gauge.set(plan.initial_replicas, t_ns=0.0)
-        counter = metrics.counter(names.METRIC_CLUSTER_SCALE_EVENTS)
         for event in plan.events:
             gauge.set(event.to_replicas, t_ns=event.t_ns)
-            counter.inc(1, t_ns=event.t_ns)
+        metrics.counter(names.METRIC_CLUSTER_SCALE_EVENTS).observe_many(
+            np.ones(len(plan.events), dtype=np.int64),
+            t_ns=[event.t_ns for event in plan.events],
+        )
 
     # ------------------------------------------------------------------
     def serve_trace(

@@ -41,6 +41,7 @@ closed-form replay, so the exported ``rmssd-explain/v1`` documents are
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,10 +185,7 @@ class CritPathCollector:
 def canonical_order(requests: Sequence[dict]) -> List[dict]:
     """Requests sorted by (arrival, replica, batch) — the document
     order, identical on both paths ((replica, batch) is unique)."""
-    return sorted(
-        requests,
-        key=lambda r: (r["arrival_ns"], r["replica"], r["batch"]),
-    )
+    return sorted(requests, key=itemgetter("arrival_ns", "replica", "batch"))
 
 
 def tail_exemplars(
@@ -208,23 +206,22 @@ def tail_exemplars(
 
 def _tail_summary(tail: Sequence[dict]) -> dict:
     """Blame shares and component means over one quantile's tail."""
-    sums = {key: 0.0 for key in COMPONENTS}
-    latency_sum = 0.0
+    # Column by column: each sum runs left to right in tail order.
+    sums = {}
+    for key in (*COMPONENTS, "latency_ns"):
+        total = 0.0
+        for request in tail:
+            total += request[key]
+        sums[key] = total
     queue_by_replica: Dict[str, float] = {}
     for request in tail:
-        for key in COMPONENTS:
-            sums[key] += request[key]
-        latency_sum += request["latency_ns"]
         rid = str(request["replica"])
         queue_by_replica[rid] = queue_by_replica.get(rid, 0.0) + request["queue_ns"]
     count = len(tail)
-    queue_sum = sums["queue_ns"]
+    latency_sum, queue_sum = sums["latency_ns"], sums["queue_ns"]
     return {
         "count": count,
-        "mean_ns": {
-            **{key: sums[key] / count for key in COMPONENTS},
-            "latency_ns": latency_sum / count,
-        },
+        "mean_ns": {key: total / count for key, total in sums.items()},
         "blame": {
             key: (sums[key] / latency_sum if latency_sum > 0 else 0.0)
             for key in COMPONENTS

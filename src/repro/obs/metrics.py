@@ -9,8 +9,11 @@ histograms, and device-traffic counters — in one exportable structure.
 live side by side in ``metrics.json``.
 
 Histograms use *fixed* bucket boundaries (upper-inclusive, like
-Prometheus ``le`` buckets) so observation cost is one bisect plus two
-integer increments, independent of how many values arrive.  Quantiles
+Prometheus ``le`` buckets), so state is a fixed number of integers
+however many values arrive.  Observations are appended as columns
+(``observe_many``; ``observe`` is its one-row call) and bucketed in
+one vectorized pass when next read
+(:class:`~repro.obs.timeseries.WindowTable`).  Quantiles
 interpolate linearly inside the bucket that crosses the target rank,
 with the edge buckets tightened to the observed min/max — exact for
 single-bucket data, conservative otherwise.  The boundary semantics
@@ -32,7 +35,7 @@ sites are unaffected.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.sketch import QuantileSketch
@@ -41,6 +44,7 @@ from repro.obs.timeseries import (
     WindowedGauge,
     WindowedLatency,
     build_document,
+    checked_stamp,
     export_document,
 )
 
@@ -64,26 +68,34 @@ DEFAULT_BOUNDS_NS: Sequence[float] = tuple(_default_bounds_ns())
 class Counter:
     """Monotonic named counter.
 
-    With a ``window_ns`` (set by a windowed registry), increments that
-    carry a ``t_ns=`` stamp also accumulate into per-window deltas.
+    Increments are rows of a :class:`~repro.obs.timeseries.
+    WindowedCounter`; with a ``window_ns`` (set by a windowed
+    registry), increments that carry a ``t_ns=`` stamp also accumulate
+    into per-window deltas, exposed as ``series``.
     """
 
-    __slots__ = ("name", "value", "window_ns", "series")
+    __slots__ = ("name", "window_ns", "series", "_rows")
 
     def __init__(self, name: str, window_ns: Optional[float] = None) -> None:
         self.name = name
-        self.value = 0
         self.window_ns = window_ns
         self.series: Optional[WindowedCounter] = None
+        self._rows = WindowedCounter(name, window_ns)
+
+    @property
+    def value(self) -> int:
+        return self._rows.aggregate
 
     def inc(self, amount: int = 1, t_ns: Optional[float] = None) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        self.value += amount
-        if t_ns is not None and self.window_ns is not None:
-            if self.series is None:
-                self.series = WindowedCounter(self.name, self.window_ns)
-            self.series.record(t_ns, amount)
+        self.observe_many((amount,), None if t_ns is None else (t_ns,))
+
+    def observe_many(self, amounts, t_ns=None) -> None:
+        """Add a column of whole-number increments, stamped by the
+        column ``t_ns`` (or unstamped); every entry is checked before
+        any is counted."""
+        column = self._rows.observe_many(amounts, t_ns)
+        if t_ns is not None and self.window_ns is not None and len(column):
+            self.series = self._rows
 
 
 class Gauge:
@@ -102,11 +114,16 @@ class Gauge:
         self.series: Optional[WindowedGauge] = None
 
     def set(self, value: float, t_ns: Optional[float] = None) -> None:
-        self.value = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"value: non-finite gauge value {value!r}")
+        if t_ns is not None:
+            checked_stamp(t_ns)
+        self.value = value
         if t_ns is not None and self.window_ns is not None:
             if self.series is None:
                 self.series = WindowedGauge(self.name, self.window_ns)
-            self.series.record(t_ns, self.value)
+            self.series.record(t_ns, value)
 
 
 class LatencyHistogram:
@@ -119,8 +136,10 @@ class LatencyHistogram:
     the top bucket edge — a saturated top bucket reports real tails,
     not the bucket boundary.
 
-    With a ``window_ns``, timestamped observations also feed a
-    per-window series; with a ``sketch_k``, every observation feeds a
+    Observations are rows of one :class:`~repro.obs.timeseries.
+    WindowedLatency` table: its slot 0 is this run aggregate, and with
+    a ``window_ns`` the timestamped rows also fill its windows, exposed
+    as ``series``.  With a ``sketch_k``, every observation feeds a
     deterministic rank sketch for deep tails (p999/p9999).
     """
 
@@ -140,22 +159,12 @@ class LatencyHistogram:
         if chosen[0] <= 0:
             raise ValueError("bucket bounds must be positive")
         self.bounds: List[float] = chosen
-        self.counts: List[int] = [0] * (len(chosen) + 1)
-        self.count = 0
-        self.total_ns = 0.0
-        self.min_ns = float("inf")
-        self.max_ns = 0.0
-        #: Smallest value seen in the overflow bucket (> bounds[-1]).
-        self.overflow_min_ns = float("inf")
         self.window_ns = window_ns
         self.series: Optional[WindowedLatency] = None
         self.sketch: Optional[QuantileSketch] = (
             QuantileSketch(sketch_k) if sketch_k else None
         )
-
-    def _window_histogram(self) -> "LatencyHistogram":
-        """A plain (unwindowed, unsketched) clone for one window."""
-        return LatencyHistogram(self.name, self.bounds)
+        self._rows = WindowedLatency(name, window_ns, chosen)
 
     def observe(self, value_ns: float, t_ns: Optional[float] = None) -> None:
         """Record one latency observation (simulated ns, >= 0).
@@ -164,30 +173,31 @@ class LatencyHistogram:
         the windowed series (typically the completion instant of the
         request it measures); omitted, only the run aggregate updates.
         """
-        if value_ns < 0:
-            raise ValueError(f"negative latency {value_ns}")
-        index = bisect_left(self.bounds, value_ns)
-        self.counts[index] += 1
-        self.count += 1
-        self.total_ns += value_ns
-        if value_ns < self.min_ns:
-            self.min_ns = value_ns
-        if value_ns > self.max_ns:
-            self.max_ns = value_ns
-        if index == len(self.bounds) and value_ns < self.overflow_min_ns:
-            self.overflow_min_ns = value_ns
+        self.observe_many((value_ns,), None if t_ns is None else (t_ns,))
+
+    def observe_many(self, value_ns, t_ns=None) -> None:
+        """Record a column of latencies, stamped by the column ``t_ns``
+        (or unstamped).  Every value and stamp is checked — finite and
+        non-negative — before any is recorded."""
+        column = self._rows.observe_many(value_ns, t_ns)
+        if t_ns is not None and self.window_ns is not None and len(column):
+            self.series = self._rows
         if self.sketch is not None:
-            self.sketch.insert(value_ns)
-        if t_ns is not None and self.window_ns is not None:
-            if self.series is None:
-                self.series = WindowedLatency(
-                    self.name, self.window_ns, self._window_histogram
-                )
-            self.series.record(t_ns, value_ns)
+            self.sketch.extend(column.tolist())
+
+    # The run aggregate: slot 0 of the table.
+    count = property(lambda self: self._rows.slot(0)[0])
+    total_ns = property(lambda self: self._rows.slot(0)[1])
+    min_ns = property(lambda self: self._rows.slot(0)[2])
+    max_ns = property(lambda self: self._rows.slot(0)[3])
+    #: Smallest value seen in the overflow bucket (> bounds[-1]).
+    overflow_min_ns = property(lambda self: self._rows.slot(0)[4])
+    counts = property(lambda self: self._rows.slot(0)[5])
 
     @property
     def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
+        count, total = self._rows.slot(0)[:2]
+        return total / count if count else 0.0
 
     def percentile(self, q: float) -> float:
         """The q-th percentile (0-100) by in-bucket interpolation.
@@ -196,66 +206,32 @@ class LatencyHistogram:
         non-empty buckets are tightened to the observed min/max, so a
         distribution confined to one bucket reports exact quantiles.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        return self._quantiles((q,))[0]
-
-    def _quantiles(self, qs: Sequence[float]) -> List[float]:
-        """The percentiles ``qs`` (ascending) in one pass: a bucket
-        cursor that only moves forward, up to the last target's bucket."""
-        if self.count == 0:
-            return [0.0] * len(qs)
-        counts = self.counts
-        values: List[float] = []
-        index = cumulative = 0
-        for q in qs:
-            target = q / 100.0 * self.count
-            if target <= 0:
-                values.append(self.min_ns)
-                continue
-            while counts[index] == 0 or cumulative + counts[index] < target:
-                cumulative += counts[index]
-                index += 1
-            if index < len(self.bounds):
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = self.bounds[index]
-            else:
-                # Overflow bucket: its edges are the *observed*
-                # extremes, never the top bucket boundary — see
-                # the class docstring (top-bucket clipping fix).
-                lower = self.overflow_min_ns
-                upper = self.max_ns
-            if cumulative == 0:  # first non-empty bucket
-                lower = max(lower, self.min_ns)
-            if cumulative + counts[index] == self.count:  # last non-empty
-                upper = min(upper, self.max_ns)
-            fraction = (target - cumulative) / counts[index]
-            values.append(lower + fraction * (upper - lower))
-        return values
+        return self._rows.quantiles(0, (q,))[0]
 
     def summary(self) -> dict:
         """The export payload: count, mean, quantiles, extremes."""
-        p50_ns, p95_ns, p99_ns = self._quantiles((50.0, 95.0, 99.0))
+        p50_ns, p95_ns, p99_ns = self._rows.quantiles(0, (50.0, 95.0, 99.0))
+        count, total, low, high = self._rows.slot(0)[:4]
         return {
-            "count": self.count,
-            "mean_ns": self.mean_ns,
+            "count": count,
+            "mean_ns": total / count if count else 0.0,
             "p50_ns": p50_ns,
             "p95_ns": p95_ns,
             "p99_ns": p99_ns,
-            "min_ns": self.min_ns if self.count else 0.0,
-            "max_ns": self.max_ns,
+            "min_ns": low if count else 0.0,
+            "max_ns": high,
         }
 
     def as_dict(self) -> dict:
         data = self.summary()
+        counts = self.counts
         data["buckets"] = [
             {"le_ns": bound, "count": count}
-            for bound, count in zip(self.bounds, self.counts)
+            for bound, count in zip(self.bounds, counts)
             if count
         ]
-        overflow = self.counts[-1]
-        if overflow:
-            data["buckets"].append({"le_ns": None, "count": overflow})
+        if counts[-1]:
+            data["buckets"].append({"le_ns": None, "count": counts[-1]})
         if self.sketch is not None:
             data["sketch"] = self.sketch.as_dict()
         return data

@@ -12,7 +12,8 @@ Three record streams feed one profile:
 
 * **service records** — FIFO :class:`repro.sim.resources.Server` jobs
   (the FTL MUX, each flash channel bus) as ``(arrival, start, end)``
-  triples.  Queue depths are derived post hoc: the depth seen by job
+  triples, one at a time or, from the serving pipeline, as one column
+  triple per stage.  Queue depths are derived post hoc: the depth seen by job
   *i* is the number of earlier-arrived jobs still in the system at its
   arrival.
 * **busy intervals** — occupancy of :class:`repro.sim.resources.
@@ -48,8 +49,11 @@ simulators); export with :meth:`Profiler.export_json` or
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 #: Schema tag stamped into every exported profile.
 PROFILE_SCHEMA = "rmssd-profile/v1"
@@ -64,50 +68,61 @@ STAGE_KEYS = ("emb", "bot", "top", "io")
 TIMELINE_LIMIT = 512
 
 def merge_intervals(
-    intervals: List[Tuple[float, float]],
-) -> List[Tuple[float, float]]:
-    """Union-merge ``(start, end)`` intervals (input need not be sorted).
+    starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Union-merge intervals given as start/end columns (any order);
+    returns the merged columns, sorted.
 
     Touching intervals coalesce (a die handed straight to the next
     waiter stays busy), so the merged total is the *occupancy* time —
     never double-counting overlap, never exceeding the span it covers.
+    Sort-based: in start order, an interval opens a new run when it
+    starts after every earlier one has ended, and a run ends at the
+    running maximum of its ends.
     """
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged: List[Tuple[float, float]] = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            if end > last_end:
-                merged[-1] = (last_start, end)
-        else:
-            merged.append((start, end))
-    return merged
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    reach = np.maximum.accumulate(ends)
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = starts[1:] > reach[:-1]
+    closes = np.ones(len(starts), dtype=bool)
+    closes[:-1] = opens[1:]
+    return starts[opens], reach[closes]
+
+
+def _stacked(chunks: Optional[List[np.ndarray]], width: int) -> np.ndarray:
+    """Row chunks of one width as one ``(n, width)`` array."""
+    return np.concatenate(chunks) if chunks else np.empty((0, width))
+
+
+def _service_error(name: str, arrival_ns, start_ns, end_ns) -> str:
+    return (
+        f"service on {name!r} out of order or not finite: "
+        f"arrival_ns={arrival_ns} start_ns={start_ns} end_ns={end_ns}"
+    )
 
 
 class Profiler:
     """Collects resource/stage records; builds the utilization profile."""
 
     def __init__(self) -> None:
-        # name -> list of (arrival, start, end) FIFO service triples.
-        self._services: Dict[str, List[Tuple[float, float, float]]] = {}
-        # name -> list of (start, end) busy intervals.
-        self._busy: Dict[str, List[Tuple[float, float]]] = {}
+        # name -> chunks of (arrival, start, end) FIFO service rows.
+        self._services: Dict[str, List[np.ndarray]] = {}
+        # name -> chunks of (start, end) busy rows.
+        self._busy: Dict[str, List[np.ndarray]] = {}
         # name -> list of (t, depth) sampled wait-queue depths.
         self._queue_samples: Dict[str, List[Tuple[float, int]]] = {}
         self._kinds: Dict[str, str] = {}
+        # name -> merged busy (starts, ends), dropped on every record.
+        self._merged: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         # One dict per device batch (DeviceTiming fields + start).
         self.stages: List[dict] = []
         #: Run metadata merged into the export (model, backend, ...).
         self.meta: Dict[str, object] = {}
 
     def __len__(self) -> int:
-        return (
-            sum(len(v) for v in self._services.values())
-            + sum(len(v) for v in self._busy.values())
-            + len(self.stages)
-        )
+        chunks = chain(*self._services.values(), *self._busy.values())
+        return sum(map(len, chunks)) + len(self.stages)
 
     # ------------------------------------------------------------------
     # Recording
@@ -115,6 +130,7 @@ class Profiler:
     def _register(self, name: str, kind: str) -> None:
         if name not in self._kinds:
             self._kinds[name] = kind
+        self._merged.pop(name, None)
 
     def record_service(
         self,
@@ -126,28 +142,46 @@ class Profiler:
     ) -> None:
         """One FIFO server job: offered at ``arrival``, served
         ``[start, end]`` (``start >= arrival``; the gap is queueing)."""
-        # Spelled so that NaN, which fails every comparison, is refused.
-        if not arrival_ns <= start_ns <= end_ns:
-            raise ValueError(
-                f"service on {name!r} out of order: arrival_ns={arrival_ns} "
-                f"start_ns={start_ns} end_ns={end_ns}"
-            )
+        # Spelled so that NaN, which fails every comparison, is refused,
+        # and so is an infinite endpoint.
+        if not -math.inf < arrival_ns <= start_ns <= end_ns < math.inf:
+            raise ValueError(_service_error(name, arrival_ns, start_ns, end_ns))
         self._register(name, kind)
         self._services.setdefault(name, []).append(
-            (float(arrival_ns), float(start_ns), float(end_ns))
+            np.array([(arrival_ns, start_ns, end_ns)], dtype=np.float64)
         )
+
+    def record_services(
+        self, name: str, arrival_ns, start_ns, end_ns, kind: str = "server"
+    ) -> None:
+        """Many jobs of one FIFO server, as three equal-length columns;
+        every job is checked as :meth:`record_service` checks one,
+        before any is recorded."""
+        if not len(arrival_ns) == len(start_ns) == len(end_ns):
+            raise ValueError(f"service columns on {name!r} differ in length")
+        rows = np.array((arrival_ns, start_ns, end_ns), dtype=np.float64).T
+        arrival, start, end = rows.T
+        ordered = (-math.inf < arrival) & (arrival <= start) & (start <= end) & (end < math.inf)
+        if not ordered.all():
+            bad = int(np.argmin(ordered))
+            raise ValueError(_service_error(name, arrival[bad], start[bad], end[bad]))
+        if len(rows):
+            self._register(name, kind)
+            self._services.setdefault(name, []).append(rows)
 
     def record_busy(
         self, name: str, start_ns: float, end_ns: float, kind: str = "resource"
     ) -> None:
         """One busy interval of a resource (overlaps are union-merged)."""
-        if not start_ns <= end_ns:
+        if not -math.inf < start_ns <= end_ns < math.inf:
             raise ValueError(
                 f"busy interval on {name!r} ends before it starts or is "
-                f"NaN: start_ns={start_ns} end_ns={end_ns}"
+                f"not finite: start_ns={start_ns} end_ns={end_ns}"
             )
         self._register(name, kind)
-        self._busy.setdefault(name, []).append((float(start_ns), float(end_ns)))
+        self._busy.setdefault(name, []).append(
+            np.array([(start_ns, end_ns)], dtype=np.float64)
+        )
 
     def record_queue_depth(self, name: str, t_ns: float, depth: int) -> None:
         """Sampled wait-queue depth (e.g. acquires that had to wait)."""
@@ -195,26 +229,28 @@ class Profiler:
         it), so the horizon is taken over *all* records, not ``sim.now``.
         """
         horizon = 0.0
-        for triples in self._services.values():
-            for _, _, end in triples:
-                if end > horizon:
-                    horizon = end
-        for intervals in self._busy.values():
-            for _, end in intervals:
-                if end > horizon:
-                    horizon = end
+        for name in self._kinds:
+            # A merged timeline ends at the latest end it covers.
+            end = float(self._resource_intervals(name)[1][-1])
+            if end > horizon:
+                horizon = end
         for stage in self.stages:
             end = stage["start_ns"] + stage["latency_ns"]
             if end > horizon:
                 horizon = end
         return horizon
 
-    def _resource_intervals(self, name: str) -> List[Tuple[float, float]]:
-        intervals = list(self._busy.get(name, ()))
-        intervals.extend(
-            (start, end) for _, start, end in self._services.get(name, ())
-        )
-        return merge_intervals(intervals)
+    def _resource_intervals(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The resource's union-merged busy timeline as start/end
+        columns (cached until the resource's next record)."""
+        merged = self._merged.get(name)
+        if merged is None:
+            services, busy = self.records(name)
+            merged = self._merged[name] = merge_intervals(
+                np.concatenate((busy[:, 0], services[:, 1])),
+                np.concatenate((busy[:, 1], services[:, 2])),
+            )
+        return merged
 
     def utilizations(self, elapsed: Optional[float] = None) -> Dict[str, float]:
         """Busy fraction per resource (union-merged; ``<= 1`` always)."""
@@ -222,30 +258,51 @@ class Profiler:
             elapsed = self.elapsed_ns()
         out: Dict[str, float] = {}
         for name in self._kinds:
-            busy = sum(e - s for s, e in self._resource_intervals(name))
+            starts, ends = self._resource_intervals(name)
+            busy = sum((ends - starts).tolist())
             out[name] = busy / elapsed if elapsed > 0 else 0.0
         return out
 
+    def records(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(arrival, start, end)`` service rows and the
+        ``(start, end)`` busy rows recorded for ``name``, in recording
+        order."""
+        return _stacked(self._services.get(name), 3), _stacked(self._busy.get(name), 2)
+
     @staticmethod
-    def _service_queue_depths(
-        triples: List[Tuple[float, float, float]],
-    ) -> List[int]:
+    def _service_queue_depths(triples) -> List[int]:
         """Depth seen by each job at arrival (earlier jobs still in
         system).  FIFO service means completion order equals arrival
-        order, so departures before ``arrival_i`` are a prefix count."""
-        ordered = sorted(triples)
-        ends = [end for _, _, end in ordered]
-        depths: List[int] = []
-        for index, (arrival, _, _) in enumerate(ordered):
-            departed = bisect_right(ends, arrival, 0, index)
-            depths.append(index - departed)
-        return depths
+        order, so departures before ``arrival_i`` are a prefix count:
+        ``bisect_right(ends, arrival_i, 0, i)`` over the jobs in sorted
+        order.  Where the ends before job ``i`` are sorted that is a
+        ``searchsorted``; past the first descent (a stage name merging
+        several servers, whose ends interleave) the search is replayed
+        for every remaining job at once, probe for probe as
+        ``bisect_right`` makes them, so the count is the same."""
+        rows = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+        order = np.lexsort(rows.T[::-1])
+        arrivals, ends = rows[order, 0], rows[order, 2]
+        jobs = np.arange(len(order))
+        descents = np.flatnonzero(ends[1:] < ends[:-1])
+        ordered = descents[0] + 1 if len(descents) else len(ends)
+        departed = np.minimum(np.searchsorted(ends[:ordered], arrivals, "right"), jobs)
+        arrivals, hi = arrivals[ordered + 1 :], jobs[ordered + 1 :]
+        lo = np.zeros_like(hi)
+        # Each probe at least halves every search range; a finished
+        # search (lo == hi) stays put.
+        for _ in range(len(jobs).bit_length() if len(hi) else 0):
+            mid = (lo + hi) >> 1
+            left = arrivals < ends[mid]
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, np.minimum(mid + 1, hi))
+        departed[ordered + 1 :] = lo
+        return (jobs - departed).tolist()
 
     def _queue_summary(self, name: str) -> Optional[dict]:
         depths = [depth for _, depth in self._queue_samples.get(name, ())]
-        triples = self._services.get(name)
-        if triples:
-            depths.extend(self._service_queue_depths(triples))
+        if name in self._services:
+            depths.extend(self._service_queue_depths(self.records(name)[0]))
         if not depths:
             return None
         return {
@@ -254,9 +311,9 @@ class Profiler:
             "mean_depth": sum(depths) / len(depths),
         }
 
-    def busy_timelines(self) -> Dict[str, Tuple[str, List[Tuple[float, float]]]]:
-        """Untruncated union-merged busy intervals per resource, with
-        each resource's kind.
+    def busy_timelines(self) -> Dict[str, Tuple[str, np.ndarray, np.ndarray]]:
+        """Untruncated union-merged busy timelines per resource: its
+        kind, then the start and end columns.
 
         The raw input of the per-window utilization resampler
         (:func:`repro.obs.timeseries.utilization_series`) — unlike
@@ -266,7 +323,7 @@ class Profiler:
         ``tools/check_trace.py --timeseries`` checks).
         """
         return {
-            name: (self._kinds[name], self._resource_intervals(name))
+            name: (self._kinds[name], *self._resource_intervals(name))
             for name in sorted(self._kinds)
         }
 
@@ -276,18 +333,18 @@ class Profiler:
             elapsed = self.elapsed_ns()
         report: Dict[str, dict] = {}
         for name in sorted(self._kinds):
-            merged = self._resource_intervals(name)
-            busy = sum(e - s for s, e in merged)
-            jobs = len(self._services.get(name, ())) or len(
-                self._busy.get(name, ())
-            )
+            starts, ends = self._resource_intervals(name)
+            busy = sum((ends - starts).tolist())
+            services, intervals = self.records(name)
+            jobs = len(services) or len(intervals)
+            shown = np.stack((starts, ends), axis=1)[:TIMELINE_LIMIT]
             entry = {
                 "kind": self._kinds[name],
                 "busy_ns": busy,
                 "utilization": busy / elapsed if elapsed > 0 else 0.0,
                 "jobs": jobs,
-                "busy_intervals": [list(pair) for pair in merged[:TIMELINE_LIMIT]],
-                "intervals_omitted": max(0, len(merged) - TIMELINE_LIMIT),
+                "busy_intervals": shown.tolist(),
+                "intervals_omitted": max(0, len(starts) - TIMELINE_LIMIT),
             }
             queue = self._queue_summary(name)
             if queue is not None:
@@ -310,11 +367,11 @@ class Profiler:
         report: Dict[str, dict] = {}
         for group in sorted(groups):
             members = sorted(groups[group])
-            intervals: List[Tuple[float, float]] = []
-            for member in members:
-                intervals.extend(self._resource_intervals(member))
-            merged = merge_intervals(intervals)
-            busy = sum(e - s for s, e in merged)
+            timelines = [self._resource_intervals(member) for member in members]
+            starts, ends = merge_intervals(
+                *(np.concatenate(column) for column in zip(*timelines))
+            )
+            busy = sum((ends - starts).tolist())
             report[group] = {
                 "busy_ns": busy,
                 "utilization": busy / elapsed if elapsed > 0 else 0.0,

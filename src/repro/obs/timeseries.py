@@ -19,52 +19,190 @@ Window semantics (pinned by ``tests/test_obs_timeseries.py``):
   window deltas always sum to the series total — the conservation
   invariant ``tools/check_trace.py --timeseries`` enforces.
 
-Everything is deterministic: windows are stored keyed by index and
-exported sorted, values are plain float arithmetic on simulated
-timestamps, so the DES and fast paths — whose timestamps are already
-bitwise-equal — produce **byte-identical** exports.
+Storage is one column table per counter or histogram
+(:class:`WindowTable`): observations arrive as ``(value, t_ns)``
+columns — one row from a scalar call, a whole run's worth from
+``observe_many`` — and bin lazily, in one vectorized pass over the
+rows appended since the last read.  The run aggregate and every window
+are slots of that table, so the aggregate export, the windowed export
+and the burn-rate fold (:class:`repro.obs.slo.BurnRateFold`) read the
+same numbers and cannot disagree.
+
+Everything is deterministic: windows are exported sorted by index,
+sums add left to right in recording order, and quantiles interpolate
+with the histogram's own operation order, so the DES and fast paths —
+whose timestamps are already bitwise-equal — produce **byte-identical**
+exports.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Version tag of the timeseries export document.
 TIMESERIES_SCHEMA = "rmssd-timeseries/v1"
+
+
+def _refused(name: str, noun: str, value: float) -> ValueError:
+    kind = "negative" if math.isfinite(value) else "non-finite"
+    return ValueError(f"{name}: {kind} {noun} {value!r}")
+
+
+def checked_stamp(t_ns: float) -> float:
+    """``t_ns``, refused unless finite and non-negative."""
+    if not 0 <= t_ns < math.inf:
+        raise _refused("t_ns", "timestamp", t_ns)
+    return t_ns
 
 
 def window_index(t_ns: float, window_ns: float) -> int:
     """The window containing simulated instant ``t_ns``."""
     if window_ns <= 0:
         raise ValueError("window width must be positive")
-    if t_ns < 0:
-        raise ValueError(f"negative timestamp {t_ns}")
-    return int(t_ns // window_ns)
+    return int(checked_stamp(t_ns) // window_ns)
 
 
-class WindowedCounter:
-    """Per-window deltas of a monotonic counter."""
+def checked_column(values, name: str, noun: str) -> np.ndarray:
+    """``values`` as a one-dimensional float64 column, refused with one
+    ``ValueError`` naming ``name`` unless every entry is finite and
+    non-negative (NaN fails every comparison, so it is caught too)."""
+    column = np.asarray(values, dtype=np.float64)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be a one-dimensional column")
+    if len(column) and not (column.min() >= 0.0 and column.max() < math.inf):
+        raise _refused(name, noun, float(column[~((column >= 0.0) & (column < math.inf))][0]))
+    return column
 
-    __slots__ = ("name", "window_ns", "total", "_windows")
+
+class WindowTable:
+    """Appended ``(value, t_ns)`` rows and the per-slot sums they bin into.
+
+    Slot 0 accumulates every row — the run aggregate, stamped or not;
+    with a ``window_ns``, every window that received a stamped row gets
+    a slot of its own.  Totals add left to right in recording order:
+    ``ufunc.at`` applies its rows one at a time, in order, which is the
+    sum an observation-at-a-time loop makes.  Rows appended since the
+    last read wait in ``_pending`` and are binned by the next read, so a
+    reader that comes back often (the autoscaler's folds) bins each row
+    once.
+    """
+
+    #: The per-slot arrays, grown together, with their empty values.
+    _STATE: Tuple[Tuple[str, float], ...] = (("_counts", 0), ("_sums", 0))
+
+    def __init__(
+        self, name: str, window_ns: Optional[float] = None, dtype=np.float64
+    ) -> None:
+        if window_ns is not None and not 0 < window_ns < math.inf:
+            raise ValueError("window width must be positive and finite")
+        self.name = name
+        self.window_ns = None if window_ns is None else float(window_ns)
+        #: (values, stamps or None) columns not binned yet.
+        self._pending: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        #: Window index (the float quotient ``t // window_ns``) -> slot.
+        self._slots: Dict[float, int] = {}
+        self._counts = np.zeros(1, dtype=np.int64)
+        self._sums = np.zeros(1, dtype=dtype)
+
+    def append(self, values: np.ndarray, t_ns=None) -> None:
+        """Queue one column of checked values with their stamps
+        (``t_ns`` a column of the same length, or None: aggregate only).
+        The stamps are checked before anything is queued."""
+        stamps = None
+        if t_ns is not None:
+            stamps = checked_column(t_ns, "t_ns", "timestamp")
+            if len(stamps) != len(values):
+                raise ValueError("t_ns must hold one stamp per value")
+        self._pending.append((values, stamps))
+
+    def _bin(self) -> None:
+        """Fold the pending rows into their slots, in one pass: every
+        row into slot 0, then the stamped rows into their windows."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        columns = [column for column, _ in pending]
+        slots = [0] * sum(map(len, columns))
+        stamped = [pair for pair in pending if pair[1] is not None]
+        if self.window_ns is not None and stamped:
+            slot_of = self._slots
+            keys = np.concatenate([t for _, t in stamped]) // self.window_ns
+            slots += [slot_of.setdefault(key, len(slot_of) + 1) for key in keys.tolist()]
+            columns += [column for column, _ in stamped]
+        values = np.concatenate(columns)
+        size = len(self._counts)
+        if len(self._slots) >= size:
+            size = max(len(self._slots) + 1, 2 * size)
+            for attribute, fill in self._STATE:
+                old = getattr(self, attribute)
+                grown = np.full((size,) + old.shape[1:], fill, dtype=old.dtype)
+                grown[: len(old)] = old
+                setattr(self, attribute, grown)
+        self._fold(np.array(slots, dtype=np.intp), values)
+
+    def _fold(self, slots: np.ndarray, values: np.ndarray) -> None:
+        np.add.at(self._counts, slots, 1)
+        np.add.at(self._sums, slots, values)
+
+    def _window_slots(self) -> Tuple[List[int], np.ndarray]:
+        """Window indices in order, with their slots."""
+        self._bin()
+        keys = np.fromiter(self._slots, np.float64, len(self._slots))
+        order = np.argsort(keys)
+        slots = np.fromiter(self._slots.values(), np.intp, len(self._slots))[order]
+        return [int(key) for key in keys[order].tolist()], slots
+
+    def window_indices(self) -> List[int]:
+        return self._window_slots()[0]
+
+    def window_count(self, index: int) -> int:
+        """Rows stamped inside window ``index`` (0 if none)."""
+        self._bin()
+        slot = self._slots.get(index)
+        return self._counts.item(slot) if slot is not None else 0
+
+
+class WindowedCounter(WindowTable):
+    """Per-window deltas of a monotonic counter: whole-number amounts."""
 
     kind = "counter"
 
-    def __init__(self, name: str, window_ns: float) -> None:
-        if window_ns <= 0:
-            raise ValueError("window width must be positive")
-        self.name = name
-        self.window_ns = float(window_ns)
-        self.total = 0
-        self._windows: Dict[int, int] = {}
+    def __init__(self, name: str, window_ns: Optional[float] = None) -> None:
+        super().__init__(name, window_ns, dtype=np.int64)
+
+    def observe_many(self, amounts, t_ns=None) -> np.ndarray:
+        """Append a column of increments (and their stamps); returns
+        the checked column."""
+        column = np.asarray(amounts)
+        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+            raise ValueError(f"amount must be whole numbers, got {column.dtype} values")
+        if len(column) and column.min() < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        self.append(column.astype(np.int64), t_ns)
+        return column
 
     def record(self, t_ns: float, amount: int = 1) -> None:
-        index = window_index(t_ns, self.window_ns)
-        self._windows[index] = self._windows.get(index, 0) + amount
-        self.total += amount
+        self.observe_many((amount,), (t_ns,))
+
+    @property
+    def aggregate(self) -> int:
+        """Every increment, stamped or not."""
+        self._bin()
+        return int(self._sums[0])
+
+    @property
+    def total(self) -> int:
+        """Increments stamped into windows."""
+        self._bin()
+        return int(self._sums[1 : len(self._slots) + 1].sum())
 
     def as_dict(self) -> dict:
         seconds = self.window_ns / 1e9
+        indices, slots = self._window_slots()
         return {
             "kind": self.kind,
             "window_ns": self.window_ns,
@@ -76,7 +214,7 @@ class WindowedCounter:
                     "delta": delta,
                     "rate_per_s": delta / seconds,
                 }
-                for index, delta in sorted(self._windows.items())
+                for index, delta in zip(indices, self._sums[slots].tolist())
             ],
         }
 
@@ -126,66 +264,168 @@ class WindowedGauge:
         }
 
 
-class WindowedLatency:
-    """Per-window latency distributions.
+class WindowedLatency(WindowTable):
+    """Per-window latency distributions over fixed bucket ``bounds``.
 
-    Each window holds its own histogram (built by ``factory`` so the
-    bucket layout matches the parent
-    :class:`~repro.obs.metrics.LatencyHistogram`), giving per-window
-    count/mean/p50/p95/p99/max with the same interpolation semantics
-    as the run aggregate.
+    Beside the count and total, each slot keeps its bucket counts
+    (bucket ``i`` covers ``(bounds[i-1], bounds[i]]``, plus one
+    overflow bucket), its extremes and the smallest overflow value;
+    quantiles interpolate inside the bucket that crosses the target
+    rank (see :class:`~repro.obs.metrics.LatencyHistogram`).  Slot 0
+    is the histogram's run aggregate, the other slots its windows.
     """
 
-    __slots__ = ("name", "window_ns", "_factory", "_windows")
-
     kind = "latency"
+    _STATE = WindowTable._STATE + (
+        ("_low", math.inf), ("_high", 0.0), ("_overflow_low", math.inf), ("_buckets", 0)
+    )
 
     def __init__(
-        self, name: str, window_ns: float, factory: Callable[[], object]
+        self, name: str, window_ns: Optional[float], bounds: Sequence[float]
     ) -> None:
-        if window_ns <= 0:
-            raise ValueError("window width must be positive")
-        self.name = name
-        self.window_ns = float(window_ns)
-        self._factory = factory
-        self._windows: Dict[int, object] = {}
+        super().__init__(name, window_ns)
+        self.bounds = list(bounds)
+        self._edges = np.asarray(self.bounds, dtype=np.float64)
+        #: Lower edge of each in-range bucket.
+        self._lowers = np.concatenate(([0.0], self._edges))
+        self._low = np.full(1, math.inf)
+        self._high = np.zeros(1)
+        self._overflow_low = np.full(1, math.inf)
+        self._buckets = np.zeros((1, len(self.bounds) + 1), dtype=np.int64)
 
-    def record(self, t_ns: float, value_ns: float) -> None:
-        index = window_index(t_ns, self.window_ns)
-        histogram = self._windows.get(index)
-        if histogram is None:
-            histogram = self._windows[index] = self._factory()
-        histogram.observe(value_ns)
+    def observe_many(self, value_ns, t_ns=None) -> np.ndarray:
+        """Append a column of latencies (and their stamps); returns
+        the checked column."""
+        column = checked_column(value_ns, "value_ns", "latency")
+        self.append(column, t_ns)
+        return column
+
+    def _fold(self, slots: np.ndarray, values: np.ndarray) -> None:
+        super()._fold(slots, values)
+        # np.searchsorted(..., "left") is bisect_left on finite floats.
+        buckets = np.searchsorted(self._edges, values)
+        np.add.at(self._buckets, (slots, buckets), 1)
+        np.minimum.at(self._low, slots, values)
+        np.maximum.at(self._high, slots, values)
+        if buckets.max() == len(self.bounds):
+            over = buckets == len(self.bounds)
+            np.minimum.at(self._overflow_low, slots[over], values[over])
+
+    def slot(self, slot: int) -> tuple:
+        """``(count, total, min, max, overflow min, bucket counts)`` of
+        one slot, as Python numbers."""
+        self._bin()
+        return (
+            self._counts.item(slot),
+            self._sums.item(slot),
+            self._low.item(slot),
+            self._high.item(slot),
+            self._overflow_low.item(slot),
+            self._buckets[slot].tolist(),
+        )
+
+    def quantiles(self, slot: int, qs: Sequence[float]) -> List[float]:
+        """The percentiles ``qs`` (ascending, 0-100) of one slot in one
+        pass: a bucket cursor that only moves forward.  The first and
+        last non-empty buckets are tightened to the observed min/max;
+        the overflow bucket spans the observed overflow values."""
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError("percentile must be in [0, 100]")
+        count, _, low, high, overflow_low, counts = self.slot(slot)
+        if count == 0:
+            return [0.0] * len(qs)
+        values: List[float] = []
+        index = cumulative = 0
+        for q in qs:
+            target = q / 100.0 * count
+            if target <= 0:
+                values.append(low)
+                continue
+            while counts[index] == 0 or cumulative + counts[index] < target:
+                cumulative += counts[index]
+                index += 1
+            if index < len(self.bounds):
+                lower = self.bounds[index - 1] if index > 0 else 0.0
+                upper = self.bounds[index]
+            else:
+                lower = overflow_low
+                upper = high
+            if cumulative == 0:  # first non-empty bucket
+                lower = max(lower, low)
+            if cumulative + counts[index] == count:  # last non-empty
+                upper = min(upper, high)
+            fraction = (target - cumulative) / counts[index]
+            values.append(lower + fraction * (upper - lower))
+        return values
+
+    def _quantile_columns(self, slots: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+        """:meth:`quantiles` for many non-empty slots at once (every
+        ``q > 0``), one row per slot and one column per ``q``: the same
+        cursor as an array program, with the same float operations in
+        the same order."""
+        counts = self._buckets[slots]
+        count = self._counts[slots][:, None]
+        low, high = self._low[slots][:, None], self._high[slots][:, None]
+        cumulative = np.cumsum(counts, axis=1)
+        target = np.asarray(qs) / 100.0 * count
+        # The first bucket whose running count reaches the target rank
+        # (it is non-empty: the one before it fell short).
+        index = np.argmax(cumulative[:, None, :] >= target[:, :, None], axis=2)
+        rows = np.arange(len(slots))[:, None]
+        inside = counts[rows, index]
+        below = cumulative[rows, index] - inside
+        top = len(self.bounds)
+        overflow = index == top
+        lower = np.where(overflow, self._overflow_low[slots][:, None], self._lowers[index])
+        upper = np.where(overflow, high, self._edges[np.minimum(index, top - 1)])
+        # Builtin max/min keep their first argument unless the second is
+        # strictly beyond it.
+        lower = np.where((below == 0) & (low > lower), low, lower)
+        upper = np.where((below + inside == count) & (high < upper), high, upper)
+        return lower + (target - below) / inside * (upper - lower)
 
     @property
     def total(self) -> int:
-        """Observations recorded across all windows."""
-        return sum(h.count for h in self._windows.values())
-
-    def window_indices(self) -> List[int]:
-        return sorted(self._windows)
+        """Observations stamped into windows."""
+        self._bin()
+        return int(self._counts[1 : len(self._slots) + 1].sum())
 
     def window_percentile(self, index: int, q: float) -> float:
         """The q-th percentile within one window (0.0 if absent)."""
-        histogram = self._windows.get(index)
-        return histogram.percentile(q) if histogram is not None else 0.0
-
-    def window_count(self, index: int) -> int:
-        histogram = self._windows.get(index)
-        return histogram.count if histogram is not None else 0
+        self._bin()
+        slot = self._slots.get(index)
+        return self.quantiles(slot, (q,))[0] if slot is not None else 0.0
 
     def as_dict(self) -> dict:
-        windows = []
-        for index, histogram in sorted(self._windows.items()):
-            summary = histogram.summary()
-            summary["index"] = index
-            summary["start_ns"] = index * self.window_ns
-            windows.append(summary)
+        indices, slots = self._window_slots()
+        count = self._counts[slots]
+        columns = zip(
+            indices,
+            count.tolist(),
+            (self._sums[slots] / count).tolist(),
+            self._quantile_columns(slots, (50.0, 95.0, 99.0)).tolist(),
+            self._low[slots].tolist(),
+            self._high[slots].tolist(),
+        )
         return {
             "kind": self.kind,
             "window_ns": self.window_ns,
-            "total": self.total,
-            "windows": windows,
+            "total": int(count.sum()),
+            "windows": [
+                {
+                    "count": rows,
+                    "mean_ns": mean,
+                    "p50_ns": p50_ns,
+                    "p95_ns": p95_ns,
+                    "p99_ns": p99_ns,
+                    "min_ns": low,
+                    "max_ns": high,
+                    "index": index,
+                    "start_ns": index * self.window_ns,
+                }
+                for index, rows, mean, (p50_ns, p95_ns, p99_ns), low, high in columns
+            ],
         }
 
 
@@ -193,19 +433,32 @@ class WindowedLatency:
 # Profiler resampling: busy-interval timelines -> utilization series
 # ---------------------------------------------------------------------------
 def _window_overlaps(
-    start: float, end: float, window_ns: float
-) -> Iterator[Tuple[int, float]]:
-    """Yield ``(window index, overlap ns)`` for one busy interval."""
-    index = int(start // window_ns)
+    starts: np.ndarray, ends: np.ndarray, window_ns: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(window index, overlap ns)`` of every busy interval with every
+    window it touches, interval by interval, windows ascending — the
+    pairs with a positive overlap.  Window ``i`` spans
+    ``[i * window_ns, i * window_ns + window_ns)``, both edges rounded
+    as written; an interval reaches the first window whose end is at or
+    past its own end."""
+    first = (starts // window_ns).astype(np.int64)
+    # A lower bound on the last window, then stepped up to it.
+    last = np.maximum(first, (ends // window_ns).astype(np.int64) - 1)
     while True:
-        window_start = index * window_ns
-        window_end = window_start + window_ns
-        overlap = min(end, window_end) - max(start, window_start)
-        if overlap > 0:
-            yield index, overlap
-        if end <= window_end:
-            return
-        index += 1
+        short = ends > last * window_ns + window_ns
+        if not short.any():
+            break
+        last += short
+    spans = last - first + 1
+    index = np.arange(spans.sum()) + np.repeat(first - (np.cumsum(spans) - spans), spans)
+    window_start = index * window_ns
+    window_end = window_start + window_ns
+    start, end = np.repeat(starts, spans), np.repeat(ends, spans)
+    overlap = np.where(window_end < end, window_end, end) - np.where(
+        window_start > start, window_start, start
+    )
+    kept = overlap > 0
+    return index[kept], overlap[kept]
 
 
 def utilization_series(profiler, window_ns: float) -> dict:
@@ -215,27 +468,29 @@ def utilization_series(profiler, window_ns: float) -> dict:
     ``profiler`` provides :meth:`~repro.obs.profiler.Profiler.
     busy_timelines` — union-merged busy intervals per resource, the
     same data behind ``resource_report`` but untruncated, so window
-    busy times sum exactly to the resource's total busy time.
+    busy times sum exactly to the resource's total busy time.  Each
+    window's busy time adds its overlaps left to right, in timeline
+    order.
     """
     if window_ns <= 0:
         raise ValueError("window width must be positive")
     series: dict = {}
-    for name, (kind, intervals) in sorted(profiler.busy_timelines().items()):
-        windows: Dict[int, float] = {}
-        for start, end in intervals:
-            for index, overlap in _window_overlaps(start, end, window_ns):
-                windows[index] = windows.get(index, 0.0) + overlap
+    for name, (kind, starts, ends) in sorted(profiler.busy_timelines().items()):
+        index, overlap = _window_overlaps(starts, ends, window_ns)
+        windows, slot = np.unique(index, return_inverse=True)
+        busy = np.zeros(len(windows))
+        np.add.at(busy, slot, overlap)
         series[name] = {
             "kind": kind,
-            "busy_ns": sum(end - start for start, end in intervals),
+            "busy_ns": sum((ends - starts).tolist()),
             "windows": [
                 {
                     "index": index,
                     "start_ns": index * window_ns,
-                    "busy_ns": busy,
-                    "utilization": busy / window_ns,
+                    "busy_ns": busy_ns,
+                    "utilization": busy_ns / window_ns,
                 }
-                for index, busy in sorted(windows.items())
+                for index, busy_ns in zip(windows.tolist(), busy.tolist())
             ],
         }
     return series

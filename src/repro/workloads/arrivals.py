@@ -34,6 +34,11 @@ from typing import Tuple
 
 import numpy as np
 
+#: The most arrivals a generator draws.  A trace expected to exceed it
+#: is refused before the first draw: a huge but finite rate would
+#: otherwise draw until memory runs out.
+MAX_ARRIVALS = 10_000_000
+
 #: Trace-kind labels carried on :class:`ArrivalTrace` for reports.
 KIND_POISSON = "poisson"
 KIND_DIURNAL = "diurnal"
@@ -99,6 +104,18 @@ def require_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_bounded(expected: float, **params: float) -> None:
+    """Refuse, naming ``params``, a trace whose expected arrival count
+    (rate x duration, or the count asked for) exceeds
+    :data:`MAX_ARRIVALS`."""
+    if not expected <= MAX_ARRIVALS:
+        named = ", ".join(f"{name}={value!r}" for name, value in params.items())
+        raise ValueError(
+            f"{named} expect {expected:.3g} arrivals, more than the "
+            f"{MAX_ARRIVALS:,} a trace may hold"
+        )
+
+
 def poisson_trace(
     qps: float, queries: int, seed: int = 0, start_ns: float = 0.0
 ) -> ArrivalTrace:
@@ -108,6 +125,7 @@ def poisson_trace(
         raise ValueError("offered load must be positive")
     if queries < 1:
         raise ValueError("need at least one query")
+    require_bounded(queries, queries=queries)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1e9 / qps, size=queries)
     times = start_ns + np.cumsum(gaps)
@@ -137,8 +155,12 @@ def diurnal_trace(
         raise ValueError("diurnal period must be positive")
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must be in [0, 1)")
-    rng = np.random.default_rng(seed)
     peak_qps = base_qps * (1.0 + amplitude)
+    # Thinning draws candidates at the peak rate.
+    require_bounded(
+        peak_qps * (duration_ns / 1e9), base_qps=base_qps, duration_ns=duration_ns
+    )
+    rng = np.random.default_rng(seed)
     times = []
     t_ns = 0.0
     while True:
@@ -181,27 +203,49 @@ def flash_crowd_trace(
         raise ValueError("burst factor must be >= 1")
     if burst_start_ns < 0 or burst_duration_ns < 0:
         raise ValueError("burst window must be non-negative")
-    rng = np.random.default_rng(seed)
-    steady = _poisson_until(rng, base_qps, 0.0, duration_ns)
     burst_end_ns = min(burst_start_ns + burst_duration_ns, duration_ns)
     excess_qps = base_qps * (burst_factor - 1.0)
+    bursting = excess_qps > 0 and burst_end_ns > burst_start_ns
+    expected = base_qps * duration_ns
+    if bursting:
+        expected += excess_qps * (burst_end_ns - burst_start_ns)
+    require_bounded(
+        expected / 1e9,
+        base_qps=base_qps, duration_ns=duration_ns, burst_factor=burst_factor,
+    )
+    rng = np.random.default_rng(seed)
+    steady = _poisson_until(rng, base_qps, 0.0, duration_ns)
     burst = (
-        _poisson_until(rng, excess_qps, burst_start_ns, burst_end_ns)
-        if excess_qps > 0 and burst_end_ns > burst_start_ns
-        else []
+        _poisson_until(rng, excess_qps, burst_start_ns, burst_end_ns) if bursting else []
     )
     return _superpose(KIND_FLASH_CROWD, steady, burst)
 
 
 def _poisson_until(rng, qps: float, start_ns: float, end_ns: float) -> list:
-    """Homogeneous Poisson instants in ``[start_ns, end_ns)``."""
-    times = []
+    """Homogeneous Poisson instants in ``[start_ns, end_ns)``: what a
+    loop drawing one gap at a time makes, stopping at the first draw
+    that lands at or past ``end_ns``.
+
+    Gaps are drawn in blocks (a block of draws is the same stream as
+    one draw at a time) and summed left to right; the generator is then
+    rewound and moved on by exactly the draws the loop would have made,
+    so a stream drawn after this one is unchanged too.
+    """
+    scale = 1e9 / qps
+    state = rng.bit_generator.state
+    # The expected count and six standard deviations; rarely short.
+    expected = max(0.0, (end_ns - start_ns) / scale)
+    block = int(expected + 6.0 * math.sqrt(expected)) + 16
+    instants = np.empty(0)
     t_ns = start_ns
-    while True:
-        t_ns += rng.exponential(scale=1e9 / qps)
-        if t_ns >= end_ns:
-            return times
-        times.append(t_ns)
+    while t_ns < end_ns:
+        gaps = rng.exponential(scale=scale, size=block)
+        instants = np.concatenate((instants, np.add.accumulate(np.append(t_ns, gaps))[1:]))
+        t_ns = instants[-1]
+    inside = int(np.searchsorted(instants, end_ns))
+    rng.bit_generator.state = state
+    rng.exponential(scale=scale, size=inside + 1)
+    return instants[:inside].tolist()
 
 
 def merge_traces(*traces: ArrivalTrace) -> ArrivalTrace:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.workloads import arrivals
 from repro.workloads.arrivals import (
     ArrivalTrace,
     batch_arrivals,
@@ -254,3 +255,62 @@ def test_hostile_non_finite_parameter_is_named(generator, param, value):
     with returns_within(2.0, f"{generator.__name__}({param}={value})"):
         with pytest.raises(ValueError, match=f"^{param} must be finite"):
             generator(**kwargs)
+
+
+HUGE = [
+    pytest.param(poisson_trace, dict(qps=100.0, queries=10**12), id="poisson-queries"),
+    pytest.param(
+        diurnal_trace, dict(base_qps=1e300, duration_ns=1e9, period_ns=1e8),
+        id="diurnal-base_qps",
+    ),
+    pytest.param(
+        flash_crowd_trace,
+        dict(base_qps=1e300, duration_ns=1e9, burst_start_ns=0.0, burst_duration_ns=1e8),
+        id="flash-crowd-base_qps",
+    ),
+    pytest.param(
+        flash_crowd_trace,
+        dict(base_qps=100.0, duration_ns=1e9, burst_start_ns=0.0,
+             burst_duration_ns=1e8, burst_factor=1e300),
+        id="flash-crowd-burst_factor",
+    ),
+]
+
+
+@pytest.mark.parametrize("generator, kwargs", HUGE)
+def test_hostile_huge_finite_rate_refused_before_any_draw(generator, kwargs, monkeypatch):
+    """Before the bound, a huge but finite rate x duration (reachable as
+    ``sla --cluster --qps 1e300``) drew one arrival at a time until
+    memory ran out."""
+
+    def no_draw(seed):
+        raise AssertionError("drew from the generator before refusing")
+
+    monkeypatch.setattr(arrivals.np.random, "default_rng", no_draw)
+    with returns_within(2.0, generator.__name__):
+        with pytest.raises(ValueError, match="a trace may hold"):
+            generator(**kwargs)
+
+
+def reference_poisson_until(rng, qps, start_ns, end_ns):
+    """One gap at a time, stopping at the first draw at or past the end."""
+    times, t_ns = [], start_ns
+    while True:
+        t_ns += rng.exponential(scale=1e9 / qps)
+        if t_ns >= end_ns:
+            return times
+        times.append(t_ns)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("qps, start_ns, end_ns", [
+    (600.0, 0.0, 2e8), (1e4, 3e7, 9e7), (5.0, 0.0, 1e8), (1e6, 0.0, 1e3),
+    (700.0, 5e7, 5e7 + 1.0), (700.0, 5e7, 5e7),
+])
+def test_block_drawn_poisson_stream_is_the_loops(seed, qps, start_ns, end_ns):
+    """Same instants, and the generator left in the same state, so the
+    flash crowd's burst stream, drawn next, is unchanged as well."""
+    blocks, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = arrivals._poisson_until(blocks, qps, start_ns, end_ns)
+    assert got == reference_poisson_until(loop, qps, start_ns, end_ns)
+    assert blocks.bit_generator.state == loop.bit_generator.state

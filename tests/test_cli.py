@@ -275,6 +275,12 @@ class TestBoundaryErrors:
          "qps must be finite"),
         (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "inf"],
          "qps must be finite"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "1e300"],
+         "a trace may hold"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "1e300",
+          "--arrivals", "diurnal"], "a trace may hold"),
+        (["sla", "rmc1", "--cluster", "--replicas", "1", "--qps", "1e300",
+          "--arrivals", "poisson"], "a trace may hold"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_hostile_value_is_a_message_and_writes_nothing(
         self, argv, message, capsys, tmp_path

@@ -469,10 +469,11 @@ def staged_reads_fast(flash, reads, enter):
 def profile_state(profiler):
     """The exported document plus the raw records it is derived from
     (record order is not part of the contract, multiplicity is)."""
-    records = (profiler._services, profiler._busy, profiler._queue_samples)
+    rows = {name: [r.tolist() for r in profiler.records(name)] for name in profiler._kinds}
     return (
         json.dumps(profiler.as_dict(), sort_keys=True),
-        [{name: sorted(rows) for name, rows in kind.items()} for kind in records],
+        {name: [sorted(kind) for kind in kinds] for name, kinds in rows.items()},
+        {name: sorted(samples) for name, samples in profiler._queue_samples.items()},
     )
 
 

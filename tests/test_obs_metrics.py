@@ -246,3 +246,66 @@ class TestRegistry:
         with open(path) as handle:
             document = json.load(handle)
         assert document == registry.as_dict()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def registry_state(metrics):
+    """Every aggregate and window the registry would export."""
+    histogram, counter = metrics.histogram("h"), metrics.counter("c")
+    return (
+        (histogram.count, histogram.total_ns, counter.value, metrics.gauge("g").value),
+        json.dumps(metrics.as_dict(), sort_keys=True),
+        json.dumps(metrics.series_dict(), sort_keys=True),
+    )
+
+
+class TestHostileBoundaries:
+    """Before the checks, ``observe(nan)`` was accepted (NaN mean and
+    p50, an inf min, a 0.0 max), a NaN or infinite ``t_ns`` raised a raw
+    ``cannot convert float NaN to integer`` after ``count``/``value``
+    had moved, and ``Gauge.set`` took NaN and inf.  Every refusal names
+    its parameter and comes before any aggregate or window changes, on
+    the scalar and the column entry alike."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda m: m.histogram("h").observe(NAN),
+                     "^value_ns: non-finite", id="observe-nan"),
+        pytest.param(lambda m: m.histogram("h").observe(INF, t_ns=5.0),
+                     "^value_ns: non-finite", id="observe-inf"),
+        pytest.param(lambda m: m.histogram("h").observe(-1.0, t_ns=5.0),
+                     "^value_ns: negative", id="observe-negative"),
+        pytest.param(lambda m: m.histogram("h").observe(1.0, t_ns=NAN),
+                     "^t_ns: non-finite", id="observe-t-nan"),
+        pytest.param(lambda m: m.histogram("h").observe(1.0, t_ns=INF),
+                     "^t_ns: non-finite", id="observe-t-inf"),
+        pytest.param(lambda m: m.histogram("h").observe(1.0, t_ns=-1.0),
+                     "^t_ns: negative", id="observe-t-negative"),
+        pytest.param(lambda m: m.histogram("h").observe_many([1.0, NAN], t_ns=[1.0, 2.0]),
+                     "^value_ns", id="observe_many-nan"),
+        pytest.param(lambda m: m.histogram("h").observe_many([1.0, 2.0], t_ns=[1.0, INF]),
+                     "^t_ns", id="observe_many-t-inf"),
+        pytest.param(lambda m: m.histogram("h").observe_many([1.0, 2.0], t_ns=[1.0]),
+                     "^t_ns", id="observe_many-ragged"),
+        pytest.param(lambda m: m.counter("c").inc(1, t_ns=NAN), "^t_ns", id="inc-t-nan"),
+        pytest.param(lambda m: m.counter("c").inc(1, t_ns=INF), "^t_ns", id="inc-t-inf"),
+        pytest.param(lambda m: m.counter("c").inc(1.5, t_ns=5.0), "^amount",
+                     id="inc-fraction"),
+        pytest.param(lambda m: m.counter("c").observe_many([1, 2], t_ns=[1.0, NAN]),
+                     "^t_ns", id="counter-observe_many-t-nan"),
+        pytest.param(lambda m: m.counter("c").observe_many([1, -2], t_ns=[1.0, 2.0]),
+                     "only go up", id="counter-observe_many-negative"),
+        pytest.param(lambda m: m.gauge("g").set(NAN, t_ns=5.0), "^value:", id="set-nan"),
+        pytest.param(lambda m: m.gauge("g").set(INF, t_ns=5.0), "^value:", id="set-inf"),
+        pytest.param(lambda m: m.gauge("g").set(1.0, t_ns=NAN), "^t_ns", id="set-t-nan"),
+    ])
+    def test_hostile_value_refused_before_any_state_changes(self, call, message):
+        metrics = MetricsRegistry(window_ns=100.0)
+        metrics.histogram("h").observe(5.0, t_ns=10.0)
+        metrics.counter("c").inc(2, t_ns=10.0)
+        metrics.gauge("g").set(3.0, t_ns=10.0)
+        before = registry_state(metrics)
+        with pytest.raises(ValueError, match=message):
+            call(metrics)
+        assert registry_state(metrics) == before

@@ -7,8 +7,13 @@ deterministic export.  End-to-end DES-vs-fastpath byte equivalence lives in
 """
 
 import json
+import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from repro.obs.profiler import (
@@ -19,23 +24,27 @@ from repro.obs.profiler import (
 )
 
 
+def merged(pairs):
+    starts, ends = merge_intervals(*np.array(pairs, dtype=float).reshape(-1, 2).T)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestMergeIntervals:
     def test_empty(self):
-        assert merge_intervals([]) == []
+        assert merged([]) == []
 
     def test_disjoint_sorted_output(self):
-        merged = merge_intervals([(5.0, 6.0), (1.0, 2.0)])
-        assert merged == [(1.0, 2.0), (5.0, 6.0)]
+        assert merged([(5.0, 6.0), (1.0, 2.0)]) == [(1.0, 2.0), (5.0, 6.0)]
 
     def test_overlap_coalesces(self):
-        assert merge_intervals([(0.0, 3.0), (2.0, 5.0)]) == [(0.0, 5.0)]
+        assert merged([(0.0, 3.0), (2.0, 5.0)]) == [(0.0, 5.0)]
 
     def test_touching_coalesces(self):
         # A die handed straight to the next waiter stays busy.
-        assert merge_intervals([(0.0, 2.0), (2.0, 4.0)]) == [(0.0, 4.0)]
+        assert merged([(0.0, 2.0), (2.0, 4.0)]) == [(0.0, 4.0)]
 
     def test_containment(self):
-        assert merge_intervals([(0.0, 10.0), (2.0, 3.0)]) == [(0.0, 10.0)]
+        assert merged([(0.0, 10.0), (2.0, 3.0)]) == [(0.0, 10.0)]
 
 
 class TestRecordValidation:
@@ -66,6 +75,28 @@ class TestRecordValidation:
         argument = ("start_ns", "end_ns")[position]
         with pytest.raises(ValueError, match=f"{argument}=nan"):
             Profiler().record_busy("die", *instants)
+
+    @pytest.mark.parametrize("instants", [
+        (0.0, 5.0, math.inf), (-math.inf, 5.0, 9.0), (math.inf,) * 3, (0.0, math.nan, 9.0),
+    ], ids=["end-inf", "arrival-minus-inf", "all-inf", "start-nan"])
+    def test_hostile_service_endpoint_refused_before_any_record(self, instants):
+        """Before the check, ``end_ns=inf`` passed the chained order
+        test: ``elapsed_ns()`` became inf and every utilization read 0.
+        The column form refuses the whole column, a good row included."""
+        profiler = Profiler()
+        profiler.record_service("bus", 0.0, 1.0, 2.0)
+        profiler.record_busy("die", 0.0, 2.0)
+        before = json.dumps(profiler.as_dict(), sort_keys=True)
+        with pytest.raises(ValueError, match="out of order or not finite"):
+            profiler.record_service("bus", *instants)
+        columns = [[good, value] for good, value in zip((0.0, 1.0, 2.0), instants)]
+        with pytest.raises(ValueError, match="out of order or not finite"):
+            profiler.record_services("bus", *columns)
+        for interval in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="ends before it starts or is not finite"):
+                profiler.record_busy("die", *interval)
+        assert len(profiler) == 2
+        assert json.dumps(profiler.as_dict(), sort_keys=True) == before
 
     def test_negative_queue_depth_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -244,3 +275,44 @@ class TestExport:
         with open(path) as handle:
             payload = json.load(handle)
         assert payload["resources"]["bus"]["jobs"] == 1
+
+
+# ----------------------------------------------------------------------
+# The array programs against their record-at-a-time references
+# ----------------------------------------------------------------------
+def reference_merge(intervals):
+    """The sorted-loop union merge the sort-based one replaced."""
+    runs = []
+    for start, end in sorted(intervals):
+        if runs and start <= runs[-1][1]:
+            if end > runs[-1][1]:
+                runs[-1] = (runs[-1][0], end)
+        else:
+            runs.append((start, end))
+    return runs
+
+
+def reference_depths(triples):
+    """``bisect_right`` per job over the ends of the jobs before it."""
+    ordered = sorted(triples)
+    ends = [end for _, _, end in ordered]
+    return [i - bisect_right(ends, a, 0, i) for i, (a, _, _) in enumerate(ordered)]
+
+
+INSTANT = st.integers(0, 40).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(INSTANT, INSTANT), max_size=40))
+def test_merge_matches_the_sorted_loop(pairs):
+    intervals = [(min(a, b), max(a, b)) for a, b in pairs]
+    assert merged(intervals) == reference_merge(intervals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(INSTANT, INSTANT, INSTANT), max_size=60))
+def test_queue_depths_match_bisect_even_where_ends_interleave(jobs):
+    """Several servers under one name interleave their ends, where a
+    plain searchsorted over the ends would count differently."""
+    triples = [(a, a + wait, a + wait + service) for a, wait, service in jobs]
+    assert Profiler._service_queue_depths(triples) == reference_depths(triples)

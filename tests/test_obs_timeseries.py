@@ -9,8 +9,13 @@ Prometheus text) are deterministic.
 """
 
 import json
+import math
+from bisect import bisect_left
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
@@ -25,6 +30,7 @@ from repro.obs.timeseries import (
     utilization_series,
     window_index,
 )
+from tests.test_obs_metrics import three_scan_percentile
 
 
 # ----------------------------------------------------------------------
@@ -281,3 +287,134 @@ class TestTimeseriesValidator:
         registry["counters"]["c"] = 99
         problems = self._check(document, tmp_path, registry)
         assert any("cross-check" in p for p in problems)
+
+
+# ----------------------------------------------------------------------
+# The column table against observation-at-a-time references
+# ----------------------------------------------------------------------
+def reference_summary(values, bounds):
+    """The export payload of one window, observation by observation,
+    as the per-window histograms made it before the column table."""
+    counts = [0] * (len(bounds) + 1)
+    total, low, high, overflow_low = 0.0, math.inf, 0.0, math.inf
+    for value in values:
+        index = bisect_left(bounds, value)
+        counts[index] += 1
+        total += value
+        low = value if value < low else low
+        high = value if value > high else high
+        if index == len(bounds) and value < overflow_low:
+            overflow_low = value
+    histogram = SimpleNamespace(
+        count=len(values), counts=counts, bounds=bounds, min_ns=low,
+        max_ns=high, overflow_min_ns=overflow_low,
+    )
+    summary = {"count": len(values), "mean_ns": total / len(values)}
+    for q in (50.0, 95.0, 99.0):
+        summary[f"p{q:g}_ns"] = three_scan_percentile(histogram, q)
+    summary.update(min_ns=low, max_ns=high)
+    return summary
+
+
+BOUNDS = (100.0, 1000.0, 1e6)
+VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
+    st.sampled_from((0.0, 100.0, 1000.0, 1e6, 1e6 + 1.0, 0.1, 0.2, 0.3)),
+)
+ROWS = st.lists(
+    st.tuples(VALUES, st.one_of(st.none(), st.floats(0.0, 12.0))), max_size=60
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=ROWS,
+    cuts=st.lists(st.integers(0, 60), max_size=6),
+    window_ns=st.sampled_from((1.0, 2.5, 1.1000000000000002)),
+)
+def test_window_table_matches_observation_at_a_time(rows, cuts, window_ns):
+    """Rows recorded in columns of any split (stamped, unstamped, one
+    at a time), then read back in bulk, per window and as the run
+    aggregate: every number equals the one-at-a-time reference, sums
+    in recording order and quantiles bit for bit."""
+    histogram = MetricsRegistry(window_ns=window_ns).histogram("h", bounds=BOUNDS)
+    edges = sorted({0, len(rows), *(cut for cut in cuts if cut <= len(rows))})
+    recorded = []
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = rows[lo:hi]
+        if lo % 2:
+            for value, t in chunk:
+                histogram.observe(value, t_ns=t)
+            recorded += chunk
+        else:
+            stamped = [(value, t) for value, t in chunk if t is not None]
+            unstamped = [(value, t) for value, t in chunk if t is None]
+            histogram.observe_many([value for value, _ in stamped],
+                                   t_ns=[t for _, t in stamped])
+            histogram.observe_many([value for value, _ in unstamped])
+            recorded += stamped + unstamped
+        if histogram.series is not None:
+            histogram.series.window_count(0)  # a read between columns
+    windows = {}
+    for value, t in recorded:
+        if t is not None:
+            windows.setdefault(window_index(t, window_ns), []).append(value)
+    if recorded:
+        summary = histogram.summary()
+        assert json.dumps(summary) == json.dumps(
+            reference_summary([value for value, _ in recorded], list(BOUNDS))
+        )
+    series = histogram.series
+    if not windows:
+        assert series is None
+        return
+    exported = series.as_dict()["windows"]
+    assert [w["index"] for w in exported] == sorted(windows)
+    for window in exported:
+        values = windows[window["index"]]
+        reference = reference_summary(values, list(BOUNDS))
+        assert json.dumps({k: window[k] for k in reference}) == json.dumps(reference)
+        assert series.window_count(window["index"]) == len(values)
+        for q, key in ((50.0, "p50_ns"), (95.0, "p95_ns"), (99.0, "p99_ns")):
+            assert repr(series.window_percentile(window["index"], q)) == repr(window[key])
+
+
+def reference_overlaps(start, end, window_ns):
+    """``(window index, overlap ns)`` of one busy interval, one window
+    at a time — the generator the resampler replaced."""
+    index = int(start // window_ns)
+    while True:
+        window_start = index * window_ns
+        window_end = window_start + window_ns
+        overlap = min(end, window_end) - max(start, window_start)
+        if overlap > 0:
+            yield index, overlap
+        if end <= window_end:
+            return
+        index += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intervals=st.lists(
+        st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 3e3)), min_size=1, max_size=30
+    ),
+    window_ns=st.sampled_from((100.0, 7.3, 250.0, 1100.0000000000002, 1e5)),
+)
+def test_utilization_matches_interval_at_a_time(intervals, window_ns):
+    profiler = Profiler()
+    for start, length in intervals:
+        profiler.record_busy("die", start, start + length)
+    _, starts, ends = profiler.busy_timelines()["die"]
+    windows = {}
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        for index, overlap in reference_overlaps(start, end, window_ns):
+            windows[index] = windows.get(index, 0.0) + overlap
+    expected = [
+        {"index": index, "start_ns": index * window_ns, "busy_ns": busy,
+         "utilization": busy / window_ns}
+        for index, busy in sorted(windows.items())
+    ]
+    entry = utilization_series(profiler, window_ns)["die"]
+    assert json.dumps(entry["windows"]) == json.dumps(expected)
+    assert entry["busy_ns"] == sum(end - start for start, end in zip(starts, ends))

@@ -285,14 +285,16 @@ def test_property_profile_obeys_fifo_law_on_both_paths(first, batches):
         indices = range(len(arrivals))
         bot_jobs = [i for i in indices if bot[i] > 0]
         top_jobs = [i for i in sorted(indices, key=ready.__getitem__) if top[i] > 0]
-        services = profiler._services
-        assert_fifo_law(services["emb"], clock, emb)
+        def services(name):
+            return profiler.records(name)[0].tolist()
+
+        assert_fifo_law(services("emb"), clock, emb)
         assert_fifo_law(
-            services.get("bot", []),
+            services("bot"),
             [clock[i] for i in bot_jobs], [bot[i] for i in bot_jobs],
         )
         assert_fifo_law(
-            services.get("top", []),
+            services("top"),
             [ready[i] for i in top_jobs], [top[i] for i in top_jobs],
         )
     assert exports[0] == exports[1]
