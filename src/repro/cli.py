@@ -851,7 +851,9 @@ def _add_serving_options(parser, *, queries: int) -> None:
                        help="trace duration in simulated ms")
     fleet.add_argument("--qps", type=float, default=None,
                        help="mean offered load in QPS (default 60%% of "
-                            "fleet saturation)")
+                            "fleet saturation); a trace expected to hold "
+                            f"over {arrivals.MAX_ARRIVALS:,} queries is "
+                            "refused")
     fleet.add_argument("--autoscale", action="store_true",
                        help="scale replicas on SLO burn-rate alerts")
     fleet.add_argument("--min-replicas", type=int, default=1,

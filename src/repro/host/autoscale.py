@@ -32,12 +32,10 @@ that licenses this is the loop's causality: a batch dispatched at or
 after ``t`` completes at or after ``t``, hence in a window the fold
 has not consumed.  :meth:`Autoscaler.observe` checks it on every
 observation and raises rather than let a late completion go unseen.
-The observation itself is buffered and reaches the control registry
-as one column when the registry is next read.  Epochs whose closed
-windows hold no observation over the alerting threshold cannot raise
-an alert — a window alerts only when it violates, and its quantile
-never exceeds its largest observation — so they skip the folds, which
-catch up, window by window in order, at the next epoch that might.
+Each observation is also noted to the folds, and buffered: it reaches
+the control registry as one column when the registry is next read —
+by the first fold due to advance (one that could raise an alert), which
+reads every window it consumes in one call.
 
 Determinism: the controller sees only simulated-clock quantities (the
 dispatcher's exact analytic completion times), so the decision
@@ -181,14 +179,6 @@ class Autoscaler:
         #: Observed (latency, completion) columns not yet in _control.
         self._latencies: List[float] = []
         self._completions: List[float] = []
-        #: Only a window holding an observation over this can violate:
-        #: an interpolated quantile lies within rounding of its window's
-        #: largest observation, and the margin covers the rounding.
-        self._suspect_ns = (1 - 1e-9) * min(
-            objective.threshold_ns for objective in self.engine.objectives
-        )
-        #: Windows holding such an observation that no fold has read.
-        self._suspects: List[int] = []
         self.epoch_ns = epoch_windows * float(window_ns)
         self.events: List[ScalingEvent] = []
         #: One burn-rate fold per objective, advanced epoch by epoch.
@@ -231,8 +221,8 @@ class Autoscaler:
             raise ValueError(f"latency_ns: negative or non-finite {latency_ns!r}")
         self._latencies.append(latency_ns)
         self._completions.append(done_ns)
-        if latency_ns > self._suspect_ns:
-            self._suspects.append(window)
+        for fold in self._folds:
+            fold.note(window, latency_ns)
 
     def causal_alerts(self, t_ns: float) -> Tuple[dict, ...]:
         """Burn-rate alerts that became visible since the last epoch.
@@ -242,22 +232,16 @@ class Autoscaler:
         ``t_ns`` — and returns the alerts that rose there (stamps
         ``<= t_ns``).  Those windows are final: a batch arriving at or
         after ``t_ns`` completes at or after it, which is what keeps
-        the loop causal and what :meth:`observe` checks.
-
-        Only a violating window can raise an alert, and only a window
-        holding a suspect observation can violate; until one of those
-        closes, the folds and the buffered rows wait, and catch up on
-        every window in order when it does.
+        the loop causal and what :meth:`observe` checks.  A fold that
+        cannot raise an alert there (:meth:`~repro.obs.slo.BurnRateFold.
+        due`) waits, and reads those windows at its next advance.
         """
         self._closed = max(self._closed, window_index(t_ns, self.engine.window_ns))
-        if not self._suspects or min(self._suspects) >= self._closed:
-            return ()
-        self._suspects = [window for window in self._suspects if window >= self._closed]
-        control = self.control
         fresh: List[dict] = []
         for fold in self._folds:
-            series = control.series(fold.objective.metric)
-            fresh.extend(fold.advance(series, self._closed))
+            if fold.due(self._closed):
+                series = self.control.series(fold.objective.metric)
+                fresh.extend(fold.advance(series, self._closed))
         fresh.sort(key=alert_order)
         return tuple(fresh)
 

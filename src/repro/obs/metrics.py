@@ -9,11 +9,13 @@ histograms, and device-traffic counters — in one exportable structure.
 live side by side in ``metrics.json``.
 
 Histograms use *fixed* bucket boundaries (upper-inclusive, like
-Prometheus ``le`` buckets), so state is a fixed number of integers
-however many values arrive.  Observations are appended as columns
-(``observe_many``; ``observe`` is its one-row call) and bucketed in
-one vectorized pass when next read
-(:class:`~repro.obs.timeseries.WindowTable`).  Quantiles
+Prometheus ``le`` buckets), so the binned state is a fixed number of
+integers per window however many values arrive.  Observations are
+appended as columns (``observe_many``; ``observe`` is its one-row
+call) and wait, unbinned, until the next read bins them in one
+vectorized pass — or until
+:attr:`~repro.obs.timeseries.WindowTable.PENDING_LIMIT` columns wait,
+which bounds what one-row callers that never read hold.  Quantiles
 interpolate linearly inside the bucket that crosses the target rank,
 with the edge buckets tightened to the observed min/max — exact for
 single-bucket data, conservative otherwise.  The boundary semantics
@@ -206,11 +208,11 @@ class LatencyHistogram:
         non-empty buckets are tightened to the observed min/max, so a
         distribution confined to one bucket reports exact quantiles.
         """
-        return self._rows.quantiles(0, (q,))[0]
+        return self._rows.quantiles((0,), (q,)).item()
 
     def summary(self) -> dict:
         """The export payload: count, mean, quantiles, extremes."""
-        p50_ns, p95_ns, p99_ns = self._rows.quantiles(0, (50.0, 95.0, 99.0))
+        p50_ns, p95_ns, p99_ns = self._rows.quantiles((0,), (50.0, 95.0, 99.0))[0].tolist()
         count, total, low, high = self._rows.slot(0)[:4]
         return {
             "count": count,

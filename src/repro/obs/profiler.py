@@ -90,9 +90,36 @@ def merge_intervals(
     return starts[opens], reach[closes]
 
 
-def _stacked(chunks: Optional[List[np.ndarray]], width: int) -> np.ndarray:
-    """Row chunks of one width as one ``(n, width)`` array."""
-    return np.concatenate(chunks) if chunks else np.empty((0, width))
+class _Rows:
+    """Rows of one width, in recording order: single rows wait as
+    tuples and become one array chunk when a column chunk follows them
+    or a reader asks."""
+
+    __slots__ = ("width", "chunks", "tail")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.chunks: List[np.ndarray] = []
+        self.tail: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.tail) + sum(map(len, self.chunks))
+
+    def extend(self, rows: np.ndarray) -> None:
+        self._seal()
+        self.chunks.append(rows)
+
+    def _seal(self) -> None:
+        if self.tail:
+            self.chunks.append(np.array(self.tail, dtype=np.float64))
+            self.tail = []
+
+    def array(self) -> np.ndarray:
+        """Every row as one ``(n, width)`` array."""
+        self._seal()
+        if len(self.chunks) > 1:
+            self.chunks = [np.concatenate(self.chunks)]
+        return self.chunks[0] if self.chunks else np.empty((0, self.width))
 
 
 def _service_error(name: str, arrival_ns, start_ns, end_ns) -> str:
@@ -106,31 +133,34 @@ class Profiler:
     """Collects resource/stage records; builds the utilization profile."""
 
     def __init__(self) -> None:
-        # name -> chunks of (arrival, start, end) FIFO service rows.
-        self._services: Dict[str, List[np.ndarray]] = {}
-        # name -> chunks of (start, end) busy rows.
-        self._busy: Dict[str, List[np.ndarray]] = {}
+        # name -> (arrival, start, end) FIFO service rows.
+        self._services: Dict[str, _Rows] = {}
+        # name -> (start, end) busy rows.
+        self._busy: Dict[str, _Rows] = {}
         # name -> list of (t, depth) sampled wait-queue depths.
         self._queue_samples: Dict[str, List[Tuple[float, int]]] = {}
         self._kinds: Dict[str, str] = {}
-        # name -> merged busy (starts, ends), dropped on every record.
-        self._merged: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        # name -> (rows recorded, merged busy starts, ends) at the last
+        # merge; stale once the resource has more rows.
+        self._merged: Dict[str, Tuple[int, np.ndarray, np.ndarray]] = {}
         # One dict per device batch (DeviceTiming fields + start).
         self.stages: List[dict] = []
         #: Run metadata merged into the export (model, backend, ...).
         self.meta: Dict[str, object] = {}
 
     def __len__(self) -> int:
-        chunks = chain(*self._services.values(), *self._busy.values())
-        return sum(map(len, chunks)) + len(self.stages)
+        rows = chain(self._services.values(), self._busy.values())
+        return sum(map(len, rows)) + len(self.stages)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _register(self, name: str, kind: str) -> None:
-        if name not in self._kinds:
-            self._kinds[name] = kind
-        self._merged.pop(name, None)
+    def _rows(self, table: Dict[str, _Rows], name: str, kind: str, width: int) -> _Rows:
+        rows = table.get(name)
+        if rows is None:
+            rows = table[name] = _Rows(width)
+            self._kinds.setdefault(name, kind)
+        return rows
 
     def record_service(
         self,
@@ -146,9 +176,8 @@ class Profiler:
         # and so is an infinite endpoint.
         if not -math.inf < arrival_ns <= start_ns <= end_ns < math.inf:
             raise ValueError(_service_error(name, arrival_ns, start_ns, end_ns))
-        self._register(name, kind)
-        self._services.setdefault(name, []).append(
-            np.array([(arrival_ns, start_ns, end_ns)], dtype=np.float64)
+        self._rows(self._services, name, kind, 3).tail.append(
+            (arrival_ns, start_ns, end_ns)
         )
 
     def record_services(
@@ -166,8 +195,7 @@ class Profiler:
             bad = int(np.argmin(ordered))
             raise ValueError(_service_error(name, arrival[bad], start[bad], end[bad]))
         if len(rows):
-            self._register(name, kind)
-            self._services.setdefault(name, []).append(rows)
+            self._rows(self._services, name, kind, 3).extend(rows)
 
     def record_busy(
         self, name: str, start_ns: float, end_ns: float, kind: str = "resource"
@@ -178,10 +206,7 @@ class Profiler:
                 f"busy interval on {name!r} ends before it starts or is "
                 f"not finite: start_ns={start_ns} end_ns={end_ns}"
             )
-        self._register(name, kind)
-        self._busy.setdefault(name, []).append(
-            np.array([(start_ns, end_ns)], dtype=np.float64)
-        )
+        self._rows(self._busy, name, kind, 2).tail.append((start_ns, end_ns))
 
     def record_queue_depth(self, name: str, t_ns: float, depth: int) -> None:
         """Sampled wait-queue depth (e.g. acquires that had to wait)."""
@@ -242,15 +267,18 @@ class Profiler:
 
     def _resource_intervals(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
         """The resource's union-merged busy timeline as start/end
-        columns (cached until the resource's next record)."""
+        columns (cached until the resource has more rows)."""
+        services, busy = self.records(name)
         merged = self._merged.get(name)
-        if merged is None:
-            services, busy = self.records(name)
-            merged = self._merged[name] = merge_intervals(
-                np.concatenate((busy[:, 0], services[:, 1])),
-                np.concatenate((busy[:, 1], services[:, 2])),
+        if merged is None or merged[0] != len(services) + len(busy):
+            merged = self._merged[name] = (
+                len(services) + len(busy),
+                *merge_intervals(
+                    np.concatenate((busy[:, 0], services[:, 1])),
+                    np.concatenate((busy[:, 1], services[:, 2])),
+                ),
             )
-        return merged
+        return merged[1:]
 
     def utilizations(self, elapsed: Optional[float] = None) -> Dict[str, float]:
         """Busy fraction per resource (union-merged; ``<= 1`` always)."""
@@ -267,7 +295,10 @@ class Profiler:
         """The ``(arrival, start, end)`` service rows and the
         ``(start, end)`` busy rows recorded for ``name``, in recording
         order."""
-        return _stacked(self._services.get(name), 3), _stacked(self._busy.get(name), 2)
+        return (
+            self._services.get(name, _Rows(3)).array(),
+            self._busy.get(name, _Rows(2)).array(),
+        )
 
     @staticmethod
     def _service_queue_depths(triples) -> List[int]:

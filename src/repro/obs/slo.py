@@ -37,10 +37,11 @@ expression a re-summation would evaluate, so every reported burn is
 bit-equal to one (`tests/slo_oracle.py` is that re-summation, kept as
 the differential oracle).  :meth:`SLOEngine.evaluate` runs the fold
 over a finished series; the autoscaler keeps one alive and advances it
-epoch by epoch.  What makes the incremental use sound is that a
-*closed* window is final: an empty window complies and, with one rule
-per severity, can never raise an alert, so consuming it before later
-data exists changes nothing a later evaluation would see.
+epoch by epoch, whenever it is :meth:`~BurnRateFold.due`.  What makes
+the incremental use sound is that a *closed* window is final: an empty
+window complies and, with one rule per severity, can never raise an
+alert, so consuming it before later data exists changes nothing a
+later evaluation would see.
 
 Determinism: evaluation reads only the windowed series (whose inputs
 are bitwise-equal across the DES and fast paths) and does integer
@@ -53,7 +54,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Set, Tuple
 
 from repro.obs import names
 
@@ -154,20 +155,46 @@ class BurnRateFold:
         self._bad: Dict[int, int] = dict.fromkeys(spans, 0)
         self._flags: Deque[bool] = deque(maxlen=max(spans, default=0) + 1)
         self._fired: Dict[str, bool] = {r.severity: False for r in self.rules}
+        #: Unconsumed windows noted with an observation at or over the
+        #: threshold.
+        self._suspects: Set[int] = set()
+
+    def note(self, index: int, value_ns: float) -> None:
+        """Tell the fold that window ``index`` received an observation
+        of ``value_ns`` (see :meth:`due`)."""
+        if value_ns >= self.objective.threshold_ns:
+            self._suspects.add(index)
+
+    def due(self, stop: int) -> bool:
+        """Whether advancing to ``stop`` could raise an alert, given
+        every observation was passed to :meth:`note`.
+
+        Only a violating window raises one: with one rule per severity,
+        a complying window leaves every burn rate where it was or lower.
+        A window whose observations all lie below the threshold
+        complies, because its quantile interpolates inside its observed
+        range and rounds at most one ulp past its largest observation.
+        A fold that is not due may leave its windows unread; the next
+        :meth:`advance` reads them with the rest, in order.
+        """
+        return any(index < stop for index in self._suspects)
 
     def advance(self, series, stop: int) -> List[dict]:
         """Consume windows ``[next_index, stop)`` and return the alerts
         that rose in them.  Each window's count and quantile are read
-        exactly once, so ``stop`` must not pass a window that can still
-        receive observations."""
+        exactly once, in one call, so ``stop`` must not pass a window
+        that can still receive observations."""
+        self._suspects = {index for index in self._suspects if index >= stop}
         objective, flags, fired = self.objective, self._flags, self._fired
         alerts = self.record["alerts"]
         already = len(alerts)
-        for index in range(self.next_index, stop):
-            count = series.window_count(index) if series is not None else 0
-            value = (
-                series.window_percentile(index, objective.quantile) if count else 0.0
-            )
+        indices = range(self.next_index, stop)
+        reads = (
+            series.window_percentiles(self.next_index, stop, objective.quantile)
+            if series is not None
+            else [(0, 0.0)] * len(indices)
+        )
+        for index, (count, value) in zip(indices, reads):
             bad = count > 0 and value > objective.threshold_ns
             self.record["windows"].append(
                 {

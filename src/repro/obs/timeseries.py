@@ -86,13 +86,18 @@ class WindowTable:
     a slot of its own.  Totals add left to right in recording order:
     ``ufunc.at`` applies its rows one at a time, in order, which is the
     sum an observation-at-a-time loop makes.  Rows appended since the
-    last read wait in ``_pending`` and are binned by the next read, so a
-    reader that comes back often (the autoscaler's folds) bins each row
-    once.
+    last read wait in ``_pending`` and are binned by the next read (or
+    once :attr:`PENDING_LIMIT` columns wait), so a reader that comes
+    back often (the autoscaler's folds) bins each row once, and binning
+    in more passes adds the same numbers in the same order.
     """
 
     #: The per-slot arrays, grown together, with their empty values.
     _STATE: Tuple[Tuple[str, float], ...] = (("_counts", 0), ("_sums", 0))
+    #: Pending columns that trigger a bin without a read, so a caller
+    #: appending one row at a time and never reading (a device run's
+    #: registry, until export) holds a bounded backlog.
+    PENDING_LIMIT = 1024
 
     def __init__(
         self, name: str, window_ns: Optional[float] = None, dtype=np.float64
@@ -118,6 +123,8 @@ class WindowTable:
             if len(stamps) != len(values):
                 raise ValueError("t_ns must hold one stamp per value")
         self._pending.append((values, stamps))
+        if len(self._pending) >= self.PENDING_LIMIT:
+            self._bin()
 
     def _bin(self) -> None:
         """Fold the pending rows into their slots, in one pass: every
@@ -286,8 +293,10 @@ class WindowedLatency(WindowTable):
         super().__init__(name, window_ns)
         self.bounds = list(bounds)
         self._edges = np.asarray(self.bounds, dtype=np.float64)
-        #: Lower edge of each in-range bucket.
+        #: Each bucket's edges; the overflow bucket's are the observed
+        #: overflow values, tightened in :meth:`quantiles`.
         self._lowers = np.concatenate(([0.0], self._edges))
+        self._uppers = np.append(self._edges, math.inf)
         self._low = np.full(1, math.inf)
         self._high = np.zeros(1)
         self._overflow_low = np.full(1, math.inf)
@@ -324,66 +333,47 @@ class WindowedLatency(WindowTable):
             self._buckets[slot].tolist(),
         )
 
-    def quantiles(self, slot: int, qs: Sequence[float]) -> List[float]:
-        """The percentiles ``qs`` (ascending, 0-100) of one slot in one
-        pass: a bucket cursor that only moves forward.  The first and
-        last non-empty buckets are tightened to the observed min/max;
-        the overflow bucket spans the observed overflow values."""
+    def quantiles(self, slots: Sequence[int], qs: Sequence[float]) -> np.ndarray:
+        """The percentiles ``qs`` (0-100) of every slot in ``slots``, one
+        row per slot and one column per ``q``.
+
+        Each interpolates inside the first bucket whose running count
+        reaches the target rank ``q / 100 * count``.  The first and last
+        non-empty buckets are tightened to the observed min/max; the
+        overflow bucket spans the observed overflow values.  ``q = 0``
+        reads the minimum, an empty slot reads 0.0.
+        """
         for q in qs:
             if not 0.0 <= q <= 100.0:
                 raise ValueError("percentile must be in [0, 100]")
-        count, _, low, high, overflow_low, counts = self.slot(slot)
-        if count == 0:
-            return [0.0] * len(qs)
-        values: List[float] = []
-        index = cumulative = 0
-        for q in qs:
-            target = q / 100.0 * count
-            if target <= 0:
-                values.append(low)
-                continue
-            while counts[index] == 0 or cumulative + counts[index] < target:
-                cumulative += counts[index]
-                index += 1
-            if index < len(self.bounds):
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = self.bounds[index]
-            else:
-                lower = overflow_low
-                upper = high
-            if cumulative == 0:  # first non-empty bucket
-                lower = max(lower, low)
-            if cumulative + counts[index] == count:  # last non-empty
-                upper = min(upper, high)
-            fraction = (target - cumulative) / counts[index]
-            values.append(lower + fraction * (upper - lower))
-        return values
-
-    def _quantile_columns(self, slots: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-        """:meth:`quantiles` for many non-empty slots at once (every
-        ``q > 0``), one row per slot and one column per ``q``: the same
-        cursor as an array program, with the same float operations in
-        the same order."""
+        self._bin()
+        slots = np.asarray(slots, dtype=np.intp)
         counts = self._buckets[slots]
-        count = self._counts[slots][:, None]
         low, high = self._low[slots][:, None], self._high[slots][:, None]
-        cumulative = np.cumsum(counts, axis=1)
+        cumulative = counts.cumsum(axis=1)
+        count = cumulative[:, -1:]
         target = np.asarray(qs) / 100.0 * count
-        # The first bucket whose running count reaches the target rank
-        # (it is non-empty: the one before it fell short).
-        index = np.argmax(cumulative[:, None, :] >= target[:, :, None], axis=2)
+        # With a positive target that bucket is non-empty: the one
+        # before it fell short.
+        index = (cumulative[:, None, :] >= target[:, :, None]).argmax(axis=2)
         rows = np.arange(len(slots))[:, None]
         inside = counts[rows, index]
         below = cumulative[rows, index] - inside
-        top = len(self.bounds)
-        overflow = index == top
+        overflow = index == len(self.bounds)
         lower = np.where(overflow, self._overflow_low[slots][:, None], self._lowers[index])
-        upper = np.where(overflow, high, self._edges[np.minimum(index, top - 1)])
-        # Builtin max/min keep their first argument unless the second is
+        # The minimum lies at or below every bucket but the first
+        # non-empty one, and the maximum above every bucket but the last,
+        # so tightening every bucket tightens just those two.  Builtin
+        # max/min keep their first argument unless the second is
         # strictly beyond it.
-        lower = np.where((below == 0) & (low > lower), low, lower)
-        upper = np.where((below + inside == count) & (high < upper), high, upper)
-        return lower + (target - below) / inside * (upper - lower)
+        lower = np.where(low > lower, low, lower)
+        upper = self._uppers[index]
+        upper = np.where(high < upper, high, upper)
+        # Only the entries masked below (q = 0, empty slots) can divide
+        # by zero or meet an infinite extreme.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = lower + (target - below) / inside * (upper - lower)
+        return np.where(count == 0, 0.0, np.where(target > 0, values, low))
 
     @property
     def total(self) -> int:
@@ -391,11 +381,21 @@ class WindowedLatency(WindowTable):
         self._bin()
         return int(self._counts[1 : len(self._slots) + 1].sum())
 
+    def window_percentiles(self, start: int, stop: int, q: float) -> List[Tuple[int, float]]:
+        """``(count, q-th percentile)`` of every window in
+        ``[start, stop)``, ``(0, 0.0)`` where a window is absent; the
+        present windows are read in one pass."""
+        self._bin()
+        slots = [self._slots.get(index) for index in range(start, stop)]
+        present = [slot for slot in slots if slot is not None]
+        if not present:
+            return [(0, 0.0)] * len(slots)
+        reads = iter(zip(self._counts[present].tolist(), self.quantiles(present, (q,))[:, 0].tolist()))
+        return [(0, 0.0) if slot is None else next(reads) for slot in slots]
+
     def window_percentile(self, index: int, q: float) -> float:
         """The q-th percentile within one window (0.0 if absent)."""
-        self._bin()
-        slot = self._slots.get(index)
-        return self.quantiles(slot, (q,))[0] if slot is not None else 0.0
+        return self.window_percentiles(index, index + 1, q)[0][1]
 
     def as_dict(self) -> dict:
         indices, slots = self._window_slots()
@@ -404,7 +404,7 @@ class WindowedLatency(WindowTable):
             indices,
             count.tolist(),
             (self._sums[slots] / count).tolist(),
-            self._quantile_columns(slots, (50.0, 95.0, 99.0)).tolist(),
+            self.quantiles(slots, (50.0, 95.0, 99.0)).tolist(),
             self._low[slots].tolist(),
             self._high[slots].tolist(),
         )

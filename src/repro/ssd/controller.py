@@ -81,8 +81,9 @@ class SSDController:
             server.busy_time = maxplus.busy_sum(server.busy_time, durations)
             server.jobs_served += count
         if profiler is not None:
-            for start, finish in zip(starts.tolist(), finishes.tolist()):
-                profiler.record_service(server.name, now, start, finish, server.kind)
+            profiler.record_services(
+                server.name, np.full(count, now), starts, finishes, server.kind
+            )
         return resumes
 
     # ------------------------------------------------------------------

@@ -258,7 +258,6 @@ def test_hostile_non_finite_parameter_is_named(generator, param, value):
 
 
 HUGE = [
-    pytest.param(poisson_trace, dict(qps=100.0, queries=10**12), id="poisson-queries"),
     pytest.param(
         diurnal_trace, dict(base_qps=1e300, duration_ns=1e9, period_ns=1e8),
         id="diurnal-base_qps",

@@ -33,13 +33,18 @@ def bits(values):
 
 
 class Services:
-    """Profiler stand-in: every ``record_service`` triple, in order."""
+    """Profiler stand-in: every recorded service triple, in order, one
+    at a time or from columns."""
 
     def __init__(self):
         self.jobs = []
 
     def record_service(self, name, offered, start, finish, kind="server"):
         self.jobs.append((name, offered, start, finish, kind))
+
+    def record_services(self, name, offered, starts, finishes, kind="server"):
+        for triple in zip(offered.tolist(), starts.tolist(), finishes.tolist()):
+            self.record_service(name, *triple, kind)
 
 
 def server_oracle(arrivals, durations, free0=0.0):

@@ -125,6 +125,19 @@ class TestDerivedViews:
         assert report["x"]["busy_intervals"] == [[0.0, 15.0]]
         assert report["x"]["utilization"] == approx(0.75)
 
+    def test_rows_keep_recording_order_and_reads_see_later_rows(self):
+        profiler = Profiler()
+        profiler.record_service("bus", 0.0, 0.0, 1.0)
+        profiler.record_services("bus", [1.0, 2.0], [1.0, 2.0], [2.0, 3.0])
+        assert profiler.utilizations(elapsed=4.0) == {"bus": 0.75}
+        profiler.record_service("bus", 3.0, 3.0, 4.0)
+        services, busy = profiler.records("bus")
+        assert services.tolist() == [
+            [0.0, 0.0, 1.0], [1.0, 1.0, 2.0], [2.0, 2.0, 3.0], [3.0, 3.0, 4.0]
+        ]
+        assert busy.shape == (0, 2)
+        assert profiler.utilizations(elapsed=4.0) == {"bus": 1.0}
+
     def test_elapsed_covers_analytic_stage_tail(self):
         # MLP/host add-ons extend past the DES clock; the horizon must
         # cover them or their utilization would exceed 1.

@@ -26,6 +26,7 @@ from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     WindowedCounter,
     WindowedGauge,
+    WindowTable,
     build_document,
     utilization_series,
     window_index,
@@ -377,6 +378,37 @@ def test_window_table_matches_observation_at_a_time(rows, cuts, window_ns):
         assert series.window_count(window["index"]) == len(values)
         for q, key in ((50.0, "p50_ns"), (95.0, "p95_ns"), (99.0, "p99_ns")):
             assert repr(series.window_percentile(window["index"], q)) == repr(window[key])
+
+
+def test_one_row_callers_hold_a_bounded_backlog():
+    """A device run observes one row at a time and reads only at export;
+    its pending rows are binned every ``PENDING_LIMIT`` columns, which
+    changes no exported number."""
+    values = [(index % 997) * 1.37 for index in range(3 * WindowTable.PENDING_LIMIT)]
+    stamps = [float(index) for index in range(len(values))]
+    one_at_a_time = MetricsRegistry(window_ns=50.0)
+    for value, t in zip(values, stamps):
+        one_at_a_time.histogram("h").observe(value, t_ns=t)
+        one_at_a_time.counter("c").inc(1, t_ns=t)
+        assert len(one_at_a_time.histogram("h")._rows._pending) < WindowTable.PENDING_LIMIT
+    in_columns = MetricsRegistry(window_ns=50.0)
+    in_columns.histogram("h").observe_many(values, t_ns=stamps)
+    in_columns.counter("c").observe_many([1] * len(values), t_ns=stamps)
+    exported = [
+        json.dumps([registry.as_dict(), registry.series_dict()], sort_keys=True)
+        for registry in (one_at_a_time, in_columns)
+    ]
+    assert exported[0] == exported[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(VALUES, min_size=1, max_size=60), q=st.floats(0.0, 100.0))
+def test_quantile_rounds_at_most_one_ulp_past_the_largest_observation(values, q):
+    """Why a burn-rate fold may leave unread a window whose observations
+    all lie below its threshold (`BurnRateFold.due`): it complies."""
+    histogram = MetricsRegistry().histogram("h", bounds=BOUNDS)
+    histogram.observe_many(values)
+    assert histogram.percentile(q) <= math.nextafter(max(values), math.inf)
 
 
 def reference_overlaps(start, end, window_ns):

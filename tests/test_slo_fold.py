@@ -9,6 +9,7 @@ stream as it unfolds.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.host.autoscale import Autoscaler
 from repro.host.cluster_serving import BALANCERS, ClusterServingSimulator
 from repro.obs import BurnRateRule, MetricsRegistry, SLOEngine, names
+from repro.obs.slo import BurnRateFold
 from repro.obs.timeseries import WindowedLatency, window_index
 from repro.sim.engine import SimulationError
 from repro.workloads.arrivals import (
@@ -245,13 +247,13 @@ class TestFoldReadsEachWindowOnce:
     @pytest.mark.parametrize("scale", (1, 4))
     def test_window_percentile_calls_are_linear(self, scale, monkeypatch):
         calls = []
-        real = WindowedLatency.window_percentile
+        real = WindowedLatency.window_percentiles
 
-        def counting(self, index, q):
-            calls.append(index)
-            return real(self, index, q)
+        def counting(self, start, stop, q):
+            calls.extend(range(start, stop))
+            return real(self, start, stop, q)
 
-        monkeypatch.setattr(WindowedLatency, "window_percentile", counting)
+        monkeypatch.setattr(WindowedLatency, "window_percentiles", counting)
         duration_ns = 1e8 * scale
         trace = flash_crowd_trace(
             600.0, duration_ns, 0.3 * duration_ns, 0.4 * duration_ns,
@@ -268,6 +270,21 @@ class TestFoldReadsEachWindowOnce:
         assert len(set(calls)) == len(calls)  # no window read twice
         # The rescan would have made epochs x windows of them.
         assert scaler._epoch >= windows // 2 - 1
+
+    def test_fold_is_due_only_once_a_window_can_violate(self):
+        engine = SLOEngine(1e6)
+        objective = engine.objective("tail", "lat", quantile=99.0, threshold_ns=5e5)
+        fold = BurnRateFold(objective, engine.rules, engine.window_ns)
+        fold.note(3, math.nextafter(5e5, 0.0))
+        assert not fold.due(10)
+        # At the threshold, interpolation may round one ulp over it.
+        fold.note(4, 5e5)
+        assert not fold.due(4) and fold.due(5)
+        metrics = MetricsRegistry(window_ns=1e6)
+        metrics.histogram("lat").observe(5e5, t_ns=4.5e6)
+        assert fold.advance(metrics.series("lat"), 5) == []
+        assert not fold.due(10)
+        assert [w["count"] for w in fold.record["windows"]] == [0, 0, 0, 0, 1]
 
 
 # ----------------------------------------------------------------------
