@@ -8,9 +8,10 @@ every observer attached and hashes each export exactly as it is
 written: ``json.dumps(..., sort_keys=True)`` for documents, the text
 itself for Prometheus.
 
-The literals were recorded before the observers took columns.  Each
-fleet runs on the closed-form replay and on the DES, which must export
-the same bytes.  The ``smoke``-named tests are run by
+The fleet literals were recorded before the observers took columns.
+Each fleet and device runs on the closed-form replay and on the DES,
+which must export the same bytes (a device's Chrome trace names the
+lookup path, so it is pinned per path).  The ``smoke``-named tests are run by
 ``tools/check.sh`` under ``RMSSD_SANITIZE=1``.
 """
 
@@ -34,11 +35,13 @@ from repro.obs import (
     MetricsRegistry,
     Profiler,
     SLOEngine,
+    Tracer,
     names,
     render_prometheus,
 )
 from repro.obs.critpath import build_explain_document
 from repro.obs.timeseries import build_document
+from repro.ssd.vcache import VectorCache
 from repro.workloads.arrivals import diurnal_trace, flash_crowd_trace, poisson_trace
 from tests.test_cluster_serving import UNLOADED_NS, simple_times
 
@@ -146,38 +149,88 @@ def test_smoke_fleet_documents_pinned(name, fast):
     assert FLEETS[name](fast) == PINNED_FLEETS[name]
 
 
-def device_digests():
-    """One RMC1 device, batch by batch, with a windowed, sketched
-    registry: every observation goes through the scalar ``observe`` /
-    ``inc`` / ``set`` calls of ``RMSSD._observe_metrics``."""
+ROWS = 128
+
+
+def device_digests(fast, mlp_design="optimized", vcache_share=0.0):
+    """One RMC1 device, batch by batch, with a tracer, a profiler and a
+    windowed, sketched registry: every observation goes through the
+    scalar ``observe`` / ``inc`` / ``set`` calls of
+    ``RMSSD._observe_metrics``, every span and busy interval through
+    the device's and the lookup engine's per-batch walks."""
     config = get_config("rmc1")
-    model = build_model(config, rows_per_table=128, seed=3)
+    model = build_model(config, rows_per_table=ROWS, seed=3)
+    vcache = None
+    if vcache_share:
+        vcache = VectorCache(
+            int(vcache_share * ROWS * config.num_tables), policy="lru"
+        )
     metrics = MetricsRegistry(window_ns=7e5, sketch_k=8)
     profiler = Profiler()
-    device = RMSSD(model, 6, metrics=metrics, profiler=profiler)
+    tracer = Tracer()
+    device = RMSSD(
+        model, 6, metrics=metrics, profiler=profiler, tracer=tracer,
+        fastpath=fast, mlp_design=mlp_design, vcache=vcache,
+    )
     rng = np.random.default_rng(21)
     for samples in (1, 3, 2, 4, 1, 2, 3, 1, 2, 4, 2, 1):
         dense = rng.standard_normal((samples, config.dense_dim)).astype(np.float32)
         sparse = [
-            [rng.integers(0, 128, size=6).tolist() for _ in range(config.num_tables)]
+            [rng.integers(0, ROWS, size=6).tolist() for _ in range(config.num_tables)]
             for _ in range(samples)
         ]
         device.infer_batch(dense, sparse)
+    if vcache is not None:
+        assert vcache.hits and vcache.evictions
     return {
         "timeseries": dumped(build_document(metrics=metrics, profiler=profiler)),
         "profile": dumped(profiler.as_dict()),
         "metrics": dumped(metrics.as_dict()),
         "prometheus": sha(render_prometheus(metrics)),
+        # The lookup and request spans name the path that served them.
+        "trace_" + ("fast" if fast else "des"): dumped(tracer.chrome_events()),
     }
 
 
-PINNED_DEVICE = {
-    "timeseries": "062656da8b78b044c854dd7476e7a825cf42f77a08dd8cc017c0f8ae3e2422da",
-    "profile": "7891c31db2605a2873c8703f9215a1d19dbfd1ebcdc3c792363171c9ddf988e6",
-    "metrics": "d7cb005c41e341ecdfed4bb98f53687eaa367eb0ae5730f7fc687bb53accef89",
-    "prometheus": "91b4469f29af3f09d93205516a80f78e0bca28aa12a35d34e8e79ec5b49bcf35",
+DEVICES = {
+    "rmc1": lambda fast: device_digests(fast),
+    "rmc1_naive": lambda fast: device_digests(fast, mlp_design="naive"),
+    "rmc1_vcache_lru": lambda fast: device_digests(fast, vcache_share=0.01),
+}
+
+#: Digest of every export per device, recorded at the commit before
+#: the device's tracer and profiler walks were merged; the Chrome trace
+#: names the lookup path, so it is pinned per path.
+PINNED_DEVICES = {
+    "rmc1": {
+        "timeseries": "062656da8b78b044c854dd7476e7a825cf42f77a08dd8cc017c0f8ae3e2422da",
+        "profile": "7891c31db2605a2873c8703f9215a1d19dbfd1ebcdc3c792363171c9ddf988e6",
+        "metrics": "d7cb005c41e341ecdfed4bb98f53687eaa367eb0ae5730f7fc687bb53accef89",
+        "prometheus": "91b4469f29af3f09d93205516a80f78e0bca28aa12a35d34e8e79ec5b49bcf35",
+        "trace_fast": "04a39543b7e0fcf9d6f3b7f96637f38381d8f36e06754fbb928716f628f1509f",
+        "trace_des": "51d3ef70a4486168cf05cfd841f87e70acbb93ef6f263165e10b13339663966d",
+    },
+    "rmc1_naive": {
+        "timeseries": "2ff9466b2aad40cf78433cc10cf137cdc4981b53790dd7644e87b697d869e763",
+        "profile": "fe555afabc7645b2e9ab3ce68139ff4bba19de1534b8b12cdc4e0f68f77b9a7e",
+        "metrics": "0dc7eb98c166c3b9d8489c5e65271fa836af57241e39ef785be58b9df1cd3b93",
+        "prometheus": "46854be94fe3ef093bec30569c024dc2d0e99598a8d5e7fc57817277f9139111",
+        "trace_fast": "47c280e53739fbdbccd25d0f98605d9144acb452424cb590b830d394b5b12706",
+        "trace_des": "48fb735e18c99d45326074e79b062d3fc19988c79b73acade22c33de51e5f7cc",
+    },
+    "rmc1_vcache_lru": {
+        "timeseries": "6732c99330d8e63786b91492a3052bea6f81a8f8242960e9bcd30033f7aa04b8",
+        "profile": "f254abf3f1de433c0af1fcfab879d11615ee43f07ccf9bb6f191c24e004452cf",
+        "metrics": "8286583b3c6b372bbc560720840d869b99f0f71e70705a06aba78ce09dbca2d6",
+        "prometheus": "784273cca6c741c62d29f683daafd0a94f29b92ba0eec9a46761a34fbe5b48c3",
+        "trace_fast": "caff9b81e2f775b232f2db6cca80671533e54d9211ae0f993f54d0e7f08ffe47",
+        "trace_des": "5e6580607827a33a7e1df35f76c50a7a1fca7a8989710e2de8d2b9f55e64fd7b",
+    },
 }
 
 
-def test_smoke_device_documents_pinned():
-    assert device_digests() == PINNED_DEVICE
+@pytest.mark.parametrize("fast", (True, False), ids=("fast", "des"))
+@pytest.mark.parametrize("name", sorted(DEVICES))
+def test_smoke_device_documents_pinned(name, fast):
+    digests = DEVICES[name](fast)
+    assert digests == {key: PINNED_DEVICES[name][key] for key in digests}
