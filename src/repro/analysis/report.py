@@ -7,9 +7,10 @@ the paper side by side (EXPERIMENTS.md records that comparison).
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.timeseries import export_document
 
 
 def format_si(value: float, digits: int = 3) -> str:
@@ -131,9 +132,6 @@ def emit_json(name: str, payload: dict, directory: str = ".") -> str:
     written path and emits a pointer line so the text output records
     where the JSON went.
     """
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path = export_document(payload, os.path.join(directory, f"BENCH_{name}.json"))
     emit(f"wrote {path}")
     return path

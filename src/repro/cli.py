@@ -41,7 +41,7 @@ from repro.core.pipeline_fast import resolve_fast
 from repro.fpga.specs import XC7A200T, XCVU9P
 from repro.host.autoscale import Autoscaler
 from repro.host.cluster_serving import ClusterServingSimulator
-from repro.host.serving import ServingSimulator
+from repro.host.serving import ServingSimulator, check_sla
 from repro.models import MODEL_CONFIGS, build_model, get_config
 from repro.obs import names
 from repro.obs.explain import diff_documents, render_diff
@@ -448,7 +448,7 @@ def _print_explanation(args, collector, trace, **document_kwargs) -> None:
                 f"top {exemplar['top_ns'] / 1e6:.3f}"
             )
     if args.explain_out:
-        out = obs.export_explain_document(document, args.explain_out)
+        out = obs.export_document(document, args.explain_out)
         print(f"explain: {out} (schema {document['schema']})")
 
 
@@ -544,6 +544,8 @@ def cmd_sla(args) -> int:
         result.times, nbatch=result.nbatch, seed=args.seed,
         metrics=metrics, window_ns=window_ns,
     )
+    sla_ns, q = args.sla_ms * 1e6, args.quantile
+    check_sla(sla_ns, q)
     fast = _fast(args)
     # Printed before anything runs, so there is no result to read the
     # path from yet.
@@ -560,9 +562,9 @@ def cmd_sla(args) -> int:
         )
     table.print()
     search = serving.sla_search(
-        sla_ns=args.sla_ms * 1e6, queries=args.queries, fast=fast
+        sla_ns=sla_ns, quantile=q, queries=args.queries, fast=fast
     )
-    print(f"max load with p99 <= {args.sla_ms} ms: {search.max_qps:.0f} QPS "
+    print(f"max load with p{q:g} <= {args.sla_ms} ms: {search.max_qps:.0f} QPS "
           f"({search.max_qps / serving.saturation_qps:.0%} of saturation; "
           f"{len(search.points)} probes)")
     trajectory = " -> ".join(f"{p.offered_qps:.0f}" for p in search.points)
@@ -575,13 +577,13 @@ def cmd_sla(args) -> int:
     ]
     if passing:
         critical = max(passing, key=lambda point: point.offered_qps)
-        worst = critical.worst_window(99.0)
+        worst = critical.worst_window(q)
         if worst is not None:
             print(
                 f"worst window at {critical.offered_qps:.0f} QPS: "
                 f"window {worst.index} "
                 f"(t={worst.start_ns / 1e6:.1f} ms, {worst.count} batches) "
-                f"p99 {worst.percentile(99.0) / 1e6:.2f} ms"
+                f"p{q:g} {worst.percentile(q) / 1e6:.2f} ms"
             )
     if metrics is not None:
         out = metrics.export_timeseries(args.timeseries_out)

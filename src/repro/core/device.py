@@ -350,12 +350,10 @@ class RMSSD:
             io_ns=send_ns + recv_ns,
             serialized=self.mlp_design == MLP_DESIGN_NAIVE,
         )
-        if self.tracer is not None:
-            self._emit_request_spans(
+        if self.tracer is not None or self.profiler is not None:
+            self._observe_intervals(
                 batch_start, timing, send_ns, recv_ns, lookup.path
             )
-        if self.profiler is not None:
-            self._profile_request(batch_start, timing, send_ns, recv_ns)
         if self.metrics is not None:
             self._observe_metrics(timing, batch_start + timing.latency_ns, lookup)
         return outputs, timing
@@ -363,7 +361,7 @@ class RMSSD:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _emit_request_spans(
+    def _observe_intervals(
         self,
         batch_start: float,
         timing: DeviceTiming,
@@ -371,161 +369,110 @@ class RMSSD:
         recv_ns: float,
         lookup_path: str,
     ) -> None:
-        """Span tree of one device batch.
+        """Span tree and utilization records of one device batch, from
+        one walk of its intervals, each handed to whichever of the
+        tracer and the profiler is attached.
 
         The root ``request`` span covers the batch's unpipelined
         latency on a lane of the ``host`` track group (concurrent
         requests render side by side); ``io_send``/``io_recv`` nest at
-        its edges.  The MLP chains get their own ``mlp`` track group so
-        they can overlap the embedding spans (which live on ``emb``,
-        emitted by the lookup engine) without breaking track nesting.
+        its edges and are the host DMA/MMIO path's busy intervals.  The
+        MLP chains get their own ``mlp`` track group so they can overlap
+        the embedding spans (which live on ``emb``, emitted by the
+        lookup engine) without breaking track nesting.  The MLP and
+        host-I/O times are analytic add-ons that may extend past the
+        DES clock, which is why the profiler's run horizon is taken over
+        all records.
         """
-        tracer = self.tracer
+        tracer, profiler = self.tracer, self.profiler
         end = batch_start + timing.latency_ns
-        track = tracer.lane_track("host", batch_start, end)
-        tracer.add_span(
-            names.SPAN_REQUEST,
-            batch_start,
-            end,
-            cat="host",
-            track=track,
-            args={
-                "nbatch": timing.nbatch,
-                "design": self.mlp_design,
-                "lookup_path": lookup_path,
-            },
-        )
-        tracer.add_span(
-            names.SPAN_IO_SEND,
-            batch_start,
-            batch_start + send_ns,
-            cat="io",
-            track=track,
-        )
-        tracer.add_span(
-            names.SPAN_IO_RECV, end - recv_ns, end, cat="io", track=track
-        )
+        if profiler is not None:
+            profiler.record_stage(
+                batch_start,
+                timing.nbatch,
+                timing.emb_ns,
+                timing.bot_ns,
+                timing.top_ns,
+                timing.io_ns,
+                timing.latency_ns,
+                timing.serialized,
+            )
+        if tracer is not None:
+            track = tracer.lane_track("host", batch_start, end)
+            tracer.add_span(
+                names.SPAN_REQUEST,
+                batch_start,
+                end,
+                cat="host",
+                track=track,
+                args={
+                    "nbatch": timing.nbatch,
+                    "design": self.mlp_design,
+                    "lookup_path": lookup_path,
+                },
+            )
+        for span, start, stop in (
+            (names.SPAN_IO_SEND, batch_start, batch_start + send_ns),
+            (names.SPAN_IO_RECV, end - recv_ns, end),
+        ):
+            if tracer is not None:
+                tracer.add_span(span, start, stop, cat="io", track=track)
+            if profiler is not None:
+                profiler.record_busy(names.RES_HOST_IO, start, stop, names.KIND_HOST_IO)
         if timing.serialized:
             # The naive shared-GEMM design runs after the embedding
             # stage drains; there is no per-layer decomposition to show.
             mlp_start = batch_start + timing.emb_ns
             mlp_end = mlp_start + timing.top_ns
-            mlp_track = tracer.lane_track("mlp", mlp_start, mlp_end)
-            tracer.add_span(
-                names.SPAN_TOP_MLP,
-                mlp_start,
-                mlp_end,
-                cat="mlp",
-                track=mlp_track,
-                args={"design": MLP_DESIGN_NAIVE},
-            )
-            return
-        self._emit_chain_spans(
-            names.SPAN_BOTTOM_MLP, "bottom", batch_start, timing.nbatch
-        )
-        top_start = batch_start + max(timing.emb_ns, timing.bot_ns)
-        self._emit_chain_spans(names.SPAN_TOP_MLP, "top", top_start, timing.nbatch)
-
-    def _emit_chain_spans(
-        self, name: str, chain: str, chain_start: float, nbatch: int
-    ) -> None:
-        """One FC chain: pairs laid end to end, members overlaid.
-
-        A composition pair advances in the time of its slower member
-        (Fig. 9b), so both members start together and the shorter one
-        nests inside the longer — the trace shows exactly where the
-        scan-direction composition saves time.
-        """
-        pairs = self.mlp_engine.layer_intervals(chain, nbatch)
-        if not pairs:
-            return
-        total = sum(max(d for _, d in pair) for pair in pairs)
-        tracer = self.tracer
-        track = tracer.lane_track("mlp", chain_start, chain_start + total)
-        tracer.add_span(
-            name,
-            chain_start,
-            chain_start + total,
-            cat="mlp",
-            track=track,
-            args={"pairs": len(pairs)},
-        )
-        cursor = chain_start
-        for pair in pairs:
-            for layer_name, duration in pair:
+            if tracer is not None:
                 tracer.add_span(
-                    names.fc_name(layer_name),
-                    cursor,
-                    cursor + duration,
+                    names.SPAN_TOP_MLP,
+                    mlp_start,
+                    mlp_end,
                     cat="mlp",
-                    track=track,
+                    track=tracer.lane_track("mlp", mlp_start, mlp_end),
+                    args={"design": MLP_DESIGN_NAIVE},
                 )
-            cursor += max(d for _, d in pair)
-
-    def _profile_request(
-        self,
-        batch_start: float,
-        timing: DeviceTiming,
-        send_ns: float,
-        recv_ns: float,
-    ) -> None:
-        """Utilization records of one device batch.
-
-        Mirrors :meth:`_emit_request_spans` exactly — same interval
-        arithmetic, same layer walk — but feeds the profiler instead of
-        the tracer, so profiling works without tracing (and both paths
-        record bitwise-equal intervals; the MLP and host-I/O times are
-        analytic add-ons that may extend past the DES clock, which is
-        why the profiler's run horizon is taken over all records).
-        """
-        profiler = self.profiler
-        end = batch_start + timing.latency_ns
-        profiler.record_stage(
-            batch_start,
-            timing.nbatch,
-            timing.emb_ns,
-            timing.bot_ns,
-            timing.top_ns,
-            timing.io_ns,
-            timing.latency_ns,
-            timing.serialized,
-        )
-        profiler.record_busy(
-            names.RES_HOST_IO,
-            batch_start,
-            batch_start + send_ns,
-            names.KIND_HOST_IO,
-        )
-        profiler.record_busy(
-            names.RES_HOST_IO, end - recv_ns, end, names.KIND_HOST_IO
-        )
-        if timing.serialized:
-            mlp_start = batch_start + timing.emb_ns
-            profiler.record_busy(
-                names.RES_GEMM_NAIVE,
-                mlp_start,
-                mlp_start + timing.top_ns,
-                names.KIND_MLP,
-            )
-            return
-        self._profile_chain("bottom", batch_start, timing.nbatch)
-        top_start = batch_start + max(timing.emb_ns, timing.bot_ns)
-        self._profile_chain("top", top_start, timing.nbatch)
-
-    def _profile_chain(self, chain: str, chain_start: float, nbatch: int) -> None:
-        """Busy intervals of one FC chain's kernels (Fig. 9b walk)."""
-        pairs = self.mlp_engine.layer_intervals(chain, nbatch)
-        profiler = self.profiler
-        cursor = chain_start
-        for pair in pairs:
-            for layer_name, duration in pair:
+            if profiler is not None:
                 profiler.record_busy(
-                    names.fc_name(layer_name),
-                    cursor,
-                    cursor + duration,
-                    names.KIND_MLP,
+                    names.RES_GEMM_NAIVE, mlp_start, mlp_end, names.KIND_MLP
                 )
-            cursor += max(d for _, d in pair)
+            return
+        # One FC chain: composition pairs laid end to end, members
+        # overlaid.  A pair advances in the time of its slower member
+        # (Fig. 9b), so both members start together and the shorter one
+        # nests inside the longer — the trace shows exactly where the
+        # scan-direction composition saves time.
+        top_start = batch_start + max(timing.emb_ns, timing.bot_ns)
+        for name, chain, cursor in (
+            (names.SPAN_BOTTOM_MLP, "bottom", batch_start),
+            (names.SPAN_TOP_MLP, "top", top_start),
+        ):
+            pairs = self.mlp_engine.layer_intervals(chain, timing.nbatch)
+            if tracer is not None and pairs:
+                total = sum(max(d for _, d in pair) for pair in pairs)
+                chain_track = tracer.lane_track("mlp", cursor, cursor + total)
+                tracer.add_span(
+                    name,
+                    cursor,
+                    cursor + total,
+                    cat="mlp",
+                    track=chain_track,
+                    args={"pairs": len(pairs)},
+                )
+            for pair in pairs:
+                for layer_name, duration in pair:
+                    layer = names.fc_name(layer_name)
+                    if tracer is not None:
+                        tracer.add_span(
+                            layer, cursor, cursor + duration, cat="mlp",
+                            track=chain_track,
+                        )
+                    if profiler is not None:
+                        profiler.record_busy(
+                            layer, cursor, cursor + duration, names.KIND_MLP
+                        )
+                cursor += max(d for _, d in pair)
 
     def _observe_metrics(
         self, timing: DeviceTiming, done_ns: float, lookup: LookupResult

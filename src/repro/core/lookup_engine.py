@@ -357,7 +357,10 @@ class EmbeddingLookupEngine:
         ``tests/test_obs_span_equivalence.py``.
 
         The DRAM fetch of the hit vectors overlaps the flash reads:
-        the stage ends when the slower of the two streams drains.
+        the stage ends when the slower of the two streams drains, and
+        ``ev_sum`` starts there.  Each interval is computed once, for the
+        span tree and the busy records alike; with the cache disabled
+        the tree is byte-identical to the cache-free build.
         """
         timing = self.controller.timing
         ev_size = self.tables.ev_size
@@ -370,26 +373,45 @@ class EmbeddingLookupEngine:
         self.controller.stats.record_useful(total * ev_size)
         ev_sum_ns = timing.cycles_to_ns(EV_SUM_CYCLES_PER_VECTOR * total)
         stage_ns = max(elapsed, vcache_ns)
-        if self.controller.tracer is not None:
-            self._emit_lookup_spans(
-                start, elapsed, stage_ns, ev_sum_ns, vectors_read,
-                len(pooled), path, mark, hits, vcache_ns, probe is not None,
-            )
-        profiler = self.controller.sim.profiler
-        if profiler is not None:
-            # Busy intervals of the engines the DES does not model as
-            # resources: the EV-Sum adder tree and the controller-DRAM
-            # vcache stream are analytic add-ons.
-            profiler.record_busy(
-                names.EV_SUM,
-                start + stage_ns,
-                start + stage_ns + ev_sum_ns,
-                names.KIND_EV_SUM,
-            )
+        ev_sum_start = start + stage_ns
+        end = ev_sum_start + ev_sum_ns
+        # The profiler takes busy intervals of the engines the DES does
+        # not model as resources: the EV-Sum adder tree and the
+        # controller-DRAM vcache stream are analytic add-ons.
+        tracer, profiler = self.controller.tracer, self.controller.sim.profiler
+        if tracer is not None:
+            track = tracer.lane_track("emb", start, end)
+            batch_args = {"vectors": vectors_read, "samples": len(pooled), "path": path}
             if probe is not None:
-                profiler.record_busy(
-                    names.VCACHE, start, start + vcache_ns, names.VCACHE
+                batch_args["vcache_hits"] = hits
+            tracer.add_span(
+                names.SPAN_LOOKUP_BATCH, start, end, cat="emb", track=track,
+                args=batch_args,
+            )
+            tracer.add_span(
+                names.SPAN_TRANSLATE, start, start, cat="emb", track=track,
+                args={"vectors": vectors_read},
+            )
+            tracer.add_span(
+                names.SPAN_FLASH_READ, start, start + elapsed, cat="emb", track=track
+            )
+        if probe is not None:
+            # The DRAM fetch of the hit vectors, overlapping flash_read.
+            if tracer is not None:
+                tracer.add_span(
+                    names.VCACHE, start, start + vcache_ns, cat="emb", track=track,
+                    args={"hits": hits},
                 )
+            if profiler is not None:
+                profiler.record_busy(names.VCACHE, start, start + vcache_ns, names.VCACHE)
+        if tracer is not None:
+            tracer.add_span(
+                names.EV_SUM, ev_sum_start, end, cat="emb", track=track,
+                args={"vectors": total},
+            )
+            self.controller.emit_batch_spans(start, mark)
+        if profiler is not None:
+            profiler.record_busy(names.EV_SUM, ev_sum_start, end, names.KIND_EV_SUM)
         return LookupResult(
             pooled=pooled,
             elapsed_ns=stage_ns + ev_sum_ns,
@@ -400,72 +422,6 @@ class EmbeddingLookupEngine:
             vcache_evictions=evictions,
             vcache_fills=fills,
         )
-
-    def _emit_lookup_spans(
-        self,
-        start: float,
-        elapsed: float,
-        stage_ns: float,
-        ev_sum_ns: float,
-        vectors_read: int,
-        nbatch: int,
-        path: str,
-        mark,
-        vcache_hits: int,
-        vcache_ns: float,
-        vcache_enabled: bool,
-    ) -> None:
-        """Span tree of one batched lookup.
-
-        With the vector cache enabled, a ``vcache`` span covers the
-        DRAM fetch of the hit vectors (overlapping ``flash_read``) and
-        ``ev_sum`` starts when the slower of the two streams drains;
-        with it disabled the tree is byte-identical to the cache-free
-        build.
-        """
-        tracer = self.controller.tracer
-        end = start + stage_ns + ev_sum_ns
-        track = tracer.lane_track("emb", start, end)
-        batch_args = {"vectors": vectors_read, "samples": nbatch, "path": path}
-        if vcache_enabled:
-            batch_args["vcache_hits"] = vcache_hits
-        tracer.add_span(
-            names.SPAN_LOOKUP_BATCH,
-            start,
-            end,
-            cat="emb",
-            track=track,
-            args=batch_args,
-        )
-        tracer.add_span(
-            names.SPAN_TRANSLATE,
-            start,
-            start,
-            cat="emb",
-            track=track,
-            args={"vectors": vectors_read},
-        )
-        tracer.add_span(
-            names.SPAN_FLASH_READ, start, start + elapsed, cat="emb", track=track
-        )
-        if vcache_enabled:
-            tracer.add_span(
-                names.VCACHE,
-                start,
-                start + vcache_ns,
-                cat="emb",
-                track=track,
-                args={"hits": vcache_hits},
-            )
-        tracer.add_span(
-            names.EV_SUM,
-            start + stage_ns,
-            end,
-            cat="emb",
-            track=track,
-            args={"vectors": vectors_read + vcache_hits},
-        )
-        self.controller.emit_batch_spans(start, mark)
 
     def _lookup_batch_des(
         self, sparse_batch: Sequence[Sequence[Sequence[int]]]

@@ -32,10 +32,10 @@ that licenses this is the loop's causality: a batch dispatched at or
 after ``t`` completes at or after ``t``, hence in a window the fold
 has not consumed.  :meth:`Autoscaler.observe` checks it on every
 observation and raises rather than let a late completion go unseen.
-Each observation is also noted to the folds, and buffered: it reaches
-the control registry as one column when the registry is next read —
-by the first fold due to advance (one that could raise an alert), which
-reads every window it consumes in one call.
+Each observation is appended straight to the control histogram and
+noted to the folds; the histogram bins its waiting rows when a fold due
+to advance (one that could raise an alert) reads every window it
+consumes, in one call.
 
 Determinism: the controller sees only simulated-clock quantities (the
 dispatcher's exact analytic completion times), so the decision
@@ -45,7 +45,6 @@ DES and fast serving paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -175,10 +174,9 @@ class Autoscaler:
             quantile=quantile,
             threshold_ns=sla_ns,
         )
-        self._control = MetricsRegistry(window_ns=window_ns)
-        #: Observed (latency, completion) columns not yet in _control.
-        self._latencies: List[float] = []
-        self._completions: List[float] = []
+        #: Private control-plane registry: the analytic latency of every
+        #: observed batch, stamped at its completion instant.
+        self.control = MetricsRegistry(window_ns=window_ns)
         self.epoch_ns = epoch_windows * float(window_ns)
         self.events: List[ScalingEvent] = []
         #: One burn-rate fold per objective, advanced epoch by epoch.
@@ -193,17 +191,6 @@ class Autoscaler:
         self._quiet_run = 0
 
     # ------------------------------------------------------------------
-    @property
-    def control(self) -> MetricsRegistry:
-        """Private control-plane registry: the analytic latency of every
-        observed batch, stamped at its completion instant."""
-        if self._completions:
-            self._control.histogram(names.METRIC_SERVING_LATENCY).observe_many(
-                self._latencies, t_ns=self._completions
-            )
-            self._latencies, self._completions = [], []
-        return self._control
-
     def observe(self, latency_ns: float, done_ns: float) -> None:
         """Record one dispatched batch's (exact) predicted latency.
 
@@ -217,10 +204,9 @@ class Autoscaler:
                 f"completion at {done_ns} ns lands in window {window}, "
                 "which the autoscaler closed at an earlier epoch"
             )
-        if not 0.0 <= latency_ns < math.inf:
-            raise ValueError(f"latency_ns: negative or non-finite {latency_ns!r}")
-        self._latencies.append(latency_ns)
-        self._completions.append(done_ns)
+        self.control.histogram(names.METRIC_SERVING_LATENCY).observe(
+            latency_ns, t_ns=done_ns
+        )
         for fold in self._folds:
             fold.note(window, latency_ns)
 

@@ -12,6 +12,7 @@ evaluation (closed-loop throughput) does not answer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,6 +21,23 @@ import numpy as np
 from repro.analysis.metrics import percentile
 from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
+from repro.obs.timeseries import checked_width
+from repro.workloads import arrivals
+
+
+def check_sla(sla_ns: float, quantile: float, tolerance: float = 0.02) -> None:
+    """Refuse, naming it, an SLA-search parameter no search can honour:
+    an objective ``sla_ns`` that is not positive and finite, a
+    ``quantile`` outside [0, 100], or a ``tolerance`` (a fraction of the
+    saturation load) below float resolution — the bisection stops once
+    its bracket is within ``tolerance``, and a bracket one ulp wide is
+    as narrow as it gets — or above 1."""
+    if not 0.0 < sla_ns < math.inf:
+        raise ValueError(f"sla_ns must be positive and finite, got {sla_ns!r}")
+    if not 0.0 <= quantile <= 100.0:
+        raise ValueError(f"quantile must be in [0, 100], got {quantile!r}")
+    if not sys.float_info.epsilon <= tolerance <= 1.0:
+        raise ValueError(f"tolerance must be in [2**-52, 1], got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +163,8 @@ class ServingSimulator:
         #: ``serving.batches`` counter, stamped at completion time so
         #: a windowed registry builds per-window series.
         self.metrics = metrics
-        if window_ns is not None and window_ns <= 0:
-            raise ValueError("window width must be positive")
+        if window_ns is not None:
+            checked_width(window_ns)
         #: Fixed window width for LoadPoint.windows summaries (None
         #: disables them); independent of the registry's window so SLA
         #: tooling can summarize without a registry attached.
@@ -181,10 +199,15 @@ class ServingSimulator:
         independent arrival processes.  ``fast`` is forwarded to
         :meth:`PipelineSimulator.run` (None follows ``RMSSD_FASTPATH``).
         """
+        arrivals.require_finite(qps=qps)
         if qps <= 0:
             raise ValueError("offered load must be positive")
         if queries < 1:
             raise ValueError("need at least one query")
+        # An overload is a study too, while the backlog it builds is one
+        # a trace could hold: in the time the device needs to serve the
+        # queries at saturation, ``qps`` offers this many.
+        arrivals.require_bounded(queries * (qps / self.saturation_qps), qps=qps)
         rng = np.random.default_rng(self._seed if seed is None else seed)
         # Serve every offered query: full batches plus one short batch
         # for the remainder, so the achieved total equals ``queries``.
@@ -271,8 +294,10 @@ class ServingSimulator:
         Returns the sustained QPS *and* every load point the search
         evaluated (trickle probe included), in evaluation order;
         ``max_qps`` is 0.0 if even a trickle misses the SLA (the
-        unloaded latency already exceeds it).
+        unloaded latency already exceeds it).  Every parameter is checked
+        by :func:`check_sla` before the first probe.
         """
+        check_sla(sla_ns, quantile, tolerance)
         low, high = 0.0, self.saturation_qps
         trickle = self.offered_load(
             max(1e-3, 0.01 * high), queries=queries, seed=seed, fast=fast

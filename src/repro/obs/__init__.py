@@ -46,7 +46,6 @@ from repro.obs.critpath import (
     breakdowns,
     build_explain_document,
     component_sum,
-    export_explain_document,
     tail_exemplars,
 )
 from repro.obs.explain import diff_documents, render_diff
@@ -62,9 +61,7 @@ from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import DEFAULT_RULES, BurnRateRule, Objective, SLOEngine
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
-    WindowedCounter,
     WindowedGauge,
-    WindowedLatency,
     build_document,
     export_document,
     utilization_series,
@@ -92,16 +89,13 @@ __all__ = [
     "Span",
     "TIMESERIES_SCHEMA",
     "Tracer",
-    "WindowedCounter",
     "WindowedGauge",
-    "WindowedLatency",
     "breakdowns",
     "build_document",
     "build_explain_document",
     "component_sum",
     "diff_documents",
     "export_document",
-    "export_explain_document",
     "names",
     "render_diff",
     "render_prometheus",

@@ -40,7 +40,6 @@ closed-form replay, so the exported ``rmssd-explain/v1`` documents are
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -287,15 +286,3 @@ def _totals(ordered: Sequence[dict]) -> dict:
         "blame": summary["blame"],
     }
 
-
-def export_explain_document(document: dict, path: str) -> str:
-    """Write an explain document as sorted, indented JSON.
-
-    Same serialization as the timeseries export: sorted keys and a
-    trailing newline, so byte-identity across the DES and fast paths
-    reduces to value equality.
-    """
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.obs.critpath import COMPONENTS, EXPLAIN_SCHEMA
-
-PROFILE_SCHEMA = "rmssd-profile/v1"
-TIMESERIES_SCHEMA = "rmssd-timeseries/v1"
+from repro.obs.profiler import PROFILE_SCHEMA
+from repro.obs.timeseries import TIMESERIES_SCHEMA
 
 #: Serving-latency series attributed by the timeseries differ.
 _LATENCY_SERIES = "serving.latency_ns"

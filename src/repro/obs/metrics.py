@@ -10,11 +10,12 @@ live side by side in ``metrics.json``.
 
 Histograms use *fixed* bucket boundaries (upper-inclusive, like
 Prometheus ``le`` buckets), so the binned state is a fixed number of
-integers per window however many values arrive.  Observations are
-appended as columns (``observe_many``; ``observe`` is its one-row
-call) and wait, unbinned, until the next read bins them in one
-vectorized pass — or until
-:attr:`~repro.obs.timeseries.WindowTable.PENDING_LIMIT` columns wait,
+integers per window however many values arrive.  A counter or
+histogram *is* its :class:`~repro.obs.timeseries.WindowTable`:
+observations are appended as rows (``observe``/``inc`` one tuple,
+``observe_many`` one checked column) and wait, unbinned, until the
+next read bins them in one vectorized pass — or until
+:attr:`~repro.obs.timeseries.WindowTable.PENDING_LIMIT` entries wait,
 which bounds what one-row callers that never read hold.  Quantiles
 interpolate linearly inside the bucket that crosses the target rank,
 with the edge buckets tightened to the observed min/max — exact for
@@ -36,17 +37,20 @@ sites are unaffected.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.sketch import QuantileSketch
 from repro.obs.timeseries import (
-    WindowedCounter,
     WindowedGauge,
-    WindowedLatency,
+    WindowTable,
     build_document,
-    checked_stamp,
+    checked_column,
+    checked_value,
+    checked_width,
     export_document,
 )
 
@@ -67,37 +71,84 @@ def _default_bounds_ns() -> List[float]:
 DEFAULT_BOUNDS_NS: Sequence[float] = tuple(_default_bounds_ns())
 
 
-class Counter:
-    """Monotonic named counter.
+#: The largest running total a counter holds (int64).
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    Increments are rows of a :class:`~repro.obs.timeseries.
-    WindowedCounter`; with a ``window_ns`` (set by a windowed
-    registry), increments that carry a ``t_ns=`` stamp also accumulate
-    into per-window deltas, exposed as ``series``.
+
+class Counter(WindowTable):
+    """Monotonic named counter: whole-number amounts, int64 end to end.
+
+    Slot 0 of its table is the run total, ``value``; with a
+    ``window_ns`` (set by a windowed registry), increments that carry a
+    ``t_ns=`` stamp also accumulate into per-window deltas.  An amount
+    that would carry the running total past int64 is refused.
     """
 
-    __slots__ = ("name", "window_ns", "series", "_rows")
+    kind = "counter"
 
     def __init__(self, name: str, window_ns: Optional[float] = None) -> None:
-        self.name = name
-        self.window_ns = window_ns
-        self.series: Optional[WindowedCounter] = None
-        self._rows = WindowedCounter(name, window_ns)
+        super().__init__(name, window_ns, dtype=np.int64)
+        #: Every accepted amount, summed exactly (the int64 guard).
+        self._total = 0
 
     @property
     def value(self) -> int:
-        return self._rows.aggregate
+        self._bin()
+        return self._sums.item(0)
+
+    def _counted(self, low: int, added: int) -> int:
+        """The running total after ``added`` more, whose smallest amount
+        is ``low``; refused unless every amount is non-negative and the
+        total fits int64."""
+        if low < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        total = self._total + added
+        if total > _INT64_MAX:
+            raise ValueError(f"amount: the running total {total} would pass int64")
+        return total
 
     def inc(self, amount: int = 1, t_ns: Optional[float] = None) -> None:
-        self.observe_many((amount,), None if t_ns is None else (t_ns,))
+        if isinstance(amount, bool) or not isinstance(amount, numbers.Integral):
+            raise ValueError(f"amount must be whole numbers, got {amount!r}")
+        amount = int(amount)
+        total = self._counted(amount, amount)
+        self._append(amount, t_ns)
+        self._total = total
 
     def observe_many(self, amounts, t_ns=None) -> None:
         """Add a column of whole-number increments, stamped by the
         column ``t_ns`` (or unstamped); every entry is checked before
         any is counted."""
-        column = self._rows.observe_many(amounts, t_ns)
-        if t_ns is not None and self.window_ns is not None and len(column):
-            self.series = self._rows
+        column = np.asarray(amounts)
+        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+            raise ValueError(f"amount must be whole numbers, got {column.dtype} values")
+        total = self._counted(column.min() if len(column) else 0, sum(column.tolist()))
+        self._extend(column.astype(np.int64), t_ns)
+        self._total = total
+
+    @property
+    def total(self) -> int:
+        """Increments stamped into windows."""
+        self._bin()
+        return int(self._sums[1 : len(self._slots) + 1].sum())
+
+    def windows_dict(self) -> dict:
+        seconds = self.window_ns / 1e9
+        indices, slots = self._window_slots()
+        return {
+            "kind": self.kind,
+            "window_ns": self.window_ns,
+            "total": self.total,
+            "windows": [
+                {
+                    "index": index,
+                    "start_ns": index * self.window_ns,
+                    "delta": delta,
+                    "rate_per_s": delta / seconds,
+                }
+                for index, delta in zip(indices, self._sums[slots].tolist())
+            ],
+        }
 
 
 class Gauge:
@@ -120,7 +171,7 @@ class Gauge:
         if not math.isfinite(value):
             raise ValueError(f"value: non-finite gauge value {value!r}")
         if t_ns is not None:
-            checked_stamp(t_ns)
+            checked_value(t_ns)
         self.value = value
         if t_ns is not None and self.window_ns is not None:
             if self.series is None:
@@ -128,22 +179,26 @@ class Gauge:
             self.series.record(t_ns, value)
 
 
-class LatencyHistogram:
+class LatencyHistogram(WindowTable):
     """Fixed-bucket latency histogram with interpolated quantiles.
 
     Bucket ``i`` covers ``(bounds[i-1], bounds[i]]`` (bucket 0 starts
-    at 0), plus one overflow bucket above ``bounds[-1]``.  The overflow
-    bucket tracks its own observed minimum so high quantiles that land
-    in it interpolate over the *observed* value range rather than from
-    the top bucket edge — a saturated top bucket reports real tails,
-    not the bucket boundary.
+    at 0), plus one overflow bucket above ``bounds[-1]``.  Beside the
+    count and total, each slot of the table keeps its bucket counts,
+    its extremes and the smallest overflow value, so high quantiles
+    that land in the overflow bucket interpolate over the *observed*
+    value range rather than from the top bucket edge — a saturated top
+    bucket reports real tails, not the bucket boundary.
 
-    Observations are rows of one :class:`~repro.obs.timeseries.
-    WindowedLatency` table: its slot 0 is this run aggregate, and with
-    a ``window_ns`` the timestamped rows also fill its windows, exposed
-    as ``series``.  With a ``sketch_k``, every observation feeds a
-    deterministic rank sketch for deep tails (p999/p9999).
+    Slot 0 is the run aggregate; with a ``window_ns`` the timestamped
+    rows also fill the windows.  With a ``sketch_k``, every observation
+    feeds a deterministic rank sketch for deep tails (p999/p9999).
     """
+
+    kind = "latency"
+    _STATE = WindowTable._STATE + (
+        ("_low", math.inf), ("_high", 0.0), ("_overflow_low", math.inf), ("_buckets", 0)
+    )
 
     def __init__(
         self,
@@ -152,7 +207,6 @@ class LatencyHistogram:
         window_ns: Optional[float] = None,
         sketch_k: Optional[int] = None,
     ) -> None:
-        self.name = name
         chosen = list(DEFAULT_BOUNDS_NS if bounds is None else bounds)
         if not chosen:
             raise ValueError("histogram needs at least one bucket bound")
@@ -160,13 +214,20 @@ class LatencyHistogram:
             raise ValueError("bucket bounds must be strictly increasing")
         if chosen[0] <= 0:
             raise ValueError("bucket bounds must be positive")
+        super().__init__(name, window_ns)
         self.bounds: List[float] = chosen
-        self.window_ns = window_ns
-        self.series: Optional[WindowedLatency] = None
         self.sketch: Optional[QuantileSketch] = (
             QuantileSketch(sketch_k) if sketch_k else None
         )
-        self._rows = WindowedLatency(name, window_ns, chosen)
+        self._edges = np.asarray(chosen, dtype=np.float64)
+        #: Each bucket's edges; the overflow bucket's are the observed
+        #: overflow values, tightened in :meth:`quantiles`.
+        self._lowers = np.concatenate(([0.0], self._edges))
+        self._uppers = np.append(self._edges, math.inf)
+        self._low = np.full(1, math.inf)
+        self._high = np.zeros(1)
+        self._overflow_low = np.full(1, math.inf)
+        self._buckets = np.zeros((1, len(chosen) + 1), dtype=np.int64)
 
     def observe(self, value_ns: float, t_ns: Optional[float] = None) -> None:
         """Record one latency observation (simulated ns, >= 0).
@@ -175,45 +236,57 @@ class LatencyHistogram:
         the windowed series (typically the completion instant of the
         request it measures); omitted, only the run aggregate updates.
         """
-        self.observe_many((value_ns,), None if t_ns is None else (t_ns,))
+        value = checked_value(float(value_ns), "value_ns", "latency")
+        self._append(value, t_ns)
+        if self.sketch is not None:
+            self.sketch.insert(value)
 
     def observe_many(self, value_ns, t_ns=None) -> None:
         """Record a column of latencies, stamped by the column ``t_ns``
         (or unstamped).  Every value and stamp is checked — finite and
         non-negative — before any is recorded."""
-        column = self._rows.observe_many(value_ns, t_ns)
-        if t_ns is not None and self.window_ns is not None and len(column):
-            self.series = self._rows
+        column = checked_column(value_ns, "value_ns", "latency")
+        self._extend(column, t_ns)
         if self.sketch is not None:
             self.sketch.extend(column.tolist())
 
-    # The run aggregate: slot 0 of the table.
-    count = property(lambda self: self._rows.slot(0)[0])
-    total_ns = property(lambda self: self._rows.slot(0)[1])
-    min_ns = property(lambda self: self._rows.slot(0)[2])
-    max_ns = property(lambda self: self._rows.slot(0)[3])
-    #: Smallest value seen in the overflow bucket (> bounds[-1]).
-    overflow_min_ns = property(lambda self: self._rows.slot(0)[4])
-    counts = property(lambda self: self._rows.slot(0)[5])
+    def _fold(self, slots: np.ndarray, values: np.ndarray) -> None:
+        super()._fold(slots, values)
+        # np.searchsorted(..., "left") is bisect_left on finite floats.
+        buckets = np.searchsorted(self._edges, values)
+        np.add.at(self._buckets, (slots, buckets), 1)
+        np.minimum.at(self._low, slots, values)
+        np.maximum.at(self._high, slots, values)
+        if buckets.max() == len(self.bounds):
+            over = buckets == len(self.bounds)
+            np.minimum.at(self._overflow_low, slots[over], values[over])
 
-    @property
-    def mean_ns(self) -> float:
-        count, total = self._rows.slot(0)[:2]
-        return total / count if count else 0.0
+    def slot(self, slot: int) -> tuple:
+        """``(count, total, min, max, overflow min, bucket counts)`` of
+        one slot, as Python numbers."""
+        self._bin()
+        return (
+            self._counts.item(slot),
+            self._sums.item(slot),
+            self._low.item(slot),
+            self._high.item(slot),
+            self._overflow_low.item(slot),
+            self._buckets[slot].tolist(),
+        )
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0-100) by in-bucket interpolation.
+        """The q-th percentile (0-100) of the run aggregate.
 
         Returns 0.0 for an empty histogram.  The first and last
         non-empty buckets are tightened to the observed min/max, so a
         distribution confined to one bucket reports exact quantiles.
         """
-        return self._rows.quantiles((0,), (q,)).item()
+        return self.quantiles((0,), (q,)).item()
 
     def summary(self) -> dict:
         """The export payload: count, mean, quantiles, extremes."""
-        p50_ns, p95_ns, p99_ns = self._rows.quantiles((0,), (50.0, 95.0, 99.0))[0].tolist()
-        count, total, low, high = self._rows.slot(0)[:4]
+        p50_ns, p95_ns, p99_ns = self.quantiles((0,), (50.0, 95.0, 99.0))[0].tolist()
+        count, total, low, high = self.slot(0)[:4]
         return {
             "count": count,
             "mean_ns": total / count if count else 0.0,
@@ -226,7 +299,7 @@ class LatencyHistogram:
 
     def as_dict(self) -> dict:
         data = self.summary()
-        counts = self.counts
+        counts = self.slot(0)[5]
         data["buckets"] = [
             {"le_ns": bound, "count": count}
             for bound, count in zip(self.bounds, counts)
@@ -237,6 +310,101 @@ class LatencyHistogram:
         if self.sketch is not None:
             data["sketch"] = self.sketch.as_dict()
         return data
+
+    def quantiles(self, slots: Sequence[int], qs: Sequence[float]) -> np.ndarray:
+        """The percentiles ``qs`` (0-100) of every slot in ``slots``, one
+        row per slot and one column per ``q``.
+
+        Each interpolates inside the first bucket whose running count
+        reaches the target rank ``q / 100 * count``.  The first and last
+        non-empty buckets are tightened to the observed min/max; the
+        overflow bucket spans the observed overflow values.  ``q = 0``
+        reads the minimum, an empty slot reads 0.0.
+        """
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError("percentile must be in [0, 100]")
+        self._bin()
+        slots = np.asarray(slots, dtype=np.intp)
+        counts = self._buckets[slots]
+        low, high = self._low[slots][:, None], self._high[slots][:, None]
+        cumulative = counts.cumsum(axis=1)
+        count = cumulative[:, -1:]
+        target = np.asarray(qs) / 100.0 * count
+        # With a positive target that bucket is non-empty: the one
+        # before it fell short.
+        index = (cumulative[:, None, :] >= target[:, :, None]).argmax(axis=2)
+        rows = np.arange(len(slots))[:, None]
+        inside = counts[rows, index]
+        below = cumulative[rows, index] - inside
+        overflow = index == len(self.bounds)
+        lower = np.where(overflow, self._overflow_low[slots][:, None], self._lowers[index])
+        # The minimum lies at or below every bucket but the first
+        # non-empty one, and the maximum above every bucket but the last,
+        # so tightening every bucket tightens just those two.  Builtin
+        # max/min keep their first argument unless the second is
+        # strictly beyond it.
+        lower = np.where(low > lower, low, lower)
+        upper = self._uppers[index]
+        upper = np.where(high < upper, high, upper)
+        # Only the entries masked below (q = 0, empty slots) can divide
+        # by zero or meet an infinite extreme.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = lower + (target - below) / inside * (upper - lower)
+        return np.where(count == 0, 0.0, np.where(target > 0, values, low))
+
+    @property
+    def total(self) -> int:
+        """Observations stamped into windows."""
+        self._bin()
+        return int(self._counts[1 : len(self._slots) + 1].sum())
+
+    def window_percentiles(self, start: int, stop: int, q: float) -> List[Tuple[int, float]]:
+        """``(count, q-th percentile)`` of every window in
+        ``[start, stop)``, ``(0, 0.0)`` where a window is absent; the
+        present windows are read in one pass."""
+        self._bin()
+        slots = [self._slots.get(index) for index in range(start, stop)]
+        present = [slot for slot in slots if slot is not None]
+        if not present:
+            return [(0, 0.0)] * len(slots)
+        reads = iter(zip(self._counts[present].tolist(), self.quantiles(present, (q,))[:, 0].tolist()))
+        return [(0, 0.0) if slot is None else next(reads) for slot in slots]
+
+    def window_percentile(self, index: int, q: float) -> float:
+        """The q-th percentile within one window (0.0 if absent)."""
+        return self.window_percentiles(index, index + 1, q)[0][1]
+
+    def windows_dict(self) -> dict:
+        indices, slots = self._window_slots()
+        count = self._counts[slots]
+        columns = zip(
+            indices,
+            count.tolist(),
+            (self._sums[slots] / count).tolist(),
+            self.quantiles(slots, (50.0, 95.0, 99.0)).tolist(),
+            self._low[slots].tolist(),
+            self._high[slots].tolist(),
+        )
+        return {
+            "kind": self.kind,
+            "window_ns": self.window_ns,
+            "total": int(count.sum()),
+            "windows": [
+                {
+                    "count": rows,
+                    "mean_ns": mean,
+                    "p50_ns": p50_ns,
+                    "p95_ns": p95_ns,
+                    "p99_ns": p99_ns,
+                    "min_ns": low,
+                    "max_ns": high,
+                    "index": index,
+                    "start_ns": index * self.window_ns,
+                }
+                for index, rows, mean, (p50_ns, p95_ns, p99_ns), low, high in columns
+            ],
+        }
 
 
 class MetricsRegistry:
@@ -254,8 +422,8 @@ class MetricsRegistry:
         window_ns: Optional[float] = None,
         sketch_k: Optional[int] = None,
     ) -> None:
-        if window_ns is not None and not 0 < window_ns < float("inf"):
-            raise ValueError("window_ns must be positive and finite")
+        if window_ns is not None:
+            checked_width(window_ns)
         if sketch_k is not None and sketch_k < 2:
             raise ValueError("sketch capacity k must be >= 2")
         self.window_ns = window_ns
@@ -310,7 +478,7 @@ class MetricsRegistry:
         for collection in (self._counters, self._gauges, self._histograms):
             for name, metric in collection.items():
                 if metric.series is not None:
-                    out[name] = metric.series.as_dict()
+                    out[name] = metric.series.windows_dict()
         return dict(sorted(out.items()))
 
     def timeseries_dict(self, profiler=None, slo=None) -> dict:
@@ -350,10 +518,7 @@ class MetricsRegistry:
 
     def export_json(self, path: str) -> str:
         """Write the registry as ``metrics.json``; returns the path."""
-        with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
+        return export_document(self.as_dict(), path)
 
     def export_prometheus(self, path: str) -> str:
         """Write a Prometheus text-exposition snapshot; returns the
@@ -404,16 +569,17 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     for name, histogram in sorted(registry._histograms.items()):
         metric = _prometheus_name(name)
         lines.append(f"# TYPE {metric} histogram")
+        count, total_ns, _, _, _, counts = histogram.slot(0)
         cumulative = 0
-        for bound, count in zip(histogram.bounds, histogram.counts):
-            cumulative += count
+        for bound, bucket in zip(histogram.bounds, counts):
+            cumulative += bucket
             lines.append(
                 f'{metric}_bucket{{le="{_prometheus_value(bound)}"}} '
                 f"{cumulative}"
             )
         lines.append(
-            f'{metric}_bucket{{le="+Inf"}} {histogram.count}'
+            f'{metric}_bucket{{le="+Inf"}} {count}'
         )
-        lines.append(f"{metric}_sum {_prometheus_value(histogram.total_ns)}")
-        lines.append(f"{metric}_count {histogram.count}")
+        lines.append(f"{metric}_sum {_prometheus_value(total_ns)}")
+        lines.append(f"{metric}_count {count}")
     return "\n".join(lines) + "\n"

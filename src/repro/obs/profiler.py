@@ -48,12 +48,13 @@ simulators); export with :meth:`Profiler.export_json` or
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.obs.timeseries import Rows, export_document
 
 #: Schema tag stamped into every exported profile.
 PROFILE_SCHEMA = "rmssd-profile/v1"
@@ -90,38 +91,6 @@ def merge_intervals(
     return starts[opens], reach[closes]
 
 
-class _Rows:
-    """Rows of one width, in recording order: single rows wait as
-    tuples and become one array chunk when a column chunk follows them
-    or a reader asks."""
-
-    __slots__ = ("width", "chunks", "tail")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.chunks: List[np.ndarray] = []
-        self.tail: List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self.tail) + sum(map(len, self.chunks))
-
-    def extend(self, rows: np.ndarray) -> None:
-        self._seal()
-        self.chunks.append(rows)
-
-    def _seal(self) -> None:
-        if self.tail:
-            self.chunks.append(np.array(self.tail, dtype=np.float64))
-            self.tail = []
-
-    def array(self) -> np.ndarray:
-        """Every row as one ``(n, width)`` array."""
-        self._seal()
-        if len(self.chunks) > 1:
-            self.chunks = [np.concatenate(self.chunks)]
-        return self.chunks[0] if self.chunks else np.empty((0, self.width))
-
-
 def _service_error(name: str, arrival_ns, start_ns, end_ns) -> str:
     return (
         f"service on {name!r} out of order or not finite: "
@@ -134,9 +103,9 @@ class Profiler:
 
     def __init__(self) -> None:
         # name -> (arrival, start, end) FIFO service rows.
-        self._services: Dict[str, _Rows] = {}
+        self._services: Dict[str, Rows] = {}
         # name -> (start, end) busy rows.
-        self._busy: Dict[str, _Rows] = {}
+        self._busy: Dict[str, Rows] = {}
         # name -> list of (t, depth) sampled wait-queue depths.
         self._queue_samples: Dict[str, List[Tuple[float, int]]] = {}
         self._kinds: Dict[str, str] = {}
@@ -155,10 +124,10 @@ class Profiler:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _rows(self, table: Dict[str, _Rows], name: str, kind: str, width: int) -> _Rows:
+    def _rows(self, table: Dict[str, Rows], name: str, kind: str, width: int) -> Rows:
         rows = table.get(name)
         if rows is None:
-            rows = table[name] = _Rows(width)
+            rows = table[name] = Rows(*[np.float64] * width)
             self._kinds.setdefault(name, kind)
         return rows
 
@@ -188,14 +157,13 @@ class Profiler:
         before any is recorded."""
         if not len(arrival_ns) == len(start_ns) == len(end_ns):
             raise ValueError(f"service columns on {name!r} differ in length")
-        rows = np.array((arrival_ns, start_ns, end_ns), dtype=np.float64).T
-        arrival, start, end = rows.T
+        arrival, start, end = np.array((arrival_ns, start_ns, end_ns), dtype=np.float64)
         ordered = (-math.inf < arrival) & (arrival <= start) & (start <= end) & (end < math.inf)
         if not ordered.all():
             bad = int(np.argmin(ordered))
             raise ValueError(_service_error(name, arrival[bad], start[bad], end[bad]))
-        if len(rows):
-            self._rows(self._services, name, kind, 3).extend(rows)
+        if len(arrival):
+            self._rows(self._services, name, kind, 3).extend(arrival, start, end)
 
     def record_busy(
         self, name: str, start_ns: float, end_ns: float, kind: str = "resource"
@@ -209,9 +177,13 @@ class Profiler:
         self._rows(self._busy, name, kind, 2).tail.append((start_ns, end_ns))
 
     def record_queue_depth(self, name: str, t_ns: float, depth: int) -> None:
-        """Sampled wait-queue depth (e.g. acquires that had to wait)."""
-        if depth < 0:
-            raise ValueError(f"negative queue depth on {name!r}")
+        """Sampled wait-queue depth (e.g. acquires that had to wait):
+        refused unless ``t_ns`` is finite and ``depth`` a non-negative
+        whole number."""
+        if not -math.inf < t_ns < math.inf:
+            raise ValueError(f"queue depth on {name!r} not finite: t_ns={t_ns}")
+        if not (0 <= depth < math.inf and depth == int(depth)):
+            raise ValueError(f"negative or fractional queue depth on {name!r}: depth={depth}")
         self._queue_samples.setdefault(name, []).append((float(t_ns), int(depth)))
 
     def record_stage(
@@ -225,7 +197,16 @@ class Profiler:
         latency_ns: float,
         serialized: bool,
     ) -> None:
-        """One device batch's stage sample (a DeviceTiming, located)."""
+        """One device batch's stage sample (a DeviceTiming, located),
+        refused unless every time is finite and non-negative (the start
+        only finite)."""
+        times = (emb_ns, bot_ns, top_ns, io_ns, latency_ns)
+        if not (-math.inf < start_ns < math.inf and all(0 <= t < math.inf for t in times)):
+            raise ValueError(
+                f"stage sample not finite or negative: start_ns={start_ns} "
+                f"emb_ns={emb_ns} bot_ns={bot_ns} top_ns={top_ns} "
+                f"io_ns={io_ns} latency_ns={latency_ns}"
+            )
         self.stages.append(
             {
                 "start_ns": float(start_ns),
@@ -295,9 +276,11 @@ class Profiler:
         """The ``(arrival, start, end)`` service rows and the
         ``(start, end)`` busy rows recorded for ``name``, in recording
         order."""
-        return (
-            self._services.get(name, _Rows(3)).array(),
-            self._busy.get(name, _Rows(2)).array(),
+        return tuple(
+            np.stack(table[name].columns(), axis=1)
+            if name in table
+            else np.empty((0, width))
+            for table, width in ((self._services, 3), (self._busy, 2))
         )
 
     @staticmethod
@@ -495,7 +478,4 @@ class Profiler:
         runs — and the DES vs fast path of the same run — produce
         byte-identical files.
         """
-        with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
+        return export_document(self.as_dict(), path)

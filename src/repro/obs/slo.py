@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Sequence, Set, Tuple
 
 from repro.obs import names
+from repro.obs.timeseries import checked_width
 
 
 @dataclass(frozen=True)
@@ -251,9 +252,7 @@ class SLOEngine:
         window_ns: float,
         rules: Sequence[BurnRateRule] = DEFAULT_RULES,
     ) -> None:
-        if window_ns <= 0:
-            raise ValueError("window width must be positive")
-        self.window_ns = float(window_ns)
+        self.window_ns = float(checked_width(window_ns))
         self.rules: Tuple[BurnRateRule, ...] = tuple(rules)
         if len({rule.severity for rule in self.rules}) != len(self.rules):
             # Rules sharing a rising-edge flag could raise an alert in

@@ -19,14 +19,15 @@ Window semantics (pinned by ``tests/test_obs_timeseries.py``):
   window deltas always sum to the series total — the conservation
   invariant ``tools/check_trace.py --timeseries`` enforces.
 
-Storage is one column table per counter or histogram
-(:class:`WindowTable`): observations arrive as ``(value, t_ns)``
-columns — one row from a scalar call, a whole run's worth from
-``observe_many`` — and bin lazily, in one vectorized pass over the
-rows appended since the last read.  The run aggregate and every window
-are slots of that table, so the aggregate export, the windowed export
-and the burn-rate fold (:class:`repro.obs.slo.BurnRateFold`) read the
-same numbers and cannot disagree.
+A counter or histogram *is* its column table (:class:`WindowTable`):
+observations arrive as ``(value, t_ns)`` rows — one tuple from a
+scalar call, a checked chunk from ``observe_many`` — wait in one
+:class:`Rows` buffer (the profiler's rows use the same one), and bin
+lazily, in one vectorized pass over the rows appended since the last
+read.  The run aggregate and every window are slots of that table, so
+the aggregate export, the windowed export and the burn-rate fold
+(:class:`repro.obs.slo.BurnRateFold`) read the same numbers and cannot
+disagree.
 
 Everything is deterministic: windows are exported sorted by index,
 sums add left to right in recording order, and quantiles interpolate
@@ -52,24 +53,30 @@ def _refused(name: str, noun: str, value: float) -> ValueError:
     return ValueError(f"{name}: {kind} {noun} {value!r}")
 
 
-def checked_stamp(t_ns: float) -> float:
-    """``t_ns``, refused unless finite and non-negative."""
-    if not 0 <= t_ns < math.inf:
-        raise _refused("t_ns", "timestamp", t_ns)
-    return t_ns
+def checked_value(value: float, name: str = "t_ns", noun: str = "timestamp") -> float:
+    """``value``, refused with one ``ValueError`` naming ``name`` unless
+    finite and non-negative (NaN fails every comparison, so it is
+    caught too)."""
+    if not 0 <= value < math.inf:
+        raise _refused(name, noun, value)
+    return value
+
+
+def checked_width(window_ns: float) -> float:
+    """``window_ns``, refused unless positive and finite."""
+    if not 0 < window_ns < math.inf:
+        raise ValueError(f"window_ns must be positive and finite, got {window_ns!r}")
+    return window_ns
 
 
 def window_index(t_ns: float, window_ns: float) -> int:
     """The window containing simulated instant ``t_ns``."""
-    if window_ns <= 0:
-        raise ValueError("window width must be positive")
-    return int(checked_stamp(t_ns) // window_ns)
+    return int(checked_value(t_ns) // checked_width(window_ns))
 
 
 def checked_column(values, name: str, noun: str) -> np.ndarray:
-    """``values`` as a one-dimensional float64 column, refused with one
-    ``ValueError`` naming ``name`` unless every entry is finite and
-    non-negative (NaN fails every comparison, so it is caught too)."""
+    """``values`` as a one-dimensional float64 column, refused as
+    :func:`checked_value` refuses one entry."""
     column = np.asarray(values, dtype=np.float64)
     if column.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional column")
@@ -78,69 +85,121 @@ def checked_column(values, name: str, noun: str) -> np.ndarray:
     return column
 
 
+class Rows:
+    """Rows of fixed-dtype columns, in recording order: single rows wait
+    as tuples and become one chunk of columns when a column chunk
+    follows them or a reader asks."""
+
+    __slots__ = ("dtypes", "chunks", "tail")
+
+    def __init__(self, *dtypes) -> None:
+        self.dtypes = dtypes
+        self.chunks: List[Tuple[np.ndarray, ...]] = []
+        self.tail: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.tail) + sum(len(chunk[0]) for chunk in self.chunks)
+
+    def extend(self, *columns: np.ndarray) -> None:
+        self._seal()
+        self.chunks.append(columns)
+
+    def _seal(self) -> None:
+        if self.tail:
+            self.chunks.append(tuple(map(np.array, zip(*self.tail), self.dtypes)))
+            self.tail = []
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """Every row, one array per column."""
+        self._seal()
+        if len(self.chunks) > 1:
+            self.chunks = [tuple(map(np.concatenate, zip(*self.chunks)))]
+        if not self.chunks:
+            return tuple(np.empty(0, dtype) for dtype in self.dtypes)
+        return self.chunks[0]
+
+
 class WindowTable:
-    """Appended ``(value, t_ns)`` rows and the per-slot sums they bin into.
+    """A metric's ``(value, t_ns)`` rows and the per-slot sums they bin
+    into.  An unstamped row carries a NaN stamp, which cannot be a real
+    one: every entry refuses a NaN ``t_ns``.
 
     Slot 0 accumulates every row — the run aggregate, stamped or not;
     with a ``window_ns``, every window that received a stamped row gets
     a slot of its own.  Totals add left to right in recording order:
     ``ufunc.at`` applies its rows one at a time, in order, which is the
     sum an observation-at-a-time loop makes.  Rows appended since the
-    last read wait in ``_pending`` and are binned by the next read (or
-    once :attr:`PENDING_LIMIT` columns wait), so a reader that comes
-    back often (the autoscaler's folds) bins each row once, and binning
-    in more passes adds the same numbers in the same order.
+    last read wait in one :class:`Rows` buffer — a scalar call's row as
+    a tuple, a column call's as one checked chunk — and are binned by
+    the next read (or once :attr:`PENDING_LIMIT` entries wait), so a
+    reader that comes back often (the autoscaler's folds) bins each row
+    once, and binning in more passes adds the same numbers in the same
+    order.
     """
 
     #: The per-slot arrays, grown together, with their empty values.
     _STATE: Tuple[Tuple[str, float], ...] = (("_counts", 0), ("_sums", 0))
-    #: Pending columns that trigger a bin without a read, so a caller
-    #: appending one row at a time and never reading (a device run's
-    #: registry, until export) holds a bounded backlog.
+    #: Waiting rows and chunks that trigger a bin without a read, so a
+    #: caller appending one row at a time and never reading (a device
+    #: run's registry, until export) holds a bounded backlog.
     PENDING_LIMIT = 1024
 
     def __init__(
         self, name: str, window_ns: Optional[float] = None, dtype=np.float64
     ) -> None:
-        if window_ns is not None and not 0 < window_ns < math.inf:
-            raise ValueError("window width must be positive and finite")
         self.name = name
-        self.window_ns = None if window_ns is None else float(window_ns)
-        #: (values, stamps or None) columns not binned yet.
-        self._pending: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self.window_ns = None if window_ns is None else float(checked_width(window_ns))
+        #: Rows not binned yet: value and stamp columns.
+        self._pending = Rows(dtype, np.float64)
         #: Window index (the float quotient ``t // window_ns``) -> slot.
         self._slots: Dict[float, int] = {}
         self._counts = np.zeros(1, dtype=np.int64)
         self._sums = np.zeros(1, dtype=dtype)
 
-    def append(self, values: np.ndarray, t_ns=None) -> None:
-        """Queue one column of checked values with their stamps
-        (``t_ns`` a column of the same length, or None: aggregate only).
-        The stamps are checked before anything is queued."""
-        stamps = None
-        if t_ns is not None:
+    @property
+    def series(self) -> Optional["WindowTable"]:
+        """This table as a windowed series, once it holds a stamped row
+        (never without a ``window_ns``)."""
+        self._bin()
+        return self if self._slots else None
+
+    def _append(self, value, t_ns=None) -> None:
+        """Queue one checked value with its stamp (None: aggregate
+        only), the stamp checked first."""
+        self._pending.tail.append((value, math.nan if t_ns is None else checked_value(t_ns)))
+        self._queued()
+
+    def _extend(self, values: np.ndarray, t_ns=None) -> None:
+        """Queue one column of checked values with their stamps (a
+        column of the same length, or None: aggregate only).  The stamps
+        are checked before anything is queued."""
+        if t_ns is None:
+            stamps = np.full(len(values), math.nan)
+        else:
             stamps = checked_column(t_ns, "t_ns", "timestamp")
             if len(stamps) != len(values):
                 raise ValueError("t_ns must hold one stamp per value")
-        self._pending.append((values, stamps))
-        if len(self._pending) >= self.PENDING_LIMIT:
+        self._pending.extend(values, stamps)
+        self._queued()
+
+    def _queued(self) -> None:
+        if len(self._pending.tail) + len(self._pending.chunks) >= self.PENDING_LIMIT:
             self._bin()
 
     def _bin(self) -> None:
         """Fold the pending rows into their slots, in one pass: every
         row into slot 0, then the stamped rows into their windows."""
-        if not self._pending:
+        if not len(self._pending):
             return
-        pending, self._pending = self._pending, []
-        columns = [column for column, _ in pending]
-        slots = [0] * sum(map(len, columns))
-        stamped = [pair for pair in pending if pair[1] is not None]
-        if self.window_ns is not None and stamped:
+        values, stamps = self._pending.columns()
+        self._pending.chunks = []
+        slots = [0] * len(values)
+        if self.window_ns is not None:
+            stamped = ~np.isnan(stamps)
             slot_of = self._slots
-            keys = np.concatenate([t for _, t in stamped]) // self.window_ns
+            keys = stamps[stamped] // self.window_ns
             slots += [slot_of.setdefault(key, len(slot_of) + 1) for key in keys.tolist()]
-            columns += [column for column, _ in stamped]
-        values = np.concatenate(columns)
+            values = np.concatenate((values, values[stamped]))
         size = len(self._counts)
         if len(self._slots) >= size:
             size = max(len(self._slots) + 1, 2 * size)
@@ -173,59 +232,6 @@ class WindowTable:
         return self._counts.item(slot) if slot is not None else 0
 
 
-class WindowedCounter(WindowTable):
-    """Per-window deltas of a monotonic counter: whole-number amounts."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, window_ns: Optional[float] = None) -> None:
-        super().__init__(name, window_ns, dtype=np.int64)
-
-    def observe_many(self, amounts, t_ns=None) -> np.ndarray:
-        """Append a column of increments (and their stamps); returns
-        the checked column."""
-        column = np.asarray(amounts)
-        if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
-            raise ValueError(f"amount must be whole numbers, got {column.dtype} values")
-        if len(column) and column.min() < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        self.append(column.astype(np.int64), t_ns)
-        return column
-
-    def record(self, t_ns: float, amount: int = 1) -> None:
-        self.observe_many((amount,), (t_ns,))
-
-    @property
-    def aggregate(self) -> int:
-        """Every increment, stamped or not."""
-        self._bin()
-        return int(self._sums[0])
-
-    @property
-    def total(self) -> int:
-        """Increments stamped into windows."""
-        self._bin()
-        return int(self._sums[1 : len(self._slots) + 1].sum())
-
-    def as_dict(self) -> dict:
-        seconds = self.window_ns / 1e9
-        indices, slots = self._window_slots()
-        return {
-            "kind": self.kind,
-            "window_ns": self.window_ns,
-            "total": self.total,
-            "windows": [
-                {
-                    "index": index,
-                    "start_ns": index * self.window_ns,
-                    "delta": delta,
-                    "rate_per_s": delta / seconds,
-                }
-                for index, delta in zip(indices, self._sums[slots].tolist())
-            ],
-        }
-
-
 class WindowedGauge:
     """Per-window last/min/max of a sampled value."""
 
@@ -234,10 +240,8 @@ class WindowedGauge:
     kind = "gauge"
 
     def __init__(self, name: str, window_ns: float) -> None:
-        if window_ns <= 0:
-            raise ValueError("window width must be positive")
         self.name = name
-        self.window_ns = float(window_ns)
+        self.window_ns = float(checked_width(window_ns))
         #: index -> [last, min, max]
         self._windows: Dict[int, List[float]] = {}
 
@@ -254,7 +258,7 @@ class WindowedGauge:
             if value > cell[2]:
                 cell[2] = value
 
-    def as_dict(self) -> dict:
+    def windows_dict(self) -> dict:
         return {
             "kind": self.kind,
             "window_ns": self.window_ns,
@@ -267,164 +271,6 @@ class WindowedGauge:
                     "max": cell[2],
                 }
                 for index, cell in sorted(self._windows.items())
-            ],
-        }
-
-
-class WindowedLatency(WindowTable):
-    """Per-window latency distributions over fixed bucket ``bounds``.
-
-    Beside the count and total, each slot keeps its bucket counts
-    (bucket ``i`` covers ``(bounds[i-1], bounds[i]]``, plus one
-    overflow bucket), its extremes and the smallest overflow value;
-    quantiles interpolate inside the bucket that crosses the target
-    rank (see :class:`~repro.obs.metrics.LatencyHistogram`).  Slot 0
-    is the histogram's run aggregate, the other slots its windows.
-    """
-
-    kind = "latency"
-    _STATE = WindowTable._STATE + (
-        ("_low", math.inf), ("_high", 0.0), ("_overflow_low", math.inf), ("_buckets", 0)
-    )
-
-    def __init__(
-        self, name: str, window_ns: Optional[float], bounds: Sequence[float]
-    ) -> None:
-        super().__init__(name, window_ns)
-        self.bounds = list(bounds)
-        self._edges = np.asarray(self.bounds, dtype=np.float64)
-        #: Each bucket's edges; the overflow bucket's are the observed
-        #: overflow values, tightened in :meth:`quantiles`.
-        self._lowers = np.concatenate(([0.0], self._edges))
-        self._uppers = np.append(self._edges, math.inf)
-        self._low = np.full(1, math.inf)
-        self._high = np.zeros(1)
-        self._overflow_low = np.full(1, math.inf)
-        self._buckets = np.zeros((1, len(self.bounds) + 1), dtype=np.int64)
-
-    def observe_many(self, value_ns, t_ns=None) -> np.ndarray:
-        """Append a column of latencies (and their stamps); returns
-        the checked column."""
-        column = checked_column(value_ns, "value_ns", "latency")
-        self.append(column, t_ns)
-        return column
-
-    def _fold(self, slots: np.ndarray, values: np.ndarray) -> None:
-        super()._fold(slots, values)
-        # np.searchsorted(..., "left") is bisect_left on finite floats.
-        buckets = np.searchsorted(self._edges, values)
-        np.add.at(self._buckets, (slots, buckets), 1)
-        np.minimum.at(self._low, slots, values)
-        np.maximum.at(self._high, slots, values)
-        if buckets.max() == len(self.bounds):
-            over = buckets == len(self.bounds)
-            np.minimum.at(self._overflow_low, slots[over], values[over])
-
-    def slot(self, slot: int) -> tuple:
-        """``(count, total, min, max, overflow min, bucket counts)`` of
-        one slot, as Python numbers."""
-        self._bin()
-        return (
-            self._counts.item(slot),
-            self._sums.item(slot),
-            self._low.item(slot),
-            self._high.item(slot),
-            self._overflow_low.item(slot),
-            self._buckets[slot].tolist(),
-        )
-
-    def quantiles(self, slots: Sequence[int], qs: Sequence[float]) -> np.ndarray:
-        """The percentiles ``qs`` (0-100) of every slot in ``slots``, one
-        row per slot and one column per ``q``.
-
-        Each interpolates inside the first bucket whose running count
-        reaches the target rank ``q / 100 * count``.  The first and last
-        non-empty buckets are tightened to the observed min/max; the
-        overflow bucket spans the observed overflow values.  ``q = 0``
-        reads the minimum, an empty slot reads 0.0.
-        """
-        for q in qs:
-            if not 0.0 <= q <= 100.0:
-                raise ValueError("percentile must be in [0, 100]")
-        self._bin()
-        slots = np.asarray(slots, dtype=np.intp)
-        counts = self._buckets[slots]
-        low, high = self._low[slots][:, None], self._high[slots][:, None]
-        cumulative = counts.cumsum(axis=1)
-        count = cumulative[:, -1:]
-        target = np.asarray(qs) / 100.0 * count
-        # With a positive target that bucket is non-empty: the one
-        # before it fell short.
-        index = (cumulative[:, None, :] >= target[:, :, None]).argmax(axis=2)
-        rows = np.arange(len(slots))[:, None]
-        inside = counts[rows, index]
-        below = cumulative[rows, index] - inside
-        overflow = index == len(self.bounds)
-        lower = np.where(overflow, self._overflow_low[slots][:, None], self._lowers[index])
-        # The minimum lies at or below every bucket but the first
-        # non-empty one, and the maximum above every bucket but the last,
-        # so tightening every bucket tightens just those two.  Builtin
-        # max/min keep their first argument unless the second is
-        # strictly beyond it.
-        lower = np.where(low > lower, low, lower)
-        upper = self._uppers[index]
-        upper = np.where(high < upper, high, upper)
-        # Only the entries masked below (q = 0, empty slots) can divide
-        # by zero or meet an infinite extreme.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = lower + (target - below) / inside * (upper - lower)
-        return np.where(count == 0, 0.0, np.where(target > 0, values, low))
-
-    @property
-    def total(self) -> int:
-        """Observations stamped into windows."""
-        self._bin()
-        return int(self._counts[1 : len(self._slots) + 1].sum())
-
-    def window_percentiles(self, start: int, stop: int, q: float) -> List[Tuple[int, float]]:
-        """``(count, q-th percentile)`` of every window in
-        ``[start, stop)``, ``(0, 0.0)`` where a window is absent; the
-        present windows are read in one pass."""
-        self._bin()
-        slots = [self._slots.get(index) for index in range(start, stop)]
-        present = [slot for slot in slots if slot is not None]
-        if not present:
-            return [(0, 0.0)] * len(slots)
-        reads = iter(zip(self._counts[present].tolist(), self.quantiles(present, (q,))[:, 0].tolist()))
-        return [(0, 0.0) if slot is None else next(reads) for slot in slots]
-
-    def window_percentile(self, index: int, q: float) -> float:
-        """The q-th percentile within one window (0.0 if absent)."""
-        return self.window_percentiles(index, index + 1, q)[0][1]
-
-    def as_dict(self) -> dict:
-        indices, slots = self._window_slots()
-        count = self._counts[slots]
-        columns = zip(
-            indices,
-            count.tolist(),
-            (self._sums[slots] / count).tolist(),
-            self.quantiles(slots, (50.0, 95.0, 99.0)).tolist(),
-            self._low[slots].tolist(),
-            self._high[slots].tolist(),
-        )
-        return {
-            "kind": self.kind,
-            "window_ns": self.window_ns,
-            "total": int(count.sum()),
-            "windows": [
-                {
-                    "count": rows,
-                    "mean_ns": mean,
-                    "p50_ns": p50_ns,
-                    "p95_ns": p95_ns,
-                    "p99_ns": p99_ns,
-                    "min_ns": low,
-                    "max_ns": high,
-                    "index": index,
-                    "start_ns": index * self.window_ns,
-                }
-                for index, rows, mean, (p50_ns, p95_ns, p99_ns), low, high in columns
             ],
         }
 
@@ -472,8 +318,7 @@ def utilization_series(profiler, window_ns: float) -> dict:
     window's busy time adds its overlaps left to right, in timeline
     order.
     """
-    if window_ns <= 0:
-        raise ValueError("window width must be positive")
+    checked_width(window_ns)
     series: dict = {}
     for name, (kind, starts, ends) in sorted(profiler.busy_timelines().items()):
         index, overlap = _window_overlaps(starts, ends, window_ns)
@@ -519,11 +364,11 @@ def build_document(
     """
     if window_ns is None and metrics is not None:
         window_ns = metrics.window_ns
-    if window_ns is None or window_ns <= 0:
-        raise ValueError("timeseries document needs a positive window_ns")
+    if window_ns is None:
+        raise ValueError("window_ns: a timeseries document needs a window width")
     document: dict = {
         "schema": TIMESERIES_SCHEMA,
-        "window_ns": float(window_ns),
+        "window_ns": float(checked_width(window_ns)),
         "series": metrics.series_dict() if metrics is not None else {},
     }
     if profiler is not None:
@@ -536,7 +381,9 @@ def build_document(
 
 
 def export_document(document: dict, path: str) -> str:
-    """Write a timeseries document as sorted, indented JSON."""
+    """Write an exported document (timeseries, profile, metrics,
+    explain, report) as sorted, indented JSON with a trailing newline;
+    returns the path."""
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

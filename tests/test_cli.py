@@ -256,8 +256,18 @@ class TestBoundaryErrors:
         (["sla", "rmc1", "--cluster", "--duration-ms", "0"],
          "trace duration must be positive"),
         (["report", "rmc1", "--load", "0"], "offered load must be positive"),
-        (["report", "rmc1", "--load", "nan"], "arrival times must be finite"),
-        (["explain", "rmc1", "--load", "nan"], "arrival times must be finite"),
+        (["report", "rmc1", "--load", "nan"], "qps must be finite"),
+        (["explain", "rmc1", "--load", "nan"], "qps must be finite"),
+        (["report", "rmc1", "--load", "inf"], "qps must be finite"),
+        (["report", "rmc1", "--load", "1e300"], "a trace may hold"),
+        (["sla", "rmc1", "--quantile", "101"], "quantile must be in [0, 100]"),
+        (["sla", "rmc1", "--quantile", "-1"], "quantile must be in [0, 100]"),
+        (["sla", "rmc1", "--window-ms", "nan"],
+         "window_ns must be positive and finite"),
+        (["sla", "rmc1", "--window-ms", "inf"],
+         "window_ns must be positive and finite"),
+        (["sla", "rmc1", "--sla-ms", "-1"], "sla_ns must be positive and finite"),
+        (["sla", "rmc1", "--sla-ms", "nan"], "sla_ns must be positive and finite"),
         (["report", "rmc1", "--quantile", "101"], "quantile must be in"),
         (["sla", "rmc1", "--cluster", "--duration-ms", "50",
           "--quantile", "101"], "quantile must be in"),
@@ -290,6 +300,22 @@ class TestBoundaryErrors:
             flags += [flag, str(tmp_path / flag.strip("-"))]
         assert message in refused(argv + ["--rows", "64"] + flags, capsys)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSlaQuantile:
+    def test_quantile_steers_the_single_device_search(self, capsys):
+        """``sla --quantile`` used to be ignored on a single device: the
+        search and the worst window always read p99."""
+        found = {}
+        for quantile in ("99", "99.9"):
+            argv = ["sla", "rmc1", "--rows", "64", "--queries", "50",
+                    "--sla-ms", "3", "--quantile", quantile]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert f"max load with p{quantile} <= 3.0 ms" in out
+            assert f" p{quantile} " in out.split("worst window")[1]
+            found[quantile] = out.split("bisection trajectory")[1]
+        assert found["99"] != found["99.9"]
 
 
 class TestExplainTraceOutNote:

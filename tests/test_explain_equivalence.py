@@ -21,7 +21,8 @@ from repro.fpga.compose import StageTimes
 from repro.host.cluster_serving import ClusterServingSimulator
 from repro.models import build_model, get_config
 from repro.obs import CritPathCollector, build_explain_document
-from repro.obs.critpath import component_sum, export_explain_document
+from repro.obs import export_document
+from repro.obs.critpath import component_sum
 from repro.workloads.arrivals import flash_crowd_trace
 from tools.check_trace import check_explain
 
@@ -44,7 +45,7 @@ def pipeline_export(arrivals, fast, tmp_path, tag):
     simulator.run(len(arrivals), arrival_times_ns=arrivals, fast=fast)
     document = build_explain_document(collector.requests)
     path = tmp_path / f"{tag}-{'fast' if fast else 'des'}.json"
-    export_explain_document(document, str(path))
+    export_document(document, str(path))
     return path
 
 
@@ -85,7 +86,7 @@ class TestServingExplain:
                 collector.requests, meta={"model": config_key}
             )
             path = tmp_path / f"{config_key}-{fast}.json"
-            export_explain_document(document, str(path))
+            export_document(document, str(path))
             paths[fast] = path
         assert paths[True].read_bytes() == paths[False].read_bytes()
         assert check_explain(str(paths[True])) == []
@@ -110,7 +111,7 @@ class TestClusterExplain:
             cluster.serve_trace(trace, fast=fast)
             document = build_explain_document(collector.requests)
             path = tmp_path / f"cluster-{fast}.json"
-            export_explain_document(document, str(path))
+            export_document(document, str(path))
             paths[fast] = path
         assert paths[True].read_bytes() == paths[False].read_bytes()
         assert check_explain(str(paths[True])) == []

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline_sim import PipelineSimulator
+from repro.obs import export_document
 from repro.obs.critpath import (
     COMPONENTS,
     EXPLAIN_SCHEMA,
@@ -25,7 +26,6 @@ from repro.obs.critpath import (
     build_explain_document,
     canonical_order,
     component_sum,
-    export_explain_document,
     tail_exemplars,
 )
 
@@ -300,7 +300,7 @@ class TestExplainDocument:
         arrivals = [r["arrival_ns"] for r in document["requests"]["records"]]
         assert arrivals == sorted(arrivals)
         assert document["meta"] == {"model": "rmc1"}
-        path = export_explain_document(document, str(tmp_path / "e.json"))
+        path = export_document(document, str(tmp_path / "e.json"))
         loaded = json.load(open(path))
         assert loaded == document
 

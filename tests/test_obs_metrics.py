@@ -1,7 +1,9 @@
 """Metrics registry tests: histogram boundary math, registry, absorb."""
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,22 +67,22 @@ class TestHistogramObservation:
         hist = LatencyHistogram("h", bounds=[10, 20])
         for value in (10, 20, 21):
             hist.observe(value)
-        assert hist.counts == [1, 1, 1]
+        assert aggregate(hist).counts == [1, 1, 1]
 
     def test_extremes_and_mean(self):
         hist = LatencyHistogram("h", bounds=[100])
         for value in (5, 15, 40):
             hist.observe(value)
-        assert hist.min_ns == 5
-        assert hist.max_ns == 40
-        assert hist.mean_ns == pytest.approx(20.0)
+        assert aggregate(hist).min_ns == 5
+        assert aggregate(hist).max_ns == 40
+        assert hist.summary()["mean_ns"] == pytest.approx(20.0)
 
 
 class TestHistogramPercentiles:
     def test_empty_is_zero(self):
         hist = LatencyHistogram("h", bounds=[10])
         assert hist.percentile(50.0) == 0.0
-        assert hist.mean_ns == 0
+        assert hist.summary()["mean_ns"] == 0
 
     def test_p0_is_min(self):
         hist = LatencyHistogram("h", bounds=[10, 20])
@@ -146,6 +148,15 @@ class TestHistogramPercentiles:
         ]
 
 
+def aggregate(hist):
+    """A histogram's run aggregate (its table's slot 0), by name."""
+    count, total_ns, min_ns, max_ns, overflow_min_ns, counts = hist.slot(0)
+    return SimpleNamespace(
+        count=count, total_ns=total_ns, min_ns=min_ns, max_ns=max_ns,
+        overflow_min_ns=overflow_min_ns, counts=counts, bounds=hist.bounds,
+    )
+
+
 def three_scan_percentile(hist, q):
     """`LatencyHistogram.percentile` as it stood before the one-pass
     cursor: two generator scans for the edge buckets, then the
@@ -202,10 +213,11 @@ class TestOnePassQuantiles:
         for value in values:
             hist.observe(value)
         # Bit for bit: exported documents are compared byte by byte.
-        assert repr(hist.percentile(q)) == repr(three_scan_percentile(hist, q))
+        reference = aggregate(hist)
+        assert repr(hist.percentile(q)) == repr(three_scan_percentile(reference, q))
         summary = hist.summary()
         for key, quantile in (("p50_ns", 50.0), ("p95_ns", 95.0), ("p99_ns", 99.0)):
-            assert repr(summary[key]) == repr(three_scan_percentile(hist, quantile))
+            assert repr(summary[key]) == repr(three_scan_percentile(reference, quantile))
 
 
 class TestRegistry:
@@ -255,7 +267,7 @@ def registry_state(metrics):
     """Every aggregate and window the registry would export."""
     histogram, counter = metrics.histogram("h"), metrics.counter("c")
     return (
-        (histogram.count, histogram.total_ns, counter.value, metrics.gauge("g").value),
+        (histogram.slot(0), counter.value, metrics.gauge("g").value),
         json.dumps(metrics.as_dict(), sort_keys=True),
         json.dumps(metrics.series_dict(), sort_keys=True),
     )
@@ -268,6 +280,19 @@ class TestHostileBoundaries:
     had moved, and ``Gauge.set`` took NaN and inf.  Every refusal names
     its parameter and comes before any aggregate or window changes, on
     the scalar and the column entry alike."""
+
+    def test_hostile_running_total_past_int64_refused(self):
+        """Before the check, two ``inc(2**62)`` wrapped the total
+        negative, and ``inc(2**63)`` read back as -2**63."""
+        metrics = MetricsRegistry(window_ns=100.0)
+        counter = metrics.counter("c")
+        counter.inc(2**62, t_ns=10.0)
+        before = registry_state(metrics)
+        with pytest.raises(ValueError, match="^amount"):
+            counter.inc(2**62, t_ns=20.0)
+        assert registry_state(metrics) == before
+        counter.inc(2**62 - 1, t_ns=20.0)
+        assert counter.value == 2**63 - 1 == counter.series.total
 
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda m: m.histogram("h").observe(NAN),
@@ -296,6 +321,15 @@ class TestHostileBoundaries:
                      "^t_ns", id="counter-observe_many-t-nan"),
         pytest.param(lambda m: m.counter("c").observe_many([1, -2], t_ns=[1.0, 2.0]),
                      "only go up", id="counter-observe_many-negative"),
+        pytest.param(lambda m: m.counter("c").inc(2**63, t_ns=5.0), "^amount",
+                     id="inc-past-int64"),
+        pytest.param(lambda m: m.counter("c").inc(2**63 - 2, t_ns=5.0), "^amount",
+                     id="inc-total-past-int64"),
+        pytest.param(lambda m: m.counter("c").observe_many(
+                         np.array([2**63], dtype=np.uint64), t_ns=[5.0]),
+                     "^amount", id="counter-observe_many-uint64-past-int64"),
+        pytest.param(lambda m: m.counter("c").observe_many([2**62, 2**62], t_ns=[5.0, 6.0]),
+                     "^amount", id="counter-observe_many-total-past-int64"),
         pytest.param(lambda m: m.gauge("g").set(NAN, t_ns=5.0), "^value:", id="set-nan"),
         pytest.param(lambda m: m.gauge("g").set(INF, t_ns=5.0), "^value:", id="set-inf"),
         pytest.param(lambda m: m.gauge("g").set(1.0, t_ns=NAN), "^t_ns", id="set-t-nan"),

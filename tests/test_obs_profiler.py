@@ -102,6 +102,35 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="negative"):
             Profiler().record_queue_depth("die", 0.0, -1)
 
+    @pytest.mark.parametrize("t_ns, depth, message", [
+        (math.nan, 1, "t_ns=nan"), (math.inf, 1, "t_ns=inf"), (-math.inf, 1, "t_ns=-inf"),
+        (0.0, 1.5, "depth=1.5"), (0.0, math.nan, "depth=nan"), (0.0, math.inf, "depth=inf"),
+    ])
+    def test_hostile_queue_depth_refused_before_any_record(self, t_ns, depth, message):
+        """Before the check, a NaN or infinite ``t_ns`` was recorded and
+        a depth of 1.5 was truncated to 1."""
+        profiler = Profiler()
+        profiler.record_queue_depth("die", 0.0, 2)
+        before = json.dumps(profiler.as_dict(), sort_keys=True)
+        with pytest.raises(ValueError, match=message):
+            profiler.record_queue_depth("die", t_ns, depth)
+        assert json.dumps(profiler.as_dict(), sort_keys=True) == before
+
+    @pytest.mark.parametrize("field", ["start_ns", "emb_ns", "bot_ns", "top_ns",
+                                       "io_ns", "latency_ns"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_hostile_stage_time_refused_before_any_record(self, field, value):
+        """Before the check, a NaN or infinite stage time was recorded:
+        the bottleneck report's totals and the run horizon became NaN."""
+        profiler = Profiler()
+        stage = dict(start_ns=0.0, nbatch=1, emb_ns=50.0, bot_ns=10.0, top_ns=10.0,
+                     io_ns=5.0, latency_ns=75.0, serialized=False)
+        profiler.record_stage(**stage)
+        before = json.dumps(profiler.as_dict(), sort_keys=True)
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            profiler.record_stage(**{**stage, field: value})
+        assert json.dumps(profiler.as_dict(), sort_keys=True) == before
+
     def test_zero_length_records_allowed(self):
         profiler = Profiler()
         profiler.record_service("bus", 1.0, 1.0, 1.0)

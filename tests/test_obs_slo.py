@@ -180,6 +180,13 @@ def test_validation():
         BurnRateRule("sev", long_windows=4, short_windows=1.5, burn_threshold=1.0)
 
 
+@pytest.mark.parametrize("window_ns", [math.nan, math.inf, 0.0])
+def test_hostile_window_refused(window_ns):
+    """Before the check, ``SLOEngine(window_ns=nan|inf)`` was accepted."""
+    with pytest.raises(ValueError, match="^window_ns must be positive and finite"):
+        SLOEngine(window_ns)
+
+
 def test_custom_rule_threshold():
     # A rule needing 100% of the short span violating fires only once
     # both trailing windows are bad.

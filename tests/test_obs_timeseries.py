@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
+    Counter,
     MetricsRegistry,
     Profiler,
     render_prometheus,
 )
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
-    WindowedCounter,
     WindowedGauge,
     WindowTable,
     build_document,
@@ -51,14 +51,27 @@ def test_window_index_validation():
         window_index(-1.0, 100.0)
 
 
+@pytest.mark.parametrize("window_ns", [math.nan, math.inf])
+def test_hostile_window_width_refused(window_ns):
+    """Before the check, ``window_index(5.0, nan)`` raised a raw error,
+    ``window_index(5.0, inf)`` returned 0 and ``build_document`` exported
+    ``start_ns: nan``."""
+    with pytest.raises(ValueError, match="^window_ns must be positive and finite"):
+        window_index(5.0, window_ns)
+    profiler = Profiler()
+    profiler.record_busy("die", 0.0, 10.0)
+    with pytest.raises(ValueError, match="^window_ns must be positive and finite"):
+        build_document(profiler=profiler, window_ns=window_ns)
+
+
 # ----------------------------------------------------------------------
 # Primitive series
 # ----------------------------------------------------------------------
 def test_counter_conservation():
-    series = WindowedCounter("c", 100.0)
+    series = Counter("c", 100.0)
     for t in (0.0, 10.0, 150.0, 150.0, 950.0):
-        series.record(t, 2)
-    data = series.as_dict()
+        series.inc(2, t_ns=t)
+    data = series.windows_dict()
     assert data["kind"] == "counter"
     assert [w["index"] for w in data["windows"]] == [0, 1, 9]
     assert sum(w["delta"] for w in data["windows"]) == data["total"] == 10
@@ -72,7 +85,7 @@ def test_gauge_last_min_max():
     series.record(10.0, 5.0)
     series.record(20.0, 1.0)
     series.record(30.0, 3.0)
-    (window,) = series.as_dict()["windows"]
+    (window,) = series.windows_dict()["windows"]
     assert (window["last"], window["min"], window["max"]) == (3.0, 1.0, 5.0)
 
 
@@ -87,7 +100,7 @@ def test_registry_windows_only_timestamped():
     histogram = metrics.histogram("h")
     histogram.observe(50.0)
     histogram.observe(60.0, t_ns=120.0)
-    assert histogram.count == 2
+    assert histogram.slot(0)[0] == 2
     assert histogram.series.total == 1
     assert histogram.series.window_indices() == [1]
 
@@ -109,10 +122,10 @@ def test_latency_windows_match_aggregate_semantics():
     assert series.window_indices() == [0, 1]
     assert series.window_count(0) == 2
     assert series.window_count(1) == 1
-    assert series.total == histogram.count == 3
+    assert series.total == histogram.slot(0)[0] == 3
     # A single-value window reports that value exactly at any quantile.
     assert series.window_percentile(1, 99.0) == 400.0
-    data = series.as_dict()
+    data = series.windows_dict()
     assert all(
         w["min_ns"] <= w["p50_ns"] <= w["p95_ns"] <= w["p99_ns"] <= w["max_ns"]
         for w in data["windows"]
@@ -132,7 +145,7 @@ def test_overflow_quantiles_not_clipped():
         histogram.observe(90000.0)
     assert histogram.percentile(50.0) == 90000.0
     assert histogram.percentile(99.9) == 90000.0
-    assert histogram.overflow_min_ns == pytest.approx(90000.0)
+    assert histogram.slot(0)[4] == pytest.approx(90000.0)
 
 
 def test_overflow_range_interpolation():
@@ -369,7 +382,7 @@ def test_window_table_matches_observation_at_a_time(rows, cuts, window_ns):
     if not windows:
         assert series is None
         return
-    exported = series.as_dict()["windows"]
+    exported = series.windows_dict()["windows"]
     assert [w["index"] for w in exported] == sorted(windows)
     for window in exported:
         values = windows[window["index"]]
@@ -390,7 +403,7 @@ def test_one_row_callers_hold_a_bounded_backlog():
     for value, t in zip(values, stamps):
         one_at_a_time.histogram("h").observe(value, t_ns=t)
         one_at_a_time.counter("c").inc(1, t_ns=t)
-        assert len(one_at_a_time.histogram("h")._rows._pending) < WindowTable.PENDING_LIMIT
+        assert len(one_at_a_time.histogram("h")._pending) < WindowTable.PENDING_LIMIT
     in_columns = MetricsRegistry(window_ns=50.0)
     in_columns.histogram("h").observe_many(values, t_ns=stamps)
     in_columns.counter("c").observe_many([1] * len(values), t_ns=stamps)

@@ -6,7 +6,11 @@ from repro.core.device import operating_point
 from repro.fpga.compose import StageTimes
 from repro.host.serving import ServingSimulator
 from repro.models import build_model, get_config
+from repro.obs import MetricsRegistry
 from repro.obs.critpath import CritPathCollector
+from tests.timer import returns_within
+
+NAN, INF = float("nan"), float("inf")
 
 
 def simple_times(temb=200_000, tbot=50_000, ttop=30_000, nbatch=1):
@@ -49,6 +53,49 @@ class TestServingSimulator:
         serving = ServingSimulator(simple_times())
         with pytest.raises(ValueError):
             serving.offered_load(1000.0, queries=0)
+
+    @pytest.mark.parametrize("window_ns", (NAN, INF, 0.0, -1.0))
+    def test_hostile_window_refused(self, window_ns):
+        """Before the check only ``window_ns <= 0`` was refused: NaN
+        raised a raw ``cannot convert float NaN to integer`` after the
+        whole run, and inf put every batch in a window starting at NaN."""
+        with pytest.raises(ValueError, match="^window_ns must be positive and finite"):
+            ServingSimulator(simple_times(), window_ns=window_ns)
+
+    @pytest.mark.parametrize("qps, message", [
+        (INF, "^qps must be finite"), (NAN, "^qps must be finite"),
+        (1e300, "^qps=1e.300 expect"),
+    ])
+    def test_hostile_offered_load_refused_before_it_runs(self, qps, message):
+        """Before the check, ``qps=inf`` and ``1e300`` each returned a
+        point: every query arrived at once."""
+        metrics = MetricsRegistry(window_ns=1e6)
+        serving = ServingSimulator(simple_times(), metrics=metrics)
+        with pytest.raises(ValueError, match=message):
+            serving.offered_load(qps, queries=50)
+        assert serving.last_path is None
+        assert metrics.as_dict()["histograms"] == {}
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"sla_ns": -1e6}, "^sla_ns must be positive and finite"),
+        ({"sla_ns": NAN}, "^sla_ns must be positive and finite"),
+        ({"sla_ns": 0.0}, "^sla_ns must be positive and finite"),
+        ({"quantile": 101.0}, r"^quantile must be in \[0, 100\]"),
+        ({"quantile": NAN}, r"^quantile must be in \[0, 100\]"),
+        ({"tolerance": NAN}, "^tolerance must be in"),
+        ({"tolerance": -1.0}, "^tolerance must be in"),
+        ({"tolerance": 0.0}, "^tolerance must be in"),
+        ({"tolerance": 1e-300}, "^tolerance must be in"),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
+    def test_hostile_sla_search_refused_before_its_first_probe(self, arguments, message):
+        """Before the checks, a negative or NaN SLA and a NaN tolerance
+        each searched and reported 0 QPS, a quantile past 100 reached
+        the probes, and a negative tolerance never returned."""
+        serving = ServingSimulator(simple_times())
+        with returns_within(10.0, f"sla_search({arguments})"):
+            with pytest.raises(ValueError, match=message):
+                serving.sla_search(**{"sla_ns": 5e6, **arguments}, queries=20)
+        assert serving.last_path is None
 
     @pytest.mark.parametrize("nbatch", (0, -3))
     def test_non_positive_nbatch_rejected(self, nbatch):

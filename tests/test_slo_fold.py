@@ -19,7 +19,8 @@ from repro.host.autoscale import Autoscaler
 from repro.host.cluster_serving import BALANCERS, ClusterServingSimulator
 from repro.obs import BurnRateRule, MetricsRegistry, SLOEngine, names
 from repro.obs.slo import BurnRateFold
-from repro.obs.timeseries import WindowedLatency, window_index
+from repro.obs.metrics import LatencyHistogram
+from repro.obs.timeseries import window_index
 from repro.sim.engine import SimulationError
 from repro.workloads.arrivals import (
     diurnal_trace,
@@ -247,13 +248,13 @@ class TestFoldReadsEachWindowOnce:
     @pytest.mark.parametrize("scale", (1, 4))
     def test_window_percentile_calls_are_linear(self, scale, monkeypatch):
         calls = []
-        real = WindowedLatency.window_percentiles
+        real = LatencyHistogram.window_percentiles
 
         def counting(self, start, stop, q):
             calls.extend(range(start, stop))
             return real(self, start, stop, q)
 
-        monkeypatch.setattr(WindowedLatency, "window_percentiles", counting)
+        monkeypatch.setattr(LatencyHistogram, "window_percentiles", counting)
         duration_ns = 1e8 * scale
         trace = flash_crowd_trace(
             600.0, duration_ns, 0.3 * duration_ns, 0.4 * duration_ns,

@@ -122,12 +122,15 @@ print('ok   %d scale-up(s), timeseries byte-identical' % ups)"
 # windows: it must equal the full rescan (tests/slo_oracle.py) at every
 # epoch, trip its causality check on a stale observation, and never
 # see a hostile arrival instant (NaN / inf / negative / unsorted are
-# refused at the boundary, before any controller state changes).  Every
+# refused at the boundary, before any controller state changes), and
+# neither may a hostile serving, window or observer entry.  Every
 # byte the fleet's observers export is pinned by digest, on both paths,
 # so a drift in any document fails here and not only at a `cmp` above.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_slo_fold.py \
     tests/test_cluster_serving.py tests/test_arrivals.py \
-    tests/test_fleet_documents_pinned.py \
+    tests/test_fleet_documents_pinned.py tests/test_serving.py \
+    tests/test_obs_metrics.py tests/test_obs_profiler.py \
+    tests/test_obs_slo.py tests/test_obs_timeseries.py \
     -k "smoke or stale or hostile"
 
 echo "== bench-regression gate (tools/bench_compare.py) =="
