@@ -30,11 +30,13 @@ RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_vcache_equivalence.py \
 
 echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 # Closed-form pipeline replay vs the DES: saturated/zero-stage chains,
-# byte-identical profiles, one load-sweep point on both paths, and the
+# byte-identical profiles, one load-sweep point on both paths, the
 # max-plus chain kernel (sim/maxplus.py) at scan size against real
-# Server.serve calls.
+# Server.serve calls, and every LoadPoint field of pinned sweeps and
+# one SLA search on both paths.
 RMSSD_SANITIZE=1 python -m pytest -x -q \
-    tests/test_pipeline_fast_equivalence.py tests/test_maxplus.py -k smoke
+    tests/test_pipeline_fast_equivalence.py tests/test_maxplus.py \
+    tests/test_serving_pinned.py -k smoke
 
 echo "== trace smoke (--trace-out) =="
 python -m repro run rmc1 --backend rm-ssd \
