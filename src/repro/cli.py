@@ -545,7 +545,7 @@ def cmd_sla(args) -> int:
         metrics=metrics, window_ns=window_ns,
     )
     sla_ns, q = args.sla_ms * 1e6, args.quantile
-    check_sla(sla_ns, q)
+    check_sla(sla_ns, q, queries=args.queries)
     fast = _fast(args)
     # Printed before anything runs, so there is no result to read the
     # path from yet.

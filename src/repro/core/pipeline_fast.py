@@ -55,17 +55,25 @@ def require_finite(stage_times) -> None:
         raise ValueError("stage times must be finite")
 
 
-def _serve_stage(offered: np.ndarray, durations: np.ndarray, jobs):
-    """One stage server taking ``jobs`` (indices in service order, or
-    ``slice(None)``) at their ``offered`` instants: the ``(start,
-    done)`` columns; a batch it does not take is done at its offer."""
-    start = offered.copy()
-    done = offered.copy()
-    t = offered[jobs]
-    if t.size:
-        chain_start, chain_finish = maxplus.serve_chain(t, durations[jobs])
-        start[jobs] = chain_start
-        done[jobs] = maxplus.resume(t, chain_finish)
+def _taken(durations: np.ndarray, order: Optional[np.ndarray] = None):
+    """The positive-duration jobs in service ``order`` (None: index
+    order), or None when that is every batch in index order."""
+    positive = durations > 0
+    if order is not None:
+        return order[positive[order]]
+    return None if positive.all() else np.flatnonzero(positive)
+
+
+def _serve_stage(offered: np.ndarray, durations: np.ndarray, jobs=None):
+    """One stage server taking ``jobs`` (indices in service order; None
+    for every batch in index order, served on the columns themselves)
+    at their ``offered`` instants: the ``(start, done)`` columns; a
+    batch it does not take is done at its offer."""
+    if jobs is None:
+        start, finish = maxplus.serve_chain(offered, durations)
+        return start, maxplus.resume(offered, finish)
+    start, done = offered.copy(), offered.copy()
+    start[jobs], done[jobs] = _serve_stage(offered[jobs], durations[jobs])
     return start, done
 
 
@@ -118,20 +126,21 @@ def replay_serving(
     # Embedding stage: always served, even zero-length jobs.  Bottom
     # stage: only positive durations touch the server; the others
     # complete instantly at the batch's service clock.
-    emb_start, emb_done = _serve_stage(t_call, emb, slice(None))
-    bot_start, bot_done = _serve_stage(t_call, bot, np.flatnonzero(bot > 0))
+    emb_start, emb_done = _serve_stage(t_call, emb)
+    bot_start, bot_done = _serve_stage(t_call, bot, _taken(bot))
 
     # Top stage: ready when both predecessors are done; the DES serves
-    # in (ready time, batch index) order — a stable sort.
+    # in (ready time, batch index) order — a stable sort, the identity
+    # when ready never decreases.
     ready = np.maximum(emb_done, bot_done)
-    order = np.argsort(ready, kind="stable")
+    order = np.argsort(ready, kind="stable") if np.any(ready[1:] < ready[:-1]) else None
     if callable(top_fn):
-        for index in order.tolist():
+        for index in range(n) if order is None else order.tolist():
             top[index] = top_fn(index)
     else:
         top[:] = float(top_fn)
     require_finite(top)
-    top_start, top_done = _serve_stage(ready, top, order[top[order] > 0])
+    top_start, top_done = _serve_stage(ready, top, _taken(top, order))
 
     # One contiguous row per stamp, handed out transposed: consumers
     # read whole columns (latency = top_done - arrival), never rows.

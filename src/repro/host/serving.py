@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,13 +26,25 @@ from repro.obs.timeseries import checked_width
 from repro.workloads import arrivals
 
 
-def check_sla(sla_ns: float, quantile: float, tolerance: float = 0.02) -> None:
+def check_queries(queries) -> None:
+    """Refuse, naming it, a query count that is not an integer >= 1."""
+    if isinstance(queries, bool) or not isinstance(queries, Integral):
+        raise ValueError(f"queries must be an integer, got {queries!r}")
+    if queries < 1:
+        raise ValueError(f"need at least one query, got queries={queries!r}")
+
+
+def check_sla(
+    sla_ns: float, quantile: float, tolerance: float = 0.02, queries: int = 200
+) -> None:
     """Refuse, naming it, an SLA-search parameter no search can honour:
     an objective ``sla_ns`` that is not positive and finite, a
-    ``quantile`` outside [0, 100], or a ``tolerance`` (a fraction of the
+    ``quantile`` outside [0, 100], a ``tolerance`` (a fraction of the
     saturation load) below float resolution — the bisection stops once
     its bracket is within ``tolerance``, and a bracket one ulp wide is
-    as narrow as it gets — or above 1."""
+    as narrow as it gets — or above 1, or a ``queries`` count
+    :func:`check_queries` refuses."""
+    check_queries(queries)
     if not 0.0 < sla_ns < math.inf:
         raise ValueError(f"sla_ns must be positive and finite, got {sla_ns!r}")
     if not 0.0 <= quantile <= 100.0:
@@ -202,38 +215,35 @@ class ServingSimulator:
         arrivals.require_finite(qps=qps)
         if qps <= 0:
             raise ValueError("offered load must be positive")
-        if queries < 1:
-            raise ValueError("need at least one query")
+        check_queries(queries)
+        seed = self._seed if seed is None else seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         # An overload is a study too, while the backlog it builds is one
         # a trace could hold: in the time the device needs to serve the
         # queries at saturation, ``qps`` offers this many.
         arrivals.require_bounded(queries * (qps / self.saturation_qps), qps=qps)
-        rng = np.random.default_rng(self._seed if seed is None else seed)
-        # Serve every offered query: full batches plus one short batch
-        # for the remainder, so the achieved total equals ``queries``.
-        full, remainder = divmod(queries, self.nbatch)
-        sizes = np.full(full + bool(remainder), self.nbatch, dtype=float)
-        if remainder:
-            sizes[-1] = remainder
+        rng = np.random.default_rng(seed)
         # Inter-arrival of a size-k batch: Erlang(k, qps) — the k-fold
-        # thinning of the Poisson query process.  The first gap is the
-        # wait for the first batch to fill and is kept: clamping batch
-        # 0 to t=0 deterministically biased window-0 stats and
-        # short-run tails.
-        gaps = rng.gamma(shape=sizes, scale=1e9 / qps)
+        # thinning of the Poisson query process.  Every query is served:
+        # full batches, then one short batch for the remainder.  The
+        # first gap is the wait for the first batch to fill and is kept:
+        # clamping batch 0 to t=0 biased window-0 stats and short-run tails.
+        full, remainder = divmod(queries, self.nbatch)
+        gaps = rng.gamma(shape=self.nbatch, scale=1e9 / qps, size=full)
+        if remainder:
+            gaps = np.append(gaps, rng.gamma(shape=remainder, scale=1e9 / qps))
         result = self.pipeline.run(
-            len(sizes), arrival_times_ns=np.cumsum(gaps), fast=fast
+            len(gaps), arrival_times_ns=np.cumsum(gaps), fast=fast
         )
         self.last_path = result.path
         # The timeline stays columnar: latencies and queue waits are
-        # column subtractions.  The means are summed left to right
-        # over Python floats — np.sum is pairwise and would round
-        # differently.  The metrics registry (when attached) was
-        # already fed by the pipeline's _observe.
+        # column subtractions, the means sequential accumulates (np.sum
+        # is pairwise and would round differently).  The metrics registry
+        # (when attached) was already fed by the pipeline's _observe.
         latency_column = result.latencies_ns
         ordered = np.sort(latency_column)
         latencies = latency_column.tolist()
-        queue_waits = result.queue_waits_ns.tolist()
         elapsed_s = result.makespan_ns / 1e9
         return LoadPoint(
             offered_qps=qps,
@@ -241,8 +251,8 @@ class ServingSimulator:
             p50_ns=percentile(ordered, 50, presorted=True),
             p95_ns=percentile(ordered, 95, presorted=True),
             p99_ns=percentile(ordered, 99, presorted=True),
-            mean_ns=sum(latencies) / len(latencies),
-            mean_queue_ns=sum(queue_waits) / len(queue_waits),
+            mean_ns=np.add.accumulate(latency_column).item(-1) / len(gaps),
+            mean_queue_ns=np.add.accumulate(result.queue_waits_ns).item(-1) / len(gaps),
             latencies_ns=tuple(latencies),
             windows=self._window_stats(result.completions_ns, latencies),
         )
@@ -297,7 +307,7 @@ class ServingSimulator:
         unloaded latency already exceeds it).  Every parameter is checked
         by :func:`check_sla` before the first probe.
         """
-        check_sla(sla_ns, quantile, tolerance)
+        check_sla(sla_ns, quantile, tolerance, queries)
         low, high = 0.0, self.saturation_qps
         trickle = self.offered_load(
             max(1e-3, 0.01 * high), queries=queries, seed=seed, fast=fast

@@ -25,12 +25,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-#: Below this many jobs the reference loop beats the segmented scan:
-#: the scan's fixed cost (~0.2 ms of small numpy calls) buys about
-#: 1000 loop steps on the benchmark box (loop 105/230/375 us vs scan
-#: 190/210/250 us at 512/1024/2048 jobs).  Both are bitwise-identical,
-#: so the threshold is pure performance.
+#: Below this many jobs the reference loop beats the segmented scan at
+#: high load (both bitwise-identical: pure performance).  Loop vs scan,
+#: 2-vCPU box, us, utilisation 0.2/0.6/0.95: 256 jobs 40 vs 43/53/110,
+#: 512 88 vs 65/114/166, 1024 175 vs 66/130/192, 2048 350 vs 87/168/210.
+#: The fleet's ~100-job per-replica chains stay on the loop.
 VECTOR_MIN_JOBS = 1024
+
+#: Jobs per busy run :func:`_accumulate_runs` advances level by level
+#: before 2-D blocks take the rest.  Nine 20 000-job chains at utilisation
+#: 0.2/0.6/0.95 (same box): blocks alone 5.6/6.8/7.4 ms, 8 levels
+#: 1.8/2.4/3.5 ms, 16 levels 1.8/2.3/3.2 ms, 32 or 64 within noise of 16.
+_LEVELS = 16
 
 
 def serve(t: float, free: float, duration: float) -> Tuple[float, float, float]:
@@ -162,34 +168,48 @@ def _accumulate_runs(
     A run is a head job and the jobs queued behind it; its finishes
     are the prefix sums of ``[t[head], d[head], d[head + 1], ...]``
     (``free`` replaces ``t[0]`` when job 0 itself has to wait).
-    Single-job runs are one elementwise add.  The others are packed
-    into zero-padded 2-D blocks bucketed by power-of-two length —
-    one ``np.add.accumulate(axis=1)`` per bucket, at most ~15 calls
-    and under ``2n`` padded elements whatever the load.
+    Every run's head is one elementwise add; then level ``k`` advances
+    the ``k``-th job of every run longer than ``k`` in one statement,
+    ``finish[j] = finish[j - 1] + d[j]`` (runs sorted longest first, so
+    the busy ones are a prefix).  Runs still busy after :data:`_LEVELS`
+    levels go to zero-padded 2-D blocks bucketed by power-of-two length,
+    one ``np.add.accumulate(axis=1)`` per bucket.
     """
-    n = t.size
-    run_start = np.flatnonzero(heads)
-    base = t[run_start]
+    jobs = np.flatnonzero(heads)
+    base = t[jobs]
     if not heads[0]:
-        run_start = np.concatenate(([0], run_start))
+        jobs = np.concatenate(([0], jobs))
         base = np.concatenate(([free], base))
-    lengths = np.diff(run_start, append=n)
-    single = lengths == 1
-    solo = run_start[single]
-    finishes = np.empty(n, dtype=np.float64)
-    finishes[solo] = base[single] + d[solo]
-    # frexp's exponent of length - 1 is its bit length: runs of 2 jobs
-    # land in bucket 1, 3-4 in bucket 2, 5-8 in bucket 3, ...
+    finishes = np.empty(t.size, dtype=np.float64)
+    last = base + d[jobs]
+    finishes[jobs] = last
+    lengths = np.diff(jobs, append=t.size)
+    longer = np.flatnonzero(lengths > 1)
+    longer = longer[np.argsort(-lengths[longer])]
+    jobs, lengths, last = jobs[longer], lengths[longer], last[longer]
+    # busy[k]: how many runs are longer than k jobs.
+    busy = np.searchsorted(-lengths, -np.arange(_LEVELS + 1)).tolist()
+    for level in range(1, _LEVELS):
+        runs = busy[level]
+        if not runs:
+            return finishes
+        level_jobs = jobs[:runs] + level
+        last = last[:runs] + d[level_jobs]
+        finishes[level_jobs] = last
+    runs = busy[_LEVELS]
+    jobs, lengths, last = jobs[:runs] + _LEVELS, lengths[:runs] - _LEVELS, last[:runs]
+    # frexp's exponent of length - 1 is its bit length: runs with 1 job
+    # left land in bucket 0, 2 in bucket 1, 3-4 in bucket 2, ...
     bucket = np.frexp(lengths - 1.0)[1]
-    for k in np.unique(bucket[~single]).tolist():
+    for k in np.unique(bucket).tolist():
         rows = np.flatnonzero(bucket == k)
         run_length = lengths[rows]
         width = int(run_length.max())
         columns = np.arange(width)
         inside = columns < run_length[:, None]
-        jobs = (run_start[rows][:, None] + columns)[inside]
+        block_jobs = (jobs[rows][:, None] + columns)[inside]
         block = np.zeros((rows.size, width + 1), dtype=np.float64)
-        block[:, 0] = base[rows]
-        block[:, 1:][inside] = d[jobs]
-        finishes[jobs] = np.add.accumulate(block, axis=1)[:, 1:][inside]
+        block[:, 0] = last[rows]
+        block[:, 1:][inside] = d[block_jobs]
+        finishes[block_jobs] = np.add.accumulate(block, axis=1)[:, 1:][inside]
     return finishes

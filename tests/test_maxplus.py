@@ -336,6 +336,72 @@ def test_property_serve_chain_small_integers(jobs, free0):
     assert finishes.tobytes() == loop[1].tobytes()
 
 
+# ----------------------------------------------------------------------
+# _accumulate_runs: runs at the seam between levels and blocks
+# ----------------------------------------------------------------------
+LEVELS = maxplus._LEVELS
+
+
+def chain_of_runs(lengths, first=0.0):
+    """Arrivals and durations whose busy runs are ``lengths`` jobs
+    long: a run's jobs all arrive with its head (``first`` for the
+    first run), and the next head arrives exactly as the run's last
+    job finishes — an integer-grid tie, which the arrival wins."""
+    arrivals, durations = [], []
+    head = first
+    for index, length in enumerate(lengths):
+        run = [10.0 * (1 + (index + job) % 3) for job in range(length)]
+        arrivals += [head] * length
+        durations += run
+        head += sum(run)
+    return np.asarray(arrivals), np.asarray(durations)
+
+
+def _runs_of(length):
+    """Enough runs of ``length`` jobs for a scan-sized chain."""
+    return [length] * -(-maxplus.VECTOR_MIN_JOBS // length)
+
+
+RUN_LENGTHS = {
+    "levels_minus_one": _runs_of(LEVELS - 1),
+    "levels": _runs_of(LEVELS),
+    "levels_plus_one": _runs_of(LEVELS + 1),
+    "twice_levels": _runs_of(2 * LEVELS),
+    "single_jobs": _runs_of(1),
+    "one_run": [maxplus.VECTOR_MIN_JOBS + 7],
+    "mix": [1, LEVELS - 1, LEVELS, LEVELS + 1, 2 * LEVELS, 2, 3 * LEVELS + 5] * 20,
+}
+
+
+@pytest.mark.parametrize("first", (0.0, -0.0))
+@pytest.mark.parametrize("case", sorted(RUN_LENGTHS))
+def test_serve_chain_runs_at_the_level_block_seam(case, first, fallbacks):
+    lengths = RUN_LENGTHS[case]
+    arrivals, durations = chain_of_runs(lengths, first)
+    assert arrivals.size >= maxplus.VECTOR_MIN_JOBS
+    heads = maxplus._guess_run_heads(arrivals, durations, 0.0)
+    assert np.diff(np.flatnonzero(heads), append=arrivals.size).tolist() == lengths
+    assert_chain_bitwise(arrivals, durations)
+    assert fallbacks == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 3 * LEVELS), min_size=1, max_size=30),
+    first=st.sampled_from((-0.0, 0.0, 7.0)),
+    free0=st.sampled_from((-0.0, 0.0, 25.0)),
+)
+def test_property_accumulate_runs_of_any_lengths(lengths, first, free0):
+    # Exact integer chains: the guess is right, so the accumulate alone
+    # must equal the loop, whatever mix of levels and blocks it took.
+    arrivals, durations = chain_of_runs(lengths, first)
+    finishes = maxplus._accumulate_runs(
+        arrivals, durations, free0,
+        maxplus._guess_run_heads(arrivals, durations, free0),
+    )
+    assert finishes.tobytes() == chain_loop(arrivals, durations, free0)[1].tobytes()
+
+
 def test_serve_chain_rejects_a_mispredicted_head(monkeypatch, fallbacks):
     # Flip one guessed head each way: the accumulate then runs through
     # an idle gap (or restarts inside a busy run), the recurrence check

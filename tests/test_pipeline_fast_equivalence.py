@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.runner import run_parallel, sleep_echo_task
+from repro.core import pipeline_fast
 from repro.core.pipeline_sim import STAMP_FIELDS, PipelineSimulator
 from repro.fpga.compose import StageTimes
 from repro.host.serving import ServingSimulator
@@ -165,6 +166,64 @@ def test_bot_spike_reorders_top_service():
     assert_bitwise(des, fast)
     top_start = fast.stamps_ns[:, STAMP_FIELDS.index("top_start_ns")]
     assert top_start[0] > top_start[4]
+
+
+@pytest.fixture
+def stage_jobs(monkeypatch):
+    """The ``jobs`` each ``_serve_stage`` call of the replay was given
+    (None: every batch in index order, served on the columns).  The
+    indexed path serves its gathered columns by calling the stage
+    again; those inner calls are not recorded."""
+    seen, depth = [], []
+    serve_stage = pipeline_fast._serve_stage
+
+    def recording(offered, durations, jobs=None):
+        if not depth:
+            seen.append(jobs)
+        depth.append(jobs)
+        try:
+            return serve_stage(offered, durations, jobs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(pipeline_fast, "_serve_stage", recording)
+    return seen
+
+
+def test_stages_in_index_order_take_the_columns(stage_jobs):
+    # Every duration positive and ready never decreasing: all three
+    # stages serve every batch in index order, on the columns.
+    arrivals = poisson_arrivals(150, 120.0, seed=9)
+    des, fast = run_both(JITTERED_STAGES[0], 40.0, 25.0, arrivals)
+    assert_bitwise(des, fast)
+    assert stage_jobs == [None, None, None]
+
+
+def test_reordered_top_and_partly_idle_bottom_take_the_indexed_path(stage_jobs):
+    # The bottom stage skips every fifth batch (zero duration) and
+    # queues long jobs on others, so later batches become ready first:
+    # the top stage's service order is not the index order.  Both take
+    # the indexed path, and the jittered top callable is evaluated in
+    # the DES's order.
+    arrivals = poisson_arrivals(200, 150.0, seed=21)
+    results, calls = {}, {}
+    for fast in (False, True):
+        calls[fast] = []
+
+        def top(index, seen=calls[fast]):
+            seen.append(index)
+            return 30.0 + (index % 4) * 7.0
+
+        sim = PipelineSimulator(
+            120.0, lambda i: (900.0, 0.0, 40.0, 40.0, 40.0)[i % 5], top
+        )
+        results[fast] = sim.run(len(arrivals), arrival_times_ns=arrivals, fast=fast)
+    assert_bitwise(results[False], results[True])
+    assert calls[True] == calls[False] != sorted(calls[False])
+    emb, bot, top_jobs = stage_jobs
+    assert emb is None
+    assert bot.tolist() == [i for i in range(200) if i % 5 != 1]
+    assert top_jobs.tolist() == calls[True]
 
 
 def test_heavy_ties_stress():

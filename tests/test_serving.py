@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.device import operating_point
 from repro.fpga.compose import StageTimes
-from repro.host.serving import ServingSimulator
+from repro.host.serving import ServingSimulator, check_sla
 from repro.models import build_model, get_config
 from repro.obs import MetricsRegistry
 from repro.obs.critpath import CritPathCollector
@@ -77,6 +77,37 @@ class TestServingSimulator:
         assert metrics.as_dict()["histograms"] == {}
 
     @pytest.mark.parametrize("arguments, message", [
+        ({"queries": 1000.0}, "^queries must be an integer, got 1000.0"),
+        ({"queries": 10.5}, "^queries must be an integer, got 10.5"),
+        ({"queries": True}, "^queries must be an integer, got True"),
+        ({"queries": NAN}, "^queries must be an integer, got nan"),
+        ({"queries": -2}, "^need at least one query, got queries=-2"),
+        ({"seed": -1}, "^seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "^seed must be a non-negative integer, got 1.5"),
+        ({"seed": False}, "^seed must be a non-negative integer, got False"),
+    ], ids=repr)
+    def test_hostile_count_refused_before_any_draw(self, arguments, message):
+        """Before the checks, a float ``queries`` (even 1000.0) raised
+        numpy's raw ``TypeError: expected a sequence of integers``,
+        ``True`` was served as one query, NaN was reported as "qps=...
+        expect nan arrivals", ``seed=-1`` raised numpy's unnamed
+        ``ValueError`` and ``seed=1.5`` a raw ``TypeError``."""
+        metrics = MetricsRegistry(window_ns=1e6)
+        serving = ServingSimulator(simple_times(nbatch=4), nbatch=4, metrics=metrics)
+        with pytest.raises(ValueError, match=message):
+            serving.offered_load(1000.0, **{"queries": 7, **arguments})
+        assert serving.last_path is None
+        assert metrics.as_dict()["histograms"] == {}
+
+    def test_hostile_constructor_seed_refused_before_any_draw(self):
+        serving = ServingSimulator(simple_times(), seed=-1)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            serving.offered_load(1000.0, queries=7)
+        assert serving.last_path is None
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"queries": 2.5}, "^queries must be an integer, got 2.5"),
+        ({"queries": 0}, "^need at least one query, got queries=0"),
         ({"sla_ns": -1e6}, "^sla_ns must be positive and finite"),
         ({"sla_ns": NAN}, "^sla_ns must be positive and finite"),
         ({"sla_ns": 0.0}, "^sla_ns must be positive and finite"),
@@ -90,12 +121,19 @@ class TestServingSimulator:
     def test_hostile_sla_search_refused_before_its_first_probe(self, arguments, message):
         """Before the checks, a negative or NaN SLA and a NaN tolerance
         each searched and reported 0 QPS, a quantile past 100 reached
-        the probes, and a negative tolerance never returned."""
+        the probes, a negative tolerance never returned, and
+        ``queries=2.5`` failed only inside the first probe's draw."""
         serving = ServingSimulator(simple_times())
         with returns_within(10.0, f"sla_search({arguments})"):
             with pytest.raises(ValueError, match=message):
-                serving.sla_search(**{"sla_ns": 5e6, **arguments}, queries=20)
+                serving.sla_search(**{"sla_ns": 5e6, "queries": 20, **arguments})
         assert serving.last_path is None
+
+    @pytest.mark.parametrize("queries", (2.5, True, 0))
+    def test_hostile_check_sla_names_queries(self, queries):
+        # The CLI checks its SLA arguments before printing or sweeping.
+        with pytest.raises(ValueError, match="queries"):
+            check_sla(5e6, 99.0, queries=queries)
 
     @pytest.mark.parametrize("nbatch", (0, -3))
     def test_non_positive_nbatch_rejected(self, nbatch):
