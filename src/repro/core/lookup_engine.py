@@ -18,7 +18,9 @@ distribution).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -150,6 +152,7 @@ class EmbeddingLookupEngine:
                 self.tables.ev_size,
                 self.tables[table_id].rows,
             )
+        self._rows = np.array([self.tables[t].rows for t in range(len(self.tables))])
         #: Batches served per ``(path, fallback_reason)``.
         self.path_counts: Dict[Tuple[str, Optional[str]], int] = {}
 
@@ -166,7 +169,9 @@ class EmbeddingLookupEngine:
         """Per-(sample, table) lengths and the flat ``(table, row)``
         stream in issue order (sample-major) — the order the DES
         creates its read processes in, which fixes the FTL service
-        order, and the order the vector cache is probed in."""
+        order, and the order the vector cache is probed in.  A
+        non-integer or out-of-range index raises ``IndexError`` here,
+        before any state moves."""
         num_tables = len(self.tables)
         cells: List[Sequence[int]] = []
         for sample_id, sample in enumerate(sparse_batch):
@@ -179,12 +184,22 @@ class EmbeddingLookupEngine:
         lengths = np.fromiter(
             (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
         )
-        filled = [np.asarray(cell, dtype=np.int64) for cell in cells if len(cell)]
-        flat_indices = (
-            np.concatenate(filled) if filled else np.empty(0, dtype=np.int64)
-        )
+        try:
+            flat_indices = np.fromiter(
+                map(operator.index, chain.from_iterable(cells)),
+                dtype=np.int64, count=int(lengths.sum()),
+            )
+        except (TypeError, OverflowError) as error:
+            raise IndexError(f"indices must be int64 row numbers: {error}") from None
         table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
-        return lengths, np.repeat(table_ids, lengths), flat_indices
+        flat_tables = np.repeat(table_ids, lengths)
+        bad = np.flatnonzero(
+            (flat_indices < 0) | (flat_indices >= self._rows[flat_tables])
+        )
+        if bad.size:
+            index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
+            raise IndexError(f"index {index} out of range for table {table_id}")
+        return lengths, flat_tables, flat_indices
 
     def _locate(
         self, flat_tables: np.ndarray, flat_indices: np.ndarray
@@ -228,7 +243,7 @@ class EmbeddingLookupEngine:
         cache = self.controller.vcache
         if cache is None:
             return None, flat_tables, flat_indices
-        probe = cache.probe(zip(flat_tables.tolist(), flat_indices.tolist()))
+        probe = cache.probe(vcache_model.encode(flat_tables, flat_indices))
         self.controller.stats.record_vcache(
             probe.hits, probe.misses, probe.evictions, probe.fills
         )
@@ -274,7 +289,7 @@ class EmbeddingLookupEngine:
             raise ValueError("no vector cache configured on this device")
         pairs = np.asarray(list(keys), dtype=np.int64).reshape(-1, 2)
         rows = self._peek_rows(pairs[:, 0], pairs[:, 1])
-        return cache.warm(zip(map(tuple, pairs.tolist()), rows))
+        return cache.warm(vcache_model.encode(pairs[:, 0], pairs[:, 1]), rows)
 
     # ------------------------------------------------------------------
     # Discrete-event execution

@@ -31,6 +31,14 @@ order — produce identical hit sets, identical timing, and identical
 span trees (the PR 2 bitwise-equivalence contract, extended by
 ``tests/test_vcache_equivalence.py``).
 
+A batch is probed as one array program over int64 key codes
+(:func:`encode`), not key by key.  Under LRU an access hits iff fewer
+than ``capacity`` distinct keys were touched since its key's previous
+access, the resident keys counting as touched, oldest first, before
+the batch (:func:`_stack_hits`).  ``"freq"`` and ``"static"`` are the
+same LRU over the accesses they admit.  The reference is the per-key
+model in ``tests/test_vcache_probe.py``.
+
 Timing model: cached vectors stream from controller DRAM at
 :data:`DRAM_BYTES_PER_CYCLE` (a conservative single-channel DDR share
 at the 200 MHz controller clock), overlapping the flash reads of the
@@ -42,9 +50,9 @@ DRAM bytes via ``capacity * EVsize``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +84,103 @@ def fetch_cycles(vectors: int, ev_size: int) -> float:
 MISS = np.iinfo(np.int64).min
 
 
+def encode(tables, rows) -> np.ndarray:
+    """The cache key of each ``(table, row)``: ``(table << 32) | row``."""
+    tables, rows = np.asarray(tables, np.int64), np.asarray(rows, np.int64)
+    if tables.size and (
+        min(tables.min(), rows.min()) < 0 or tables.max() >> 31 or rows.max() >> 32
+    ):
+        raise ValueError("vector-cache keys need 0 <= table < 2**31, 0 <= row < 2**32")
+    return (tables << 32) | rows
+
+
+def _previous(stream: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort ``order`` of ``stream``, the sorted positions that
+    ``start`` a key, and each position's previous occurrence (-1: none)."""
+    n = stream.size
+    if n and (stream.min() < 0 or stream.max() >= np.iinfo(np.int64).max // n):
+        stream = np.unique(stream, return_inverse=True)[1]
+    # Sorting ``key * n + position`` is the stable argsort, ~5x faster.
+    ordered, order = np.divmod(np.sort(stream * n + np.arange(n)), n)
+    start = np.diff(ordered, prepend=ordered[:1] - 1) != 0
+    prev = np.full(n, -1, dtype=np.int64)
+    repeat = np.flatnonzero(~start[1:])
+    prev[order[repeat + 1]] = order[repeat]
+    return order, start, prev
+
+
+def _carry(
+    order: np.ndarray, start: np.ndarray, own: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each position's ``own`` at its key's latest non-:data:`MISS`
+    position up to it; and each key's last position, oldest first."""
+    source = start | (own[order] != MISS)
+    mark = np.maximum.accumulate(np.where(source, np.arange(order.size), 0))
+    carried = np.empty_like(own)
+    carried[order] = own[order][mark]
+    return carried, np.sort(order[np.append(start[1:], start[:1])])
+
+
+def _count_below(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, limit: np.ndarray
+) -> np.ndarray:
+    """``#{j in [lo, hi) : values[j] < limit}`` per query, for ``values``
+    in ``[-1, n)`` and ``limit`` in ``[0, n)``: one wavelet matrix over
+    ``values`` rank-compressed to the limits, O((n + queries) log queries).
+    Its arrays are int32 (``n < 2**30``): batch-sized int64 temporaries
+    cost more than the arithmetic."""
+    rank = np.zeros(values.size + 1, dtype=np.int32)
+    rank[limit + 1] = 1
+    np.cumsum(rank, out=rank)
+    values, limit = rank[values + 1], rank[limit + 1].astype(np.int64)
+    count = np.zeros(lo.size, dtype=np.int64)
+    index = np.arange(values.size, dtype=np.int32)
+    zeros = np.zeros(values.size + 1, dtype=np.int32)
+    for bit in range(int(rank[-1]).bit_length() - 1, -1, -1):
+        # Bits above ``bit`` are spent, so each shift is 0 or 1.
+        high, up = values >> bit, limit >> bit
+        np.cumsum(1 - high, out=zeros[1:])
+        nz, below = int(zeros[-1]), zeros[:-1]
+        # A limit with this bit set counts the range's zeros and follows
+        # its ones; otherwise the query follows the zeros.
+        at_lo, at_hi = zeros[lo], zeros[hi]
+        count += up * (at_hi - at_lo)
+        lo = at_lo + up * (nz + lo - 2 * at_lo)
+        hi = at_hi + up * (nz + hi - 2 * at_hi)
+        limit &= (1 << bit) - 1
+        # Stable partition: zeros to below[i], ones to nz + i - below[i].
+        values[below + high * (nz + index - 2 * below)] = values & ((1 << bit) - 1)
+    return count
+
+
+def _stack_hits(prev: np.ndarray, resident: int, capacity: int) -> np.ndarray:
+    """LRU hit mask of ``stream[resident:]``: fewer than ``capacity``
+    distinct keys occur strictly between an access ``t`` and its previous
+    one ``p``, i.e. ``#{j in (p, t) : prev[j] < p} < capacity``.  No ``p``
+    is a miss; a gap under ``capacity``, or at most ``capacity`` keys in
+    all, a hit; ``capacity`` never-seen keys in the gap a miss.  Only the
+    rest are counted."""
+    t, p = np.arange(resident, prev.size), prev[resident:]
+    fresh = np.cumsum(prev < 0)
+    if not fresh.size or fresh[-1] <= capacity:
+        return p >= 0
+    hit = (p >= 0) & (t - p <= capacity)
+    open_ = np.flatnonzero((p >= 0) & ~hit)
+    open_ = open_[fresh[t[open_] - 1] - fresh[p[open_]] < capacity]
+    if open_.size:
+        p, t = p[open_], t[open_]
+        hit[open_] = _count_below(prev, p + 1, t, p) < capacity
+    return hit
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; refused unless an integer (not a bool) ``>= least``."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Probe:
     """Decisions of one batch probe; :meth:`VectorCache.bind` adds bytes.
@@ -100,11 +205,11 @@ class Probe:
 class VectorCache:
     """Fixed-capacity cache of embedding vectors in controller DRAM.
 
-    Keys are ``(table_id, row_index)`` pairs; values are the vector's
-    fp32 contents (so a hit returns bit-identical data to the flash
-    read it absorbs), held in one ``(capacity, dim)`` arena of slots.
-    All statistics are cumulative across batches; :attr:`hit_ratio` is
-    the replayable Fig. 14 metric.
+    Keys are ``(table_id, row_index)`` pairs, as :func:`encode` codes;
+    values are the vector's fp32 contents (so a hit returns bit-identical
+    data to the flash read it absorbs), held in one ``(capacity, dim)``
+    arena of slots.  All statistics are cumulative across batches;
+    :attr:`hit_ratio` is the replayable Fig. 14 metric.
     """
 
     def __init__(
@@ -114,42 +219,27 @@ class VectorCache:
         admit_after: int = DEFAULT_ADMIT_AFTER,
         ev_size: int = 0,
     ) -> None:
-        if capacity_vectors < 0:
-            raise ValueError("capacity must be non-negative")
         if policy not in POLICIES:
             raise ValueError(
                 f"unknown vcache policy {policy!r}; expected one of {POLICIES}"
             )
-        if admit_after < 1:
-            raise ValueError("admit_after must be >= 1")
-        self.capacity_vectors = capacity_vectors
+        self.capacity_vectors = _at_least("capacity_vectors", capacity_vectors, 0)
         self.policy = policy
-        self.admit_after = admit_after
+        self.admit_after = _at_least("admit_after", admit_after, 1)
         #: Bytes per cached vector (0 when unknown; set by the engine).
-        self.ev_size = ev_size
-        # Key -> arena slot in LRU order; between a probe and its bind,
-        # a key the batch filled maps to ``~position`` instead.
-        self._slots: "OrderedDict[Hashable, int]" = OrderedDict()
-        self._free = list(range(capacity_vectors))
+        self.ev_size = _at_least("ev_size", ev_size, 0)
         #: ``(capacity, dim)`` float32, allocated by the first fill.
         self._arena: Optional[np.ndarray] = None
-        #: Fills of the last probe still resident and awaiting bind.
-        self._unbound = 0
-        # Doorkeeper miss counts for the "freq" policy.
-        self._freq: Dict[Hashable, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.fills = 0
+        self.clear()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slots)
+        return self._codes.size
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._slots
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        return bool(np.any(self._codes == encode(*key)))
 
     @property
     def capacity_bytes(self) -> int:
@@ -175,8 +265,9 @@ class VectorCache:
     # ------------------------------------------------------------------
     # Probe (decide) and bind (move bytes): one pair per batch
     # ------------------------------------------------------------------
-    def probe(self, keys: Iterable[Hashable]) -> Probe:
-        """Probe ``keys`` in issue order; fill per policy on a miss.
+    def probe(self, keys: np.ndarray) -> Probe:
+        """Probe the key codes ``keys`` in issue order; fill per policy
+        on a miss.
 
         Pure key bookkeeping: hit / miss / admit / evict decisions, LRU
         order, doorkeeper counts and the cumulative counters advance
@@ -186,53 +277,94 @@ class VectorCache:
         """
         if self._unbound:
             raise RuntimeError("the previous probe's fills were never bound")
-        slots = self._slots
-        slot_of = slots.get
-        touch = slots.move_to_end
-        capacity = self.capacity_vectors
-        admit_after = self.admit_after
-        fill_only = self.policy == "static"
-        doorkeeper = self._freq if self.policy == "freq" else None
-        free = self._free
-        refs: List[int] = []
-        fills = evictions = dropped = 0
-        for key in keys:
-            ref = slot_of(key)
-            if ref is not None:
-                touch(key)
-                refs.append(ref)
-                continue
-            refs.append(MISS)
-            if capacity == 0:
-                continue
-            if fill_only:
-                if len(slots) >= capacity:
-                    continue
-            elif doorkeeper is not None:
-                seen = doorkeeper.get(key, 0) + 1
-                doorkeeper[key] = seen
-                if seen < admit_after:
-                    continue
-            if len(slots) >= capacity:
-                # A slot freed here is handed out again only by bind,
-                # after the batch's hits on its old occupant were read;
-                # a fill of this batch evicted again just disappears.
-                old = slots.popitem(last=False)[1]
-                evictions += 1
-                if old >= 0:
-                    free.append(old)
-                else:
-                    dropped += 1
-            slots[key] = -len(refs)
-            fills += 1
-        out = np.array(refs, dtype=np.int64)
-        misses = int(np.count_nonzero(out == MISS))
-        self._unbound = fills - dropped
-        self.hits += len(refs) - misses
+        keys = np.asarray(keys, dtype=np.int64)
+        refs = np.full(keys.size, MISS, dtype=np.int64)
+        evictions, fills = self.evictions, self.fills
+        start = 0
+        while self.capacity_vectors and start < keys.size:
+            start = self._fill(keys, refs, start)
+        misses = int(np.count_nonzero(refs == MISS))
+        self._unbound = int(np.count_nonzero(self._refs < 0))
+        hits = keys.size - misses
+        self.hits += hits
         self.misses += misses
-        self.evictions += evictions
-        self.fills += fills
-        return Probe(out, len(refs) - misses, misses, evictions, fills)
+        return Probe(refs, hits, misses, self.evictions - evictions, self.fills - fills)
+
+    def _fill(self, keys: np.ndarray, refs: np.ndarray, start: int) -> int:
+        """LRU over the admitted accesses of ``keys[start:]``; returns
+        where it stopped.
+
+        A ``warm()``-pinned key below the doorkeeper threshold rejects
+        misses once evicted, which the admission mask, computed up front,
+        cannot know: the run is cut at its first miss, exact up to there.
+        """
+        stop, capacity, resident = keys.size, self.capacity_vectors, self._codes.size
+        low = self._codes[:0]
+        if self.policy == "freq":
+            low = self._codes[self._seen(self._codes) < self.admit_after - 1]
+        while True:
+            kept = start + np.flatnonzero(self._admitted(keys[start:stop]))
+            stream = np.concatenate((self._codes, keys[kept]))
+            order, begin, prev = _previous(stream)
+            hit = _stack_hits(prev, resident, capacity)
+            cut = kept[~hit & np.isin(keys[kept], low)] if low.size else low
+            if not cut.size:
+                break
+            stop = int(cut[0])
+        own = np.concatenate((self._refs, np.where(hit, MISS, ~kept)))
+        own, last = _carry(order, begin, own)
+        at = np.flatnonzero(hit)
+        refs[kept[at]] = own[resident + at]
+        final = last[-capacity:]
+        # A residency ends where its run of equal ``own`` ends; all but
+        # the final ones were evicted, in the order they ended.
+        ordered = own[order]
+        ends = np.append(ordered[1:] != ordered[:-1], begin[:1])
+        ends = order[np.flatnonzero(ends)]
+        evicted = np.ones(stream.size, dtype=bool)
+        evicted[final] = False
+        gone = np.sort(ends[evicted[ends]])
+        freed = own[gone]
+        self._free = np.concatenate((self._free, freed[freed >= 0]))
+        self._codes, self._refs = stream[final], own[final]
+        self.evictions += gone.size
+        self.fills += kept.size - int(np.count_nonzero(hit))
+        if self.policy == "freq":
+            missed = keys[start:stop][refs[start:stop] == MISS]
+            merged = np.concatenate((self._door_keys, missed))
+            self._door_keys, inverse = np.unique(merged, return_inverse=True)
+            weights = np.concatenate((self._door_counts, np.ones(missed.size)))
+            self._door_counts = np.bincount(inverse, weights).astype(np.int64)
+        return stop
+
+    def _admitted(self, keys: np.ndarray) -> np.ndarray:
+        """Accesses the policy lets into LRU: all of them; under
+        ``"static"`` those of keys resident or first seen while there is
+        room; under ``"freq"`` all but a non-resident key's first
+        ``max(0, admit_after - 1 - count)``."""
+        if self.policy == "lru":
+            return np.ones(keys.size, dtype=bool)
+        if self.policy == "static":
+            new = self._first_new(keys)[: self.capacity_vectors - len(self)]
+            return np.isin(keys, np.concatenate((self._codes, keys[new])))
+        order, start, _ = _previous(keys)
+        index = np.arange(keys.size)
+        rank = index - np.maximum.accumulate(np.where(start, index, 0))
+        ordered = keys[order]
+        need = np.maximum(self.admit_after - 1 - self._seen(ordered), 0)
+        admitted = np.empty(keys.size, dtype=bool)
+        admitted[order] = rank >= np.where(np.isin(ordered, self._codes), 0, need)
+        return admitted
+
+    def _first_new(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of the first access of each non-resident key, in order."""
+        _, first = np.unique(keys, return_index=True)
+        return np.sort(first[~np.isin(keys[first], self._codes)])
+
+    def _seen(self, keys: np.ndarray) -> np.ndarray:
+        """Doorkeeper miss counts of ``keys``."""
+        at = np.searchsorted(self._door_keys, keys).clip(max=self._door_keys.size - 1)
+        return np.where(self._door_keys[at] == keys, self._door_counts[at], 0)
 
     def bind(self, probe: Probe, rows: np.ndarray) -> None:
         """Resolve the bytes of one probed batch, in place in ``rows``.
@@ -241,8 +373,9 @@ class VectorCache:
         already gathered from flash.  Hit rows are copied in — from the
         arena, or from the same-batch miss that filled the key — and
         then the fills still resident after the whole batch are copied
-        out into free arena slots.  A key filled and evicted again
-        within the batch never reaches the arena.
+        out into free arena slots, the oldest fill taking the top of the
+        free stack.  A key filled and evicted again within the batch
+        never reaches the arena.
         """
         refs = probe.refs
         resident = np.flatnonzero(refs >= 0)
@@ -252,20 +385,11 @@ class VectorCache:
         if fresh.size:
             rows[fresh] = rows[~refs[fresh]]
         if self._unbound:
-            # Everything the batch touched sits at the recent end.
-            slots = self._slots
-            keys: List[Hashable] = []
-            positions: List[int] = []
-            for key, ref in reversed(slots.items()):
-                if ref < 0:
-                    keys.append(key)
-                    positions.append(~ref)
-                    if len(keys) == self._unbound:
-                        break
-            taken = self._free[-len(keys):]
-            del self._free[-len(keys):]
-            slots.update(zip(keys, taken))
-            self._arena_for(rows.shape[1])[taken] = rows[positions]
+            pending = np.flatnonzero(self._refs < 0)
+            taken = self._free[::-1][: pending.size]
+            self._free = self._free[: self._free.size - pending.size]
+            self._arena_for(rows.shape[1])[taken] = rows[~self._refs[pending]]
+            self._refs[pending] = taken
             self._unbound = 0
 
     def _arena_for(self, dim: int) -> np.ndarray:
@@ -274,16 +398,16 @@ class VectorCache:
         return self._arena
 
     def access(
-        self, key: Hashable, loader: Callable[[], np.ndarray]
+        self, key: Tuple[int, int], loader: Callable[[], np.ndarray]
     ) -> Optional[np.ndarray]:
-        """One-key :meth:`probe` + :meth:`bind`.
+        """One-key :meth:`probe` + :meth:`bind` of a ``(table, row)`` key.
 
         Returns a copy of the cached vector on a hit (refreshing
         recency) or ``None`` on a miss.  ``loader`` is only called when
         the policy admits the vector — it fetches the fp32 contents
         functionally.
         """
-        probe = self.probe((key,))
+        probe = self.probe(encode([key[0]], [key[1]]))
         if probe.hits:
             return self._arena[probe.refs[0]].copy()
         if probe.fills:
@@ -293,26 +417,34 @@ class VectorCache:
     # ------------------------------------------------------------------
     # Warming (static-hot pinning; usable by any policy)
     # ------------------------------------------------------------------
-    def warm(
-        self, items: Iterable[Tuple[Hashable, np.ndarray]]
-    ) -> int:
-        """Pre-fill with ``(key, vector)`` pairs, oldest first.
+    def warm(self, keys: np.ndarray, vectors) -> int:
+        """Pre-fill with the key codes ``keys`` and their ``vectors``,
+        oldest first.
 
-        Stops at capacity; already-present keys are refreshed without
-        consuming a slot.  Does not touch the hit/miss statistics.
-        Returns the number of vectors now resident.
+        Stops at the first new key that finds the cache full; present
+        keys are refreshed (last vector wins) without consuming a slot.
+        Does not touch the hit/miss statistics.  Returns the number of
+        vectors now resident.
         """
-        slots = self._slots
-        for key, value in items:
-            slot = slots.get(key)
-            if slot is not None:
-                slots.move_to_end(key)
-            elif len(slots) >= self.capacity_vectors:
-                break
-            else:
-                slot = slots[key] = self._free.pop()
-            self._arena_for(len(value))[slot] = value
-        return len(slots)
+        keys = np.asarray(keys, dtype=np.int64)
+        if not keys.size:
+            return len(self)
+        vectors = np.asarray(vectors, dtype=np.float32).reshape(keys.size, -1)
+        first = self._first_new(keys)
+        room, resident = self.capacity_vectors - len(self), len(self)
+        if first.size > room:
+            keys, vectors = keys[: first[room]], vectors[: first[room]]
+            first = first[:room]
+        own = np.concatenate((self._refs, np.full(keys.size, MISS)))
+        own[resident + first] = self._free[::-1][: first.size]
+        self._free = self._free[: self._free.size - first.size]
+        stream = np.concatenate((self._codes, keys))
+        own, last = _carry(*_previous(stream)[:2], own)
+        self._codes, self._refs = stream[last], own[last]
+        fresh = last[last >= resident]
+        if fresh.size:
+            self._arena_for(vectors.shape[1])[own[fresh]] = vectors[fresh - resident]
+        return len(self)
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -325,8 +457,14 @@ class VectorCache:
 
     def clear(self) -> None:
         """Drop all entries, doorkeeper state, and statistics."""
-        self._slots.clear()
-        self._free = list(range(self.capacity_vectors))
+        # Resident keys oldest first and their arena slots; from a probe
+        # to its bind, a key the batch filled holds ``~position``.
+        self._codes = np.empty(0, dtype=np.int64)
+        self._refs = np.empty(0, dtype=np.int64)
+        self._free = np.arange(self.capacity_vectors, dtype=np.int64)
+        #: Fills of the last probe still resident and awaiting bind.
         self._unbound = 0
-        self._freq.clear()
+        # Doorkeeper miss counts of the "freq" policy, by sorted key
+        # after a -1 that no key matches.
+        self._door_keys, self._door_counts = np.array([-1]), np.array([0])
         self.reset_stats()

@@ -19,6 +19,7 @@ from repro.ssd.vcache import (
     DRAM_BYTES_PER_CYCLE,
     POLICIES,
     VectorCache,
+    encode,
     fetch_cycles,
 )
 
@@ -30,6 +31,17 @@ def vec(seed: float) -> np.ndarray:
 def probe(cache: VectorCache, key) -> bool:
     """Access ``key`` with a deterministic loader; True on a hit."""
     return cache.access(key, lambda: vec(hash(key) % 97)) is not None
+
+
+def warm(cache: VectorCache, items) -> int:
+    """``VectorCache.warm`` over ``((table, row), vector)`` pairs."""
+    keys = [key for key, _ in items]
+    return cache.warm(
+        encode([t for t, _ in keys], [r for _, r in keys]), [v for _, v in items]
+    )
+
+
+A, B, C, H1, H2, H3, X, HOT = ((0, row) for row in range(8))
 
 
 class TestConstruction:
@@ -44,6 +56,26 @@ class TestConstruction:
     def test_rejects_bad_admit_after(self):
         with pytest.raises(ValueError, match="admit_after"):
             VectorCache(4, policy="freq", admit_after=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"capacity_vectors": True}, "capacity_vectors"),
+            ({"capacity_vectors": 1.5}, "capacity_vectors"),
+            ({"capacity_vectors": float("nan")}, "capacity_vectors"),
+            ({"capacity_vectors": 4, "admit_after": 1.5}, "admit_after"),
+            ({"capacity_vectors": 4, "admit_after": True}, "admit_after"),
+            ({"capacity_vectors": 4, "ev_size": -64}, "ev_size"),
+        ],
+    )
+    def test_hostile_parameter_is_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            VectorCache(**kwargs)
+
+    def test_hostile_key_outside_the_code_range_refused(self):
+        for tables, rows in (([-1], [0]), ([0], [-3]), ([1 << 31], [0]), ([0], [1 << 32])):
+            with pytest.raises(ValueError, match="vector-cache keys"):
+                encode(tables, rows)
 
     def test_capacity_bytes_tracks_ev_size(self):
         cache = VectorCache(8, ev_size=64)
@@ -71,17 +103,17 @@ class TestLRUPolicy:
 
     def test_evicts_least_recently_used(self):
         cache = VectorCache(2)
-        probe(cache, "a")
-        probe(cache, "b")
-        probe(cache, "a")  # refresh a; b is now LRU
-        probe(cache, "c")  # evicts b
-        assert "a" in cache and "c" in cache and "b" not in cache
+        probe(cache, A)
+        probe(cache, B)
+        probe(cache, A)  # refresh a; b is now LRU
+        probe(cache, C)  # evicts b
+        assert A in cache and C in cache and B not in cache
         assert cache.evictions == 1
 
     def test_zero_capacity_never_fills(self):
         cache = VectorCache(0)
         for _ in range(3):
-            assert not probe(cache, "k")
+            assert not probe(cache, X)
         assert len(cache) == 0 and cache.fills == 0
         assert cache.misses == 3
 
@@ -89,25 +121,25 @@ class TestLRUPolicy:
 class TestFreqPolicy:
     def test_doorkeeper_delays_admission(self):
         cache = VectorCache(4, policy="freq", admit_after=2)
-        assert not probe(cache, "x")  # miss 1: seen but not admitted
+        assert not probe(cache, X)  # miss 1: seen but not admitted
         assert len(cache) == 0
-        assert not probe(cache, "x")  # miss 2: admitted
+        assert not probe(cache, X)  # miss 2: admitted
         assert len(cache) == 1
-        assert probe(cache, "x")      # now a hit
+        assert probe(cache, X)      # now a hit
 
     def test_one_shot_keys_never_pollute(self):
         cache = VectorCache(2, policy="freq", admit_after=2)
-        probe(cache, "hot")
-        probe(cache, "hot")  # admitted
+        probe(cache, HOT)
+        probe(cache, HOT)  # admitted
         for cold in range(50):
-            probe(cache, ("cold", cold))  # each seen once: never admitted
-        assert probe(cache, "hot")
+            probe(cache, (1, cold))  # each seen once: never admitted
+        assert probe(cache, HOT)
         assert len(cache) == 1
 
     def test_admit_after_one_behaves_like_lru(self):
         freq = VectorCache(2, policy="freq", admit_after=1)
         lru = VectorCache(2, policy="lru")
-        keys = ["a", "b", "a", "c", "b", "a", "c"]
+        keys = [A, B, A, C, B, A, C]
         outcomes = [(probe(freq, k), probe(lru, k)) for k in keys]
         assert all(f == l for f, l in outcomes)
 
@@ -115,43 +147,43 @@ class TestFreqPolicy:
 class TestStaticPolicy:
     def test_fills_until_capacity_then_freezes(self):
         cache = VectorCache(2, policy="static")
-        probe(cache, "a")
-        probe(cache, "b")
-        assert not probe(cache, "c")  # full: c not admitted
-        assert "c" not in cache
-        assert probe(cache, "a") and probe(cache, "b")
+        probe(cache, A)
+        probe(cache, B)
+        assert not probe(cache, C)  # full: c not admitted
+        assert C not in cache
+        assert probe(cache, A) and probe(cache, B)
         assert cache.evictions == 0
 
     def test_warm_pins_profiled_hot_set(self):
         cache = VectorCache(2, policy="static")
-        resident = cache.warm([("h1", vec(1)), ("h2", vec(2)), ("h3", vec(3))])
+        resident = warm(cache, [(H1, vec(1)), (H2, vec(2)), (H3, vec(3))])
         assert resident == 2
-        assert probe(cache, "h1") and probe(cache, "h2")
-        assert not probe(cache, "h3")
+        assert probe(cache, H1) and probe(cache, H2)
+        assert not probe(cache, H3)
 
     def test_warm_refreshes_without_consuming_slots(self):
         cache = VectorCache(2)
-        cache.warm([("a", vec(1)), ("a", vec(5)), ("b", vec(2))])
+        warm(cache, [(A, vec(1)), (A, vec(5)), (B, vec(2))])
         assert len(cache) == 2
-        assert cache.access("a", lambda: vec(0)).tobytes() == vec(5).tobytes()
+        assert cache.access(A, lambda: vec(0)).tobytes() == vec(5).tobytes()
 
 
 class TestBookkeeping:
     def test_reset_stats_keeps_contents(self):
         cache = VectorCache(4)
-        probe(cache, "a")
-        probe(cache, "a")
+        probe(cache, A)
+        probe(cache, A)
         cache.reset_stats()
         assert (cache.hits, cache.misses, cache.lookups) == (0, 0, 0)
-        assert "a" in cache
+        assert A in cache
 
     def test_clear_drops_everything(self):
         cache = VectorCache(4, policy="freq")
-        probe(cache, "a")
+        probe(cache, A)
         cache.clear()
         assert len(cache) == 0 and cache.misses == 0
         # Doorkeeper state is gone too: admission restarts from zero.
-        assert not probe(cache, "a")
+        assert not probe(cache, A)
         assert len(cache) == 0
 
 
@@ -256,7 +288,8 @@ class TestSanitizerInvariant:
             engine.lookup_batch(batch, fast=fast)  # cold: all misses fill
             engine.lookup_batch(batch, fast=fast)  # warm hits verify clean
             cache = engine.controller.vcache
-            cache._arena[cache._slots[(1, 4)]] += np.float32(1.0)
+            slot = cache._refs[cache._codes == encode([1], [4])][0]
+            cache._arena[slot] += np.float32(1.0)
             with pytest.raises(SanitizerError, match="vcache-hit-bytes"):
                 engine.lookup_batch(batch, fast=fast)
 
@@ -311,3 +344,51 @@ class TestDeviceMetrics:
         warm = engine.lookup_batch(sparse)
         assert (warm.vcache_fills, warm.vcache_evictions) == (0, 0)
         assert warm.vcache_hits == warm.total_vectors
+
+
+class TestHostileIndices:
+    """A bad index is refused before the cache is probed, on both
+    paths: counters, LRU order, pending fills and the device statistics
+    stay where they were, and the next good batch is served."""
+
+    GOOD = [[[0, 1, 2], [3, 4], [5]], [[6], [7, 8], []]]
+
+    @staticmethod
+    def state(engine):
+        cache = engine.controller.vcache
+        return (
+            cache.hits, cache.misses, cache.evictions, cache.fills,
+            cache._codes.tolist(), cache._refs.tolist(), cache._unbound,
+            engine.controller.stats.as_dict(),
+        )
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("row", [96, -3, 2**40])
+    def test_hostile_row_leaves_the_cache_untouched(self, fast, row):
+        from tests.test_fastpath_equivalence import ROWS, build_engine
+
+        assert row < 0 or row >= ROWS
+        engine = build_engine("square", vcache=VectorCache(8))
+        engine.lookup_batch(self.GOOD, fast=fast)
+        before = self.state(engine)
+        bad = [[[9, 10, 11], [12, 13], [14]], [[15], [16, row], [17]]]
+        with pytest.raises(IndexError, match=f"index {row} out of range for table 1"):
+            engine.lookup_batch(bad, fast=fast)
+        assert self.state(engine) == before
+        result = engine.lookup_batch(self.GOOD, fast=fast)
+        assert result.vcache_hits + result.vectors_read == 9
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("capacity", [None, 8])
+    def test_hostile_fractional_row_refused(self, fast, capacity):
+        from tests.test_fastpath_equivalence import build_engine
+
+        engine = build_engine("square", vcache=capacity and VectorCache(capacity))
+        reference = build_engine("square")
+        stats = engine.controller.stats.as_dict()
+        with pytest.raises(IndexError, match="indices must be int64 row numbers"):
+            engine.lookup_batch([[[0], [1.5], [2]]], fast=fast)
+        assert engine.controller.stats.as_dict() == stats
+        good = [[[0], [1], [2]]]
+        expected = reference.lookup_batch(good, fast=fast).pooled
+        assert engine.lookup_batch(good, fast=fast).pooled.tobytes() == expected.tobytes()

@@ -230,9 +230,9 @@ class TestEnabledBitwiseEquivalence:
             hits += fast.vcache_hits
         assert hits > 0
         assert len(fast_engine.controller.vcache) == 12
-        assert list(fast_engine.controller.vcache._slots) == list(
-            des_engine.controller.vcache._slots
-        )
+        fast_cache, des_cache = fast_engine.controller.vcache, des_engine.controller.vcache
+        assert fast_cache._codes.tolist() == des_cache._codes.tolist()
+        assert fast_cache._refs.tolist() == des_cache._refs.tolist()
 
     def test_enabled_span_trees_identical(self):
         batches = batch_stream(5, count=3)

@@ -2,14 +2,22 @@
 scalar model.
 
 The batch probe decides hits, admissions and evictions for a whole
-lookup stream without touching a byte, and ``bind`` moves the bytes
-afterwards.  The reference here is the cache as it used to be: a plain
-``OrderedDict`` of key -> bytes advanced one key at a time.  Small key
-alphabets and capacities force the three in-batch cases — a hit on a
-key an earlier miss of the same batch filled, a freed slot reused while
-an earlier hit still reads its old occupant, and a key filled and
-evicted again inside one batch — and arbitrary batch boundaries move
-them across the probe/bind seam.
+lookup stream as one array program, without touching a byte, and
+``bind`` moves the bytes afterwards.  The reference here is the cache
+as it used to be: a plain ``OrderedDict`` of key -> bytes advanced one
+key at a time.  Small key alphabets and capacities force the three
+in-batch cases — a hit on a key an earlier miss of the same batch
+filled, a freed slot reused while an earlier hit still reads its old
+occupant, and a key filled and evicted again inside one batch — and
+arbitrary batch boundaries move them across the probe/bind seam.
+
+The seam tests aim at the array program's own boundaries: an LRU
+access whose window since its previous access holds exactly
+``C - 1`` / ``C`` / ``C + 1`` distinct keys is decided by the exact
+stack-distance count, not by a shortcut; a cyclic sweep makes every
+access such a count; the doorkeeper's one circular case (a warmed key
+below the admission threshold, evicted and missed again) splits a
+batch.
 """
 
 from collections import OrderedDict
@@ -19,14 +27,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ssd.vcache import MISS, POLICIES, VectorCache
+from repro.ssd.vcache import MISS, POLICIES, VectorCache, encode
 
 DIM = 3
 
 
 def flash_row(key) -> np.ndarray:
     """The bytes "flash" holds for ``key`` (distinct per key)."""
-    return np.full(DIM, np.float32(key[0] * 100 + key[1] + 0.5), dtype=np.float32)
+    return np.full(DIM, np.float32(key[0] * 1000 + key[1] + 0.5), dtype=np.float32)
+
+
+def codes(keys) -> np.ndarray:
+    return encode([table for table, _ in keys], [row for _, row in keys])
+
+
+def decode(code) -> tuple:
+    return int(code) >> 32, int(code) & 0xFFFFFFFF
 
 
 class ScalarModel:
@@ -37,6 +53,15 @@ class ScalarModel:
         self.entries = OrderedDict()
         self.seen = {}
         self.hits = self.misses = self.evictions = self.fills = 0
+
+    def warm(self, keys):
+        for key in keys:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+            elif len(self.entries) >= self.capacity:
+                break
+            else:
+                self.entries[key] = flash_row(key)
 
     def access(self, key):
         """The cached bytes on a hit, ``None`` on a miss."""
@@ -62,6 +87,58 @@ class ScalarModel:
         return None
 
 
+def pair(capacity, policy="lru", admit_after=2, warm=()):
+    cache = VectorCache(capacity, policy, admit_after)
+    model = ScalarModel(capacity, policy, admit_after)
+    cache.warm(codes(warm), [flash_row(key) for key in warm])
+    model.warm(warm)
+    return cache, model
+
+
+def run_batch(cache, model, batch):
+    """Probe and bind ``batch`` on the cache, access it on the model,
+    and check every observable agrees; returns the probe."""
+    before = (model.hits, model.misses, model.evictions, model.fills)
+    expected = [model.access(key) for key in batch]
+    probe = cache.probe(codes(batch))
+    # Hit mask and the batch's own counts.
+    assert [ref != MISS for ref in probe.refs.tolist()] == [
+        value is not None for value in expected
+    ]
+    assert (probe.hits, probe.misses, probe.evictions, probe.fills) == tuple(
+        now - then
+        for now, then in zip(
+            (model.hits, model.misses, model.evictions, model.fills), before
+        )
+    )
+    # Bytes: only the miss rows come from "flash"; bind does the rest.
+    rows = np.full((len(batch), DIM), np.nan, dtype=np.float32)
+    for position in probe.miss_positions().tolist():
+        rows[position] = flash_row(batch[position])
+    cache.bind(probe, rows)
+    for row, key in zip(rows, batch):
+        assert row.tobytes() == flash_row(key).tobytes()
+    assert_state(cache, model)
+    return probe
+
+
+def assert_state(cache, model):
+    """Cumulative counters, LRU order, slots, resident bytes, doorkeeper."""
+    assert (cache.hits, cache.misses, cache.evictions, cache.fills) == (
+        model.hits, model.misses, model.evictions, model.fills
+    )
+    assert [decode(code) for code in cache._codes] == list(model.entries)
+    slots = cache._refs.tolist()
+    assert len(set(slots)) == len(slots)
+    assert all(0 <= slot < model.capacity for slot in slots)
+    for code, slot in zip(cache._codes, slots):
+        assert cache._arena[slot].tobytes() == model.entries[decode(code)].tobytes()
+    assert sorted(slots + cache._free.tolist()) == list(range(model.capacity))
+    assert cache._unbound == 0
+    door = dict(zip(map(decode, cache._door_keys[1:]), cache._door_counts[1:].tolist()))
+    assert door == model.seen
+
+
 keys = st.tuples(st.integers(0, 1), st.integers(0, 5))
 
 
@@ -74,63 +151,23 @@ keys = st.tuples(st.integers(0, 1), st.integers(0, 5))
     batches=st.lists(st.lists(keys, max_size=24), min_size=1, max_size=4),
 )
 def test_batch_probe_matches_scalar_model(policy, capacity, admit_after, warm, batches):
-    cache = VectorCache(capacity, policy, admit_after)
-    model = ScalarModel(capacity, policy, admit_after)
-    cache.warm((key, flash_row(key)) for key in warm)
-    for key in warm:
-        if key in model.entries:
-            model.entries.move_to_end(key)
-        elif len(model.entries) >= capacity:
-            break
-        else:
-            model.entries[key] = flash_row(key)
+    cache, model = pair(capacity, policy, admit_after, warm)
     for batch in batches:
-        before = (model.hits, model.misses, model.evictions, model.fills)
-        expected = [model.access(key) for key in batch]
-        probe = cache.probe(batch)
-        # Hit mask and the batch's own counts.
-        assert [ref != MISS for ref in probe.refs.tolist()] == [
-            value is not None for value in expected
-        ]
-        assert (probe.hits, probe.misses, probe.evictions, probe.fills) == tuple(
-            now - then
-            for now, then in zip(
-                (model.hits, model.misses, model.evictions, model.fills), before
-            )
-        )
-        # Bytes: only the miss rows come from "flash"; bind does the rest.
-        rows = np.full((len(batch), DIM), np.nan, dtype=np.float32)
-        for position in probe.miss_positions().tolist():
-            rows[position] = flash_row(batch[position])
-        cache.bind(probe, rows)
-        for row, key in zip(rows, batch):
-            assert row.tobytes() == flash_row(key).tobytes()
-        # Cumulative counters, residency order, resident bytes.
-        assert (cache.hits, cache.misses, cache.evictions, cache.fills) == (
-            model.hits, model.misses, model.evictions, model.fills
-        )
-        assert list(cache._slots) == list(model.entries)
-        slots = list(cache._slots.values())
-        assert len(set(slots)) == len(slots)
-        assert all(0 <= slot < capacity for slot in slots)
-        for key, slot in cache._slots.items():
-            assert cache._arena[slot].tobytes() == model.entries[key].tobytes()
-        assert sorted(slots + cache._free) == list(range(capacity))
+        run_batch(cache, model, batch)
 
 
 def test_the_three_in_batch_cases():
     """The cases the probe must get right because bytes bind late,
     spelled out on a 2-slot LRU cache."""
     a, b, c, d = (0, 0), (0, 1), (0, 2), (0, 3)
-    cache = VectorCache(2)
-    cache.warm([(a, flash_row(a)), (b, flash_row(b))])
-    slot_a = cache._slots[a]
+    cache, model = pair(2, warm=[a, b])
+    slot_a = int(cache._refs[0])
     # a hits its arena slot; c fills (evicting b); d fills, evicting a,
     # whose freed slot must not be overwritten before lookup 0 has read
     # it (case b); c hits its own same-batch fill (case a); b and a
     # refill, evicting d and c, which never reach the arena (case c).
     batch = [a, c, d, c, b, a]
-    probe = cache.probe(batch)
+    probe = cache.probe(codes(batch))
     assert probe.refs.tolist() == [slot_a, MISS, MISS, ~1, MISS, MISS]
     assert (probe.hits, probe.misses, probe.evictions, probe.fills) == (2, 4, 4, 4)
     assert cache._unbound == 2
@@ -139,14 +176,106 @@ def test_the_three_in_batch_cases():
         rows[position] = flash_row(batch[position])
     cache.bind(probe, rows)
     assert [row.tobytes() for row in rows] == [flash_row(k).tobytes() for k in batch]
-    assert list(cache._slots) == [b, a]
+    assert [decode(code) for code in cache._codes] == [b, a]
     assert c not in cache and d not in cache
-    for key in (a, b):
-        assert cache._arena[cache._slots[key]].tobytes() == flash_row(key).tobytes()
+    # b's slot was freed first, then a's, and the oldest surviving fill
+    # takes the top of the free stack: the slots the per-key loop gave.
+    assert cache._refs.tolist() == [slot_a, 1 - slot_a] and not cache._free.size
+    for code, slot in zip(cache._codes, cache._refs):
+        assert cache._arena[slot].tobytes() == flash_row(decode(code)).tobytes()
 
 
 def test_probe_before_bind_is_refused():
     cache = VectorCache(2)
-    cache.probe([(0, 0)])
+    cache.probe(codes([(0, 0)]))
     with pytest.raises(RuntimeError, match="never bound"):
-        cache.probe([(0, 1)])
+        cache.probe(codes([(0, 1)]))
+
+
+# ----------------------------------------------------------------------
+# Seams of the array program
+# ----------------------------------------------------------------------
+C = 8
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("distinct", [C - 1, C, C + 1])
+def test_window_of_c_minus_one_c_and_c_plus_one_distinct_keys(policy, distinct):
+    """The second access to ``a`` sees ``distinct`` keys in a window
+    of twice that length, all seen before: neither the gap nor the
+    never-seen keys decide it, only the exact count."""
+    a = (1, 0)
+    window = [(0, row) for row in range(distinct)]
+    cache, model = pair(C, policy, admit_after=2)
+    run_batch(cache, model, window + [a] + window)
+    probe = run_batch(cache, model, [a] + window + window[::-1] + [a])
+    if policy == "lru":
+        assert (probe.refs[-1] != MISS) == (distinct < C)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cyclic_sweep_over_c_plus_one_keys(policy):
+    """Every access of a cyclic sweep is an exact count; under LRU
+    every one of them misses."""
+    sweep = [(0, row % (C + 1)) for row in range(5 * (C + 1))]
+    cache, model = pair(C, policy, admit_after=2)
+    for batch in (sweep[:17], sweep[17:], sweep):
+        probe = run_batch(cache, model, batch)
+        if policy == "lru":
+            assert probe.hits == 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_uniform_traffic_over_two_c_keys(policy):
+    rng = np.random.default_rng(3)
+    cache, model = pair(C, policy, admit_after=2, warm=[(0, 1), (1, 2)])
+    for _ in range(4):
+        rows = rng.integers(0, 2 * C, size=300)
+        run_batch(cache, model, [(int(row) % 2, int(row)) for row in rows])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_hot_cold_stream_at_capacity_64(policy):
+    rng = np.random.default_rng(7)
+    cache, model = pair(64, policy, admit_after=2)
+    for _ in range(3):
+        hot = rng.random(2000) < 0.7
+        rows = np.where(hot, rng.integers(0, 48, 2000), rng.integers(48, 1048, 2000))
+        run_batch(cache, model, [(int(row) % 3, int(row)) for row in rows])
+
+
+def test_static_reaches_capacity_mid_batch():
+    warm = [(0, 0), (0, 1), (0, 2)]
+    cache, model = pair(C, "static", warm=warm)
+    batch = [(1, row) for row in (0, 1, 0, 2, 3, 3, 4, 5, 6, 7, 5, 8, 9, 0)]
+    probe = run_batch(cache, model, batch + warm)
+    assert probe.fills == C - len(warm) and probe.evictions == 0
+    # Every key first seen after the cache filled misses; the rest hit.
+    full = batch.index((1, 5))
+    assert probe.refs[full : len(batch) - 1].tolist() == [MISS] * 6
+    assert MISS not in probe.refs[len(batch) - 1 :].tolist()
+
+
+def test_freq_warmed_key_below_threshold_evicted_and_missed_again():
+    """``w`` is pinned by warm() with no doorkeeper count: once evicted,
+    it must miss twice more before the doorkeeper admits it — which
+    the admission mask computed up front cannot know."""
+    w, x, y = (0, 0), (0, 1), (0, 2)
+    cache, model = pair(2, "freq", admit_after=3, warm=[w])
+    batch = [w, x, x, x, y, y, y, w, w, w, x, w]
+    probe = run_batch(cache, model, batch)
+    assert probe.refs[0] != MISS
+    assert probe.refs[7:10].tolist() == [MISS, MISS, MISS]
+    assert probe.refs[-1] != MISS
+    assert model.seen[w] == 3
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_keys_too_large_for_the_sort_key(policy):
+    """Codes near 2**63 cannot be sorted as ``code * n + position``;
+    they are ranked first, with the same decisions."""
+    big = [(2**31 - 1, 2**32 - 1), (2**31 - 1, 0), (2**30, 7)]
+    batch = [big[i % 3] for i in (0, 1, 0, 2, 2, 1, 0, 1, 2, 0)]
+    cache, model = pair(2, policy, admit_after=2, warm=big[2:])
+    for _ in range(2):
+        run_batch(cache, model, batch)

@@ -26,7 +26,7 @@ echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # vcache-hit-bytes mutation (a corrupted arena slot must be caught).
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_vcache_equivalence.py \
     tests/test_vcache_probe.py tests/test_vcache.py \
-    -k "inert or bitwise or probe or Sanitizer"
+    -k "inert or bitwise or probe or Sanitizer or hostile"
 
 echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 # Closed-form pipeline replay vs the DES: saturated/zero-stage chains,
