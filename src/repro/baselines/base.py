@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.lookup_engine import flatten_batch
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
 from repro.ssd.stats import IOStatistics
 from repro.workloads.inputs import InferenceRequest
@@ -102,6 +103,12 @@ class InferenceBackend(ABC):
         return sum(
             len(lookups) for sample in request.sparse for lookups in sample
         )
+
+    def _lookups(self, request: InferenceRequest) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(tables, rows)`` of every lookup of ``request``, in
+        issue order: sample by sample, table by table."""
+        rows = np.array([table.rows for table in self.model.tables])
+        return flatten_batch(request.sparse, rows)[1:]
 
     # ------------------------------------------------------------------
     # The backend contract

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
 from repro.core.lookup_engine import effective_page_bandwidth
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
 from repro.ssd.geometry import SSDGeometry
-from repro.ssd.pagecache import LRUPageCache
 from repro.ssd.timing import SSDTimingModel
+from repro.ssd.vcache import VectorCache, _at_least, encode
 from repro.workloads.inputs import InferenceRequest
 
 #: Host-side merge cost per cached vector (vectorized add).
@@ -49,48 +51,38 @@ class RecSSDBackend(InferenceBackend):
         geometry: Optional[SSDGeometry] = None,
         ssd_timing: Optional[SSDTimingModel] = None,
     ) -> None:
+        if cache_vectors is not None:
+            _at_least("cache_vectors", cache_vectors, 0)
+        _at_least("ssd_cache_vectors", ssd_cache_vectors, 0)
         super().__init__(model, costs)
         self.geometry = geometry or SSDGeometry()
         self.ssd_timing = ssd_timing or SSDTimingModel()
         self._pages_per_cycle = effective_page_bandwidth(self.geometry, self.ssd_timing)
+        # Tables may have different row counts, so sizes come from the
+        # actual total; a capacity past it would behave the same.
+        rows = sum(table.rows for table in model.tables)
         if cache_vectors is None:
             # RecSSD statically partitions its host cache from history;
             # default to ~1% of the index space, enough for the hot set.
-            # Tables may have different row counts, so size from the
-            # actual total rather than extrapolating table 0.
-            cache_vectors = max(
-                1, sum(table.rows for table in model.tables) // 100
-            )
-        self.host_cache = LRUPageCache(cache_vectors, model.tables.ev_size)
+            cache_vectors = max(1, rows // 100)
+        self.host_cache = VectorCache(min(cache_vectors, rows))
         # RecSSD's optional SSD-side cache (original paper; the RM-SSD
         # authors could not emulate it and argue it is marginal — this
         # implementation lets that claim be measured).  It caches
         # vectors in controller DRAM, absorbing flash page reads for
-        # host-cache misses that repeat.
-        self.ssd_cache = (
-            LRUPageCache(ssd_cache_vectors, model.tables.ev_size)
-            if ssd_cache_vectors > 0
-            else None
-        )
+        # host-cache misses that repeat; at capacity 0 it never hits.
+        self.ssd_cache = VectorCache(min(ssd_cache_vectors, rows))
         #: Controller-DRAM hit cost per vector, cycles (DRAM fetch +
         #: accumulate) — far below a flash page read.
         self.ssd_cache_hit_cycles = 50
 
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
-        misses = 0
-        hits = 0
-        ssd_hits = 0
-        for sample in request.sparse:
-            for table_id, lookups in enumerate(sample):
-                for index in lookups:
-                    if self.host_cache.access((table_id, index)):
-                        hits += 1
-                    elif self.ssd_cache is not None and self.ssd_cache.access(
-                        (table_id, index)
-                    ):
-                        ssd_hits += 1
-                    else:
-                        misses += 1
+        keys = encode(*self._lookups(request))
+        host_hit = self.host_cache.hit_mask(keys)
+        ssd_hit = self.ssd_cache.hit_mask(keys[~host_hit])
+        hits = int(np.count_nonzero(host_hit))
+        ssd_hits = int(np.count_nonzero(ssd_hit))
+        misses = ssd_hit.size - ssd_hits
         self.stats.cache_hits += hits
         self.stats.cache_misses += misses + ssd_hits
         # Device: page read + partial in-SSD sum for every flash miss;

@@ -9,22 +9,22 @@ readahead included — which produces Fig. 3's ~26x read amplification.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
-from repro.baselines.base import (
-    BOT_MLP,
-    CONCAT,
-    EMB_FS,
-    EMB_OP,
-    EMB_SSD,
-    TOP_MLP,
-    InferenceBackend,
-)
+import numpy as np
+
+from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.pagecache import LRUPageCache
+from repro.ssd.vcache import VectorCache, encode
 from repro.workloads.inputs import InferenceRequest
 
 PAGE_SIZE = 4096
+
+
+def _fold(steps: np.ndarray) -> float:
+    """``0.0 + steps[0] + steps[1] + ...``, strictly left to right."""
+    return float(np.add.accumulate(np.append(0.0, steps))[-1])
 
 
 class NaiveSSDBackend(InferenceBackend):
@@ -37,43 +37,45 @@ class NaiveSSDBackend(InferenceBackend):
         costs: HostCostModel = DEFAULT_HOST_COSTS,
         name: str = None,
     ) -> None:
+        if not (math.isfinite(dram_fraction) and dram_fraction > 0):
+            raise ValueError(
+                f"dram_fraction must be finite and positive, got {dram_fraction!r}"
+            )
         super().__init__(model, costs)
-        if dram_fraction <= 0:
-            raise ValueError("dram_fraction must be positive")
         self.dram_fraction = dram_fraction
         self.name = name or ("SSD-S" if dram_fraction <= 0.26 else "SSD-M")
-        capacity_bytes = int(dram_fraction * model.tables.total_bytes)
-        self.page_cache = LRUPageCache.with_byte_capacity(capacity_bytes, PAGE_SIZE)
         self._slots_per_page = PAGE_SIZE // model.tables.ev_size
-
-    def _page_key(self, table_id: int, index: int) -> tuple:
-        return (table_id, index // self._slots_per_page)
+        # An LRU over the 4 KB pages of the tables; a capacity past the
+        # pages the tables span would behave the same, so it is capped.
+        pages = sum(-(-table.rows // self._slots_per_page) for table in model.tables)
+        capacity_bytes = int(dram_fraction * model.tables.total_bytes)
+        self.page_cache = VectorCache(min(capacity_bytes // PAGE_SIZE, pages))
 
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
-        ev_size = self.model.tables.ev_size
-        fs_ns = 0.0
-        ssd_ns = 0.0
-        op_ns = 0.0
-        pressure = self.costs.memory_pressure_factor(self.dram_fraction)
-        for sample in request.sparse:
-            for table_id, lookups in enumerate(sample):
-                for index in lookups:
-                    hit = self.page_cache.access(self._page_key(table_id, index))
-                    fs_ns += self.costs.syscall_ns
-                    if hit:
-                        self.stats.cache_hits += 1
-                        fs_ns += self.costs.pagecache_hit_ns * pressure
-                    else:
-                        self.stats.cache_misses += 1
-                        fs_ns += self.costs.pagecache_miss_stack_ns * pressure
-                        ssd_ns += (
-                            self.costs.readahead_pages * self.costs.device_page_read_ns
-                        )
-                        self.stats.record_host_transfer(
-                            read_bytes=self.costs.readahead_pages * PAGE_SIZE
-                        )
-                    op_ns += self.costs.sls_per_vector_ns
-        op_ns += len(self.model.tables) * self.costs.framework_op_ns
-        breakdown = {EMB_SSD: ssd_ns, EMB_FS: fs_ns, EMB_OP: op_ns}
+        costs = self.costs
+        tables, rows = self._lookups(request)
+        hit = self.page_cache.hit_mask(encode(tables, rows // self._slots_per_page))
+        hits = int(np.count_nonzero(hit))
+        misses = hit.size - hits
+        self.stats.cache_hits += hits
+        self.stats.cache_misses += misses
+        self.stats.record_host_transfer(
+            read_bytes=misses * costs.readahead_pages * PAGE_SIZE
+        )
+        # Each lookup pays a syscall, then its page-cache hit or miss.
+        pressure = costs.memory_pressure_factor(self.dram_fraction)
+        fs_steps = np.empty(2 * hit.size)
+        fs_steps[0::2] = costs.syscall_ns
+        fs_steps[1::2] = np.where(
+            hit,
+            costs.pagecache_hit_ns * pressure,
+            costs.pagecache_miss_stack_ns * pressure,
+        )
+        ssd_ns = _fold(
+            np.full(misses, costs.readahead_pages * costs.device_page_read_ns)
+        )
+        op_ns = _fold(np.full(hit.size, costs.sls_per_vector_ns))
+        op_ns += len(self.model.tables) * costs.framework_op_ns
+        breakdown = {EMB_SSD: ssd_ns, EMB_FS: _fold(fs_steps), EMB_OP: op_ns}
         breakdown.update(self._mlp_breakdown_ns(request.batch_size))
         return breakdown

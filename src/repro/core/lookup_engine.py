@@ -124,6 +124,44 @@ class LookupResult:
         return self.vectors_read + self.vcache_hits
 
 
+def flatten_batch(
+    sparse_batch: Sequence[Sequence[Sequence[int]]], rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(sample, table) lengths and the flat ``(table, row)`` stream
+    of a batch over tables of ``rows`` rows each, in issue order
+    (sample-major) — the order the DES creates its read processes in,
+    which fixes the FTL service order, and the order the vector cache
+    is probed in.  A wrong table count raises ``ValueError``, a
+    non-integer or out-of-range index ``IndexError``, before any state
+    moves."""
+    num_tables = len(rows)
+    cells: List[Sequence[int]] = []
+    for sample_id, sample in enumerate(sparse_batch):
+        if len(sample) != num_tables:
+            raise ValueError(
+                f"sample {sample_id}: {len(sample)} index lists for "
+                f"{num_tables} tables"
+            )
+        cells.extend(sample)
+    lengths = np.fromiter(
+        (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
+    )
+    try:
+        flat_indices = np.fromiter(
+            map(operator.index, chain.from_iterable(cells)),
+            dtype=np.int64, count=int(lengths.sum()),
+        )
+    except (TypeError, OverflowError) as error:
+        raise IndexError(f"indices must be int64 row numbers: {error}") from None
+    table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
+    flat_tables = np.repeat(table_ids, lengths)
+    bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
+    if bad.size:
+        index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
+        raise IndexError(f"index {index} out of range for table {table_id}")
+    return lengths, flat_tables, flat_indices
+
+
 class EmbeddingLookupEngine:
     """Translator + EV-FMC + EV Sum over a laid-out table set.
 
@@ -163,58 +201,14 @@ class EmbeddingLookupEngine:
     # ------------------------------------------------------------------
     # Steps shared by both execution paths
     # ------------------------------------------------------------------
-    def _flatten(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-(sample, table) lengths and the flat ``(table, row)``
-        stream in issue order (sample-major) — the order the DES
-        creates its read processes in, which fixes the FTL service
-        order, and the order the vector cache is probed in.  A
-        non-integer or out-of-range index raises ``IndexError`` here,
-        before any state moves."""
-        num_tables = len(self.tables)
-        cells: List[Sequence[int]] = []
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != num_tables:
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{num_tables} tables"
-                )
-            cells.extend(sample)
-        lengths = np.fromiter(
-            (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
-        )
-        try:
-            flat_indices = np.fromiter(
-                map(operator.index, chain.from_iterable(cells)),
-                dtype=np.int64, count=int(lengths.sum()),
-            )
-        except (TypeError, OverflowError) as error:
-            raise IndexError(f"indices must be int64 row numbers: {error}") from None
-        table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
-        flat_tables = np.repeat(table_ids, lengths)
-        bad = np.flatnonzero(
-            (flat_indices < 0) | (flat_indices >= self._rows[flat_tables])
-        )
-        if bad.size:
-            index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
-            raise IndexError(f"index {index} out of range for table {table_id}")
-        return lengths, flat_tables, flat_indices
-
     def _locate(
         self, flat_tables: np.ndarray, flat_indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fig. 6 translation, batched per table, then the FTL map:
         ``(physical_pages, cols)`` of every ``(table, row)``."""
-        device_offsets = np.empty(len(flat_indices), dtype=np.int64)
-        for table_id in range(len(self.tables)):
-            members = np.flatnonzero(flat_tables == table_id)
-            if members.size:
-                device_offsets[members] = self.translator.translate_array(
-                    table_id, flat_indices[members]
-                )
         return self.controller.translate_vector_offsets(
-            device_offsets, self.tables.ev_size
+            self.translator.translate_tables(flat_tables, flat_indices),
+            self.tables.ev_size,
         )
 
     def _peek_rows(
@@ -451,7 +445,7 @@ class EmbeddingLookupEngine:
         sim = self.controller.sim
         start = sim.now
         mark = None if self.controller.tracer is None else self.controller.batch_mark()
-        lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
+        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows)
         probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
         proc = sim.process(
             self._read_proc(miss_tables.tolist(), miss_indices.tolist())
@@ -490,7 +484,7 @@ class EmbeddingLookupEngine:
         sim = self.controller.sim
         start = sim.now
         mark = None if self.controller.tracer is None else self.controller.batch_mark()
-        lengths, flat_tables, flat_indices = self._flatten(sparse_batch)
+        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows)
         probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
         vectors_read = len(miss_indices)
         ev_size = self.tables.ev_size

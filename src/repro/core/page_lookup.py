@@ -11,11 +11,13 @@ analytically.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
+from repro.core.lookup_engine import flatten_batch
 from repro.embedding.layout import EmbeddingLayout
+from repro.embedding.pooling import segment_pool
 from repro.embedding.translator import EVTranslator
 from repro.ssd.controller import SSDController
 
@@ -32,59 +34,40 @@ class PageLookupEngine:
             self.translator.register_table(
                 table_id, ranges, self.tables.ev_size, self.tables[table_id].rows
             )
+        self._rows = np.array([table.rows for table in self.tables])
 
     @property
     def dim(self) -> int:
         return self.tables.dim
 
-    def _read_all_proc(
-        self, sparse_batch: Sequence[Sequence[Sequence[int]]]
-    ) -> Generator:
+    def _read_all_proc(self, offsets: np.ndarray) -> Generator:
+        """Read the page holding each device byte offset, all at once,
+        created in stream order; returns the vectors, one row each."""
         sim = self.controller.sim
-        events = []
-        slots: List[tuple] = []
-        cols: List[int] = []
-        page_size = self.controller.geometry.page_size
-        for sample_id, sample in enumerate(sparse_batch):
-            if len(sample) != len(self.tables):
-                raise ValueError(
-                    f"sample {sample_id}: {len(sample)} index lists for "
-                    f"{len(self.tables)} tables"
-                )
-            for table_id, indices in enumerate(sample):
-                for position, index in enumerate(indices):
-                    read = self.translator.translate(table_id, index)
-                    lba = read.device_offset // page_size
-                    events.append(
-                        sim.process(self.controller.read_page_internal_proc(lba))
-                    )
-                    slots.append((sample_id, table_id, position))
-                    cols.append(read.device_offset % page_size)
+        lbas, cols = np.divmod(offsets, self.controller.geometry.page_size)
+        events = [
+            sim.process(self.controller.read_page_internal_proc(lba))
+            for lba in lbas.tolist()
+        ]
         results = yield sim.all_of(events)
-        raw: Dict[tuple, np.ndarray] = {}
         ev_size = self.tables.ev_size
-        for slot, col, request in zip(slots, cols, results):
-            payload = request.data[col : col + ev_size]
-            raw[slot] = np.frombuffer(payload, dtype=np.float32)
-        return raw
+        payload = b"".join(
+            request.data[col : col + ev_size]
+            for col, request in zip(cols.tolist(), results)
+        )
+        return np.frombuffer(payload, dtype=np.float32).reshape(len(events), self.dim)
 
-    def lookup_batch(self, sparse_batch) -> tuple:
+    def lookup_batch(self, sparse_batch: Sequence[Sequence[Sequence[int]]]) -> tuple:
         """Run a batched page-granular lookup; returns ``(pooled,
         elapsed_ns, pages_read)``.  Pooling order matches the host SLS.
         """
+        lengths, tables, indices = flatten_batch(sparse_batch, self._rows)
+        offsets = self.translator.translate_tables(tables, indices)
         sim = self.controller.sim
         start = sim.now
-        proc = sim.process(self._read_all_proc(sparse_batch))
+        proc = sim.process(self._read_all_proc(offsets))
         sim.run()
-        raw = proc.value
-        elapsed = sim.now - start
-        pooled_rows = []
-        for sample_id, sample in enumerate(sparse_batch):
-            per_table = []
-            for table_id, indices in enumerate(sample):
-                acc = np.zeros(self.dim, dtype=np.float32)
-                for position in range(len(indices)):
-                    acc += raw[(sample_id, table_id, position)]
-                per_table.append(acc)
-            pooled_rows.append(np.concatenate(per_table).astype(np.float32))
-        return np.stack(pooled_rows), elapsed, len(raw)
+        pooled = segment_pool(proc.value, lengths).reshape(
+            len(sparse_batch), len(self.tables) * self.dim
+        )
+        return pooled, sim.now - start, len(offsets)

@@ -176,6 +176,16 @@ class EVTranslator:
             + slots * meta.ev_size
         )
 
+    def translate_tables(self, tables: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """:meth:`translate_array` over a stream of ``(table, index)``
+        lookups in any table order: one batched pass per table."""
+        offsets = np.empty(len(indices), dtype=np.int64)
+        for table_id in self._tables:
+            members = np.flatnonzero(tables == table_id)
+            if members.size:
+                offsets[members] = self.translate_array(table_id, indices[members])
+        return offsets
+
     def translate_batch(
         self, table_id: int, indices: Sequence[int]
     ) -> List[TranslatedRead]:

@@ -1,10 +1,11 @@
-"""SSD substrate: flash array, FTL, controllers, timing, page cache.
+"""SSD substrate: flash array, FTL, controllers, timing, vector cache.
 
 This package implements the emulated SSD of the paper's Section V: a
 flash array organized as channels x dies x planes x blocks x pages with
 the Table II timing model, a flash translation layer, flash memory
-controllers with vector-grained read support (EV-FMC), an LRU page
-cache used by the host-side baselines, and I/O traffic accounting.
+controllers with vector-grained read support (EV-FMC), the
+controller-DRAM vector cache (whose LRU also runs the host-side
+baselines' page and vector caches), and I/O traffic accounting.
 """
 
 from repro.ssd.blockdev import BlockDevice
@@ -12,7 +13,6 @@ from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import FlashTranslationLayer, LinearMapping, PageMapping
 from repro.ssd.geometry import PhysicalAddress, SSDGeometry
-from repro.ssd.pagecache import LRUPageCache
 from repro.ssd.stats import IOSnapshot, IOStatistics
 from repro.ssd.timing import SSDTimingModel
 from repro.ssd.vcache import VectorCache
@@ -23,7 +23,6 @@ __all__ = [
     "FlashTranslationLayer",
     "IOSnapshot",
     "IOStatistics",
-    "LRUPageCache",
     "LinearMapping",
     "PageMapping",
     "PhysicalAddress",

@@ -392,6 +392,14 @@ class VectorCache:
             self._refs[pending] = taken
             self._unbound = 0
 
+    def hit_mask(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`probe` + :meth:`bind` of a cache that holds keys only
+        (a page cache, a hit-ratio replay): whether each key hit, with
+        a zero-width row block, so no vector byte is stored or moved."""
+        probe = self.probe(keys)
+        self.bind(probe, np.empty((probe.refs.size, 0), dtype=np.float32))
+        return probe.refs != MISS
+
     def _arena_for(self, dim: int) -> np.ndarray:
         if self._arena is None:
             self._arena = np.empty((self.capacity_vectors, dim), dtype=np.float32)

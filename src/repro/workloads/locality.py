@@ -9,9 +9,11 @@ four published values well) so intermediate Ks are meaningful.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable
+from typing import Dict
 
-from repro.ssd.pagecache import LRUPageCache
+import numpy as np
+
+from repro.ssd.vcache import VectorCache
 
 #: The paper's published (K, hit-ratio) pairs.
 K_TO_HIT_RATIO: Dict[float, float] = {
@@ -44,18 +46,17 @@ def hit_ratio_for_k(k: float) -> float:
     raise AssertionError("unreachable")
 
 
-def measured_cache_hit_ratio(
-    keys: Iterable[Hashable],
-    capacity_entries: int,
-    entry_size: int = 1,
-) -> float:
-    """Replay ``keys`` through an LRU cache and report its hit ratio.
+def measured_cache_hit_ratio(keys, capacity_entries: int) -> float:
+    """Replay the int64 key codes ``keys`` (e.g.
+    :meth:`~repro.workloads.tracegen.TraceGenerator.flat_indices`)
+    through an LRU cache and report its hit ratio.
 
     Used to verify the generator: with capacity covering the hot set,
     the measured ratio converges to the configured
     ``hot_access_fraction``.
     """
-    cache = LRUPageCache(capacity_entries, entry_size)
-    for key in keys:
-        cache.access(key)
+    keys = np.asarray(keys, dtype=np.int64)
+    # A capacity past the accesses would behave the same.
+    cache = VectorCache(min(capacity_entries, keys.size))
+    cache.hit_mask(keys)
     return cache.hit_ratio

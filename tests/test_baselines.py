@@ -289,7 +289,55 @@ class TestRecSSDCostModel:
         backend = RecSSDBackend(SimpleNamespace(tables=tables))
         # 1% of the actual 10_000 rows — not of 2 * 10 (extrapolating
         # table 0 would size the cache at a single vector).
-        assert backend.host_cache.capacity_entries == 100
+        assert backend.host_cache.capacity_vectors == 100
+
+
+class TestHostileCacheSizes:
+    """A cache size or DRAM fraction that is not one is refused by name,
+    before the backend holds any state."""
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"cache_vectors": float("nan")}, "cache_vectors"),
+            ({"cache_vectors": 1.5}, "cache_vectors"),
+            ({"cache_vectors": True}, "cache_vectors"),
+            ({"cache_vectors": -1}, "cache_vectors"),
+            ({"ssd_cache_vectors": -3}, "ssd_cache_vectors"),
+            ({"ssd_cache_vectors": float("nan")}, "ssd_cache_vectors"),
+            ({"ssd_cache_vectors": 2.5}, "ssd_cache_vectors"),
+        ],
+    )
+    def test_hostile_recssd_cache_size_is_named(self, rmc1, kwargs, name):
+        config, model, _ = rmc1
+        with pytest.raises(ValueError, match=f"^{name} "):
+            RecSSDBackend(model, **kwargs)
+
+    @pytest.mark.parametrize(
+        "fraction", [float("nan"), float("inf"), -float("inf"), 0.0, -0.25]
+    )
+    def test_hostile_dram_fraction_is_named(self, rmc1, fraction):
+        config, model, _ = rmc1
+        with pytest.raises(ValueError, match="dram_fraction"):
+            NaiveSSDBackend(model, fraction)
+
+    def test_caches_past_the_tables_behave_as_the_whole_tables(self, rmc1):
+        """A cache larger than every key it could hold is capped, not
+        allocated: it runs exactly as one that holds them all."""
+        config, model, requests = rmc1
+        rows = sum(table.rows for table in model.tables)
+        for huge, whole in (
+            (NaiveSSDBackend(model, 1e12), NaiveSSDBackend(model, 2.0)),
+            (RecSSDBackend(model, 10**15, 10**15), RecSSDBackend(model, rows, rows)),
+        ):
+            assert run(huge, requests).breakdown == run(whole, requests).breakdown
+
+    def test_zero_sized_caches_never_hit(self, rmc1):
+        config, model, requests = rmc1
+        backend = RecSSDBackend(model, cache_vectors=0)
+        backend.run(requests, compute=False)
+        assert backend.stats.cache_hits == 0
+        assert backend.host_cache.misses == backend.ssd_cache.misses > 0
 
 
 class TestRunResult:

@@ -115,7 +115,7 @@ class TestLRUPolicy:
         for _ in range(3):
             assert not probe(cache, X)
         assert len(cache) == 0 and cache.fills == 0
-        assert cache.misses == 3
+        assert cache.misses == 3 and cache.hit_ratio == 0.0
 
 
 class TestFreqPolicy:

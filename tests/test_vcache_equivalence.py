@@ -12,7 +12,9 @@ directions:
   while pooled *values* never change versus the cache-free device (a
   hit returns the same fp32 bytes the flash read would have).
 
-The replayed LRU hit ratio is also pinned against
+The replayed LRU hit ratio is also pinned, exactly, against an
+independent per-key replay (``ScalarModel`` of
+``tests/test_vcache_probe.py``) and against
 :func:`repro.workloads.locality.measured_cache_hit_ratio`, which is
 what the Fig. 14-style locality benchmark keys on.
 """
@@ -33,6 +35,7 @@ from tests.test_fastpath_equivalence import (
     build_engine,
     make_batch,
 )
+from tests.test_vcache_probe import ScalarModel
 
 
 def batch_stream(seed, count=4, samples=3, max_len=5, dist="skewed"):
@@ -329,9 +332,10 @@ class TestNumericTransparency:
 # ----------------------------------------------------------------------
 class TestHitRatioReplay:
     def test_lru_matches_lru_page_cache_replay(self):
-        """The device cache's measured hit ratio on a K=0 trace matches
-        an LRU replay of the same key stream (within 1%; the policies
-        are identical, so in fact exactly)."""
+        """The device cache's measured hit ratio on a K=0 trace equals
+        an independent per-key LRU replay of the same key stream, and
+        so does ``measured_cache_hit_ratio``: the policies are
+        identical, so the ratios are equal, not merely close."""
         capacity = 24
         trace_gen = TraceGenerator(
             num_tables=NUM_TABLES,
@@ -341,14 +345,20 @@ class TestHitRatioReplay:
             seed=3,
         )
         trace = trace_gen.generate(60)
-        expected = measured_cache_hit_ratio(
+        model = ScalarModel(capacity, "lru", 1)
+        for sample in trace:
+            for table_id, indices in enumerate(sample):
+                for index in indices:
+                    model.access((table_id, int(index)))
+        expected = model.hits / (model.hits + model.misses)
+        assert measured_cache_hit_ratio(
             trace_gen.flat_indices(trace), capacity
-        )
+        ) == expected
         engine = build_engine("square", vcache=VectorCache(capacity))
         for sample in trace:
             engine.lookup_batch([sample], fast=True)
         measured = engine.controller.vcache.hit_ratio
-        assert measured == approx(expected, abs=0.01)
+        assert measured == expected
         assert engine.controller.stats.vcache_hit_ratio == approx(
             measured, rel=0, abs=0
         )

@@ -111,6 +111,8 @@ def run_batch(cache, model, batch):
             (model.hits, model.misses, model.evictions, model.fills), before
         )
     )
+    assert probe.hits + probe.misses == len(batch)
+    assert len(cache) <= cache.capacity_vectors
     # Bytes: only the miss rows come from "flash"; bind does the rest.
     rows = np.full((len(batch), DIM), np.nan, dtype=np.float32)
     for position in probe.miss_positions().tolist():
@@ -190,6 +192,41 @@ def test_probe_before_bind_is_refused():
     cache.probe(codes([(0, 0)]))
     with pytest.raises(RuntimeError, match="never bound"):
         cache.probe(codes([(0, 1)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(0, 8),
+    batches=st.lists(st.lists(keys, max_size=24), min_size=1, max_size=4),
+)
+def test_hit_mask_matches_scalar_model(capacity, batches):
+    """A key-only LRU (the baselines' page and host caches): the same
+    decisions, order and counters, and not one vector byte."""
+    cache, model = VectorCache(capacity), ScalarModel(capacity, "lru", 1)
+    for batch in batches:
+        expected = [model.access(key) is not None for key in batch]
+        assert cache.hit_mask(codes(batch)).tolist() == expected
+        assert [decode(code) for code in cache._codes] == list(model.entries)
+        assert (cache.hits, cache.misses, cache.evictions, cache.fills) == (
+            model.hits, model.misses, model.evictions, model.fills
+        )
+    assert cache._arena is None or cache._arena.nbytes == 0
+
+
+@given(stream=st.lists(st.integers(0, 200), max_size=300))
+def test_unbounded_cache_misses_once_per_key(stream):
+    cache = VectorCache(256)
+    hit = cache.hit_mask(np.array(stream, dtype=np.int64))
+    assert cache.misses == len(set(stream)) == len(stream) - hit.sum()
+
+
+def test_small_cache_hits_no_more_than_big():
+    """Locality shrinks with capacity: the SSD-S vs SSD-M effect."""
+    stream = np.random.default_rng(5).integers(0, 50, size=1000)
+    small, big = VectorCache(10), VectorCache(40)
+    small.hit_mask(stream)
+    big.hit_mask(stream)
+    assert small.hit_ratio < big.hit_ratio
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,14 @@ RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
-# vector cache), the probe against its scalar model, and the
-# vcache-hit-bytes mutation (a corrupted arena slot must be caught).
+# vector cache), the probe against its scalar model, the
+# vcache-hit-bytes mutation (a corrupted arena slot must be caught),
+# and the baselines whose page and host caches run on the same probe:
+# every number they report pinned by digest, hostile cache sizes refused.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_vcache_equivalence.py \
     tests/test_vcache_probe.py tests/test_vcache.py \
-    -k "inert or bitwise or probe or Sanitizer or hostile"
+    tests/test_baselines_pinned.py tests/test_baselines.py \
+    -k "inert or bitwise or probe or Sanitizer or hostile or pinned"
 
 echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 # Closed-form pipeline replay vs the DES: saturated/zero-stage chains,
