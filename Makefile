@@ -56,23 +56,9 @@ bench-attribution:
 # the rewritten BENCH_*.json (see docs/performance.md).
 bench-check: bench-fast bench-sweep bench-vcache bench-autoscale \
 		bench-attribution
-	git show HEAD:BENCH_fastpath.json > /tmp/rmssd_bench_fastpath_base.json
-	git show HEAD:BENCH_sweep.json > /tmp/rmssd_bench_sweep_base.json
-	git show HEAD:BENCH_vcache.json > /tmp/rmssd_bench_vcache_base.json
-	git show HEAD:BENCH_autoscale.json > /tmp/rmssd_bench_autoscale_base.json
-	git show HEAD:BENCH_attribution.json > /tmp/rmssd_bench_attribution_base.json
-	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
-		--baseline /tmp/rmssd_bench_fastpath_base.json \
-		--fresh BENCH_fastpath.json
-	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
-		--baseline /tmp/rmssd_bench_sweep_base.json \
-		--fresh BENCH_sweep.json
-	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
-		--baseline /tmp/rmssd_bench_vcache_base.json \
-		--fresh BENCH_vcache.json
-	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
-		--baseline /tmp/rmssd_bench_autoscale_base.json \
-		--fresh BENCH_autoscale.json
-	PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
-		--baseline /tmp/rmssd_bench_attribution_base.json \
-		--fresh BENCH_attribution.json
+	for kind in fastpath sweep vcache autoscale attribution; do \
+		git show HEAD:BENCH_$$kind.json > /tmp/rmssd_bench_$${kind}_base.json \
+		&& PYTHONPATH=src:. $(PYTHON) -m tools.bench_compare \
+			--baseline /tmp/rmssd_bench_$${kind}_base.json \
+			--fresh BENCH_$$kind.json || exit 1; \
+	done

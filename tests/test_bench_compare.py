@@ -544,3 +544,76 @@ class TestMainAndCommittedBaselines:
                 payload = json.load(handle)
             assert self_check(payload) == [], name
             assert compare(payload, payload) == [], name
+
+
+NAN = float("nan")
+
+
+def _set_path(payload, path, value):
+    """Copy of ``payload`` with the number at ``path`` replaced."""
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return payload
+
+
+class TestNonFiniteNumbers:
+    """A NaN or inf anywhere in a payload fails both modes, by key path
+    (an ordered bound such as ``speedup < floor`` is false for NaN)."""
+
+    CASES = [
+        (fastpath_payload, ("speedup",), NAN, "speedup"),
+        (fastpath_payload, ("speedup",), float("inf"), "speedup"),
+        (sweep_payload, ("speedup",), NAN, "speedup"),
+        (sweep_payload, ("wall_s",), NAN, "wall_s"),
+        (sweep_payload, ("wall_s",), float("-inf"), "wall_s"),
+        (vcache_payload, ("qps", "rmc1/RM-SSD+cache", 0), NAN,
+         "qps.rmc1/RM-SSD+cache[0]"),
+        (vcache_payload, ("hit_ratios", "rmc1", 1), NAN, "hit_ratios.rmc1[1]"),
+        (autoscale_payload, ("autoscaled", "p99_ms"), NAN, "autoscaled.p99_ms"),
+    ]
+
+    @pytest.mark.parametrize("make, path, value, named", CASES)
+    def test_fresh_non_finite_fails_the_diff(self, make, path, value, named):
+        failures = compare(make(), _set_path(make(), path, value))
+        assert any(named in f and "finite" in f for f in failures), failures
+
+    @pytest.mark.parametrize("make, path, value, named", CASES)
+    def test_baseline_non_finite_fails_the_diff(self, make, path, value, named):
+        failures = compare(_set_path(make(), path, value), make())
+        assert any(named in f and "finite" in f for f in failures), failures
+
+    @pytest.mark.parametrize("make, path, value, named", CASES)
+    def test_non_finite_fails_the_self_check(self, make, path, value, named):
+        failures = self_check(_set_path(make(), path, value))
+        assert any(named in f and "finite" in f for f in failures), failures
+
+    def test_non_finite_file_fails_through_main(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(fastpath_payload(speedup=NAN)))
+        assert main(["--self-check", str(path)]) == 1
+        assert "speedup" in capsys.readouterr().out
+
+
+class TestHostileFiles:
+    """Unreadable inputs exit 1 with one ``FAIL <path>: cannot load``
+    line, never a traceback."""
+
+    @pytest.mark.parametrize("role", ["baseline", "fresh", "self-check"])
+    def test_one_line_and_exit_one(
+        self, hostile_json_file, role, tmp_path, capsys
+    ):
+        hostile = hostile_json_file
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(fastpath_payload()))
+        argv = {
+            "baseline": ["--baseline", hostile, "--fresh", str(good)],
+            "fresh": ["--baseline", str(good), "--fresh", hostile],
+            "self-check": ["--self-check", hostile],
+        }[role]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"FAIL {hostile}: cannot load: ")

@@ -16,6 +16,7 @@ from tools.check_trace import (
     check_profile,
     check_trace,
     cross_check,
+    main as check_trace_main,
 )
 
 
@@ -314,3 +315,33 @@ class TestIOSnapshots:
         a.record_host_transfer(read_bytes=1000)
         b.record_host_transfer(read_bytes=10)
         assert b.snapshot().reduction_factor_vs(a.snapshot()) == 100.0
+
+
+class TestCheckTraceHostileFiles:
+    """Every check_trace mode turns an unreadable input into one
+    ``check_trace: <path>: ...`` line and exit status 1."""
+
+    @pytest.mark.parametrize(
+        "mode", ["trace", "metrics", "profile", "timeseries", "explain"]
+    )
+    def test_one_line_and_exit_one(
+        self, hostile_json_file, mode, tmp_path, capsys
+    ):
+        hostile = hostile_json_file
+        trace = write_json(tmp_path, "t.json", {"traceEvents": [
+            {"name": "a", "ph": "B", "ts": 0.0, "pid": 1, "tid": 1},
+            {"name": "a", "ph": "E", "ts": 1.0, "pid": 1, "tid": 1},
+        ]})
+        argv = {
+            "trace": [hostile],
+            "metrics": [trace, "--metrics", hostile],
+            "profile": ["--profile", hostile],
+            "timeseries": ["--timeseries", hostile],
+            "explain": ["--explain", hostile],
+        }[mode]
+        assert check_trace_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"check_trace: {hostile}: ")

@@ -144,16 +144,11 @@ echo "== bench-regression gate (tools/bench_compare.py) =="
 PYTHONPATH=src:. python -m tools.bench_compare \
     --self-check BENCH_fastpath.json BENCH_sweep.json BENCH_vcache.json \
     BENCH_autoscale.json BENCH_attribution.json
-PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_fastpath.json --fresh BENCH_fastpath.json
-PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_sweep.json --fresh BENCH_sweep.json
-PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_vcache.json --fresh BENCH_vcache.json
-PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_autoscale.json --fresh BENCH_autoscale.json
-PYTHONPATH=src:. python -m tools.bench_compare \
-    --baseline BENCH_attribution.json --fresh BENCH_attribution.json
+for bench in BENCH_fastpath.json BENCH_sweep.json BENCH_vcache.json \
+    BENCH_autoscale.json BENCH_attribution.json; do
+    PYTHONPATH=src:. python -m tools.bench_compare \
+        --baseline "$bench" --fresh "$bench"
+done
 python -c "import json; p = json.load(open('BENCH_vcache.json')); \
 p['qps']['rmc1/RM-SSD+cache'][0] *= 0.5; \
 json.dump(p, open('/tmp/rmssd_bench_regressed.json', 'w'))"

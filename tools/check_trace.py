@@ -41,7 +41,10 @@ inference and pipe the resulting JSON through this checker:
   trace and ``--explain``, every explain record must match a ``batch``
   span of the trace (same [arrival, completion) interval).
 
-Exit status 0 on success; 1 with a diagnostic on the first failure.
+Every input goes through one loader (:func:`load`) and is parsed once.
+An input that is missing, not JSON, or not a JSON object exits 1 with
+one ``check_trace: <path>: ...`` line; otherwise the exit status is 0,
+or 1 with one line per problem found.
 
 Usage::
 
@@ -54,31 +57,23 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+from repro.obs import names
+from repro.obs.critpath import COMPONENTS as EXPLAIN_COMPONENTS, EXPLAIN_SCHEMA
+from repro.obs.profiler import PROFILE_SCHEMA, STAGE_KEYS
+from repro.obs.timeseries import TIMESERIES_SCHEMA
 
 HISTOGRAM_FIELDS = (
     "count", "mean_ns", "p50_ns", "p95_ns", "p99_ns", "min_ns", "max_ns",
 )
 
-PROFILE_SCHEMA = "rmssd-profile/v1"
-
-TIMESERIES_SCHEMA = "rmssd-timeseries/v1"
-
-EXPLAIN_SCHEMA = "rmssd-explain/v1"
-
-#: Fixed summation order defining each explain record's latency
-#: (must mirror repro.obs.critpath.COMPONENTS exactly).
-EXPLAIN_COMPONENTS = (
-    "dispatch_wait_ns", "queue_ns", "emb_ns", "bot_ns", "top_ns",
-)
-
 #: Relative slack for float conservation sums (window busy times are
 #: exact interval differences re-added in a different order).
 CONSERVATION_RTOL = 1e-9
-
-STAGE_KEYS = ("emb", "bot", "top", "io")
 
 #: Slack allowed in the trace/profile cross-check, in nanoseconds:
 #: both files derive from the same float quantities, so this only
@@ -86,21 +81,52 @@ STAGE_KEYS = ("emb", "bot", "top", "io")
 CROSS_CHECK_TOLERANCE_NS = 1.0
 
 
-def check_trace(path: str, require: List[str]) -> List[str]:
+class LoadError(Exception):
+    """An input file that cannot be validated at all."""
+
+
+class Document(NamedTuple):
+    """One parsed input file and the path its diagnostics name."""
+
+    path: str
+    data: dict
+
+
+#: What every validator accepts: a path, or a document already loaded.
+Source = Union[str, Document]
+
+
+def load(source: Source) -> Document:
+    """The one loader every input goes through.
+
+    A :class:`Document` is returned as is, so a file shared by several
+    checks is parsed once.  Raises :class:`LoadError` for a missing
+    file, text that is not JSON, or a JSON value that is not an object.
+    """
+    if isinstance(source, Document):
+        return source
+    try:
+        with open(source) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise LoadError(f"{source}: cannot load: {error}") from None
+    if not isinstance(data, dict):
+        raise LoadError(
+            f"{source}: expected a JSON object, got {type(data).__name__}"
+        )
+    return Document(source, data)
+
+
+def check_trace(trace: Source, require: List[str]) -> List[str]:
     """Returns a list of problems (empty = valid)."""
     problems: List[str] = []
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"{path}: cannot load: {error}"]
+    path, document = load(trace)
     events = document.get("traceEvents")
     if not isinstance(events, list):
         return [f"{path}: no traceEvents list"]
 
     stacks: dict = {}
     last_ts: dict = {}
-    spans = 0
     seen_names = set()
     for index, event in enumerate(events):
         phase = event.get("ph")
@@ -125,27 +151,24 @@ def check_trace(path: str, require: List[str]) -> List[str]:
         if phase == "B":
             stack.append(name)
             seen_names.add(name)
-            spans += 1
+        elif not stack:
+            problems.append(
+                f"event {index}: E for {name!r} with no open span "
+                f"on track {track}"
+            )
         else:
-            if not stack:
-                problems.append(
-                    f"event {index}: E for {name!r} with no open span "
-                    f"on track {track}"
-                )
-            elif stack[-1] != name:
+            if stack[-1] != name:
                 problems.append(
                     f"event {index}: E for {name!r} but innermost open "
                     f"span is {stack[-1]!r} (track {track})"
                 )
-                stack.pop()
-            else:
-                stack.pop()
+            stack.pop()
     for track, stack in stacks.items():
         if stack:
             problems.append(
                 f"track {track}: {len(stack)} span(s) never closed: {stack}"
             )
-    if spans == 0:
+    if not seen_names:
         problems.append("trace contains no spans")
     for name in require:
         if name not in seen_names:
@@ -153,13 +176,9 @@ def check_trace(path: str, require: List[str]) -> List[str]:
     return problems
 
 
-def check_metrics(path: str) -> List[str]:
+def check_metrics(metrics: Source) -> List[str]:
     problems: List[str] = []
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"{path}: cannot load: {error}"]
+    path, document = load(metrics)
     for section in ("counters", "gauges", "histograms", "snapshots"):
         if not isinstance(document.get(section), dict):
             problems.append(f"{path}: missing section {section!r}")
@@ -172,14 +191,10 @@ def check_metrics(path: str) -> List[str]:
     return problems
 
 
-def check_profile(path: str) -> List[str]:
+def check_profile(profile: Source) -> List[str]:
     """Internal consistency of a ``rmssd-profile/v1`` export."""
     problems: List[str] = []
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"{path}: cannot load: {error}"]
+    path, document = load(profile)
     if document.get("schema") != PROFILE_SCHEMA:
         return [f"{path}: schema {document.get('schema')!r} is not "
                 f"{PROFILE_SCHEMA!r}"]
@@ -205,8 +220,7 @@ def check_profile(path: str) -> List[str]:
         intervals = entry.get("busy_intervals", [])
         cursor = 0.0
         covered = 0.0
-        for interval in intervals:
-            start, end = interval
+        for start, end in intervals:
             if start < cursor or end < start:
                 problems.append(
                     f"{path}: {name}: busy timeline not sorted/disjoint "
@@ -263,18 +277,18 @@ def check_profile(path: str) -> List[str]:
 
 def _check_window_list(
     prefix: str, windows, window_ns: float, problems: List[str]
-) -> None:
-    """Shared shape checks: strictly increasing indices, aligned
-    ``start_ns``.  Appends diagnostics to ``problems``."""
+) -> bool:
+    """Shared shape checks (strictly increasing indices, aligned
+    ``start_ns``); False when ``windows`` is not a list."""
     if not isinstance(windows, list):
         problems.append(f"{prefix}: windows is not a list")
-        return
+        return False
     previous = None
     for window in windows:
         index = window.get("index")
         if not isinstance(index, int) or index < 0:
             problems.append(f"{prefix}: invalid window index {index!r}")
-            return
+            break
         if previous is not None and index <= previous:
             problems.append(
                 f"{prefix}: window indices not strictly increasing "
@@ -287,27 +301,26 @@ def _check_window_list(
                 f"{prefix}: window {index} start_ns {start!r} != "
                 f"index * window_ns ({index * window_ns})"
             )
+    return True
 
 
 def _sums_match(total: float, parts: float) -> bool:
     return abs(parts - total) <= max(CONSERVATION_RTOL * abs(total), 1e-6)
 
 
-def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]:
+def check_timeseries(
+    timeseries: Source, metrics: Optional[Source] = None
+) -> List[str]:
     """Internal consistency of a ``rmssd-timeseries/v1`` export.
 
-    With ``metrics_path``, series totals are also cross-checked against
+    With ``metrics``, series totals are also cross-checked against
     the registry export of the same run: a windowed counter's deltas
     must sum to the exported counter value and a latency series' window
     counts to the exported histogram count — i.e. every timestamped
     observation landed in exactly one window.
     """
     problems: List[str] = []
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"{path}: cannot load: {error}"]
+    path, document = load(timeseries)
     if document.get("schema") != TIMESERIES_SCHEMA:
         return [f"{path}: schema {document.get('schema')!r} is not "
                 f"{TIMESERIES_SCHEMA!r}"]
@@ -322,11 +335,9 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
         prefix = f"{path}: series {name!r}"
         kind = entry.get("kind")
         windows = entry.get("windows", [])
-        _check_window_list(prefix, windows, window_ns, problems)
-        if not isinstance(windows, list):
+        if not _check_window_list(prefix, windows, window_ns, problems):
             continue
         if kind == "counter":
-            running = 0
             for window in windows:
                 delta = window.get("delta", -1)
                 if delta < 0:
@@ -334,7 +345,6 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                         f"{prefix}: window {window.get('index')} has "
                         f"negative delta {delta}"
                     )
-                running += delta
                 rate = window.get("rate_per_s")
                 if rate is not None and not _sums_match(
                     rate, delta / (window_ns / 1e9)
@@ -343,13 +353,7 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                         f"{prefix}: window {window.get('index')} rate "
                         f"{rate} inconsistent with delta {delta}"
                     )
-            if running != entry.get("total"):
-                problems.append(
-                    f"{prefix}: window deltas sum to {running} but total "
-                    f"says {entry.get('total')}"
-                )
         elif kind == "latency":
-            running = 0
             for window in windows:
                 count = window.get("count", 0)
                 if count < 1:
@@ -357,7 +361,6 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                         f"{prefix}: window {window.get('index')} has "
                         f"count {count} < 1 (empty windows are omitted)"
                     )
-                running += count
                 p50 = window.get("p50_ns", 0.0)
                 p95 = window.get("p95_ns", 0.0)
                 p99 = window.get("p99_ns", 0.0)
@@ -369,11 +372,6 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                         f"not ordered: min {low} p50 {p50} p95 {p95} "
                         f"p99 {p99} max {high}"
                     )
-            if running != entry.get("total"):
-                problems.append(
-                    f"{prefix}: window counts sum to {running} but total "
-                    f"says {entry.get('total')}"
-                )
         elif kind == "gauge":
             for window in windows:
                 low = window.get("min", 0.0)
@@ -386,6 +384,15 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                     )
         else:
             problems.append(f"{prefix}: unknown kind {kind!r}")
+        # Conservation: every observation landed in exactly one window.
+        amount = {"counter": "delta", "latency": "count"}.get(kind)
+        if amount is not None:
+            running = sum(window.get(amount, 0) for window in windows)
+            if running != entry.get("total"):
+                problems.append(
+                    f"{prefix}: window {amount}s sum to {running} but "
+                    f"total says {entry.get('total')}"
+                )
 
     utilization = document.get("utilization")
     if utilization is not None:
@@ -395,8 +402,7 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
         for name, entry in utilization.items():
             prefix = f"{path}: utilization {name!r}"
             windows = entry.get("windows", [])
-            _check_window_list(prefix, windows, window_ns, problems)
-            if not isinstance(windows, list):
+            if not _check_window_list(prefix, windows, window_ns, problems):
                 continue
             covered = 0.0
             for window in windows:
@@ -464,32 +470,26 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
                         f"{window}, outside the evaluated range {span}"
                     )
 
-    if metrics_path:
-        try:
-            with open(metrics_path) as handle:
-                registry = json.load(handle)
-        except (OSError, ValueError) as error:
-            return problems + [f"{metrics_path}: cannot load: {error}"]
-        counters = registry.get("counters", {})
-        histograms = registry.get("histograms", {})
+    if metrics:
+        registry = load(metrics).data
+        # A counter's total is its exported value, a latency series'
+        # total its histogram's count.
+        exported = {
+            "counter": registry.get("counters", {}),
+            "latency": {name: histogram.get("count") for name, histogram
+                        in registry.get("histograms", {}).items()},
+        }
         shared = 0
         for name, entry in series.items():
             kind = entry.get("kind")
-            if kind == "counter" and name in counters:
+            values = exported.get(kind, {})
+            if name in values:
                 shared += 1
-                if entry.get("total") != counters[name]:
+                if entry.get("total") != values[name]:
                     problems.append(
-                        f"cross-check: counter {name!r}: timeseries total "
-                        f"{entry.get('total')} != metrics value "
-                        f"{counters[name]}"
-                    )
-            elif kind == "latency" and name in histograms:
-                shared += 1
-                if entry.get("total") != histograms[name].get("count"):
-                    problems.append(
-                        f"cross-check: latency {name!r}: timeseries total "
-                        f"{entry.get('total')} != histogram count "
-                        f"{histograms[name].get('count')}"
+                        f"cross-check: {kind} {name!r}: timeseries total "
+                        f"{entry.get('total')} != metrics export "
+                        f"{values[name]}"
                     )
         if shared == 0 and series and not problems:
             problems.append(
@@ -504,22 +504,21 @@ def check_timeseries(path: str, metrics_path: Optional[str] = None) -> List[str]
 #: not its dies) and the MLP/host spans use lanes, so the overlap check
 #: covers the serialized resources whose mapping is 1:1.
 def _span_name_for(resource: str) -> Optional[str]:
-    if resource == "ftl-mux":
-        return "ftl"
-    if resource == "ev_sum":
-        return "ev_sum"
-    if resource.endswith("-bus") and resource.startswith("channel"):
-        return resource[: -len("-bus")]
+    if resource == names.SERVER_FTL_MUX:
+        return names.FTL
+    if resource == names.EV_SUM:
+        return names.EV_SUM
+    index = resource.rpartition("-")[0][len("channel"):]
+    if index.isdigit() and resource == names.channel_bus_name(int(index)):
+        return names.channel_name(int(index))
     return None
 
 
-def _trace_span_unions(path: str) -> Dict[str, List[Tuple[float, float]]]:
-    """Merged ``[start_ns, end_ns)`` unions per span name in a trace."""
-    with open(path) as handle:
-        document = json.load(handle)
+def _trace_spans(trace: Source) -> Dict[str, List[Tuple[float, float]]]:
+    """Sorted ``[start_ns, end_ns)`` intervals per span name in a trace."""
     open_spans: Dict[tuple, List[float]] = {}
     intervals: Dict[str, List[Tuple[float, float]]] = {}
-    for event in document.get("traceEvents", []):
+    for event in load(trace).data.get("traceEvents", []):
         phase = event.get("ph")
         if phase not in ("B", "E"):
             continue
@@ -531,20 +530,21 @@ def _trace_span_unions(path: str) -> Dict[str, List[Tuple[float, float]]]:
         elif open_spans.get(key):
             start = open_spans[key].pop()
             intervals.setdefault(name, []).append((start, ts_ns))
-    merged: Dict[str, List[Tuple[float, float]]] = {}
-    for name, pairs in intervals.items():
-        pairs.sort()
-        union = [list(pairs[0])]
-        for start, end in pairs[1:]:
-            if start <= union[-1][1]:
-                union[-1][1] = max(union[-1][1], end)
-            else:
-                union.append([start, end])
-        merged[name] = [tuple(pair) for pair in union]
-    return merged
+    return {name: sorted(pairs) for name, pairs in intervals.items()}
 
 
-def cross_check(trace_path: str, profile_path: str) -> List[str]:
+def _union(pairs: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Merged union of sorted intervals."""
+    union = [list(pairs[0])]
+    for start, end in pairs[1:]:
+        if start <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], end)
+        else:
+            union.append([start, end])
+    return [tuple(pair) for pair in union]
+
+
+def cross_check(trace: Source, profile: Source) -> List[str]:
     """Overlap consistency between a trace and a profile of one run.
 
     Every profile busy interval of a span-mapped resource must lie
@@ -553,24 +553,19 @@ def cross_check(trace_path: str, profile_path: str) -> List[str]:
     the trace does not show.
     """
     problems: List[str] = []
-    try:
-        spans = _trace_span_unions(trace_path)
-        with open(profile_path) as handle:
-            profile = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"cross-check: cannot load: {error}"]
+    spans = _trace_spans(trace)
     checked = 0
-    for resource, entry in profile.get("resources", {}).items():
+    for resource, entry in load(profile).data.get("resources", {}).items():
         span_name = _span_name_for(resource)
         if span_name is None:
             continue
-        union = spans.get(span_name)
-        if union is None:
+        if span_name not in spans:
             problems.append(
                 f"cross-check: profile has {resource!r} but the trace "
                 f"never emitted a {span_name!r} span"
             )
             continue
+        union = _union(spans[span_name])
         for start, end in entry.get("busy_intervals", []):
             contained = any(
                 a - CROSS_CHECK_TOLERANCE_NS <= start
@@ -611,14 +606,25 @@ def _explain_percentile(ordered: List[float], q: float) -> float:
     return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
 
 
-def check_explain(path: str) -> List[str]:
+def _check_shares(
+    prefix: str, problems: List[str], shares: Dict[str, float],
+    partition: bool,
+) -> None:
+    """Each share lies in [0, 1]; shares of a nonzero total sum to 1."""
+    for key, share in shares.items():
+        if not 0.0 <= share <= 1.0 + CONSERVATION_RTOL:
+            problems.append(
+                f"{prefix} share of {key} is {share}, outside [0, 1]"
+            )
+    total = sum(shares.values(), 0.0)
+    if partition and not _sums_match(1.0, total):
+        problems.append(f"{prefix} shares sum to {total}, not 1")
+
+
+def check_explain(explain: Source) -> List[str]:
     """Internal consistency of a ``rmssd-explain/v1`` export."""
     problems: List[str] = []
-    try:
-        with open(path) as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"{path}: cannot load: {error}"]
+    path, document = load(explain)
     if document.get("schema") != EXPLAIN_SCHEMA:
         return [f"{path}: schema {document.get('schema')!r} is not "
                 f"{EXPLAIN_SCHEMA!r}"]
@@ -699,21 +705,12 @@ def check_explain(path: str) -> List[str]:
                 f"{len(tail)} records at/above the quantile"
             )
             continue
-        latency_sum = sum(r["latency_ns"] for r in tail)
         blame = summary.get("blame", {})
-        share_sum = 0.0
-        for key in EXPLAIN_COMPONENTS:
-            share = blame.get(key, -1.0)
-            if not 0.0 <= share <= 1.0 + CONSERVATION_RTOL:
-                problems.append(
-                    f"{prefix}: blame share for {key} is {share}, "
-                    f"outside [0, 1]"
-                )
-            share_sum += share
-        if latency_sum > 0 and not _sums_match(1.0, share_sum):
-            problems.append(
-                f"{prefix}: blame shares sum to {share_sum}, not 1"
-            )
+        _check_shares(
+            f"{prefix}: blame", problems,
+            {key: blame.get(key, -1.0) for key in EXPLAIN_COMPONENTS},
+            partition=sum(r["latency_ns"] for r in tail) > 0,
+        )
         means = summary.get("mean_ns", {})
         for key in EXPLAIN_COMPONENTS:
             expected_mean = sum(r[key] for r in tail) / len(tail)
@@ -722,21 +719,12 @@ def check_explain(path: str) -> List[str]:
                     f"{prefix}: mean {key} {means.get(key)} != recomputed "
                     f"{expected_mean}"
                 )
-        replica_shares = summary.get("queue_share_by_replica", {})
-        queue_sum = sum(r["queue_ns"] for r in tail)
-        replica_total = 0.0
-        for rid, share in replica_shares.items():
-            if not 0.0 <= share <= 1.0 + CONSERVATION_RTOL:
-                problems.append(
-                    f"{prefix}: queue share of replica {rid} is {share}, "
-                    f"outside [0, 1]"
-                )
-            replica_total += share
-        if queue_sum > 0 and not _sums_match(1.0, replica_total):
-            problems.append(
-                f"{prefix}: per-replica queue shares sum to "
-                f"{replica_total}, not 1"
-            )
+        _check_shares(
+            f"{prefix}: queue", problems,
+            {f"replica {rid}": share for rid, share
+             in summary.get("queue_share_by_replica", {}).items()},
+            partition=sum(r["queue_ns"] for r in tail) > 0,
+        )
         exemplars = entry.get("exemplars", [])
         if len(exemplars) > len(tail):
             problems.append(
@@ -769,7 +757,7 @@ def check_explain(path: str) -> List[str]:
     return problems
 
 
-def cross_check_explain(trace_path: str, explain_path: str) -> List[str]:
+def cross_check_explain(trace: Source, explain: Source) -> List[str]:
     """Every explain record must match a ``batch`` span of the trace.
 
     Both exports describe the same run: a record's
@@ -777,44 +765,18 @@ def cross_check_explain(trace_path: str, explain_path: str) -> List[str]:
     ``batch`` span (within the trace's µs-conversion tolerance), and
     the span and record counts must agree.
     """
-    import bisect
-
-    problems: List[str] = []
-    try:
-        with open(explain_path) as handle:
-            document = json.load(handle)
-        spans = _trace_span_unions(trace_path)
-    except (OSError, ValueError) as error:
-        return [f"cross-check: cannot load: {error}"]
-    records = document.get("requests", {}).get("records")
+    records = load(explain).data.get("requests", {}).get("records")
     if records is None:
         return [
             "cross-check: explain document carries no records "
             "(exported without them?)"
         ]
-    batch_spans: List[Tuple[float, float]] = []
-    try:
-        with open(trace_path) as handle:
-            trace = json.load(handle)
-    except (OSError, ValueError) as error:
-        return [f"cross-check: cannot load: {error}"]
-    open_spans: Dict[tuple, List[float]] = {}
-    for event in trace.get("traceEvents", []):
-        if event.get("name") != "batch":
-            continue
-        phase = event.get("ph")
-        key = (event.get("pid"), event.get("tid"))
-        ts_ns = float(event.get("ts", 0.0)) * 1000.0
-        if phase == "B":
-            open_spans.setdefault(key, []).append(ts_ns)
-        elif phase == "E" and open_spans.get(key):
-            batch_spans.append((open_spans[key].pop(), ts_ns))
+    batch_spans = _trace_spans(trace).get(names.SPAN_BATCH, [])
     if len(batch_spans) != len(records):
         return [
             f"cross-check: trace has {len(batch_spans)} batch spans but "
             f"the explain document has {len(records)} records"
         ]
-    batch_spans.sort()
     starts = [span[0] for span in batch_spans]
     for record in records:
         begin = record["arrival_ns"]
@@ -825,13 +787,12 @@ def cross_check_explain(trace_path: str, explain_path: str) -> List[str]:
             abs(batch_spans[i][1] - end) <= CROSS_CHECK_TOLERANCE_NS
             for i in range(lo, hi)
         ):
-            problems.append(
+            return [
                 f"cross-check: record (replica {record.get('replica')}, "
                 f"batch {record.get('batch')}) interval [{begin}, {end}] "
                 f"ns has no matching batch span in the trace"
-            )
-            break
-    return problems
+            ]
+    return []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -864,38 +825,41 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(cross-checked against the trace when both are given)",
     )
     args = parser.parse_args(argv)
-    if (
-        args.trace is None
-        and args.profile is None
-        and args.timeseries is None
-        and args.explain is None
-    ):
+    subject = args.trace or args.profile or args.timeseries or args.explain
+    if subject is None:
         parser.error(
             "need a trace file, --profile, --timeseries, and/or --explain"
         )
+    try:
+        trace, metrics, profile, timeseries, explain = (
+            None if path is None else load(path) for path in (
+                args.trace, args.metrics, args.profile, args.timeseries,
+                args.explain,
+            )
+        )
+    except LoadError as error:
+        print(f"check_trace: {error}", file=sys.stderr)
+        return 1
     problems: List[str] = []
-    if args.trace is not None:
-        problems += check_trace(args.trace, args.require)
-    if args.metrics:
-        problems += check_metrics(args.metrics)
-    if args.profile:
-        problems += check_profile(args.profile)
-        if args.trace is not None:
-            problems += cross_check(args.trace, args.profile)
-    if args.timeseries:
-        problems += check_timeseries(args.timeseries, args.metrics)
-    if args.explain:
-        problems += check_explain(args.explain)
-        if args.trace is not None and not problems:
-            problems += cross_check_explain(args.trace, args.explain)
+    if trace:
+        problems += check_trace(trace, args.require)
+    if metrics:
+        problems += check_metrics(metrics)
+    if profile:
+        problems += check_profile(profile)
+        if trace:
+            problems += cross_check(trace, profile)
+    if timeseries:
+        problems += check_timeseries(timeseries, metrics)
+    if explain:
+        problems += check_explain(explain)
+        if trace and not problems:
+            problems += cross_check_explain(trace, explain)
     if problems:
         for problem in problems:
             print(f"check_trace: {problem}", file=sys.stderr)
         return 1
-    print(
-        f"check_trace: "
-        f"{args.trace or args.profile or args.timeseries or args.explain} OK"
-    )
+    print(f"check_trace: {subject} OK")
     return 0
 
 
