@@ -1,9 +1,10 @@
 """Tests for the benchmark-regression gate (tools/bench_compare).
 
-Synthetic payloads exercise every tolerance documented in the tool's
-docstring; the committed ``BENCH_*.json`` baselines must pass both an
+Synthetic payloads exercise every rule of the tool's ``KINDS`` table:
+the rules every kind shares run once per row of the table, the rest
+per kind.  The committed ``BENCH_*.json`` baselines must pass both an
 identity diff and their own self-check (``tools/check.sh`` runs the
-same gate plus an injected-regression canary).
+same gate plus injected-regression canaries).
 """
 
 import json
@@ -17,6 +18,7 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.bench_compare import (  # noqa: E402
+    KINDS,
     Regression,
     compare,
     detect_kind,
@@ -156,6 +158,97 @@ def attribution_payload(**overrides):
     return payload
 
 
+NAN = float("nan")
+
+#: One synthetic payload per row of the spec table.
+PAYLOADS = {
+    "fastpath": fastpath_payload,
+    "sweep": sweep_payload,
+    "vcache": vcache_payload,
+    "autoscale": autoscale_payload,
+    "attribution": attribution_payload,
+}
+
+
+def _set_path(payload, path, value):
+    """Copy of ``payload`` with the value at key ``path`` replaced."""
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return payload
+
+
+def _rows(*rows):
+    """Parametrize rows, each with an id naming its kind and key."""
+    return [
+        pytest.param(*row, id=f"{row[0]}-{'.'.join(map(str, row[1]))}")
+        for row in rows
+    ]
+
+
+#: Configuration and deterministic outcomes a diff compares exactly:
+#: (kind, key path, drifted value).
+DRIFT = _rows(
+    ("fastpath", ("samples",), 255),
+    ("fastpath", ("simulated_ns",), 123456790.0),
+    ("sweep", ("queries",), 100),
+    ("sweep", ("fractions",), [0.2, 0.4]),
+    ("vcache", ("policy",), "lfu"),
+    ("autoscale", ("sla_ms",), 50.0),
+    ("autoscale", ("max_replicas",), 8),
+    ("autoscale", ("max_wall_s",), 60.0),
+    ("autoscale", ("autoscaled", "p99_ms"), 34.0),
+    ("attribution", ("loads",), [0.05, 0.5, 0.9]),
+    ("attribution", ("queue_share_p99",), [0.0, 0.97, 0.995]),
+)
+
+#: A metric whose absence from the fresh payload is a regression.
+MISSING = _rows(
+    ("fastpath", ("vectors_read",)),
+    ("sweep", ("wall_s",)),
+    ("vcache", ("rows_per_table",)),
+    ("autoscale", ("fixed",)),
+    ("attribution", ("p99_ms",)),
+)
+
+
+class TestEveryKind:
+    """The rules the spec table applies to every kind, one row each."""
+
+    def test_every_kind_has_a_payload_and_rows(self):
+        assert set(PAYLOADS) == set(KINDS)
+        for rows in (DRIFT, MISSING):
+            assert {row.values[0] for row in rows} == set(KINDS)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_identity_passes(self, kind):
+        assert compare(PAYLOADS[kind](), PAYLOADS[kind]()) == []
+
+    @pytest.mark.parametrize("kind, path, value", DRIFT)
+    def test_configuration_drift_is_exact(self, kind, path, value):
+        fresh = _set_path(PAYLOADS[kind](), path, value)
+        failures = compare(PAYLOADS[kind](), fresh)
+        assert any(path[0] in failure for failure in failures)
+
+    @pytest.mark.parametrize(
+        "kind", [name for name, kind in KINDS.items() if kind.must_be_true]
+    )
+    def test_bitwise_divergence_flagged(self, kind):
+        failures = compare(
+            PAYLOADS[kind](), PAYLOADS[kind](bitwise_equal=False)
+        )
+        assert any("bitwise" in failure for failure in failures)
+
+    @pytest.mark.parametrize("kind, path", MISSING)
+    def test_missing_metric_flagged(self, kind, path):
+        fresh = PAYLOADS[kind]()
+        del fresh[path[0]]
+        with pytest.raises(Regression, match="missing"):
+            compare(PAYLOADS[kind](), fresh)
+
+
 class TestDetectKind:
     def test_detects_all_kinds(self):
         assert detect_kind(fastpath_payload()) == "fastpath"
@@ -180,60 +273,21 @@ class TestDetectKind:
 
 
 class TestCompareFastpath:
-    def test_identity_passes(self):
-        assert compare(fastpath_payload(), fastpath_payload()) == []
-
     def test_wall_clock_drift_is_ignored(self):
         fresh = fastpath_payload(des_wall_s=99.0, fast_wall_s=9.0, speedup=11.0)
         assert compare(fastpath_payload(), fresh) == []
-
-    def test_configuration_drift_is_exact(self):
-        failures = compare(fastpath_payload(), fastpath_payload(samples=255))
-        assert any("samples" in failure for failure in failures)
-
-    def test_simulated_time_drift_is_exact(self):
-        fresh = fastpath_payload(simulated_ns=123456790.0)
-        failures = compare(fastpath_payload(), fresh)
-        assert any("simulated_ns" in failure for failure in failures)
-
-    def test_bitwise_divergence_flagged(self):
-        failures = compare(
-            fastpath_payload(), fastpath_payload(bitwise_equal=False)
-        )
-        assert any("bitwise" in failure for failure in failures)
 
     def test_speedup_below_floor_flagged(self):
         failures = compare(fastpath_payload(), fastpath_payload(speedup=9.9))
         assert any("floor" in failure for failure in failures)
 
-    def test_missing_metric_flagged(self):
-        fresh = fastpath_payload()
-        del fresh["vectors_read"]
-        with pytest.raises(Regression, match="missing"):
-            compare(fastpath_payload(), fresh)
-
 
 class TestCompareSweep:
-    def test_identity_passes(self):
-        assert compare(sweep_payload(), sweep_payload()) == []
-
     def test_wall_clock_drift_within_budget_is_ignored(self):
         fresh = sweep_payload(
             des_wall_s=0.5, fast_wall_s=0.04, speedup=12.5, wall_s=40.0
         )
         assert compare(sweep_payload(), fresh) == []
-
-    def test_configuration_drift_is_exact(self):
-        failures = compare(sweep_payload(), sweep_payload(queries=100))
-        assert any("queries" in failure for failure in failures)
-        failures = compare(
-            sweep_payload(), sweep_payload(fractions=[0.2, 0.4])
-        )
-        assert any("fractions" in failure for failure in failures)
-
-    def test_bitwise_divergence_flagged(self):
-        failures = compare(sweep_payload(), sweep_payload(bitwise_equal=False))
-        assert any("bitwise" in failure for failure in failures)
 
     def test_speedup_below_floor_flagged(self):
         failures = compare(sweep_payload(), sweep_payload(speedup=9.9))
@@ -243,17 +297,8 @@ class TestCompareSweep:
         failures = compare(sweep_payload(), sweep_payload(wall_s=180.0))
         assert any("budget" in failure for failure in failures)
 
-    def test_missing_wall_metric_flagged(self):
-        fresh = sweep_payload()
-        del fresh["wall_s"]
-        with pytest.raises(Regression, match="missing"):
-            compare(sweep_payload(), fresh)
-
 
 class TestCompareVcache:
-    def test_identity_passes(self):
-        assert compare(vcache_payload(), vcache_payload()) == []
-
     def test_qps_within_tolerance_passes(self):
         fresh = vcache_payload()
         fresh["qps"]["rmc1/RM-SSD+cache"] = [395.0, 218.0, 149.0]  # < 2% down
@@ -290,15 +335,8 @@ class TestCompareVcache:
         failures = compare(vcache_payload(), fresh)
         assert any("2 points vs 3" in failure for failure in failures)
 
-    def test_configuration_drift_is_exact(self):
-        failures = compare(vcache_payload(), vcache_payload(policy="lfu"))
-        assert any("policy" in failure for failure in failures)
-
 
 class TestCompareAutoscale:
-    def test_identity_passes(self):
-        assert compare(autoscale_payload(), autoscale_payload()) == []
-
     def test_wall_clock_drift_is_ignored(self):
         # ... within the committed budget.
         assert compare(autoscale_payload(), autoscale_payload(wall_s=1.9)) == []
@@ -310,66 +348,11 @@ class TestCompareAutoscale:
             "budget" in failure for failure in self_check(autoscale_payload(wall_s=10.0))
         )
 
-    def test_budget_drift_is_exact(self):
-        failures = compare(autoscale_payload(), autoscale_payload(max_wall_s=60.0))
-        assert any("max_wall_s" in failure for failure in failures)
-
-    def test_configuration_drift_is_exact(self):
-        failures = compare(autoscale_payload(), autoscale_payload(sla_ms=50.0))
-        assert any("sla_ms" in failure for failure in failures)
-        failures = compare(
-            autoscale_payload(), autoscale_payload(max_replicas=8)
-        )
-        assert any("max_replicas" in failure for failure in failures)
-
-    def test_outcome_drift_is_exact(self):
-        fresh = autoscale_payload()
-        fresh["autoscaled"] = dict(fresh["autoscaled"], p99_ms=34.0)
-        failures = compare(autoscale_payload(), fresh)
-        assert any("autoscaled" in failure for failure in failures)
-
-    def test_bitwise_divergence_flagged(self):
-        failures = compare(
-            autoscale_payload(), autoscale_payload(bitwise_equal=False)
-        )
-        assert any("bitwise" in failure for failure in failures)
-
-    def test_missing_metric_flagged(self):
-        fresh = autoscale_payload()
-        del fresh["fixed"]
-        with pytest.raises(Regression, match="missing"):
-            compare(autoscale_payload(), fresh)
-
 
 class TestCompareAttribution:
-    def test_identity_passes(self):
-        assert compare(attribution_payload(), attribution_payload()) == []
-
     def test_wall_clock_drift_is_ignored(self):
         fresh = attribution_payload(wall_s=9.0)
         assert compare(attribution_payload(), fresh) == []
-
-    def test_configuration_drift_is_exact(self):
-        fresh = attribution_payload(loads=[0.05, 0.5, 0.9])
-        failures = compare(attribution_payload(), fresh)
-        assert any("loads" in failure for failure in failures)
-
-    def test_blame_share_drift_is_exact(self):
-        fresh = attribution_payload(queue_share_p99=[0.0, 0.97, 0.995])
-        failures = compare(attribution_payload(), fresh)
-        assert any("queue_share_p99" in failure for failure in failures)
-
-    def test_bitwise_divergence_flagged(self):
-        failures = compare(
-            attribution_payload(), attribution_payload(bitwise_equal=False)
-        )
-        assert any("bitwise" in failure for failure in failures)
-
-    def test_missing_metric_flagged(self):
-        fresh = attribution_payload()
-        del fresh["p99_ms"]
-        with pytest.raises(Regression, match="missing"):
-            compare(attribution_payload(), fresh)
 
 
 class TestSelfCheck:
@@ -536,57 +519,47 @@ class TestMainAndCommittedBaselines:
         assert "replica 1" in out
 
     def test_committed_baselines_self_consistent(self):
-        for name in (
-            "BENCH_fastpath.json", "BENCH_sweep.json", "BENCH_vcache.json",
-            "BENCH_autoscale.json", "BENCH_attribution.json",
-        ):
+        for kind in KINDS:
+            name = f"BENCH_{kind}.json"
             with open(REPO_ROOT / name) as handle:
                 payload = json.load(handle)
+            assert detect_kind(payload) == kind, name
             assert self_check(payload) == [], name
             assert compare(payload, payload) == [], name
-
-
-NAN = float("nan")
-
-
-def _set_path(payload, path, value):
-    """Copy of ``payload`` with the number at ``path`` replaced."""
-    payload = json.loads(json.dumps(payload))
-    target = payload
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    return payload
 
 
 class TestNonFiniteNumbers:
     """A NaN or inf anywhere in a payload fails both modes, by key path
     (an ordered bound such as ``speedup < floor`` is false for NaN)."""
 
-    CASES = [
-        (fastpath_payload, ("speedup",), NAN, "speedup"),
-        (fastpath_payload, ("speedup",), float("inf"), "speedup"),
-        (sweep_payload, ("speedup",), NAN, "speedup"),
-        (sweep_payload, ("wall_s",), NAN, "wall_s"),
-        (sweep_payload, ("wall_s",), float("-inf"), "wall_s"),
-        (vcache_payload, ("qps", "rmc1/RM-SSD+cache", 0), NAN,
+    #: (kind, key path, non-finite value, the path as failures name it).
+    CASES = _rows(
+        ("fastpath", ("speedup",), NAN, "speedup"),
+        ("fastpath", ("speedup",), float("inf"), "speedup"),
+        ("sweep", ("speedup",), NAN, "speedup"),
+        ("sweep", ("wall_s",), NAN, "wall_s"),
+        ("sweep", ("wall_s",), float("-inf"), "wall_s"),
+        ("vcache", ("qps", "rmc1/RM-SSD+cache", 0), NAN,
          "qps.rmc1/RM-SSD+cache[0]"),
-        (vcache_payload, ("hit_ratios", "rmc1", 1), NAN, "hit_ratios.rmc1[1]"),
-        (autoscale_payload, ("autoscaled", "p99_ms"), NAN, "autoscaled.p99_ms"),
-    ]
+        ("vcache", ("hit_ratios", "rmc1", 1), NAN, "hit_ratios.rmc1[1]"),
+        ("autoscale", ("autoscaled", "p99_ms"), NAN, "autoscaled.p99_ms"),
+    )
 
-    @pytest.mark.parametrize("make, path, value, named", CASES)
-    def test_fresh_non_finite_fails_the_diff(self, make, path, value, named):
+    @pytest.mark.parametrize("kind, path, value, named", CASES)
+    def test_fresh_non_finite_fails_the_diff(self, kind, path, value, named):
+        make = PAYLOADS[kind]
         failures = compare(make(), _set_path(make(), path, value))
         assert any(named in f and "finite" in f for f in failures), failures
 
-    @pytest.mark.parametrize("make, path, value, named", CASES)
-    def test_baseline_non_finite_fails_the_diff(self, make, path, value, named):
+    @pytest.mark.parametrize("kind, path, value, named", CASES)
+    def test_baseline_non_finite_fails_the_diff(self, kind, path, value, named):
+        make = PAYLOADS[kind]
         failures = compare(_set_path(make(), path, value), make())
         assert any(named in f and "finite" in f for f in failures), failures
 
-    @pytest.mark.parametrize("make, path, value, named", CASES)
-    def test_non_finite_fails_the_self_check(self, make, path, value, named):
+    @pytest.mark.parametrize("kind, path, value, named", CASES)
+    def test_non_finite_fails_the_self_check(self, kind, path, value, named):
+        make = PAYLOADS[kind]
         failures = self_check(_set_path(make(), path, value))
         assert any(named in f and "finite" in f for f in failures), failures
 

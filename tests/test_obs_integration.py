@@ -286,6 +286,24 @@ class TestProfileValidation:
         path = write_json(tmp_path, "p.json", profile)
         assert any("no overlapping" in p for p in cross_check(trace, path))
 
+    def test_cross_check_maps_channel_buses_to_channel_spans(self, tmp_path):
+        # channel3-bus busy time must lie inside the trace's channel3
+        # spans; the channel's dies have no spans and are not mapped.
+        trace = write_json(tmp_path, "t.json", {"traceEvents": [
+            {"name": "channel3", "ph": "B", "ts": 0.0, "pid": 1, "tid": 4},
+            {"name": "channel3", "ph": "E", "ts": 0.01, "pid": 1, "tid": 4},
+        ]})
+        bus = dict(make_profile()["resources"]["ftl-mux"], kind="channel-bus")
+        profile = make_profile(
+            resources={"channel3-bus": bus, "channel3-die0": bus}
+        )
+        problems = cross_check(trace, write_json(tmp_path, "p.json", profile))
+        assert any(
+            "channel3-bus: busy [20.0, 40.0]" in p and "'channel3'" in p
+            for p in problems
+        ), problems
+        assert not any("die0" in p for p in problems)
+
 
 class TestIOSnapshots:
     def test_snapshot_is_frozen_copy(self):
