@@ -79,7 +79,8 @@ class Kind:
     #: ``KINDS`` whose signature a payload carries wins.
     signature: Tuple[str, ...]
     #: Configuration and deterministic outcomes: any drift is a real
-    #: behavior change, not noise.
+    #: behavior change, not noise.  Keys no field names (the raw
+    #: wall-clock ``*_wall_s``) are not compared.
     exact: Tuple[str, ...]
     #: The kind's own self-check invariants: yields each violation.
     claims: Callable[[dict], Iterator[str]]

@@ -112,7 +112,8 @@ def load(source: Source) -> Document:
         raise LoadError(f"{source}: cannot load: {error}") from None
     if not isinstance(data, dict):
         raise LoadError(
-            f"{source}: expected a JSON object, got {type(data).__name__}"
+            f"{source}: cannot load: expected a JSON object, "
+            f"got {type(data).__name__}"
         )
     return Document(source, data)
 
