@@ -155,10 +155,12 @@ def flatten_batch(
         raise IndexError(f"indices must be int64 row numbers: {error}") from None
     table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
     flat_tables = np.repeat(table_ids, lengths)
-    bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
-    if bad.size:
-        index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
-        raise IndexError(f"index {index} out of range for table {table_id}")
+    # Under every table's row count, no row needs its own table's.
+    if flat_indices.size and not 0 <= flat_indices.min() <= flat_indices.max() < rows.min():
+        bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
+        if bad.size:
+            index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
+            raise IndexError(f"index {index} out of range for table {table_id}")
     return lengths, flat_tables, flat_indices
 
 
@@ -203,11 +205,12 @@ class EmbeddingLookupEngine:
     # ------------------------------------------------------------------
     def _locate(
         self, flat_tables: np.ndarray, flat_indices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fig. 6 translation, batched per table, then the FTL map:
-        ``(physical_pages, cols)`` of every ``(table, row)``."""
+    ) -> Tuple[np.ndarray, ...]:
+        """Fig. 6 translation of the whole stream, then the FTL map:
+        ``(physical_pages, cols, channel_ids, die_ids)`` of every
+        ``(table, row)``."""
         return self.controller.translate_vector_offsets(
-            self.translator.translate_tables(flat_tables, flat_indices),
+            self.translator.translate_array(flat_tables, flat_indices),
             self.tables.ev_size,
         )
 
@@ -215,7 +218,7 @@ class EmbeddingLookupEngine:
         self, flat_tables: np.ndarray, flat_indices: np.ndarray
     ) -> np.ndarray:
         """Functional gather of embedding vectors (no simulated time)."""
-        physical_pages, cols = self._locate(flat_tables, flat_indices)
+        physical_pages, cols, _, _ = self._locate(flat_tables, flat_indices)
         return self.controller.flash.peek_vectors(
             physical_pages, cols, self.tables.ev_size
         )
@@ -489,9 +492,8 @@ class EmbeddingLookupEngine:
         vectors_read = len(miss_indices)
         ev_size = self.tables.ev_size
         if vectors_read:
-            physical_pages, cols = self._locate(miss_tables, miss_indices)
-            channel_ids, die_ids = self.controller.geometry.split_page_indices(
-                physical_pages
+            physical_pages, cols, channel_ids, die_ids = self._locate(
+                miss_tables, miss_indices
             )
             # Timing: serialize the shared FTL stage, then replay the
             # two-phase flash protocol per channel.

@@ -62,7 +62,7 @@ class PageLookupEngine:
         elapsed_ns, pages_read)``.  Pooling order matches the host SLS.
         """
         lengths, tables, indices = flatten_batch(sparse_batch, self._rows)
-        offsets = self.translator.translate_tables(tables, indices)
+        offsets = self.translator.translate_array(tables, indices)
         sim = self.controller.sim
         start = sim.now
         proc = sim.process(self._read_all_proc(offsets))

@@ -16,13 +16,21 @@ five steps of Fig. 6:
 The translator never touches host state after setup — that is the point
 of the design: index-to-address resolution is in-device.  The hardware
 translates a whole Index Buffer per pass, which is what
-:meth:`EVTranslator.translate_array` models: index arrays in, device
-byte offsets out, no per-index Python objects.  :meth:`EVTranslator.
-translate` remains as the single-lookup reference implementation.
+:meth:`EVTranslator.translate_array` models: one vectorized pass over
+the lookups of every table at once, against translator-wide extent
+arrays staged at registration (step 1), with no per-table loop and no
+per-index Python objects.  Its checks run in a fixed order over the
+whole batch — unregistered table ids (``KeyError``), then non-integral
+or out-of-range rows (``IndexError``), then metadata holes
+(``RuntimeError``) — so when several lookups are bad the earliest
+failing check wins, and it names its first offender in issue order.
+:meth:`EVTranslator.translate` remains as the single-lookup reference
+implementation, sharing no code with the batched pass.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -30,6 +38,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.embedding.layout import ExtentRange
+from repro.ssd.geometry import int64_array
 
 
 @dataclass(frozen=True)
@@ -50,12 +59,7 @@ class _TableMeta:
     extents: List[ExtentRange]
     ev_size: int
     slots_per_page: int
-    page_size: int
     rows: int
-    # Array mirrors of the extent lists for the batched path.
-    first_index_array: np.ndarray
-    last_index_array: np.ndarray
-    start_lba_array: np.ndarray
 
 
 class EVTranslator:
@@ -68,6 +72,7 @@ class EVTranslator:
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
         self._tables: Dict[int, _TableMeta] = {}
+        self._stage()
 
     def register_table(
         self,
@@ -81,37 +86,67 @@ class EVTranslator:
             raise ValueError(f"table {table_id} has no extents")
         if ev_size <= 0 or ev_size > self.page_size:
             raise ValueError("invalid embedding vector size")
+        table_id = operator.index(table_id)
+        if table_id < 0:
+            raise ValueError(f"table id {table_id} is negative")
+        extents = sorted(extent_ranges, key=lambda extent: extent.first_index)
         self._tables[table_id] = _TableMeta(
-            extent_first_indices=[e.first_index for e in extent_ranges],
-            extents=list(extent_ranges),
+            extent_first_indices=[e.first_index for e in extents],
+            extents=extents,
             ev_size=ev_size,
             slots_per_page=self.page_size // ev_size,
-            page_size=self.page_size,
             rows=rows,
-            first_index_array=np.array(
-                [e.first_index for e in extent_ranges], dtype=np.int64
-            ),
-            last_index_array=np.array(
-                [e.last_index for e in extent_ranges], dtype=np.int64
-            ),
-            start_lba_array=np.array(
-                [e.start_lba for e in extent_ranges], dtype=np.int64
-            ),
         )
+        self._stage()
 
-    @property
-    def registered_tables(self) -> int:
-        return len(self._tables)
+    def _stage(self) -> None:
+        """Fig. 6 step 1 for every table at once: the arrays
+        :meth:`translate_array` reads, per table id (an unregistered id
+        has 0 rows) and per extent in ``(table, first_index)`` order."""
+        ids = sorted(self._tables)
+        metas = [self._tables[table_id] for table_id in ids]
+        extents = [extent for meta in metas for extent in meta.extents]
+        counts = [len(meta.extents) for meta in metas]
+        # Search keys are ``key_base[table] + row``, disjoint between tables.
+        spans = [max(m.rows, 1 + max(e.last_index for e in m.extents)) for m in metas]
+        columns = np.zeros((7, ids[-1] + 1 if ids else 0), dtype=np.int64)
+        columns[:, ids] = [
+            [m.rows for m in metas],
+            np.cumsum(counts) - counts,
+            np.cumsum(spans) - spans,
+            [m.ev_size for m in metas],
+            [m.slots_per_page for m in metas],
+            [self.page_size - m.slots_per_page * m.ev_size for m in metas],
+            # One extent covering every row needs no search, no hole check.
+            [len(m.extents) > 1 or not m.extents[0].covers(0)
+             or not m.extents[0].covers(m.rows - 1) for m in metas],
+        ]
+        (self._rows, self._base, self._key_base, self._ev, self._slots,
+         self._gap, searched) = columns
+        self._ids, self._searched = np.array(ids, dtype=np.int64), searched.astype(bool)
+        self._first = np.array([e.first_index for e in extents], dtype=np.int64)
+        self._last = np.array([e.last_index for e in extents], dtype=np.int64)
+        self._keys = np.repeat(self._key_base[ids], counts) + self._first
+        # Where row 0 would sit were the extent's vectors to run on
+        # linearly before its first row.
+        lbas = np.array([e.start_lba for e in extents], dtype=np.int64)
+        self._origin = lbas * self.page_size - self._first * np.repeat(self._ev[ids], counts)
+        self._min_rows = int(self._rows.min()) if ids else 0
+        self._any_searched, self._any_gap = bool(searched.any()), bool(self._gap.any())
 
     def _meta(self, table_id: int) -> _TableMeta:
         try:
-            return self._tables[table_id]
-        except KeyError:
+            return self._tables[operator.index(table_id)]
+        except (KeyError, TypeError):
             raise KeyError(f"table {table_id} not registered") from None
 
     def translate(self, table_id: int, index: int) -> TranslatedRead:
         """Resolve one lookup to a device byte address (steps 2-5)."""
         meta = self._meta(table_id)
+        try:
+            index = operator.index(index)
+        except TypeError as error:
+            raise IndexError(f"indices must be int64 row numbers: {error}") from None
         if not 0 <= index < meta.rows:
             raise IndexError(f"index {index} out of range for table {table_id}")
         # Step 3: locate the covering extent.
@@ -125,7 +160,7 @@ class EVTranslator:
         index_offset = index - extent.first_index
         page_in_extent, slot = divmod(index_offset, meta.slots_per_page)
         device_offset = (
-            (extent.start_lba + page_in_extent) * meta.page_size
+            (extent.start_lba + page_in_extent) * self.page_size
             + slot * meta.ev_size
         )
         return TranslatedRead(
@@ -135,80 +170,66 @@ class EVTranslator:
             size=meta.ev_size,
         )
 
-    def translate_array(self, table_id: int, indices) -> np.ndarray:
-        """Batched steps 2-5: an index array in, byte offsets out.
-
-        Semantically identical to calling :meth:`translate` per index
-        (same addresses, same error for the first offending index), in
-        O(log extents) vectorized work per index.
-        """
-        meta = self._meta(table_id)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        bounds = (indices < 0) | (indices >= meta.rows)
-        if bounds.any():
-            index = int(indices[bounds][0])
-            raise IndexError(f"index {index} out of range for table {table_id}")
-        # Step 3, batched.  ``position`` may come out -1 for an index
-        # below the first extent; Python's ``extents[-1]`` wraps to the
-        # last extent, so mirror that before the coverage check.
-        positions = np.searchsorted(
-            meta.first_index_array, indices, side="right"
-        ) - 1
-        positions %= len(meta.extents)
-        holes = (indices < meta.first_index_array[positions]) | (
-            indices > meta.last_index_array[positions]
+    def translate_array(self, tables, indices) -> np.ndarray:
+        """Batched steps 2-5 over every table at once: ``tables`` (one
+        id, or one per index) and ``indices`` in, byte offsets out.
+        The offsets are :meth:`translate`'s; a bad stream raises, before
+        returning anything, what :meth:`translate` raises on the first
+        offender of the earliest failing check (module docstring)."""
+        tables = int64_array(tables, lambda got: KeyError(f"table {got} not registered"))
+        indices = int64_array(
+            indices, lambda got: IndexError(f"indices must be int64 row numbers: got {got!r}")
         )
-        if holes.any():
-            offender = int(np.flatnonzero(holes)[0])
-            extent = meta.extents[int(positions[offender])]
-            raise RuntimeError(
-                f"metadata hole: index {int(indices[offender])} "
-                f"not covered by extent {extent}"
-            )
-        # Steps 4-5, batched (all-int64: exact).
-        index_offsets = indices - meta.first_index_array[positions]
-        pages_in_extent = index_offsets // meta.slots_per_page
-        slots = index_offsets % meta.slots_per_page
-        return (
-            (meta.start_lba_array[positions] + pages_in_extent) * meta.page_size
-            + slots * meta.ev_size
-        )
-
-    def translate_tables(self, tables: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """:meth:`translate_array` over a stream of ``(table, index)``
-        lookups in any table order: one batched pass per table."""
-        offsets = np.empty(len(indices), dtype=np.int64)
-        for table_id in self._tables:
-            members = np.flatnonzero(tables == table_id)
-            if members.size:
-                offsets[members] = self.translate_array(table_id, indices[members])
+        tables = np.broadcast_to(tables, indices.shape)
+        if not indices.size:
+            return np.zeros(indices.shape, dtype=np.int64)
+        # Unsigned views fold negative ids and rows into the upper
+        # bounds; under every table's row count no row needs its own.
+        ids, rows = tables.view(np.uint64), indices.view(np.uint64)
+        if ids.max() >= len(self._rows) or (
+            rows.max() >= self._min_rows
+            and (rows >= self._rows[tables].view(np.uint64)).any()
+        ):
+            self._refuse(tables, indices)
+        positions = self._base[tables]
+        if self._any_searched:
+            searched = np.flatnonzero(self._searched[tables])
+            positions[searched] = self._search(tables[searched], indices[searched])
+        # Steps 4-5: linear in the index where vectors fill their pages.
+        offsets = self._ev[tables]
+        offsets *= indices
+        if self._any_gap:
+            pages = (indices - self._first[positions]) // self._slots[tables]
+            offsets += pages * self._gap[tables]
+        # ``positions`` is spent: gather the origins into it.
+        offsets += self._origin.take(positions, out=positions, mode="clip")
         return offsets
 
-    def translate_batch(
-        self, table_id: int, indices: Sequence[int]
-    ) -> List[TranslatedRead]:
-        """Translate a whole Index Buffer worth of lookups.
+    def _refuse(self, tables: np.ndarray, indices: np.ndarray) -> None:
+        """Raise for the first unregistered table, else out-of-range row."""
+        unknown = np.flatnonzero(~np.isin(tables, self._ids))
+        if unknown.size:
+            raise KeyError(f"table {tables[unknown[0]]} not registered")
+        at = np.flatnonzero((indices < 0) | (indices >= self._rows[tables]))[0]
+        raise IndexError(f"index {indices[at]} out of range for table {tables[at]}")
 
-        Compatibility wrapper over :meth:`translate_array`: the address
-        math runs batched; only the result objects are materialized per
-        index.  Callers that can consume plain arrays should prefer
-        :meth:`translate_array`.
-        """
-        offsets = self.translate_array(table_id, indices)
-        size = self._meta(table_id).ev_size
-        return [
-            TranslatedRead(
-                table_id=table_id,
-                index=int(index),
-                device_offset=int(offset),
-                size=size,
+    def _search(self, tables: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Step 3 for lookups of fragmented tables: each one's covering
+        extent by one search over every table's keys, holes refused."""
+        positions = np.searchsorted(
+            self._keys, self._key_base[tables] + indices, side="right"
+        ) - 1
+        holes = (positions < self._base[tables]) | (indices > self._last[positions])
+        if holes.any():
+            at = np.flatnonzero(holes)[0]
+            table, index = int(tables[at]), int(indices[at])
+            # Below the first extent, name the last one, as translate's
+            # ``extents[-1]`` does.
+            extent = self._tables[table].extents[int(positions[at] - self._base[table])]
+            raise RuntimeError(
+                f"metadata hole: index {index} not covered by extent {extent}"
             )
-            for index, offset in zip(
-                np.asarray(indices, dtype=np.int64), offsets
-            )
-        ]
+        return positions
 
     def translation_cycles(self, num_lookups: int) -> int:
         """Pipeline cycles to translate ``num_lookups`` indices."""

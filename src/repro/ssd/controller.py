@@ -25,7 +25,7 @@ from repro.sim import Server, Simulator, maxplus
 from repro.ssd.flash import FlashArray
 from repro.ssd.fmc import EVFlashMemoryController
 from repro.ssd.ftl import FlashTranslationLayer
-from repro.ssd.geometry import SSDGeometry
+from repro.ssd.geometry import SSDGeometry, int64_array, remainder
 from repro.ssd.stats import IOStatistics
 from repro.ssd.timing import SSDTimingModel
 from repro.ssd.vcache import VectorCache
@@ -140,26 +140,26 @@ class SSDController:
                     args={"jobs": jobs},
                 )
 
-    def translate_vector_offsets(self, byte_offsets, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    def translate_vector_offsets(self, byte_offsets, size: int) -> Tuple[np.ndarray, ...]:
         """Batched address resolution of :meth:`read_vector_proc`.
 
-        Maps device byte offsets to ``(physical_pages, cols)`` arrays
-        with the same straddle validation, without simulated time (the
-        FTL stage's timing is replayed by :meth:`serve_ftl_batch`).
+        Maps device byte offsets to ``(physical_pages, cols,
+        channel_ids, die_ids)`` arrays with the same negative-offset and
+        straddle validation, without simulated time (the FTL stage's
+        timing is replayed by :meth:`serve_ftl_batch`).
         """
-        byte_offsets = np.asarray(byte_offsets, dtype=np.int64)
-        if byte_offsets.size and int(byte_offsets.min()) < 0:
-            raise ValueError("negative byte offset")
+        byte_offsets = int64_array(
+            byte_offsets, lambda got: ValueError(f"byte offsets must be int64: got {got!r}")
+        )
         page_size = self.geometry.page_size
-        lbas = byte_offsets // page_size
-        cols = byte_offsets % page_size
-        straddlers = cols + size > page_size
-        if byte_offsets.size and bool(straddlers.any()):
-            offset = int(byte_offsets[straddlers][0])
-            raise ValueError(
-                f"vector read at offset {offset} size {size} straddles a page"
-            )
-        return self.ftl.translate_array(lbas), cols
+        lbas, cols = byte_offsets // page_size, remainder(byte_offsets, page_size)
+        if byte_offsets.size and byte_offsets.min() < 0:
+            raise ValueError("negative byte offset")
+        if cols.size and cols.max() > page_size - size:
+            offset = byte_offsets[cols > page_size - size][0]
+            raise ValueError(f"vector read at offset {offset} size {size} straddles a page")
+        pages = self.ftl.translate_array(lbas)
+        return (pages, cols, *self.geometry.decode_pages(pages))
 
     # ------------------------------------------------------------------
     # Functional writes (used to lay out embedding tables / files)

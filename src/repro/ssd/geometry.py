@@ -18,6 +18,28 @@ from functools import cached_property
 import numpy as np
 
 
+def int64_array(values, refuse) -> np.ndarray:
+    """``values`` as an int64 array.  A dtype that does not cast
+    safely — floats, even integral ones (``operator.index`` refuses
+    ``1.0`` too), strings, objects — raises ``refuse(entry)`` for the
+    first non-integral entry, else the first; bools pass."""
+    array = np.asarray(values)
+    if np.can_cast(array.dtype, np.int64) or not array.size:
+        return array.astype(np.int64, copy=False)
+    entries = array.ravel()
+    if entries.dtype.kind == "f" and (np.trunc(entries) != entries).any():
+        entries = entries[np.trunc(entries) != entries]
+    raise refuse(entries[:1].tolist()[0])
+
+
+def remainder(values: np.ndarray, divisor: int, out=None) -> np.ndarray:
+    """``np.remainder(values, divisor, out)`` of an int64 array; a mask
+    when ``divisor`` is a power of two, as in every geometry here."""
+    if divisor & (divisor - 1):
+        return np.remainder(values, divisor, out=out)
+    return np.bitwise_and(values, divisor - 1, out=out)
+
+
 @dataclass(frozen=True)
 class PhysicalAddress:
     """A fully-resolved flash location (the paper's PBA + Col)."""
@@ -138,17 +160,22 @@ class SSDGeometry:
         restricted to the two timing-relevant coordinates; returns
         ``(channel_ids, die_ids)`` int64 arrays.
         """
-        page_indices = np.asarray(page_indices, dtype=np.int64)
-        if page_indices.size:
-            bounds = (page_indices < 0) | (page_indices >= self.total_pages)
-            if bounds.any():
-                bad = int(page_indices[bounds][0])
-                raise ValueError(
-                    f"page index {bad} out of range [0, {self.total_pages})"
-                )
-        channel_ids = page_indices % self.channels
-        die_ids = (page_indices // self.channels) % self.dies_per_channel
-        return channel_ids, die_ids
+        page_indices = int64_array(
+            page_indices, lambda got: ValueError(f"page indices must be int64: got {got!r}")
+        )
+        bounds = (page_indices < 0) | (page_indices >= self.total_pages)
+        if bounds.any():
+            bad = int(page_indices[bounds][0])
+            raise ValueError(f"page index {bad} out of range [0, {self.total_pages})")
+        return self.decode_pages(page_indices)
+
+    def decode_pages(self, page_indices: np.ndarray) -> tuple:
+        """:meth:`split_page_indices` of in-range int64 pages, unchecked."""
+        die_ids = page_indices // self.channels
+        return (
+            remainder(page_indices, self.channels),
+            remainder(die_ids, self.dies_per_channel, out=die_ids),
+        )
 
     def byte_to_page(self, byte_offset: int) -> tuple:
         """Split a flat byte offset into ``(logical_page, col)``."""

@@ -130,8 +130,10 @@ class TestTranslator:
     def test_batch_translation(self):
         _, tables, layout = build()
         translator = self._translator(layout, tables)
-        reads = translator.translate_batch(0, [1, 2, 3])
-        assert [r.index for r in reads] == [1, 2, 3]
+        offsets = translator.translate_array(0, [1, 2, 3])
+        assert offsets.tolist() == [
+            translator.translate(0, index).device_offset for index in [1, 2, 3]
+        ]
 
     def test_translation_cycles_linear(self):
         translator = EVTranslator(page_size=4096)

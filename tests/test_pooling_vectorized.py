@@ -25,7 +25,7 @@ from repro.embedding.pooling import (
     sparse_length_sum,
 )
 from repro.embedding.table import EmbeddingTableSet
-from repro.embedding.translator import EVTranslator
+from repro.embedding.translator import EVTranslator, TranslatedRead
 from repro.sim import Simulator
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
@@ -259,13 +259,12 @@ class TestTranslateArray:
         for index, offset in zip(covered, offsets):
             assert int(offset) == translator.translate(0, index).device_offset
 
-    def test_batch_wrapper_fields_match_scalar(self, translator):
+    def test_batch_fields_match_scalar(self, translator):
         indices = [0, 31, 63, 96, 159]
-        for scalar, batched in zip(
-            [translator.translate(0, i) for i in indices],
-            translator.translate_batch(0, indices),
-        ):
-            assert scalar == batched
+        for index, offset in zip(indices, translator.translate_array(0, indices)):
+            assert translator.translate(0, index) == TranslatedRead(
+                table_id=0, index=index, device_offset=int(offset), size=128
+            )
 
     def test_empty_input(self, translator):
         out = translator.translate_array(0, [])

@@ -19,6 +19,10 @@ echo "== fast-path differential smoke (RMSSD_SANITIZE=1) =="
 # it is the reference every fast-path differential compares against.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
     tests/test_fastpath_equivalence.py -k smoke
+# The batched EV translation against its scalar reference on generated
+# layouts, and the hostile addresses (unregistered tables, fractional
+# rows, offsets and pages) refused before anything moves.
+RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_translator_differential.py
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
