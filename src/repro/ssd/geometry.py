@@ -34,7 +34,7 @@ def int64_array(values, refuse) -> np.ndarray:
 
 def remainder(values: np.ndarray, divisor: int, out=None) -> np.ndarray:
     """``np.remainder(values, divisor, out)`` of an int64 array; a mask
-    when ``divisor`` is a power of two, as in every geometry here."""
+    when ``divisor`` is a power of two, as in the paper's geometry."""
     if divisor & (divisor - 1):
         return np.remainder(values, divisor, out=out)
     return np.bitwise_and(values, divisor - 1, out=out)
