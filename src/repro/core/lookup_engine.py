@@ -155,12 +155,10 @@ def flatten_batch(
         raise IndexError(f"indices must be int64 row numbers: {error}") from None
     table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
     flat_tables = np.repeat(table_ids, lengths)
-    # Under every table's row count, no row needs its own table's.
-    if flat_indices.size and not 0 <= flat_indices.min() <= flat_indices.max() < rows.min():
-        bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
-        if bad.size:
-            index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
-            raise IndexError(f"index {index} out of range for table {table_id}")
+    bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
+    if bad.size:
+        index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
+        raise IndexError(f"index {index} out of range for table {table_id}")
     return lengths, flat_tables, flat_indices
 
 

@@ -18,14 +18,16 @@ of the design: index-to-address resolution is in-device.  The hardware
 translates a whole Index Buffer per pass, which is what
 :meth:`EVTranslator.translate_array` models: one vectorized pass over
 the lookups of every table at once, against translator-wide extent
-arrays staged at registration (step 1), with no per-table loop and no
-per-index Python objects.  Its checks run in a fixed order over the
-whole batch — unregistered table ids (``KeyError``), then non-integral
-or out-of-range rows (``IndexError``), then metadata holes
-(``RuntimeError``) — so when several lookups are bad the earliest
-failing check wins, and it names its first offender in issue order.
-:meth:`EVTranslator.translate` remains as the single-lookup reference
-implementation, sharing no code with the batched pass.
+arrays staged from the registered metadata (step 1), with no per-table
+loop and no per-index Python objects.  Its checks run in a fixed order
+over the whole batch: unregistered or non-integer table ids
+(``KeyError``), then a row array that is not integer (``IndexError``,
+naming its first non-integral entry), then out-of-range rows
+(``IndexError``), then metadata holes (``RuntimeError``).  When several
+lookups are bad the earliest failing check wins, and it names its first
+offender in issue order.  :meth:`EVTranslator.translate` remains as the
+single-lookup reference implementation, sharing no code with the
+batched pass.
 """
 
 from __future__ import annotations
@@ -69,10 +71,14 @@ class EVTranslator:
     #: of comparisons and adds in the FPGA pipeline.
     CYCLES_PER_LOOKUP = 4
 
+    #: Table ids are handles below this bound: the staged arrays are
+    #: indexed by table id.
+    TABLE_IDS = 1 << 16
+
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
         self._tables: Dict[int, _TableMeta] = {}
-        self._stage()
+        self._staged = False
 
     def register_table(
         self,
@@ -81,14 +87,15 @@ class EVTranslator:
         ev_size: int,
         rows: int,
     ) -> None:
-        """Stage one table's metadata (the RM_open_table upload)."""
+        """Record one table's metadata (the RM_open_table upload); the
+        next :meth:`translate_array` stages it with every other table's."""
         if not extent_ranges:
             raise ValueError(f"table {table_id} has no extents")
         if ev_size <= 0 or ev_size > self.page_size:
             raise ValueError("invalid embedding vector size")
         table_id = operator.index(table_id)
-        if table_id < 0:
-            raise ValueError(f"table id {table_id} is negative")
+        if not 0 <= table_id < self.TABLE_IDS:
+            raise ValueError(f"table id {table_id} outside [0, {self.TABLE_IDS})")
         extents = sorted(extent_ranges, key=lambda extent: extent.first_index)
         self._tables[table_id] = _TableMeta(
             extent_first_indices=[e.first_index for e in extents],
@@ -97,12 +104,12 @@ class EVTranslator:
             slots_per_page=self.page_size // ev_size,
             rows=rows,
         )
-        self._stage()
+        self._staged = False
 
     def _stage(self) -> None:
-        """Fig. 6 step 1 for every table at once: the arrays
-        :meth:`translate_array` reads, per table id (an unregistered id
-        has 0 rows) and per extent in ``(table, first_index)`` order."""
+        """Fig. 6 step 1 for every table at once, once per change of the
+        registered set: the arrays :meth:`translate_array` reads, per
+        table id and per extent in ``(table, first_index)`` order."""
         ids = sorted(self._tables)
         metas = [self._tables[table_id] for table_id in ids]
         extents = [extent for meta in metas for extent in meta.extents]
@@ -111,28 +118,23 @@ class EVTranslator:
         spans = [max(m.rows, 1 + max(e.last_index for e in m.extents)) for m in metas]
         columns = np.zeros((7, ids[-1] + 1 if ids else 0), dtype=np.int64)
         columns[:, ids] = [
+            [1] * len(ids),
             [m.rows for m in metas],
             np.cumsum(counts) - counts,
             np.cumsum(spans) - spans,
             [m.ev_size for m in metas],
             [m.slots_per_page for m in metas],
-            [self.page_size - m.slots_per_page * m.ev_size for m in metas],
             # One extent covering every row needs no search, no hole check.
             [len(m.extents) > 1 or not m.extents[0].covers(0)
              or not m.extents[0].covers(m.rows - 1) for m in metas],
         ]
-        (self._rows, self._base, self._key_base, self._ev, self._slots,
-         self._gap, searched) = columns
-        self._ids, self._searched = np.array(ids, dtype=np.int64), searched.astype(bool)
+        known, self._rows, self._base, self._key_base, self._ev, self._slots, searched = columns
+        self._known, self._searched = known.astype(bool), searched.astype(bool)
         self._first = np.array([e.first_index for e in extents], dtype=np.int64)
         self._last = np.array([e.last_index for e in extents], dtype=np.int64)
+        self._lba = np.array([e.start_lba for e in extents], dtype=np.int64)
         self._keys = np.repeat(self._key_base[ids], counts) + self._first
-        # Where row 0 would sit were the extent's vectors to run on
-        # linearly before its first row.
-        lbas = np.array([e.start_lba for e in extents], dtype=np.int64)
-        self._origin = lbas * self.page_size - self._first * np.repeat(self._ev[ids], counts)
-        self._min_rows = int(self._rows.min()) if ids else 0
-        self._any_searched, self._any_gap = bool(searched.any()), bool(self._gap.any())
+        self._staged = True
 
     def _meta(self, table_id: int) -> _TableMeta:
         try:
@@ -176,42 +178,29 @@ class EVTranslator:
         The offsets are :meth:`translate`'s; a bad stream raises, before
         returning anything, what :meth:`translate` raises on the first
         offender of the earliest failing check (module docstring)."""
+        if not self._staged:
+            self._stage()
         tables = int64_array(tables, lambda got: KeyError(f"table {got} not registered"))
+        if tables.size and (
+            tables.min() < 0 or tables.max() >= len(self._known)
+            or not self._known[tables].all()
+        ):
+            unknown = next(t for t in tables.ravel().tolist() if t not in self._tables)
+            raise KeyError(f"table {unknown} not registered")
         indices = int64_array(
             indices, lambda got: IndexError(f"indices must be int64 row numbers: got {got!r}")
         )
         tables = np.broadcast_to(tables, indices.shape)
-        if not indices.size:
-            return np.zeros(indices.shape, dtype=np.int64)
-        # Unsigned views fold negative ids and rows into the upper
-        # bounds; under every table's row count no row needs its own.
-        ids, rows = tables.view(np.uint64), indices.view(np.uint64)
-        if ids.max() >= len(self._rows) or (
-            rows.max() >= self._min_rows
-            and (rows >= self._rows[tables].view(np.uint64)).any()
-        ):
-            self._refuse(tables, indices)
+        bad = np.flatnonzero((indices < 0) | (indices >= self._rows[tables]))
+        if bad.size:
+            index, table_id = indices[bad[0]], tables[bad[0]]
+            raise IndexError(f"index {index} out of range for table {table_id}")
         positions = self._base[tables]
-        if self._any_searched:
-            searched = np.flatnonzero(self._searched[tables])
-            positions[searched] = self._search(tables[searched], indices[searched])
-        # Steps 4-5: linear in the index where vectors fill their pages.
-        offsets = self._ev[tables]
-        offsets *= indices
-        if self._any_gap:
-            pages = (indices - self._first[positions]) // self._slots[tables]
-            offsets += pages * self._gap[tables]
-        # ``positions`` is spent: gather the origins into it.
-        offsets += self._origin.take(positions, out=positions, mode="clip")
-        return offsets
-
-    def _refuse(self, tables: np.ndarray, indices: np.ndarray) -> None:
-        """Raise for the first unregistered table, else out-of-range row."""
-        unknown = np.flatnonzero(~np.isin(tables, self._ids))
-        if unknown.size:
-            raise KeyError(f"table {tables[unknown[0]]} not registered")
-        at = np.flatnonzero((indices < 0) | (indices >= self._rows[tables]))[0]
-        raise IndexError(f"index {indices[at]} out of range for table {tables[at]}")
+        searched = np.flatnonzero(self._searched[tables])
+        positions[searched] = self._search(tables[searched], indices[searched])
+        # Steps 4-5: start LBA plus in-extent page/slot offset.
+        pages, slots = np.divmod(indices - self._first[positions], self._slots[tables])
+        return (self._lba[positions] + pages) * self.page_size + slots * self._ev[tables]
 
     def _search(self, tables: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Step 3 for lookups of fragmented tables: each one's covering

@@ -25,7 +25,7 @@ from repro.sim import Server, Simulator, maxplus
 from repro.ssd.flash import FlashArray
 from repro.ssd.fmc import EVFlashMemoryController
 from repro.ssd.ftl import FlashTranslationLayer
-from repro.ssd.geometry import SSDGeometry, int64_array, remainder
+from repro.ssd.geometry import SSDGeometry, int64_array
 from repro.ssd.stats import IOStatistics
 from repro.ssd.timing import SSDTimingModel
 from repro.ssd.vcache import VectorCache
@@ -152,9 +152,9 @@ class SSDController:
             byte_offsets, lambda got: ValueError(f"byte offsets must be int64: got {got!r}")
         )
         page_size = self.geometry.page_size
-        lbas, cols = byte_offsets // page_size, remainder(byte_offsets, page_size)
         if byte_offsets.size and byte_offsets.min() < 0:
             raise ValueError("negative byte offset")
+        lbas, cols = np.divmod(byte_offsets, page_size)
         if cols.size and cols.max() > page_size - size:
             offset = byte_offsets[cols > page_size - size][0]
             raise ValueError(f"vector read at offset {offset} size {size} straddles a page")

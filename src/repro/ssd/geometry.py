@@ -32,14 +32,6 @@ def int64_array(values, refuse) -> np.ndarray:
     raise refuse(entries[:1].tolist()[0])
 
 
-def remainder(values: np.ndarray, divisor: int, out=None) -> np.ndarray:
-    """``np.remainder(values, divisor, out)`` of an int64 array; a mask
-    when ``divisor`` is a power of two, as in the paper's geometry."""
-    if divisor & (divisor - 1):
-        return np.remainder(values, divisor, out=out)
-    return np.bitwise_and(values, divisor - 1, out=out)
-
-
 @dataclass(frozen=True)
 class PhysicalAddress:
     """A fully-resolved flash location (the paper's PBA + Col)."""
@@ -171,11 +163,9 @@ class SSDGeometry:
 
     def decode_pages(self, page_indices: np.ndarray) -> tuple:
         """:meth:`split_page_indices` of in-range int64 pages, unchecked."""
-        die_ids = page_indices // self.channels
-        return (
-            remainder(page_indices, self.channels),
-            remainder(die_ids, self.dies_per_channel, out=die_ids),
-        )
+        channel_ids = page_indices % self.channels
+        die_ids = (page_indices // self.channels) % self.dies_per_channel
+        return channel_ids, die_ids
 
     def byte_to_page(self, byte_offset: int) -> tuple:
         """Split a flat byte offset into ``(logical_page, col)``."""

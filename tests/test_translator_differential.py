@@ -138,10 +138,41 @@ class TestTranslatorDifferential:
         )
         offsets = translator.translate_array(tables, [])
         assert offsets.dtype == np.int64 and offsets.shape == (0,)
+        with pytest.raises(KeyError, match="table 7 not registered"):
+            translator.translate_array(7, [])
+
+    def test_hole_below_the_first_extent(self):
+        """The search lands on another table's extent; it is a hole."""
+        translator = EVTranslator(page_size=PAGE_SIZE)
+        translator.register_table(
+            0, [ExtentRange(0, 5, 9, start_lba=3)], ev_size=128, rows=10
+        )
+        translator.register_table(
+            1, [ExtentRange(0, 4, 99, start_lba=30)], ev_size=128, rows=100
+        )
+        for lookup in [(0, 1), (1, 2)]:
+            with pytest.raises(RuntimeError) as scalar:
+                translator.translate(*lookup)
+            with pytest.raises(RuntimeError) as error:
+                batched(translator, [(1, 50), lookup])
+            assert str(error.value) == str(scalar.value)
+
+    def test_table_registered_after_a_batch_is_translated(self):
+        translator = EVTranslator(page_size=PAGE_SIZE)
+        translator.register_table(
+            0, [ExtentRange(0, 0, 9, start_lba=3)], ev_size=128, rows=10
+        )
+        translator.translate_array(0, [1])
+        translator.register_table(
+            2, [ExtentRange(0, 0, 4, start_lba=50)], ev_size=256, rows=5
+        )
+        stream = [(2, 4), (0, 9), (2, 0)]
+        assert batched(translator, stream).tolist() == scalar_offsets(translator, stream)
 
     def test_earlier_check_wins_over_earlier_lookup(self):
-        """An out-of-range row ahead of an unregistered table still
-        loses: table ids are checked before rows, rows before holes."""
+        """A bad row ahead of an unregistered table still loses: table
+        ids are checked before rows (a fractional row array included),
+        rows before holes."""
         translator = EVTranslator(page_size=PAGE_SIZE)
         translator.register_table(
             0,
@@ -151,6 +182,10 @@ class TestTranslatorDifferential:
         )
         with pytest.raises(KeyError, match="table 4 not registered"):
             translator.translate_array([0, 0, 4], [4, 99, 0])
+        with pytest.raises(KeyError, match="table 5 not registered"):
+            translator.translate_array([0, 5], [1.5, 0])
+        with pytest.raises(IndexError, match="indices must be int64 row numbers: got 1.5"):
+            translator.translate_array([0, 0], [99, 1.5])
         with pytest.raises(IndexError, match="index 99 out of range for table 0"):
             translator.translate_array([0, 0], [4, 99])
 
@@ -175,6 +210,14 @@ class TestHostileAddresses:
         with pytest.raises(KeyError) as error:
             translator.translate_array(tables, [1, 2, 3])
         assert str(error.value) == str(scalar.value) == repr(f"table {name} not registered")
+
+    @pytest.mark.parametrize("table_id", [-1, EVTranslator.TABLE_IDS, 10**9])
+    def test_hostile_table_id_outside_the_handle_range_refused(self, translator, table_id):
+        extents = [ExtentRange(0, 0, 9, start_lba=3)]
+        with pytest.raises(ValueError, match=f"table id {table_id} outside"):
+            translator.register_table(table_id, extents, ev_size=128, rows=10)
+        with pytest.raises(KeyError, match=f"table {table_id} not registered"):
+            translator.translate_array(table_id, [1])
 
     @pytest.mark.parametrize("indices", [[1.5], [0, 1.5], np.array([2.0, 3.0]), ["1"]])
     def test_hostile_fractional_row_refused(self, translator, indices):
