@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -93,6 +94,17 @@ def _request_generator(args, config) -> RequestGenerator:
     )
 
 
+def _require_stream(args) -> None:
+    """Refuse, by flag and before any device is built, a ``run`` /
+    ``profile`` stream with no requests or a negative cache size."""
+    if args.requests <= 0:
+        raise ValueError(f"--requests must be positive, got {args.requests}")
+    if args.vcache_vectors < 0:
+        raise ValueError(
+            f"--vcache-vectors must be >= 0 (0 = no cache), got {args.vcache_vectors}"
+        )
+
+
 def _fast(args) -> Optional[bool]:
     """The ``fast=`` of a run: ``--no-fastpath`` forces the
     event-driven pipeline, otherwise ``RMSSD_FASTPATH`` decides."""
@@ -151,6 +163,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _require_stream(args)
+    if not (math.isfinite(args.window_ms) and args.window_ms > 0):
+        raise ValueError(
+            f"--window-ms must be positive and finite, got {args.window_ms!r}"
+        )
     config, model = _model(args)
     instrumented = args.backend in RMSSD_BACKENDS
     tracer = obs.Tracer() if args.trace_out else None
@@ -222,6 +239,7 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profiled DES run: per-resource utilization + bottleneck report."""
+    _require_stream(args)
     config, model = _model(args)
     profiler = obs.Profiler()
     tracer = obs.Tracer() if args.trace_out else None

@@ -294,9 +294,9 @@ class EmbeddingLookupEngine:
     ) -> Generator:
         """Process: issue every vector read of the batch concurrently.
 
-        Returns the completed requests in issue order, so EV Sum can
-        reduce in lookup order regardless of completion order (the
-        Path Buffer's job).
+        Returns each read's bytes in issue order, so EV Sum can reduce
+        in lookup order regardless of completion order (the Path
+        Buffer's job).
         """
         sim = self.controller.sim
         events = []
@@ -454,8 +454,8 @@ class EmbeddingLookupEngine:
         sim.run()
         elapsed = sim.now - start
         miss_rows = np.empty((len(proc.value), self.dim), dtype=np.float32)
-        for position, request in enumerate(proc.value):
-            miss_rows[position] = np.frombuffer(request.data, dtype=np.float32)
+        for position, data in enumerate(proc.value):
+            miss_rows[position] = np.frombuffer(data, dtype=np.float32)
         rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices)
         # EV Sum: accumulate in lookup order for bitwise-stable fp32.
         pooled = np.zeros((len(lengths), self.dim), dtype=np.float32)
@@ -505,7 +505,6 @@ class EmbeddingLookupEngine:
                 channel_ids,
                 die_ids,
                 transfer_ns,
-                staged=True,
             )
             self.controller.stats.record_vector_reads(
                 vectors_read, vectors_read * ev_size

@@ -52,8 +52,7 @@ class PageLookupEngine:
         results = yield sim.all_of(events)
         ev_size = self.tables.ev_size
         payload = b"".join(
-            request.data[col : col + ev_size]
-            for col, request in zip(cols.tolist(), results)
+            page[col : col + ev_size] for col, page in zip(cols.tolist(), results)
         )
         return np.frombuffer(payload, dtype=np.float32).reshape(len(events), self.dim)
 

@@ -27,10 +27,6 @@ class StageCost:
     def serial_ns(self) -> float:
         return self.send_ns + self.device_ns + self.receive_ns
 
-    @property
-    def bottleneck_ns(self) -> float:
-        return max(self.send_ns, self.device_ns, self.receive_ns)
-
 
 class HostPipeline:
     """Accumulates request costs and reports total wall time."""
@@ -51,20 +47,9 @@ class HostPipeline:
         return len(self._costs)
 
     def total_ns(self) -> float:
-        """Wall time for the whole stream.
-
-        Pipelined: the first request fills the pipe at full cost, each
-        further request costs its bottleneck stage.  Serial: every
-        request costs its full sum.
-        """
-        if not self._costs:
-            return 0.0
-        if not self.pipelined:
-            return sum(cost.serial_ns for cost in self._costs)
-        total = self._costs[0].serial_ns
-        for cost in self._costs[1:]:
-            total += cost.bottleneck_ns
-        return total
+        """Wall time for the whole stream: when the last receive ends
+        in :meth:`emit_trace`'s stage recurrence."""
+        return self.emit_trace(None)
 
     def speedup_from_pipelining(self) -> float:
         serial = sum(cost.serial_ns for cost in self._costs)

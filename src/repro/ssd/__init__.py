@@ -2,8 +2,8 @@
 
 This package implements the emulated SSD of the paper's Section V: a
 flash array organized as channels x dies x planes x blocks x pages with
-the Table II timing model, a flash translation layer, flash memory
-controllers with vector-grained read support (EV-FMC), the
+the Table II timing model, a flash translation layer, a controller
+whose flash reads are page- or vector-grained (FMC and EV-FMC), the
 controller-DRAM vector cache (whose LRU also runs the host-side
 baselines' page and vector caches), and I/O traffic accounting.
 """
@@ -11,7 +11,7 @@ baselines' page and vector caches), and I/O traffic accounting.
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
-from repro.ssd.ftl import FlashTranslationLayer, LinearMapping, PageMapping
+from repro.ssd.ftl import FlashTranslationLayer, LinearMapping
 from repro.ssd.geometry import PhysicalAddress, SSDGeometry
 from repro.ssd.stats import IOSnapshot, IOStatistics
 from repro.ssd.timing import SSDTimingModel
@@ -24,7 +24,6 @@ __all__ = [
     "IOSnapshot",
     "IOStatistics",
     "LinearMapping",
-    "PageMapping",
     "PhysicalAddress",
     "SSDController",
     "SSDGeometry",

@@ -160,7 +160,7 @@ class BlockDevice:
             lba = device_offset // self.page_size
             events.append(self.sim.process(self.controller.read_block_proc(lba)))
         results = yield self.sim.all_of(events)
-        data = b"".join(request.data for request in results)
+        data = b"".join(results)
         start = offset - first_page * self.page_size
         return data[start : start + size]
 

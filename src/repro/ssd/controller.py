@@ -8,10 +8,13 @@ over one FTL and one flash array, mirroring Fig. 5:
   DEMUX -> EV Sum.
 
 The MUX's round-robin arbitration between the two paths is modelled by
-the shared FTL service point; the Path Buffer is the ``tag`` carried by
-every :class:`repro.ssd.fmc.ReadRequest`.  Each timed read is two
-generator frames: the controller's process (FTL pass, translation,
-Path Buffer bookkeeping) and the flash array's read.
+the shared FTL service point.  The FMC and EV-FMC are the flash
+array's one timed read (:meth:`repro.ssd.flash.FlashArray._read_proc`,
+a page or ``EVsize`` bytes); the Path Buffer's routing is the caller's
+issue-ordered ``all_of``, which hands each read's bytes back in the
+order the reads were issued.  Each timed read is two generator frames:
+the controller's process (FTL pass, translation) and the flash array's
+read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from repro.obs import names
 from repro.sim import Server, Simulator, maxplus
 from repro.ssd.flash import FlashArray
-from repro.ssd.fmc import EVFlashMemoryController
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.geometry import SSDGeometry, int64_array
 from repro.ssd.stats import IOStatistics
@@ -32,7 +34,7 @@ from repro.ssd.vcache import VectorCache
 
 
 class SSDController:
-    """Device-side controller: FTL + FMC/EV-FMC over one flash array."""
+    """Device-side controller: the shared FTL MUX over one flash array."""
 
     def __init__(
         self,
@@ -58,7 +60,6 @@ class SSDController:
         self.ftl = ftl or FlashTranslationLayer(self.geometry)
         if getattr(sim, "sanitizer", None) is not None:
             self.ftl.attach_sanitizer(sim.sanitizer)
-        self.fmc = EVFlashMemoryController(sim, self.flash)
         # The MUX: block I/O and EV requests share one translation
         # pipeline; FIFO service approximates the round-robin arbiter.
         self._ftl_server = Server(sim, names.SERVER_FTL_MUX, kind=names.FTL)
@@ -200,38 +201,18 @@ class SSDController:
     # ------------------------------------------------------------------
     # Block I/O path (page granularity, crosses the host link)
     # ------------------------------------------------------------------
-    def read_block_proc(self, lba: int, tag: object = None) -> Generator:
-        """Process: conventional page read returned to the host."""
+    def read_block_proc(self, lba: int) -> Generator:
+        """Process: conventional page read returned to the host; returns
+        the page bytes."""
         yield self._ftl_lookup()
         physical = self.ftl.translate(lba)
-        request = self.fmc.issue_page(physical, tag)
-        data = yield from self.flash.read_page_proc(physical, to_host=True)
-        return self.fmc.complete(request, data)
-
-    def read_bytes_block_proc(self, byte_offset: int, size: int) -> Generator:
-        """Process: host read of an arbitrary byte range via page I/O.
-
-        Every touched page is read and transferred whole — this is the
-        page-alignment read amplification of Section III-B2(a).
-        """
-        page_size = self.geometry.page_size
-        first = byte_offset // page_size
-        last = (byte_offset + size - 1) // page_size
-        events = []
-        for lba in range(first, last + 1):
-            events.append(self.sim.process(self.read_block_proc(lba)))
-        results = yield self.sim.all_of(events)
-        data = bytearray()
-        for request in results:
-            data += request.data
-        start = byte_offset - first * page_size
-        return bytes(data[start : start + size])
+        return (yield from self.flash.read_page_proc(physical, to_host=True))
 
     # ------------------------------------------------------------------
     # Embedding-vector path (vector granularity, stays in the device)
     # ------------------------------------------------------------------
-    def read_vector_proc(self, byte_offset: int, size: int, tag: object = None) -> Generator:
-        """Process: vector-grained read of ``size`` bytes.
+    def read_vector_proc(self, byte_offset: int, size: int) -> Generator:
+        """Process: vector-grained read of ``size`` bytes; returns them.
 
         The caller guarantees the vector does not straddle a page
         boundary (the layout module aligns vectors; see
@@ -244,14 +225,11 @@ class SSDController:
                 f"vector read at offset {byte_offset} size {size} straddles a page"
             )
         physical = self.ftl.translate(lba)
-        request = self.fmc.issue_vector(physical, col, size, tag)
-        data = yield from self.flash.read_vector_proc(physical, col, size)
-        return self.fmc.complete(request, data)
+        return (yield from self.flash.read_vector_proc(physical, col, size))
 
-    def read_page_internal_proc(self, lba: int, tag: object = None) -> Generator:
-        """Process: page read consumed inside the device (EMB-PageSum)."""
+    def read_page_internal_proc(self, lba: int) -> Generator:
+        """Process: page read consumed inside the device (EMB-PageSum);
+        returns the page bytes."""
         yield self._ftl_lookup()
         physical = self.ftl.translate(lba)
-        request = self.fmc.issue_page(physical, tag)
-        data = yield from self.flash.read_page_proc(physical, to_host=False)
-        return self.fmc.complete(request, data)
+        return (yield from self.flash.read_page_proc(physical, to_host=False))

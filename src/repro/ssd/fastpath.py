@@ -10,14 +10,14 @@ processes or events, applying the same greedy resource semantics as
 :class:`repro.sim.resources.Server` (FIFO channel bus) and reproducing
 the DES service order *and* its float arithmetic bit for bit.
 
-Exactness rests on three properties of the kernel:
+Exactness rests on two properties of the kernel:
 
 * Events fire in ``(time, sequence)`` order and sequences are assigned
   at scheduling time, so within one channel the order of two events of
   the same instant is the order in which the events that scheduled
-  them fired (channel events are only ever scheduled while processing
-  channel events; the per-request entry timeouts are all scheduled up
-  front, in issue order, before any channel event exists).
+  them fired: a read's arrival was scheduled when it entered the flash
+  stage, a completion when its read won the bus (the tie key of
+  :func:`_step_reads`).
 * The channel bus is a FIFO ``Server``, replayed by the rules
   :mod:`repro.sim.maxplus` states: ``max`` kept on ties, the caller
   resumed at ``f + (finish - f)``, busy time summed left to right.
@@ -142,7 +142,7 @@ class _ChannelReplay:
     )
 
     def __init__(self, enter_ns, die_counts, transfer_ns, issue, oh_ns,
-                 flush_ns, bus_free, bus_busy, staged) -> None:
+                 flush_ns, bus_free, bus_busy) -> None:
         n = len(enter_ns)
         self.flush_ns = flush_ns
         self.tail = list(accumulate(die_counts))
@@ -150,14 +150,8 @@ class _ChannelReplay:
         table = np.empty((3, n + 1))
         table[:, n] = _SENTINEL[:3]
         self.arrive, self.entered, self.durations = table
-        if staged:
-            np.add(enter_ns, oh_ns, out=self.arrive[:n])
-            self.entered[:n] = enter_ns
-        else:
-            # Arrivals scheduled up front, before any channel event:
-            # their pushing moment sorts before everything.
-            self.arrive[:n] = enter_ns
-            self.entered[:n] = -_INF
+        np.add(enter_ns, oh_ns, out=self.arrive[:n])
+        self.entered[:n] = enter_ns
         self.durations[:n] = transfer_ns
         self.issue = np.empty(n + 1, dtype=np.int64)
         self.issue[:n] = issue
@@ -191,9 +185,8 @@ def _step_reads(
     the kernel breaks equal ``g`` by event sequence number, i.e. by
     *when the event that pushed the grant was itself scheduled*.  A
     grant is pushed either by the read's own arrival (die idle;
-    scheduled when the read entered, at ``e_i`` — or before
-    everything, ``-inf``, when the arrivals were scheduled up front)
-    or by the previous read's completion (scheduled when that read won
+    scheduled when the read entered, at ``e_i``) or by the previous
+    read's completion (scheduled when that read won
     the bus, at its ``f_j``); entries are drained before equal-time
     channel events, so an arrival sorts before a completion of the
     same moment, and equal moments of one kind fall back to issue
@@ -420,7 +413,6 @@ def _replay_channel(
     flush_ns: float,
     bus_free: float,
     bus_busy: float,
-    staged: bool,
     profiler=None,
     bus_name=None,
     die_names=None,
@@ -430,11 +422,10 @@ def _replay_channel(
     The reads come (and their completion times go back) die-major: die
     ``k``'s ``die_counts[k]`` reads, in issue order, after die
     ``k - 1``'s; ``issue`` is each read's issue index.  ``enter_ns``
-    carries one entry per read, sorted in issue order: with ``staged=True`` it is the time the request *enters*
-    the flash stage (an upstream server released it; the
-    request-overhead wait still follows), with ``staged=False`` it is
-    the time the overhead wait already elapsed (the overhead timeouts
-    were scheduled up front, as ``FlashArray.run_reads`` does).
+    carries one entry per read, sorted in issue order: the time the
+    request *enters* the flash stage (an upstream server released it,
+    or ``FlashArray.run_reads`` issued it); the request-overhead wait
+    still follows.
 
     With a profiler attached, or fewer than :data:`SCAN_MIN_READS`
     reads, the step loop replays the whole channel.  Otherwise the
@@ -446,7 +437,7 @@ def _replay_channel(
     n = len(enter_ns)
     ch = _ChannelReplay(
         enter_ns, die_counts, transfer_ns, issue, oh_ns, flush_ns,
-        bus_free, bus_busy, staged,
+        bus_free, bus_busy,
     )
     if profiler is not None or n < SCAN_MIN_READS:
         _step_reads(ch, n, profiler, bus_name, die_names)
@@ -469,7 +460,6 @@ def replay_reads(
     channel_ids: np.ndarray,
     die_ids: np.ndarray,
     transfer_ns: np.ndarray,
-    staged: bool,
 ) -> Tuple[np.ndarray, float]:
     """Replay a batch of flash reads across channels.
 
@@ -520,7 +510,6 @@ def replay_reads(
             timing.flush_ns,
             channel.bus._free_at,
             channel.bus.busy_time,
-            staged,
             profiler,
             channel.bus.name,
             [die.name for die in channel.dies],

@@ -411,11 +411,11 @@ class FlashArray:
             raise ValueError(f"column {bad} out of range [0, {page_size})")
         if bool(((cols + sizes) > page_size).any()):
             raise ValueError("read crosses the page boundary")
-        # All request-overhead timeouts are scheduled in the same
-        # round, so every read enters the flash stage at start + OH.
-        enter_ns = np.full(count, start + self.timing.request_overhead_ns)
+        # Every read enters the flash stage at ``start``: all their
+        # request-overhead timeouts are scheduled in the same round.
+        enter_ns = np.full(count, start)
         _, end = fastpath.replay_reads(
-            self, enter_ns, channel_ids, die_ids, transfer_ns, staged=False
+            self, enter_ns, channel_ids, die_ids, transfer_ns
         )
         if vector:
             self.stats.record_vector_reads(count, int(sizes.sum()))
@@ -423,7 +423,3 @@ class FlashArray:
             self.stats.record_page_reads(count, page_size, to_host=True)
         self.sim.run(until=end)
         return self.sim.now - start
-
-    def address_of(self, address: PhysicalAddress) -> int:
-        """Flat page index of a structured physical address."""
-        return self.geometry.address_to_page_index(address)

@@ -6,8 +6,7 @@ mapping function in the FTL design, and each page's data are scattered
 around the four DDR4 chips for higher throughput" — that scattering is
 exactly what :class:`repro.ssd.geometry.SSDGeometry`'s channel-major
 page numbering provides, so :class:`LinearMapping` is the identity on
-page numbers.  :class:`PageMapping` is a conventional page-mapped FTL
-kept for completeness (block I/O workloads with out-of-place writes).
+page numbers.
 
 The FTL is shared between the conventional block I/O path and the
 embedding-vector path; the controller arbitrates between them with a
@@ -17,7 +16,7 @@ number of cycles.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,40 +45,6 @@ class LinearMapping:
 
     def map_write(self, lba: int) -> int:
         return self.translate(lba)
-
-
-class PageMapping:
-    """Page-mapped FTL with an append-only allocation pointer.
-
-    Unmapped reads raise ``KeyError`` — reading never-written logical
-    space is a host bug the simulator should surface, not hide.
-    """
-
-    def __init__(self, geometry: SSDGeometry) -> None:
-        self.geometry = geometry
-        self._table: Dict[int, int] = {}
-        self._next_free = 0
-
-    def translate(self, lba: int) -> int:
-        try:
-            return self._table[lba]
-        except KeyError:
-            raise KeyError(f"LBA {lba} has never been written") from None
-
-    def map_write(self, lba: int) -> int:
-        """Allocate (or reuse, in-place for simplicity) a physical page."""
-        if lba in self._table:
-            return self._table[lba]
-        if self._next_free >= self.geometry.total_pages:
-            raise RuntimeError("flash device is full")
-        physical = self._next_free
-        self._next_free += 1
-        self._table[lba] = physical
-        return physical
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._table)
 
 
 class FlashTranslationLayer:
@@ -119,24 +84,10 @@ class FlashTranslationLayer:
         return self._check(lba, self.mapping.translate(lba))
 
     def translate_array(self, lbas) -> np.ndarray:
-        """Batched translation for the vectorized lookup fast path.
-
-        Uses the mapping's own array method when it has one (the
-        linear mapping translates in O(1) vectorized work); otherwise
-        falls back to per-LBA scalar translation, so page-mapped FTLs
-        keep their exact semantics (including ``KeyError`` on
-        never-written logical space).
-        """
+        """Batched translation for the vectorized lookup fast path,
+        through the mapping's own array method."""
         lbas = np.asarray(lbas, dtype=np.int64)
-        mapping_batched = getattr(self.mapping, "translate_array", None)
-        if mapping_batched is not None:
-            physical = mapping_batched(lbas)
-        else:
-            physical = np.fromiter(
-                (self.mapping.translate(int(lba)) for lba in lbas),
-                dtype=np.int64,
-                count=len(lbas),
-            )
+        physical = self.mapping.translate_array(lbas)
         if self.sanitizer is not None:
             self.sanitizer.on_translate_array(
                 lbas, physical, self.geometry.total_pages,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from tests.timer import returns_within
 
@@ -299,6 +300,49 @@ class TestBoundaryErrors:
         for flag in EXPORT_FLAGS[argv[0]]:
             flags += [flag, str(tmp_path / flag.strip("-"))]
         assert message in refused(argv + ["--rows", "64"] + flags, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamRefusals:
+    """``run`` and ``profile`` refuse a stream no device could serve by
+    its flag, with or without export flags, before any device is built
+    (an empty ``run`` used to print ``inf`` QPS, a negative cache ran
+    uncached, a bad window passed unless ``--timeseries-out`` read it)."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "rmc1", "--vcache-vectors", "-3"],
+         "--vcache-vectors must be >= 0"),
+        (["profile", "rmc1", "--vcache-vectors", "-3"],
+         "--vcache-vectors must be >= 0"),
+        (["run", "rmc1", "--requests", "0"], "--requests must be positive"),
+        (["run", "rmc1", "--requests", "-2"], "--requests must be positive"),
+        (["profile", "rmc1", "--requests", "0"], "--requests must be positive"),
+        (["run", "rmc1", "--window-ms", "-1"],
+         "--window-ms must be positive and finite"),
+        (["run", "rmc1", "--window-ms", "0"],
+         "--window-ms must be positive and finite"),
+        (["run", "rmc1", "--window-ms", "inf"],
+         "--window-ms must be positive and finite"),
+        (["run", "rmc1", "--window-ms", "nan"],
+         "--window-ms must be positive and finite"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_refused_by_flag_before_any_device(
+        self, argv, message, capsys, monkeypatch, tmp_path
+    ):
+        def no_device(*args, **kwargs):
+            raise AssertionError("a device was built")
+
+        monkeypatch.setattr(cli, "_build_backend", no_device)
+        required = (
+            ["--profile-out", str(tmp_path / "profile")]
+            if argv[0] == "profile" else []
+        )
+        every = [
+            arg for flag in EXPORT_FLAGS[argv[0]]
+            for arg in (flag, str(tmp_path / flag.strip("-")))
+        ]
+        for exports in (required, every):
+            assert message in refused(argv + ["--rows", "64"] + exports, capsys)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -14,7 +14,6 @@ from repro.baselines import (
 from repro.models import build_model, get_config
 from repro.sim import Simulator, Store
 from repro.sim.resources import drain
-from repro.ssd.fmc import ReadRequest
 from repro.workloads.inputs import InferenceRequest
 
 
@@ -43,12 +42,6 @@ class TestSimHelpers:
         sim.run()
         assert proc.value == [1, 2]
         assert sim.now == 10
-
-
-class TestFMC:
-    def test_read_request_defaults(self):
-        request = ReadRequest(kind="block", physical_page=3)
-        assert request.latency_ns == 0
 
 
 class TestBackendEdges:

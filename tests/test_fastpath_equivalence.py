@@ -460,7 +460,6 @@ def staged_reads_fast(flash, reads, enter):
         channel_ids,
         die_ids,
         flash.timing.vector_transfer_ns_array(sizes),
-        staged=True,
     )
     flash.sim.run(until=end)
     return flash.sim.now
@@ -488,7 +487,7 @@ def assert_tie_equivalent(des_flash, fast_flash, t_des, t_fast):
 def run_tie_case(dies, channels, page_cycles, overhead_cycles, bus_busy_until,
                  pages, sizes, enter):
     """One read set both ways: ``enter=None`` goes through ``run_reads``
-    (arrivals scheduled up front), a sorted list through the staged
+    (every read issued at once), a sorted list through the staged
     entry the lookup engine uses."""
     reads = [(page, 0, size) for page, size in zip(pages, sizes)]
     des_flash, fast_flash = (
@@ -504,7 +503,7 @@ def run_tie_case(dies, channels, page_cycles, overhead_cycles, bus_busy_until,
     assert_tie_equivalent(des_flash, fast_flash, t_des, t_fast)
 
 
-def test_smoke_tie_stress_staged_and_unstaged():
+def test_smoke_tie_stress_staged_and_run_reads():
     """Three dies, one channel, 1 ns grid: a clump of simultaneous
     entries, stragglers landing exactly on flush ends and completions,
     mixed transfer lengths, and a bus still busy from before."""
@@ -549,7 +548,7 @@ def test_smoke_tie_rules_one_by_one():
     reads=st.lists(
         st.tuples(st.integers(0, 9), st.integers(0, 3)), min_size=1, max_size=16
     ),
-    entry_mode=st.sampled_from(["unstaged", "equal", "sorted"]),
+    entry_mode=st.sampled_from(["run_reads", "equal", "sorted"]),
     data=st.data(),
 )
 @settings(deadline=None, max_examples=600, derandomize=True)
@@ -565,7 +564,7 @@ def test_property_tie_stress(dies, channels, grid, overhead_steps,
         TIE_SIZES[pick] if grid == 1 else TIE_SIZES[1 + 2 * (pick % 2)]
         for _, pick in reads
     ]
-    if entry_mode == "unstaged":
+    if entry_mode == "run_reads":
         enter = None
     elif entry_mode == "equal":
         enter = [grid * data.draw(st.integers(0, 6))] * len(reads)
@@ -622,10 +621,11 @@ def test_property_tie_stress_lookup_batch(batch, dies, dim):
 TABLE2 = SSDTimingModel()
 
 
-def channel_case(rng, regime, dies, n, staged):
+def channel_case(rng, regime, dies, n, equal):
     """One channel's reads, die-major as ``replay_reads`` hands them
     over: ``(enter, die_counts, transfer, issue, oh, flush, bus_free,
-    bus_busy, staged)``."""
+    bus_busy)``.  ``equal`` makes every read enter at the first entry,
+    as ``run_reads`` issues them; otherwise the entries are sorted."""
     die_ids = rng.integers(0, dies, n)
     if regime == "idle_dies":
         die_ids = np.minimum(die_ids, rng.integers(0, dies))
@@ -645,14 +645,14 @@ def channel_case(rng, regime, dies, n, staged):
             enter = np.sort(
                 start + rng.integers(0, 4, n) * 3 * flush + rng.random(n) * 200
             )
-        if not staged and rng.random() < 0.5:
-            enter = np.full(n, start)  # as run_reads issues them
+    if equal:
+        enter = np.full(n, enter[0])
     order = np.argsort(die_ids, kind="stable")
     return (
         enter[order], np.bincount(die_ids, minlength=dies).tolist(),
         transfer[order], order, overhead, flush,
         float(enter[0] + rng.integers(0, 3) * flush * rng.random()),
-        float(rng.random() * 1e6), staged,
+        float(rng.random() * 1e6),
     )
 
 
@@ -670,10 +670,10 @@ def replay_bytes(result):
 REGIMES = ["tie_grid", "table2", "bursts", "idle_reads", "idle_dies", "page_reads"]
 
 
-def assert_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch):
+def assert_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch):
     """Windows and thresholds forced tiny, so accepted prefixes end
     (and the step loop takes over) all over the channel."""
-    case = channel_case(np.random.default_rng(seed), regime, dies, n, staged)
+    case = channel_case(np.random.default_rng(seed), regime, dies, n, equal)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fastpath, "SCAN_MIN_READS", 0)
         patch.setattr(fastpath, "SCAN_FIRST_CELLS", cells)
@@ -685,8 +685,8 @@ def assert_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_smoke_scan_equals_step_loop(regime):
-    for seed, (dies, staged) in enumerate([(1, True), (2, False), (3, True), (8, False)]):
-        assert_scan_equals_step_loop(seed, regime, dies, 300, staged, 2 + seed, 1)
+    for seed, (dies, equal) in enumerate([(1, False), (2, True), (3, False), (8, True)]):
+        assert_scan_equals_step_loop(seed, regime, dies, 300, equal, 2 + seed, 1)
 
 
 @given(
@@ -694,13 +694,13 @@ def test_smoke_scan_equals_step_loop(regime):
     regime=st.sampled_from(REGIMES),
     dies=st.integers(1, 8),
     n=st.integers(1, 250),
-    staged=st.booleans(),
+    equal=st.booleans(),
     cells=st.integers(1, 24),
     stretch=st.integers(1, 4),
 )
 @settings(deadline=None, max_examples=400, derandomize=True)
-def test_property_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch):
-    assert_scan_equals_step_loop(seed, regime, dies, n, staged, cells, stretch)
+def test_property_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch):
+    assert_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch)
 
 
 def count_replay(monkeypatch, case):
@@ -734,7 +734,7 @@ def test_scan_takes_a_backlogged_table2_channel(monkeypatch):
     """Two dies, 8192 reads entering every 320 ns at Table II timing:
     die-bound and backlogged, the case the scan exists for.  Fewer
     than 5 % of the reads may go through the step loop."""
-    case = channel_case(np.random.default_rng(3), "table2", 2, 8192, True)
+    case = channel_case(np.random.default_rng(3), "table2", 2, 8192, False)
     stepped, _, attempts = count_replay(monkeypatch, case)
     assert attempts > 0
     assert stepped < 0.05 * 8192
@@ -750,7 +750,7 @@ def test_refused_scan_attempts_stay_cheap(monkeypatch, regime, dies):
     on a refused step may compute at most a quarter as many chain
     elements as there are reads."""
     reads = 30_000
-    case = channel_case(np.random.default_rng(4), regime, dies, reads, True)
+    case = channel_case(np.random.default_rng(4), regime, dies, reads, False)
     _, refused_cells, attempts = count_replay(monkeypatch, case)
     assert attempts > 0
     assert refused_cells <= reads // 4
@@ -758,6 +758,6 @@ def test_refused_scan_attempts_stay_cheap(monkeypatch, regime, dies):
 
 def test_small_channel_never_calls_the_scan(monkeypatch):
     reads = fastpath.SCAN_MIN_READS - 1
-    case = channel_case(np.random.default_rng(5), "table2", 2, reads, True)
+    case = channel_case(np.random.default_rng(5), "table2", 2, reads, False)
     stepped, _, attempts = count_replay(monkeypatch, case)
     assert (stepped, attempts) == (reads, 0)

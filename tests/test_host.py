@@ -63,6 +63,15 @@ class TestHostPipeline:
         # First fills (115), the rest cost their bottleneck (100).
         assert pipe.total_ns() == 115 + 200
 
+    def test_pipelined_total_is_the_stage_recurrence(self):
+        # Non-uniform stages: request 1's send (10-110) overlaps request
+        # 0's device time, its device starts at 110 and its receive
+        # ends at 125 -- not first fill + bottleneck (115 + 100).
+        pipe = HostPipeline(pipelined=True)
+        pipe.extend([(10, 100, 5), (100, 10, 5)])
+        assert pipe.total_ns() == 125
+        assert pipe.emit_trace(None) == 125
+
     def test_speedup_from_pipelining(self):
         pipe = HostPipeline(pipelined=True)
         for _ in range(100):

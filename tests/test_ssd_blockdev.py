@@ -105,17 +105,22 @@ class TestTimedReads:
         assert proc.value == b"hello world"
 
     def test_paged_read_amplification(self):
-        dev = make_device()
-        dev.create_file("t", 4096 * 4)
-        stats = dev.controller.stats
-        stats.reset()
-        # 128 B read costs one whole page over the host link.
-        proc = dev.sim.process(dev.read_file_pages_proc("t", 256, 128))
-        dev.sim.run()
-        assert len(proc.value) == 128
-        assert stats.host_read_bytes == 4096
-        stats.record_useful(128)
-        assert stats.read_amplification == pytest.approx(32.0)
+        # Every touched page crosses the host link whole: 128 B inside
+        # one page cost one page, 200 B across a boundary cost two.
+        for offset, size, pages in [(256, 128, 1), (4000, 200, 2)]:
+            dev = make_device()
+            dev.create_file("t", 4096 * 4)
+            payload = b"A" * size
+            dev.write_file("t", payload, offset=offset)
+            stats = dev.controller.stats
+            stats.reset()
+            proc = dev.sim.process(dev.read_file_pages_proc("t", offset, size))
+            dev.sim.run()
+            assert proc.value == payload
+            assert stats.host_read_bytes == pages * 4096
+            assert stats.flash_page_reads == pages
+            stats.record_useful(size)
+            assert stats.read_amplification == pytest.approx(pages * 4096 / size)
 
     def test_device_offset_of_maps_through_extents(self):
         dev = make_device(max_extent_pages=1)

@@ -1,4 +1,4 @@
-"""Tests for the SSD controller front end and FMCs."""
+"""Tests for the SSD controller front end: block, vector and internal reads."""
 
 import pytest
 
@@ -42,19 +42,9 @@ class TestBlockPath:
         ctrl.write_logical(0, b"blockdata")
         proc = ctrl.sim.process(ctrl.read_block_proc(0))
         ctrl.sim.run()
-        assert proc.value.data[:9] == b"blockdata"
+        assert proc.value[:9] == b"blockdata"
         assert ctrl.stats.host_read_bytes == 4096
         assert ctrl.stats.flash_page_reads == 1
-
-    def test_byte_range_read_amplifies_to_pages(self):
-        ctrl = make_controller()
-        ctrl.write_logical(4000, b"A" * 200)  # straddles two pages
-        proc = ctrl.sim.process(ctrl.read_bytes_block_proc(4000, 200))
-        ctrl.sim.run()
-        assert proc.value == b"A" * 200
-        # 200 useful bytes cost two full pages over the host link.
-        assert ctrl.stats.host_read_bytes == 2 * 4096
-        assert ctrl.stats.flash_page_reads == 2
 
 
 class TestVectorPath:
@@ -63,7 +53,7 @@ class TestVectorPath:
         ctrl.write_logical(8192 + 256, b"V" * 128)
         proc = ctrl.sim.process(ctrl.read_vector_proc(8192 + 256, 128))
         ctrl.sim.run()
-        assert proc.value.data == b"V" * 128
+        assert proc.value == b"V" * 128
         assert ctrl.stats.flash_vector_reads == 1
         # Vector reads never cross the host link by themselves.
         assert ctrl.stats.host_read_bytes == 0
@@ -80,7 +70,7 @@ class TestVectorPath:
 
     def test_vector_read_faster_than_block_read(self):
         ctrl_vec = make_controller()
-        proc = ctrl_vec.sim.process(ctrl_vec.read_vector_proc(0, 128))
+        ctrl_vec.sim.process(ctrl_vec.read_vector_proc(0, 128))
         ctrl_vec.sim.run()
         t_vec = ctrl_vec.sim.now
 
@@ -88,8 +78,7 @@ class TestVectorPath:
         ctrl_blk.sim.process(ctrl_blk.read_block_proc(0))
         ctrl_blk.sim.run()
         t_blk = ctrl_blk.sim.now
-        assert t_vec < t_blk
-        assert proc.value.latency_ns > 0
+        assert 0 < t_vec < t_blk
 
     def test_internal_page_read_stays_in_device(self):
         ctrl = make_controller()

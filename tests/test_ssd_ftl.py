@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd.ftl import FlashTranslationLayer, LinearMapping, PageMapping
+from repro.ssd.ftl import FlashTranslationLayer, LinearMapping
 from repro.ssd.geometry import SSDGeometry
 
 
@@ -35,38 +35,6 @@ class TestLinearMapping:
         assert mapping.map_write(17) == 17
 
 
-class TestPageMapping:
-    def test_write_allocates_sequentially(self, geo):
-        mapping = PageMapping(geo)
-        assert mapping.map_write(100) == 0
-        assert mapping.map_write(5) == 1
-        assert mapping.map_write(100) == 0  # in-place reuse
-
-    def test_translate_follows_writes(self, geo):
-        mapping = PageMapping(geo)
-        mapping.map_write(42)
-        assert mapping.translate(42) == 0
-
-    def test_unmapped_read_raises(self, geo):
-        mapping = PageMapping(geo)
-        with pytest.raises(KeyError):
-            mapping.translate(3)
-
-    def test_device_full(self, geo):
-        mapping = PageMapping(geo)
-        for lba in range(geo.total_pages):
-            mapping.map_write(lba)
-        with pytest.raises(RuntimeError):
-            mapping.map_write(geo.total_pages)
-
-    def test_mapped_pages_counter(self, geo):
-        mapping = PageMapping(geo)
-        mapping.map_write(1)
-        mapping.map_write(2)
-        mapping.map_write(1)
-        assert mapping.mapped_pages == 2
-
-
 class TestFacade:
     def test_default_is_linear(self, geo):
         ftl = FlashTranslationLayer(geo)
@@ -77,11 +45,6 @@ class TestFacade:
         physical, col = ftl.translate_byte_address(2 * 4096 + 300)
         assert physical == 2
         assert col == 300
-
-    def test_custom_mapping_honoured(self, geo):
-        ftl = FlashTranslationLayer(geo, mapping=PageMapping(geo))
-        ftl.map_write(7)
-        assert ftl.translate(7) == 0
 
     def test_lookup_cycles_default(self, geo):
         assert FlashTranslationLayer(geo).lookup_cycles == 8

@@ -99,4 +99,4 @@ class TestControllerWrites:
         read = sim.process(ctrl.read_block_proc(0))
         sim.run()
         assert sim.now > ctrl.timing.page_program_ns
-        assert read.value.data[:1] == b"w"
+        assert read.value[:1] == b"w"
