@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core.lookup_engine import flatten_batch
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
+from repro.sim.workspace import Workspace
 from repro.ssd.stats import IOStatistics
 from repro.workloads.inputs import InferenceRequest
 
@@ -108,7 +109,7 @@ class InferenceBackend(ABC):
         """The ``(tables, rows)`` of every lookup of ``request``, in
         issue order: sample by sample, table by table."""
         rows = np.array([table.rows for table in self.model.tables])
-        return flatten_batch(request.sparse, rows)[1:]
+        return flatten_batch(request.sparse, rows, Workspace())[1:]
 
     # ------------------------------------------------------------------
     # The backend contract

@@ -96,10 +96,11 @@ def _request_generator(args, config) -> RequestGenerator:
 
 def _require_stream(args) -> None:
     """Refuse, by flag and before any device is built, a ``run`` /
-    ``profile`` stream with no requests or a negative cache size."""
+    ``profile`` / ``sweep`` stream with no requests or a negative cache
+    size."""
     if args.requests <= 0:
         raise ValueError(f"--requests must be positive, got {args.requests}")
-    if args.vcache_vectors < 0:
+    if getattr(args, "vcache_vectors", 0) < 0:
         raise ValueError(
             f"--vcache-vectors must be >= 0 (0 = no cache), got {args.vcache_vectors}"
         )
@@ -316,8 +317,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_stream(args)
+    batches = [int(b) if b.strip().isdecimal() else 0 for b in args.batches.split(",")]
+    if min(batches) < 1:
+        raise ValueError(f"--batches must list positive integers, got {args.batches!r}")
     config, model = _model(args)
-    batches = [int(b) for b in args.batches.split(",")]
     backends = [
         _build_backend(name, model, config) for name in args.backends.split(",")
     ]

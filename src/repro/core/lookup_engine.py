@@ -22,14 +22,15 @@ import operator
 from dataclasses import dataclass
 from itertools import chain
 from math import ceil
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.pooling import segment_pool
-from repro.embedding.translator import EVTranslator
+from repro.embedding.translator import EVTranslator, check_rows
 from repro.obs import names
+from repro.sim.workspace import Workspace
 from repro.ssd import fastpath, vcache as vcache_model
 from repro.ssd.controller import SSDController
 from repro.ssd.geometry import SSDGeometry
@@ -125,7 +126,7 @@ class LookupResult:
 
 
 def flatten_batch(
-    sparse_batch: Sequence[Sequence[Sequence[int]]], rows: np.ndarray
+    sparse_batch: Sequence[Sequence[Sequence[int]]], rows: np.ndarray, ws: Workspace
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-(sample, table) lengths and the flat ``(table, row)`` stream
     of a batch over tables of ``rows`` rows each, in issue order
@@ -135,30 +136,32 @@ def flatten_batch(
     non-integer or out-of-range index ``IndexError``, before any state
     moves."""
     num_tables = len(rows)
-    cells: List[Sequence[int]] = []
     for sample_id, sample in enumerate(sparse_batch):
         if len(sample) != num_tables:
             raise ValueError(
                 f"sample {sample_id}: {len(sample)} index lists for "
                 f"{num_tables} tables"
             )
-        cells.extend(sample)
     lengths = np.fromiter(
-        (len(cell) for cell in cells), dtype=np.int64, count=len(cells)
+        (len(cell) for sample in sparse_batch for cell in sample),
+        dtype=np.int64, count=len(sparse_batch) * num_tables,
     )
+    total, table_ids = int(lengths.sum()), np.arange(num_tables)
+    flat_tables, flat_indices = ws("tables", total), ws("indices", total)
+    per_sample = lengths.reshape(len(sparse_batch), num_tables)
+    stop = 0
     try:
-        flat_indices = np.fromiter(
-            map(operator.index, chain.from_iterable(cells)),
-            dtype=np.int64, count=int(lengths.sum()),
-        )
+        # A sample at a time, so no temporary is the batch's size.
+        for sample, counts in zip(sparse_batch, per_sample):
+            start, stop = stop, stop + int(counts.sum())
+            flat_tables[start:stop] = np.repeat(table_ids, counts)
+            flat_indices[start:stop] = np.fromiter(
+                map(operator.index, chain.from_iterable(sample)),
+                dtype=np.int64, count=stop - start,
+            )
     except (TypeError, OverflowError) as error:
         raise IndexError(f"indices must be int64 row numbers: {error}") from None
-    table_ids = np.tile(np.arange(num_tables), len(sparse_batch))
-    flat_tables = np.repeat(table_ids, lengths)
-    bad = np.flatnonzero((flat_indices < 0) | (flat_indices >= rows[flat_tables]))
-    if bad.size:
-        index, table_id = flat_indices[bad[0]], flat_tables[bad[0]]
-        raise IndexError(f"index {index} out of range for table {table_id}")
+    check_rows(flat_tables, flat_indices, rows)
     return lengths, flat_tables, flat_indices
 
 
@@ -168,6 +171,13 @@ class EmbeddingLookupEngine:
     ``pooling`` selects the EV Sum reduction: ``"sum"`` (the default
     SparseLengthSum semantics) or ``"mean"`` (average pooling — the
     fadd array followed by one multiply by ``1/N``).
+
+    Ownership: every batch-sized array of a fast-path batch — the flat
+    stream, addresses, entry times, gathered rows — is a view of
+    :attr:`workspace`, overwritten by the next fast batch.  What leaves
+    the engine is fresh: ``LookupResult.pooled`` and the rows of
+    :meth:`warm_vcache` and the sanitizer's gathers (a workspace of
+    their own).  The DES path uses a workspace of its own per batch.
     """
 
     def __init__(
@@ -191,6 +201,7 @@ class EmbeddingLookupEngine:
                 self.tables[table_id].rows,
             )
         self._rows = np.array([self.tables[t].rows for t in range(len(self.tables))])
+        self.workspace = Workspace()
         #: Batches served per ``(path, fallback_reason)``.
         self.path_counts: Dict[Tuple[str, Optional[str]], int] = {}
 
@@ -202,30 +213,32 @@ class EmbeddingLookupEngine:
     # Steps shared by both execution paths
     # ------------------------------------------------------------------
     def _locate(
-        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray, ws: Workspace
     ) -> Tuple[np.ndarray, ...]:
         """Fig. 6 translation of the whole stream, then the FTL map:
         ``(physical_pages, cols, channel_ids, die_ids)`` of every
         ``(table, row)``."""
         return self.controller.translate_vector_offsets(
-            self.translator.translate_array(flat_tables, flat_indices),
+            self.translator.translate_array(flat_tables, flat_indices, ws),
             self.tables.ev_size,
+            ws,
         )
 
     def _peek_rows(
         self, flat_tables: np.ndarray, flat_indices: np.ndarray
     ) -> np.ndarray:
         """Functional gather of embedding vectors (no simulated time)."""
-        physical_pages, cols, _, _ = self._locate(flat_tables, flat_indices)
+        ws = Workspace()
+        physical_pages, cols, _, _ = self._locate(flat_tables, flat_indices, ws)
         return self.controller.flash.peek_vectors(
-            physical_pages, cols, self.tables.ev_size
+            physical_pages, cols, self.tables.ev_size, ws
         )
 
     # ------------------------------------------------------------------
     # Controller-DRAM vector cache (optional; see repro.ssd.vcache)
     # ------------------------------------------------------------------
     def _probe_vcache(
-        self, flat_tables: np.ndarray, flat_indices: np.ndarray
+        self, flat_tables: np.ndarray, flat_indices: np.ndarray, ws: Workspace
     ) -> Tuple[Optional[vcache_model.Probe], np.ndarray, np.ndarray]:
         """Probe the cache once per lookup, in issue order.
 
@@ -254,6 +267,7 @@ class EmbeddingLookupEngine:
         miss_rows: np.ndarray,
         flat_tables: np.ndarray,
         flat_indices: np.ndarray,
+        ws: Workspace,
     ) -> np.ndarray:
         """Every row of the batch in issue order, given its flash reads.
 
@@ -262,7 +276,8 @@ class EmbeddingLookupEngine:
         """
         if probe is None:
             return miss_rows
-        rows = np.empty((len(probe.refs), self.dim), dtype=np.float32)
+        n = len(probe.refs)
+        rows = ws("bound", n * self.dim, np.float32).reshape(n, self.dim)
         rows[probe.miss_positions()] = miss_rows
         self.controller.vcache.bind(probe, rows)
         sanitizer = self.controller.flash.sanitizer
@@ -446,8 +461,9 @@ class EmbeddingLookupEngine:
         sim = self.controller.sim
         start = sim.now
         mark = None if self.controller.tracer is None else self.controller.batch_mark()
-        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows)
-        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
+        ws = Workspace()
+        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows, ws)
+        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices, ws)
         proc = sim.process(
             self._read_proc(miss_tables.tolist(), miss_indices.tolist())
         )
@@ -456,7 +472,7 @@ class EmbeddingLookupEngine:
         miss_rows = np.empty((len(proc.value), self.dim), dtype=np.float32)
         for position, data in enumerate(proc.value):
             miss_rows[position] = np.frombuffer(data, dtype=np.float32)
-        rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices)
+        rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices, ws)
         # EV Sum: accumulate in lookup order for bitwise-stable fp32.
         pooled = np.zeros((len(lengths), self.dim), dtype=np.float32)
         cursor = 0
@@ -485,27 +501,23 @@ class EmbeddingLookupEngine:
         sim = self.controller.sim
         start = sim.now
         mark = None if self.controller.tracer is None else self.controller.batch_mark()
-        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows)
-        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices)
+        ws = self.workspace
+        lengths, flat_tables, flat_indices = flatten_batch(sparse_batch, self._rows, ws)
+        probe, miss_tables, miss_indices = self._probe_vcache(flat_tables, flat_indices, ws)
         vectors_read = len(miss_indices)
         ev_size = self.tables.ev_size
+        flash = self.controller.flash
         if vectors_read:
             physical_pages, cols, channel_ids, die_ids = self._locate(
-                miss_tables, miss_indices
+                miss_tables, miss_indices, ws
             )
             # Timing: serialize the shared FTL stage, then replay the
             # two-phase flash protocol per channel.
-            enter_ns = self.controller.serve_ftl_batch(vectors_read)
-            transfer_ns = np.full(
-                vectors_read, self.controller.timing.vector_transfer_ns(ev_size)
+            enter_ns = self.controller.serve_ftl_batch(vectors_read, ws)
+            transfer_ns = np.broadcast_to(
+                self.controller.timing.vector_transfer_ns(ev_size), vectors_read
             )
-            _, end = fastpath.replay_reads(
-                self.controller.flash,
-                enter_ns,
-                channel_ids,
-                die_ids,
-                transfer_ns,
-            )
+            end = fastpath.replay_reads(flash, enter_ns, channel_ids, die_ids, transfer_ns, ws)
             self.controller.stats.record_vector_reads(
                 vectors_read, vectors_read * ev_size
             )
@@ -513,19 +525,18 @@ class EmbeddingLookupEngine:
         else:
             sim.run(until=start)
         elapsed = sim.now - start
-        flash = self.controller.flash
         if vectors_read and probe is None:
             # EV Sum adds the vectors as they leave the flash: the
             # reduction asks for the rows it is about to add, a block
             # at a time, and the whole batch is never held at once.
             def rows(ids: np.ndarray) -> np.ndarray:
-                return flash.peek_vectors(physical_pages[ids], cols[ids], ev_size)
+                return flash.peek_vectors(physical_pages[ids], cols[ids], ev_size, ws)
         else:
             if vectors_read:
-                miss_rows = flash.peek_vectors(physical_pages, cols, ev_size)
+                miss_rows = flash.peek_vectors(physical_pages, cols, ev_size, ws)
             else:
                 miss_rows = np.empty((0, self.dim), dtype=np.float32)
-            rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices)
+            rows = self._bind_vcache(probe, miss_rows, flat_tables, flat_indices, ws)
         # EV Sum: reduce each (sample, table) segment of the rows
         # strictly left to right.
         pooled = segment_pool(rows, lengths, self.pooling).reshape(

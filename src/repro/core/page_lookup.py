@@ -19,6 +19,7 @@ from repro.core.lookup_engine import flatten_batch
 from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.pooling import segment_pool
 from repro.embedding.translator import EVTranslator
+from repro.sim.workspace import Workspace
 from repro.ssd.controller import SSDController
 
 
@@ -60,8 +61,9 @@ class PageLookupEngine:
         """Run a batched page-granular lookup; returns ``(pooled,
         elapsed_ns, pages_read)``.  Pooling order matches the host SLS.
         """
-        lengths, tables, indices = flatten_batch(sparse_batch, self._rows)
-        offsets = self.translator.translate_array(tables, indices)
+        ws = Workspace()
+        lengths, tables, indices = flatten_batch(sparse_batch, self._rows, ws)
+        offsets = self.translator.translate_array(tables, indices, ws)
         sim = self.controller.sim
         start = sim.now
         proc = sim.process(self._read_all_proc(offsets))

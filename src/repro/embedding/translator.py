@@ -40,6 +40,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.embedding.layout import ExtentRange
+from repro.sim.workspace import CHUNK, Workspace
 from repro.ssd.geometry import int64_array
 
 
@@ -172,9 +173,9 @@ class EVTranslator:
             size=meta.ev_size,
         )
 
-    def translate_array(self, tables, indices) -> np.ndarray:
+    def translate_array(self, tables, indices, ws: Workspace) -> np.ndarray:
         """Batched steps 2-5 over every table at once: ``tables`` (one
-        id, or one per index) and ``indices`` in, byte offsets out.
+        id, or one per index) and 1-D ``indices`` in, byte offsets out.
         The offsets are :meth:`translate`'s; a bad stream raises, before
         returning anything, what :meth:`translate` raises on the first
         offender of the earliest failing check (module docstring)."""
@@ -191,16 +192,19 @@ class EVTranslator:
             indices, lambda got: IndexError(f"indices must be int64 row numbers: got {got!r}")
         )
         tables = np.broadcast_to(tables, indices.shape)
-        bad = np.flatnonzero((indices < 0) | (indices >= self._rows[tables]))
-        if bad.size:
-            index, table_id = indices[bad[0]], tables[bad[0]]
-            raise IndexError(f"index {index} out of range for table {table_id}")
-        positions = self._base[tables]
-        searched = np.flatnonzero(self._searched[tables])
-        positions[searched] = self._search(tables[searched], indices[searched])
-        # Steps 4-5: start LBA plus in-extent page/slot offset.
-        pages, slots = np.divmod(indices - self._first[positions], self._slots[tables])
-        return (self._lba[positions] + pages) * self.page_size + slots * self._ev[tables]
+        check_rows(tables, indices, self._rows)
+        offsets = ws("offsets", indices.size)
+        for first in range(0, indices.size, CHUNK):
+            chunk = slice(first, first + CHUNK)
+            table, index = tables[chunk], indices[chunk]
+            positions = self._base[table]
+            searched = np.flatnonzero(self._searched[table])
+            positions[searched] = self._search(table[searched], index[searched])
+            # Steps 4-5: start LBA plus in-extent page/slot offset.
+            pages, slots = np.divmod(index - self._first[positions], self._slots[table])
+            pages += self._lba[positions]
+            offsets[chunk] = pages * self.page_size + slots * self._ev[table]
+        return offsets
 
     def _search(self, tables: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Step 3 for lookups of fragmented tables: each one's covering
@@ -223,3 +227,14 @@ class EVTranslator:
     def translation_cycles(self, num_lookups: int) -> int:
         """Pipeline cycles to translate ``num_lookups`` indices."""
         return self.CYCLES_PER_LOOKUP * num_lookups
+
+
+def check_rows(tables: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
+    """Refuse the first index outside ``[0, rows[table])`` as
+    :meth:`EVTranslator.translate` does, a chunk at a time."""
+    for first in range(0, indices.size, CHUNK):
+        index = indices[first : first + CHUNK]
+        bad = np.flatnonzero((index < 0) | (index >= rows[tables[first : first + CHUNK]]))
+        if bad.size:
+            at = first + bad[0]
+            raise IndexError(f"index {indices[at]} out of range for table {tables[at]}")

@@ -25,6 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.sim.workspace import CHUNK, Workspace
+
 #: Below this many jobs the reference loop beats the segmented scan at
 #: high load (both bitwise-identical: pure performance).  Loop vs scan,
 #: 2-vCPU box, us, utilisation 0.2/0.6/0.95: 256 jobs 40 vs 43/53/110,
@@ -53,23 +55,28 @@ def resume(t, finish):
 
 
 def busy_sum(busy: float, durations) -> float:
-    """``Server.busy_time`` after one ``serve`` per duration."""
-    return _accumulate(busy, durations).item(-1)
+    """``Server.busy_time`` after one ``serve`` per duration, summed a
+    chunk at a time (the same additions in the same order)."""
+    for first in range(0, len(durations), CHUNK):
+        chunk = durations[first : first + CHUNK]
+        busy = _accumulate(busy, chunk, np.empty(len(chunk) + 1)).item(-1)
+    return busy
 
 
-def serve_burst(t: float, free: float, durations) -> Tuple[np.ndarray, ...]:
-    """Jobs all offered at one instant ``t``: ``(starts, finishes,
-    resumes)`` in issue order.  They form one busy run, one sequential
-    accumulate from ``max(t, free)``; only behind zero-length jobs,
-    where a finish ties ``t`` and ``t`` wins, is it verified."""
+def serve_burst(t: float, free: float, durations, ws: Workspace) -> Tuple[np.ndarray, ...]:
+    """Jobs all offered at one instant ``t``: ``(starts, finishes)`` in
+    issue order, which may be views of ``ws``.  They form one busy run,
+    one sequential accumulate from ``max(t, free)``; only behind
+    zero-length jobs, where a finish ties ``t`` and ``t`` wins, is it
+    verified."""
     d = np.asarray(durations, dtype=np.float64)
-    edges = _accumulate(t if t >= free else free, d)
+    edges = _accumulate(t if t >= free else free, d, ws("burst", d.size + 1, np.float64))
     starts, finishes = edges[:-1], edges[1:]
     # Job i > 0 starts at finish[i - 1] unless that ties t, which wins.
     if d.size > 1 and not t < finishes[:-1].min():
         verified = _verified(t, d, starts, finishes)
         starts, finishes = verified or _serve_chain_loop(np.full(d.size, t), d, free)
-    return starts, finishes, resume(t, finishes)
+    return starts, finishes
 
 
 def serve_chain(
@@ -101,12 +108,12 @@ def serve_chain(
     return _serve_chain_loop(t, d, free)
 
 
-def _accumulate(first: float, durations) -> np.ndarray:
-    """``[first, first + d0, first + d0 + d1, ...]``, left to right."""
-    steps = np.empty(len(durations) + 1, dtype=np.float64)
+def _accumulate(first: float, durations, steps: np.ndarray) -> np.ndarray:
+    """``[first, first + d0, first + d0 + d1, ...]``, left to right, in
+    the float64 ``steps``."""
     steps[0] = first
     steps[1:] = durations
-    return np.add.accumulate(steps)
+    return np.add.accumulate(steps, out=steps)
 
 
 def _verified(

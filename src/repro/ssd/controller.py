@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.obs import names
 from repro.sim import Server, Simulator, maxplus
+from repro.sim.workspace import Workspace
 from repro.ssd.flash import FlashArray
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.geometry import SSDGeometry, int64_array
@@ -70,13 +71,13 @@ class SSDController:
         """Event: one arbitrated pass through the shared FTL stage."""
         return self._ftl_server.serve(self._ftl_ns)
 
-    def serve_ftl_batch(self, count: int) -> np.ndarray:
+    def serve_ftl_batch(self, count: int, ws: Workspace) -> np.ndarray:
         """``count`` FTL MUX passes issued now, as one busy run
         (:func:`repro.sim.maxplus.serve_burst`): their resume times, the
         server and profiler left as ``count`` :meth:`_ftl_lookup` would."""
         server, now, profiler = self._ftl_server, self.sim.now, self.sim.profiler
-        durations = np.full(count, self._ftl_ns)
-        starts, finishes, resumes = maxplus.serve_burst(now, server.free_at, durations)
+        durations = np.broadcast_to(self._ftl_ns, count)
+        starts, finishes = maxplus.serve_burst(now, server.free_at, durations, ws)
         if count:
             server._free_at = finishes.item(-1)
             server.busy_time = maxplus.busy_sum(server.busy_time, durations)
@@ -85,7 +86,10 @@ class SSDController:
             profiler.record_services(
                 server.name, np.full(count, now), starts, finishes, server.kind
             )
-        return resumes
+        # Resume times ``now + (finish - now)``, over the finishes.
+        np.subtract(finishes, now, out=finishes)
+        finishes += now
+        return finishes
 
     # ------------------------------------------------------------------
     # Observability: FTL / channel spans for one batch
@@ -141,7 +145,7 @@ class SSDController:
                     args={"jobs": jobs},
                 )
 
-    def translate_vector_offsets(self, byte_offsets, size: int) -> Tuple[np.ndarray, ...]:
+    def translate_vector_offsets(self, byte_offsets, size: int, ws: Workspace) -> tuple:
         """Batched address resolution of :meth:`read_vector_proc`.
 
         Maps device byte offsets to ``(physical_pages, cols,
@@ -155,12 +159,13 @@ class SSDController:
         page_size = self.geometry.page_size
         if byte_offsets.size and byte_offsets.min() < 0:
             raise ValueError("negative byte offset")
-        lbas, cols = np.divmod(byte_offsets, page_size)
+        n = byte_offsets.size
+        lbas, cols = np.divmod(byte_offsets, page_size, out=(ws("lbas", n), ws("cols", n)))
         if cols.size and cols.max() > page_size - size:
             offset = byte_offsets[cols > page_size - size][0]
             raise ValueError(f"vector read at offset {offset} size {size} straddles a page")
         pages = self.ftl.translate_array(lbas)
-        return (pages, cols, *self.geometry.decode_pages(pages))
+        return (pages, cols, *self.geometry.decode_pages(pages, ws))
 
     # ------------------------------------------------------------------
     # Functional writes (used to lay out embedding tables / files)

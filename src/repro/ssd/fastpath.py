@@ -80,6 +80,7 @@ import numpy as np
 
 from repro.obs import names
 from repro.sim import maxplus
+from repro.sim.workspace import Workspace, gather
 
 #: Environment variable that disables the fast path when set to a
 #: falsey value ("0", "false", "off", "no").  Unset means enabled.
@@ -142,21 +143,21 @@ class _ChannelReplay:
     )
 
     def __init__(self, enter_ns, die_counts, transfer_ns, issue, oh_ns,
-                 flush_ns, bus_free, bus_busy) -> None:
-        n = len(enter_ns)
+                 flush_ns, bus_free, bus_busy, ws: Workspace) -> None:
+        n = len(issue)
         self.flush_ns = flush_ns
         self.tail = list(accumulate(die_counts))
         self.head = [end - count for end, count in zip(self.tail, die_counts)]
-        table = np.empty((3, n + 1))
+        table = ws("channel", 3 * (n + 1), np.float64).reshape(3, n + 1)
         table[:, n] = _SENTINEL[:3]
         self.arrive, self.entered, self.durations = table
-        np.add(enter_ns, oh_ns, out=self.arrive[:n])
-        self.entered[:n] = enter_ns
-        self.durations[:n] = transfer_ns
-        self.issue = np.empty(n + 1, dtype=np.int64)
+        gather(enter_ns, issue, self.entered[:n])
+        np.add(self.entered[:n], oh_ns, out=self.arrive[:n])
+        self.durations[:n] = transfer_ns[issue]
+        self.issue = ws("channel_issue", n + 1)
         self.issue[:n] = issue
         self.issue[n] = _SENTINEL[3]
-        self.completion = np.empty(n)
+        self.completion = ws("completion", n, np.float64)
         self.pending = sorted(
             (self.arrive.item(slot), self.entered.item(slot), 0,
              self.issue.item(slot), die)
@@ -413,19 +414,21 @@ def _replay_channel(
     flush_ns: float,
     bus_free: float,
     bus_busy: float,
+    ws: Workspace,
     profiler=None,
     bus_name=None,
     die_names=None,
 ) -> Tuple[np.ndarray, float, float]:
     """Replay one channel's reads; returns completion times + bus state.
 
-    The reads come (and their completion times go back) die-major: die
-    ``k``'s ``die_counts[k]`` reads, in issue order, after die
-    ``k - 1``'s; ``issue`` is each read's issue index.  ``enter_ns``
-    carries one entry per read, sorted in issue order: the time the
-    request *enters* the flash stage (an upstream server released it,
-    or ``FlashArray.run_reads`` issued it); the request-overhead wait
-    still follows.
+    ``issue`` holds the issue indices of the channel's reads die-major:
+    die ``k``'s ``die_counts[k]`` reads, in issue order, after die
+    ``k - 1``'s; their completion times go back in that order.
+    ``enter_ns`` and ``transfer_ns`` hold every read of the batch in
+    issue order, ``enter_ns`` sorted: the time the request *enters* the
+    flash stage (an upstream server released it, or
+    ``FlashArray.run_reads`` issued it); the request-overhead wait still
+    follows.
 
     With a profiler attached, or fewer than :data:`SCAN_MIN_READS`
     reads, the step loop replays the whole channel.  Otherwise the
@@ -434,10 +437,10 @@ def _replay_channel(
     back to what the last attempt got through, a stretch that doubles
     while attempts get nowhere.
     """
-    n = len(enter_ns)
+    n = len(issue)
     ch = _ChannelReplay(
         enter_ns, die_counts, transfer_ns, issue, oh_ns, flush_ns,
-        bus_free, bus_busy,
+        bus_free, bus_busy, ws,
     )
     if profiler is not None or n < SCAN_MIN_READS:
         _step_reads(ch, n, profiler, bus_name, die_names)
@@ -460,7 +463,8 @@ def replay_reads(
     channel_ids: np.ndarray,
     die_ids: np.ndarray,
     transfer_ns: np.ndarray,
-) -> Tuple[np.ndarray, float]:
+    ws: Workspace,
+) -> float:
     """Replay a batch of flash reads across channels.
 
     All arrays are in issue order.  Channels are independent once the
@@ -471,53 +475,52 @@ def replay_reads(
     per-channel accounting; the caller is responsible for advancing
     the simulation clock (``sim.run(until=end)``).
 
-    Returns ``(completion_ns, end_ns)`` where ``end_ns`` equals the
-    simulated time at which the DES event queue would have drained.
+    Returns ``end_ns``, the simulated time at which the DES event queue
+    would have drained.
     """
     timing = flash.timing
     sanitizer = flash.sanitizer
     profiler = getattr(flash.sim, "profiler", None)
     # One stable sort groups the reads by channel, then die, each
     # group in issue order.
+    n = len(enter_ns)
     dies = flash.geometry.dies_per_channel
     groups = len(flash.channels) * dies
-    key = channel_ids * dies + die_ids
-    order = np.argsort(key.astype(np.min_scalar_type(groups)), kind="stable")
+    key = np.multiply(channel_ids, dies, out=ws("group", n))
+    key += die_ids
     counts = np.bincount(key, minlength=groups).reshape(-1, dies).tolist()
-    enter_ns = enter_ns[order]
-    transfer_ns = transfer_ns[order]
-    done = np.empty(len(order), dtype=np.float64)
+    order = np.argsort(key.astype(np.min_scalar_type(groups)), kind="stable")
+    end = -_INF
     stop = 0
     for channel, die_counts in zip(flash.channels, counts):
         start, stop = stop, stop + sum(die_counts)
         if start == stop:
             continue
-        channel_transfers = transfer_ns[start:stop]
+        issue = order[start:stop]
         if sanitizer is not None:
             sanitizer.channel_batch(channel.name, stop - start)
             sanitizer.check_latency(
                 channel.name, "request_overhead_ns", timing.request_overhead_ns
             )
             sanitizer.check_latency(channel.name, "flush_ns", timing.flush_ns)
-            for value in np.unique(channel_transfers):
+            for value in np.unique(transfer_ns[issue]):
                 sanitizer.check_latency(channel.name, "transfer_ns", float(value))
-        done[start:stop], bus_free, bus_busy = _replay_channel(
-            enter_ns[start:stop],
+        done, bus_free, bus_busy = _replay_channel(
+            enter_ns,
             die_counts,
-            channel_transfers,
-            order[start:stop],
+            transfer_ns,
+            issue,
             timing.request_overhead_ns,
             timing.flush_ns,
             channel.bus._free_at,
             channel.bus.busy_time,
+            ws,
             profiler,
             channel.bus.name,
             [die.name for die in channel.dies],
         )
+        end = max(end, done.max())
         channel.bus._free_at = bus_free
         channel.bus.busy_time = bus_busy
         channel.bus.jobs_served += stop - start
-    completion = np.empty(len(order), dtype=np.float64)
-    completion[order] = done
-    end = float(completion.max()) if len(order) else flash.sim.now
-    return completion, end
+    return float(end) if n else flash.sim.now

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.obs import names
 from repro.sim import Resource, Server, Simulator, Timeout
+from repro.sim.workspace import Workspace, gather
 from repro.ssd import fastpath
 from repro.ssd.geometry import PhysicalAddress, SSDGeometry
 from repro.ssd.stats import IOStatistics
@@ -180,7 +181,7 @@ class FlashArray:
             return bytes(size)
         return bytes(page[col : col + size])
 
-    def peek_vectors(self, page_indices, cols, size: int) -> np.ndarray:
+    def peek_vectors(self, page_indices, cols, size: int, ws: Workspace) -> np.ndarray:
         """Batched functional read of fixed-size fp32 vectors.
 
         Equivalent to ``np.frombuffer(peek(page, col, size), float32)``
@@ -199,11 +200,12 @@ class FlashArray:
         if bool(outside.any()):
             bad = int(page_indices[outside][0])
             raise ValueError(f"page index {bad} out of range")
+        n = len(page_indices)
         slots = self._leaves[
             self._leaf_of[page_indices >> _LEAF_BITS],
             page_indices & (_LEAF_PAGES - 1),
         ]
-        gathered = np.empty((len(page_indices), size // 4), dtype=np.float32)
+        gathered = ws("gathered", n * (size // 4), np.float32).reshape(n, size // 4)
         extent_ids = slots >> _EXTENT_BITS
         rows = slots & (_EXTENT_PAGES - 1)
         # Vector-aligned columns (the layout always aligns) index whole
@@ -215,11 +217,15 @@ class FlashArray:
             rows = rows * per_page + vector_ids
         else:
             byte_ids = cols[:, None] + np.arange(size, dtype=np.int64)
-        present = np.flatnonzero(np.bincount(extent_ids)).tolist()
-        # One extent (the usual case of a small batch) is gathered
-        # straight into the output.
-        single = len(present) == 1
+        counts = np.bincount(extent_ids)
+        present = sorted(np.flatnonzero(counts).tolist(), key=lambda e: -counts[e])
+        # An extent that holds most of the rows (all of a small batch's)
+        # gathers every row straight into the output, stand-ins for the
+        # other extents' rows included; each other extent then writes its
+        # own rows over their stand-ins, through a scratch block.
+        direct = present[:1] if present and 2 * counts[present[0]] > n else []
         for extent_id in present:
+            single = extent_id in direct
             members = (
                 slice(None) if single else np.flatnonzero(extent_ids == extent_id)
             )
@@ -231,9 +237,10 @@ class FlashArray:
                 continue
             vectors = pages.view(np.float32).reshape(-1, size // 4)
             if single:
-                np.take(vectors, rows, axis=0, out=gathered)
+                gather(vectors, rows, gathered)
             else:
-                gathered[members] = np.take(vectors, rows[members], axis=0)
+                block = ws("members", len(members) * (size // 4), np.float32)
+                gathered[members] = gather(vectors, rows[members], block.reshape(-1, size // 4))
         return gathered
 
     @property
@@ -405,7 +412,8 @@ class FlashArray:
             cols = np.zeros(count, dtype=np.int64)
             sizes = np.full(count, page_size, dtype=np.int64)
             transfer_ns = np.full(count, self.timing.transfer_ns)
-        channel_ids, die_ids = self.geometry.split_page_indices(pages)
+        ws = Workspace()
+        channel_ids, die_ids = self.geometry.split_page_indices(pages, ws)
         if bool(((cols < 0) | (cols >= page_size)).any()):
             bad = int(cols[(cols < 0) | (cols >= page_size)][0])
             raise ValueError(f"column {bad} out of range [0, {page_size})")
@@ -414,9 +422,7 @@ class FlashArray:
         # Every read enters the flash stage at ``start``: all their
         # request-overhead timeouts are scheduled in the same round.
         enter_ns = np.full(count, start)
-        _, end = fastpath.replay_reads(
-            self, enter_ns, channel_ids, die_ids, transfer_ns
-        )
+        end = fastpath.replay_reads(self, enter_ns, channel_ids, die_ids, transfer_ns, ws)
         if vector:
             self.stats.record_vector_reads(count, int(sizes.sum()))
         else:

@@ -35,13 +35,13 @@ class LinearMapping:
         return lba
 
     def translate_array(self, lbas) -> np.ndarray:
-        """Batched :meth:`translate` (identity after a bounds check)."""
+        """Batched :meth:`translate`: ``lbas`` itself, after a bounds check."""
         lbas = np.asarray(lbas, dtype=np.int64)
         if lbas.size:
             bounds = (lbas < 0) | (lbas >= self.geometry.total_pages)
             if bounds.any():
                 raise ValueError(f"LBA {int(lbas[bounds][0])} out of device range")
-        return lbas.copy()
+        return lbas
 
     def map_write(self, lba: int) -> int:
         return self.translate(lba)

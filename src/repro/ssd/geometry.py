@@ -145,12 +145,12 @@ class SSDGeometry:
         rest = rest * self.dies_per_channel + address.die
         return rest * self.channels + address.channel
 
-    def split_page_indices(self, page_indices) -> tuple:
+    def split_page_indices(self, page_indices, ws) -> tuple:
         """Batched channel/die decode of flat physical page numbers.
 
         The vectorized counterpart of :meth:`page_index_to_address`
         restricted to the two timing-relevant coordinates; returns
-        ``(channel_ids, die_ids)`` int64 arrays.
+        ``(channel_ids, die_ids)`` int32 arrays.
         """
         page_indices = int64_array(
             page_indices, lambda got: ValueError(f"page indices must be int64: got {got!r}")
@@ -159,12 +159,15 @@ class SSDGeometry:
         if bounds.any():
             bad = int(page_indices[bounds][0])
             raise ValueError(f"page index {bad} out of range [0, {self.total_pages})")
-        return self.decode_pages(page_indices)
+        return self.decode_pages(page_indices, ws)
 
-    def decode_pages(self, page_indices: np.ndarray) -> tuple:
+    def decode_pages(self, page_indices: np.ndarray, ws) -> tuple:
         """:meth:`split_page_indices` of in-range int64 pages, unchecked."""
-        channel_ids = page_indices % self.channels
-        die_ids = (page_indices // self.channels) % self.dies_per_channel
+        n = page_indices.size
+        channel_ids, die_ids = ws("channel_ids", n, np.int32), ws("die_ids", n, np.int32)
+        np.remainder(page_indices, self.channels, out=channel_ids)
+        np.floor_divide(page_indices, self.channels, out=die_ids)
+        die_ids %= self.dies_per_channel
         return channel_ids, die_ids
 
     def byte_to_page(self, byte_offset: int) -> tuple:

@@ -304,10 +304,12 @@ class TestBoundaryErrors:
 
 
 class TestStreamRefusals:
-    """``run`` and ``profile`` refuse a stream no device could serve by
-    its flag, with or without export flags, before any device is built
-    (an empty ``run`` used to print ``inf`` QPS, a negative cache ran
-    uncached, a bad window passed unless ``--timeseries-out`` read it)."""
+    """``run``, ``profile`` and ``sweep`` refuse a stream no device could
+    serve by its flag, with or without export flags, before any device
+    is built (an empty ``run`` or ``sweep`` used to print ``inf`` QPS, a
+    negative cache ran uncached, a bad window passed unless
+    ``--timeseries-out`` read it, a ``--batches`` entry failed in
+    ``int()``)."""
 
     @pytest.mark.parametrize("argv,message", [
         (["run", "rmc1", "--vcache-vectors", "-3"],
@@ -325,6 +327,13 @@ class TestStreamRefusals:
          "--window-ms must be positive and finite"),
         (["run", "rmc1", "--window-ms", "nan"],
          "--window-ms must be positive and finite"),
+        (["sweep", "rmc1", "--requests", "0", "--backends", "rm-ssd", "--batches", "1"],
+         "--requests must be positive"),
+        (["sweep", "rmc1", "--requests", "-1"], "--requests must be positive"),
+        (["sweep", "rmc1", "--batches", "1,,2"], "--batches must list positive integers"),
+        (["sweep", "rmc1", "--batches", "1,two"], "--batches must list positive integers"),
+        (["sweep", "rmc1", "--batches", "4,0"], "--batches must list positive integers"),
+        (["sweep", "rmc1", "--batches", ""], "--batches must list positive integers"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_refused_by_flag_before_any_device(
         self, argv, message, capsys, monkeypatch, tmp_path
@@ -338,7 +347,7 @@ class TestStreamRefusals:
             if argv[0] == "profile" else []
         )
         every = [
-            arg for flag in EXPORT_FLAGS[argv[0]]
+            arg for flag in EXPORT_FLAGS.get(argv[0], [])
             for arg in (flag, str(tmp_path / flag.strip("-")))
         ]
         for exports in (required, every):

@@ -9,6 +9,7 @@ from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.table import EmbeddingTableSet
 from repro.embedding.translator import EVTranslator
 from repro.sim import Simulator
+from repro.sim.workspace import Workspace
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 from repro.ssd.geometry import SSDGeometry
@@ -130,7 +131,7 @@ class TestTranslator:
     def test_batch_translation(self):
         _, tables, layout = build()
         translator = self._translator(layout, tables)
-        offsets = translator.translate_array(0, [1, 2, 3])
+        offsets = translator.translate_array(0, [1, 2, 3], Workspace())
         assert offsets.tolist() == [
             translator.translate(0, index).device_offset for index in [1, 2, 3]
         ]

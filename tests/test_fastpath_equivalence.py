@@ -25,6 +25,7 @@ from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.table import EmbeddingTableSet
 from repro.obs import Profiler
 from repro.sim import Simulator
+from repro.sim.workspace import Workspace
 from repro.ssd import fastpath
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
@@ -453,13 +454,15 @@ def staged_reads_des(flash, reads, enter):
 def staged_reads_fast(flash, reads, enter):
     pages = np.array([page for page, _, _ in reads], dtype=np.int64)
     sizes = np.array([size for _, _, size in reads], dtype=np.int64)
-    channel_ids, die_ids = flash.geometry.split_page_indices(pages)
-    _, end = fastpath.replay_reads(
+    ws = Workspace()
+    channel_ids, die_ids = flash.geometry.split_page_indices(pages, ws)
+    end = fastpath.replay_reads(
         flash,
         np.array(enter, dtype=np.float64),
         channel_ids,
         die_ids,
         flash.timing.vector_transfer_ns_array(sizes),
+        ws,
     )
     flash.sim.run(until=end)
     return flash.sim.now
@@ -622,10 +625,11 @@ TABLE2 = SSDTimingModel()
 
 
 def channel_case(rng, regime, dies, n, equal):
-    """One channel's reads, die-major as ``replay_reads`` hands them
-    over: ``(enter, die_counts, transfer, issue, oh, flush, bus_free,
-    bus_busy)``.  ``equal`` makes every read enter at the first entry,
-    as ``run_reads`` issues them; otherwise the entries are sorted."""
+    """One channel's reads as ``replay_reads`` hands them over: ``(enter,
+    die_counts, transfer, issue, oh, flush, bus_free, bus_busy)``, the
+    issue indices die-major.  ``equal`` makes every read enter at the
+    first entry, as ``run_reads`` issues them; otherwise the entries
+    are sorted."""
     die_ids = rng.integers(0, dies, n)
     if regime == "idle_dies":
         die_ids = np.minimum(die_ids, rng.integers(0, dies))
@@ -649,15 +653,15 @@ def channel_case(rng, regime, dies, n, equal):
         enter = np.full(n, enter[0])
     order = np.argsort(die_ids, kind="stable")
     return (
-        enter[order], np.bincount(die_ids, minlength=dies).tolist(),
-        transfer[order], order, overhead, flush,
+        enter, np.bincount(die_ids, minlength=dies).tolist(),
+        transfer, order, overhead, flush,
         float(enter[0] + rng.integers(0, 3) * flush * rng.random()),
         float(rng.random() * 1e6),
     )
 
 
 def step_loop_alone(case):
-    channel = fastpath._ChannelReplay(*case)
+    channel = fastpath._ChannelReplay(*case, Workspace())
     fastpath._step_reads(channel, len(case[0]))
     return channel.completion, channel.bus_free, channel.bus_busy
 
@@ -679,7 +683,7 @@ def assert_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch):
         patch.setattr(fastpath, "SCAN_FIRST_CELLS", cells)
         patch.setattr(fastpath, "SCAN_MAX_CELLS", 4 * cells)
         patch.setattr(fastpath, "SCAN_FIRST_STRETCH", stretch)
-        scanned = fastpath._replay_channel(*case)
+        scanned = fastpath._replay_channel(*case, Workspace())
     assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
 
 
@@ -724,7 +728,7 @@ def count_replay(monkeypatch, case):
 
     monkeypatch.setattr(fastpath, "_step_reads", counting_step)
     monkeypatch.setattr(fastpath, "_scan_reads", counting_scan)
-    scanned = fastpath._replay_channel(*case)
+    scanned = fastpath._replay_channel(*case, Workspace())
     monkeypatch.undo()
     assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
     return sum(stepped), sum(refused_cells), len(attempts)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Server, Simulator, maxplus
+from repro.sim.workspace import Workspace
 from repro.ssd.controller import SSDController
 from repro.ssd.geometry import SSDGeometry
 
@@ -132,10 +133,11 @@ def test_property_serve_burst_matches_server(t, free0, durations):
     _, starts, finishes, resumes, server = server_oracle(
         [t] * len(durations), durations, free0
     )
-    burst = maxplus.serve_burst(t, free0, np.asarray(durations, dtype=np.float64))
-    assert [bits(column) for column in burst] == [
-        bits(starts), bits(finishes), bits(resumes)
-    ]
+    burst_starts, burst_finishes = maxplus.serve_burst(
+        t, free0, np.asarray(durations, dtype=np.float64), Workspace()
+    )
+    assert [bits(burst_starts), bits(burst_finishes)] == [bits(starts), bits(finishes)]
+    assert bits(maxplus.resume(t, burst_finishes)) == bits(resumes)
     assert bits(maxplus.busy_sum(0.0, durations)) == bits(server.busy_time)
 
 
@@ -182,7 +184,7 @@ def _issue_lookups(controller, count):
 
 
 def _issue_batch(controller, count):
-    return controller.serve_ftl_batch(count).tolist()
+    return controller.serve_ftl_batch(count, Workspace()).tolist()
 
 
 def _ftl_state(issue, count):

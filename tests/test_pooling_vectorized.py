@@ -27,6 +27,7 @@ from repro.embedding.pooling import (
 from repro.embedding.table import EmbeddingTableSet
 from repro.embedding.translator import EVTranslator, TranslatedRead
 from repro.sim import Simulator
+from repro.sim.workspace import Workspace
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 
@@ -255,25 +256,25 @@ class TestTranslateArray:
 
     def test_matches_scalar_on_covered_indices(self, translator):
         covered = list(range(0, 64)) + list(range(96, 160))
-        offsets = translator.translate_array(0, covered)
+        offsets = translator.translate_array(0, covered, Workspace())
         for index, offset in zip(covered, offsets):
             assert int(offset) == translator.translate(0, index).device_offset
 
     def test_batch_fields_match_scalar(self, translator):
         indices = [0, 31, 63, 96, 159]
-        for index, offset in zip(indices, translator.translate_array(0, indices)):
+        for index, offset in zip(indices, translator.translate_array(0, indices, Workspace())):
             assert translator.translate(0, index) == TranslatedRead(
                 table_id=0, index=index, device_offset=int(offset), size=128
             )
 
     def test_empty_input(self, translator):
-        out = translator.translate_array(0, [])
+        out = translator.translate_array(0, [], Workspace())
         assert out.dtype == np.int64
         assert len(out) == 0
 
     def test_unregistered_table_keyerror(self, translator):
         with pytest.raises(KeyError):
-            translator.translate_array(7, [0])
+            translator.translate_array(7, [0], Workspace())
         with pytest.raises(KeyError):
             translator.translate(7, 0)
 
@@ -282,7 +283,7 @@ class TestTranslateArray:
         with pytest.raises(IndexError) as scalar_error:
             translator.translate(0, bad)
         with pytest.raises(IndexError) as array_error:
-            translator.translate_array(0, [0, bad, 1])
+            translator.translate_array(0, [0, bad, 1], Workspace())
         assert str(scalar_error.value) == str(array_error.value)
 
     @pytest.mark.parametrize("hole", [64, 80, 95])
@@ -290,9 +291,9 @@ class TestTranslateArray:
         with pytest.raises(RuntimeError) as scalar_error:
             translator.translate(0, hole)
         with pytest.raises(RuntimeError) as array_error:
-            translator.translate_array(0, [0, hole])
+            translator.translate_array(0, [0, hole], Workspace())
         assert str(scalar_error.value) == str(array_error.value)
 
     def test_first_offender_reported(self, translator):
         with pytest.raises(IndexError, match="index 500 "):
-            translator.translate_array(0, [0, 500, 700])
+            translator.translate_array(0, [0, 500, 700], Workspace())

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.workspace import Workspace
 from repro.ssd import flash as flash_module
 from repro.ssd.flash import FlashArray
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
+
+
+def peek(flash, pages, cols, size):
+    return flash.peek_vectors(pages, cols, size, Workspace())
 
 
 def small_geometry(channels=4, dies=4):
@@ -73,7 +78,7 @@ def small_page_flash():
 def assert_gather_matches_peek(flash, pages, cols, size):
     """``peek_vectors`` must equal one ``peek`` per request, bytewise
     (random page bytes include NaN patterns, so compare the bytes)."""
-    rows = flash.peek_vectors(pages, cols, size)
+    rows = peek(flash, pages, cols, size)
     assert rows.dtype == np.float32
     assert rows.shape == (len(pages), size // 4)
     expected = b"".join(
@@ -90,16 +95,16 @@ class TestPeekVectors:
         pages = np.array([3, 7, 0, 4095, 1, 500, 3, 4094])
         cols = np.array([0, 128, 3968, 256, 0, 1024, 128, 3968])
         assert_gather_matches_peek(flash, pages, cols, 128)
-        unwritten = flash.peek_vectors(np.array([7, 1]), np.array([0, 64]), 64)
+        unwritten = peek(flash, np.array([7, 1]), np.array([0, 64]), 64)
         assert not unwritten.any()
 
     def test_nothing_written(self, flash):
-        rows = flash.peek_vectors(np.array([0, 9]), np.array([0, 64]), 64)
+        rows = peek(flash, np.array([0, 9]), np.array([0, 64]), 64)
         assert rows.shape == (2, 16) and not rows.any()
 
     def test_empty_input(self, flash):
         flash.write_page(0, b"x" * 64)
-        rows = flash.peek_vectors(np.array([], dtype=np.int64), [], 64)
+        rows = peek(flash, np.array([], dtype=np.int64), [], 64)
         assert rows.shape == (0, 16) and rows.dtype == np.float32
 
     def test_word_aligned_but_not_vector_aligned_columns(self, flash):
@@ -156,7 +161,7 @@ class TestPeekVectors:
         assert flash.written_pages == 2
         probe = np.array(block + [1, 2])
         cols = np.zeros(len(probe), dtype=np.int64)
-        assert not flash.peek_vectors(probe[:-2], cols[:-2], 64).any()
+        assert not peek(flash, probe[:-2], cols[:-2], 64).any()
         assert flash.peek(block[0], 0, 64) == bytes(64)
         assert_gather_matches_peek(flash, probe, cols, 64)
         # Rewrite part of the block and some fresh pages: recycled
@@ -196,7 +201,7 @@ class TestPeekVectors:
         cols = rng.integers(0, 4, size=len(everything)) * 16
         slots_before = flash._next_slot
         flash.erase_block(middle)
-        assert not flash.peek_vectors(
+        assert not peek(flash, 
             np.array(block), np.zeros(len(block), dtype=np.int64), 64
         ).any()
         assert_gather_matches_peek(flash, everything, cols, 16)
@@ -217,18 +222,18 @@ class TestPeekVectors:
         cols = np.zeros(3, dtype=np.int64)
         for pages, bad in (([0, -1, total], -1), ([total, 0, -5], total)):
             with pytest.raises(ValueError, match=f"page index {bad} out of range"):
-                flash.peek_vectors(np.array(pages), cols, 64)
+                peek(flash, np.array(pages), cols, 64)
         for bad in (-1, total):
             with pytest.raises(ValueError, match=f"page index {bad} out of range"):
                 flash.peek(bad, 0, 64)
 
     def test_bad_requests_rejected(self, flash):
         with pytest.raises(ValueError):
-            flash.peek_vectors(np.array([0]), np.array([0]), 6)
+            peek(flash, np.array([0]), np.array([0]), 6)
         with pytest.raises(ValueError):
-            flash.peek_vectors(np.array([0]), np.array([4090]), 64)
+            peek(flash, np.array([0]), np.array([4090]), 64)
         with pytest.raises(ValueError):
-            flash.peek_vectors(np.array([0]), np.array([-4]), 64)
+            peek(flash, np.array([0]), np.array([-4]), 64)
 
 
 class TestReadTiming:

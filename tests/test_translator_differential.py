@@ -21,10 +21,25 @@ from hypothesis import strategies as st
 from repro.embedding.layout import ExtentRange
 from repro.embedding.translator import EVTranslator
 from repro.sim import Simulator
+from repro.sim.workspace import Workspace
 from repro.ssd.controller import SSDController
 from repro.ssd.geometry import SSDGeometry
 
 PAGE_SIZE = 4096
+#: At most this many extents per table (cuts + 1).
+EXTENTS = 7
+#: One table's draws, as one strategy built once: rows, vector size,
+#: cut points (those below ``rows`` apply), which bounds are kept (a
+#: bit each), each extent's start LBA and the extents' registration
+#: order (the indices below their count).
+TABLE = st.tuples(
+    st.integers(1, 300),
+    st.sampled_from([64, 96, 128, 256, 1000, PAGE_SIZE]),
+    st.sets(st.integers(1, 299), max_size=EXTENTS - 1),
+    st.integers(0, 2**EXTENTS - 1),
+    st.lists(st.integers(0, 10_000), min_size=EXTENTS, max_size=EXTENTS),
+    st.permutations(range(EXTENTS)),
+)
 
 
 @st.composite
@@ -35,24 +50,18 @@ def layouts(draw):
     ids = draw(st.permutations(range(count + draw(st.integers(0, 8)))))[:count]
     translator = EVTranslator(page_size=PAGE_SIZE)
     tables = {}
-    for table_id in ids:  # a permutation: registered out of id order
-        rows = draw(st.integers(1, 300))
-        ev_size = draw(st.sampled_from([64, 96, 128, 256, 1000, PAGE_SIZE]))
-        cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=6)) if rows > 1 else [])
+    specs = draw(st.lists(TABLE, min_size=count, max_size=count))
+    for table_id, (rows, ev_size, cut_set, keep, lbas, order) in zip(ids, specs):
+        # ``ids`` is a permutation: tables are registered out of id order.
+        cuts = sorted(cut for cut in cut_set if cut < rows)
         bounds = list(zip([0] + cuts, cuts + [rows]))
-        kept = [b for b in bounds if draw(st.integers(0, 4))] or [bounds[0]]
+        kept = [b for bit, b in enumerate(bounds) if keep >> bit & 1] or [bounds[0]]
         extents = [
-            ExtentRange(
-                extent_id=number,
-                first_index=first,
-                last_index=end - 1,
-                start_lba=draw(st.integers(0, 10_000)),
-            )
-            for number, (first, end) in enumerate(kept)
+            ExtentRange(extent_id=number, first_index=first, last_index=end - 1, start_lba=lba)
+            for number, ((first, end), lba) in enumerate(zip(kept, lbas))
         ]
-        translator.register_table(
-            table_id, draw(st.permutations(extents)), ev_size, rows
-        )
+        shuffled = [extents[at] for at in order if at < len(extents)]
+        translator.register_table(table_id, shuffled, ev_size, rows)
         covered = [row for first, end in kept for row in range(first, end)]
         uncovered = sorted(set(range(rows)) - set(covered))
         tables[table_id] = (rows, covered, uncovered)
@@ -61,16 +70,16 @@ def layouts(draw):
 
 @st.composite
 def good_streams(draw, tables):
-    """Covered lookups only: one table, or any mix of them."""
+    """Covered lookups only: one table, or any mix of them.  The stream
+    is one list draw of positions into the chosen tables' covered
+    ``(table, row)`` pairs."""
     ids = sorted(tables)
     if draw(st.booleans()):
         ids = [draw(st.sampled_from(ids))]
+    pairs = [(table_id, row) for table_id in ids for row in tables[table_id][1]]
     length = draw(st.sampled_from([0, 1, 7, 200]))
-    stream = []
-    for _ in range(length):
-        table_id = draw(st.sampled_from(ids))
-        stream.append((table_id, draw(st.sampled_from(tables[table_id][1]))))
-    return stream
+    positions = st.integers(0, len(pairs) - 1)
+    return [pairs[at] for at in draw(st.lists(positions, min_size=length, max_size=length))]
 
 
 def bad_lookups(draw, tables, kind):
@@ -78,8 +87,8 @@ def bad_lookups(draw, tables, kind):
     table_id = draw(st.sampled_from(sorted(tables)))
     rows, _, uncovered = tables[table_id]
     if kind == "table":
-        unregistered = st.integers(-3, max(tables) + 5).filter(lambda t: t not in tables)
-        return draw(unregistered), 0
+        unregistered = [t for t in range(-3, max(tables) + 6) if t not in tables]
+        return draw(st.sampled_from(unregistered)), 0
     if kind == "row":
         return table_id, draw(st.sampled_from([-1, -(2**40), rows, rows + 7, 2**40]))
     if kind == "fraction":
@@ -96,7 +105,7 @@ def scalar_offsets(translator, stream):
 def batched(translator, stream):
     tables = [t for t, _ in stream]
     indices = [i for _, i in stream]
-    return translator.translate_array(tables, indices)
+    return translator.translate_array(tables, indices, Workspace())
 
 
 class TestTranslatorDifferential:
@@ -136,10 +145,10 @@ class TestTranslatorDifferential:
         translator.register_table(
             0, [ExtentRange(0, 0, 9, start_lba=3)], ev_size=128, rows=10
         )
-        offsets = translator.translate_array(tables, [])
+        offsets = translator.translate_array(tables, [], Workspace())
         assert offsets.dtype == np.int64 and offsets.shape == (0,)
         with pytest.raises(KeyError, match="table 7 not registered"):
-            translator.translate_array(7, [])
+            translator.translate_array(7, [], Workspace())
 
     def test_hole_below_the_first_extent(self):
         """The search lands on another table's extent; it is a hole."""
@@ -162,7 +171,7 @@ class TestTranslatorDifferential:
         translator.register_table(
             0, [ExtentRange(0, 0, 9, start_lba=3)], ev_size=128, rows=10
         )
-        translator.translate_array(0, [1])
+        translator.translate_array(0, [1], Workspace())
         translator.register_table(
             2, [ExtentRange(0, 0, 4, start_lba=50)], ev_size=256, rows=5
         )
@@ -181,13 +190,13 @@ class TestTranslatorDifferential:
             rows=10,
         )
         with pytest.raises(KeyError, match="table 4 not registered"):
-            translator.translate_array([0, 0, 4], [4, 99, 0])
+            translator.translate_array([0, 0, 4], [4, 99, 0], Workspace())
         with pytest.raises(KeyError, match="table 5 not registered"):
-            translator.translate_array([0, 5], [1.5, 0])
+            translator.translate_array([0, 5], [1.5, 0], Workspace())
         with pytest.raises(IndexError, match="indices must be int64 row numbers: got 1.5"):
-            translator.translate_array([0, 0], [99, 1.5])
+            translator.translate_array([0, 0], [99, 1.5], Workspace())
         with pytest.raises(IndexError, match="index 99 out of range for table 0"):
-            translator.translate_array([0, 0], [4, 99])
+            translator.translate_array([0, 0], [4, 99], Workspace())
 
 
 @pytest.fixture
@@ -208,7 +217,7 @@ class TestHostileAddresses:
         with pytest.raises(KeyError) as scalar:
             translator.translate(name, 2)
         with pytest.raises(KeyError) as error:
-            translator.translate_array(tables, [1, 2, 3])
+            translator.translate_array(tables, [1, 2, 3], Workspace())
         assert str(error.value) == str(scalar.value) == repr(f"table {name} not registered")
 
     @pytest.mark.parametrize("table_id", [-1, EVTranslator.TABLE_IDS, 10**9])
@@ -217,17 +226,17 @@ class TestHostileAddresses:
         with pytest.raises(ValueError, match=f"table id {table_id} outside"):
             translator.register_table(table_id, extents, ev_size=128, rows=10)
         with pytest.raises(KeyError, match=f"table {table_id} not registered"):
-            translator.translate_array(table_id, [1])
+            translator.translate_array(table_id, [1], Workspace())
 
     @pytest.mark.parametrize("indices", [[1.5], [0, 1.5], np.array([2.0, 3.0]), ["1"]])
     def test_hostile_fractional_row_refused(self, translator, indices):
         with pytest.raises(IndexError, match="indices must be int64 row numbers"):
-            translator.translate_array(0, indices)
+            translator.translate_array(0, indices, Workspace())
         with pytest.raises(IndexError, match="indices must be int64 row numbers"):
             translator.translate(0, indices[-1])
 
     def test_hostile_bool_rows_pass_as_integers(self, translator):
-        offsets = translator.translate_array(0, [True, False])
+        offsets = translator.translate_array(0, [True, False], Workspace())
         assert offsets.tolist() == [
             translator.translate(0, True).device_offset,
             translator.translate(0, 0).device_offset,
@@ -240,31 +249,31 @@ class TestHostileAddresses:
         sanitizer = controller.ftl.sanitizer
         checks = None if sanitizer is None else sanitizer.checks
         with pytest.raises(ValueError, match="byte offsets must be int64"):
-            controller.translate_vector_offsets(offsets, 256)
+            controller.translate_vector_offsets(offsets, 256, Workspace())
         assert (None if sanitizer is None else sanitizer.checks) == checks
 
     def test_hostile_negative_and_straddling_offsets_refused(self):
         controller = SSDController(Simulator())
         with pytest.raises(ValueError, match="negative byte offset"):
-            controller.translate_vector_offsets([4096, -256], 256)
+            controller.translate_vector_offsets([4096, -256], 256, Workspace())
         with pytest.raises(ValueError, match="offset 4000 size 256 straddles"):
-            controller.translate_vector_offsets([0, 4000, 8000], 256)
+            controller.translate_vector_offsets([0, 4000, 8000], 256, Workspace())
 
     @pytest.mark.parametrize("pages", [[5.9], [1, 2.5], np.array([3.0]), [None]])
     def test_hostile_fractional_page_index_refused(self, pages):
         with pytest.raises(ValueError, match="page indices must be int64"):
-            SSDGeometry().split_page_indices(pages)
+            SSDGeometry().split_page_indices(pages, Workspace())
 
     def test_decoded_pages_match_the_scalar_decode(self):
         for geometry in (SSDGeometry(), SSDGeometry(channels=3, dies_per_channel=5)):
             pages = np.arange(0, geometry.total_pages, 997)
-            channels, dies = geometry.split_page_indices(pages)
+            channels, dies = geometry.split_page_indices(pages, Workspace())
             assert list(zip(channels.tolist(), dies.tolist())) == [
                 geometry.channel_and_die(page) for page in pages.tolist()
             ]
             offsets = pages * geometry.page_size + 128
             controller = SSDController(Simulator(), geometry=geometry)
-            located = controller.translate_vector_offsets(offsets, 128)
+            located = controller.translate_vector_offsets(offsets, 128, Workspace())
             assert [array.tolist() for array in located] == [
                 pages.tolist(), [128] * len(pages), channels.tolist(), dies.tolist()
             ]

@@ -23,6 +23,11 @@ RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
 # layouts, and the hostile addresses (unregistered tables, fractional
 # rows, offsets and pages) refused before anything moves.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_translator_differential.py
+# The lookup workspace: results survive later batches and equal a fresh
+# engine's, the DES, run_reads and the sanitizer's gathers keep out of
+# it, and a steady RMC2-shaped batch's counted tracemalloc peak.
+RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_lookup_workspace.py \
+    tests/test_lookup_counted_cost.py
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
