@@ -482,14 +482,16 @@ def replay_reads(
     sanitizer = flash.sanitizer
     profiler = getattr(flash.sim, "profiler", None)
     # One stable sort groups the reads by channel, then die, each
-    # group in issue order.
+    # group in issue order, over keys of the smallest type that holds
+    # them.
     n = len(enter_ns)
     dies = flash.geometry.dies_per_channel
     groups = len(flash.channels) * dies
-    key = np.multiply(channel_ids, dies, out=ws("group", n))
-    key += die_ids
+    key = ws("group", n, np.min_scalar_type(groups))
+    np.multiply(channel_ids, dies, out=key, casting="unsafe")
+    np.add(key, die_ids, out=key, casting="unsafe")
     counts = np.bincount(key, minlength=groups).reshape(-1, dies).tolist()
-    order = np.argsort(key.astype(np.min_scalar_type(groups)), kind="stable")
+    order = np.argsort(key, kind="stable")
     end = -_INF
     stop = 0
     for channel, die_counts in zip(flash.channels, counts):

@@ -30,7 +30,7 @@ from repro.obs import names
 from repro.sim import Resource, Server, Simulator, Timeout
 from repro.sim.workspace import Workspace, gather
 from repro.ssd import fastpath
-from repro.ssd.geometry import PhysicalAddress, SSDGeometry
+from repro.ssd.geometry import PhysicalAddress, SSDGeometry, int64_array
 from repro.ssd.stats import IOStatistics
 from repro.ssd.timing import SSDTimingModel
 
@@ -57,10 +57,16 @@ class _Channel:
         ]
 
 
-#: Pages per arena extent (a power of two).  The arena grows by
-#: appending one extent, so growth never copies (and never holds two
-#: copies of) the store.
-_EXTENT_BITS = 11
+#: Pages per arena extent (a power of two): 256 MiB at 4 KiB pages, so
+#: a store of up to 256 MiB (every benchmark model's) lies in one extent
+#: and a batched read is one gather.  An extent is an anonymous
+#: zero-filled mapping, so under the default heuristic overcommit it
+#: costs resident memory only for the pages written; but every device
+#: maps its first extent at construction, and under strict overcommit
+#: (``vm.overcommit_memory=2``) or a ``ulimit -v`` that whole 256 MiB
+#: is charged, per device.  The arena grows by appending an extent,
+#: never copying.
+_EXTENT_BITS = 16
 _EXTENT_PAGES = 1 << _EXTENT_BITS
 #: Pages per leaf of the page -> slot index (a power of two); a leaf
 #: is allocated when the first page of its range is written.
@@ -174,6 +180,8 @@ class FlashArray:
             raise ValueError(f"page index {page_index} out of range")
         if size is None:
             size = page_size - col
+        if size < 0:
+            raise ValueError(f"read size {size} is negative")
         if col < 0 or col + size > page_size:
             raise ValueError("read crosses the page boundary")
         page = self._pages.get(page_index)
@@ -181,66 +189,66 @@ class FlashArray:
             return bytes(size)
         return bytes(page[col : col + size])
 
+    def _slots(self, page_indices: np.ndarray) -> np.ndarray:
+        """Arena slot of each page (0, the all-zero slot, if unwritten)."""
+        # Flat positions in ``_leaves``: one 1-D take beats a 2-D index.
+        flat = self._leaf_of.take(page_indices >> _LEAF_BITS)
+        flat <<= _LEAF_BITS
+        flat |= page_indices & (_LEAF_PAGES - 1)
+        return self._leaves.ravel().take(flat)
+
     def peek_vectors(self, page_indices, cols, size: int, ws: Workspace) -> np.ndarray:
         """Batched functional read of fixed-size fp32 vectors.
 
         Equivalent to ``np.frombuffer(peek(page, col, size), float32)``
-        per request (unwritten pages read as zeros), as one gather of
-        the requested rows out of the page arena.  ``size`` must be a
-        multiple of 4.
+        per request (unwritten pages read as zeros).  Each read's arena
+        row is ``(slot & mask) * per_page + col // size``; a store in one
+        extent (every benchmark model's) is then one gather, and a store
+        spanning extents, or a column off the vector grid (the layout
+        always aligns), is gathered extent by extent.  ``size`` must be
+        a positive multiple of 4.
         """
         page_size = self.geometry.page_size
-        if size % 4 != 0:
-            raise ValueError(f"vector size {size} is not a whole number of fp32")
-        page_indices = np.asarray(page_indices, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if cols.size and bool(((cols < 0) | (cols + size > page_size)).any()):
-            raise ValueError("read crosses the page boundary")
-        outside = (page_indices < 0) | (page_indices >= self.geometry.total_pages)
-        if bool(outside.any()):
-            bad = int(page_indices[outside][0])
-            raise ValueError(f"page index {bad} out of range")
+        if size <= 0 or size % 4 != 0:
+            raise ValueError(f"vector size {size} is not a positive whole number of fp32")
+        page_indices = int64_array(
+            page_indices, lambda got: ValueError(f"page indices must be int64: got {got!r}")
+        )
+        cols = int64_array(cols, lambda got: ValueError(f"columns must be int64: got {got!r}"))
+        if cols.shape != page_indices.shape:
+            raise ValueError(f"{cols.size} columns for {page_indices.size} page indices")
         n = len(page_indices)
-        slots = self._leaves[
-            self._leaf_of[page_indices >> _LEAF_BITS],
-            page_indices & (_LEAF_PAGES - 1),
-        ]
+        if n and (cols.min() < 0 or cols.max() > page_size - size):
+            raise ValueError("read crosses the page boundary")
+        total = self.geometry.total_pages
+        if n and (page_indices.min() < 0 or page_indices.max() >= total):
+            outside = (page_indices < 0) | (page_indices >= total)
+            raise ValueError(f"page index {int(page_indices[outside][0])} out of range")
         gathered = ws("gathered", n * (size // 4), np.float32).reshape(n, size // 4)
-        extent_ids = slots >> _EXTENT_BITS
+        slots = self._slots(page_indices)
         rows = slots & (_EXTENT_PAGES - 1)
-        # Vector-aligned columns (the layout always aligns) index whole
-        # vectors of an extent; anything else is gathered byte by byte.
         per_page = page_size // size
         vector_ids, offsets = np.divmod(cols, size)
         aligned = per_page * size == page_size and not offsets.any()
         if aligned:
-            rows = rows * per_page + vector_ids
+            rows *= per_page
+            rows += vector_ids
+            if len(self._extents) == 1:
+                vectors = self._extents[0].view(np.float32).reshape(-1, size // 4)
+                return gather(vectors, rows, gathered)
         else:
             byte_ids = cols[:, None] + np.arange(size, dtype=np.int64)
-        counts = np.bincount(extent_ids)
-        present = sorted(np.flatnonzero(counts).tolist(), key=lambda e: -counts[e])
-        # An extent that holds most of the rows (all of a small batch's)
-        # gathers every row straight into the output, stand-ins for the
-        # other extents' rows included; each other extent then writes its
-        # own rows over their stand-ins, through a scratch block.
-        direct = present[:1] if present and 2 * counts[present[0]] > n else []
-        for extent_id in present:
-            single = extent_id in direct
-            members = (
-                slice(None) if single else np.flatnonzero(extent_ids == extent_id)
-            )
+        extent_ids = slots >> _EXTENT_BITS
+        for extent_id in np.unique(extent_ids).tolist():
+            members = np.flatnonzero(extent_ids == extent_id)
             pages = self._extents[extent_id]
-            if not aligned:
+            if aligned:
+                vectors = pages.view(np.float32).reshape(-1, size // 4)
+                gathered[members] = vectors[rows[members]]
+            else:
                 gathered.view(np.uint8)[members] = pages[
                     rows[members, None], byte_ids[members]
                 ]
-                continue
-            vectors = pages.view(np.float32).reshape(-1, size // 4)
-            if single:
-                gather(vectors, rows, gathered)
-            else:
-                block = ws("members", len(members) * (size // 4), np.float32)
-                gathered[members] = gather(vectors, rows[members], block.reshape(-1, size // 4))
         return gathered
 
     @property

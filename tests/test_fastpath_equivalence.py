@@ -27,6 +27,7 @@ from repro.obs import Profiler
 from repro.sim import Simulator
 from repro.sim.workspace import Workspace
 from repro.ssd import fastpath
+from repro.ssd import flash as flash_module
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
@@ -166,6 +167,24 @@ def test_smoke_fragmented_layout():
     fast = fast_engine.lookup_batch(batch, fast=True)
     assert fast.path == "fast"
     assert_equivalent(des_engine, fast_engine, des, fast)
+
+
+def test_smoke_store_spanning_arena_extents(monkeypatch):
+    """Arena extents of two pages: the six table pages and the reserved
+    slot 0 span four, so the EV Sum's blocks are gathered extent by
+    extent, a path no benchmark model's store reaches."""
+    monkeypatch.setattr(flash_module, "_EXTENT_BITS", 1)
+    monkeypatch.setattr(flash_module, "_EXTENT_PAGES", 2)
+    des_engine = build_engine("square")
+    fast_engine = build_engine("square")
+    assert len(fast_engine.controller.flash._extents) == 4
+    rng = np.random.default_rng(23)
+    for dist in DISTRIBUTIONS:
+        batch = make_batch(rng, samples=12, max_len=10, dist=dist)
+        des = des_engine.lookup_batch(batch, fast=False)
+        fast = fast_engine.lookup_batch(batch, fast=True)
+        assert fast.path == "fast"
+        assert_equivalent(des_engine, fast_engine, des, fast)
 
 
 @pytest.mark.parametrize("dim", [1, 8, 64])

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.embedding.layout import EmbeddingLayout
+from repro.embedding.table import EmbeddingTableSet
 from repro.sim import Simulator
 from repro.sim.workspace import Workspace
 from repro.ssd import flash as flash_module
+from repro.ssd.blockdev import BlockDevice
+from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
@@ -67,7 +71,7 @@ class TestDataPlane:
 
 
 def small_page_flash():
-    """64-byte pages, 8192 of them: cheap to fill past one extent."""
+    """64-byte pages, 8192 of them: cheap to fill past shrunken extents."""
     geo = SSDGeometry(
         channels=4, dies_per_channel=4, planes_per_die=2,
         blocks_per_plane=16, pages_per_block=16, page_size=64,
@@ -85,6 +89,14 @@ def assert_gather_matches_peek(flash, pages, cols, size):
         flash.peek(int(page), int(col), size) for page, col in zip(pages, cols)
     )
     assert rows.tobytes() == expected
+
+
+@pytest.fixture
+def small_extents(monkeypatch):
+    """Arena extents of 2 048 pages, so a small-page store spans several
+    (at the real size every store of these tests fits in one)."""
+    monkeypatch.setattr(flash_module, "_EXTENT_BITS", 11)
+    monkeypatch.setattr(flash_module, "_EXTENT_PAGES", 1 << 11)
 
 
 class TestPeekVectors:
@@ -132,7 +144,7 @@ class TestPeekVectors:
         cols = np.array([0, 41 * 96, 96, 20 * 96, 96])
         assert_gather_matches_peek(flash, pages, cols, 96)
 
-    def test_store_spanning_several_extents(self):
+    def test_store_spanning_several_extents(self, small_extents):
         flash = small_page_flash()
         rng = np.random.default_rng(4)
         written = 2 * flash_module._EXTENT_PAGES + 100
@@ -144,6 +156,17 @@ class TestPeekVectors:
         cols = rng.integers(0, 4, size=500) * 16
         assert_gather_matches_peek(flash, pages, cols, 16)
         assert_gather_matches_peek(flash, pages, cols + 4, 8)
+
+    def test_rmc2_table_set_lays_out_in_one_extent(self):
+        """RMC2's shape at 8 192 rows: 32 tables of 64-wide fp32, 16 384
+        pages plus the reserved slot 0, every slot in extent 0."""
+        device = BlockDevice(SSDController(Simulator()))
+        layout = EmbeddingLayout(device, EmbeddingTableSet.uniform(32, 8192, 64, seed=5))
+        layout.create_all()
+        flash = device.controller.flash
+        assert flash.written_pages == 16_384
+        assert flash._next_slot == 16_385 <= flash_module._EXTENT_PAGES
+        assert len(flash._extents) == 1
 
     def test_erased_block_reads_zeros_and_recycles_its_slots(self):
         flash = small_page_flash()
@@ -176,7 +199,7 @@ class TestPeekVectors:
         cols = np.zeros(len(probe), dtype=np.int64)
         assert_gather_matches_peek(flash, probe, cols, 64)
 
-    def test_index_follows_slot_recycling_across_extents(self):
+    def test_index_follows_slot_recycling_across_extents(self, small_extents):
         """Three extents, an erase in the middle one, rewrites into the
         recycled slots: the page -> slot table is maintained by every
         allocation and erase, so the gather must keep matching
@@ -226,6 +249,32 @@ class TestPeekVectors:
         for bad in (-1, total):
             with pytest.raises(ValueError, match=f"page index {bad} out of range"):
                 flash.peek(bad, 0, 64)
+
+    def test_negative_read_size_rejected(self, flash):
+        flash.write_page(3, b"x" * 64)
+        for page in (3, 7):  # written, never written
+            with pytest.raises(ValueError, match="read size -1 is negative"):
+                flash.peek(page, 0, -1)
+
+    @pytest.mark.parametrize(
+        "pages, cols, size, message",
+        [
+            ([0], [0], 0, "vector size 0 is not a positive whole number of fp32"),
+            ([0], [0], -4, "vector size -4 is not a positive whole number of fp32"),
+            ([3.7], [0], 64, "page indices must be int64: got 3.7"),
+            ([3], [0.5], 64, "columns must be int64: got 0.5"),
+            ([3, 4], [0], 64, "1 columns for 2 page indices"),
+        ],
+        ids=["size_0", "size_negative", "fractional_page", "fractional_col", "ragged"],
+    )
+    def test_malformed_vector_reads_refused_before_any_gather(
+        self, flash, pages, cols, size, message
+    ):
+        flash.write_page(3, b"x" * 64)
+        ws = Workspace()
+        with pytest.raises(ValueError, match=message):
+            flash.peek_vectors(pages, cols, size, ws)
+        assert not ws  # nothing gathered
 
     def test_bad_requests_rejected(self, flash):
         with pytest.raises(ValueError):

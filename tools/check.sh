@@ -25,9 +25,11 @@ RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_translator_differential.py
 # The lookup workspace: results survive later batches and equal a fresh
 # engine's, the DES, run_reads and the sanitizer's gathers keep out of
-# it, and a steady RMC2-shaped batch's counted tracemalloc peak.
+# it, and a steady RMC2-shaped batch's counted tracemalloc peak; the
+# flash gather it feeds: malformed reads refused before any gather, and
+# stores spanning (shrunken) arena extents.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_lookup_workspace.py \
-    tests/test_lookup_counted_cost.py
+    tests/test_lookup_counted_cost.py tests/test_ssd_flash.py
 
 echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
