@@ -17,6 +17,7 @@ from repro.baselines import (
     RMSSDBackend,
     RecSSDBackend,
 )
+from repro.baselines.base import EMB_FS, EMB_SSD
 from repro.models import build_model, get_config
 from repro.workloads.inputs import InferenceRequest, RequestGenerator
 
@@ -338,6 +339,29 @@ class TestHostileCacheSizes:
         backend.run(requests, compute=False)
         assert backend.stats.cache_hits == 0
         assert backend.host_cache.misses == backend.ssd_cache.misses > 0
+
+
+class TestFileIOOracle:
+    """SSD-S / SSD-M against the host cost model's scalar statement of
+    one fileIO lookup, which shares no code with the backend's array
+    program: each request's file-system plus device time is the sum of
+    ``fileio_lookup_ns`` over its page-cache hits and misses."""
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5])
+    def test_each_request_costs_its_fileio_lookups(self, fraction):
+        config = get_config("rmc2")
+        model = build_model(config, rows_per_table=ROWS, seed=0)
+        requests = RequestGenerator(config, ROWS, seed=2).requests(4, batch_size=2)
+        backend = NaiveSSDBackend(model, fraction)
+        costs, stats = backend.costs, backend.stats
+        for request in requests:
+            hits, misses = stats.cache_hits, stats.cache_misses
+            breakdown = backend.run([request], compute=False).breakdown
+            hits, misses = stats.cache_hits - hits, stats.cache_misses - misses
+            lookups = [costs.fileio_lookup_ns(False, fraction)] * hits
+            lookups += [costs.fileio_lookup_ns(True, fraction)] * misses
+            assert breakdown[EMB_FS] + breakdown[EMB_SSD] == sum(lookups)
+        assert stats.cache_hits > 0 and stats.cache_misses > 0
 
 
 class TestRunResult:

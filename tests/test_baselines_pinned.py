@@ -1,4 +1,4 @@
-"""Every number the cache-driven baselines report, pinned.
+"""Every number the comparators report, pinned.
 
 SSD-S / SSD-M charge each lookup by whether its 4 KB page hits the
 capped OS page cache; RecSSD charges each lookup by whether it hits the
@@ -14,14 +14,35 @@ way on two traces.
 
 The literals were recorded while the caches were still a per-lookup
 ``OrderedDict`` LRU.
+
+The cache-free comparators are pinned the same way: EMB-MMIO,
+EMB-PageSum (analytic and on the DES), EMB-VectorSum and DRAM; the
+RM-SSD backend in both MLP designs on both timing modes, its output
+bytes hashed too; the multi-device cluster in both sharding modes,
+every :class:`ClusterTiming` field; and the dynamic batcher's batch
+sizes, query latencies and makespan.  Those literals were recorded
+while each baseline still held its own copy of the in-SSD read cost
+and the pooled-result return, RM-SSD's backend its own pipelined
+total, and the batcher its own event-driven pipeline.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from repro.baselines import NaiveSSDBackend, RecSSDBackend
+from repro.baselines import (
+    DRAMBackend,
+    EMBMMIOBackend,
+    EMBPageSumBackend,
+    EMBVectorSumBackend,
+    NaiveSSDBackend,
+    RecSSDBackend,
+    RMSSDBackend,
+)
+from repro.core.cluster import MODE_REPLICA, MODE_TABLE_SHARD, RMSSDCluster
+from repro.host.batching import DynamicBatcher
 from repro.host.costs import DEFAULT_HOST_COSTS
 from repro.models import build_model, get_config
 from repro.workloads.inputs import RequestGenerator
@@ -32,18 +53,28 @@ ROWS = 4096
 REQUESTS = 4
 
 
-def digest(result, caches) -> str:
-    """sha256 over ``name=repr(value)`` of the run and its caches."""
+def hash_fields(fields) -> str:
+    """sha256 over ``name=repr(value)`` of each ``(name, value)``."""
+    hasher = hashlib.sha256()
+    for name, value in fields:
+        hasher.update(f"{name}={value!r};".encode())
+    return hasher.hexdigest()
+
+
+def digest(result, caches, extra=()) -> str:
+    """:func:`hash_fields` of the run, its caches, then ``extra``."""
     fields = [(key, value) for key, value in sorted(result.breakdown.items())]
     fields.append(("total_ns", result.total_ns))
     fields.extend(sorted(result.stats.as_dict().items()))
     for name, cache in caches:
         for counter in ("hits", "misses", "evictions"):
             fields.append((f"{name}.{counter}", getattr(cache, counter)))
-    hasher = hashlib.sha256()
-    for name, value in fields:
-        hasher.update(f"{name}={value!r};".encode())
-    return hasher.hexdigest()
+    fields.extend(extra)
+    return hash_fields(fields)
+
+
+def bytes_digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 _models = {}
@@ -163,3 +194,152 @@ def test_measured_cache_hit_ratio_pinned(k, hot_sets):
     assert hashlib.sha256(repr(ratio).encode()).hexdigest() == HIT_RATIO[
         (k, hot_sets)
     ]
+
+
+#: Comparator name -> its backend over a model.
+COMPARATOR_BUILDERS = {
+    "emb-mmio": EMBMMIOBackend,
+    "emb-pagesum": EMBPageSumBackend,
+    "emb-pagesum-des": lambda model: EMBPageSumBackend(model, use_des=True),
+    "emb-vectorsum": EMBVectorSumBackend,
+    "dram": DRAMBackend,
+}
+#: (comparator, model, batch) -> digest.
+COMPARATORS = {
+    ("emb-mmio", "rmc1", 1): "7fe306b18702de91fb98b91130a44d1e381e67101b87b166976ec4b805f33eb6",
+    ("emb-mmio", "rmc1", 8): "db3e36e01f75bccdbf125d1db21b3500d58497e4767eb0d1d3ebb94b70be6910",
+    ("emb-mmio", "rmc2", 8): "0ef022454623426a205b3f3c58271d55b1507be54200cab201786e8ca94424c4",
+    ("emb-mmio", "rmc3", 8): "38e8dc5c589f43573a7d7d40a0e2e5f8d8db9986e17cae2479be24fd7f3947fd",
+    ("emb-pagesum", "rmc1", 1): "703e8956214c6ebaee8fd025aa1ef80f934ad328ccc5e39dbe9d43abf87a5ffe",
+    ("emb-pagesum", "rmc1", 8): "989a6d6475221c476abd7df22c7b8df8ed38b45288430fa854f309a2aefdb57d",
+    ("emb-pagesum", "rmc2", 8): "ba72459d319cec4c3175847e689ff25c9bbcab6a20a7381c6188f61528e18701",
+    ("emb-pagesum", "rmc3", 8): "21bcfcb9464d5bdcb1dbb1eb8f941105d2cc29004b00a07dadafe529a7455db5",
+    ("emb-pagesum-des", "rmc1", 1): "abf5c797c886943499edd80c5ca58b87f0480e4179a13419c18f149bb513e084",
+    ("emb-pagesum-des", "rmc1", 8): "52a5bf5edba20473894cd20fe876176de4bc11e1e52d5ad1db920c6278ebe537",
+    ("emb-pagesum-des", "rmc2", 1): "92534f6526c232c9f00133d892e2642904fb908978eb4aae69287f48bfb5b344",
+    ("emb-pagesum-des", "rmc3", 8): "5ead0a391bcdf1ca0fc3d7127f7a79a6daf991e090a9bb30c2967add373726d1",
+    ("emb-vectorsum", "rmc1", 1): "895fb97f29d2880eaf711a57a745bc1153d5553b9d91f9b6978e6761c2ec4e2c",
+    ("emb-vectorsum", "rmc1", 8): "0c63cf5fee1898985c6a78f1ab47969e54d1d11adb3ce77e6a1620cf911a9a6e",
+    ("emb-vectorsum", "rmc2", 8): "141f196e998da7df20f752f9003a0c036579f7a6d4e0271187db3e7477cb76c5",
+    ("emb-vectorsum", "rmc3", 8): "fb823c92fbd0228039161abda89369a40598e9b7a1181229bfabbada0a4a2bbf",
+    ("dram", "rmc1", 1): "4e56ab159122ba97648aab21a5ffdbcdc030ac91a9e0f9642a26a9e159f03ba7",
+    ("dram", "rmc2", 8): "f664358c8a6af6d33e3c21de9f8cd32840b878446da1f458027e1548cd0cb154",
+    ("dram", "rmc3", 8): "0439abb9f74c800faaef85c4c963be1a4a1d3bdfb13c5e6c8cf31aeaae07f280",
+}
+
+#: (model, mlp_design, use_des, batch) -> digest of the run and its
+#: output bytes.  RMC1/RMC2 carry one sample per device batch, RMC3
+#: four, so batch 37 ends on a partial device batch.
+RMSSD_RUNS = {
+    ("rmc1", "optimized", False, 3): "2437ccbd4860e6f3cf47139e23e87f556357ea9c8f28e6238931ca2a9f1eddc3",
+    ("rmc1", "optimized", True, 3): "9a3446e4e85149ba3f44bd1fc31dbf45a12ce065eff704c75f39c5686707b6a0",
+    ("rmc1", "naive", False, 3): "179eba086d602ccde9a3c5567ac5f4541165b90bccdd55062effd87fedb584bb",
+    ("rmc1", "naive", True, 3): "ab7d6bac963aaa4da0e7a4003fde5e9e54949703b90f40db383577fba763d7de",
+    ("rmc2", "optimized", False, 3): "fbedaef5b9812a548422a02c183495139e5b747267313ca50319b3d752eb9653",
+    ("rmc2", "optimized", True, 3): "e0cb2191582ccf73da138dd2b55b2dc66eb8f832ffb0a7b7a46aecaf5b540c41",
+    ("rmc2", "naive", False, 3): "4ab4d76d1ab699257fd1ff55169258d8e57c374e8827cdbdeddf46ce0ebe3b1d",
+    ("rmc2", "naive", True, 3): "e87c714e80ac70efd4bfc2fe1d6a7b714622599266ba2984a36116d1d263627c",
+    ("rmc3", "optimized", False, 3): "8e2bf4e905ec93a2c5e66f3d6452ff8657450065ec15c5641705b62aef33a27e",
+    ("rmc3", "optimized", True, 3): "32c07034cae9f1d408936d740b6c0b2df7ae7922c88cfa7eea262f7911498547",
+    ("rmc3", "naive", False, 3): "7d53f5f3fd216faada6c87619b168f30397c920d0a32bf156ac316b13a58ca24",
+    ("rmc3", "naive", True, 3): "fd28376b51e603c7475b125fbf4103bd78fd1e75e1690869e4c9f259b7d41a0c",
+    ("rmc3", "optimized", False, 37): "14a46e2328ca9f56b37160615a792df1114f955a6b9711f490754bb478d83306",
+    ("rmc3", "optimized", True, 37): "1e9bb39591449e59e59582fee3873ddc5058ba16883d517aea913f72b0088a57",
+    ("rmc3", "naive", False, 37): "4767766d5cb65a4de8422bbbd14590e81a1fb382ebe6b685c182d8b023a3d692",
+    ("rmc3", "naive", True, 37): "307cf4244ce81f4a46098d8298aec88b26cdf2dfadfde2ef2d363887b5e8ea72",
+}
+
+#: (mode, devices) -> digest of three RMC1 batches' outputs and every
+#: ClusterTiming field, plus ``throughput_qps``.
+CLUSTER = {
+    (MODE_TABLE_SHARD, 1): "1754d969768aa13a2017c43103e33e741de9dcc68c75bb1223e9c377e8a2b87e",
+    (MODE_TABLE_SHARD, 2): "1936a16d175ffbb63f9fc24322a91aa95a552207ca30ea151c9767249569e710",
+    (MODE_REPLICA, 1): "1754d969768aa13a2017c43103e33e741de9dcc68c75bb1223e9c377e8a2b87e",
+    (MODE_REPLICA, 2): "230f9c75d43a6f2178c560e2ae64409a4188d1d05bc3408cc81f24819b520631",
+}
+
+#: case -> (seed, queries, mean gap ns, max_batch, max_wait_ns, emb
+#: fixed ns, emb per-sample ns, bot ns, top ns).  The stage times and
+#: the gaps are inexact in binary, so a clock that adds them in another
+#: order moves the last bits.
+BATCHER_CASES = {
+    "saturated": (1, 200, 30.3, 8, 200.7, 100.1, 2.3, 0.0, 20.9),
+    "underloaded": (2, 60, 9_999.9, 8, 5_000.3, 100.1, 2.3, 40.7, 20.9),
+    "singletons": (3, 120, 77.7, 1, 0.0, 61.3, 0.0, 12.1, 30.7),
+    "zero-wait": (4, 120, 45.1, 4, 0.0, 90.9, 7.7, 0.0, 0.0),
+    "bot-bound": (5, 150, 55.5, 6, 123.4, 33.3, 1.1, 250.5, 10.3),
+}
+#: case -> digest of batch sizes, query latencies and makespan.
+BATCHER = {
+    "saturated": "3b9bcc940056c53c1ae69408ce5c8139d76a3dbfc1d97782c6bb3408100e2999",
+    "underloaded": "a2aef301a6bccaf6736e870d9bdc2390547dfe568fcd9938d991ec8ba44e9ea2",
+    "singletons": "7a5b23e2cd3a9b632eacf1be9604f91dcff1dad5a438c6f07b6e63abdefa1f30",
+    "zero-wait": "ec8e7c39604a6494b821fdb29a6617985936bc984ab90700f73c1ed8289c15e6",
+    "bot-bound": "e5e05cb09bb570dff7498f80491a327e485120afc97e90c6d6214cda4d5fc5c9",
+}
+
+
+@pytest.mark.parametrize("system,key,batch", sorted(COMPARATORS))
+def test_comparator_run_pinned(system, key, batch):
+    model, requests = model_and_requests(key, batch)
+    result = COMPARATOR_BUILDERS[system](model).run(requests, compute=False)
+    assert digest(result, []) == COMPARATORS[(system, key, batch)]
+
+
+@pytest.mark.parametrize("key,design,use_des,batch", sorted(RMSSD_RUNS))
+def test_rmssd_backend_run_pinned(key, design, use_des, batch):
+    model, requests = model_and_requests(key, batch)
+    backend = RMSSDBackend(
+        model, get_config(key).lookups_per_table, mlp_design=design,
+        use_des=use_des,
+    )
+    result = backend.run(requests, compute=True)
+    extra = [
+        ("system", result.system),
+        ("inferences", result.inferences),
+        ("requests", result.requests),
+        ("outputs.shape", result.outputs.shape),
+        ("outputs", bytes_digest(result.outputs)),
+    ]
+    assert digest(result, [], extra) == RMSSD_RUNS[(key, design, use_des, batch)]
+
+
+@pytest.mark.parametrize("mode,devices", sorted(CLUSTER))
+def test_cluster_timing_pinned(mode, devices):
+    config = get_config("rmc1")
+    model = build_model(config, rows_per_table=ROWS, seed=0)
+    cluster = RMSSDCluster(model, config.lookups_per_table, devices, mode)
+    generator = RequestGenerator(config, ROWS, seed=5)
+    fields = []
+    for position, request in enumerate(generator.requests(3, batch_size=2)):
+        outputs, timing = cluster.infer_batch(request.dense, request.sparse)
+        fields.append((f"{position}.outputs", bytes_digest(outputs)))
+        for name in (
+            "nbatch", "per_device_emb_ns", "gather_ns", "bot_ns", "top_ns",
+            "io_ns", "emb_ns", "mlp_ns", "interval_ns", "latency_ns",
+        ):
+            fields.append((f"{position}.{name}", getattr(timing, name)))
+    fields.append(("throughput_qps", cluster.throughput_qps(nbatch=2, seed=1)))
+    fields.append(("capacity", cluster.total_capacity_bytes))
+    assert hash_fields(fields) == CLUSTER[(mode, devices)]
+
+
+@pytest.mark.parametrize("fastpath", ["0", "1"])
+@pytest.mark.parametrize("case", sorted(BATCHER))
+def test_dynamic_batcher_pinned(case, fastpath, monkeypatch):
+    """One literal per case on both serving paths."""
+    monkeypatch.setenv("RMSSD_FASTPATH", fastpath)
+    seed, queries, gap, max_batch, max_wait, emb, per_sample, bot, top = (
+        BATCHER_CASES[case]
+    )
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(gap, size=queries)).tolist()
+
+    def stage_times(nbatch):
+        return (emb + per_sample * nbatch, bot, top)
+
+    result = DynamicBatcher(stage_times, max_batch, max_wait).run(arrivals)
+    fields = [("batch_sizes", result.batch_sizes)]
+    fields.append(("latencies", result.query_latencies_ns))
+    fields.append(("makespan_ns", result.makespan_ns))
+    assert hash_fields(fields) == BATCHER[case]
