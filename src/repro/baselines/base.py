@@ -8,10 +8,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lookup_engine import flatten_batch
+from repro.core.lookup_engine import effective_page_bandwidth, flatten_batch
+from repro.core.registers import pooled_return
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
 from repro.sim.workspace import Workspace
+from repro.ssd.geometry import SSDGeometry
 from repro.ssd.stats import IOStatistics
+from repro.ssd.timing import SSDTimingModel
 from repro.workloads.inputs import InferenceRequest
 
 # Breakdown keys, matching Fig. 2's legend.
@@ -100,6 +103,15 @@ class InferenceBackend(ABC):
         out[CONCAT] = self.costs.concat_ns()
         return out
 
+    def _emb_breakdown(
+        self, batch: int, ssd_ns: float, fs_ns: float, op_ns: float
+    ) -> Dict[str, float]:
+        """Fig. 2's embedding split, then the host MLP's: :meth:`run`
+        sums the components in this insertion order."""
+        breakdown = {EMB_SSD: ssd_ns, EMB_FS: fs_ns, EMB_OP: op_ns}
+        breakdown.update(self._mlp_breakdown_ns(batch))
+        return breakdown
+
     def _vectors_in(self, request: InferenceRequest) -> int:
         return sum(
             len(lookups) for sample in request.sparse for lookups in sample
@@ -143,3 +155,40 @@ class InferenceBackend(ABC):
             breakdown=total_breakdown,
             stats=self.stats,
         )
+
+
+class InSSDBackend(InferenceBackend):
+    """A rung of Section VI-B's in-storage ladder: embedding reads run
+    inside the default SSD, the MLP on the host.
+
+    The rungs differ only in what they bypass, so what they share is
+    stated here once: the geometry, its timing model and the sustained
+    read bandwidth; the in-SSD read cost; and the return of the pooled
+    vectors to the host.
+    """
+
+    #: Controller cycles each read spends on the EV path, spread over
+    #: the channels.
+    PER_READ_CYCLES = 0
+
+    def __init__(self, model, costs: HostCostModel = DEFAULT_HOST_COSTS) -> None:
+        super().__init__(model, costs)
+        self.geometry = SSDGeometry()
+        self.ssd_timing = SSDTimingModel()
+        self._reads_per_cycle = self._read_bandwidth()
+
+    def _read_bandwidth(self) -> float:
+        """Sustained reads per engine cycle: whole pages."""
+        return effective_page_bandwidth(self.geometry, self.ssd_timing)
+
+    def _read_cycles(self, reads: int) -> float:
+        """Device cycles of ``reads`` in-SSD reads: the bandwidth term
+        plus each read's EV-path handling, spread over the channels."""
+        spread = self.PER_READ_CYCLES * reads / max(1, self.geometry.channels)
+        return reads / self._reads_per_cycle + spread
+
+    def _pooled_return_ns(self, batch: int) -> float:
+        """Return ``batch`` samples' pooled vectors to the host."""
+        nbytes, return_ns = pooled_return(self.model.tables, batch, self.costs)
+        self.stats.record_host_transfer(read_bytes=nbytes)
+        return return_ns

@@ -10,42 +10,26 @@ the embedding stage.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
-from repro.core.lookup_engine import effective_page_bandwidth
-from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
+from repro.baselines.base import InSSDBackend
 from repro.workloads.inputs import InferenceRequest
 
-PAGE_SIZE = 4096
 #: Per-page MMIO doorbell/completion handling on the host.
 MMIO_PER_PAGE_NS = 500.0
 
 
-class EMBMMIOBackend(InferenceBackend):
+class EMBMMIOBackend(InSSDBackend):
     name = "EMB-MMIO"
-
-    def __init__(
-        self,
-        model,
-        costs: HostCostModel = DEFAULT_HOST_COSTS,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
-    ) -> None:
-        super().__init__(model, costs)
-        self.geometry = geometry or SSDGeometry()
-        self.ssd_timing = ssd_timing or SSDTimingModel()
-        self._pages_per_cycle = effective_page_bandwidth(self.geometry, self.ssd_timing)
 
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
         pages = self._vectors_in(request)  # one page per lookup
-        device_ns = self.ssd_timing.cycles_to_ns(pages / self._pages_per_cycle)
+        page_size = self.geometry.page_size
+        device_ns = self.ssd_timing.cycles_to_ns(pages / self._reads_per_cycle)
         transfer_ns = pages * (
-            self.costs.pcie_transfer_ns(PAGE_SIZE) + MMIO_PER_PAGE_NS
+            self.costs.pcie_transfer_ns(page_size) + MMIO_PER_PAGE_NS
         )
-        self.stats.record_host_transfer(read_bytes=pages * PAGE_SIZE)
+        self.stats.record_host_transfer(read_bytes=pages * page_size)
         op_ns = (
             len(self.model.tables) * self.costs.framework_op_ns
             + pages * self.costs.sls_per_vector_ns
@@ -54,6 +38,6 @@ class EMBMMIOBackend(InferenceBackend):
         # the stage.  Report the device part as emb-ssd and whatever
         # transfer time it cannot hide as emb-fs (interface time).
         exposed_transfer = max(0.0, transfer_ns - device_ns)
-        breakdown = {EMB_SSD: device_ns, EMB_FS: exposed_transfer, EMB_OP: op_ns}
-        breakdown.update(self._mlp_breakdown_ns(request.batch_size))
-        return breakdown
+        return self._emb_breakdown(
+            request.batch_size, device_ns, exposed_transfer, op_ns
+        )

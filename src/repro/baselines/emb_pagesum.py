@@ -8,36 +8,27 @@ stays 32x higher than the vector-grained path at 128 B vectors.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
-from repro.core.lookup_engine import effective_page_bandwidth
+from repro.baselines.base import InSSDBackend
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 from repro.workloads.inputs import InferenceRequest
 
-PAGE_SIZE = 4096
-#: Per-request EV-path handling in the controller (translate, path
-#: buffer, DEMUX) in cycles.
-EV_PATH_CYCLES_PER_REQUEST = 100
 
-
-class EMBPageSumBackend(InferenceBackend):
+class EMBPageSumBackend(InSSDBackend):
     name = "EMB-PageSum"
+
+    #: Per-page EV-path handling in the controller (translate, path
+    #: buffer, DEMUX).
+    PER_READ_CYCLES = 100
 
     def __init__(
         self,
         model,
         costs: HostCostModel = DEFAULT_HOST_COSTS,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
         use_des: bool = False,
     ) -> None:
         super().__init__(model, costs)
-        self.geometry = geometry or SSDGeometry()
-        self.ssd_timing = ssd_timing or SSDTimingModel()
-        self._pages_per_cycle = effective_page_bandwidth(self.geometry, self.ssd_timing)
         self._des_engine = None
         if use_des:
             # Execute the page reads on the discrete-event simulator
@@ -53,21 +44,11 @@ class EMBPageSumBackend(InferenceBackend):
             layout.create_all()
             self._des_engine = PageLookupEngine(controller, layout)
 
-    def pooled_return_bytes(self, batch: int) -> int:
-        return batch * len(self.model.tables) * self.model.tables.dim * 4
-
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
-        pages = self._vectors_in(request)
         if self._des_engine is not None:
             _, device_ns, _ = self._des_engine.lookup_batch(request.sparse)
         else:
-            device_cycles = pages / self._pages_per_cycle + (
-                EV_PATH_CYCLES_PER_REQUEST * pages
-            ) / max(1, self.geometry.channels)
-            device_ns = self.ssd_timing.cycles_to_ns(device_cycles)
-        return_bytes = self.pooled_return_bytes(request.batch_size)
-        transfer_ns = self.costs.pcie_transfer_ns(return_bytes) + 2000.0
-        self.stats.record_host_transfer(read_bytes=return_bytes)
-        breakdown = {EMB_SSD: device_ns, EMB_FS: transfer_ns, EMB_OP: 0.0}
-        breakdown.update(self._mlp_breakdown_ns(request.batch_size))
-        return breakdown
+            pages = self._vectors_in(request)
+            device_ns = self.ssd_timing.cycles_to_ns(self._read_cycles(pages))
+        return_ns = self._pooled_return_ns(request.batch_size)
+        return self._emb_breakdown(request.batch_size, device_ns, return_ns, 0.0)

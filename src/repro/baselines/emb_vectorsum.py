@@ -8,47 +8,27 @@ contribution from the MLP Acceleration Engine's.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
+from repro.baselines.base import InSSDBackend
 from repro.core.lookup_engine import effective_vector_bandwidth
 from repro.embedding.translator import EVTranslator
-from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 from repro.workloads.inputs import InferenceRequest
 
 
-class EMBVectorSumBackend(InferenceBackend):
+class EMBVectorSumBackend(InSSDBackend):
     name = "EMB-VectorSum"
 
-    def __init__(
-        self,
-        model,
-        costs: HostCostModel = DEFAULT_HOST_COSTS,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
-    ) -> None:
-        super().__init__(model, costs)
-        self.geometry = geometry or SSDGeometry()
-        self.ssd_timing = ssd_timing or SSDTimingModel()
-        self._vectors_per_cycle = effective_vector_bandwidth(
-            self.geometry, self.ssd_timing, model.tables.ev_size
-        )
+    PER_READ_CYCLES = EVTranslator.CYCLES_PER_LOOKUP
 
-    def pooled_return_bytes(self, batch: int) -> int:
-        return batch * len(self.model.tables) * self.model.tables.dim * 4
+    def _read_bandwidth(self) -> float:
+        """Sustained reads per engine cycle: single vectors."""
+        return effective_vector_bandwidth(
+            self.geometry, self.ssd_timing, self.model.tables.ev_size
+        )
 
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
         vectors = self._vectors_in(request)
-        device_cycles = (
-            vectors / self._vectors_per_cycle
-            + EVTranslator.CYCLES_PER_LOOKUP * vectors / max(1, self.geometry.channels)
-        )
-        device_ns = self.ssd_timing.cycles_to_ns(device_cycles)
-        return_bytes = self.pooled_return_bytes(request.batch_size)
-        transfer_ns = self.costs.pcie_transfer_ns(return_bytes) + 2000.0
-        self.stats.record_host_transfer(read_bytes=return_bytes)
-        breakdown = {EMB_SSD: device_ns, EMB_FS: transfer_ns, EMB_OP: 0.0}
-        breakdown.update(self._mlp_breakdown_ns(request.batch_size))
-        return breakdown
+        device_ns = self.ssd_timing.cycles_to_ns(self._read_cycles(vectors))
+        return_ns = self._pooled_return_ns(request.batch_size)
+        return self._emb_breakdown(request.batch_size, device_ns, return_ns, 0.0)

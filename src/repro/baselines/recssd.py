@@ -17,18 +17,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
-from repro.core.lookup_engine import effective_page_bandwidth
+from repro.baselines.emb_pagesum import EMBPageSumBackend
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
 from repro.ssd.vcache import VectorCache, _at_least, encode
 from repro.workloads.inputs import InferenceRequest
 
 #: Host-side merge cost per cached vector (vectorized add).
 HOST_MERGE_PER_VECTOR_NS = 40.0
-#: Per-request command handling on the device's EV path, cycles/page.
-EV_PATH_CYCLES_PER_PAGE = 100
 #: Per-lookup host work in RecSSD's userspace cache layer: probe the
 #: cache, take locks, and build the device command list for misses.
 #: This cost is paid for *every* lookup regardless of hit/miss and is
@@ -39,7 +34,7 @@ EV_PATH_CYCLES_PER_PAGE = 100
 HOST_PROBE_PER_LOOKUP_NS = 1_500.0
 
 
-class RecSSDBackend(InferenceBackend):
+class RecSSDBackend(EMBPageSumBackend):
     name = "RecSSD"
 
     def __init__(
@@ -48,16 +43,11 @@ class RecSSDBackend(InferenceBackend):
         cache_vectors: Optional[int] = None,
         ssd_cache_vectors: int = 0,
         costs: HostCostModel = DEFAULT_HOST_COSTS,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
     ) -> None:
         if cache_vectors is not None:
             _at_least("cache_vectors", cache_vectors, 0)
         _at_least("ssd_cache_vectors", ssd_cache_vectors, 0)
         super().__init__(model, costs)
-        self.geometry = geometry or SSDGeometry()
-        self.ssd_timing = ssd_timing or SSDTimingModel()
-        self._pages_per_cycle = effective_page_bandwidth(self.geometry, self.ssd_timing)
         # Tables may have different row counts, so sizes come from the
         # actual total; a capacity past it would behave the same.
         rows = sum(table.rows for table in model.tables)
@@ -85,14 +75,12 @@ class RecSSDBackend(InferenceBackend):
         misses = ssd_hit.size - ssd_hits
         self.stats.cache_hits += hits
         self.stats.cache_misses += misses + ssd_hits
-        # Device: page read + partial in-SSD sum for every flash miss;
-        # SSD-cache hits cost only a controller-DRAM fetch.
-        device_cycles = (
-            misses / self._pages_per_cycle
-            + (EV_PATH_CYCLES_PER_PAGE * misses) / max(1, self.geometry.channels)
-            + self.ssd_cache_hit_cycles * ssd_hits
+        # Device: EMB-PageSum's page read + partial in-SSD sum for
+        # every flash miss; SSD-cache hits cost only a controller-DRAM
+        # fetch.
+        device_ns = self.ssd_timing.cycles_to_ns(
+            self._read_cycles(misses) + self.ssd_cache_hit_cycles * ssd_hits
         )
-        device_ns = self.ssd_timing.cycles_to_ns(device_cycles)
         # Host: probe the cache for every lookup — including the ones
         # the SSD-side cache later absorbs, which still miss the host
         # cache and pay the probe — then merge cached vectors into the
@@ -102,11 +90,5 @@ class RecSSDBackend(InferenceBackend):
             + hits * HOST_MERGE_PER_VECTOR_NS
             + len(self.model.tables) * self.costs.framework_op_ns
         )
-        return_bytes = (
-            request.batch_size * len(self.model.tables) * self.model.tables.dim * 4
-        )
-        transfer_ns = self.costs.pcie_transfer_ns(return_bytes) + 2000.0
-        self.stats.record_host_transfer(read_bytes=return_bytes)
-        breakdown = {EMB_SSD: device_ns, EMB_FS: transfer_ns, EMB_OP: merge_ns}
-        breakdown.update(self._mlp_breakdown_ns(request.batch_size))
-        return breakdown
+        return_ns = self._pooled_return_ns(request.batch_size)
+        return self._emb_breakdown(request.batch_size, device_ns, return_ns, merge_ns)

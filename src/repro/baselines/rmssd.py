@@ -9,28 +9,29 @@ striping-efficiency factor checked in the tests.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import (
-    BOT_MLP,
-    EMB_FS,
-    EMB_SSD,
-    TOP_MLP,
-    InferenceBackend,
-    RunResult,
-)
-from repro.core.device import (
-    MLP_DESIGN_NAIVE,
-    MLP_DESIGN_OPTIMIZED,
-    RMSSD,
-)
-from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
+from repro.baselines.base import BOT_MLP, EMB_FS, EMB_SSD, TOP_MLP
+from repro.baselines.base import InferenceBackend, RunResult
+from repro.core.device import MLP_DESIGN_OPTIMIZED, RMSSD, DeviceTiming
 from repro.ssd.vcache import VectorCache
 from repro.workloads.inputs import InferenceRequest
+
+
+def _stage_totals(timings: Sequence[DeviceTiming]) -> Dict[str, float]:
+    """Each stage's time summed over device batches, left to right."""
+    totals: Dict[str, float] = {}
+    for timing in timings:
+        for key, value in (
+            (EMB_SSD, timing.emb_ns),
+            (BOT_MLP, timing.bot_ns),
+            (TOP_MLP, timing.top_ns),
+            (EMB_FS, timing.io_ns),
+        ):
+            totals[key] = totals.get(key, 0.0) + value
+    return totals
 
 
 class RMSSDBackend(InferenceBackend):
@@ -42,16 +43,13 @@ class RMSSDBackend(InferenceBackend):
         lookups_per_table: int,
         mlp_design: str = MLP_DESIGN_OPTIMIZED,
         use_des: bool = True,
-        costs: HostCostModel = DEFAULT_HOST_COSTS,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
         fastpath: Optional[bool] = None,
         tracer=None,
         metrics=None,
         vcache: Optional[VectorCache] = None,
         profiler=None,
     ) -> None:
-        super().__init__(model, costs)
+        super().__init__(model)
         self.name = "RM-SSD" if mlp_design == MLP_DESIGN_OPTIMIZED else "RM-SSD-Naive"
         # ``fastpath=None`` defers to RMSSD_FASTPATH; vector reads then
         # take the DES-equivalent vectorized path when channels are idle.
@@ -64,8 +62,6 @@ class RMSSDBackend(InferenceBackend):
         self.device = RMSSD(
             model,
             lookups_per_table,
-            geometry=geometry,
-            ssd_timing=ssd_timing,
             mlp_design=mlp_design,
             use_des=use_des,
             fastpath=fastpath,
@@ -80,58 +76,29 @@ class RMSSDBackend(InferenceBackend):
     def vcache(self) -> Optional[VectorCache]:
         return self.device.vcache
 
-    @property
-    def supported_nbatch(self) -> int:
-        return self.device.supported_nbatch
-
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
         _, timing = self.device.infer_batch(request.dense, request.sparse)
-        return {
-            EMB_SSD: timing.emb_ns,
-            BOT_MLP: timing.bot_ns,
-            TOP_MLP: timing.top_ns,
-            EMB_FS: timing.io_ns,
-        }
+        return _stage_totals([timing])
 
     def run(self, requests, compute: bool = True) -> RunResult:
-        """Serve the stream with system-level pipelining.
-
-        Unlike the host backends, consecutive device batches overlap:
-        each request beyond the first costs its pipeline interval, not
-        its latency (Section IV-D's pre-send optimization).
+        """Serve the stream as one device workload of device-sized
+        batches, pipelined: unlike the host backends, consecutive
+        device batches overlap, so each beyond the first costs its
+        pipeline interval, not its latency (Section IV-D's pre-send
+        optimization; :meth:`RMSSD.run_workload`).
         """
-        total_breakdown: Dict[str, float] = {}
-        outputs = []
-        inferences = 0
-        total_ns = 0.0
-        for position, request in enumerate(requests):
-            device_nbatch = max(1, self.device.supported_nbatch)
-            batch_out = []
-            for start in range(0, request.batch_size, device_nbatch):
-                stop = start + device_nbatch
-                dense = None if request.dense is None else request.dense[start:stop]
-                sparse = request.sparse[start:stop]
-                out, timing = self.device.infer_batch(dense, sparse)
-                if compute:
-                    batch_out.append(out)
-                first = position == 0 and start == 0
-                total_ns += timing.latency_ns if first else timing.interval_ns
-                for key, value in {
-                    EMB_SSD: timing.emb_ns,
-                    BOT_MLP: timing.bot_ns,
-                    TOP_MLP: timing.top_ns,
-                    EMB_FS: timing.io_ns,
-                }.items():
-                    total_breakdown[key] = total_breakdown.get(key, 0.0) + value
-            if compute and batch_out:
-                outputs.append(np.concatenate(batch_out))
-            inferences += request.batch_size
+        dense_parts, sparse_parts = [], []
+        for request in requests:
+            dense, sparse = self.device.split_batch(request.dense, request.sparse)
+            dense_parts += dense
+            sparse_parts += sparse
+        workload = self.device.run_workload(dense_parts, sparse_parts)
         return RunResult(
             system=self.name,
-            outputs=np.concatenate(outputs) if outputs else np.empty((0, 1)),
-            total_ns=total_ns,
-            inferences=inferences,
+            outputs=workload.outputs if compute else np.empty((0, 1)),
+            total_ns=workload.total_ns,
+            inferences=workload.inferences,
             requests=len(requests),
-            breakdown=total_breakdown,
+            breakdown=_stage_totals(workload.batch_timings),
             stats=self.stats,
         )

@@ -14,7 +14,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.baselines.base import EMB_FS, EMB_OP, EMB_SSD, InferenceBackend
+from repro.baselines.base import InferenceBackend
 from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
 from repro.ssd.vcache import VectorCache, encode
 from repro.workloads.inputs import InferenceRequest
@@ -76,6 +76,4 @@ class NaiveSSDBackend(InferenceBackend):
         )
         op_ns = _fold(np.full(hit.size, costs.sls_per_vector_ns))
         op_ns += len(self.model.tables) * costs.framework_op_ns
-        breakdown = {EMB_SSD: ssd_ns, EMB_FS: _fold(fs_steps), EMB_OP: op_ns}
-        breakdown.update(self._mlp_breakdown_ns(request.batch_size))
-        return breakdown
+        return self._emb_breakdown(request.batch_size, ssd_ns, _fold(fs_steps), op_ns)

@@ -26,14 +26,14 @@ import numpy as np
 from repro.core.device import RMSSD
 from repro.core.lookup_engine import EmbeddingLookupEngine
 from repro.core.mlp_engine import forward_from_pooled
+from repro.core.registers import MMIOCostModel, pooled_return
 from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.table import EmbeddingTableSet
-from repro.host.costs import DEFAULT_HOST_COSTS, HostCostModel
+from repro.host.costs import DEFAULT_HOST_COSTS
 from repro.sim import Simulator
 from repro.ssd.blockdev import BlockDevice
 from repro.ssd.controller import SSDController
-from repro.ssd.geometry import SSDGeometry
-from repro.ssd.timing import SSDTimingModel
+from repro.ssd.vcache import _at_least
 
 MODE_TABLE_SHARD = "tables"
 MODE_REPLICA = "replicas"
@@ -87,16 +87,11 @@ class _TableShard:
     subset of the model's tables."""
 
     def __init__(
-        self,
-        table_ids: Sequence[int],
-        tables: EmbeddingTableSet,
-        geometry: Optional[SSDGeometry],
-        ssd_timing: Optional[SSDTimingModel],
-        pooling: str,
+        self, table_ids: Sequence[int], tables: EmbeddingTableSet, pooling: str
     ) -> None:
         self.table_ids = list(table_ids)
         subset = EmbeddingTableSet([tables[i] for i in self.table_ids])
-        self.controller = SSDController(Simulator(), geometry, ssd_timing)
+        self.controller = SSDController(Simulator())
         device = BlockDevice(self.controller)
         layout = EmbeddingLayout(device, subset)
         layout.create_all()
@@ -120,12 +115,8 @@ class RMSSDCluster:
         lookups_per_table: int,
         num_devices: int = 2,
         mode: str = MODE_TABLE_SHARD,
-        geometry: Optional[SSDGeometry] = None,
-        ssd_timing: Optional[SSDTimingModel] = None,
-        costs: HostCostModel = DEFAULT_HOST_COSTS,
     ) -> None:
-        if num_devices < 1:
-            raise ValueError("need at least one device")
+        _at_least("num_devices", num_devices, 1)
         if mode not in (MODE_TABLE_SHARD, MODE_REPLICA):
             raise ValueError(f"unknown sharding mode {mode!r}")
         if mode == MODE_TABLE_SHARD and num_devices > len(model.tables):
@@ -135,26 +126,19 @@ class RMSSDCluster:
         self.model = model
         self.mode = mode
         self.num_devices = num_devices
-        self.costs = costs
         pooling = getattr(model, "pooling", "sum")
 
         # The aggregator runs the MLP engine (and, for replication,
         # everything): reuse the single-device assembly for its
         # kernel-searched stage times.
-        self.aggregator = RMSSD(
-            model,
-            lookups_per_table,
-            geometry=geometry,
-            ssd_timing=ssd_timing,
-            use_des=True,
-        )
+        self.aggregator = RMSSD(model, lookups_per_table, use_des=True)
         self.shards: List[_TableShard] = []
         if mode == MODE_TABLE_SHARD and num_devices > 1:
             assignment = [[] for _ in range(num_devices)]
             for table_id in range(len(model.tables)):
                 assignment[table_id % num_devices].append(table_id)
             self.shards = [
-                _TableShard(ids, model.tables, geometry, ssd_timing, pooling)
+                _TableShard(ids, model.tables, pooling)
                 for ids in assignment
             ]
 
@@ -164,10 +148,6 @@ class RMSSDCluster:
         """Embedding bytes stored across the cluster."""
         per_model = self.model.tables.total_bytes
         return per_model * (self.num_devices if self.mode == MODE_REPLICA else 1)
-
-    def _gather_ns(self, nbatch: int) -> float:
-        pooled_bytes = nbatch * len(self.model.tables) * self.model.tables.dim * 4
-        return self.costs.pcie_transfer_ns(pooled_bytes) + 2000.0
 
     # ------------------------------------------------------------------
     def infer_batch(
@@ -220,13 +200,16 @@ class RMSSDCluster:
         )
         stages = self.aggregator.mlp_engine.stage_times_for(nbatch)
         settings = self.aggregator.settings
+        # The shards' pooled vectors reach the aggregator as a pooled
+        # return would reach the host.
+        _, gather_ns = pooled_return(self.model.tables, nbatch, DEFAULT_HOST_COSTS)
         timing = ClusterTiming(
             nbatch=nbatch,
             per_device_emb_ns=per_device_ns,
-            gather_ns=self._gather_ns(nbatch),
+            gather_ns=gather_ns,
             bot_ns=settings.cycles_to_ns(stages.tbot),
             top_ns=settings.cycles_to_ns(stages.ttop),
-            io_ns=2 * 2000.0,
+            io_ns=2 * MMIOCostModel.dma_setup_ns,
         )
         return outputs, timing
 

@@ -518,6 +518,16 @@ class RMSSD:
                 vcache.hit_ratio, t_ns=done_ns
             )
 
+    def split_batch(self, dense_batch, sparse_batch) -> Tuple[list, list]:
+        """``(dense_parts, sparse_parts)`` for :meth:`run_workload`: a
+        host batch cut into batches of at most :attr:`supported_nbatch`."""
+        step = max(1, self.supported_nbatch)
+        starts = range(0, len(sparse_batch), step)
+        dense = [
+            None if dense_batch is None else dense_batch[i : i + step] for i in starts
+        ]
+        return dense, [sparse_batch[i : i + step] for i in starts]
+
     def run_workload(
         self,
         dense_batches: Sequence[Optional[np.ndarray]],

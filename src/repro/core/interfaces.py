@@ -21,7 +21,7 @@ the next batch's inputs are pre-sent while the device computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,15 +106,7 @@ class RMRuntime:
         small batch's inputs are pre-sent during device processing.
         """
         self._check_fds(fds)
-        device_nbatch = max(1, self.device.supported_nbatch)
-        dense_parts: List[Optional[np.ndarray]] = []
-        sparse_parts: List[Sequence] = []
-        for start in range(0, len(sparse_batch), device_nbatch):
-            stop = start + device_nbatch
-            sparse_parts.append(sparse_batch[start:stop])
-            dense_parts.append(
-                None if dense_batch is None else dense_batch[start:stop]
-            )
+        dense_parts, sparse_parts = self.device.split_batch(dense_batch, sparse_batch)
         result = self.device.run_workload(dense_parts, sparse_parts, pipelined)
         return result.outputs, result
 

@@ -192,14 +192,9 @@ class EmbeddingLookupEngine:
         self.layout = layout
         self.pooling = pooling
         self.tables = layout.tables
-        self.translator = EVTranslator(page_size=controller.geometry.page_size)
-        for table_id, ranges in layout.metadata().items():
-            self.translator.register_table(
-                table_id,
-                ranges,
-                self.tables.ev_size,
-                self.tables[table_id].rows,
-            )
+        self.translator = EVTranslator.for_layout(
+            layout, controller.geometry.page_size
+        )
         self._rows = np.array([self.tables[t].rows for t in range(len(self.tables))])
         self.workspace = Workspace()
         #: Batches served per ``(path, fallback_reason)``.

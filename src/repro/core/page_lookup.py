@@ -30,11 +30,9 @@ class PageLookupEngine:
         self.controller = controller
         self.layout = layout
         self.tables = layout.tables
-        self.translator = EVTranslator(page_size=controller.geometry.page_size)
-        for table_id, ranges in layout.metadata().items():
-            self.translator.register_table(
-                table_id, ranges, self.tables.ev_size, self.tables[table_id].rows
-            )
+        self.translator = EVTranslator.for_layout(
+            layout, controller.geometry.page_size
+        )
         self._rows = np.array([table.rows for table in self.tables])
 
     @property

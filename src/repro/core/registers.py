@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.ssd.stats import IOStatistics
 
@@ -73,6 +73,14 @@ class MMIOCostModel:
         if nbytes == 0:
             return 0.0
         return self.dma_setup_ns + nbytes / self.dma_bytes_per_ns
+
+
+def pooled_return(tables, nbatch: int, costs) -> Tuple[int, float]:
+    """Bytes and ns of returning ``nbatch`` samples' pooled fp32
+    vectors, one per table, to the host: the transfer at ``costs``'
+    PCIe bandwidth plus one DMA setup."""
+    nbytes = nbatch * len(tables) * tables.dim * 4
+    return nbytes, costs.pcie_transfer_ns(nbytes) + MMIOCostModel.dma_setup_ns
 
 
 class MMIOManager:

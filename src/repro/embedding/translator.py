@@ -81,6 +81,16 @@ class EVTranslator:
         self._tables: Dict[int, _TableMeta] = {}
         self._staged = False
 
+    @classmethod
+    def for_layout(cls, layout, page_size: int) -> "EVTranslator":
+        """Every table of an ``EmbeddingLayout`` registered, as its
+        RM_open_table uploads leave the translator."""
+        translator, tables = cls(page_size), layout.tables
+        for table_id, ranges in layout.metadata().items():
+            rows = tables[table_id].rows
+            translator.register_table(table_id, ranges, tables.ev_size, rows)
+        return translator
+
     def register_table(
         self,
         table_id: int,

@@ -10,21 +10,32 @@ schedules around.
 :class:`DynamicBatcher` implements the standard policy: dispatch when
 either ``max_batch`` queries are waiting or the oldest has waited
 ``max_wait_ns``.  Batches then flow through the three-stage RM-SSD
-pipeline with batch-size-dependent stage times.
+pipeline (:class:`repro.core.pipeline_sim.PipelineSimulator`) with
+batch-size-dependent stage times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Sequence
+from math import inf
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.metrics import percentile
-from repro.obs import names
+from repro.core.pipeline_sim import PipelineSimulator
 from repro.fpga.compose import StageTimes
-from repro.sim import Server, Simulator
+from repro.ssd.vcache import _at_least
+from repro.workloads.arrivals import validated_instants
 
 #: Maps a batch size to its (emb_ns, bot_ns, top_ns) stage times.
 StageTimesFn = Callable[[int], tuple]
+
+
+def _wait(now: float, until: float) -> float:
+    """The clock after waiting until ``until``, advanced as the event
+    kernel's timeout advances it: ``now + (until - now)``."""
+    return now + (until - now) if now < until else now
 
 
 @dataclass
@@ -60,10 +71,12 @@ class DynamicBatcher:
         max_batch: int,
         max_wait_ns: float,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if max_wait_ns < 0:
-            raise ValueError("max_wait_ns must be non-negative")
+        _at_least("max_batch", max_batch, 1)
+        # One chained comparison refuses negative, NaN and inf waits.
+        if not 0 <= max_wait_ns < inf:
+            raise ValueError(
+                f"max_wait_ns must be finite and >= 0, got {max_wait_ns!r}"
+            )
         self.stage_times_fn = stage_times_fn
         self.max_batch = max_batch
         self.max_wait_ns = max_wait_ns
@@ -81,65 +94,48 @@ class DynamicBatcher:
         return cls(fn, max_batch, max_wait_ns)
 
     # ------------------------------------------------------------------
+    def _dispatch_plan(self, arrivals: List[float]) -> Tuple[List[int], List[float]]:
+        """Batch sizes and dispatch instants, in dispatch order: wait
+        for the oldest query, then until the batch is full (its last
+        member arrives) or the oldest's deadline passes."""
+        sizes: List[int] = []
+        dispatch_ns: List[float] = []
+        now, index = 0.0, 0
+        while index < len(arrivals):
+            now = _wait(now, arrivals[index])
+            deadline = arrivals[index] + self.max_wait_ns
+            take = 1
+            while (
+                take < self.max_batch
+                and index + take < len(arrivals)
+                and arrivals[index + take] <= deadline
+            ):
+                take += 1
+            full = take == self.max_batch
+            now = _wait(now, arrivals[index + take - 1] if full else deadline)
+            sizes.append(take)
+            dispatch_ns.append(now)
+            index += take
+        return sizes, dispatch_ns
+
     def run(self, arrival_times_ns: Sequence[float]) -> BatchingResult:
-        """Serve queries arriving at the given (sorted) instants."""
-        arrivals = list(arrival_times_ns)
-        if not arrivals:
+        """Serve queries arriving at the given (sorted, finite)
+        instants: dispatch them into batches, then stream the batches
+        through :class:`PipelineSimulator` as they are dispatched."""
+        arrivals = validated_instants(arrival_times_ns)
+        if not arrivals.size:
             raise ValueError("no queries")
-        if arrivals != sorted(arrivals):
-            raise ValueError("arrival times must be sorted")
-
-        sim = Simulator()
-        emb_server = Server(sim, names.STAGE_EMB)
-        bot_server = Server(sim, names.STAGE_BOT)
-        top_server = Server(sim, names.STAGE_TOP)
-        latencies: List[float] = [0.0] * len(arrivals)
-        batch_sizes: List[int] = []
-
-        def serve_batch(members: List[int]) -> Generator:
-            emb_ns, bot_ns, top_ns = self.stage_times_fn(len(members))
-
-            def emb_stage() -> Generator:
-                yield emb_server.serve(emb_ns)
-
-            def bot_stage() -> Generator:
-                if bot_ns > 0:
-                    yield bot_server.serve(bot_ns)
-
-            yield sim.all_of([sim.process(emb_stage()), sim.process(bot_stage())])
-            if top_ns > 0:
-                yield top_server.serve(top_ns)
-            for query in members:
-                latencies[query] = sim.now - arrivals[query]
-
-        def batcher() -> Generator:
-            index = 0
-            while index < len(arrivals):
-                if sim.now < arrivals[index]:
-                    yield sim.timeout(arrivals[index] - sim.now)
-                deadline = arrivals[index] + self.max_wait_ns
-                take = 1
-                while (
-                    take < self.max_batch
-                    and index + take < len(arrivals)
-                    and arrivals[index + take] <= deadline
-                ):
-                    take += 1
-                if take == self.max_batch:
-                    dispatch_at = max(sim.now, arrivals[index + take - 1])
-                else:
-                    dispatch_at = max(sim.now, deadline)
-                if sim.now < dispatch_at:
-                    yield sim.timeout(dispatch_at - sim.now)
-                members = list(range(index, index + take))
-                batch_sizes.append(take)
-                sim.process(serve_batch(members))
-                index += take
-
-        sim.process(batcher())
-        sim.run()
+        sizes, dispatch_ns = self._dispatch_plan(arrivals.tolist())
+        stages = [self.stage_times_fn(size) for size in sizes]
+        timeline = PipelineSimulator(
+            lambda batch: stages[batch][0],
+            lambda batch: stages[batch][1],
+            lambda batch: stages[batch][2],
+        ).run(len(sizes), arrival_times_ns=dispatch_ns)
+        # A query's latency runs from its arrival to its batch's exit.
+        latencies = np.repeat(timeline.completions_ns, sizes) - arrivals
         return BatchingResult(
-            query_latencies_ns=latencies,
-            batch_sizes=batch_sizes,
-            makespan_ns=sim.now,
+            query_latencies_ns=latencies.tolist(),
+            batch_sizes=sizes,
+            makespan_ns=timeline.makespan_ns,
         )

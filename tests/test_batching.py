@@ -62,6 +62,43 @@ class TestDispatchPolicy:
             DynamicBatcher(constant_stage_fn(), max_batch=1, max_wait_ns=-1)
 
 
+class TestBoundaries:
+    """Hostile batcher parameters and arrival instants are refused with
+    a ValueError naming them, before any stage time is asked for."""
+
+    @pytest.mark.parametrize(
+        "max_batch, max_wait_ns, name",
+        [
+            (2.5, 10.0, "max_batch"),  # formed batches of 3
+            (True, 10.0, "max_batch"),  # taken as 1
+            (4, float("nan"), "max_wait_ns"),  # silently served singletons
+            (4, float("inf"), "max_wait_ns"),  # the kernel's SimulationError
+        ],
+    )
+    def test_hostile_parameter_is_named(self, max_batch, max_wait_ns, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            DynamicBatcher(constant_stage_fn(), max_batch, max_wait_ns)
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            [0.0, float("inf")],  # the kernel's SimulationError
+            [0.0, float("nan"), 20.0],  # NaN latencies
+        ],
+    )
+    def test_non_finite_arrival_is_refused_before_serving(self, arrivals):
+        calls = []
+
+        def stage_fn(nbatch):
+            calls.append(nbatch)
+            return (100.0, 0.0, 20.0)
+
+        batcher = DynamicBatcher(stage_fn, max_batch=4, max_wait_ns=10.0)
+        with pytest.raises(ValueError, match="^arrival times must be finite"):
+            batcher.run(arrivals)
+        assert calls == []
+
+
 class TestTradeoff:
     def test_batching_raises_throughput_on_amortized_service(self):
         # Embedding cost dominated by a fixed term: batching amortizes.

@@ -178,6 +178,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             RMSSDCluster(model, 4, num_devices=0)
 
+    @pytest.mark.parametrize("devices", [2.5, True, 1.0])
+    def test_hostile_device_count_is_named(self, devices):
+        """A device count that is not an integer is refused by name:
+        2.5 used to raise range()'s unnamed TypeError, and True and 1.0
+        were taken as one device."""
+        config = get_config("rmc1")
+        model = build_model(config, rows_per_table=ROWS)
+        with pytest.raises(ValueError, match="^num_devices "):
+            RMSSDCluster(model, 4, num_devices=devices)
+
     def test_empty_batch_rejected(self):
         _, _, cluster = build(devices=2)
         with pytest.raises(ValueError):

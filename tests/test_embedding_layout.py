@@ -82,15 +82,7 @@ class TestLayout:
 
 class TestTranslator:
     def _translator(self, layout, tables):
-        translator = EVTranslator(page_size=4096)
-        for table_id in range(len(tables)):
-            translator.register_table(
-                table_id,
-                layout.layout_for(table_id).extent_ranges,
-                tables.ev_size,
-                tables[table_id].rows,
-            )
-        return translator
+        return EVTranslator.for_layout(layout, page_size=4096)
 
     def test_translation_matches_layout(self):
         device, tables, layout = build()

@@ -37,6 +37,9 @@ echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # vcache-hit-bytes mutation (a corrupted arena slot must be caught),
 # and the baselines whose page and host caches run on the same probe:
 # every number they report pinned by digest, hostile cache sizes refused.
+# The `pinned` selection also runs every other comparator's digests:
+# EMB-MMIO, EMB-PageSum (analytic and DES), EMB-VectorSum, DRAM, the
+# RM-SSD backend, the multi-device cluster and the dynamic batcher.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_vcache_equivalence.py \
     tests/test_vcache_probe.py tests/test_vcache.py \
     tests/test_baselines_pinned.py tests/test_baselines.py \
@@ -51,6 +54,9 @@ echo "== serving-replay differential smoke (RMSSD_SANITIZE=1) =="
 RMSSD_SANITIZE=1 python -m pytest -x -q \
     tests/test_pipeline_fast_equivalence.py tests/test_maxplus.py \
     tests/test_serving_pinned.py -k smoke
+# The dynamic batcher streams its batches through the same replay:
+# its dispatch policy, trade-offs and refused boundary values.
+RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_batching.py
 
 echo "== trace smoke (--trace-out) =="
 python -m repro run rmc1 --backend rm-ssd \
