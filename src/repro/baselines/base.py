@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -68,12 +67,8 @@ class RunResult:
             return {k: 0.0 for k in self.breakdown}
         return {k: v / total for k, v in self.breakdown.items()}
 
-    def speedup_vs(self, other: "RunResult") -> float:
-        """Throughput ratio (this backend over ``other``)."""
-        return self.qps / other.qps
 
-
-class InferenceBackend(ABC):
+class InferenceBackend:
     """A system that can serve recommendation inference end to end."""
 
     name: str = "backend"
@@ -126,9 +121,13 @@ class InferenceBackend(ABC):
     # ------------------------------------------------------------------
     # The backend contract
     # ------------------------------------------------------------------
-    @abstractmethod
     def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
-        """Time breakdown (ns) for serving one batched request."""
+        """Time breakdown (ns) for serving one batched request.  A
+        backend whose requests overlap states its cost in :meth:`run`
+        instead."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no per-request cost; use run()"
+        )
 
     def run(
         self, requests: Sequence[InferenceRequest], compute: bool = True

@@ -17,7 +17,6 @@ from repro.baselines.base import BOT_MLP, EMB_FS, EMB_SSD, TOP_MLP
 from repro.baselines.base import InferenceBackend, RunResult
 from repro.core.device import MLP_DESIGN_OPTIMIZED, RMSSD, DeviceTiming
 from repro.ssd.vcache import VectorCache
-from repro.workloads.inputs import InferenceRequest
 
 
 def _stage_totals(timings: Sequence[DeviceTiming]) -> Dict[str, float]:
@@ -75,10 +74,6 @@ class RMSSDBackend(InferenceBackend):
     @property
     def vcache(self) -> Optional[VectorCache]:
         return self.device.vcache
-
-    def request_cost_ns(self, request: InferenceRequest) -> Dict[str, float]:
-        _, timing = self.device.infer_batch(request.dense, request.sparse)
-        return _stage_totals([timing])
 
     def run(self, requests, compute: bool = True) -> RunResult:
         """Serve the stream as one device workload of device-sized

@@ -77,9 +77,6 @@ class StageTimes:
         """Steady-state inferences per second."""
         return self.nbatch * clock_hz / self.interval
 
-    def latency_s(self, clock_hz: float) -> float:
-        return self.latency / clock_hz
-
 
 def embedding_flash_cycles(
     vectors: int,

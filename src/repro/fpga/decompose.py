@@ -82,16 +82,6 @@ class DecomposedModel:
         """``M * N``: flash vector reads per inference."""
         return self.num_tables * self.lookups_per_table
 
-    @property
-    def total_weight_bytes(self) -> int:
-        return sum(layer.weight_bytes for layer in self.all_layers())
-
-    def layer_by_name(self, name: str) -> LayerAssignment:
-        for layer in self.all_layers():
-            if layer.name == name:
-                return layer
-        raise KeyError(name)
-
 
 def decompose(
     name: str,

@@ -106,8 +106,8 @@ class Profiler:
         self._services: Dict[str, Rows] = {}
         # name -> (start, end) busy rows.
         self._busy: Dict[str, Rows] = {}
-        # name -> list of (t, depth) sampled wait-queue depths.
-        self._queue_samples: Dict[str, List[Tuple[float, int]]] = {}
+        # name -> (t, depth) sampled wait-queue depth rows.
+        self._queue_samples: Dict[str, Rows] = {}
         self._kinds: Dict[str, str] = {}
         # name -> (rows recorded, merged busy starts, ends) at the last
         # merge; stale once the resource has more rows.
@@ -129,6 +129,12 @@ class Profiler:
         if rows is None:
             rows = table[name] = Rows(*[np.float64] * width)
             self._kinds.setdefault(name, kind)
+        return rows
+
+    def _samples(self, name: str) -> Rows:
+        rows = self._queue_samples.get(name)
+        if rows is None:
+            rows = self._queue_samples[name] = Rows(np.float64, np.int64)
         return rows
 
     def record_service(
@@ -184,7 +190,23 @@ class Profiler:
             raise ValueError(f"queue depth on {name!r} not finite: t_ns={t_ns}")
         if not (0 <= depth < math.inf and depth == int(depth)):
             raise ValueError(f"negative or fractional queue depth on {name!r}: depth={depth}")
-        self._queue_samples.setdefault(name, []).append((float(t_ns), int(depth)))
+        self._samples(name).tail.append((float(t_ns), int(depth)))
+
+    def record_queue_depths(self, name: str, t_ns, depths) -> None:
+        """Many samples of one resource, as two equal-length columns;
+        each is checked as :meth:`record_queue_depth` checks one, before
+        any is recorded."""
+        t, depth = np.array(t_ns, dtype=np.float64), np.asarray(depths)
+        if len(t) != len(depth):
+            raise ValueError(f"queue depth columns on {name!r} differ in length")
+        sound = (-math.inf < t) & (t < math.inf) & (0 <= depth) & (depth < math.inf)
+        sound &= depth == np.trunc(depth)
+        if not sound.all():
+            bad = int(np.argmin(sound))
+            # The scalar check refuses the row and names what is wrong.
+            self.record_queue_depth(name, t[bad], depth[bad].item())
+        if len(t):
+            self._samples(name).extend(t, depth.astype(np.int64))
 
     def record_stage(
         self,
@@ -314,7 +336,8 @@ class Profiler:
         return (jobs - departed).tolist()
 
     def _queue_summary(self, name: str) -> Optional[dict]:
-        depths = [depth for _, depth in self._queue_samples.get(name, ())]
+        samples = self._queue_samples.get(name)
+        depths = samples.columns()[1].tolist() if samples is not None else []
         if name in self._services:
             depths.extend(self._service_queue_depths(self.records(name)[0]))
         if not depths:

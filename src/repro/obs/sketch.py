@@ -132,11 +132,6 @@ class QuantileSketch:
                 return value
         return items[-1][0]
 
-    def rank_of(self, value: float) -> int:
-        """Estimated rank of ``value``: total weight of retained items
-        ``<= value``."""
-        return sum(w for v, w in self._weighted_items() if v <= value)
-
     def rank_error_bound(self) -> int:
         """Worst-case |true rank - target rank| for any quantile query.
 

@@ -27,8 +27,7 @@ A channel is replayed by two cooperating pieces:
 **The step loop** (:func:`_step_reads`) takes one arithmetic step per
 read, in die-grant order, and is the *only* scalar statement of the
 protocol — tie rule, idle dies, busy bus and all.  It replays whole
-channels whenever a profiler is attached (its record calls live
-there) or the channel is short, every stretch the scan refuses, and
+channels when they are short and every stretch the scan refuses, and
 it is the oracle the scan is tested against.
 
 **The scan** (:func:`_scan_reads`) exploits what the vector-grained
@@ -74,7 +73,7 @@ from __future__ import annotations
 import os
 from bisect import insort
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -128,18 +127,27 @@ SCAN_FIRST_STRETCH = 16
 class _ChannelReplay:
     """One channel's replay state, shared by the scan and the step loop.
 
+    ``issue`` holds the issue indices of the channel's reads die-major:
+    die ``k``'s ``die_counts[k]`` reads, in issue order, after die
+    ``k - 1``'s.  ``enter_ns`` and ``transfer_ns`` hold every read of
+    the batch in issue order, ``enter_ns`` sorted: the time the request
+    *enters* the flash stage (an upstream server released it, or
+    ``FlashArray.run_reads`` issued it); the request-overhead wait
+    still follows.
+
     Reads live in *slots*, die-major: die ``k`` owns the contiguous
     slots ``[head[k], tail[k])`` in issue order and ``head[k]``
     advances past each replayed read.  Slot ``n`` is a sentinel read
     that never arrives; it follows every die's last read, so "no
     follower" is the idle-die case.  ``pending`` holds every die's
     *pending grant*, sorted, as ``(g, moment, kind, rank, die)`` — see
-    :func:`_step_reads` for the key.
+    :func:`_step_reads` for the key.  ``begin`` and ``completion`` are
+    the replayed reads' bus begins and completions.
     """
 
     __slots__ = (
-        "flush_ns", "arrive", "entered", "durations", "issue", "completion",
-        "head", "tail", "pending", "bus_free", "bus_busy", "rank",
+        "flush_ns", "arrive", "entered", "durations", "issue", "begin",
+        "completion", "head", "tail", "pending", "bus_free", "bus_busy", "rank",
     )
 
     def __init__(self, enter_ns, die_counts, transfer_ns, issue, oh_ns,
@@ -157,7 +165,7 @@ class _ChannelReplay:
         self.issue = ws("channel_issue", n + 1)
         self.issue[:n] = issue
         self.issue[n] = _SENTINEL[3]
-        self.completion = ws("completion", n, np.float64)
+        self.begin, self.completion = ws("replayed", 2 * n, np.float64).reshape(2, n)
         self.pending = sorted(
             (self.arrive.item(slot), self.entered.item(slot), 0,
              self.issue.item(slot), die)
@@ -170,9 +178,7 @@ class _ChannelReplay:
         self.rank = 0
 
 
-def _step_reads(
-    ch: _ChannelReplay, reach: int, profiler=None, bus_name=None, die_names=None
-) -> None:
+def _step_reads(ch: _ChannelReplay, reach: int) -> None:
     """The step loop: one arithmetic step per read, until a die has
     replayed ``reach`` reads or the channel is done.
 
@@ -198,9 +204,7 @@ def _step_reads(
     Works on Python lists of each die's next ``reach`` reads and
     their follower, laid end to end, so a short stretch converts few
     slots and a whole-channel call (``reach`` = the channel's read
-    count) converts every slot once.  ``profiler`` may only be passed
-    to a whole-channel call: its busy intervals and queue samples stay
-    open from step to step.
+    count) converts every slot once.
     """
     flush_ns = ch.flush_ns
     total = len(ch.completion)
@@ -228,12 +232,11 @@ def _step_reads(
         else:
             fence.append(len(arrive) - 1)
     first = cursor[:]
+    begins = [0.0] * len(arrive)
     completion = [0.0] * len(arrive)
     pending = ch.pending
     bus_free = ch.bus_free
     bus_busy = ch.bus_busy
-    busy_since = [arrive[here] for here in cursor]
-    sampled = [0] * len(cursor)
     rank = ch.rank - 1  # nothing left to replay: the loop never binds it
     for rank in range(ch.rank, total):
         g, _, _, _, die = pending.pop(0)
@@ -247,11 +250,8 @@ def _step_reads(
         bus_free = finish
         bus_busy = bus_busy + duration
         done = f + (finish - f)
+        begins[here] = begin
         completion[here] = done
-        if profiler is not None:
-            profiler.record_service(
-                bus_name, f, begin, finish, names.KIND_CHANNEL_BUS
-            )
         here += 1
         cursor[die] = here
         arrival = arrive[here]
@@ -259,36 +259,15 @@ def _step_reads(
             # Resource.release found no waiter: the die idles until
             # the follower's own arrival grants it.
             insort(pending, (arrival, entered[here], 0, issue[here], die))
-            if profiler is not None:
-                profiler.record_busy(
-                    die_names[die], busy_since[die], done, names.KIND_DIE
-                )
-                busy_since[die] = arrival
         else:
-            # Hand-off: the follower was already waiting, the busy
-            # interval stays open (Resource keeps ``_busy_since``
-            # across hand-offs).
+            # Hand-off: the follower was already waiting.
             insort(pending, (done, f, 1, rank, die))
-            if profiler is not None:
-                # Resource.acquire samples the waiters ahead of every
-                # read that arrives while the die is held; reads
-                # arriving before this completion is processed see the
-                # queue from ``here``.
-                probe = max(sampled[die], here)
-                while True:
-                    arrival = arrive[probe]
-                    if done < arrival or (done == arrival and f < entered[probe]):
-                        break
-                    profiler.record_queue_depth(
-                        die_names[die], arrival, probe - here
-                    )
-                    probe += 1
-                sampled[die] = probe
         if here == fence[die]:
             break
     for die, (start, stop) in enumerate(zip(first, cursor)):
         lo = ch.head[die]
         ch.head[die] = hi = lo + stop - start
+        ch.begin[lo:hi] = begins[start:stop]
         ch.completion[lo:hi] = completion[start:stop]
     ch.bus_free = bus_free
     ch.bus_busy = bus_busy
@@ -372,7 +351,9 @@ def _scan_reads(ch: _ChannelReplay, cells: int) -> Tuple[int, bool]:
     row_of = cell // width
     count = np.bincount(row_of, minlength=rows)
     done = columns[:-1] < count[:, None]
-    ch.completion[slot[:, :-1][done]] = finish[done]
+    applied = slot[:, :-1][done]
+    ch.begin[applied] = flush_end[done]
+    ch.completion[applied] = finish[done]
     ch.bus_free = merged_finish.item(accepted - 1)
     ch.bus_busy = maxplus.busy_sum(ch.bus_busy, duration.ravel()[cell])
     # Bus rank of each die's last replayed step (a repeated index
@@ -405,45 +386,19 @@ def _scan_reads(ch: _ChannelReplay, cells: int) -> Tuple[int, bool]:
     return accepted, blocked
 
 
-def _replay_channel(
-    enter_ns: np.ndarray,
-    die_counts: Sequence[int],
-    transfer_ns: np.ndarray,
-    issue: np.ndarray,
-    oh_ns: float,
-    flush_ns: float,
-    bus_free: float,
-    bus_busy: float,
-    ws: Workspace,
-    profiler=None,
-    bus_name=None,
-    die_names=None,
-) -> Tuple[np.ndarray, float, float]:
-    """Replay one channel's reads; returns completion times + bus state.
+def _replay_channel(ch: _ChannelReplay) -> None:
+    """Replay one channel's reads.
 
-    ``issue`` holds the issue indices of the channel's reads die-major:
-    die ``k``'s ``die_counts[k]`` reads, in issue order, after die
-    ``k - 1``'s; their completion times go back in that order.
-    ``enter_ns`` and ``transfer_ns`` hold every read of the batch in
-    issue order, ``enter_ns`` sorted: the time the request *enters* the
-    flash stage (an upstream server released it, or
-    ``FlashArray.run_reads`` issued it); the request-overhead wait still
-    follows.
-
-    With a profiler attached, or fewer than :data:`SCAN_MIN_READS`
-    reads, the step loop replays the whole channel.  Otherwise the
-    scan takes what it can verify and the step loop the stretches in
-    between: a window that grows while nothing is refused and falls
-    back to what the last attempt got through, a stretch that doubles
-    while attempts get nowhere.
+    With fewer than :data:`SCAN_MIN_READS` reads, the step loop
+    replays the whole channel.  Otherwise the scan takes what it can
+    verify and the step loop the stretches in between: a window that
+    grows while nothing is refused and falls back to what the last
+    attempt got through, a stretch that doubles while attempts get
+    nowhere.
     """
-    n = len(issue)
-    ch = _ChannelReplay(
-        enter_ns, die_counts, transfer_ns, issue, oh_ns, flush_ns,
-        bus_free, bus_busy, ws,
-    )
-    if profiler is not None or n < SCAN_MIN_READS:
-        _step_reads(ch, n, profiler, bus_name, die_names)
+    n = len(ch.completion)
+    if n < SCAN_MIN_READS:
+        _step_reads(ch, n)
     cells, stretch = SCAN_FIRST_CELLS, SCAN_FIRST_STRETCH
     while ch.rank < n:
         taken, blocked = _scan_reads(ch, cells)
@@ -454,7 +409,50 @@ def _replay_channel(
         cells = max(SCAN_FIRST_CELLS, taken)
         _step_reads(ch, stretch)
         stretch = stretch * 2 if taken < stretch else SCAN_FIRST_STRETCH
-    return ch.completion, ch.bus_free, ch.bus_busy
+
+
+def _record_channel(profiler, channel, ch: _ChannelReplay) -> None:
+    """Record what the DES's ``Server`` and ``Resource`` record for a
+    replayed channel, from its columns.  Along a die, read ``j``'s flush
+    ends at ``f_j = max(arrive_j, done_{j-1}) + flush`` and its bus job
+    is ``(f_j, begin_j, begin_j + duration_j)``.  A busy interval runs
+    from an arrival that finds the die idle to the completion after
+    which the step loop's idle test finds it idle again.  Any other
+    arrival queues behind the reads after its *holder*, the read then
+    on the die: completion ``m`` precedes the arrivals ``(arrive,
+    entered) <= (done_m, f_m)``, a prefix of the die's, so the holder's
+    place is the count of completions that precede the arrival."""
+    n = len(ch.completion)
+    bounds = np.array([0, *ch.tail])
+    used = bounds[1:] > bounds[:-1]
+    arrive, entered, done = ch.arrive, ch.entered, ch.completion
+    previous = np.r_[-_INF, done[:-1]]
+    previous[bounds[:-1][used]] = -_INF
+    f = np.maximum(arrive[:n], previous) + ch.flush_ns
+    profiler.record_services(
+        channel.bus.name, f, ch.begin, ch.begin + ch.durations[:n],
+        names.KIND_CHANNEL_BUS,
+    )
+    idle = (done < arrive[1:]) | ((done == arrive[1:]) & (f < entered[1:]))
+    idle[bounds[1:][used] - 1] = True  # a die's last read has no follower
+    queued = np.r_[False, ~idle[:-1]]
+    edges = bounds.tolist()
+    for die, lo, hi in zip(channel.dies, edges, edges[1:]):
+        waited = queued[lo:hi]
+        for start, end in zip(
+            arrive[lo:hi][~waited].tolist(), done[lo:hi][idle[lo:hi]].tolist()
+        ):
+            profiler.record_busy(die.name, start, end, names.KIND_DIE)
+        # Only completions up to the die's last arrival precede one.
+        cap = lo + np.searchsorted(done[lo:hi], arrive[hi - 1], "right")
+        past = np.clip(
+            np.searchsorted(entered[lo:hi], f[lo:cap], "right"),
+            np.searchsorted(arrive[lo:hi], done[lo:cap], "left"),
+            np.searchsorted(arrive[lo:hi], done[lo:cap], "right"),
+        )
+        before = np.cumsum(np.bincount(past, minlength=hi - lo + 1)[: hi - lo])
+        depth = np.arange(-1, hi - lo - 1) - before
+        profiler.record_queue_depths(die.name, arrive[lo:hi][waited], depth[waited])
 
 
 def replay_reads(
@@ -507,7 +505,7 @@ def replay_reads(
             sanitizer.check_latency(channel.name, "flush_ns", timing.flush_ns)
             for value in np.unique(transfer_ns[issue]):
                 sanitizer.check_latency(channel.name, "transfer_ns", float(value))
-        done, bus_free, bus_busy = _replay_channel(
+        ch = _ChannelReplay(
             enter_ns,
             die_counts,
             transfer_ns,
@@ -517,12 +515,12 @@ def replay_reads(
             channel.bus._free_at,
             channel.bus.busy_time,
             ws,
-            profiler,
-            channel.bus.name,
-            [die.name for die in channel.dies],
         )
-        end = max(end, done.max())
-        channel.bus._free_at = bus_free
-        channel.bus.busy_time = bus_busy
+        _replay_channel(ch)
+        if profiler is not None:
+            _record_channel(profiler, channel, ch)
+        end = max(end, ch.completion.max())
+        channel.bus._free_at = ch.bus_free
+        channel.bus.busy_time = ch.bus_busy
         channel.bus.jobs_served += stop - start
     return float(end) if n else flash.sim.now

@@ -89,7 +89,7 @@ class TestBackendEdges:
         backend = NaiveSSDBackend(model, 0.25, name="SSD-X")
         assert backend.name == "SSD-X"
 
-    def test_rmssd_backend_request_cost_keys(self, model):
+    def _rmssd_request(self, model):
         config = get_config("rmc1")
         backend = RMSSDBackend(model, config.lookups_per_table, use_des=False)
         rng = np.random.default_rng(0)
@@ -100,9 +100,21 @@ class TestBackendEdges:
                  for _ in range(config.num_tables)]
             ],
         )
-        cost = backend.request_cost_ns(request)
+        return backend, request
+
+    def test_rmssd_backend_request_cost_keys(self, model):
+        backend, request = self._rmssd_request(model)
+        cost = backend.run([request], compute=False).breakdown
         assert set(cost) == {"emb-ssd", "bot-mlp", "top-mlp", "emb-fs"}
         assert all(v >= 0 for v in cost.values())
+
+    def test_rmssd_backend_costs_requests_only_through_run(self, model):
+        """RM-SSD's device batches overlap, so a request has no cost of
+        its own: asking for one names ``run``, and no batch is served."""
+        backend, request = self._rmssd_request(model)
+        with pytest.raises(NotImplementedError, match=r"RMSSDBackend.*run\(\)"):
+            backend.request_cost_ns(request)
+        assert backend.stats.flash_vector_reads == 0
 
     def test_stats_accumulate_across_runs(self, model):
         backend = EMBVectorSumBackend(model)

@@ -20,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from repro.core.device import RMSSD
 from repro.core.lookup_engine import EmbeddingLookupEngine
 from repro.embedding.layout import EmbeddingLayout
 from repro.embedding.table import EmbeddingTableSet
+from repro.models import build_model, get_config
 from repro.obs import Profiler
 from repro.sim import Simulator
 from repro.sim.workspace import Workspace
@@ -33,6 +35,7 @@ from repro.ssd.controller import SSDController
 from repro.ssd.flash import FlashArray
 from repro.ssd.geometry import SSDGeometry
 from repro.ssd.timing import SSDTimingModel
+from repro.workloads import RequestGenerator
 
 NUM_TABLES = 3
 ROWS = 96
@@ -494,7 +497,10 @@ def profile_state(profiler):
     return (
         json.dumps(profiler.as_dict(), sort_keys=True),
         {name: [sorted(kind) for kind in kinds] for name, kinds in rows.items()},
-        {name: sorted(samples) for name, samples in profiler._queue_samples.items()},
+        {
+            name: sorted(zip(*(column.tolist() for column in samples.columns())))
+            for name, samples in profiler._queue_samples.items()
+        },
     )
 
 
@@ -618,6 +624,10 @@ def build_tie_engine(dies, dim):
 )
 @settings(deadline=None, max_examples=40, derandomize=True)
 def test_property_tie_stress_lookup_batch(batch, dies, dim):
+    assert_tie_lookup_batches(batch, dies, dim)
+
+
+def assert_tie_lookup_batches(batch, dies, dim):
     """Two consecutive batches through ``lookup_batch`` on the grid:
     entries spaced by the FTL stage, state carried into the second."""
     des_engine = build_tie_engine(dies, dim)
@@ -682,15 +692,33 @@ def channel_case(rng, regime, dies, n, equal):
 def step_loop_alone(case):
     channel = fastpath._ChannelReplay(*case, Workspace())
     fastpath._step_reads(channel, len(case[0]))
-    return channel.completion, channel.bus_free, channel.bus_busy
+    return channel
 
 
-def replay_bytes(result):
-    completion, bus_free, bus_busy = result
-    return completion.tobytes(), np.array([bus_free, bus_busy]).tobytes()
+def replay_channel(case):
+    channel = fastpath._ChannelReplay(*case, Workspace())
+    fastpath._replay_channel(channel)
+    return channel
+
+
+def replay_bytes(channel):
+    return (
+        channel.begin.tobytes(),
+        channel.completion.tobytes(),
+        np.array([channel.bus_free, channel.bus_busy]).tobytes(),
+    )
 
 
 REGIMES = ["tie_grid", "table2", "bursts", "idle_reads", "idle_dies", "page_reads"]
+
+
+def force_scan(patch, cells, stretch):
+    """Send every channel, however short, to the scan with windows of
+    ``cells`` reads and step-loop stretches of ``stretch``."""
+    patch.setattr(fastpath, "SCAN_MIN_READS", 0)
+    patch.setattr(fastpath, "SCAN_FIRST_CELLS", cells)
+    patch.setattr(fastpath, "SCAN_MAX_CELLS", 4 * cells)
+    patch.setattr(fastpath, "SCAN_FIRST_STRETCH", stretch)
 
 
 def assert_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch):
@@ -698,11 +726,8 @@ def assert_scan_equals_step_loop(seed, regime, dies, n, equal, cells, stretch):
     (and the step loop takes over) all over the channel."""
     case = channel_case(np.random.default_rng(seed), regime, dies, n, equal)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastpath, "SCAN_MIN_READS", 0)
-        patch.setattr(fastpath, "SCAN_FIRST_CELLS", cells)
-        patch.setattr(fastpath, "SCAN_MAX_CELLS", 4 * cells)
-        patch.setattr(fastpath, "SCAN_FIRST_STRETCH", stretch)
-        scanned = fastpath._replay_channel(*case, Workspace())
+        force_scan(patch, cells, stretch)
+        scanned = replay_channel(case)
     assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
 
 
@@ -747,7 +772,7 @@ def count_replay(monkeypatch, case):
 
     monkeypatch.setattr(fastpath, "_step_reads", counting_step)
     monkeypatch.setattr(fastpath, "_scan_reads", counting_scan)
-    scanned = fastpath._replay_channel(*case, Workspace())
+    scanned = replay_channel(case)
     monkeypatch.undo()
     assert replay_bytes(scanned) == replay_bytes(step_loop_alone(case))
     return sum(stepped), sum(refused_cells), len(attempts)
@@ -784,3 +809,103 @@ def test_small_channel_never_calls_the_scan(monkeypatch):
     case = channel_case(np.random.default_rng(5), "table2", 2, reads, False)
     stepped, _, attempts = count_replay(monkeypatch, case)
     assert (stepped, attempts) == (reads, 0)
+
+
+# ----------------------------------------------------------------------
+# The device profile is derived from the replay, whichever piece ran
+# ----------------------------------------------------------------------
+# A profiled channel takes the same scan and step-loop stretches as an
+# unprofiled one; its records come from the columns both pieces write.
+
+
+def count_scanned(patch):
+    """Wrap the scan; returns the list its accepted read counts go to."""
+    taken, scan_reads = [], fastpath._scan_reads
+
+    def counting_scan(channel, cells):
+        accepted, blocked = scan_reads(channel, cells)
+        taken.append(accepted)
+        return accepted, blocked
+
+    patch.setattr(fastpath, "_scan_reads", counting_scan)
+    return taken
+
+
+@pytest.mark.parametrize("cells, stretch", [(1, 1), (2, 1), (3, 2)])
+def test_smoke_profiled_scan_tie_cases(monkeypatch, cells, stretch):
+    """The profiled tie cases with every channel sent to the scan in
+    tiny windows: the profile is derived from columns that scan and
+    step-loop stretches wrote in turn, and equals the DES's."""
+    force_scan(monkeypatch, cells, stretch)
+    taken = count_scanned(monkeypatch)
+    test_smoke_tie_stress_staged_and_run_reads()
+    test_smoke_tie_rules_one_by_one()
+    assert sum(taken) > 0
+
+
+@given(
+    batch=batch_strategy(st.integers(0, 23)),
+    dies=st.integers(1, 5),
+    dim=st.sampled_from([4, 8, 16]),
+)
+@settings(deadline=None, max_examples=40, derandomize=True)
+def test_smoke_profiled_scan_tie_stress_lookup_batch(batch, dies, dim):
+    """The profiled lookup-batch tie cases, every channel on the scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_scan(patch, 2, 1)
+        assert_tie_lookup_batches(batch, dies, dim)
+
+
+def rmc2_device(rows, fast, profiler):
+    config = get_config("rmc2")
+    model = build_model(config, rows_per_table=rows)
+    return RMSSD(model, config.lookups_per_table, fastpath=fast, profiler=profiler)
+
+
+def rmc2_batches(rows, samples, count):
+    generator = RequestGenerator(get_config("rmc2"), rows, hot_access_fraction=0.65, seed=7)
+    return [generator.request(samples) for _ in range(count)]
+
+
+def test_smoke_profiled_rmc2_lookup_on_the_scan(monkeypatch):
+    """Two RMC2 samples (7 680 reads, 1 427 to 2 378 per channel) at
+    the module's own constants: the scan takes reads, and outputs,
+    timing and profile equal the DES's."""
+    (request,) = rmc2_batches(256, 2, 1)
+    taken = count_scanned(monkeypatch)
+    runs = []
+    for fast in (False, True):
+        profiler = Profiler()
+        device = rmc2_device(256, fast, profiler)
+        outputs, timing = device.infer_batch(request.dense, request.sparse)
+        runs.append((outputs.tobytes(), timing, profile_state(profiler)))
+    assert sum(taken) > 0
+    assert runs[1] == runs[0]
+
+
+def steps_at_lookup_rmc2_shape(monkeypatch, profiler):
+    """Reads the step loop takes in one steady RMC2 batch of 32 samples
+    at 8 192 rows."""
+    stepped, step_reads = [], fastpath._step_reads
+
+    def counting_step(channel, reach):
+        before = channel.rank
+        step_reads(channel, reach)
+        stepped.append(channel.rank - before)
+
+    device = rmc2_device(8192, True, profiler)
+    first, steady = rmc2_batches(8192, 32, 2)
+    device.infer_batch(first.dense, first.sparse)
+    with monkeypatch.context() as patch:
+        patch.setattr(fastpath, "_step_reads", counting_step)
+        device.infer_batch(steady.dense, steady.sparse)
+    return sum(stepped)
+
+
+def test_smoke_profiler_leaves_the_step_loop_count_alone(monkeypatch):
+    """With a profiler attached the replay takes the same schedule: the
+    step loop takes as many reads as without one (a few dozen of
+    122 880, where forcing the loop for the profile took them all)."""
+    unprofiled = steps_at_lookup_rmc2_shape(monkeypatch, None)
+    assert unprofiled < 1000
+    assert steps_at_lookup_rmc2_shape(monkeypatch, Profiler()) == unprofiled

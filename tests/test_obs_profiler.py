@@ -114,6 +114,8 @@ class TestRecordValidation:
         before = json.dumps(profiler.as_dict(), sort_keys=True)
         with pytest.raises(ValueError, match=message):
             profiler.record_queue_depth("die", t_ns, depth)
+        with pytest.raises(ValueError, match=message):
+            profiler.record_queue_depths("die", [1.0, t_ns], [0, depth])
         assert json.dumps(profiler.as_dict(), sort_keys=True) == before
 
     @pytest.mark.parametrize("field", ["start_ns", "emb_ns", "bot_ns", "top_ns",

@@ -17,6 +17,9 @@ python -m compileall -q src tools tests benchmarks
 echo "== fast-path differential smoke (RMSSD_SANITIZE=1) =="
 # The DES's own step order is pinned first (tests/test_des_event_order.py):
 # it is the reference every fast-path differential compares against.
+# The smoke set includes the profiled lookups whose channels take the
+# scan (the profiled tie cases in tiny windows, an RMC2 batch at the
+# module's own constants) and the step-loop count with a profiler on.
 RMSSD_SANITIZE=1 python -m pytest -x -q tests/test_des_event_order.py \
     tests/test_fastpath_equivalence.py -k smoke
 # The batched EV translation against its scalar reference on generated
