@@ -253,7 +253,7 @@ class EmbeddingLookupEngine:
         sanitizer = self.controller.flash.sanitizer
         if sanitizer is not None:
             sanitizer.vcache_batch(probe.hits, len(probe.refs))
-        misses = probe.miss_positions()
+        misses = probe.miss_positions
         return probe, flat_tables[misses], flat_indices[misses]
 
     def _bind_vcache(
@@ -273,7 +273,7 @@ class EmbeddingLookupEngine:
             return miss_rows
         n = len(probe.refs)
         rows = ws("bound", n * self.dim, np.float32).reshape(n, self.dim)
-        rows[probe.miss_positions()] = miss_rows
+        rows[probe.miss_positions] = miss_rows
         self.controller.vcache.bind(probe, rows)
         sanitizer = self.controller.flash.sanitizer
         if sanitizer is not None:

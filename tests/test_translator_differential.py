@@ -30,16 +30,24 @@ PAGE_SIZE = 4096
 EXTENTS = 7
 #: One table's draws, as one strategy built once: rows, vector size,
 #: cut points (those below ``rows`` apply), which bounds are kept (a
-#: bit each), each extent's start LBA and the extents' registration
-#: order (the indices below their count).
+#: bit each), the first extent's start LBA (the others' follow from it
+#: by a fixed stride, wrapping) and the extents' registration order (a
+#: rotation of the indices, maybe reversed; those below their count).
 TABLE = st.tuples(
     st.integers(1, 300),
     st.sampled_from([64, 96, 128, 256, 1000, PAGE_SIZE]),
     st.sets(st.integers(1, 299), max_size=EXTENTS - 1),
     st.integers(0, 2**EXTENTS - 1),
-    st.lists(st.integers(0, 10_000), min_size=EXTENTS, max_size=EXTENTS),
-    st.permutations(range(EXTENTS)),
+    st.integers(0, 10_000).map(
+        lambda lba: [(lba + 3_583 * k) % 10_001 for k in range(EXTENTS)]
+    ),
+    st.tuples(st.integers(0, EXTENTS - 1), st.booleans()).map(
+        lambda turn: [(turn[0] + k) % EXTENTS for k in range(EXTENTS)][:: 1 - 2 * turn[1]]
+    ),
 )
+#: Distinct table draws per layout; a larger layout cycles through them
+#: under distinct ids.
+SPECS = 4
 
 
 @st.composite
@@ -50,9 +58,10 @@ def layouts(draw):
     ids = draw(st.permutations(range(count + draw(st.integers(0, 8)))))[:count]
     translator = EVTranslator(page_size=PAGE_SIZE)
     tables = {}
-    specs = draw(st.lists(TABLE, min_size=count, max_size=count))
-    for table_id, (rows, ev_size, cut_set, keep, lbas, order) in zip(ids, specs):
-        # ``ids`` is a permutation: tables are registered out of id order.
+    specs = draw(st.lists(TABLE, min_size=min(count, SPECS), max_size=min(count, SPECS)))
+    # ``ids`` is a permutation: tables are registered out of id order.
+    for position, table_id in enumerate(ids):
+        rows, ev_size, cut_set, keep, lbas, order = specs[position % len(specs)]
         cuts = sorted(cut for cut in cut_set if cut < rows)
         bounds = list(zip([0] + cuts, cuts + [rows]))
         kept = [b for bit, b in enumerate(bounds) if keep >> bit & 1] or [bounds[0]]

@@ -17,7 +17,9 @@ access whose window since its previous access holds exactly
 stack-distance count, not by a shortcut; a cyclic sweep makes every
 access such a count; the doorkeeper's one circular case (a warmed key
 below the admission threshold, evicted and missed again) splits a
-batch.
+batch.  That count runs window by window on short windows and as one
+wavelet matrix on long ones: each traffic shape is pinned to its
+count, and both counts are run on every shape.
 """
 
 from collections import OrderedDict
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ssd import vcache
 from repro.ssd.vcache import MISS, POLICIES, VectorCache, encode
 
 DIM = 3
@@ -115,7 +118,7 @@ def run_batch(cache, model, batch):
     assert len(cache) <= cache.capacity_vectors
     # Bytes: only the miss rows come from "flash"; bind does the rest.
     rows = np.full((len(batch), DIM), np.nan, dtype=np.float32)
-    for position in probe.miss_positions().tolist():
+    for position in probe.miss_positions.tolist():
         rows[position] = flash_row(batch[position])
     cache.bind(probe, rows)
     for row, key in zip(rows, batch):
@@ -174,7 +177,7 @@ def test_the_three_in_batch_cases():
     assert (probe.hits, probe.misses, probe.evictions, probe.fills) == (2, 4, 4, 4)
     assert cache._unbound == 2
     rows = np.zeros((len(batch), DIM), dtype=np.float32)
-    for position in probe.miss_positions().tolist():
+    for position in probe.miss_positions.tolist():
         rows[position] = flash_row(batch[position])
     cache.bind(probe, rows)
     assert [row.tobytes() for row in rows] == [flash_row(k).tobytes() for k in batch]
@@ -316,3 +319,130 @@ def test_keys_too_large_for_the_sort_key(policy):
     cache, model = pair(2, policy, admit_after=2, warm=big[2:])
     for _ in range(2):
         run_batch(cache, model, batch)
+
+
+# ----------------------------------------------------------------------
+# The two counts: window by window, or one wavelet matrix
+# ----------------------------------------------------------------------
+def hot_cold_batches():
+    """Shaped like ``lookup_rmc1_vcache``: 70 % of the accesses on a hot
+    set smaller than the cache, the rest on a long cold tail.  The
+    windows left to count are short."""
+    rng = np.random.default_rng(7)
+    batches = []
+    for _ in range(3):
+        hot = rng.random(2000) < 0.7
+        rows = np.where(hot, rng.integers(0, 48, 2000), rng.integers(48, 1048, 2000))
+        batches.append([(int(row) % 3, int(row)) for row in rows])
+    return 64, batches
+
+
+def page_sweep_batches():
+    """Shaped like a page cache: every cycle reads each of 400 cold
+    pages once, in a fresh order, each read followed by one of 4 hot
+    pages.  The windows left to count span a cycle each."""
+    rng = np.random.default_rng(1)
+    stream = []
+    for _ in range(4):
+        for page in rng.permutation(400).tolist():
+            stream += [(1, page), (0, int(rng.integers(0, 4)))]
+    return 300, [stream]
+
+
+def cyclic_batches():
+    sweep = [(0, row % (C + 1)) for row in range(5 * (C + 1))]
+    return C, [sweep[:17], sweep[17:], sweep]
+
+
+SHAPES = {
+    "hot_cold": hot_cold_batches,
+    "page_sweep": page_sweep_batches,
+    "cyclic": cyclic_batches,
+}
+
+
+def wavelet_calls(monkeypatch) -> list:
+    """Records each call of the wavelet count from now on."""
+    calls, count_below = [], vcache._count_below
+    monkeypatch.setattr(
+        vcache, "_count_below", lambda *args: calls.append(args) or count_below(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "shape, wavelet", [("hot_cold", False), ("page_sweep", True), ("cyclic", False)]
+)
+def test_probe_counts_each_traffic_shape_its_own_way(monkeypatch, policy, shape, wavelet):
+    """Short windows are scanned one by one, and page-cache traffic
+    stays on the wavelet matrix; the scalar model agrees either way."""
+    calls = wavelet_calls(monkeypatch)
+    capacity, batches = SHAPES[shape]()
+    cache, model = pair(capacity, policy, admit_after=2)
+    for batch in batches:
+        run_batch(cache, model, batch)
+    if policy == "lru":
+        assert bool(calls) == wavelet
+
+
+@pytest.mark.parametrize("width", [0, 10**9], ids=["wavelet", "direct"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_probe_either_count_matches_scalar_model(monkeypatch, width, shape, policy):
+    """Each count alone decides every shape exactly as the model does."""
+    monkeypatch.setattr(vcache, "DIRECT_COUNT_WIDTH", width)
+    calls = wavelet_calls(monkeypatch)
+    capacity, batches = SHAPES[shape]()
+    cache, model = pair(capacity, policy, admit_after=2)
+    for batch in batches:
+        run_batch(cache, model, batch)
+    if policy == "lru":
+        assert bool(calls) == (width == 0)
+
+
+# ----------------------------------------------------------------------
+# Boundaries: refused by name, before any state moves
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "keys", [np.array([1.5, 1.0, 2.7]), np.zeros((2, 2), dtype=np.int64), np.bool_([1])]
+)
+def test_probe_refuses_keys_that_are_not_a_1d_integer_array(keys):
+    cache = VectorCache(4)
+    cache.hit_mask(np.array([1, 2]))
+    for call in (cache.probe, cache.hit_mask):
+        with pytest.raises(ValueError, match="keys"):
+            call(keys)
+    assert (cache.hits, cache.misses, cache._codes.tolist()) == (0, 2, [1, 2])
+
+
+def test_probe_encode_refuses_fractional_tables_and_rows():
+    with pytest.raises(ValueError, match="tables"):
+        encode([1.5], [2])
+    with pytest.raises(ValueError, match="rows"):
+        encode([1], [2.5])
+    assert encode([], []).size == 0
+
+
+def test_probe_bind_checks_the_row_block_before_any_state_moves():
+    """A short row block used to empty the free stack and then fail,
+    wedging the cache for good."""
+    cache = VectorCache(2)
+    probe = cache.probe(np.array([1, 2, 3]))
+    state = (cache._free.tolist(), cache._refs.tolist(), cache._unbound)
+    for rows in (
+        np.zeros((2, 4), np.float32),
+        np.zeros((3, 4)),
+        np.zeros(3, np.float32),
+        np.zeros((3, 8), np.float32)[:, ::2],
+    ):
+        with pytest.raises(ValueError, match="rows"):
+            cache.bind(probe, rows)
+        assert (cache._free.tolist(), cache._refs.tolist(), cache._unbound) == state
+    cache.bind(probe, np.arange(12, dtype=np.float32).reshape(3, 4))
+    probe = cache.probe(np.array([3]))
+    with pytest.raises(ValueError, match=r"rows must be C-contiguous float32 \(1, 4\)"):
+        cache.bind(probe, np.zeros((1, 5), np.float32))
+    rows = np.zeros((1, 4), np.float32)
+    cache.bind(probe, rows)
+    assert rows.tolist() == [[8, 9, 10, 11]]
