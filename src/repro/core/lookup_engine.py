@@ -266,15 +266,14 @@ class EmbeddingLookupEngine:
     ) -> np.ndarray:
         """Every row of the batch in issue order, given its flash reads.
 
-        The cache copies the hit rows in around the gathered miss rows
+        The cache gathers the hit rows in with the flash-read miss rows
         and commits the batch's surviving fills from them.
         """
         if probe is None:
             return miss_rows
         n = len(probe.refs)
         rows = ws("bound", n * self.dim, np.float32).reshape(n, self.dim)
-        rows[probe.miss_positions] = miss_rows
-        self.controller.vcache.bind(probe, rows)
+        rows = self.controller.vcache.bind(probe, miss_rows, rows)
         sanitizer = self.controller.flash.sanitizer
         if sanitizer is not None:
             hits = np.flatnonzero(probe.refs != vcache_model.MISS)

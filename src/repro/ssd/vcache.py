@@ -32,12 +32,9 @@ span trees (the PR 2 bitwise-equivalence contract, extended by
 ``tests/test_vcache_equivalence.py``).
 
 A batch is probed as one array program over int64 key codes
-(:func:`encode`), not key by key.  Under LRU an access hits iff fewer
-than ``capacity`` distinct keys were touched since its key's previous
-access, the resident keys counting as touched, oldest first, before
-the batch (:func:`_stack_hits`).  ``"freq"`` and ``"static"`` are the
-same LRU over the accesses they admit.  The reference is the per-key
-model in ``tests/test_vcache_probe.py``.
+(:func:`encode`), not key by key (:func:`_stack_hits`): ``"freq"`` and
+``"static"`` are the same LRU over the accesses they admit.  The
+reference is the per-key model in ``tests/test_vcache_probe.py``.
 
 Timing model: cached vectors stream from controller DRAM at
 :data:`DRAM_BYTES_PER_CYCLE` (a conservative single-channel DDR share
@@ -75,15 +72,16 @@ def fetch_cycles(vectors: int, ev_size: int) -> float:
     overlap the flash reads of the same batch's misses; the lookup
     engine charges ``max(flash, dram)`` for the combined stage.
     """
-    if vectors <= 0:
-        return 0.0
-    return vectors * (ev_size / DRAM_BYTES_PER_CYCLE)
+    return max(vectors, 0) * (ev_size / DRAM_BYTES_PER_CYCLE)
 
 
-#: ``_stack_hits`` scans its ``q`` leftover windows one by one while their
-#: total length is at most this times ``(R + n) * q.bit_length()``, the
-#: wavelet matrix's work; the crossover was 12-16 on 530 recorded counts.
+#: ``_stack_hits`` counts its ``q`` leftover windows one by one while their total
+#: length is at most this times ``(R + n) * q.bit_length()``, the wavelet's work.
 DIRECT_COUNT_WIDTH = 12
+
+#: An access at most this far after its key's previous one repeats a key of any
+#: window it lies this far into; 64 cuts lookup_rmc1_vcache's counts 155 -> 21.
+NEAR_GAP = 64
 
 #: ``Probe.refs`` value of a lookup that missed the cache.
 MISS = np.iinfo(np.int64).min
@@ -127,9 +125,7 @@ def _previous(stream: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, start, prev
 
 
-def _carry(
-    order: np.ndarray, start: np.ndarray, own: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _carry(order: np.ndarray, start: np.ndarray, own: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Each position's ``own`` at its key's latest non-:data:`MISS`
     position up to it, by position and in ``order``; and each key's
     last position, oldest first."""
@@ -178,16 +174,23 @@ def _stack_hits(prev: np.ndarray, resident: int, capacity: int) -> np.ndarray:
     distinct keys occur strictly between an access ``t`` and its previous
     one ``p``, i.e. ``#{j in (p, t) : prev[j] < p} < capacity``.  No ``p``
     is a miss; a gap under ``capacity``, or at most ``capacity`` keys in
-    all, a hit; ``capacity`` never-seen keys in the gap a miss.  Only the
+    all, a hit; ``capacity`` never-seen keys in the gap a miss; under
+    ``capacity`` accesses bar its :data:`NEAR_GAP` repeats, a hit.  The
     rest are counted, window by window while short (:data:`DIRECT_COUNT_WIDTH`)."""
     t, p = np.arange(resident, prev.size), prev[resident:]
     fresh = np.cumsum(prev < 0)
     if not fresh.size or fresh[-1] <= capacity:
         return p >= 0
-    hit = (p >= 0) & (t - p <= capacity)
-    open_ = np.flatnonzero((p >= 0) & ~hit)
-    open_ = open_[fresh[t[open_] - 1] - fresh[p[open_]] < capacity]
+    gap, seen = t - p, p >= 0
+    hit = seen & (gap <= capacity)
+    open_ = np.flatnonzero(seen & ~hit)
+    near = np.zeros(prev.size + 1, dtype=np.int64)
+    np.cumsum(gap <= NEAR_GAP, out=near[resident + 1 :])
     p, t = p[open_], t[open_]
+    few = t - p - 1 - near[t] + near[np.minimum(p + NEAR_GAP, t)] < capacity
+    hit[open_[few]] = True
+    keep = ~few & (fresh[t - 1] - fresh[p] < capacity)
+    open_, p, t = open_[keep], p[keep], t[keep]
     if (t - p).sum() > DIRECT_COUNT_WIDTH * prev.size * open_.size.bit_length():
         hit[open_] = _count_below(prev, p + 1, t, p) < capacity
     else:
@@ -338,9 +341,8 @@ class VectorCache:
         at = np.flatnonzero(hit)
         refs[kept[at]] = own[resident + at]
         final = last[-capacity:]
-        # A residency ends where its run of equal ``own`` ends: inside
-        # its key's accesses, or at the last, which all but the final
-        # keys' were.  They were evicted in the order they ended.
+        # A residency ends where its run of equal ``own`` ends, inside its key's
+        # accesses or at the last (bar the final keys'): evicted in that order.
         inside = np.flatnonzero((ordered[1:] != ordered[:-1]) & ~begin[1:])
         gone = np.sort(np.concatenate((order[inside], last[:-capacity])))
         freed = own[gone]
@@ -385,44 +387,42 @@ class VectorCache:
         at = np.searchsorted(self._door_keys, keys).clip(max=self._door_keys.size - 1)
         return np.where(self._door_keys[at] == keys, self._door_counts[at], 0)
 
-    def bind(self, probe: Probe, rows: np.ndarray) -> None:
-        """Resolve the bytes of one probed batch, in place in ``rows``.
-
-        ``rows`` is ``(len(keys), dim)`` float32 with every miss row
-        already gathered from flash.  Hit rows are copied in — from the
-        arena, or from the same-batch miss that filled the key — and
-        then the fills still resident after the whole batch are copied
-        out into free arena slots, the oldest fill taking the top of the
-        free stack.  A key filled and evicted again within the batch
-        never reaches the arena.
+    def bind(self, probe: Probe, rows: np.ndarray, out=None) -> np.ndarray:
+        """Every row of one probed batch in issue order, into ``out`` (a
+        new block when ``None``), which is returned: ``rows``, the
+        ``(misses, dim)`` float32 block the misses read from flash, and
+        each hit's row from the arena or the same-batch miss that filled
+        its key.  Then the fills still resident after the batch are copied
+        into free arena slots, the oldest fill taking the top of the stack.
         """
-        n, dim = probe.refs.size, getattr(self._arena, "shape", rows.shape)[1:]
-        bad = rows.dtype != np.float32 or rows.ndim != 2 or not rows.flags.c_contiguous
-        if bad or rows.shape != (n, *dim):
-            shape = f"({n}, {dim[0] if dim else 'dim'})"
-            raise ValueError(f"rows must be C-contiguous float32 {shape}, got {rows.shape}")
-        if rows.shape[1]:
-            # Rows as opaque records: a fancy index moves them ~1.6x faster.
-            record = np.dtype((np.void, 4 * rows.shape[1]))
-            hits = np.flatnonzero(probe.refs != MISS)
-            refs, records = probe.refs[hits], rows.view(record)[:, 0]
-            fresh, arena = refs < 0, self._arena_for(rows.shape[1]).view(record)[:, 0]
-            records[hits[~fresh]] = arena[refs[~fresh]]
-            records[hits[fresh]] = records[~refs[fresh]]
+        m, dim = probe.misses, getattr(self._arena, "shape", rows.shape)[1:]
+        if rows.dtype != np.float32 or rows.ndim != 2 or rows.shape != (m, *dim):
+            shape = f"({m}, {dim[0] if dim else 'dim'})"
+            raise ValueError(f"rows must be float32 {shape}, got {rows.dtype} {rows.shape}")
+        if not rows.shape[1]:
+            out = np.empty((probe.refs.size, 0), dtype=np.float32)
+        else:
+            # One gather from [arena; rows]; scattering the rows cost ~1.8x as much.
+            index, misses = probe.refs.copy(), probe.miss_positions
+            index[misses] = np.arange(self.capacity_vectors, self.capacity_vectors + m)
+            fresh = np.flatnonzero(index < 0)
+            index[fresh] = self.capacity_vectors + np.searchsorted(misses, ~index[fresh])
+            source = np.concatenate((self._arena_for(rows.shape[1]), rows))
+            out = np.take(source, index, axis=0, out=out, mode="clip")
         if self._unbound:
             pending = np.flatnonzero(self._refs < 0)
             taken = self._free[::-1][: pending.size]
             self._free = self._free[: self._free.size - pending.size]
-            self._arena_for(rows.shape[1])[taken] = rows[~self._refs[pending]]
+            self._arena_for(rows.shape[1])[taken] = out[~self._refs[pending]]
             self._refs[pending] = taken
             self._unbound = 0
+        return out
 
     def hit_mask(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`probe` + :meth:`bind` of a cache that holds keys only
-        (a page cache, a hit-ratio replay): whether each key hit, with
-        a zero-width row block, so no vector byte is stored or moved."""
+        """Whether each key hit: :meth:`probe` + :meth:`bind` of a key-only
+        cache (a page cache, a hit-ratio replay), moving no vector byte."""
         probe = self.probe(keys)
-        self.bind(probe, np.empty((probe.refs.size, 0), dtype=np.float32))
+        self.bind(probe, np.empty((probe.misses, 0), dtype=np.float32))
         return probe.refs != MISS
 
     def _arena_for(self, dim: int) -> np.ndarray:

@@ -98,6 +98,12 @@ def pair(capacity, policy="lru", admit_after=2, warm=()):
     return cache, model
 
 
+def miss_rows(probe, batch) -> np.ndarray:
+    """The rows "flash" reads for the misses of ``batch``, in issue order."""
+    rows = [flash_row(batch[position]) for position in probe.miss_positions.tolist()]
+    return np.array(rows, dtype=np.float32).reshape(-1, DIM)
+
+
 def run_batch(cache, model, batch):
     """Probe and bind ``batch`` on the cache, access it on the model,
     and check every observable agrees; returns the probe."""
@@ -117,10 +123,7 @@ def run_batch(cache, model, batch):
     assert probe.hits + probe.misses == len(batch)
     assert len(cache) <= cache.capacity_vectors
     # Bytes: only the miss rows come from "flash"; bind does the rest.
-    rows = np.full((len(batch), DIM), np.nan, dtype=np.float32)
-    for position in probe.miss_positions.tolist():
-        rows[position] = flash_row(batch[position])
-    cache.bind(probe, rows)
+    rows = cache.bind(probe, miss_rows(probe, batch))
     for row, key in zip(rows, batch):
         assert row.tobytes() == flash_row(key).tobytes()
     assert_state(cache, model)
@@ -176,10 +179,7 @@ def test_the_three_in_batch_cases():
     assert probe.refs.tolist() == [slot_a, MISS, MISS, ~1, MISS, MISS]
     assert (probe.hits, probe.misses, probe.evictions, probe.fills) == (2, 4, 4, 4)
     assert cache._unbound == 2
-    rows = np.zeros((len(batch), DIM), dtype=np.float32)
-    for position in probe.miss_positions.tolist():
-        rows[position] = flash_row(batch[position])
-    cache.bind(probe, rows)
+    rows = cache.bind(probe, miss_rows(probe, batch))
     assert [row.tobytes() for row in rows] == [flash_row(k).tobytes() for k in batch]
     assert [decode(code) for code in cache._codes] == [b, a]
     assert c not in cache and d not in cache
@@ -401,6 +401,23 @@ def test_probe_either_count_matches_scalar_model(monkeypatch, width, shape, poli
         assert bool(calls) == (width == 0)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "batch",
+    [[0, 1, 0, 2, 3, 2, 4, 1], [0, 1, 2, 0, 3, 3, 4, 1]],
+    ids=["repeat_before_the_near_window", "repeat_one_past_the_near_gap"],
+)
+def test_probe_near_repeats_stop_at_their_boundary(monkeypatch, policy, batch):
+    """The last access's window holds exactly ``C`` = 4 distinct keys,
+    one a repeat of ``0`` that is not a near repeat (gap 2 at 1 past
+    ``p``, or gap 3): taking it out too would make it a hit."""
+    monkeypatch.setattr(vcache, "NEAR_GAP", 2)
+    cache, model = pair(4, policy, admit_after=2)
+    probe = run_batch(cache, model, [(0, row) for row in batch])
+    if policy == "lru":
+        assert probe.refs[-1] == MISS
+
+
 # ----------------------------------------------------------------------
 # Boundaries: refused by name, before any state moves
 # ----------------------------------------------------------------------
@@ -430,19 +447,16 @@ def test_probe_bind_checks_the_row_block_before_any_state_moves():
     cache = VectorCache(2)
     probe = cache.probe(np.array([1, 2, 3]))
     state = (cache._free.tolist(), cache._refs.tolist(), cache._unbound)
-    for rows in (
-        np.zeros((2, 4), np.float32),
-        np.zeros((3, 4)),
-        np.zeros(3, np.float32),
-        np.zeros((3, 8), np.float32)[:, ::2],
-    ):
+    for rows in (np.zeros((2, 4), np.float32), np.zeros((3, 4)), np.zeros(3, np.float32)):
         with pytest.raises(ValueError, match="rows"):
             cache.bind(probe, rows)
         assert (cache._free.tolist(), cache._refs.tolist(), cache._unbound) == state
-    cache.bind(probe, np.arange(12, dtype=np.float32).reshape(3, 4))
+    with pytest.raises(ValueError):
+        cache.bind(probe, np.zeros((3, 4), np.float32), np.zeros((2, 4), np.float32))
+    assert (cache._free.tolist(), cache._refs.tolist(), cache._unbound) == state
+    # Any float32 block of the right shape binds, strided or not.
+    cache.bind(probe, np.arange(24, dtype=np.float32).reshape(3, 8)[:, ::2])
     probe = cache.probe(np.array([3]))
-    with pytest.raises(ValueError, match=r"rows must be C-contiguous float32 \(1, 4\)"):
-        cache.bind(probe, np.zeros((1, 5), np.float32))
-    rows = np.zeros((1, 4), np.float32)
-    cache.bind(probe, rows)
-    assert rows.tolist() == [[8, 9, 10, 11]]
+    with pytest.raises(ValueError, match=r"rows must be float32 \(0, 4\)"):
+        cache.bind(probe, np.zeros((0, 5), np.float32))
+    assert cache.bind(probe, np.zeros((0, 4), np.float32)).tolist() == [[16, 18, 20, 22]]

@@ -38,8 +38,9 @@ echo "== vector-cache differential smoke (RMSSD_SANITIZE=1) =="
 # DES == fast with the cache on (incl. one batch overflowing a 2-4
 # vector cache), the probe against its scalar model under both of its
 # LRU counts (window by window on short windows, one wavelet matrix on
-# long ones; each traffic shape pinned to its count), the probe's
-# refusals of non-integer keys and mis-shaped row blocks, the
+# long ones; each traffic shape pinned to its count) and at the edge of
+# its near-repeat test, the probe's refusals of non-integer keys and
+# mis-shaped miss-row blocks, the
 # vcache-hit-bytes mutation (a corrupted arena slot must be caught),
 # and the baselines whose page and host caches run on the same probe:
 # every number they report pinned by digest, hostile cache sizes refused.
